@@ -2,8 +2,8 @@
 //!
 //! Three arms over an identical short MLM pretraining run:
 //!
-//! - `baseline`  — `pretrain_mlm_resumable`, the PR-2 loop.
-//! - `disabled`  — `pretrain_mlm_supervised` with `SupervisorConfig::default()`
+//! - `baseline`  — `TrainRun::mlm` with no supervisor configured.
+//! - `disabled`  — the same run with `.supervisor(&SupervisorConfig::default())`
 //!   (every feature off; must be the literal baseline loop).
 //! - `armed`     — clipping + rollback + spike detection on, but no faults,
 //!   so the supervisor does its per-step anomaly checks and snapshot

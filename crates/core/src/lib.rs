@@ -59,6 +59,4 @@ pub use ntr_tensor as tensor;
 pub use ntr_tokenizer as tokenizer;
 
 pub use pipeline::{EncodeError, EncodeRequest, Pipeline, PipelineBuilder, TableEncoding};
-#[allow(deprecated)]
-pub use zoo::build_model;
 pub use zoo::{build_encoder, build_mlm_model, EncoderSpec, ModelKind, QuantSpec};

@@ -454,26 +454,6 @@ impl Pipeline {
         let encoded = self.serialize(table, context);
         self.encode_serialized(model, encoded)
     }
-
-    /// As [`Pipeline::encode`], but records inference metrics into `obs`:
-    /// `encode/calls`, `encode/tokens`, and an `encode/ns` latency
-    /// histogram. With a disabled handle this is exactly [`Pipeline::encode`].
-    pub fn encode_observed(
-        &self,
-        model: &mut dyn SequenceEncoder,
-        table: &Table,
-        context: &str,
-        obs: &ntr_obs::Obs,
-    ) -> TableEncoding {
-        let t0 = obs.now();
-        let enc = self.encode(model, table, context);
-        obs.inc("encode/calls");
-        obs.add("encode/tokens", enc.encoded.len() as u64);
-        if let Some(t0) = t0 {
-            obs.observe("encode/ns", t0.elapsed().as_nanos() as u64);
-        }
-        enc
-    }
 }
 
 /// The output representations of one table encoding, at every granularity

@@ -6,9 +6,7 @@
 //! one constructor the pipeline, serving layer, CLI, and benches all go
 //! through, and [`ModelKind`]'s `FromStr`/`Display` pair is the one
 //! parser shared by CLI flags, the wire protocol, and index metadata
-//! stamps. The old entry points ([`build_model`], [`ModelKind::parse`])
-//! remain as deprecated one-line delegates, pinned bit-exact by
-//! `tests/deprecated_compat.rs`.
+//! stamps.
 
 use crate::pipeline::EncodeError;
 use ntr_models::{Mate, ModelConfig, RowStudent, SequenceEncoder, Tapas, Turl, VanillaBert};
@@ -45,13 +43,6 @@ impl ModelKind {
         ModelKind::Mate,
         ModelKind::RowStudent,
     ];
-
-    /// Inverse of [`ModelKind::name`]: resolves a registry kind from its
-    /// stable name (CLI flags, wire requests).
-    #[deprecated(note = "use the FromStr impl: `name.parse::<ModelKind>()`")]
-    pub fn parse(name: &str) -> Option<ModelKind> {
-        name.parse().ok()
-    }
 
     /// Stable name for reports, CLI flags, wire requests, and index
     /// metadata; round-trips through the `FromStr` impl.
@@ -202,12 +193,6 @@ pub fn build_mlm_model(
     })
 }
 
-/// Builds a boxed f32 encoder of the requested family.
-#[deprecated(note = "use `build_encoder(EncoderSpec::f32(kind), cfg)`")]
-pub fn build_model(kind: ModelKind, cfg: &ModelConfig) -> Box<dyn SequenceEncoder + Send> {
-    build_encoder(EncoderSpec::f32(kind), cfg).expect("f32 specs are valid for every registry kind")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,15 +277,6 @@ mod tests {
                 (_, Ok(m)) => assert_eq!(m.family(), kind.name()),
                 (_, Err(e)) => panic!("{kind} should be MLM-capable: {e}"),
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_build_model_still_constructs_every_family() {
-        let cfg = ModelConfig::tiny(64);
-        for kind in ModelKind::ALL {
-            assert_eq!(build_model(kind, &cfg).family(), kind.name());
         }
     }
 }

@@ -15,9 +15,8 @@
 
 use std::path::Path;
 
-use ntr_tensor::io::ByteReader;
+use ntr_tensor::io::{read_sections, save_sections, ByteReader};
 
-use crate::sections;
 use crate::store::{EmbeddingStore, TopK};
 use crate::{l2_sq, IndexError};
 
@@ -342,21 +341,16 @@ impl IvfIndex {
                 list.extend_from_slice(&id.to_le_bytes());
             }
         }
-        sections::write_file(
-            path,
-            MAGIC,
-            VERSION,
-            &[(TAG_META, meta), (TAG_CENT, cent), (TAG_LIST, list)],
-        )
+        let sections = [(TAG_META, meta), (TAG_CENT, cent), (TAG_LIST, list)];
+        Ok(save_sections(path, MAGIC, VERSION, &sections)?.bytes)
     }
 
     /// Transactionally load from `path` — typed errors, never a panic.
     pub fn load(path: &Path) -> Result<IvfIndex, IndexError> {
         let bytes = std::fs::read(path)?;
-        let sections = sections::read_file(&bytes, MAGIC, VERSION)?;
+        let sections = read_sections(&bytes, MAGIC, VERSION)?;
 
-        let meta_sec = sections::require(&sections, TAG_META)?;
-        let mut r = ByteReader::new(meta_sec.payload);
+        let mut r = ByteReader::new(sections.require(TAG_META)?);
         let dim = r.u32()? as usize;
         let n_vectors = r.u64()?;
         let seed = r.u64()?;
@@ -373,22 +367,20 @@ impl IvfIndex {
             )));
         }
 
-        let cent_sec = sections::require(&sections, TAG_CENT)?;
+        let cent = sections.require(TAG_CENT)?;
         let expected = (nlist as u64)
             .checked_mul(dim as u64)
             .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| IndexError::BadFormat("centroid segment size overflows".into()))?;
-        if cent_sec.payload.len() as u64 != expected {
+        if cent.len() as u64 != expected {
             return Err(IndexError::Mismatch(format!(
                 "CENT holds {} byte(s), expected {expected} for {nlist} × {dim} f32",
-                cent_sec.payload.len()
+                cent.len()
             )));
         }
-        let mut r = ByteReader::new(cent_sec.payload);
-        let centroids = r.f32s(nlist * dim)?;
+        let centroids = ByteReader::new(cent).f32s(nlist * dim)?;
 
-        let list_sec = sections::require(&sections, TAG_LIST)?;
-        let mut r = ByteReader::new(list_sec.payload);
+        let mut r = ByteReader::new(sections.require(TAG_LIST)?);
         let got_nlist = r.u32()? as usize;
         if got_nlist != nlist {
             return Err(IndexError::Mismatch(format!(

@@ -3,10 +3,10 @@
 //! This crate turns a corpus of table embeddings into something searchable:
 //!
 //! * [`EmbeddingStore`] — a flat, mmap-friendly f32 segment store persisted
-//!   with the same atomic-write discipline as `ntr-nn::serialize` (NTRW):
-//!   per-section CRC32s, a file-level CRC trailer, temp-file + fsync + rename,
-//!   and a transactional bounds-checked load that either yields a verified
-//!   store or a typed [`IndexError`] — never a partially applied one.
+//!   as an NTRW container (`ntr_tensor::io`: per-section CRC32s, a file-level
+//!   CRC trailer, temp-file + fsync + rename), with a transactional
+//!   bounds-checked load that either yields a verified store or a typed
+//!   [`IndexError`] — never a partially applied one.
 //! * [`IvfIndex`] — an IVF-flat approximate-nearest-neighbor index built with
 //!   a seeded, sequential k-means so the same seed over the same store
 //!   produces byte-identical persisted files regardless of thread count.
@@ -26,7 +26,6 @@
 //! File formats are documented in `DESIGN.md` §12.
 
 mod ivf;
-mod sections;
 mod store;
 
 pub use ivf::{IvfConfig, IvfIndex, PackedLists, SearchResult};
@@ -36,7 +35,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use ntr_tensor::io::ShortRead;
+use ntr_tensor::io::{SectionError, ShortRead};
 
 /// Typed error for every store/index failure path. Loading a truncated or
 /// corrupted file must surface one of these — never a panic.
@@ -101,6 +100,15 @@ impl From<ShortRead> for IndexError {
             "short read: needed {} bytes, {} remaining",
             e.needed, e.remaining
         ))
+    }
+}
+
+impl From<SectionError> for IndexError {
+    fn from(e: SectionError) -> Self {
+        match e {
+            SectionError::Checksum(m) => IndexError::Mismatch(m),
+            SectionError::Malformed(m) => IndexError::BadFormat(m),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Flat f32 embedding segment store (`store.ntrs`).
 //!
-//! Layout (see `sections.rs` for the framing):
+//! Section payloads (the container framing is `ntr_tensor::io`'s):
 //!
 //! * `META` — u32 dim, u64 count, u32 n_pairs, then n_pairs × (str key,
 //!   str value). Free-form key/value metadata makes the store
@@ -14,9 +14,8 @@
 
 use std::path::Path;
 
-use ntr_tensor::io::ByteReader;
+use ntr_tensor::io::{get_str, put_str, read_sections, save_sections, ByteReader};
 
-use crate::sections::{self, get_str, put_str};
 use crate::{l2_sq, IndexError};
 
 const MAGIC: [u8; 4] = *b"NTRS";
@@ -130,22 +129,17 @@ impl EmbeddingStore {
         for v in &self.vecs {
             vecs.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        sections::write_file(
-            path,
-            MAGIC,
-            VERSION,
-            &[(TAG_META, meta), (TAG_TIDS, tids), (TAG_VECS, vecs)],
-        )
+        let sections = [(TAG_META, meta), (TAG_TIDS, tids), (TAG_VECS, vecs)];
+        Ok(save_sections(path, MAGIC, VERSION, &sections)?.bytes)
     }
 
     /// Transactionally load from `path`: either a fully verified store or a
     /// typed error — truncated and corrupted files never panic.
     pub fn load(path: &Path) -> Result<EmbeddingStore, IndexError> {
         let bytes = std::fs::read(path)?;
-        let sections = sections::read_file(&bytes, MAGIC, VERSION)?;
+        let sections = read_sections(&bytes, MAGIC, VERSION)?;
 
-        let meta_sec = sections::require(&sections, TAG_META)?;
-        let mut r = ByteReader::new(meta_sec.payload);
+        let mut r = ByteReader::new(sections.require(TAG_META)?);
         let dim = r.u32()? as usize;
         let count = r.u64()?;
         let n_pairs = r.u32()? as usize;
@@ -161,8 +155,7 @@ impl EmbeddingStore {
             ));
         }
 
-        let tids_sec = sections::require(&sections, TAG_TIDS)?;
-        let mut r = ByteReader::new(tids_sec.payload);
+        let mut r = ByteReader::new(sections.require(TAG_TIDS)?);
         let n_ids = r.u64()?;
         if n_ids != count {
             return Err(IndexError::Mismatch(format!(
@@ -174,19 +167,18 @@ impl EmbeddingStore {
             ids.push(get_str(&mut r)?);
         }
 
-        let vecs_sec = sections::require(&sections, TAG_VECS)?;
+        let vecs = sections.require(TAG_VECS)?;
         let expected = count
             .checked_mul(dim as u64)
             .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| IndexError::BadFormat("vector segment size overflows".into()))?;
-        if vecs_sec.payload.len() as u64 != expected {
+        if vecs.len() as u64 != expected {
             return Err(IndexError::Mismatch(format!(
                 "VECS holds {} byte(s), expected {expected} for {count} × {dim} f32",
-                vecs_sec.payload.len()
+                vecs.len()
             )));
         }
-        let mut r = ByteReader::new(vecs_sec.payload);
-        let vecs = r.f32s((count as usize) * dim)?;
+        let vecs = ByteReader::new(vecs).f32s((count as usize) * dim)?;
 
         Ok(EmbeddingStore {
             dim,
@@ -313,6 +305,26 @@ mod tests {
         let loaded = EmbeddingStore::load(&path).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded.dim(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_section_is_bad_format() {
+        // Two `META` sections, every CRC valid: the loader must not pick one.
+        let dir = std::env::temp_dir().join(format!("ntrs_dup_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.ntrs");
+        sample_store().save(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let read = read_sections(&image, MAGIC, VERSION).unwrap();
+        let sections: Vec<_> = [TAG_META, TAG_TIDS, TAG_VECS, TAG_META]
+            .iter()
+            .map(|&tag| (tag, read.require(tag).unwrap().to_vec()))
+            .collect();
+        save_sections(&path, MAGIC, VERSION, &sections).unwrap();
+        let err = EmbeddingStore::load(&path).unwrap_err();
+        assert_eq!(err.kind(), "BadFormat", "{err}");
+        assert!(err.to_string().contains("more than once"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

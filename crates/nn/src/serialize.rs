@@ -1,24 +1,12 @@
 //! Checkpointing: save/load model parameters **and full training state**
-//! (Adam moments, LR schedule, shuffle cursor, dropout RNGs) to a
-//! versioned, checksummed binary format with crash-safe writes.
+//! (Adam moments, LR schedule, shuffle cursor, dropout RNGs) as an `NTRW`
+//! container file. The framing, checksums and crash-safe write sequence are
+//! [`ntr_tensor::io`]'s; this module owns the section payloads.
 //!
-//! ## `NTRW` v2 format (little-endian throughout)
+//! ## `NTRW` v2 sections (little-endian throughout)
 //!
-//! ```text
-//! magic   b"NTRW"
-//! u32     version (2)
-//! u32     section count
-//! per section:
-//!   [u8;4]  tag               (b"PARA", b"ADAM", b"SCHD", b"CURS", b"RNGS")
-//!   u64     payload length
-//!   ...     payload
-//!   u32     CRC-32 of the payload
-//! trailer b"NTRE"
-//! u32     CRC-32 of every preceding byte (magic through trailer magic)
-//! ```
-//!
-//! Section payloads (`str` = u32 length + UTF-8 bytes; `tensor` = u32 ndim,
-//! u32 per dim, f32 bit patterns row-major):
+//! `str` = u32 length + UTF-8 bytes; `tensor` = u32 ndim, u32 per dim, f32
+//! bit patterns row-major:
 //!
 //! * `PARA` — u32 count, then (str name, tensor value) per parameter;
 //! * `ADAM` — u64 steps, f32 lr/β₁/β₂/ε/weight-decay, u32 count, then
@@ -28,39 +16,36 @@
 //! * `RNGS` — u32 count, then (str name, 4×u64 state words) per dropout RNG.
 //!
 //! A v2 file with only the `PARA` section is a plain weight checkpoint;
-//! version-1 files (raw parameters, no sections, no checksums) still parse,
-//! yielding `state: None` so optimizer state is freshly initialized.
-//! Unknown section tags are skipped (their CRC is still verified), leaving
-//! room for future sections without a version bump.
-//!
-//! ## Integrity and crash safety
+//! version-1 files (magic, version, then the `PARA` payload bare — no
+//! sections, no checksums) still parse, yielding `state: None` so optimizer
+//! state is freshly initialized.
 //!
 //! Loading never trusts a declared length: every read is bounds-checked
-//! against the remaining file *before* any allocation, the file-level CRC is
-//! verified before sections are interpreted, and each section's CRC is
-//! verified before its payload is decoded. Any truncation or bit flip
-//! surfaces as [`CheckpointError::BadFormat`] — never a panic, never a
-//! silently wrong tensor. [`save_checkpoint`] writes through a temp file +
-//! `fsync` + atomic rename, so a crash at any byte leaves either the old
-//! complete checkpoint or the new one on disk, never a hybrid.
+//! against the remaining bytes *before* any allocation. Any truncation or
+//! bit flip surfaces as [`CheckpointError::BadFormat`] — never a panic,
+//! never a silently wrong tensor.
 
 use crate::optim::{Adam, WarmupLinearSchedule};
 use crate::Layer;
-use ntr_tensor::io::{crc32, ByteReader, CrcWriter, ShortRead};
+use ntr_tensor::io::{
+    get_str, put_str, read_sections, save_sections, write_sections, ByteReader, Section,
+    SectionError, ShortRead,
+};
 use ntr_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"NTRW";
-const TRAILER: &[u8; 4] = b"NTRE";
+pub use ntr_tensor::io::SaveStats;
+
+const MAGIC: [u8; 4] = *b"NTRW";
 const VERSION: u32 = 2;
 
-const TAG_PARAMS: &[u8; 4] = b"PARA";
-const TAG_ADAM: &[u8; 4] = b"ADAM";
-const TAG_SCHEDULE: &[u8; 4] = b"SCHD";
-const TAG_CURSOR: &[u8; 4] = b"CURS";
-const TAG_RNGS: &[u8; 4] = b"RNGS";
+const TAG_PARAMS: [u8; 4] = *b"PARA";
+const TAG_ADAM: [u8; 4] = *b"ADAM";
+const TAG_SCHEDULE: [u8; 4] = *b"SCHD";
+const TAG_CURSOR: [u8; 4] = *b"CURS";
+const TAG_RNGS: [u8; 4] = *b"RNGS";
 
 /// Tensors in checkpoints are at most matrices today; a little headroom
 /// guards against nonsense `ndim` from corrupt files without rejecting
@@ -99,6 +84,12 @@ impl From<io::Error> for CheckpointError {
 
 impl From<ShortRead> for CheckpointError {
     fn from(e: ShortRead) -> Self {
+        CheckpointError::BadFormat(e.to_string())
+    }
+}
+
+impl From<SectionError> for CheckpointError {
+    fn from(e: SectionError) -> Self {
         CheckpointError::BadFormat(e.to_string())
     }
 }
@@ -311,11 +302,6 @@ impl TrainCheckpoint {
 // Writing
 // ---------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
 fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     buf.extend_from_slice(&(t.ndim() as u32).to_le_bytes());
     for &d in t.shape() {
@@ -326,36 +312,20 @@ fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     }
 }
 
-fn write_section<W: Write>(
-    w: &mut CrcWriter<W>,
-    tag: &[u8; 4],
-    payload: &[u8],
-) -> Result<(), CheckpointError> {
-    w.write_all(tag)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
+fn put_params(buf: &mut Vec<u8>, params: &BTreeMap<String, Tensor>) {
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
+    for (name, t) in params {
+        put_str(buf, name);
+        put_tensor(buf, t);
+    }
 }
 
-/// Serializes a checkpoint to `w` in the v2 format.
-pub fn write_checkpoint_to(
-    ckpt: &TrainCheckpoint,
-    w: &mut dyn Write,
-) -> Result<(), CheckpointError> {
-    let mut cw = CrcWriter::new(w);
-    cw.write_all(MAGIC)?;
-    cw.write_all(&VERSION.to_le_bytes())?;
-    let n_sections: u32 = if ckpt.state.is_some() { 5 } else { 1 };
-    cw.write_all(&n_sections.to_le_bytes())?;
-
+/// The v2 sections of `ckpt`: `PARA`, plus the four training-state sections
+/// when state is present.
+fn checkpoint_sections(ckpt: &TrainCheckpoint) -> Vec<Section> {
     let mut para = Vec::new();
-    para.extend_from_slice(&(ckpt.params.len() as u32).to_le_bytes());
-    for (name, t) in &ckpt.params {
-        put_str(&mut para, name);
-        put_tensor(&mut para, t);
-    }
-    write_section(&mut cw, TAG_PARAMS, &para)?;
+    put_params(&mut para, &ckpt.params);
+    let mut sections = vec![(TAG_PARAMS, para)];
 
     if let Some(st) = &ckpt.state {
         let mut adam = Vec::new();
@@ -369,19 +339,19 @@ pub fn write_checkpoint_to(
             put_tensor(&mut adam, m);
             put_tensor(&mut adam, v);
         }
-        write_section(&mut cw, TAG_ADAM, &adam)?;
+        sections.push((TAG_ADAM, adam));
 
         let mut schd = Vec::new();
         schd.extend_from_slice(&st.schedule.peak_lr.to_le_bytes());
         schd.extend_from_slice(&st.schedule.warmup.to_le_bytes());
         schd.extend_from_slice(&st.schedule.total.to_le_bytes());
-        write_section(&mut cw, TAG_SCHEDULE, &schd)?;
+        sections.push((TAG_SCHEDULE, schd));
 
         let mut curs = Vec::new();
         curs.extend_from_slice(&st.cursor.epoch.to_le_bytes());
         curs.extend_from_slice(&st.cursor.example.to_le_bytes());
         curs.extend_from_slice(&st.cursor.seed.to_le_bytes());
-        write_section(&mut cw, TAG_CURSOR, &curs)?;
+        sections.push((TAG_CURSOR, curs));
 
         let mut rngs = Vec::new();
         rngs.extend_from_slice(&(st.rngs.len() as u32).to_le_bytes());
@@ -391,32 +361,24 @@ pub fn write_checkpoint_to(
                 rngs.extend_from_slice(&w64.to_le_bytes());
             }
         }
-        write_section(&mut cw, TAG_RNGS, &rngs)?;
+        sections.push((TAG_RNGS, rngs));
     }
+    sections
+}
 
-    cw.write_all(TRAILER)?;
-    let file_crc = cw.crc();
-    cw.inner_mut().write_all(&file_crc.to_le_bytes())?;
+/// Serializes a checkpoint to `w` in the v2 format.
+pub fn write_checkpoint_to(
+    ckpt: &TrainCheckpoint,
+    w: &mut dyn Write,
+) -> Result<(), CheckpointError> {
+    write_sections(w, MAGIC, VERSION, &checkpoint_sections(ckpt))?;
     Ok(())
 }
 
-/// What a crash-safe checkpoint save cost, for observability: the file
-/// size and the time spent in the durability syscalls (file fsync, rename,
-/// directory fsync). Returned by value so this crate stays free of any
-/// observability dependency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SaveStats {
-    /// Bytes written to the checkpoint file.
-    pub bytes: u64,
-    /// Wall time of the fsync/rename/dir-fsync tail, in milliseconds.
-    pub fsync_ms: u64,
-}
-
-/// Saves a checkpoint to `path` crash-safely: the bytes go to a sibling
-/// temp file which is flushed, `fsync`ed, and atomically renamed over
-/// `path` (the containing directory is then `fsync`ed so the rename itself
-/// survives power loss). A crash at any point leaves either the previous
-/// checkpoint or the new one — never a partial file under `path`.
+/// Saves a checkpoint to `path` crash-safely (temp file, `fsync`, atomic
+/// rename, directory `fsync` — see [`ntr_tensor::io::save_sections`]): a
+/// crash at any point leaves either the previous checkpoint or the new one,
+/// never a partial file under `path`.
 pub fn save_checkpoint(ckpt: &TrainCheckpoint, path: &Path) -> Result<(), CheckpointError> {
     save_checkpoint_stats(ckpt, path).map(|_| ())
 }
@@ -426,52 +388,17 @@ pub fn save_checkpoint_stats(
     ckpt: &TrainCheckpoint,
     path: &Path,
 ) -> Result<SaveStats, CheckpointError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| -> Result<SaveStats, CheckpointError> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut bw = io::BufWriter::new(file);
-        write_checkpoint_to(ckpt, &mut bw)?;
-        bw.flush()?;
-        let bytes = bw.get_ref().metadata()?.len();
-        let sync_start = std::time::Instant::now();
-        bw.get_ref().sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(SaveStats {
-            bytes,
-            fsync_ms: sync_start.elapsed().as_millis() as u64,
-        })
-    })();
-    let mut stats = match result {
-        Ok(stats) => stats,
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-    };
-    let dir_sync_start = std::time::Instant::now();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-    }
-    stats.fsync_ms += dir_sync_start.elapsed().as_millis() as u64;
-    Ok(stats)
+    Ok(save_sections(
+        path,
+        MAGIC,
+        VERSION,
+        &checkpoint_sections(ckpt),
+    )?)
 }
 
 // ---------------------------------------------------------------------
 // Parsing (bounds-checked, never trusts declared sizes)
 // ---------------------------------------------------------------------
-
-fn get_str(r: &mut ByteReader<'_>) -> Result<String, CheckpointError> {
-    let len = r.u32()? as usize;
-    let bytes = r.take(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|e| CheckpointError::BadFormat(format!("non-UTF8 name: {e}")))
-}
 
 fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, CheckpointError> {
     let ndim = r.u32()? as usize;
@@ -629,66 +556,12 @@ fn parse_rngs(payload: &[u8]) -> Result<BTreeMap<String, [u64; 4]>, CheckpointEr
 }
 
 fn parse_v2(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    // Smallest possible v2 file: header (12) + empty-PARA section
-    // (4+8+4+4) + trailer (8).
-    if bytes.len() < 12 + 20 + 8 {
-        return Err(CheckpointError::BadFormat(format!(
-            "file of {} byte(s) is too short for a v2 checkpoint",
-            bytes.len()
-        )));
-    }
-    let body_len = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-    if crc32(&bytes[..body_len]) != stored {
-        return Err(CheckpointError::BadFormat(
-            "file checksum mismatch (truncated or corrupted checkpoint)".into(),
-        ));
-    }
-    if &bytes[body_len - 4..body_len] != TRAILER {
-        return Err(CheckpointError::BadFormat(
-            "missing NTRE trailer (truncated checkpoint)".into(),
-        ));
-    }
-
-    let mut r = ByteReader::new(&bytes[8..body_len - 4]);
-    let n_sections = r.u32()?;
-    let mut params: Option<BTreeMap<String, Tensor>> = None;
-    let mut adam: Option<AdamSection> = None;
-    let mut schedule: Option<WarmupLinearSchedule> = None;
-    let mut cursor: Option<TrainCursor> = None;
-    let mut rngs: Option<BTreeMap<String, [u64; 4]>> = None;
-    for i in 0..n_sections {
-        let tag: [u8; 4] = r.take(4)?.try_into().expect("4 bytes");
-        let len64 = r.u64()?;
-        let len = usize::try_from(len64).map_err(|_| {
-            CheckpointError::BadFormat(format!("section {i} declares absurd length {len64}"))
-        })?;
-        let payload = r.take(len)?;
-        let stored = r.u32()?;
-        if crc32(payload) != stored {
-            return Err(CheckpointError::BadFormat(format!(
-                "section {:?} checksum mismatch",
-                String::from_utf8_lossy(&tag)
-            )));
-        }
-        match &tag {
-            TAG_PARAMS => params = Some(parse_params(payload)?),
-            TAG_ADAM => adam = Some(parse_adam(payload)?),
-            TAG_SCHEDULE => schedule = Some(parse_schedule(payload)?),
-            TAG_CURSOR => cursor = Some(parse_cursor(payload)?),
-            TAG_RNGS => rngs = Some(parse_rngs(payload)?),
-            _ => {} // Unknown sections are skipped; their CRC was verified.
-        }
-    }
-    if !r.is_empty() {
-        return Err(CheckpointError::BadFormat(format!(
-            "{} byte(s) after the last declared section",
-            r.remaining()
-        )));
-    }
-    let params = params
-        .ok_or_else(|| CheckpointError::BadFormat("checkpoint has no parameter section".into()))?;
-    let state = match adam {
+    let sections = read_sections(bytes, MAGIC, VERSION)?;
+    let params = parse_params(sections.require(TAG_PARAMS)?)?;
+    let schedule = sections.get(TAG_SCHEDULE).map(parse_schedule).transpose()?;
+    let cursor = sections.get(TAG_CURSOR).map(parse_cursor).transpose()?;
+    let rngs = sections.get(TAG_RNGS).map(parse_rngs).transpose()?;
+    let state = match sections.get(TAG_ADAM).map(parse_adam).transpose()? {
         None => None,
         Some(a) => {
             let schedule = schedule.ok_or_else(|| {
@@ -718,27 +591,10 @@ fn parse_v2(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
     Ok(TrainCheckpoint { params, state })
 }
 
+/// A v1 file is magic, version, then the `PARA` payload with no framing.
 fn parse_v1(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    let mut r = ByteReader::new(&bytes[8..]);
-    let count = r.u32()?;
-    let mut map = BTreeMap::new();
-    for _ in 0..count {
-        let name = get_str(&mut r)?;
-        let t = get_tensor(&mut r)?;
-        if map.insert(name.clone(), t).is_some() {
-            return Err(CheckpointError::BadFormat(format!(
-                "duplicate parameter {name}"
-            )));
-        }
-    }
-    if !r.is_empty() {
-        return Err(CheckpointError::BadFormat(format!(
-            "{} trailing byte(s) after the last v1 parameter",
-            r.remaining()
-        )));
-    }
     Ok(TrainCheckpoint {
-        params: map,
+        params: parse_params(&bytes[8..])?,
         state: None,
     })
 }
@@ -878,6 +734,26 @@ mod tests {
     }
 
     #[test]
+    fn repeated_section_is_bad_format() {
+        // Two `PARA` sections, every CRC valid: loading the last (or the
+        // first) silently would let a spliced file pass for a checkpoint.
+        let mut a = Linear::new(3, 4, &mut SeededInit::new(23));
+        let mut sections = checkpoint_sections(&TrainCheckpoint::capture(&mut a));
+        sections.push(sections[0].clone());
+        let mut buf = Vec::new();
+        write_sections(&mut buf, MAGIC, VERSION, &sections).unwrap();
+        match parse_checkpoint(&buf) {
+            Err(CheckpointError::BadFormat(m)) => assert!(m.contains("more than once"), "{m}"),
+            other => panic!("expected BadFormat, got {other:?}"),
+        }
+        // An unknown tag, once, is still skipped.
+        sections[1].0 = *b"FUTR";
+        let mut buf = Vec::new();
+        write_sections(&mut buf, MAGIC, VERSION, &sections).unwrap();
+        assert_eq!(parse_checkpoint(&buf).unwrap().params, state_dict(&mut a));
+    }
+
+    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("ntr_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -894,13 +770,9 @@ mod tests {
     /// writer always emits v2 now, but v1 files in the wild must load).
     fn v1_bytes(params: &BTreeMap<String, Tensor>) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-        for (name, t) in params {
-            put_str(&mut buf, name);
-            put_tensor(&mut buf, t);
-        }
+        put_params(&mut buf, params);
         buf
     }
 
@@ -920,14 +792,14 @@ mod tests {
         // A v1 header declaring u32::MAX parameters (or a huge tensor)
         // must fail cleanly against the actual file size.
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = parse_checkpoint(&buf).unwrap_err();
         assert!(matches!(err, CheckpointError::BadFormat(_)), "{err}");
 
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes()); // one parameter
         put_str(&mut buf, "w");

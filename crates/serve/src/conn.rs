@@ -45,17 +45,6 @@ pub struct ConnLimits {
     pub idle_timeout: Duration,
 }
 
-impl Default for ConnLimits {
-    fn default() -> Self {
-        ConnLimits {
-            max_line_bytes: 1 << 20,
-            max_inflight: 32,
-            max_write_buf: 1 << 20,
-            idle_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
 /// One unit pulled out of the read buffer.
 #[derive(Debug)]
 pub enum Frame {

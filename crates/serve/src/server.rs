@@ -24,15 +24,15 @@
 //! Backpressure tiers, outermost first: (1) `max_conns` — excess
 //! connections get one typed `Overloaded` line and a close; (2) the
 //! per-connection in-flight cap and write-buffer bound — the loop stops
-//! *reading* from a connection that has `max_inflight_per_conn` requests
-//! pending or `max_write_buf` unread response bytes, so one greedy or
+//! *reading* from a connection that has `MAX_INFLIGHT_PER_CONN` requests
+//! pending or `MAX_WRITE_BUF` unread response bytes, so one greedy or
 //! unreading client cannot starve the rest; (3) `queue_cap` — admission
 //! control in front of the micro-batcher sheds with
 //! [`ntr::EncodeError::Overloaded`] *before* any serialization work.
 //!
 //! A `{"cmd": "shutdown"}` line (or [`Server::stop`]) starts a graceful
 //! drain: the listener stops accepting, in-flight requests finish and
-//! their responses flush (bounded by [`ServerConfig::drain_timeout`]),
+//! their responses flush (bounded by `DRAIN_TIMEOUT`),
 //! then [`Server::wait`] reports final counters via the `serve_end`
 //! event and the metrics snapshot.
 
@@ -60,26 +60,24 @@ pub struct ServerConfig {
     /// Longest accepted request line; longer lines get a `LineTooLong`
     /// error and are discarded without buffering.
     pub max_line_bytes: usize,
-    /// Per-connection in-flight request cap (fairness: reading from a
-    /// connection pauses while it has this many responses pending).
-    pub max_inflight_per_conn: usize,
-    /// Per-connection response-buffer bound; reading pauses above it.
-    pub max_write_buf: usize,
     /// Connections with no read/write progress for this long are closed.
     pub idle_timeout: Duration,
-    /// Hard bound on the graceful drain after shutdown.
-    pub drain_timeout: Duration,
 }
+
+/// Per-connection in-flight request cap (fairness: reading from a
+/// connection pauses while it has this many responses pending).
+const MAX_INFLIGHT_PER_CONN: usize = 32;
+/// Per-connection response-buffer bound; reading pauses above it.
+const MAX_WRITE_BUF: usize = 1 << 20;
+/// Hard bound on the graceful drain after shutdown.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_conns: 1024,
             max_line_bytes: 1 << 20,
-            max_inflight_per_conn: 32,
-            max_write_buf: 1 << 20,
             idle_timeout: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -329,8 +327,8 @@ impl EventLoop {
         Ok(EventLoop {
             limits: ConnLimits {
                 max_line_bytes: cfg.max_line_bytes,
-                max_inflight: cfg.max_inflight_per_conn.max(1),
-                max_write_buf: cfg.max_write_buf,
+                max_inflight: MAX_INFLIGHT_PER_CONN,
+                max_write_buf: MAX_WRITE_BUF,
                 idle_timeout: cfg.idle_timeout,
             },
             poller,
@@ -429,7 +427,7 @@ impl EventLoop {
     }
 
     /// Drain completes when every connection closed, or the hard
-    /// `drain_timeout` expires (remaining connections are cut).
+    /// `DRAIN_TIMEOUT` expires (remaining connections are cut).
     fn drained(&mut self, now: Instant) -> bool {
         let Some(since) = self.draining_since else {
             return false;
@@ -437,7 +435,7 @@ impl EventLoop {
         if self.active == 0 {
             return true;
         }
-        if now.duration_since(since) >= self.cfg.drain_timeout {
+        if now.duration_since(since) >= DRAIN_TIMEOUT {
             for i in 0..self.slots.len() {
                 if self.slots[i].is_some() {
                     self.close(i);
@@ -460,7 +458,7 @@ impl EventLoop {
             consider(at);
         }
         if let Some(since) = self.draining_since {
-            consider(since + self.cfg.drain_timeout);
+            consider(since + DRAIN_TIMEOUT);
         }
         for slot in self.slots.iter().flatten() {
             consider(slot.conn.last_progress + self.limits.idle_timeout);

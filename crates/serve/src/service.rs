@@ -38,7 +38,7 @@
 //!   quarantined: its models are dropped and rebuilt lazily from the
 //!   shared seeded [`ModelConfig`], so the rebuilt replica is
 //!   bit-identical to the pre-fault one by construction. After
-//!   `max_rebuilds` *consecutive* failures the replica is retired and
+//!   `MAX_REBUILDS` *consecutive* failures the replica is retired and
 //!   load respreads over the survivors (the last active replica is never
 //!   retired).
 //! * **Batcher supervision.** The batcher loop runs under `catch_unwind`
@@ -123,14 +123,6 @@ pub struct ServeConfig {
     /// Deadline applied to requests that carry none of their own
     /// (`None` = no default deadline).
     pub default_timeout: Option<Duration>,
-    /// Consecutive flush panics a replica survives (each one quarantines
-    /// and rebuilds it) before it is retired and load respreads. The
-    /// last active replica is never retired.
-    pub max_rebuilds: u32,
-    /// Batcher-loop panics the supervisor absorbs (restart + backoff)
-    /// before giving up and answering every request with a typed
-    /// [`EncodeError::Internal`].
-    pub max_batcher_restarts: u32,
     /// Circuit breaker: flush outcomes remembered.
     pub breaker_window: usize,
     /// Circuit breaker: faulted flushes within the window that flip the
@@ -155,8 +147,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             model_config: None,
             default_timeout: None,
-            max_rebuilds: 3,
-            max_batcher_restarts: 5,
             breaker_window: 16,
             breaker_threshold: 3,
             probe_every: 8,
@@ -301,8 +291,8 @@ pub struct ServeStats {
     /// Cache counters.
     pub cache: CacheStats,
     /// Median request latency (submit → response), milliseconds,
-    /// derived from the 32-bucket log2 latency histogram (reported as
-    /// the matched bucket's upper edge). Shed and degraded-rejected
+    /// derived from the 32-bucket log2 latency histogram (rank-interpolated
+    /// within the matched bucket). Shed and degraded-rejected
     /// requests are excluded — they do no work and would skew the SLO.
     pub p50_ms: u64,
     /// 99th-percentile request latency, milliseconds (same derivation).
@@ -314,7 +304,7 @@ pub struct ServeStats {
 pub struct ReplicaStatus {
     /// Times this replica was quarantined and rebuilt.
     pub rebuilds: u64,
-    /// Retired after `max_rebuilds` consecutive failures; no longer
+    /// Retired after `MAX_REBUILDS` consecutive failures; no longer
     /// assigned buckets.
     pub retired: bool,
 }
@@ -700,6 +690,10 @@ pub struct EmbeddingService {
 /// Supervision backoff bounds for batcher restarts (kept short: the
 /// batcher holds no corrupt state across restarts, the backoff only
 /// stops a hot panic loop from spinning a core).
+/// Batcher-loop panics the supervisor absorbs (restart + backoff) before
+/// giving up and answering every request with a typed
+/// [`EncodeError::Internal`].
+const MAX_BATCHER_RESTARTS: u64 = 5;
 const RESTART_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(50);
 
@@ -807,7 +801,7 @@ fn supervised_batcher(shared: &Shared, rx: &mpsc::Receiver<Job>) {
                         .str("detail", &panic_msg(payload.as_ref()))
                         .finish();
                 }
-                if u64::from(shared.cfg.max_batcher_restarts) < restarts {
+                if MAX_BATCHER_RESTARTS < restarts {
                     // Budget exhausted: fail requests fast, typed, forever.
                     while let Ok(job) = rx.recv() {
                         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -1084,10 +1078,14 @@ fn flush_inner(
     bucket_panics.into_iter().sum()
 }
 
+/// Consecutive flush panics a replica survives (each one quarantines and
+/// rebuilds it) before it is retired and load respreads.
+const MAX_REBUILDS: u32 = 3;
+
 /// Quarantines a replica after its bucket panicked: drop its models (the
 /// panic may have left an encoder mid-mutation) so they rebuild lazily
 /// from the shared seeded config — bit-identical to the originals by
-/// construction. After `max_rebuilds` consecutive failures the replica
+/// construction. After `MAX_REBUILDS` consecutive failures the replica
 /// is retired, unless it is the last active one.
 fn quarantine(shared: &Shared, replica_idx: usize, flush_no: u64, msg: &str, n_active: usize) {
     let replica = &shared.replicas[replica_idx];
@@ -1096,7 +1094,7 @@ fn quarantine(shared: &Shared, replica_idx: usize, flush_no: u64, msg: &str, n_a
         let mut h = lock_clean(&replica.health);
         h.consecutive_failures += 1;
         h.rebuilds += 1;
-        if h.consecutive_failures >= shared.cfg.max_rebuilds.max(1) && n_active > 1 {
+        if h.consecutive_failures >= MAX_REBUILDS && n_active > 1 {
             h.retired = true;
         }
         (h.rebuilds, h.retired)

@@ -10,7 +10,6 @@ use ntr_models::{
     Tapex, Turl, VanillaBert,
 };
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::serialize::CheckpointError;
 use ntr_sql::gen::{GenConfig, QueryGenerator};
 use ntr_table::masking::{mask_entities, mask_mlm, MaskedExample, MlmConfig};
 use ntr_table::{
@@ -146,21 +145,19 @@ pub struct PretrainReport {
     pub mer_acc: Vec<f32>,
 }
 
-/// One configured pretraining run: the single entry point behind which the
-/// historical `pretrain_{mlm,turl,tapex}` / `*_resumable` / `*_supervised`
-/// function families are consolidated.
+/// One configured pretraining run: the single entry point for MLM, TURL,
+/// TAPEX and distillation training.
 ///
 /// Every optional concern — serialization strategy, checkpoint/resume,
 /// the self-healing supervisor, observability (carried inside
-/// [`TrainerOptions`]) — is a builder field with the same default the old
-/// base functions hard-coded, so
+/// [`TrainerOptions`]) — is a builder field with a default, so the
+/// shortest run is
 ///
 /// ```ignore
 /// TrainRun::new(cfg).max_tokens(96).mlm(&mut model, &corpus, &tok)?
 /// ```
 ///
-/// is bit-identical to the old `pretrain_mlm(&mut model, &corpus, &tok,
-/// &cfg, 96)`. The terminal methods ([`TrainRun::mlm`],
+/// The terminal methods ([`TrainRun::mlm`],
 /// [`TrainRun::turl`], [`TrainRun::tapex`]) take `&self`, so one
 /// configured run can train several models under identical settings.
 pub struct TrainRun<'a> {
@@ -332,79 +329,6 @@ impl<'a> TrainRun<'a> {
     }
 }
 
-/// MLM pretraining over a corpus for any [`MlmModel`] (row-major
-/// serialization).
-#[deprecated(note = "use `TrainRun::new(*cfg).max_tokens(n).mlm(..)`")]
-pub fn pretrain_mlm<M: MlmModel>(
-    model: &mut M,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-) -> PretrainReport {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .mlm(model, corpus, tok)
-        .expect("no checkpointing configured, so training cannot fail")
-}
-
-/// MLM pretraining with an explicit serialization strategy.
-#[deprecated(note = "use `TrainRun::new(*cfg).linearizer(lin).mlm(..)`")]
-pub fn pretrain_mlm_with<M: MlmModel>(
-    model: &mut M,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    linearizer: &dyn Linearizer,
-) -> PretrainReport {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .linearizer(linearizer)
-        .mlm(model, corpus, tok)
-        .expect("no checkpointing configured, so training cannot fail")
-}
-
-/// MLM pretraining with checkpoint/resume support.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).mlm(..)`")]
-pub fn pretrain_mlm_resumable<M: MlmModel>(
-    model: &mut M,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    linearizer: &dyn Linearizer,
-    topts: &TrainerOptions,
-) -> Result<PretrainReport, CheckpointError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .linearizer(linearizer)
-        .trainer(topts)
-        .mlm(model, corpus, tok)
-        .map_err(TrainError::into_checkpoint_error)
-}
-
-/// MLM pretraining under the self-healing supervisor.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).supervisor(scfg).mlm(..)`")]
-#[allow(clippy::too_many_arguments)]
-pub fn pretrain_mlm_supervised<M: MlmModel>(
-    model: &mut M,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    linearizer: &dyn Linearizer,
-    topts: &TrainerOptions,
-    scfg: &SupervisorConfig,
-) -> Result<PretrainReport, TrainError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .linearizer(linearizer)
-        .trainer(topts)
-        .supervisor(scfg)
-        .mlm(model, corpus, tok)
-}
-
 impl TrainRun<'_> {
     /// TURL joint pretraining: MER masks whole entity cells, MLM masks
     /// remaining tokens; both objectives backpropagate through one
@@ -546,56 +470,6 @@ impl TrainRun<'_> {
     }
 }
 
-/// TURL joint pretraining (MLM + masked entity recovery).
-#[deprecated(note = "use `TrainRun::new(*cfg).max_tokens(n).turl(..)`")]
-pub fn pretrain_turl(
-    model: &mut Turl,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-) -> PretrainReport {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .turl(model, corpus, tok)
-        .expect("no checkpointing configured, so training cannot fail")
-}
-
-/// TURL joint pretraining with checkpoint/resume support.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).turl(..)`")]
-pub fn pretrain_turl_resumable(
-    model: &mut Turl,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    topts: &TrainerOptions,
-) -> Result<PretrainReport, CheckpointError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .trainer(topts)
-        .turl(model, corpus, tok)
-        .map_err(TrainError::into_checkpoint_error)
-}
-
-/// TURL joint pretraining under the self-healing supervisor.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).supervisor(scfg).turl(..)`")]
-pub fn pretrain_turl_supervised(
-    model: &mut Turl,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    topts: &TrainerOptions,
-    scfg: &SupervisorConfig,
-) -> Result<PretrainReport, TrainError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .trainer(topts)
-        .supervisor(scfg)
-        .turl(model, corpus, tok)
-}
-
 /// Builds the TAPEX encoder input for `(sql, table)` and the target ids
 /// for the answer denotation.
 pub fn tapex_example(
@@ -731,63 +605,6 @@ impl TrainRun<'_> {
                 .map(RunReport::Distill),
         }
     }
-}
-
-/// TAPEX pretraining over generated SQL.
-#[deprecated(note = "use `TrainRun::new(*cfg).queries_per_table(q).tapex(..)`")]
-pub fn pretrain_tapex(
-    model: &mut Tapex,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    queries_per_table: usize,
-    max_tokens: usize,
-) -> Vec<f32> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .queries_per_table(queries_per_table)
-        .tapex(model, corpus, tok)
-        .expect("no checkpointing configured, so training cannot fail")
-}
-
-/// TAPEX pretraining with checkpoint/resume support.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).tapex(..)`")]
-pub fn pretrain_tapex_resumable(
-    model: &mut Tapex,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    queries_per_table: usize,
-    max_tokens: usize,
-    topts: &TrainerOptions,
-) -> Result<Vec<f32>, CheckpointError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .queries_per_table(queries_per_table)
-        .trainer(topts)
-        .tapex(model, corpus, tok)
-        .map_err(TrainError::into_checkpoint_error)
-}
-
-/// TAPEX pretraining under the self-healing supervisor.
-#[deprecated(note = "use `TrainRun::new(*cfg).trainer(topts).supervisor(scfg).tapex(..)`")]
-#[allow(clippy::too_many_arguments)]
-pub fn pretrain_tapex_supervised(
-    model: &mut Tapex,
-    corpus: &TableCorpus,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    queries_per_table: usize,
-    max_tokens: usize,
-    topts: &TrainerOptions,
-    scfg: &SupervisorConfig,
-) -> Result<Vec<f32>, TrainError> {
-    TrainRun::new(*cfg)
-        .max_tokens(max_tokens)
-        .queries_per_table(queries_per_table)
-        .trainer(topts)
-        .supervisor(scfg)
-        .tapex(model, corpus, tok)
 }
 
 /// Held-out MLM evaluation: masks each table once (seeded) and measures

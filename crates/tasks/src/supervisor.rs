@@ -279,7 +279,7 @@ fn emit_step(
 }
 
 /// Runs a full training loop under the supervisor. Every driver
-/// (`pretrain_*`, imputation fine-tuning) funnels through here.
+/// (`TrainRun`, imputation fine-tuning) funnels through here.
 ///
 /// `step_fn` is the driver's batch body — forward, loss, backward,
 /// gradient accumulation — returning its per-step record; `loss_of`

@@ -137,7 +137,7 @@ pub struct BatchItem {
 }
 
 /// Checkpoint/resume knobs for a training run, shared by every driver
-/// (`pretrain_*`, `finetune`) and the CLI.
+/// (`TrainRun`, `finetune`) and the CLI.
 #[derive(Debug, Clone, Default)]
 pub struct TrainerOptions {
     /// Write a checkpoint to this path every `.1` optimizer steps.

@@ -1,6 +1,6 @@
-//! Golden-snapshot tests: the tokenizer, every serialization strategy, and
-//! each model family's first forward pass are pinned against checked-in
-//! fixtures under `tests/golden/`. Any unintended change to tokenization,
+//! Golden-snapshot tests: the tokenizer, every serialization strategy, each
+//! model family's first forward pass, and the bytes of the three persisted
+//! file kinds are pinned against checked-in fixtures under `tests/golden/`. Any unintended change to tokenization,
 //! linearization, initialization, or kernel numerics shows up as a diff
 //! here — including ones that would silently invalidate old checkpoints.
 //!
@@ -339,4 +339,89 @@ fn trace_schema_is_pinned() {
     // reordering fields must show up as a golden diff and a DESIGN.md §7
     // update, never as a silent change.
     check("trace_schema.txt", &ntr::obs::trace::schema::render());
+}
+
+/// `name: len=<bytes> crc32=<image minus its last 4 bytes>` of one persisted
+/// artefact. The last 4 bytes are the file's own CRC, and the CRC-32 of any
+/// image that ends in its own CRC is the same constant.
+fn file_fingerprint(name: &str, path: &std::path::Path) -> String {
+    let bytes = std::fs::read(path).unwrap();
+    let body = &bytes[..bytes.len() - 4];
+    format!("{name}: len={} crc32={:08x}\n", bytes.len(), crc32(body))
+}
+
+#[test]
+fn ntrw_container_bytes_are_pinned() {
+    // Round-trip tests pass when writer and reader drift together; this
+    // pins the bytes on disk of all three artefacts. The inputs are literal
+    // values (no kernel arithmetic), so the golden holds with and without
+    // `--features simd`.
+    use ntr::nn::optim::WarmupLinearSchedule;
+    use ntr::nn::serialize::{save_checkpoint, TrainCheckpoint, TrainCursor, TrainState};
+    use ntr_index::{EmbeddingStore, IvfConfig, IvfIndex};
+
+    let dir = std::env::temp_dir().join(format!("ntr_golden_bytes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let w = Tensor::from_vec(vec![0.5, -1.25, 2.0, 0.0, 3.5, -0.125], &[3, 2]);
+    let b = Tensor::from_vec(vec![0.25, -0.75], &[2]);
+    let ckpt = TrainCheckpoint {
+        params: [("w".to_string(), w.clone()), ("b".to_string(), b.clone())].into(),
+        state: Some(TrainState {
+            steps: 7,
+            lr: 1e-3,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            weight_decay: 0.01,
+            moments: [
+                ("w".to_string(), (w.clone(), w)),
+                ("b".to_string(), (b.clone(), b)),
+            ]
+            .into(),
+            schedule: WarmupLinearSchedule {
+                peak_lr: 1e-3,
+                warmup: 2,
+                total: 9,
+            },
+            cursor: TrainCursor {
+                epoch: 1,
+                example: 3,
+                seed: 0xF17E,
+            },
+            rngs: [("encoder/layer0/drop1".to_string(), [1, 2, 3, 4])].into(),
+        }),
+    };
+    let ckpt_path = dir.join("tiny.ntrw");
+    save_checkpoint(&ckpt, &ckpt_path).unwrap();
+
+    let mut store = EmbeddingStore::new(4);
+    store.set_meta("model", "tapas");
+    store.set_meta("precision", "f32");
+    for (id, v) in [
+        ("tbl_a", [1.0, 0.0, -2.0, 0.5]),
+        ("tbl_b", [0.0, 4.0, 0.25, -1.0]),
+        ("tbl_c", [-3.0, 1.5, 0.0, 8.0]),
+    ] {
+        store.push(id, &v).unwrap();
+    }
+    let store_path = dir.join(ntr_index::SearchIndex::STORE_FILE);
+    store.save(&store_path).unwrap();
+    let ivf = IvfIndex::build(
+        &store,
+        &IvfConfig {
+            nlist: 2,
+            ..IvfConfig::default()
+        },
+    )
+    .unwrap();
+    let ivf_path = dir.join(ntr_index::SearchIndex::IVF_FILE);
+    ivf.save(&ivf_path).unwrap();
+
+    let mut out = String::new();
+    out.push_str(&file_fingerprint("checkpoint_v2_full_state", &ckpt_path));
+    out.push_str(&file_fingerprint("store.ntrs", &store_path));
+    out.push_str(&file_fingerprint("index.ntri", &ivf_path));
+    let _ = std::fs::remove_dir_all(&dir);
+    check("ntrw_bytes.txt", &out);
 }

@@ -68,6 +68,22 @@ fn encoding_is_deterministic_per_seed_and_sensitive_to_content() {
 }
 
 #[test]
+fn encode_matches_try_encode_bit_for_bit() {
+    // `encode` skips the validation of `try_encode` and nothing else.
+    let table = Table::from_csv_str("t", sample_csv(), true).expect("csv parses");
+    let pipeline = pipeline_for(&table);
+    let cfg = pipeline.default_config();
+    let mut a = build_encoder(EncoderSpec::f32(ModelKind::Bert), &cfg).expect("f32 spec");
+    let mut b = build_encoder(EncoderSpec::f32(ModelKind::Bert), &cfg).expect("f32 spec");
+    let via_encode = pipeline.encode(a.as_mut(), &table, "ctx");
+    let via_try = pipeline
+        .try_encode(b.as_mut(), &table, "ctx")
+        .expect("valid request");
+    let bits = |t: &ntr::tensor::Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&via_encode.states), bits(&via_try.states));
+}
+
+#[test]
 fn checkpoints_transfer_between_fresh_models() {
     let table = Table::from_csv_str("t", sample_csv(), true).expect("csv parses");
     let pipeline = pipeline_for(&table);
