@@ -24,7 +24,6 @@ use ntr::corpus::{World, WorldConfig};
 use ntr::models::{ModelConfig, VanillaBert};
 use ntr::table::RowMajorLinearizer;
 use ntr::tasks::supervisor::SupervisorConfig;
-use ntr::tasks::supervisor::TrainError;
 use ntr::tasks::trainer::TrainerOptions;
 use ntr::tasks::TrainConfig;
 use ntr::tasks::TrainRun;
@@ -97,7 +96,6 @@ fn bench_supervisor(c: &mut Criterion) {
                     .linearizer(&RowMajorLinearizer)
                     .trainer(&topts)
                     .mlm(&mut model, &corpus, &tok)
-                    .map_err(TrainError::into_checkpoint_error)
                     .unwrap(),
             )
         })

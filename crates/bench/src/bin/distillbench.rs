@@ -1,7 +1,7 @@
 //! `distillbench` — teacher vs distilled-student inference comparison.
 //!
 //! Distills a [`ntr::models::RowStudent`] from a frozen teacher on a
-//! synthetic-KB corpus (the same [`ntr::tasks::DistillRun`] path `ntr
+//! synthetic-KB corpus (the same [`ntr::tasks::TrainRun::distill`] path `ntr
 //! distill` drives), then measures — on that corpus — how faithfully and
 //! how fast the student reproduces the teacher's pooled row/table
 //! embeddings at f32 and at int8 (DESIGN.md §13). Fidelity is the mean
@@ -38,8 +38,9 @@ use ntr::corpus::{World, WorldConfig};
 use ntr::models::{pool_mean, EncoderInput, ModelConfig, RowStudent, SequenceEncoder};
 use ntr::table::LinearizerOptions;
 use ntr::tasks::distill::distill_spans;
+use ntr::tasks::distill::DEFAULT_COS_WEIGHT;
 use ntr::tasks::trainer::TrainConfig;
-use ntr::tasks::DistillRun;
+use ntr::tasks::TrainRun;
 use ntr::zoo::{build_encoder, EncoderSpec, ModelKind, QuantSpec};
 use ntr::Pipeline;
 use std::path::PathBuf;
@@ -247,7 +248,7 @@ fn main() {
         args.epochs
     );
     let t_train = Instant::now();
-    let report = DistillRun::new(TrainConfig {
+    let report = TrainRun::new(TrainConfig {
         epochs: args.epochs,
         lr: 5e-3,
         batch_size: 4,
@@ -255,9 +256,10 @@ fn main() {
         seed: 0xD17,
     })
     .max_tokens(64)
-    .run(
+    .distill(
         &mut student,
         teacher.as_mut(),
+        DEFAULT_COS_WEIGHT,
         &corpus,
         pipeline.tokenizer(),
     )

@@ -23,10 +23,11 @@ use ntr::obs::{Obs, ObsOptions};
 use ntr::pipeline::{EncodeRequest, Pipeline};
 use ntr::sql::{execute, parse_query};
 use ntr::table::{LinearizerKind, LinearizerOptions, Table};
+use ntr::tasks::distill::DEFAULT_COS_WEIGHT;
 use ntr::tasks::pretrain::MlmModel;
 use ntr::tasks::supervisor::SupervisorConfig;
 use ntr::tasks::trainer::{TrainConfig, TrainerOptions};
-use ntr::tasks::{DistillRun, TrainRun};
+use ntr::tasks::TrainRun;
 use ntr::tensor::faults::FaultPlan;
 use ntr::zoo::{build_encoder, build_mlm_model, EncoderSpec, ModelKind, QuantSpec};
 use std::path::{Path, PathBuf};
@@ -436,7 +437,7 @@ fn distill(rest: &[String]) -> Result<(), String> {
         ..TrainConfig::default()
     };
     let max_tokens: usize = parsed_flag(&flags, "--max-tokens", 128)?;
-    let cos_weight: f32 = parsed_flag(&flags, "--cos-weight", DistillRun::DEFAULT_COS_WEIGHT)?;
+    let cos_weight: f32 = parsed_flag(&flags, "--cos-weight", DEFAULT_COS_WEIGHT)?;
     let every: u64 = parsed_flag(&flags, "--checkpoint-every", 1)?;
     let topts = TrainerOptions {
         checkpoint: flag_value(&flags, "--checkpoint").map(|p| (PathBuf::from(p), every)),
@@ -484,12 +485,11 @@ fn distill(rest: &[String]) -> Result<(), String> {
             .map_err(|e| format!("bad --teacher-ckpt: {e}"))?;
     }
     let mut student = RowStudent::new(&model_cfg);
-    let report = DistillRun::new(cfg)
+    let report = TrainRun::new(cfg)
         .max_tokens(max_tokens)
         .trainer(&topts)
         .supervisor(&scfg)
-        .cos_weight(cos_weight)
-        .run(&mut student, teacher.as_mut(), &corpus, tok)
+        .distill(&mut student, teacher.as_mut(), cos_weight, &corpus, tok)
         .map_err(|e| e.to_string())?;
     if let Some(path) = flag_value(&flags, "--save") {
         ntr::nn::serialize::save(&mut student, Path::new(path)).map_err(|e| e.to_string())?;

@@ -7,9 +7,6 @@ use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder};
 use ntr_nn::serialize::{self as checkpoint, CheckpointError};
 use ntr_nn::Layer;
 use ntr_table::{EncodedTable, Linearizer, LinearizerKind, LinearizerOptions, Table, TokenKind};
-use ntr_tasks::supervisor::{SupervisorConfig, TrainError};
-use ntr_tasks::trainer::TrainerOptions;
-use ntr_tasks::TrainRun;
 use ntr_tensor::Tensor;
 use ntr_tokenizer::{train::WordPieceTrainer, WordPieceTokenizer};
 use std::path::Path;
@@ -412,31 +409,6 @@ impl Pipeline {
     /// parameter names and shapes.
     pub fn load_model(&self, model: &mut dyn Layer, path: &Path) -> Result<(), CheckpointError> {
         checkpoint::load(model, path)
-    }
-
-    /// Supervised MLM pretraining over `tables` with this pipeline's
-    /// tokenizer and linearizer: checkpoint/resume via `topts`, and the
-    /// self-healing supervisor (clipping, anomaly rollback, fault drills)
-    /// via `scfg`. With [`SupervisorConfig::default`] the run is
-    /// bit-identical to unsupervised training.
-    pub fn pretrain_mlm<M: ntr_tasks::pretrain::MlmModel>(
-        &self,
-        model: &mut M,
-        tables: &[Table],
-        cfg: &ntr_tasks::TrainConfig,
-        topts: &TrainerOptions,
-        scfg: &SupervisorConfig,
-    ) -> Result<ntr_tasks::pretrain::PretrainReport, TrainError> {
-        let corpus = ntr_corpus::tables::TableCorpus {
-            tables: tables.to_vec(),
-            kinds: vec![ntr_corpus::tables::TableKind::Employees; tables.len()],
-        };
-        TrainRun::new(*cfg)
-            .max_tokens(self.opts.max_tokens)
-            .linearizer(self.linearizer.as_ref())
-            .trainer(topts)
-            .supervisor(scfg)
-            .mlm(model, &corpus, &self.tokenizer)
     }
 
     /// Full encode: serialize, run the model, package the representations.

@@ -102,11 +102,6 @@ impl TableEmbeddings {
         self.word.dim()
     }
 
-    /// Direct access to the word table (weight tying with MLM heads).
-    pub fn word_table(&self) -> &Embedding {
-        &self.word
-    }
-
     /// Embeds an input: sum of enabled tables → LayerNorm → dropout.
     ///
     /// Sequence positions, row ids and column ids beyond the configured

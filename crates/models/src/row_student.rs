@@ -8,7 +8,7 @@
 //! same output interface (`[seq, d_model]` states that the existing
 //! `TableEncoding` pooling consumes unchanged).
 //!
-//! The student is trained only by distillation ([`DistillRun`] in
+//! The student is trained only by distillation (`TrainRun::distill` in
 //! `ntr-tasks`) against frozen teacher embeddings; it has no MLM head and
 //! no self-supervised objective of its own.
 //!

@@ -43,13 +43,6 @@ impl Dropout {
         self.rng.state()
     }
 
-    /// Restores a state captured by [`Dropout::rng_state`], so the next
-    /// training forward draws exactly the mask it would have drawn had the
-    /// process never stopped.
-    pub fn set_rng_state(&mut self, s: [u64; 4]) {
-        self.rng.set_state(s);
-    }
-
     /// Visits this layer's RNG state under `name` — the building block the
     /// owning layers' [`crate::Layer::visit_rng_state`] impls forward to.
     pub fn visit_rng(&mut self, name: &str, f: &mut dyn FnMut(&str, &mut [u64; 4])) {

@@ -47,12 +47,14 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer.
+    /// The numeric payload as a non-negative integer. Numbers are held as
+    /// `f64`, so only integers below 2^53 are accepted: from there on two
+    /// different literals can parse to the same `f64` (2^53 + 1 reads as
+    /// 2^53), and the value handed back would not be the one sent.
     pub fn as_u64(&self) -> Option<u64> {
+        const FIRST_INEXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < FIRST_INEXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -342,5 +344,11 @@ mod tests {
         assert_eq!(parse("12").unwrap().as_u64(), Some(12));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        let max_exact = (1u64 << 53) - 1;
+        assert_eq!(
+            parse(&max_exact.to_string()).unwrap().as_u64(),
+            Some(max_exact)
+        );
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
     }
 }

@@ -798,7 +798,7 @@ fn supervised_batcher(shared: &Shared, rx: &mpsc::Receiver<Job>) {
                 if let Some(ev) = shared.obs.event("serve_fault") {
                     ev.str("kind", "batcher_panic")
                         .u64("flush", shared.batches.load(Ordering::Relaxed))
-                        .str("detail", &panic_msg(payload.as_ref()))
+                        .str("detail", &par::payload_message(payload))
                         .finish();
                 }
                 if MAX_BATCHER_RESTARTS < restarts {
@@ -825,16 +825,6 @@ fn supervised_batcher(shared: &Shared, rx: &mpsc::Receiver<Job>) {
                 }
             }
         }
-    }
-}
-
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".to_string()
     }
 }
 
@@ -893,7 +883,7 @@ fn flush(shared: &Shared, batch: Vec<Job>) {
     let faulted = match panicked {
         Ok(n_bucket_panics) => n_bucket_panics > 0,
         Err(payload) => {
-            let msg = panic_msg(payload.as_ref());
+            let msg = par::payload_message(payload);
             if let Some(ev) = shared.obs.event("serve_fault") {
                 ev.str("kind", "flush_panic")
                     .u64("flush", flush_no)
@@ -1058,7 +1048,7 @@ fn flush_inner(
                 0
             }
             Err(payload) => {
-                let msg = panic_msg(payload.as_ref());
+                let msg = par::payload_message(payload);
                 quarantine(shared, replica_idx, flush_no, &msg, active.len());
                 for &i in &members {
                     if let Some(f) = lock_clean(&board[i]).take() {

@@ -657,6 +657,17 @@ mod tests {
                 "BadRequest",
                 false,
             ),
+            // Above 2^53 an f64 no longer holds the id that was sent.
+            (
+                r#"{"id": 9007199254740993, "model": "bert", "columns": [], "rows": []}"#,
+                "BadRequest",
+                false,
+            ),
+            (
+                r#"{"id": 18446744073709551616, "model": "bert", "columns": [], "rows": []}"#,
+                "BadRequest",
+                false,
+            ),
             (
                 r#"{"id": 1, "columns": [], "rows": []}"#,
                 "BadRequest",

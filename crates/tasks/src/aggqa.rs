@@ -6,7 +6,8 @@
 //! the column. Evaluated by denotation through the real SQL executor.
 
 use crate::metrics::accuracy;
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::render_question;
 use ntr_corpus::split_three;
 use ntr_corpus::tables::TableCorpus;
@@ -210,59 +211,46 @@ pub fn finetune(
     opts: &LinearizerOptions,
 ) {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let p = &prepared[i];
-            let states = model.tapas.encode(&p.input, true);
-            let (seq_len, d) = (states.dim(0), states.dim(1));
-            let scale = 1.0 / (d as f32).sqrt();
+    fit(model, cfg, &prepared, |model, p| {
+        let states = model.tapas.encode(&p.input, true);
+        let (seq_len, d) = (states.dim(0), states.dim(1));
+        let scale = 1.0 / (d as f32).sqrt();
 
-            // Operator loss on [CLS].
-            let cls = states.rows(0, 1);
-            let op_logits = model.tapas.agg_head.forward(&cls);
-            let (_, d_op_logits) = softmax_cross_entropy(&op_logits, &[p.op], None);
-            let d_cls = model.tapas.agg_head.backward(&d_op_logits);
+        // Operator loss on [CLS].
+        let cls = states.rows(0, 1);
+        let op_logits = model.tapas.agg_head.forward(&cls);
+        let (op_loss, d_op_logits) = softmax_cross_entropy(&op_logits, &[p.op], None);
+        let d_cls = model.tapas.agg_head.backward(&d_op_logits);
 
-            // Column pointer loss.
-            let pooled: Vec<Tensor> = p.col_positions.iter().map(|ps| pool(&states, ps)).collect();
-            let q = model.wq.forward(&cls);
-            let pooled_mat = Tensor::vstack(&pooled.iter().collect::<Vec<_>>());
-            let k = model.wk.forward(&pooled_mat);
-            let col_logits = k.matmul_nt(&q).scale(scale).transpose(); // [1, n_cols]
-            let (_, d_col_logits) = softmax_cross_entropy(&col_logits, &[p.column], None);
-            let d_col = d_col_logits.transpose(); // [n_cols, 1]
-            let dk = d_col.matmul(&q).scale(scale);
-            let dq = d_col.matmul_tn(&k).scale(scale);
-            let d_pooled = model.wk.backward(&dk);
-            let d_cls2 = model.wq.backward(&dq);
+        // Column pointer loss.
+        let pooled: Vec<Tensor> = p.col_positions.iter().map(|ps| pool(&states, ps)).collect();
+        let q = model.wq.forward(&cls);
+        let pooled_mat = Tensor::vstack(&pooled.iter().collect::<Vec<_>>());
+        let k = model.wk.forward(&pooled_mat);
+        let col_logits = k.matmul_nt(&q).scale(scale).transpose(); // [1, n_cols]
+        let (col_loss, d_col_logits) = softmax_cross_entropy(&col_logits, &[p.column], None);
+        let d_col = d_col_logits.transpose(); // [n_cols, 1]
+        let dk = d_col.matmul(&q).scale(scale);
+        let dq = d_col.matmul_tn(&k).scale(scale);
+        let d_pooled = model.wk.backward(&dk);
+        let d_cls2 = model.wq.backward(&dq);
 
-            // Assemble the state gradient.
-            let mut dstates = Tensor::zeros(&[seq_len, d]);
-            for j in 0..d {
-                dstates.row_mut(0)[j] = d_cls.data()[j] + d_cls2.data()[j];
-            }
-            for (c, ps) in p.col_positions.iter().enumerate() {
-                let w = 1.0 / ps.len().max(1) as f32;
-                for &pos in ps {
-                    for j in 0..d {
-                        dstates.row_mut(pos)[j] += d_pooled.at(&[c, j]) * w;
-                    }
+        // Assemble the state gradient.
+        let mut dstates = Tensor::zeros(&[seq_len, d]);
+        for j in 0..d {
+            dstates.row_mut(0)[j] = d_cls.data()[j] + d_cls2.data()[j];
+        }
+        for (c, ps) in p.col_positions.iter().enumerate() {
+            let w = 1.0 / ps.len().max(1) as f32;
+            for &pos in ps {
+                for j in 0..d {
+                    dstates.row_mut(pos)[j] += d_pooled.at(&[c, j]) * w;
                 }
             }
-            model.tapas.backward(&dstates);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
-            }
         }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+        model.tapas.backward(&dstates);
+        op_loss + col_loss
+    });
 }
 
 /// Aggregation-QA evaluation.

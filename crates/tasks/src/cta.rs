@@ -2,7 +2,8 @@
 //! column's logical name from its values — headers are hidden.
 
 use crate::metrics::{accuracy, macro_f1};
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::CtaDataset;
 use ntr_corpus::Split;
 use ntr_models::{ClassifierHead, EncoderInput, SequenceEncoder};
@@ -104,29 +105,16 @@ pub fn finetune<M: SequenceEncoder>(
     opts: &LinearizerOptions,
 ) {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let (input, positions, label) = &prepared[i];
-            let states = model.encoder.encode(input, true);
-            let pooled = pool_positions(&states, positions);
-            let logits = model.head.forward(&pooled);
-            let (_, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
-            let d_pooled = model.head.backward(&dlogits);
-            let dstates = scatter_positions(&d_pooled, positions, states.dim(0));
-            model.encoder.backward(&dstates);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
-            }
-        }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+    fit(model, cfg, &prepared, |model, (input, positions, label)| {
+        let states = model.encoder.encode(input, true);
+        let pooled = pool_positions(&states, positions);
+        let logits = model.head.forward(&pooled);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
+        let d_pooled = model.head.backward(&dlogits);
+        let dstates = scatter_positions(&d_pooled, positions, states.dim(0));
+        model.encoder.backward(&dstates);
+        loss
+    });
 }
 
 /// CTA evaluation: accuracy + macro-F1 over the label space.

@@ -25,6 +25,9 @@ use std::ops::Range;
 /// Norms below this are treated as zero when computing cosine terms.
 const EPS: f32 = 1e-8;
 
+/// Default weight of the `1 − cosine` term relative to the MSE term.
+pub const DEFAULT_COS_WEIGHT: f32 = 0.5;
+
 /// Loss/fidelity trajectory of a distillation run, one point per
 /// optimizer step.
 #[derive(Debug, Clone, Default)]
@@ -107,9 +110,11 @@ fn span_loss(u: &[f32], t: &[f32], cos_weight: f32) -> (f32, f32, Vec<f32>) {
 }
 
 impl TrainRun<'_> {
-    /// Distills `teacher` into `student` over `corpus`: the core behind
-    /// [`DistillRun::run`] and `Objective::Distill`. The teacher runs in
-    /// eval mode exactly once per table, before training starts.
+    /// Distills `teacher` into `student` over `corpus`, weighting the
+    /// `1 − cosine` term by `cos_weight` (0 recovers pure MSE distillation).
+    /// The teacher is frozen: it runs in eval mode exactly once per table,
+    /// before training starts, and sees the same serialization as the
+    /// student.
     pub fn distill(
         &self,
         student: &mut RowStudent,
@@ -119,14 +124,14 @@ impl TrainRun<'_> {
         tok: &WordPieceTokenizer,
     ) -> Result<DistillReport, TrainError> {
         let opts = ntr_table::LinearizerOptions {
-            max_tokens: self.token_budget(),
+            max_tokens: self.max_tokens,
             ..Default::default()
         };
         let examples: Vec<DistillExample> = corpus
             .tables
             .iter()
             .map(|t| {
-                let encoded = self.run_linearizer().linearize(t, &t.caption, tok, &opts);
+                let encoded = self.linearizer.linearize(t, &t.caption, tok, &opts);
                 let input = EncoderInput::from_encoded(&encoded);
                 let spans = distill_spans(&encoded);
                 let states = teacher.encode(&input, false);
@@ -150,10 +155,10 @@ impl TrainRun<'_> {
         let mut announced = false;
         let steps = run_supervised(
             student,
-            self.config(),
+            &self.cfg,
             examples.len(),
-            self.trainer_options(),
-            self.supervisor_config(),
+            &self.topts,
+            &self.scfg,
             |r: &(f32, f32)| r.0,
             |student, batch, obs| {
                 if !announced {
@@ -206,87 +211,6 @@ impl TrainRun<'_> {
     }
 }
 
-/// One configured distillation run: [`TrainRun`]'s plumbing (token budget,
-/// linearizer, checkpoint/resume, supervisor, observability) plus the
-/// distillation-specific cosine weight.
-///
-/// ```ignore
-/// DistillRun::new(cfg)
-///     .max_tokens(96)
-///     .cos_weight(0.5)
-///     .run(&mut student, teacher.as_mut(), &corpus, &tok)?
-/// ```
-pub struct DistillRun<'a> {
-    run: TrainRun<'a>,
-    cos_weight: f32,
-}
-
-impl DistillRun<'_> {
-    /// Default weight of the `1 − cosine` term relative to the MSE term.
-    pub const DEFAULT_COS_WEIGHT: f32 = 0.5;
-}
-
-impl Default for DistillRun<'static> {
-    fn default() -> Self {
-        Self::new(crate::trainer::TrainConfig::default())
-    }
-}
-
-impl<'a> DistillRun<'a> {
-    /// A run with `cfg` hyperparameters, [`TrainRun::new`]'s defaults for
-    /// every shared knob, and the default cosine weight.
-    pub fn new(cfg: crate::trainer::TrainConfig) -> Self {
-        Self {
-            run: TrainRun::new(cfg),
-            cos_weight: Self::DEFAULT_COS_WEIGHT,
-        }
-    }
-
-    /// Token budget for table serialization (default 128).
-    pub fn max_tokens(mut self, n: usize) -> Self {
-        self.run = self.run.max_tokens(n);
-        self
-    }
-
-    /// Serialization strategy (default row-major); teacher and student
-    /// always see the identical serialization.
-    pub fn linearizer(mut self, lin: &'a dyn ntr_table::Linearizer) -> Self {
-        self.run = self.run.linearizer(lin);
-        self
-    }
-
-    /// Checkpoint/resume/halt/observability knobs (default all off).
-    pub fn trainer(mut self, topts: &crate::trainer::TrainerOptions) -> Self {
-        self.run = self.run.trainer(topts);
-        self
-    }
-
-    /// Self-healing supervisor knobs (default all off).
-    pub fn supervisor(mut self, scfg: &crate::supervisor::SupervisorConfig) -> Self {
-        self.run = self.run.supervisor(scfg);
-        self
-    }
-
-    /// Weight of the `1 − cosine` loss term (default 0.5; 0 recovers pure
-    /// MSE distillation).
-    pub fn cos_weight(mut self, w: f32) -> Self {
-        self.cos_weight = w;
-        self
-    }
-
-    /// Distills `teacher` into `student` over `corpus`.
-    pub fn run(
-        &self,
-        student: &mut RowStudent,
-        teacher: &mut dyn SequenceEncoder,
-        corpus: &TableCorpus,
-        tok: &WordPieceTokenizer,
-    ) -> Result<DistillReport, TrainError> {
-        self.run
-            .distill(student, teacher, self.cos_weight, corpus, tok)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +251,8 @@ mod tests {
         let cfg = ModelConfig::tiny(tok.vocab_size());
         (corpus, tok, cfg)
     }
+
+    const W: f32 = DEFAULT_COS_WEIGHT;
 
     fn tcfg() -> TrainConfig {
         TrainConfig {
@@ -404,9 +330,9 @@ mod tests {
         let (corpus, tok, cfg) = fixture();
         let mut teacher = Tapas::new(&cfg);
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
-        let report = DistillRun::new(tcfg())
+        let report = TrainRun::new(tcfg())
             .max_tokens(64)
-            .run(&mut student, &mut teacher, &corpus, &tok)
+            .distill(&mut student, &mut teacher, W, &corpus, &tok)
             .unwrap();
         assert!(!report.loss.is_empty());
         let first = report.cosine.first().copied().unwrap();
@@ -427,9 +353,9 @@ mod tests {
         let run = || {
             let mut teacher = Tapas::new(&cfg);
             let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
-            DistillRun::new(tcfg())
+            TrainRun::new(tcfg())
                 .max_tokens(64)
-                .run(&mut student, &mut teacher, &corpus, &tok)
+                .distill(&mut student, &mut teacher, W, &corpus, &tok)
                 .unwrap()
                 .loss
         };
@@ -446,31 +372,31 @@ mod tests {
         // Uninterrupted run.
         let mut teacher = Tapas::new(&cfg);
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
-        let full = DistillRun::new(tcfg())
+        let full = TrainRun::new(tcfg())
             .max_tokens(64)
-            .run(&mut student, &mut teacher, &corpus, &tok)
+            .distill(&mut student, &mut teacher, W, &corpus, &tok)
             .unwrap();
 
         // Halted run + resume.
         let mut teacher2 = Tapas::new(&cfg);
         let mut s2 = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
-        let halted = DistillRun::new(tcfg())
+        let halted = TrainRun::new(tcfg())
             .max_tokens(64)
             .trainer(&TrainerOptions {
                 checkpoint: Some((ckpt.clone(), 1)),
                 halt_after: Some(2),
                 ..Default::default()
             })
-            .run(&mut s2, &mut teacher2, &corpus, &tok)
+            .distill(&mut s2, &mut teacher2, W, &corpus, &tok)
             .unwrap();
         let mut s3 = RowStudent::new(&ModelConfig { seed: 1234, ..cfg });
-        let resumed = DistillRun::new(tcfg())
+        let resumed = TrainRun::new(tcfg())
             .max_tokens(64)
             .trainer(&TrainerOptions {
                 resume: Some(ckpt.clone()),
                 ..Default::default()
             })
-            .run(&mut s3, &mut teacher2, &corpus, &tok)
+            .distill(&mut s3, &mut teacher2, W, &corpus, &tok)
             .unwrap();
         let mut stitched = halted.loss.clone();
         stitched.extend_from_slice(&resumed.loss);

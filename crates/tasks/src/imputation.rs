@@ -25,7 +25,6 @@ use ntr_corpus::datasets::{ImputationDataset, ImputationExample};
 use ntr_corpus::Split;
 use ntr_models::EncoderInput;
 use ntr_nn::loss::{softmax_cross_entropy, IGNORE_INDEX};
-use ntr_nn::serialize::CheckpointError;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -174,35 +173,22 @@ pub fn finetune<M: MlmModel>(
     cfg: &TrainConfig,
     max_tokens: usize,
 ) {
-    let _ = finetune_resumable(model, ds, tok, cfg, max_tokens, &TrainerOptions::default())
-        .expect("no checkpointing configured, so training cannot fail");
-}
-
-/// Fine-tuning with checkpoint/resume support. Returns the mean training
-/// loss per optimizer step this invocation ran (for resume-equivalence
-/// verification).
-pub fn finetune_resumable<M: MlmModel>(
-    model: &mut M,
-    ds: &ImputationDataset,
-    tok: &WordPieceTokenizer,
-    cfg: &TrainConfig,
-    max_tokens: usize,
-    topts: &TrainerOptions,
-) -> Result<Vec<f32>, CheckpointError> {
     finetune_supervised(
         model,
         ds,
         tok,
         cfg,
         max_tokens,
-        topts,
+        &TrainerOptions::default(),
         &SupervisorConfig::default(),
     )
-    .map_err(TrainError::into_checkpoint_error)
+    .expect("no checkpoint, resume or supervisor is configured, so the run cannot fail");
 }
 
-/// Fine-tuning under the self-healing supervisor: gradient clipping,
-/// anomaly detection, rollback/retry, and fault drills per `scfg`.
+/// Fine-tuning with checkpoint/resume per `topts` and, per `scfg`, the
+/// self-healing supervisor (gradient clipping, anomaly detection,
+/// rollback/retry, fault drills). Returns the mean training loss per
+/// optimizer step this invocation ran.
 pub fn finetune_supervised<M: MlmModel>(
     model: &mut M,
     ds: &ImputationDataset,

@@ -5,7 +5,7 @@
 //!
 //! * [`pretrain`] — the hands-on §3.3: MLM pretraining for any encoder,
 //!   joint MLM + masked-entity-recovery for TURL, and neural-SQL-executor
-//!   pretraining for TAPEX — all behind one [`Objective`] dispatch;
+//!   pretraining for TAPEX — the terminal methods of one [`TrainRun`];
 //! * [`distill`] — teacher–student distillation of a frozen encoder into
 //!   the per-row student that serves at int8 (DESIGN.md §13);
 //! * [`imputation`] — the hands-on §3.4: fine-tune for data imputation,
@@ -16,9 +16,12 @@
 //! * [`cta`] — column type annotation (metadata prediction);
 //! * [`linking`] — entity linking with TURL entity embeddings;
 //! * [`text2sql`] — seq2seq semantic parsing evaluated by denotation;
-//! * [`supervisor`] — the self-healing training supervisor: anomaly
-//!   detection, checkpoint rollback, retry with LR backoff, and
-//!   deterministic fault drills;
+//! * [`supervisor`] — `run_supervised`, the one training driver every
+//!   objective and fine-tune above runs through, and its self-healing
+//!   state machine: anomaly detection, checkpoint rollback, retry with LR
+//!   backoff, and deterministic fault drills;
+//! * [`trainer`] — the driver's state: [`TrainConfig`], checkpoint/resume
+//!   options, the example stream and the scheduled optimizer;
 //! * [`probes`] — §2.4's "consistency of the data representation" tests
 //!   (row/column-order invariance, header sensitivity);
 //! * [`aggqa`] — TAPAS-style aggregation prediction (operator + column);
@@ -41,6 +44,6 @@ pub mod text2sql;
 pub mod trainer;
 pub mod visualize;
 
-pub use distill::{DistillReport, DistillRun};
-pub use pretrain::{Objective, RunReport, TrainRun};
+pub use distill::DistillReport;
+pub use pretrain::TrainRun;
 pub use trainer::TrainConfig;

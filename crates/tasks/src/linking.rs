@@ -6,7 +6,8 @@
 //! example's candidate set (the standard candidate-ranking protocol).
 
 use crate::metrics::{accuracy, hits_at_k, rank_of};
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::LinkingDataset;
 use ntr_corpus::Split;
 use ntr_models::{pool_mean, pool_mean_backward, EncoderInput, SequenceEncoder, Turl};
@@ -42,29 +43,16 @@ pub fn finetune(
             Some((input, span, ex.gold as usize))
         })
         .collect();
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let (input, span, gold) = &prepared[i];
-            let states = model.encode(input, true);
-            let pooled = pool_mean(&states, span);
-            let logits = model.mer.forward(&pooled);
-            let (_, dlogits) = softmax_cross_entropy(&logits, &[*gold], None);
-            let d_pooled = model.mer.backward(&dlogits);
-            let dstates = pool_mean_backward(&d_pooled, span, states.dim(0));
-            SequenceEncoder::backward(model, &dstates);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
-            }
-        }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+    fit(model, cfg, &prepared, |model, (input, span, gold)| {
+        let states = model.encode(input, true);
+        let pooled = pool_mean(&states, span);
+        let logits = model.mer.forward(&pooled);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &[*gold], None);
+        let d_pooled = model.mer.backward(&dlogits);
+        let dstates = pool_mean_backward(&d_pooled, span, states.dim(0));
+        SequenceEncoder::backward(model, &dstates);
+        loss
+    });
 }
 
 /// Linking evaluation over candidate sets.

@@ -3,7 +3,8 @@
 //! supported / refuted, TabFact-style.
 
 use crate::metrics::{accuracy, binary_prf, Prf};
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::NliDataset;
 use ntr_corpus::Split;
 use ntr_models::{ClassifierHead, EncoderInput, SequenceEncoder};
@@ -71,29 +72,16 @@ pub fn finetune<M: SequenceEncoder>(
     opts: &LinearizerOptions,
 ) {
     let prepared = encode(ds, &ds.indices(Split::Train), tok, opts);
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let (input, label) = &prepared[i];
-            let (logits, seq_len) = model.logits(input, true);
-            let (_, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
-            let d_pooled = model.head.backward(&dlogits);
-            // Only the CLS row received gradient.
-            let mut dstates = ntr_tensor::Tensor::zeros(&[seq_len, d_pooled.dim(1)]);
-            dstates.row_mut(0).copy_from_slice(d_pooled.row(0));
-            model.encoder.backward(&dstates);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
-            }
-        }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+    fit(model, cfg, &prepared, |model, (input, label)| {
+        let (logits, seq_len) = model.logits(input, true);
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
+        let d_pooled = model.head.backward(&dlogits);
+        // Only the CLS row received gradient.
+        let mut dstates = ntr_tensor::Tensor::zeros(&[seq_len, d_pooled.dim(1)]);
+        dstates.row_mut(0).copy_from_slice(d_pooled.row(0));
+        model.encoder.backward(&dstates);
+        loss
+    });
 }
 
 /// NLI evaluation: accuracy plus P/R/F1 with "supported" as positive.

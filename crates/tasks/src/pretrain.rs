@@ -6,8 +6,8 @@ use crate::supervisor::{run_supervised, SupervisorConfig, TrainError};
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
-    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, RowStudent, SequenceEncoder, Tapas,
-    Tapex, Turl, VanillaBert,
+    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, SequenceEncoder, Tapas, Tapex,
+    Turl, VanillaBert,
 };
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_sql::gen::{GenConfig, QueryGenerator};
@@ -90,47 +90,6 @@ impl MlmModel for Box<dyn MlmModel + Send> {
     }
 }
 
-// Mutable references delegate the same way, which is what lets
-// [`TrainRun::run`] accept `Objective::Mlm(&mut dyn MlmModel)` and still
-// drive the generic training loop.
-impl<'a, 'b> ntr_nn::Layer for &'a mut (dyn MlmModel + 'b) {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut ntr_nn::Param)) {
-        (**self).visit_params(f)
-    }
-
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        (**self).visit_rng_state(f)
-    }
-}
-
-impl<'a, 'b> SequenceEncoder for &'a mut (dyn MlmModel + 'b) {
-    fn d_model(&self) -> usize {
-        (**self).d_model()
-    }
-
-    fn vocab_size(&self) -> usize {
-        (**self).vocab_size()
-    }
-
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        (**self).encode(input, train)
-    }
-
-    fn backward(&mut self, d_states: &Tensor) {
-        (**self).backward(d_states)
-    }
-
-    fn family(&self) -> &'static str {
-        (**self).family()
-    }
-}
-
-impl<'a, 'b> MlmModel for &'a mut (dyn MlmModel + 'b) {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        (**self).mlm_head()
-    }
-}
-
 /// Loss/accuracy trajectory of a pretraining run (one point per optimizer
 /// step) — the curves the E3 experiment plots.
 #[derive(Debug, Clone, Default)]
@@ -157,15 +116,15 @@ pub struct PretrainReport {
 /// TrainRun::new(cfg).max_tokens(96).mlm(&mut model, &corpus, &tok)?
 /// ```
 ///
-/// The terminal methods ([`TrainRun::mlm`],
-/// [`TrainRun::turl`], [`TrainRun::tapex`]) take `&self`, so one
+/// The terminal methods ([`TrainRun::mlm`], [`TrainRun::turl`],
+/// [`TrainRun::tapex`], [`TrainRun::distill`]) take `&self`, so one
 /// configured run can train several models under identical settings.
 pub struct TrainRun<'a> {
-    cfg: TrainConfig,
-    max_tokens: usize,
-    linearizer: &'a dyn Linearizer,
-    topts: TrainerOptions,
-    scfg: SupervisorConfig,
+    pub(crate) cfg: TrainConfig,
+    pub(crate) max_tokens: usize,
+    pub(crate) linearizer: &'a dyn Linearizer,
+    pub(crate) topts: TrainerOptions,
+    pub(crate) scfg: SupervisorConfig,
     queries_per_table: usize,
 }
 
@@ -224,46 +183,8 @@ impl<'a> TrainRun<'a> {
         self
     }
 
-    /// The run's hyperparameters.
-    pub fn config(&self) -> &TrainConfig {
-        &self.cfg
-    }
-
-    /// The run's token budget (for sibling objectives, e.g. distill).
-    pub(crate) fn token_budget(&self) -> usize {
-        self.max_tokens
-    }
-
-    /// The run's serialization strategy.
-    pub(crate) fn run_linearizer(&self) -> &dyn Linearizer {
-        self.linearizer
-    }
-
-    /// The run's trainer options.
-    pub(crate) fn trainer_options(&self) -> &TrainerOptions {
-        &self.topts
-    }
-
-    /// The run's supervisor configuration.
-    pub(crate) fn supervisor_config(&self) -> &SupervisorConfig {
-        &self.scfg
-    }
-
-    /// MLM pretraining of `model` over `corpus` — thin wrapper over
-    /// [`TrainRun::run`] with [`Objective::Mlm`].
+    /// MLM pretraining of `model` over `corpus`.
     pub fn mlm<M: MlmModel>(
-        &self,
-        model: &mut M,
-        corpus: &TableCorpus,
-        tok: &WordPieceTokenizer,
-    ) -> Result<PretrainReport, TrainError> {
-        match self.run(Objective::Mlm(model), corpus, tok)? {
-            RunReport::Pretrain(r) => Ok(r),
-            _ => unreachable!("Objective::Mlm yields RunReport::Pretrain"),
-        }
-    }
-
-    fn mlm_impl<M: MlmModel>(
         &self,
         model: &mut M,
         corpus: &TableCorpus,
@@ -333,21 +254,8 @@ impl TrainRun<'_> {
     /// TURL joint pretraining: MER masks whole entity cells, MLM masks
     /// remaining tokens; both objectives backpropagate through one
     /// encoding. Always uses the TURL linearization; the anomaly detector
-    /// watches the combined MLM + MER loss. Thin wrapper over
-    /// [`TrainRun::run`] with [`Objective::Turl`].
+    /// watches the combined MLM + MER loss.
     pub fn turl(
-        &self,
-        model: &mut Turl,
-        corpus: &TableCorpus,
-        tok: &WordPieceTokenizer,
-    ) -> Result<PretrainReport, TrainError> {
-        match self.run(Objective::Turl(model), corpus, tok)? {
-            RunReport::Pretrain(r) => Ok(r),
-            _ => unreachable!("Objective::Turl yields RunReport::Pretrain"),
-        }
-    }
-
-    fn turl_impl(
         &self,
         model: &mut Turl,
         corpus: &TableCorpus,
@@ -495,21 +403,8 @@ impl TrainRun<'_> {
     /// TAPEX pretraining: teach the encoder–decoder to *execute*
     /// [`TrainRun::queries_per_table`] generated SQL queries over each
     /// corpus table (always the TAPEX linearization). Returns per-step
-    /// losses. Thin wrapper over [`TrainRun::run`] with
-    /// [`Objective::Tapex`].
+    /// losses.
     pub fn tapex(
-        &self,
-        model: &mut Tapex,
-        corpus: &TableCorpus,
-        tok: &WordPieceTokenizer,
-    ) -> Result<Vec<f32>, TrainError> {
-        match self.run(Objective::Tapex(model), corpus, tok)? {
-            RunReport::Losses(l) => Ok(l),
-            _ => unreachable!("Objective::Tapex yields RunReport::Losses"),
-        }
-    }
-
-    fn tapex_impl(
         &self,
         model: &mut Tapex,
         corpus: &TableCorpus,
@@ -540,70 +435,6 @@ impl TrainRun<'_> {
                 batch_loss / batch.len() as f32
             },
         )
-    }
-}
-
-/// What one [`TrainRun::run`] call trains: the objective together with
-/// the mutable model(s) it updates. This is the single dispatch point the
-/// per-objective entry points ([`TrainRun::mlm`], [`TrainRun::turl`],
-/// [`TrainRun::tapex`], [`TrainRun::distill`]) are thin wrappers over.
-pub enum Objective<'m> {
-    /// Masked-language-model pretraining of any MLM-capable encoder.
-    Mlm(&'m mut dyn MlmModel),
-    /// TURL joint MLM + masked-entity-recovery pretraining.
-    Turl(&'m mut Turl),
-    /// TAPEX neural-SQL-executor pretraining.
-    Tapex(&'m mut Tapex),
-    /// Teacher–student distillation into a [`RowStudent`]
-    /// (see `crate::distill`). The teacher is frozen: encoded once in
-    /// eval mode, never updated.
-    Distill {
-        /// The student being trained.
-        student: &'m mut RowStudent,
-        /// The frozen teacher providing target embeddings.
-        teacher: &'m mut dyn SequenceEncoder,
-        /// Weight of the `1 − cosine` loss term.
-        cos_weight: f32,
-    },
-}
-
-/// The objective-shaped result of [`TrainRun::run`].
-#[derive(Debug, Clone)]
-pub enum RunReport {
-    /// MLM / TURL trajectory.
-    Pretrain(PretrainReport),
-    /// TAPEX per-step losses.
-    Losses(Vec<f32>),
-    /// Distillation loss + fidelity trajectory.
-    Distill(crate::distill::DistillReport),
-}
-
-impl TrainRun<'_> {
-    /// Runs one objective under this run's shared configuration —
-    /// the consolidated entry point behind the named per-objective
-    /// methods.
-    pub fn run(
-        &self,
-        objective: Objective<'_>,
-        corpus: &TableCorpus,
-        tok: &WordPieceTokenizer,
-    ) -> Result<RunReport, TrainError> {
-        match objective {
-            Objective::Mlm(model) => {
-                let mut model = model;
-                self.mlm_impl(&mut model, corpus, tok)
-                    .map(RunReport::Pretrain)
-            }
-            Objective::Turl(model) => self.turl_impl(model, corpus, tok).map(RunReport::Pretrain),
-            Objective::Tapex(model) => self.tapex_impl(model, corpus, tok).map(RunReport::Losses),
-            Objective::Distill {
-                student,
-                teacher,
-                cos_weight,
-            } => self
-                .distill(student, teacher, cos_weight, corpus, tok)
-                .map(RunReport::Distill),
-        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! the cell with the highest mean token score.
 
 use crate::metrics::accuracy;
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::{QaDataset, QaExample};
 use ntr_corpus::Split;
 use ntr_models::{EncoderInput, SequenceEncoder};
@@ -152,27 +153,14 @@ pub fn finetune<M: SequenceEncoder>(
             Some((EncoderInput::from_encoded(&encoded), targets, mask))
         })
         .collect();
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let (input, targets, mask) = &prepared[i];
-            let states = model.encoder.encode(input, true);
-            let logits = model.head_forward(&states);
-            let (_, dlogits) = binary_cross_entropy_with_logits(&logits, targets, Some(mask));
-            let dstates = model.head_backward(&states, &dlogits);
-            model.encoder.backward(&dstates);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
-            }
-        }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+    fit(model, cfg, &prepared, |model, (input, targets, mask)| {
+        let states = model.encoder.encode(input, true);
+        let logits = model.head_forward(&states);
+        let (loss, dlogits) = binary_cross_entropy_with_logits(&logits, targets, Some(mask));
+        let dstates = model.head_backward(&states, &dlogits);
+        model.encoder.backward(&dstates);
+        loss
+    });
 }
 
 /// QA evaluation: exact-coordinate accuracy and denotation accuracy

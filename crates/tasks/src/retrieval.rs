@@ -9,7 +9,8 @@
 //! * **lexical tf-idf baseline** — classic bag-of-words cosine.
 
 use crate::metrics::{hits_at_k, mrr, ndcg_at_k, rank_of};
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
 use ntr_models::{EncoderInput, SequenceEncoder};
@@ -106,92 +107,78 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
 ) {
     const TEMPERATURE: f32 = 10.0; // scales cosine logits into a useful range
     let train_idx = ds.indices(Split::Train);
-    let steps = (train_idx.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x8E);
-    let mut in_batch = 0;
-
-    for epoch in 0..cfg.epochs {
-        for &order_i in &epoch_order(train_idx.len(), epoch, cfg.seed) {
-            let q = &ds.queries[train_idx[order_i]];
-            // Candidates: positive first, then sampled negatives.
-            let mut cand_ids = vec![q.positive];
-            while cand_ids.len() < n_negatives + 1 {
-                let t = rng.gen_range(0..ds.corpus.len());
-                if t != q.positive {
-                    cand_ids.push(t);
-                }
-            }
-
-            // Clone-per-sequence forward.
-            let q_input = query_input(&q.text, tok);
-            let mut q_clone = model.clone();
-            q_clone.zero_grad();
-            let q_states = q_clone.encode(&q_input, true);
-            let q_emb = q_states.rows(0, 1);
-
-            let mut t_clones = Vec::with_capacity(cand_ids.len());
-            let mut t_embs = Vec::with_capacity(cand_ids.len());
-            for &ti in &cand_ids {
-                let input = table_input(&ds.corpus.tables[ti], tok, opts);
-                let mut c = model.clone();
-                c.zero_grad();
-                let states = c.encode(&input, true);
-                t_embs.push(states.rows(0, 1));
-                t_clones.push((c, states.dim(0)));
-            }
-
-            // Cosine logits and CE (positive is class 0).
-            let d = q_emb.numel();
-            let qn = q_emb.norm().max(1e-6);
-            let mut logits = Tensor::zeros(&[1, cand_ids.len()]);
-            for (k, t_emb) in t_embs.iter().enumerate() {
-                logits.data_mut()[k] = TEMPERATURE * q_emb.cosine(t_emb);
-            }
-            let (_, dlogits) = softmax_cross_entropy(&logits, &[0], None);
-
-            // Backward through the cosine: for u·v/(|u||v|),
-            // d/du = v/(|u||v|) − cos·u/|u|².
-            let mut d_q = Tensor::zeros(&[1, d]);
-            for (k, t_emb) in t_embs.iter().enumerate() {
-                let g = dlogits.data()[k] * TEMPERATURE;
-                if g == 0.0 {
-                    continue;
-                }
-                let tn = t_emb.norm().max(1e-6);
-                let cos = q_emb.cosine(t_emb);
-                // d/d q_emb
-                let mut dq = t_emb.scale(1.0 / (qn * tn));
-                dq.axpy(-cos / (qn * qn), &q_emb);
-                d_q.axpy(g, &dq);
-                // d/d t_emb
-                let mut dt = q_emb.scale(1.0 / (qn * tn));
-                dt.axpy(-cos / (tn * tn), t_emb);
-                let (clone, seq_len) = &mut t_clones[k];
-                let mut dstates = Tensor::zeros(&[*seq_len, d]);
-                dstates.row_mut(0).copy_from_slice(dt.scale(g).data());
-                clone.backward(&dstates);
-            }
-            let mut dq_states = Tensor::zeros(&[q_states.dim(0), d]);
-            dq_states.row_mut(0).copy_from_slice(d_q.data());
-            q_clone.backward(&dq_states);
-
-            // Merge clone grads into the master.
-            merge_grads(model, &mut q_clone);
-            for (clone, _) in &mut t_clones {
-                merge_grads(model, clone);
-            }
-
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                in_batch = 0;
+    fit(model, cfg, &train_idx, |model, &qi| {
+        let q = &ds.queries[qi];
+        // Candidates: positive first, then sampled negatives.
+        let mut cand_ids = vec![q.positive];
+        while cand_ids.len() < n_negatives + 1 {
+            let t = rng.gen_range(0..ds.corpus.len());
+            if t != q.positive {
+                cand_ids.push(t);
             }
         }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-    }
+
+        // Clone-per-sequence forward.
+        let q_input = query_input(&q.text, tok);
+        let mut q_clone = model.clone();
+        q_clone.zero_grad();
+        let q_states = q_clone.encode(&q_input, true);
+        let q_emb = q_states.rows(0, 1);
+
+        let mut t_clones = Vec::with_capacity(cand_ids.len());
+        let mut t_embs = Vec::with_capacity(cand_ids.len());
+        for &ti in &cand_ids {
+            let input = table_input(&ds.corpus.tables[ti], tok, opts);
+            let mut c = model.clone();
+            c.zero_grad();
+            let states = c.encode(&input, true);
+            t_embs.push(states.rows(0, 1));
+            t_clones.push((c, states.dim(0)));
+        }
+
+        // Cosine logits and CE (positive is class 0).
+        let d = q_emb.numel();
+        let qn = q_emb.norm().max(1e-6);
+        let mut logits = Tensor::zeros(&[1, cand_ids.len()]);
+        for (k, t_emb) in t_embs.iter().enumerate() {
+            logits.data_mut()[k] = TEMPERATURE * q_emb.cosine(t_emb);
+        }
+        let (loss, dlogits) = softmax_cross_entropy(&logits, &[0], None);
+
+        // Backward through the cosine: for u·v/(|u||v|),
+        // d/du = v/(|u||v|) − cos·u/|u|².
+        let mut d_q = Tensor::zeros(&[1, d]);
+        for (k, t_emb) in t_embs.iter().enumerate() {
+            let g = dlogits.data()[k] * TEMPERATURE;
+            if g == 0.0 {
+                continue;
+            }
+            let tn = t_emb.norm().max(1e-6);
+            let cos = q_emb.cosine(t_emb);
+            // d/d q_emb
+            let mut dq = t_emb.scale(1.0 / (qn * tn));
+            dq.axpy(-cos / (qn * qn), &q_emb);
+            d_q.axpy(g, &dq);
+            // d/d t_emb
+            let mut dt = q_emb.scale(1.0 / (qn * tn));
+            dt.axpy(-cos / (tn * tn), t_emb);
+            let (clone, seq_len) = &mut t_clones[k];
+            let mut dstates = Tensor::zeros(&[*seq_len, d]);
+            dstates.row_mut(0).copy_from_slice(dt.scale(g).data());
+            clone.backward(&dstates);
+        }
+        let mut dq_states = Tensor::zeros(&[q_states.dim(0), d]);
+        dq_states.row_mut(0).copy_from_slice(d_q.data());
+        q_clone.backward(&dq_states);
+
+        // Merge clone grads into the master.
+        merge_grads(model, &mut q_clone);
+        for (clone, _) in &mut t_clones {
+            merge_grads(model, clone);
+        }
+        loss
+    });
 }
 
 /// Lexical tf-idf retrieval baseline.

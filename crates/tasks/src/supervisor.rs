@@ -1,8 +1,10 @@
-//! The self-healing training supervisor: a state machine wrapped around
-//! [`Trainer`](crate::trainer::Trainer) that keeps long pretraining runs
-//! alive through NaN batches,
-//! diverging losses, panicking pool workers, simulated hard kills, and
-//! corrupted checkpoints.
+//! The one training driver and its self-healing supervisor.
+//! [`run_supervised`] is the only place in this crate that iterates epochs,
+//! accumulates a batch and steps the optimizer: every pretraining objective
+//! and every downstream fine-tune hands it a batch body. Around that loop
+//! sits a state machine over [`Trainer`](crate::trainer::Trainer) that keeps
+//! long runs alive through NaN batches, diverging losses, panicking pool
+//! workers, simulated hard kills, and corrupted checkpoints.
 //!
 //! ## State machine
 //!
@@ -178,29 +180,6 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-impl TrainError {
-    /// Collapses back to [`CheckpointError`] for the legacy `*_resumable`
-    /// entry points, whose supervisor is disabled and can therefore only
-    /// fail on checkpoint I/O.
-    pub fn into_checkpoint_error(self) -> CheckpointError {
-        match self {
-            TrainError::Checkpoint(e) => e,
-            other => CheckpointError::Mismatch(other.to_string()),
-        }
-    }
-}
-
-/// Stringifies a caught panic payload.
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(p) => match p.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "<non-string panic payload>".to_string(),
-        },
-    }
-}
-
 /// Poisons `model`'s first parameter gradient with NaN (the `nan@N` fault).
 fn poison_grads(model: &mut dyn Layer) {
     let mut done = false;
@@ -278,8 +257,9 @@ fn emit_step(
     e.finish();
 }
 
-/// Runs a full training loop under the supervisor. Every driver
-/// (`TrainRun`, imputation fine-tuning) funnels through here.
+/// Runs a full training loop under the supervisor. Every driver funnels
+/// through here: `TrainRun::{mlm,turl,tapex,distill}`, imputation's
+/// `finetune_supervised`, and (via [`fit`]) the seven downstream fine-tunes.
 ///
 /// `step_fn` is the driver's batch body — forward, loss, backward,
 /// gradient accumulation — returning its per-step record; `loss_of`
@@ -337,6 +317,33 @@ pub fn run_supervised<M: Layer, R>(
     }
     let _ = obs.write_metrics();
     result
+}
+
+/// The plain fine-tune form of [`run_supervised`]: no checkpointing, no
+/// supervision, and a per-example body (forward, backward, returns that
+/// example's loss). Returns the mean loss per optimizer step.
+pub(crate) fn fit<M: Layer, E>(
+    model: &mut M,
+    cfg: &TrainConfig,
+    examples: &[E],
+    mut example_loss: impl FnMut(&mut M, &E) -> f32,
+) -> Vec<f32> {
+    run_supervised(
+        model,
+        cfg,
+        examples.len(),
+        &TrainerOptions::default(),
+        &SupervisorConfig::default(),
+        |loss: &f32| *loss,
+        |model, batch, _| {
+            let mut batch_loss = 0.0;
+            for item in batch {
+                batch_loss += example_loss(model, &examples[item.index]);
+            }
+            batch_loss / batch.len() as f32
+        },
+    )
+    .expect("no checkpoint, resume or supervisor is configured, so the run cannot fail")
 }
 
 /// The supervisor loop body, split out so [`run_supervised`] can emit
@@ -446,7 +453,7 @@ fn supervise_loop<M: Layer, R>(
             }
         } else {
             catch_unwind(AssertUnwindSafe(|| step_fn(model, &batch, obs)))
-                .map_err(|payload| format!("worker panic: {}", payload_message(payload)))
+                .map_err(|payload| format!("worker panic: {}", par::payload_message(payload)))
         };
 
         let mut step_grad_norm: Option<f32> = None;

@@ -3,7 +3,8 @@
 //! evaluate by **denotation accuracy** (does the predicted query execute to
 //! the gold answer?).
 
-use crate::trainer::{epoch_order, ScheduledOptimizer, TrainConfig};
+use crate::supervisor::fit;
+use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::Text2SqlDataset;
 use ntr_corpus::Split;
 use ntr_models::{EncoderInput, Tapex};
@@ -41,29 +42,9 @@ pub fn finetune(
         .iter()
         .map(|&i| example_io(&ds.examples[i], tok, max_tokens))
         .collect();
-    let steps = (prepared.len() * cfg.epochs).div_ceil(cfg.batch_size) as u64;
-    let mut opt = ScheduledOptimizer::new(cfg, steps);
-    let mut losses = Vec::new();
-    let mut batch_loss = 0.0;
-    let mut in_batch = 0;
-    for epoch in 0..cfg.epochs {
-        for &i in &epoch_order(prepared.len(), epoch, cfg.seed) {
-            let (input, target) = &prepared[i];
-            batch_loss += model.train_step(input, target);
-            in_batch += 1;
-            if in_batch == cfg.batch_size {
-                opt.step(model);
-                losses.push(batch_loss / in_batch as f32);
-                batch_loss = 0.0;
-                in_batch = 0;
-            }
-        }
-    }
-    if in_batch > 0 {
-        opt.step(model);
-        losses.push(batch_loss / in_batch as f32);
-    }
-    losses
+    fit(model, cfg, &prepared, |model, (input, target)| {
+        model.train_step(input, target)
+    })
 }
 
 /// Repairs tokenizer-decoded SQL so it re-parses: WordPiece decoding

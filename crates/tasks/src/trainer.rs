@@ -1,5 +1,7 @@
-//! Shared training-loop machinery: configuration, the scheduled optimizer,
-//! and the resumable [`Trainer`] that owns the example stream and can
+//! The one training loop's state: configuration and the resumable
+//! [`Trainer`], which owns the example stream and the scheduled optimizer
+//! (both private to this module — every driver iterates and steps through
+//! [`run_supervised`](crate::supervisor::run_supervised)) and can
 //! checkpoint / resume a run **bit-identically** — training 2N steps
 //! straight and training N, crashing, and resuming for N more produce the
 //! same parameters, optimizer moments, and loss trace.
@@ -42,7 +44,7 @@ impl Default for TrainConfig {
 
 /// Drives Adam with a warmup-linear schedule over a known number of steps.
 #[derive(Debug)]
-pub struct ScheduledOptimizer {
+struct ScheduledOptimizer {
     adam: Adam,
     schedule: WarmupLinearSchedule,
     /// Transient multiplier on the scheduled LR — the supervisor's retry
@@ -52,7 +54,7 @@ pub struct ScheduledOptimizer {
 
 impl ScheduledOptimizer {
     /// Builds the optimizer for `total_steps` steps under `cfg`.
-    pub fn new(cfg: &TrainConfig, total_steps: u64) -> Self {
+    fn new(cfg: &TrainConfig, total_steps: u64) -> Self {
         let warmup = ((total_steps as f32) * cfg.warmup_frac) as u64;
         Self {
             adam: Adam::new(cfg.lr).with_weight_decay(0.01),
@@ -67,7 +69,7 @@ impl ScheduledOptimizer {
 
     /// Rebuilds an optimizer from checkpointed parts (resume path): the
     /// saved schedule is authoritative, not one recomputed from config.
-    pub fn from_parts(adam: Adam, schedule: WarmupLinearSchedule) -> Self {
+    fn from_parts(adam: Adam, schedule: WarmupLinearSchedule) -> Self {
         Self {
             adam,
             schedule,
@@ -76,13 +78,13 @@ impl ScheduledOptimizer {
     }
 
     /// Sets the transient LR multiplier (1.0 = scheduled LR unchanged).
-    pub fn set_lr_scale(&mut self, scale: f32) {
+    fn set_lr_scale(&mut self, scale: f32) {
         self.lr_scale = scale;
     }
 
     /// Applies one optimizer step to `model`'s accumulated gradients and
     /// zeroes them.
-    pub fn step(&mut self, model: &mut dyn Layer) {
+    fn step(&mut self, model: &mut dyn Layer) {
         let t = self.adam.steps();
         let lr = self.schedule.lr_at(t);
         // Skip the multiply at scale 1.0 so the default path sets the
@@ -98,23 +100,23 @@ impl ScheduledOptimizer {
     }
 
     /// Completed steps.
-    pub fn steps(&self) -> u64 {
+    fn steps(&self) -> u64 {
         self.adam.steps()
     }
 
     /// The underlying Adam state (for checkpoint capture).
-    pub fn adam(&self) -> &Adam {
+    fn adam(&self) -> &Adam {
         &self.adam
     }
 
     /// The learning-rate schedule (for checkpoint capture).
-    pub fn schedule(&self) -> &WarmupLinearSchedule {
+    fn schedule(&self) -> &WarmupLinearSchedule {
         &self.schedule
     }
 }
 
 /// Deterministically shuffles indices for one epoch.
-pub fn epoch_order(n: usize, epoch: usize, seed: u64) -> Vec<usize> {
+fn epoch_order(n: usize, epoch: usize, seed: u64) -> Vec<usize> {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37));
@@ -136,8 +138,8 @@ pub struct BatchItem {
     pub index: usize,
 }
 
-/// Checkpoint/resume knobs for a training run, shared by every driver
-/// (`TrainRun`, `finetune`) and the CLI.
+/// Checkpoint/resume knobs for a training run, shared by `TrainRun`,
+/// imputation's `finetune_supervised` and the CLI.
 #[derive(Debug, Clone, Default)]
 pub struct TrainerOptions {
     /// Write a checkpoint to this path every `.1` optimizer steps.
@@ -190,12 +192,11 @@ impl TrainerOptions {
 
 /// Owns a training run's example stream and optimizer.
 ///
-/// The stream is the concatenation of each epoch's [`epoch_order`] shuffle,
-/// chunked into batches of `batch_size` that **span epoch boundaries**, with
-/// a final partial batch — exactly the iteration order the drivers used
-/// before checkpointing existed, so resumed runs retrace the original
-/// stream. Checkpoints are only taken at optimizer-step boundaries; the
-/// saved cursor names the next unprocessed example.
+/// The stream is the concatenation of each epoch's seeded shuffle, chunked
+/// into batches of `batch_size` (clamped to at least 1) that **span epoch
+/// boundaries**, with a final partial batch. Checkpoints are only taken at
+/// optimizer-step boundaries; the saved cursor names the next unprocessed
+/// example, so resumed runs retrace the original stream.
 #[derive(Debug)]
 pub struct Trainer {
     opt: ScheduledOptimizer,
@@ -294,8 +295,8 @@ impl Trainer {
         self.checkpoint.as_ref().map(|(p, _)| p.as_path())
     }
 
-    /// Sets the transient LR backoff multiplier (see
-    /// [`ScheduledOptimizer::set_lr_scale`]).
+    /// Sets the transient multiplier on the scheduled LR — the supervisor's
+    /// retry backoff (1.0 = scheduled LR unchanged).
     pub fn set_lr_scale(&mut self, scale: f32) {
         self.opt.set_lr_scale(scale);
     }
@@ -488,6 +489,25 @@ mod tests {
         assert_eq!(batches[1][0].epoch, 0);
         assert_eq!(batches[1][1].epoch, 1);
         assert_eq!(batches[1][1].pos, 0);
+    }
+
+    #[test]
+    fn zero_batch_size_trains_one_step_per_example() {
+        // `fit` (every downstream fine-tune) inherits the trainer's clamp to
+        // 1 instead of dividing by `batch_size`.
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        let mut model = Linear::new(2, 2, &mut SeededInit::new(8));
+        let losses = crate::supervisor::fit(&mut model, &cfg, &[1.0, 2.0, 3.0], |model, &x| {
+            let _ = model.forward(&Tensor::ones(&[1, 2]));
+            let _ = model.backward(&Tensor::ones(&[1, 2]));
+            x
+        });
+        assert_eq!(losses.len(), 6, "3 examples x 2 epochs, one step each");
+        assert!(losses.iter().all(|l| [1.0, 2.0, 3.0].contains(l)));
     }
 
     #[test]

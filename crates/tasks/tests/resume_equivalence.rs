@@ -13,8 +13,8 @@ use ntr_corpus::{World, WorldConfig};
 use ntr_models::{ModelConfig, Turl, VanillaBert};
 use ntr_nn::serialize::TrainCheckpoint;
 use ntr_nn::Layer;
-use ntr_tasks::imputation::finetune_resumable;
-use ntr_tasks::supervisor::TrainError;
+use ntr_tasks::imputation::finetune_supervised;
+use ntr_tasks::supervisor::SupervisorConfig;
 use ntr_tasks::trainer::{TrainConfig, TrainerOptions};
 use ntr_tasks::TrainRun;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -86,7 +86,6 @@ fn turl_pretraining_resume_is_bit_identical() {
         .max_tokens(64)
         .trainer(&TrainerOptions::default())
         .turl(&mut straight, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
     assert!(full.mlm_loss.len() >= 4, "need ≥4 steps to halt mid-run");
     let halt_at = (full.mlm_loss.len() / 2) as u64;
@@ -102,7 +101,6 @@ fn turl_pretraining_resume_is_bit_identical() {
             obs: Default::default(),
         })
         .turl(&mut crashed, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
     assert_eq!(head.mlm_loss.len() as u64, halt_at);
 
@@ -121,7 +119,6 @@ fn turl_pretraining_resume_is_bit_identical() {
             obs: Default::default(),
         })
         .turl(&mut resumed, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
 
     // Loss traces: head ++ tail == full, bit for bit, on both objectives.
@@ -164,20 +161,21 @@ fn imputation_finetune_resume_is_bit_identical() {
     let path = ckpt_path("imputation.ntrw");
 
     let mut straight = VanillaBert::new(&mcfg);
-    let full = finetune_resumable(
+    let full = finetune_supervised(
         &mut straight,
         &ds,
         &tok,
         &tcfg,
         96,
         &TrainerOptions::default(),
+        &SupervisorConfig::default(),
     )
     .unwrap();
     assert!(full.len() >= 4, "need ≥4 steps to halt mid-run");
     let halt_at = (full.len() / 2) as u64;
 
     let mut crashed = VanillaBert::new(&mcfg);
-    let head = finetune_resumable(
+    let head = finetune_supervised(
         &mut crashed,
         &ds,
         &tok,
@@ -189,6 +187,7 @@ fn imputation_finetune_resume_is_bit_identical() {
             halt_after: Some(halt_at),
             obs: Default::default(),
         },
+        &SupervisorConfig::default(),
     )
     .unwrap();
 
@@ -196,7 +195,7 @@ fn imputation_finetune_resume_is_bit_identical() {
         seed: 0xDEAD,
         ..mcfg
     });
-    let tail = finetune_resumable(
+    let tail = finetune_supervised(
         &mut resumed,
         &ds,
         &tok,
@@ -208,6 +207,7 @@ fn imputation_finetune_resume_is_bit_identical() {
             halt_after: None,
             obs: Default::default(),
         },
+        &SupervisorConfig::default(),
     )
     .unwrap();
 

@@ -94,7 +94,6 @@ fn nan_fault_rolls_back_and_skips_the_poisoned_batch() {
         .linearizer(&RowMajorLinearizer)
         .trainer(&TrainerOptions::default())
         .mlm(&mut baseline, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
     assert!(reference.mlm_loss.len() >= 4);
 
@@ -149,7 +148,6 @@ fn crash_fault_resumes_from_disk_and_stays_bit_identical() {
         .linearizer(&RowMajorLinearizer)
         .trainer(&TrainerOptions::default())
         .mlm(&mut baseline, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
 
     // Checkpoint every step: the simulated kill at step 3 restores the
@@ -206,7 +204,6 @@ fn crash_with_corrupt_checkpoint_falls_back_to_initial_state() {
         .linearizer(&RowMajorLinearizer)
         .trainer(&TrainerOptions::default())
         .mlm(&mut baseline, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
     assert!(reference.mlm_loss.len() >= 6);
 
@@ -360,7 +357,6 @@ fn disabled_supervisor_is_bit_identical_to_resumable() {
         .linearizer(&RowMajorLinearizer)
         .trainer(&TrainerOptions::default())
         .mlm(&mut a, &corpus, &tok)
-        .map_err(TrainError::into_checkpoint_error)
         .unwrap();
     let mut b = tiny_model(&tok);
     let rb = TrainRun::new(drill_cfg())

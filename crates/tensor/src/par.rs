@@ -109,7 +109,7 @@ impl std::fmt::Display for PoolPanic {
 impl std::error::Error for PoolPanic {}
 
 /// Stringifies a caught panic payload.
-pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {

@@ -116,11 +116,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row-major flat index for a multi-dimensional index.
     ///
     /// # Panics

@@ -9,11 +9,14 @@ use crate::pretokenize::{pretokenize, PretokenizeOptions};
 use crate::vocab::{SpecialToken, Vocab};
 use std::collections::{BTreeMap, HashMap};
 
+/// Minimum pair frequency required to perform a merge: merges of
+/// singletons only memorize noise.
+const MIN_PAIR_FREQ: u64 = 2;
+
 /// Trains a WordPiece vocabulary from raw text.
 #[derive(Debug, Clone)]
 pub struct WordPieceTrainer {
     vocab_size: usize,
-    min_pair_freq: u64,
     opts: PretokenizeOptions,
 }
 
@@ -23,7 +26,6 @@ impl WordPieceTrainer {
     pub fn new(vocab_size: usize) -> Self {
         Self {
             vocab_size,
-            min_pair_freq: 2,
             opts: PretokenizeOptions::default(),
         }
     }
@@ -31,13 +33,6 @@ impl WordPieceTrainer {
     /// Overrides the pre-tokenization options.
     pub fn with_options(mut self, opts: PretokenizeOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Sets the minimum pair frequency required to perform a merge
-    /// (default 2; merges of singletons only memorize noise).
-    pub fn with_min_pair_freq(mut self, f: u64) -> Self {
-        self.min_pair_freq = f.max(1);
         self
     }
 
@@ -89,7 +84,7 @@ impl WordPieceTrainer {
             else {
                 break;
             };
-            if freq < self.min_pair_freq {
+            if freq < MIN_PAIR_FREQ {
                 break;
             }
             let merged = merge_symbols(&left, &right);

@@ -131,10 +131,6 @@ fn every_serialization_strategy_is_pinned() {
 /// values (as hex bit patterns) of a logits tensor — enough to pin the
 /// numerics exactly without checking in megabytes.
 fn logits_fingerprint(name: &str, logits: &Tensor) -> String {
-    let mut bytes = Vec::with_capacity(logits.data().len() * 4);
-    for v in logits.data() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
     let head = logits
         .data()
         .iter()
@@ -145,8 +141,14 @@ fn logits_fingerprint(name: &str, logits: &Tensor) -> String {
     format!(
         "{name}: shape={:?} crc32={:08x} head=[{head}]\n",
         logits.shape(),
-        crc32(&bytes)
+        crc32_f32(logits.data())
     )
+}
+
+/// CRC-32 over the little-endian bit patterns of `values`.
+fn crc32_f32<'a>(values: impl IntoIterator<Item = &'a f32>) -> u32 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(|v| v.to_le_bytes()).collect();
+    crc32(&bytes)
 }
 
 #[test]
@@ -256,21 +258,18 @@ fn mlm_noop_trace_with(
         .mlm(&mut model, &corpus, tok)
         .expect("no faults configured");
 
-    let mut params = Vec::new();
-    for v in ntr::nn::serialize::TrainCheckpoint::capture(&mut model)
-        .params
-        .values()
-    {
-        for x in v.data() {
-            params.extend_from_slice(&x.to_le_bytes());
-        }
-    }
     let mut out = String::new();
     for (i, l) in report.mlm_loss.iter().enumerate() {
         writeln!(out, "step {i}: loss_bits={:08x}", l.to_bits()).unwrap();
     }
-    writeln!(out, "params_crc32={:08x}", crc32(&params)).unwrap();
+    writeln!(out, "params_crc32={:08x}", params_crc32(&mut model)).unwrap();
     (report.mlm_loss, out)
+}
+
+/// [`crc32_f32`] over every parameter, in name order.
+fn params_crc32(model: &mut dyn ntr::nn::Layer) -> u32 {
+    let params = ntr::nn::serialize::state_dict(model);
+    crc32_f32(params.values().flat_map(|t| t.data()))
 }
 
 #[test]
@@ -331,6 +330,170 @@ fn supervised_noop_training_trace_is_pinned_impl() {
     let text = std::fs::read_to_string(dir.join("noop_trace.jsonl")).unwrap();
     ntr::obs::trace::schema::validate_trace(&text).unwrap();
     assert!(dir.join("noop_metrics.json").exists());
+}
+
+#[test]
+fn finetune_streams_are_pinned() {
+    // Pins scalar-kernel bits; see first_forward_pass_logits_are_pinned.
+    ntr_tensor::simd::force_scalar(finetune_streams_are_pinned_impl)
+}
+
+/// Every fine-tune and every `TrainRun` objective on a few examples: the
+/// trained weights (and the loss traces the drivers return) pin the example
+/// stream, step count, warmup and accumulation of the one training loop.
+fn finetune_streams_are_pinned_impl() {
+    use ntr::corpus::datasets::{
+        CtaDataset, ImputationDataset, LinkingDataset, NliDataset, QaDataset, RetrievalDataset,
+        Text2SqlDataset,
+    };
+    use ntr::corpus::tables::{CorpusConfig, TableCorpus};
+    use ntr::corpus::{Split, World, WorldConfig};
+    use ntr::tasks::{aggqa, cta, imputation, linking, nli, qa, retrieval, text2sql};
+
+    let world = World::generate(WorldConfig {
+        n_countries: 6,
+        n_people: 6,
+        n_films: 4,
+        n_clubs: 3,
+        seed: 0xF5,
+    });
+    let ccfg = CorpusConfig {
+        n_tables: 4,
+        min_rows: 2,
+        max_rows: 3,
+        null_prob: 0.0,
+        headerless_prob: 0.0,
+        seed: 0xF6,
+    };
+    let corpus = TableCorpus::generate(&world, &ccfg);
+    let entity_corpus = TableCorpus::generate_entity_only(&world, &ccfg);
+
+    let nli_ds = NliDataset::build(&corpus, 2, 1);
+    let qa_ds = QaDataset::build(&corpus, 2, 2);
+    let agg_ds = aggqa::AggQaDataset::build(&corpus, 4, 3);
+    let sql_ds = Text2SqlDataset::build(&corpus, 2, 4);
+    let mut extra: Vec<String> = nli_ds.examples.iter().map(|e| e.claim.clone()).collect();
+    extra.extend(qa_ds.examples.iter().map(|e| e.question.clone()));
+    extra.extend(agg_ds.examples.iter().map(|e| e.question.clone()));
+    extra.extend(
+        sql_ds
+            .examples
+            .iter()
+            .flat_map(|e| [e.question.clone(), e.sql.to_string().to_lowercase()]),
+    );
+    let tok = ntr::corpus::vocab::train_tokenizer(&corpus, &extra, 900);
+    let entity_tok = ntr::corpus::vocab::train_tokenizer(&entity_corpus, &[], 900);
+    let mcfg = ModelConfig::tiny(tok.vocab_size());
+    let entity_mcfg = ModelConfig {
+        n_entities: world.n_entities(),
+        ..ModelConfig::tiny(entity_tok.vocab_size())
+    };
+    let opts = LinearizerOptions {
+        max_tokens: 64,
+        ..Default::default()
+    };
+    // Two epochs at the smallest batch size that does not divide both (so
+    // the last batch is partial) and therefore not one either (so a batch
+    // straddles the epoch boundary).
+    let tcfg = |n: usize| {
+        let batch_size = (2..n)
+            .find(|b| !(2 * n).is_multiple_of(*b))
+            .expect("at least four training examples");
+        ntr::tasks::TrainConfig {
+            epochs: 2,
+            lr: 3e-3,
+            batch_size,
+            warmup_frac: 0.25,
+            seed: 0xF7,
+        }
+    };
+    let bits = |xs: &[f32]| {
+        xs.iter()
+            .map(|v| format!("{:08x}", v.to_bits()))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let mut out = String::new();
+    let mut line = |name: &str, cfg: &ntr::tasks::TrainConfig, losses: &[f32], crc: u32| {
+        write!(out, "{name}: batch={}", cfg.batch_size).unwrap();
+        if !losses.is_empty() {
+            write!(out, " loss_bits=[{}]", bits(losses)).unwrap();
+        }
+        writeln!(out, " params_crc32={crc:08x}").unwrap();
+    };
+
+    let ds = CtaDataset::build(&corpus, 5);
+    let cfg = tcfg(ds.indices(Split::Train).len());
+    let mut m = cta::ColumnAnnotator::new(Tapas::new(&mcfg), ds.labels.len(), 6);
+    cta::finetune(&mut m, &ds, &tok, &cfg, &opts);
+    line("cta", &cfg, &[], params_crc32(&mut m));
+
+    let cfg = tcfg(nli_ds.indices(Split::Train).len());
+    let mut m = nli::FactVerifier::new(VanillaBert::new(&mcfg), 7);
+    nli::finetune(&mut m, &nli_ds, &tok, &cfg, &opts);
+    line("nli", &cfg, &[], params_crc32(&mut m));
+
+    let cfg = tcfg(qa_ds.indices(Split::Train).len());
+    let mut m = qa::CellSelector::new(Tapas::new(&mcfg), 8);
+    qa::finetune(&mut m, &qa_ds, &tok, &cfg, &opts);
+    line("qa", &cfg, &[], params_crc32(&mut m));
+
+    let cfg = tcfg(agg_ds.indices(Split::Train).len());
+    let mut m = aggqa::AggregationQa::new(Tapas::new(&mcfg), 9);
+    aggqa::finetune(&mut m, &agg_ds, &tok, &cfg, &opts);
+    line("aggqa", &cfg, &[], params_crc32(&mut m));
+
+    let ds = LinkingDataset::build(&world, &entity_corpus, 3, 10);
+    let cfg = tcfg(ds.indices(Split::Train).len());
+    let mut m = Turl::new(&entity_mcfg);
+    linking::finetune(&mut m, &ds, &entity_tok, &cfg, &opts);
+    line("linking", &cfg, &[], params_crc32(&mut m));
+
+    let cfg = tcfg(sql_ds.indices(Split::Train).len());
+    let mut m = ntr_models::Tapex::new(&mcfg);
+    let losses = text2sql::finetune(&mut m, &sql_ds, &tok, &cfg, 64);
+    line("text2sql", &cfg, &losses, params_crc32(&mut m));
+
+    let ds = RetrievalDataset::build(corpus.clone(), 2, 11);
+    let cfg = tcfg(ds.indices(Split::Train).len());
+    let mut m = VanillaBert::new(&mcfg);
+    retrieval::finetune_contrastive(&mut m, &ds, &tok, &cfg, &opts, 2);
+    line("retrieval", &cfg, &[], params_crc32(&mut m));
+
+    let ds = ImputationDataset::build(&entity_corpus, 2, 12);
+    let cfg = tcfg(ds.indices(Split::Train).len());
+    let mut m = Turl::new(&entity_mcfg);
+    imputation::finetune(&mut m, &ds, &entity_tok, &cfg, 64);
+    line("imputation", &cfg, &[], params_crc32(&mut m));
+
+    let cfg = tcfg(corpus.tables.len());
+    let run = TrainRun::new(cfg).max_tokens(64);
+    let mut m = Tapas::new(&mcfg);
+    let r = run.mlm(&mut m, &corpus, &tok).unwrap();
+    line("mlm", &cfg, &r.mlm_loss, params_crc32(&mut m));
+
+    let mut m = Turl::new(&entity_mcfg);
+    let r = run.turl(&mut m, &entity_corpus, &entity_tok).unwrap();
+    let summed: Vec<f32> = r
+        .mlm_loss
+        .iter()
+        .zip(&r.mer_loss)
+        .map(|(a, b)| a + b)
+        .collect();
+    line("turl", &cfg, &summed, params_crc32(&mut m));
+
+    let mut m = ntr_models::Tapex::new(&mcfg);
+    let losses = run.tapex(&mut m, &corpus, &tok).unwrap();
+    line("tapex", &cfg, &losses, params_crc32(&mut m));
+
+    let mut teacher = Tapas::new(&mcfg);
+    let mut m = ntr_models::RowStudent::new(&ModelConfig { seed: 13, ..mcfg });
+    let r = run
+        .distill(&mut m, &mut teacher, 0.5, &corpus, &tok)
+        .unwrap();
+    line("distill", &cfg, &r.loss, params_crc32(&mut m));
+
+    check("finetune_streams.txt", &out);
 }
 
 #[test]
