@@ -1,66 +1,47 @@
 //! Element-wise activations with cached backward passes.
 
-use ntr_tensor::Tensor;
+use ntr_tensor::{simd, Tensor};
+
+/// The scalar GELU function, its derivative and the Padé fast form — the
+/// element-wise definitions behind [`Gelu`], kept beside their vector
+/// kernels in [`ntr_tensor::simd`].
+pub use ntr_tensor::simd::{
+    gelu_fast_scalar as gelu_fast, gelu_grad_scalar as gelu_grad, gelu_scalar as gelu,
+};
 
 /// GELU activation (tanh approximation, as used by BERT).
 ///
 /// `gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`
+///
+/// Every pass captures [`simd::active`] once on the calling thread and hands
+/// whole chunks to the [`ntr_tensor::simd`] kernels: with SIMD off they are
+/// the scalar functions above applied per element, with SIMD on `tanh` goes
+/// through the vector `exp` (tolerance-bounded; [`gelu_fast`] stays
+/// bit-identical).
 #[derive(Debug, Clone, Default)]
 pub struct Gelu {
     cache_x: Option<Tensor>,
-}
-
-const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-const GELU_C: f32 = 0.044_715;
-
-/// The scalar GELU function.
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
-}
-
-/// Fast GELU for the int8 inference path: the libm `tanh` (~30 ns per
-/// element, and the dominant cost of a quantized student encode) is
-/// replaced by the `[7/6]` Padé approximant of `tanh`, clamped to the
-/// range where it is accurate (absolute error < 5e-5, far below the
-/// ~0.4% noise the int8 quantization itself introduces). Branch-free
-/// (clamps lower to min/max), so the element-wise map auto-vectorizes —
-/// and, being a pure per-element function, it is bit-identical for any
-/// thread count or SIMD lane. Training and f32 inference keep the exact
-/// [`gelu`].
-pub fn gelu_fast(x: f32) -> f32 {
-    let u = (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).clamp(-4.97, 4.97);
-    let s = u * u;
-    let p = u * (135135.0 + s * (17325.0 + s * (378.0 + s)));
-    let q = 135135.0 + s * (62370.0 + s * (3150.0 + s * 28.0));
-    let t = (p / q).clamp(-1.0, 1.0);
-    0.5 * x * (1.0 + t)
-}
-
-/// Derivative of the scalar GELU function.
-pub fn gelu_grad(x: f32) -> f32 {
-    let u = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
-    let t = u.tanh();
-    let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 impl Gelu {
     /// Applies GELU element-wise; caches the input.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cache_x = Some(x.clone());
-        x.par_map(gelu)
+        self.forward_inference(x)
     }
 
     /// Forward without caching, for inference paths.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        x.par_map(gelu)
+        let on = simd::active();
+        x.par_map_chunks(|dst, src| simd::gelu(on, dst, src))
     }
 
     /// Forward with the fast approximate GELU ([`gelu_fast`]), for the
     /// int8 path where quantization noise already dwarfs the
     /// approximation error.
     pub fn forward_approx(&self, x: &Tensor) -> Tensor {
-        x.par_map(gelu_fast)
+        let on = simd::active();
+        x.par_map_chunks(|dst, src| simd::gelu_fast(on, dst, src))
     }
 
     /// Returns `dy ⊙ gelu'(x)`, consuming the cached input in place.
@@ -69,8 +50,8 @@ impl Gelu {
             .cache_x
             .take()
             .expect("Gelu::backward called without a cached forward");
-        x.map_mut(gelu_grad);
-        x.mul_assign(dy);
+        let on = simd::active();
+        x.zip_chunks_mut(dy, "gelu backward", |x, dy| simd::gelu_grad_mul(on, x, dy));
         x
     }
 }

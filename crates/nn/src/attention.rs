@@ -203,11 +203,10 @@ impl MultiHeadAttention {
             let qh = q.cols(s, e);
             let kh = k.cols(s, e);
             let vh = v.cols(s, e);
-            let mut scores = qh.matmul_nt(&kh).scale(scale);
-            if let Some(m) = mask {
-                scores = scores.add(m.for_head(h));
-            }
-            let p = scores.softmax_rows();
+            // Scores become probabilities in place: scale, mask and
+            // softmax are one pass over each row of the `Q·Kᵀ` output.
+            let mut p = qh.matmul_nt(&kh);
+            p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
             let oh = p.matmul(&vh);
             (p, oh)
         });

@@ -1,7 +1,7 @@
 //! Loss functions. Each returns `(mean_loss, d loss / d logits)` so callers
 //! can feed the gradient straight into a model's backward pass.
 
-use ntr_tensor::Tensor;
+use ntr_tensor::{simd, Tensor};
 
 /// Sentinel target meaning "do not compute loss at this position" — the
 /// convention used for unmasked tokens in MLM-style objectives.
@@ -56,6 +56,7 @@ pub fn softmax_cross_entropy(
     }
 
     let log_probs = logits.log_softmax_rows();
+    let on = simd::active();
     let mut dlogits = Tensor::zeros(&[n, c]);
     let mut loss = 0.0;
     let mut total_weight = 0.0;
@@ -69,10 +70,11 @@ pub fn softmax_cross_entropy(
         total_weight += w;
 
         // d/d logits = softmax(logits) − one_hot(target), scaled later.
-        let row = log_probs.row(i);
         let drow = dlogits.row_mut(i);
-        for j in 0..c {
-            drow[j] = w * row[j].exp();
+        drow.copy_from_slice(log_probs.row(i));
+        simd::exp_sub_assign(on, drow, 0.0);
+        for d in drow.iter_mut() {
+            *d *= w;
         }
         drow[t] -= w;
     }
@@ -147,6 +149,25 @@ mod tests {
         logits.set(&[0, 1], 100.0);
         let (loss, _) = softmax_cross_entropy(&logits, &[1], None);
         assert!(loss < 1e-5);
+    }
+
+    #[test]
+    fn cross_entropy_of_a_poisoned_logit_is_not_finite() {
+        // The supervisor's anomaly detection reads this loss; on a `simd`
+        // build this runs the vector `exp`, which must not launder a NaN
+        // or an overflow into a small finite number.
+        for poison in [f32::NAN, f32::INFINITY] {
+            for at in [0usize, 6, 19] {
+                let mut logits = crate::init::SeededInit::new(6).uniform(&[2, 20], -2.0, 2.0);
+                logits.set(&[1, at], poison);
+                let (loss, grad) = softmax_cross_entropy(&logits, &[3, 11], None);
+                assert!(
+                    check_finite_loss(loss).is_err(),
+                    "poison={poison} at={at}: {loss}"
+                );
+                assert!(!all_finite(grad.data()));
+            }
+        }
     }
 
     #[test]

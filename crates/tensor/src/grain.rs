@@ -50,7 +50,13 @@ const GEMM_NS_PER_MADD_X100: u64 = 5;
 const STREAM_NS_PER_BYTE_X100: u64 = 10;
 
 /// Measured transcendental row-reduction cost: ~4 ns per element
-/// (softmax_rows@256: 64k exp+sum+div in ~260 µs).
+/// (softmax_rows@256: 64k exp+sum+div in ~260 µs). This is the scalar-lane
+/// figure, libm `exp` included; with the vector `exp` of [`crate::simd`] a
+/// softmax row measures ~1.5 ns per element, so on that lane the model fans
+/// out about three times too early. GELU is not priced here at all: its
+/// `par_map_chunks` goes through [`Work::StreamBytes`] at 8 bytes per
+/// element (~0.8 ns), against ~22 ns scalar and ~1 ns vector measured.
+/// Recorded, not re-tuned: either change needs a benchmark row first.
 const TRANSCENDENTAL_NS_PER_ELEM: u64 = 4;
 
 /// Serial-work estimate for one kernel invocation, in the unit that

@@ -79,13 +79,23 @@ impl Tensor {
     /// [`map`](Self::map) that runs chunks on the thread pool for large
     /// tensors; `f` must be `Sync` so threads can share it.
     pub fn par_map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+        self.par_map_chunks(|dst, src| {
+            for (o, &x) in dst.iter_mut().zip(src) {
+                *o = f(x);
+            }
+        })
+    }
+
+    /// [`par_map`](Self::par_map) a slice at a time: `f(dst, src)` fills
+    /// `dst` from the equally long `src`, so a SIMD kernel can take whole
+    /// chunks. Where the chunks are cut depends on the thread count; `f`
+    /// must give each element the same result wherever it falls.
+    pub fn par_map_chunks(&self, f: impl Fn(&mut [f32], &[f32]) + Sync) -> Tensor {
         let src = self.data();
         let mut out = vec![0.0f32; src.len()];
         par::for_chunks(&mut out, 1, elem_threads(src.len(), 8), |start, chunk| {
             let end = start + chunk.len();
-            for (o, &x) in chunk.iter_mut().zip(&src[start..end]) {
-                *o = f(x);
-            }
+            f(chunk, &src[start..end]);
         });
         Tensor::from_vec(out, self.shape())
     }
@@ -103,48 +113,41 @@ impl Tensor {
 
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "add_assign: shape mismatch");
-        let o = other.data();
         let on = simd::active();
-        par::for_chunks(
-            self.data_mut(),
-            1,
-            elem_threads(o.len(), 12),
-            |start, chunk| {
-                let end = start + chunk.len();
-                simd::add_assign(on, chunk, &o[start..end]);
-            },
-        );
+        self.zip_chunks_mut(other, "add_assign", |a, b| simd::add_assign(on, a, b));
     }
 
     /// In-place Hadamard product `self *= other`.
     pub fn mul_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "mul_assign: shape mismatch");
-        let o = other.data();
         let on = simd::active();
-        par::for_chunks(
-            self.data_mut(),
-            1,
-            elem_threads(o.len(), 12),
-            |start, chunk| {
-                let end = start + chunk.len();
-                simd::mul_assign(on, chunk, &o[start..end]);
-            },
-        );
+        self.zip_chunks_mut(other, "mul_assign", |a, b| simd::mul_assign(on, a, b));
     }
 
     /// In-place `self += s * other`, the AXPY primitive used by optimizers.
     pub fn axpy(&mut self, s: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy: shape mismatch");
-        let o = other.data();
         let on = simd::active();
+        self.zip_chunks_mut(other, "axpy", |a, b| simd::axpy(on, a, s, b));
+    }
+
+    /// Runs `f(self_chunk, other_chunk)` over aligned chunks of two tensors
+    /// of one shape, in parallel for large tensors: the in-place binary
+    /// element-wise op. As with [`par_map_chunks`](Self::par_map_chunks),
+    /// `f` must not depend on where the chunks are cut.
+    pub fn zip_chunks_mut(
+        &mut self,
+        other: &Tensor,
+        op: &str,
+        f: impl Fn(&mut [f32], &[f32]) + Sync,
+    ) {
+        assert_eq!(self.shape(), other.shape(), "{op}: shape mismatch");
+        let o = other.data();
         par::for_chunks(
             self.data_mut(),
             1,
             elem_threads(o.len(), 12),
             |start, chunk| {
                 let end = start + chunk.len();
-                simd::axpy(on, chunk, s, &o[start..end]);
+                f(chunk, &o[start..end]);
             },
         );
     }

@@ -45,7 +45,19 @@ pub struct QuantizedMatrix {
     pub rows: usize,
     /// Number of columns.
     pub cols: usize,
+    /// `data` in the layout the AVX2 matmul streams its weight operand in
+    /// ([`pack_pairs`]). [`quantize_cols`] fills it, since a weight is
+    /// quantized once and multiplied many times; it is empty on activation
+    /// matrices, and a function of `data` wherever it is present.
+    packed: Vec<PairTile>,
 }
+
+/// Eight output columns' weights for one pair of inner indices,
+/// `[w(j, 2p), w(j, 2p + 1)]` for `j` in the tile, widened to `i16`: one
+/// 256-bit vector, aligned so that no load of it straddles a cache line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(32))]
+struct PairTile([i16; 16]);
 
 /// `max|finite x|` over a row: the quantity both the scale and the
 /// quantization step derive from (`0.0` for an empty/all-non-finite row).
@@ -129,7 +141,25 @@ pub fn quantize_rows(x: &Tensor) -> QuantizedMatrix {
         scales,
         rows,
         cols,
+        packed: Vec::new(),
     }
+}
+
+/// The weight operand `bt: [m, k]` as the AVX2 kernel wants it: for every
+/// pair of inner indices `(2p, 2p + 1)`, the [`PairTile`]s of all output
+/// columns (`m` padded to a multiple of 8, `k` to a multiple of 2, both with
+/// zeros). `madd_epi16` of one tile against a broadcast activation pair adds
+/// both products into eight columns' `i32` sums — no widening and no
+/// horizontal reduction left in the inner loop.
+fn pack_pairs(data: &[i8], m: usize, k: usize) -> Vec<PairTile> {
+    let tiles = m.div_ceil(8);
+    let mut packed = vec![PairTile([0; 16]); k.div_ceil(2) * tiles];
+    for (j, row) in data.chunks(k.max(1)).enumerate().take(m) {
+        for (c, &w) in row.iter().enumerate() {
+            packed[(c / 2) * tiles + j / 8].0[(j % 8) * 2 + c % 2] = w as i16;
+        }
+    }
+    packed
 }
 
 /// Quantizes a weight matrix `w: [d_in, d_out]` per *output column*,
@@ -149,7 +179,14 @@ pub fn quantize_cols(w: &Tensor) -> QuantizedMatrix {
         }
         scales.push(quantize_row_into(on, &col, row_absmax(&col), out));
     }
+    // Only the AVX2 kernel reads the packed form.
+    let packed = if cfg!(all(feature = "simd", target_arch = "x86_64")) {
+        pack_pairs(&data, d_out, d_in)
+    } else {
+        Vec::new()
+    };
     QuantizedMatrix {
+        packed,
         data,
         scales,
         rows: d_out,
@@ -215,19 +252,26 @@ pub fn matmul_q8(on: bool, a: &QuantizedMatrix, bt: &QuantizedMatrix) -> Tensor 
         n,
         1,
     );
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let repacked;
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let packed: &[PairTile] = if on && bt.packed.is_empty() {
+        repacked = pack_pairs(&bt.data, m, bt.cols);
+        &repacked
+    } else {
+        &bt.packed
+    };
     crate::par::for_chunks(&mut out, m.max(1), threads, |i0, chunk| {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if on {
+            return unsafe { avx::matmul_rows(a, i0, bt, packed, chunk) };
+        }
         for (i, orow) in chunk
             .chunks_mut(m.max(1))
             .enumerate()
             .map(|(k, c)| (i0 + k, c))
         {
-            let ar = a.row(i);
-            let asc = a.scales[i];
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if on {
-                unsafe { avx::matmul_row(ar, asc, bt, orow) };
-                continue;
-            }
+            let (ar, asc) = (a.row(i), a.scales[i]);
             for (j, slot) in orow.iter_mut().enumerate() {
                 let acc = dot_i8(on, ar, bt.row(j));
                 *slot = acc as f32 * (asc * bt.scales[j]);
@@ -248,7 +292,8 @@ pub fn matmul_quantized(on: bool, x: &Tensor, wq: &QuantizedMatrix) -> Tensor {
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx {
-    //! AVX2 lane: 16 `i8` at a time, widened to `i16` and multiply-added
+    //! AVX2 lane: `i8` widened to `i16` (16 at a time in `dot_i8`, once
+    //! per weight in `pack_pairs` for the matmul) and multiply-added
     //! pairwise into `i32` lanes (`_mm256_madd_epi16`). Products are
     //! `≤ 127² = 16129`, so the pairwise `i16×i16+i16×i16 → i32` step
     //! cannot overflow; the `i32` lane accumulator is exact for any
@@ -294,15 +339,28 @@ mod avx {
         let vinv = _mm256_set1_ps(inv);
         let lo = _mm256_set1_ps(-super::QMAX);
         let hi = _mm256_set1_ps(super::QMAX);
-        let mut buf = [0i32; 8];
-        let mut i = 0;
-        while i + 8 <= n {
+        let quantize8 = |i: usize| {
             let t = _mm256_mul_ps(_mm256_loadu_ps(row.as_ptr().add(i)), vinv);
             // NaN → 0 via the ordered-compare mask (±Inf is ordered and
             // passes through), then the clamp saturates ±Inf to ±127.
             let t = _mm256_and_ps(t, _mm256_cmp_ps(t, t, _CMP_ORD_Q));
-            let t = _mm256_max_ps(_mm256_min_ps(t, hi), lo);
-            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, _mm256_cvtps_epi32(t));
+            _mm256_cvtps_epi32(_mm256_max_ps(_mm256_min_ps(t, hi), lo))
+        };
+        let mut i = 0;
+        // 32 at a time: the two packs interleave their operands per 128-bit
+        // half (values are already inside ±127, so they never saturate),
+        // and one cross-lane permute puts the bytes back in order.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        while i + 32 <= n {
+            let lo16 = _mm256_packs_epi32(quantize8(i), quantize8(i + 8));
+            let hi16 = _mm256_packs_epi32(quantize8(i + 16), quantize8(i + 24));
+            let bytes = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo16, hi16), order);
+            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, bytes);
+            i += 32;
+        }
+        let mut buf = [0i32; 8];
+        while i + 8 <= n {
+            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, quantize8(i));
             for (slot, &q) in out.get_unchecked_mut(i..i + 8).iter_mut().zip(&buf) {
                 *slot = q as i8;
             }
@@ -316,68 +374,103 @@ mod avx {
         }
     }
 
-    /// One output row of the quantized matmul: `orow[j] = (ar · bt[j]) ·
-    /// asc·scale[j]` for every output column `j`. Four columns per pass,
-    /// so the widened activation loads are shared and the horizontal
-    /// reduction is a single 4-way transpose-reduce per group instead of
-    /// one per dot — and the whole row runs inside one `target_feature`
-    /// call rather than one per output element. All-integer accumulation,
+    /// Rows `i0..` of the quantized matmul into `out` (`[rows, m]`):
+    /// `out[i][j] = (a[i] · bt[j]) · a.scale[i]·bt.scale[j]`, with `bt` read
+    /// through `packed` ([`super::pack_pairs`]). All-integer accumulation,
     /// so still bit-identical to [`super::dot_i8`]'s scalar lane.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_row(ar: &[i8], asc: f32, bt: &super::QuantizedMatrix, orow: &mut [f32]) {
+    pub unsafe fn matmul_rows(
+        a: &super::QuantizedMatrix,
+        i0: usize,
+        bt: &super::QuantizedMatrix,
+        packed: &[super::PairTile],
+        out: &mut [f32],
+    ) {
+        let (k, m) = (a.cols, bt.rows);
+        if m == 0 {
+            return;
+        }
+        let n_tiles = m.div_ceil(8);
+        assert_eq!(packed.len(), k.div_ceil(2) * n_tiles, "packed weights");
+        let mut pairs = vec![0i32; k.div_ceil(2)];
+        for (r, orow) in out.chunks_mut(m).enumerate() {
+            // The row as (even, odd) `i16` pairs, one per broadcast; an odd
+            // last element pairs with zero.
+            let pair = |even: i8, odd: i8| (even as u16 as u32 | (odd as i16 as u32) << 16) as i32;
+            let ar = a.row(i0 + r);
+            for (slot, c) in pairs.iter_mut().zip(ar.chunks_exact(2)) {
+                *slot = pair(c[0], c[1]);
+            }
+            if k % 2 == 1 {
+                pairs[k / 2] = pair(ar[k - 1], 0);
+            }
+            let asc = a.scales[i0 + r];
+            let mut t = 0;
+            while t < n_tiles {
+                let (w, sc, dst) = (
+                    packed.as_ptr().add(t),
+                    &bt.scales[8 * t..],
+                    &mut orow[8 * t..],
+                );
+                t += match n_tiles - t {
+                    8.. => tiles::<8>(&pairs, w, n_tiles, asc, sc, dst),
+                    4.. => tiles::<4>(&pairs, w, n_tiles, asc, sc, dst),
+                    2.. => tiles::<2>(&pairs, w, n_tiles, asc, sc, dst),
+                    _ => tiles::<1>(&pairs, w, n_tiles, asc, sc, dst),
+                };
+            }
+        }
+    }
+
+    /// `T` tiles of eight output columns for one activation row — the first
+    /// `8·T` of `dst` and `scales`, or all of them when the last tile is
+    /// ragged; returns `T`. Every pair broadcasts once and multiply-adds
+    /// into all `T` accumulators, which stay in registers for the whole
+    /// inner dimension. `packed` points at the first tile of the first
+    /// pair, `stride` tiles separate one pair from the next. The epilogue
+    /// is the scalar lane's `dot as f32 · (scale_a · scale_b)`, same two
+    /// roundings in its order.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::needless_range_loop)]
+    unsafe fn tiles<const T: usize>(
+        pairs: &[i32],
+        packed: *const super::PairTile,
+        stride: usize,
+        asc: f32,
+        scales: &[f32],
+        dst: &mut [f32],
+    ) -> usize {
         use core::arch::x86_64::*;
-        let k = ar.len();
-        let m = bt.rows;
-        let mut j = 0;
-        while j + 4 <= m {
-            let b0 = bt.row(j).as_ptr();
-            let b1 = bt.row(j + 1).as_ptr();
-            let b2 = bt.row(j + 2).as_ptr();
-            let b3 = bt.row(j + 3).as_ptr();
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut acc2 = _mm256_setzero_si256();
-            let mut acc3 = _mm256_setzero_si256();
-            let mut i = 0;
-            while i + 16 <= k {
-                let va =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(ar.as_ptr().add(i) as *const __m128i));
-                let w0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b0.add(i) as *const __m128i));
-                let w1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b1.add(i) as *const __m128i));
-                let w2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b2.add(i) as *const __m128i));
-                let w3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b3.add(i) as *const __m128i));
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, w0));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, w1));
-                acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, w2));
-                acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, w3));
-                i += 16;
+        let mut acc = [_mm256_setzero_si256(); T];
+        for (p, &pair) in pairs.iter().enumerate() {
+            let av = _mm256_set1_epi32(pair);
+            let w = packed.add(p * stride) as *const __m256i;
+            for t in 0..T {
+                acc[t] =
+                    _mm256_add_epi32(acc[t], _mm256_madd_epi16(av, _mm256_load_si256(w.add(t))));
             }
-            // hadd twice interleaves the four accumulators' pair-sums,
-            // then folding the 128-bit lanes leaves [Σacc0, Σacc1, Σacc2,
-            // Σacc3] — integer adds throughout, so exact.
-            let s01 = _mm256_hadd_epi32(acc0, acc1);
-            let s23 = _mm256_hadd_epi32(acc2, acc3);
-            let s = _mm256_hadd_epi32(s01, s23);
-            let sums = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
-            let mut dots = [0i32; 4];
-            _mm_storeu_si128(dots.as_mut_ptr() as *mut __m128i, sums);
-            while i < k {
-                let a = *ar.get_unchecked(i) as i32;
-                dots[0] += a * *b0.add(i) as i32;
-                dots[1] += a * *b1.add(i) as i32;
-                dots[2] += a * *b2.add(i) as i32;
-                dots[3] += a * *b3.add(i) as i32;
-                i += 1;
-            }
-            for (t, &d) in dots.iter().enumerate() {
-                orow[j + t] = d as f32 * (asc * bt.scales[j + t]);
-            }
-            j += 4;
         }
-        while j < m {
-            orow[j] = dot_i8(ar, bt.row(j)) as f32 * (asc * bt.scales[j]);
-            j += 1;
+        let asc = _mm256_set1_ps(asc);
+        let finish = |scales: *const f32, dst: *mut f32| {
+            for t in 0..T {
+                let scale = _mm256_mul_ps(asc, _mm256_loadu_ps(scales.add(8 * t)));
+                _mm256_storeu_ps(
+                    dst.add(8 * t),
+                    _mm256_mul_ps(_mm256_cvtepi32_ps(acc[t]), scale),
+                );
+            }
+        };
+        if dst.len() >= 8 * T {
+            finish(scales.as_ptr(), dst.as_mut_ptr());
+        } else {
+            // A ragged last tile goes through padded scratch, so it is
+            // eight lanes wide like the others.
+            let (mut sc, mut res) = ([[0.0f32; 8]; T], [[0.0f32; 8]; T]);
+            sc.as_flattened_mut()[..dst.len()].copy_from_slice(&scales[..dst.len()]);
+            finish(sc.as_ptr().cast(), res.as_mut_ptr().cast());
+            dst.copy_from_slice(&res.as_flattened()[..dst.len()]);
         }
+        T
     }
 }
 

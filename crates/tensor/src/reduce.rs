@@ -23,32 +23,55 @@ impl Tensor {
     /// Rows are normalized fully in place (no per-row temporaries) and
     /// partitioned across the thread pool for large matrices.
     pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "softmax_rows requires a 2-D tensor");
-        let cols = self.dim(1);
         let mut out = self.clone();
-        let threads = rowwise_threads(self.dim(0), out.numel());
         let on = simd::active();
-        par::for_chunks(out.data_mut(), cols.max(1), threads, |_, chunk| {
-            for row in chunk.chunks_mut(cols.max(1)) {
-                softmax_in_place_with(on, row);
-            }
-        });
+        out.for_rows_mut("softmax_rows", |_, row| softmax_in_place(on, row));
         out
+    }
+
+    /// `softmax(scale · self + mask)` row by row, in place: attention's
+    /// probability pass over the raw `Q·Kᵀ` scores. Each element sees the
+    /// operations of `self.scale(scale).add(mask).softmax_rows()` in the
+    /// same order, without that chain's three `[n_q, n_k]` temporaries.
+    pub fn scale_mask_softmax_rows(&mut self, scale: f32, mask: Option<&Tensor>) {
+        if let Some(m) = mask {
+            assert_eq!(
+                self.shape(),
+                m.shape(),
+                "scale_mask_softmax_rows: shape mismatch"
+            );
+        }
+        let on = simd::active();
+        self.for_rows_mut("scale_mask_softmax_rows", |r, row| {
+            for x in row.iter_mut() {
+                *x *= scale;
+            }
+            if let Some(m) = mask {
+                simd::add_assign(on, row, m.row(r));
+            }
+            softmax_in_place(on, row);
+        });
     }
 
     /// Row-wise log-softmax of a 2-D tensor (stable: max-shift + log-sum-exp).
     pub fn log_softmax_rows(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "log_softmax_rows requires a 2-D tensor");
-        let cols = self.dim(1);
         let mut out = self.clone();
-        let threads = rowwise_threads(self.dim(0), out.numel());
         let on = simd::active();
-        par::for_chunks(out.data_mut(), cols.max(1), threads, |_, chunk| {
-            for row in chunk.chunks_mut(cols.max(1)) {
-                log_softmax_in_place_with(on, row);
+        out.for_rows_mut("log_softmax_rows", |_, row| log_softmax_in_place(on, row));
+        out
+    }
+
+    /// Runs `f(row_index, row)` on every row of a 2-D tensor, rows
+    /// partitioned across the pool as a transcendental reduction.
+    fn for_rows_mut(&mut self, what: &str, f: impl Fn(usize, &mut [f32]) + Sync) {
+        assert_eq!(self.ndim(), 2, "{what} requires a 2-D tensor");
+        let cols = self.dim(1).max(1);
+        let threads = rowwise_threads(self.dim(0), self.numel());
+        par::for_chunks(self.data_mut(), cols, threads, |r0, chunk| {
+            for (i, row) in chunk.chunks_mut(cols).enumerate() {
+                f(r0 + i, row);
             }
         });
-        out
     }
 
     /// Index of the maximum element in each row of a 2-D tensor.
@@ -127,73 +150,32 @@ impl Tensor {
 }
 
 /// In-place stable softmax over one row; fully-masked rows become uniform.
-pub(crate) fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        let u = 1.0 / row.len() as f32;
-        row.fill(u);
-        return;
-    }
-    let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    for x in row.iter_mut() {
-        *x /= sum;
-    }
-}
-
-/// [`softmax_in_place`] with SIMD max/sum/divide passes when `on`. The
-/// `exp` itself stays scalar (no dependency-free vector exp); the SIMD
-/// variant's reassociated sum makes it tolerance-bounded against scalar,
+/// Every pass takes its `on` arm from [`simd`]: with `on = false` this is
+/// the plain sequential loop, bit for bit; with `on = true` the vector
+/// `exp` and the lane-ordered sum make it tolerance-bounded against that,
 /// but still bit-identical across thread counts (rows are independent).
-pub(crate) fn softmax_in_place_with(on: bool, row: &mut [f32]) {
-    if !on {
-        return softmax_in_place(row);
-    }
-    let max = simd::max(true, row);
+pub(crate) fn softmax_in_place(on: bool, row: &mut [f32]) {
+    let max = simd::max(on, row);
     if max == f32::NEG_INFINITY {
         let u = 1.0 / row.len() as f32;
         row.fill(u);
         return;
     }
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-    }
-    let sum = simd::sum(true, row);
-    simd::div_assign_scalar(true, row, sum);
+    let sum = simd::exp_sub_assign(on, row, max);
+    simd::div_assign_scalar(on, row, sum);
 }
 
 /// In-place stable log-softmax over one row; fully-masked rows become the log
 /// of the uniform distribution, matching [`softmax_in_place`].
-pub(crate) fn log_softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+pub(crate) fn log_softmax_in_place(on: bool, row: &mut [f32]) {
+    let max = simd::max(on, row);
     if max == f32::NEG_INFINITY {
         let u = -(row.len() as f32).ln();
         row.fill(u);
         return;
     }
-    let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-    for x in row.iter_mut() {
-        *x -= lse;
-    }
-}
-
-/// [`log_softmax_in_place`] with SIMD max and shift passes when `on` (the
-/// exp/log-sum stays scalar — it is one sequential pass either way).
-pub(crate) fn log_softmax_in_place_with(on: bool, row: &mut [f32]) {
-    if !on {
-        return log_softmax_in_place(row);
-    }
-    let max = simd::max(true, row);
-    if max == f32::NEG_INFINITY {
-        let u = -(row.len() as f32).ln();
-        row.fill(u);
-        return;
-    }
-    let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-    simd::sub_assign_scalar(true, row, lse);
+    let lse = simd::exp_sub_sum(on, row, max).ln() + max;
+    simd::sub_assign_scalar(on, row, lse);
 }
 
 #[cfg(test)]

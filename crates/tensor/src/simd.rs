@@ -17,21 +17,49 @@
 //!
 //! * **Bit-identical** — element-wise maps with one independent output per
 //!   input lane (`add_assign`, `mul_assign`, `axpy`, `shift_scale`,
-//!   `affine`, `div_assign_scalar`, `sub_assign_scalar`, row-`max`):
-//!   vector lanes perform the same single rounding as the scalar loop, so
-//!   SIMD on/off produces the same bits. (`axpy` and `affine` deliberately
-//!   use separate multiply + add, not FMA, to preserve this.)
+//!   `affine`, `div_assign_scalar`, `sub_assign_scalar`, row-`max`,
+//!   [`gelu_fast`]): vector lanes perform the same single rounding as the
+//!   scalar loop, so SIMD on/off produces the same bits. (`axpy`, `affine`
+//!   and `gelu_fast` deliberately use separate multiply + add, not FMA, to
+//!   preserve this.)
 //! * **Tolerance-bounded** — reductions and the GEMM micro-kernel (`sum`,
 //!   `sum_sq`, `sq_dev_sum`, `sum_and_dot`, `dot`, [`gemm_block`]): lane
 //!   accumulators reassociate the sum, and the GEMM uses FMA (one rounding
 //!   where the scalar path has two). Results differ from scalar in the
 //!   last ulps; the `simd_equivalence` proptest suite bounds the error.
+//!   The transcendental row kernels ([`exp_sub_assign`], [`exp_sub_sum`],
+//!   [`gelu`], [`gelu_grad_mul`]) are in this class too: their scalar arm
+//!   calls libm, their vector arm one polynomial `exp` (see "The vector
+//!   `exp`" below).
 //!   Within one build+flag configuration they remain bit-identical across
 //!   thread counts, because each output element's operation sequence
 //!   depends only on shapes, never on the partition.
 //!
 //! Golden tests that pin scalar fingerprints wrap themselves in
 //! [`force_scalar`]; that is the documented determinism boundary.
+//!
+//! ## The vector `exp`
+//!
+//! One AVX2/FMA `exp` (x86_64 only; aarch64 keeps the scalar arm, as
+//! [`gemm_block`] does) serves softmax, log-softmax, the cross-entropy
+//! gradient and GELU. Cephes-style: `n = round(x·log₂e)`, `r = x − n·ln 2`
+//! with `ln 2` split in two constants, a degree-5 polynomial in `r`, and
+//! `2ⁿ` built in the exponent bits. Measured against the `f64` `exp`
+//! rounded to `f32`: at most 1 ulp over `[−87.3, 88.7]` (`simd_equivalence`
+//! holds ≤ 2); GELU and its gradient stay within `1e-6·max(1, |x|)` of the
+//! `f64` reference over `[−10, 10]`. The contract at the ends: `x < −87.3`
+//! and `−inf` give exactly `0` (no subnormal results, so a masked softmax
+//! entry is exactly `0`), `x > 88.7` and `+inf` give `+inf`, and **NaN
+//! gives NaN** — a poisoned logit must still poison the loss, or the
+//! training supervisor's anomaly detection goes blind.
+//!
+//! An element's result never depends on where it sits in a slice: the tail
+//! of a row or chunk runs the *same* vector code on a zero-padded 8-lane
+//! load, never a second scalar polynomial, and [`exp_sub_assign`] /
+//! [`exp_sub_sum`] add their lanes in an order fixed by the slice length.
+//! That is what keeps "bit-identical for any thread count" and "batched ==
+//! sequential" true on the vector lane, where chunk boundaries move with
+//! the partition.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -252,9 +280,9 @@ pub fn ln_dx_row(on: bool, dst: &mut [f32], dyh: &[f32], xh: &[f32], s: f32, m1:
     }
 }
 
-/// Row maximum with `f32::max` NaN-skipping semantics (NaN inputs never
-/// become the result unless every input is NaN-free… i.e. never).
-/// Returns `-inf` for an empty slice. Bit-identical to the scalar fold.
+/// Row maximum with `f32::max` NaN-skipping semantics: a NaN input never
+/// becomes the result. Returns `-inf` for an empty or all-NaN slice.
+/// Bit-identical to the scalar fold.
 #[inline]
 pub fn max(on: bool, xs: &[f32]) -> f32 {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -358,6 +386,122 @@ pub(crate) fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
         s += a[i] * b[i];
     }
     s
+}
+
+// ---------------------------------------------------------------------
+// Transcendental row kernels (tolerance-bounded; `gelu_fast` bit-identical)
+// ---------------------------------------------------------------------
+
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+const GELU_C: f32 = 0.044_715;
+/// `gelu_fast` clamps its `tanh` argument to where the Padé form is accurate.
+const GELU_FAST_CLAMP: f32 = 4.97;
+
+/// GELU (tanh approximation, as used by BERT):
+/// `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`. The scalar arm of [`gelu`].
+#[inline]
+pub fn gelu_scalar(x: f32) -> f32 {
+    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
+}
+
+/// Derivative of [`gelu_scalar`]. The scalar arm of [`gelu_grad_mul`].
+#[inline]
+pub fn gelu_grad_scalar(x: f32) -> f32 {
+    let u = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
+    let t = u.tanh();
+    let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// Fast GELU for the int8 inference path: `tanh` is replaced by its
+/// `[7/6]` Padé approximant, clamped to the range where it is accurate
+/// (absolute error < 5e-5, far below the ~0.4% noise the int8 quantization
+/// itself introduces). Every operation is a separately rounded
+/// multiply, add, divide, min or max, so the vector arm of [`gelu_fast`]
+/// repeats it bit for bit. Training and f32 inference keep the exact
+/// [`gelu_scalar`] / [`gelu`].
+#[inline]
+pub fn gelu_fast_scalar(x: f32) -> f32 {
+    let u = (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).clamp(-GELU_FAST_CLAMP, GELU_FAST_CLAMP);
+    let s = u * u;
+    let p = u * (135135.0 + s * (17325.0 + s * (378.0 + s)));
+    let q = 135135.0 + s * (62370.0 + s * (3150.0 + s * 28.0));
+    let t = (p / q).clamp(-1.0, 1.0);
+    0.5 * x * (1.0 + t)
+}
+
+/// `x[i] = e^(x[i] − sub)` in place, returning `Σ x[i]` of the results —
+/// the softmax numerator pass (`sub` is the row maximum) and, with
+/// `sub = 0`, a plain row `exp`.
+#[inline]
+pub fn exp_sub_assign(on: bool, xs: &mut [f32], sub: f32) -> f32 {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        return unsafe { avx::exp_sub_assign(xs, sub) };
+    }
+    let _ = on;
+    let mut sum = 0.0;
+    for x in xs.iter_mut() {
+        *x = (*x - sub).exp();
+        sum += *x;
+    }
+    sum
+}
+
+/// `Σ e^(x[i] − sub)` without writing — the log-sum-exp of log-softmax.
+#[inline]
+pub fn exp_sub_sum(on: bool, xs: &[f32], sub: f32) -> f32 {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        return unsafe { avx::exp_sub_sum(xs, sub) };
+    }
+    let _ = on;
+    xs.iter().map(|&x| (x - sub).exp()).sum()
+}
+
+/// `dst[i] = gelu(src[i])` ([`gelu_scalar`]; `tanh` through the vector
+/// `exp` when `on`).
+#[inline]
+pub fn gelu(on: bool, dst: &mut [f32], src: &[f32]) {
+    debug_assert_eq!(dst.len(), src.len());
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        return unsafe { avx::gelu::<false>(dst, src) };
+    }
+    let _ = on;
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = gelu_scalar(x);
+    }
+}
+
+/// `dst[i] = gelu_fast(src[i])` ([`gelu_fast_scalar`]); bit-identical on
+/// both arms.
+#[inline]
+pub fn gelu_fast(on: bool, dst: &mut [f32], src: &[f32]) {
+    debug_assert_eq!(dst.len(), src.len());
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        return unsafe { avx::gelu::<true>(dst, src) };
+    }
+    let _ = on;
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = gelu_fast_scalar(x);
+    }
+}
+
+/// `x[i] = gelu'(x[i]) · dy[i]` in place — the GELU backward pass over the
+/// cached input ([`gelu_grad_scalar`]).
+#[inline]
+pub fn gelu_grad_mul(on: bool, x: &mut [f32], dy: &[f32]) {
+    debug_assert_eq!(x.len(), dy.len());
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        return unsafe { avx::gelu_grad_mul(x, dy) };
+    }
+    let _ = on;
+    for (v, &g) in x.iter_mut().zip(dy) {
+        *v = gelu_grad_scalar(*v) * g;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -714,6 +858,236 @@ mod avx {
             i += 1;
         }
         total
+    }
+
+    /// Inputs below this give exactly `0`: `e^-87.3` is the last result
+    /// that is still a normal `f32`. [`exp_ps`] relies on both limits to
+    /// keep `2ⁿ` inside the exponent field.
+    const EXP_LO: f32 = -87.3;
+    /// Inputs above this give `+inf` (`e^88.7` is within 3 % of `f32::MAX`).
+    const EXP_HI: f32 = 88.7;
+    /// `ln 2 = LN2_HI + LN2_LO`; `LN2_HI` has nine significant bits, so
+    /// `n·LN2_HI` is exact for every `|n| ≤ 128`.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    /// Cephes `expf`: `(e^r − 1 − r) / r²` on `|r| ≤ ln 2 / 2`, highest
+    /// degree first.
+    #[allow(clippy::excessive_precision)]
+    const EXP_POLY: [f32; 6] = [
+        1.987_569_150_0e-4,
+        1.398_199_950_7e-3,
+        8.333_451_907_3e-3,
+        4.166_579_589_4e-2,
+        1.666_666_545_9e-1,
+        5.000_000_120_1e-1,
+    ];
+
+    /// `e^x`, eight lanes (Cephes `expf`): `n = round(x·log₂e)`,
+    /// `r = x − n·ln 2` with `ln 2` split in two constants so the first
+    /// product is exact, a degree-5 polynomial for `(e^r − 1 − r) / r²`,
+    /// and `2ⁿ` built in the exponent bits. See the module docs for the
+    /// bound and the contract at the ends.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_ps(x: __m256) -> __m256 {
+        let lo = _mm256_set1_ps(EXP_LO);
+        let hi = _mm256_set1_ps(EXP_HI);
+        // min/max return their second operand when either is NaN: with the
+        // constant first a NaN lane stays NaN through every step below.
+        let xc = _mm256_min_ps(hi, _mm256_max_ps(lo, x));
+        let n = _mm256_round_ps(
+            _mm256_mul_ps(xc, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
+        );
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_HI), xc);
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(LN2_LO), r);
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for c in &EXP_POLY[1..] {
+            p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(*c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r),
+            _mm256_set1_ps(1.0),
+        );
+        // `y·2ⁿ` by adding `n` to `y`'s exponent field. `y` is in
+        // [0.70, 1.42], `n` in [−126, 128], and the two limits are placed
+        // so that the sum always fits: at `n = 128` (x above 88.38) `r` is
+        // at most `EXP_HI − 128·ln 2 < 0`, so `y < 1` and the field is
+        // 126 + 128; at `n = −126` `r` is at least `EXP_LO + 126·ln 2 > 0`,
+        // so `y > 1` and the field is 127 − 126. A NaN lane converts to
+        // `i32::MIN`, which shifts to zero and leaves the NaN alone.
+        let n = _mm256_slli_epi32(_mm256_cvtps_epi32(n), 23);
+        let y = _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), n));
+        let y = _mm256_blendv_ps(
+            y,
+            _mm256_set1_ps(f32::INFINITY),
+            _mm256_cmp_ps(x, hi, _CMP_GT_OQ),
+        );
+        _mm256_andnot_ps(_mm256_cmp_ps(x, lo, _CMP_LT_OQ), y)
+    }
+
+    /// `tanh(u)` as `1 − 2/(e^{2u} + 1)`: saturates to `±1` where `e^{2u}`
+    /// overflows or underflows, NaN stays NaN.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tanh_ps(u: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let e = exp_ps(_mm256_add_ps(u, u));
+        _mm256_sub_ps(
+            one,
+            _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)),
+        )
+    }
+
+    /// `√(2/π)·(x + 0.044715·x³)`, in [`super::gelu_scalar`]'s operation
+    /// order with every product and sum rounded separately.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gelu_arg_ps(x: __m256) -> __m256 {
+        let c = _mm256_set1_ps(super::GELU_C);
+        let x3c = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(c, x), x), x);
+        _mm256_mul_ps(_mm256_set1_ps(super::SQRT_2_OVER_PI), _mm256_add_ps(x, x3c))
+    }
+
+    /// [`super::gelu_scalar`] with [`tanh_ps`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gelu_ps(x: __m256) -> __m256 {
+        let t = tanh_ps(gelu_arg_ps(x));
+        _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_set1_ps(0.5), x),
+            _mm256_add_ps(_mm256_set1_ps(1.0), t),
+        )
+    }
+
+    /// [`super::gelu_fast_scalar`], operation for operation: unfused
+    /// multiplies and adds, a true divide, and clamps with the constant as
+    /// first operand so that NaN propagates as `f32::clamp` does.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gelu_fast_ps(x: __m256) -> __m256 {
+        let k = |v: f32| _mm256_set1_ps(v);
+        let clamp = |v, b: f32| _mm256_min_ps(k(b), _mm256_max_ps(k(-b), v));
+        let mad = |a, s, b| _mm256_add_ps(a, _mm256_mul_ps(s, b));
+        let u = clamp(gelu_arg_ps(x), super::GELU_FAST_CLAMP);
+        let s = _mm256_mul_ps(u, u);
+        let p = _mm256_mul_ps(
+            u,
+            mad(
+                k(135135.0),
+                s,
+                mad(k(17325.0), s, _mm256_add_ps(k(378.0), s)),
+            ),
+        );
+        let q = mad(
+            k(135135.0),
+            s,
+            mad(k(62370.0), s, mad(k(3150.0), s, k(28.0))),
+        );
+        let t = clamp(_mm256_div_ps(p, q), 1.0);
+        _mm256_mul_ps(_mm256_mul_ps(k(0.5), x), _mm256_add_ps(k(1.0), t))
+    }
+
+    /// [`super::gelu_grad_scalar`] with [`tanh_ps`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gelu_grad_ps(x: __m256) -> __m256 {
+        let k = |v: f32| _mm256_set1_ps(v);
+        let t = tanh_ps(gelu_arg_ps(x));
+        let xx = _mm256_mul_ps(x, x);
+        let du = _mm256_mul_ps(
+            k(super::SQRT_2_OVER_PI),
+            _mm256_fmadd_ps(k(3.0 * super::GELU_C), xx, k(1.0)),
+        );
+        let half_x = _mm256_mul_ps(k(0.5), x);
+        let sech2 = _mm256_fnmadd_ps(t, t, k(1.0));
+        _mm256_fmadd_ps(
+            _mm256_mul_ps(half_x, sech2),
+            du,
+            _mm256_mul_ps(k(0.5), _mm256_add_ps(k(1.0), t)),
+        )
+    }
+
+    /// Lane mask selecting the first `rem < 8` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tail_mask(rem: usize) -> __m256i {
+        const LANES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        debug_assert!(rem < 8);
+        _mm256_loadu_si256(LANES.as_ptr().add(8 - rem).cast())
+    }
+
+    /// `e^(x − sub)` over `n` floats at `p`, written back when `STORE`;
+    /// returns the sum of the results. One accumulator, then [`hsum`]: the
+    /// order of the additions depends on `n` alone.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_sub<const STORE: bool>(p: *mut f32, n: usize, sub: f32) -> f32 {
+        let sv = _mm256_set1_ps(sub);
+        let mut acc = _mm256_setzero_ps();
+        let mut i = 0;
+        while i + 8 <= n {
+            let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), sv));
+            if STORE {
+                _mm256_storeu_ps(p.add(i), e);
+            }
+            acc = _mm256_add_ps(acc, e);
+            i += 8;
+        }
+        if i < n {
+            // Masked-off lanes load as zero and are neither stored nor summed.
+            let m = tail_mask(n - i);
+            let e = exp_ps(_mm256_sub_ps(_mm256_maskload_ps(p.add(i), m), sv));
+            if STORE {
+                _mm256_maskstore_ps(p.add(i), m, e);
+            }
+            acc = _mm256_add_ps(acc, _mm256_and_ps(e, _mm256_castsi256_ps(m)));
+        }
+        hsum(acc)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn exp_sub_assign(xs: &mut [f32], sub: f32) -> f32 {
+        exp_sub::<true>(xs.as_mut_ptr(), xs.len(), sub)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn exp_sub_sum(xs: &[f32], sub: f32) -> f32 {
+        // Never written through: `STORE` is false.
+        exp_sub::<false>(xs.as_ptr().cast_mut(), xs.len(), sub)
+    }
+
+    /// `dst = gelu(src)`, or `gelu_fast(src)` when `FAST`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gelu<const FAST: bool>(dst: &mut [f32], src: &[f32]) {
+        let f = |x| if FAST { gelu_fast_ps(x) } else { gelu_ps(x) };
+        let (n, d, s) = (dst.len(), dst.as_mut_ptr(), src.as_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            _mm256_storeu_ps(d.add(i), f(_mm256_loadu_ps(s.add(i))));
+            i += 8;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            _mm256_maskstore_ps(d.add(i), m, f(_mm256_maskload_ps(s.add(i), m)));
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gelu_grad_mul(x: &mut [f32], dy: &[f32]) {
+        let (n, xp, dp) = (x.len(), x.as_mut_ptr(), dy.as_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            let g = gelu_grad_ps(_mm256_loadu_ps(xp.add(i)));
+            _mm256_storeu_ps(xp.add(i), _mm256_mul_ps(g, _mm256_loadu_ps(dp.add(i))));
+            i += 8;
+        }
+        if i < n {
+            let m = tail_mask(n - i);
+            let g = gelu_grad_ps(_mm256_maskload_ps(xp.add(i), m));
+            let d = _mm256_maskload_ps(dp.add(i), m);
+            _mm256_maskstore_ps(xp.add(i), m, _mm256_mul_ps(g, d));
+        }
     }
 
     /// See [`super::gemm_block`]. `out: [rows, n]`, `a: [rows, k]`,

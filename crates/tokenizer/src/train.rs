@@ -7,7 +7,7 @@
 
 use crate::pretokenize::{pretokenize, PretokenizeOptions};
 use crate::vocab::{SpecialToken, Vocab};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Minimum pair frequency required to perform a merge: merges of
 /// singletons only memorize noise.
@@ -57,41 +57,75 @@ impl WordPieceTrainer {
         // Deterministic iteration order independent of HashMap state.
         words.sort_by(|a, b| a.0.cmp(&b.0));
 
-        // 3. Base symbols, ordered for determinism.
-        let mut symbols: BTreeMap<String, ()> = BTreeMap::new();
-        for (syms, _) in &words {
-            for s in syms {
-                symbols.insert(s.clone(), ());
-            }
-        }
-        let mut vocab_tokens: Vec<String> = symbols.into_keys().collect();
+        // 3. Base symbols, ordered for determinism. From here on a symbol
+        // is its index in `vocab_tokens`.
+        let symbols: BTreeSet<&String> = words.iter().flat_map(|(syms, _)| syms).collect();
+        let mut vocab_tokens: Vec<String> = symbols.into_iter().cloned().collect();
+        let id_of = |s: &String| vocab_tokens.binary_search(s).expect("a base symbol") as u32;
+        let mut words: Vec<(Vec<u32>, u64)> = words
+            .iter()
+            .map(|(syms, f)| (syms.iter().map(id_of).collect(), *f))
+            .collect();
         let specials = SpecialToken::ALL.len();
 
-        // 4. Merge loop.
-        while vocab_tokens.len() + specials < self.vocab_size {
-            let mut pair_freq: BTreeMap<(String, String), u64> = BTreeMap::new();
-            for (syms, f) in &words {
-                for win in syms.windows(2) {
-                    *pair_freq
-                        .entry((win[0].clone(), win[1].clone()))
-                        .or_insert(0) += f;
-                }
+        // 4. Merge loop. The pair counts are kept up to date across merges:
+        // a merge visits only the words that contain the winning pair,
+        // found through `pair_words` (a word is listed once per occurrence;
+        // an entry may outlive its pair in that word, which costs a no-op
+        // visit, never a wrong count).
+        let mut pair_freq: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut pair_words: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        for (w, (syms, f)) in words.iter().enumerate() {
+            for win in syms.windows(2) {
+                *pair_freq.entry((win[0], win[1])).or_insert(0) += f;
+                pair_words
+                    .entry((win[0], win[1]))
+                    .or_default()
+                    .push(w as u32);
             }
-            // Highest frequency wins; BTreeMap order breaks ties low.
-            let Some(((left, right), freq)) = pair_freq
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        }
+        while vocab_tokens.len() + specials < self.vocab_size {
+            // Highest frequency wins; ties go to the lexicographically
+            // smallest (left, right) pair of symbol strings.
+            let text =
+                |&(l, r): &(u32, u32)| (&vocab_tokens[l as usize], &vocab_tokens[r as usize]);
+            let Some((&(left, right), &freq)) = pair_freq
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| text(b.0).cmp(&text(a.0))))
             else {
                 break;
             };
             if freq < MIN_PAIR_FREQ {
                 break;
             }
-            let merged = merge_symbols(&left, &right);
-            for (syms, _) in &mut words {
-                apply_merge(syms, &left, &right, &merged);
-            }
+            let merged = merge_symbols(&vocab_tokens[left as usize], &vocab_tokens[right as usize]);
+            let merged_id = vocab_tokens.len() as u32;
             vocab_tokens.push(merged);
+
+            let mut touched = pair_words.remove(&(left, right)).unwrap_or_default();
+            touched.sort_unstable();
+            touched.dedup();
+            for w in touched {
+                let (syms, f) = &mut words[w as usize];
+                for win in syms.windows(2) {
+                    let key = (win[0], win[1]);
+                    let count = pair_freq.get_mut(&key).expect("every window is counted");
+                    *count -= *f;
+                    if *count == 0 {
+                        pair_freq.remove(&key);
+                    }
+                }
+                apply_merge(syms, left, right, merged_id);
+                for win in syms.windows(2) {
+                    let key = (win[0], win[1]);
+                    *pair_freq.entry(key).or_insert(0) += *f;
+                    // Every adjacency the merge created contains the new
+                    // symbol; the others are already listed.
+                    if win.contains(&merged_id) {
+                        pair_words.entry(key).or_default().push(w);
+                    }
+                }
+            }
         }
 
         Vocab::new(vocab_tokens).expect("trainer produces unique tokens")
@@ -118,11 +152,13 @@ fn merge_symbols(left: &str, right: &str) -> String {
     format!("{left}{right_core}")
 }
 
-fn apply_merge(syms: &mut Vec<String>, left: &str, right: &str, merged: &str) {
+/// Replaces every `left right` in `syms` by `merged`, left to right (so
+/// `a a a` with `(a, a)` becomes `aa a`).
+fn apply_merge(syms: &mut Vec<u32>, left: u32, right: u32, merged: u32) {
     let mut i = 0;
     while i + 1 < syms.len() {
         if syms[i] == left && syms[i + 1] == right {
-            syms[i] = merged.to_string();
+            syms[i] = merged;
             syms.remove(i + 1);
         } else {
             i += 1;

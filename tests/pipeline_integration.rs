@@ -84,6 +84,35 @@ fn encode_matches_try_encode_bit_for_bit() {
 }
 
 #[test]
+fn tapas_encode_agrees_across_simd_lanes_within_1e4() {
+    // The end-to-end number of DESIGN §9's tolerance class: one encode on
+    // the active lane (the AVX2 kernels, vector `exp` included, on a `simd`
+    // build) against the same encode on the scalar lane. Without the
+    // feature both sides are scalar and agree exactly.
+    let table = Table::from_csv_str("t", sample_csv(), true).expect("csv parses");
+    let pipeline = pipeline_for(&table);
+    let cfg = pipeline.default_config();
+    let mut model = build_encoder(EncoderSpec::f32(ModelKind::Tapas), &cfg).expect("f32 spec");
+    let active = pipeline
+        .try_encode(model.as_mut(), &table, "ctx")
+        .expect("valid request");
+    let scalar = ntr::tensor::simd::force_scalar(|| {
+        pipeline
+            .try_encode(model.as_mut(), &table, "ctx")
+            .expect("valid request")
+    });
+    assert_eq!(active.states.shape(), scalar.states.shape());
+    let worst = (active.states.data().iter())
+        .zip(scalar.states.data())
+        .map(|(a, s)| (a - s).abs())
+        .fold(0.0f32, f32::max);
+    assert!(worst <= 1e-4, "lanes differ by {worst}");
+    if !ntr::tensor::simd::active() {
+        assert_eq!(active.states, scalar.states);
+    }
+}
+
+#[test]
 fn checkpoints_transfer_between_fresh_models() {
     let table = Table::from_csv_str("t", sample_csv(), true).expect("csv parses");
     let pipeline = pipeline_for(&table);
