@@ -1,5 +1,5 @@
 //! Throughput of the batched embedding service across the full
-//! dynamic-batching matrix, plus a cache arm.
+//! load × batch-size matrix, plus a cache arm.
 //!
 //! The matrix arms are `in-flight {1, 8} × max_batch {1, 8}`, all with
 //! 4 workers and the cache disabled so every request pays a real forward
@@ -7,15 +7,15 @@
 //!
 //! - `serve/inflight1_mb1` — no batching, no concurrency: the raw
 //!   single-request latency floor.
-//! - `serve/inflight1_mb8` — the production coalescing config with one
-//!   request in flight: a lone request cannot fill the batch, so it pays
-//!   the full `max_wait` deadline before its flush.
+//! - `serve/inflight1_mb8` — the production config with one request in
+//!   flight: the batcher never lingers, so a lone request is flushed at
+//!   once and this arm sits on the `inflight1_mb1` floor.
 //! - `serve/inflight8_mb1` — concurrent load with batching disabled:
-//!   requests spread over the workers but each is encoded alone.
-//! - `serve/inflight8_mb8` — concurrent load with coalescing: the batch
-//!   fills instantly and flushes without waiting. One iter = 8 requests,
-//!   so per-request cost is `ns / 8` and the amortization ratio is
-//!   `ns(inflight1_mb8) / (ns(inflight8_mb8) / 8)`.
+//!   eight flushes of one, so one replica works and three idle.
+//! - `serve/inflight8_mb8` — concurrent load with coalescing: what is
+//!   queued leaves in one flush over the replicas. One iter = 8 requests,
+//!   so per-request cost is `ns / 8` and the parallelism ratio is
+//!   `ns(inflight8_mb1) / ns(inflight8_mb8)`.
 //!
 //! `serve/cached` re-runs the `inflight1_mb8` shape with the content-hash
 //! LRU enabled: after the first pass over the table set every request is a
@@ -38,7 +38,6 @@ use ntr::zoo::ModelKind;
 use ntr::Pipeline;
 use ntr_serve::{EmbeddingService, ServeConfig, ServeRequest};
 use std::hint::black_box;
-use std::time::Duration;
 
 fn fixture() -> (Vec<Table>, Pipeline, ModelConfig) {
     let world = World::generate(WorldConfig::default());
@@ -89,7 +88,6 @@ fn start_service(max_batch: usize, cache_bytes: usize) -> EmbeddingService {
         pipeline,
         ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(2),
             n_workers: 4,
             cache_bytes,
             queue_cap: 0, // unbounded: the bench drives load, never sheds

@@ -501,7 +501,6 @@ fn main() {
         pipeline,
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             n_workers: 2,
             cache_bytes: 64 << 20,
             queue_cap: args.queue_cap,

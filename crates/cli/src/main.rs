@@ -8,7 +8,7 @@
 //! ntr query     data/countries.csv "SELECT Capital FROM t WHERE Country = 'France'"
 //! ntr encode    data/countries.csv --model tapas --context "population by country"
 //! ntr pretrain  data/countries.csv --trace run.jsonl --metrics metrics.json
-//! ntr serve     data/countries.csv --port 7878 --max-batch 8 --max-wait-ms 2
+//! ntr serve     data/countries.csv --port 7878 --max-batch 8 --workers 4
 //! ntr index build idx/ --tables 500 --model bert --seed 7
 //! ntr index query idx/ data/countries.csv --k 5
 //! ntr serve     --index idx/ --port 7878
@@ -64,7 +64,7 @@ const USAGE: &str = "usage:
                             [--cos-weight F] [--save PATH]
                             [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
                             [--halt-after N] [--trace PATH] [--metrics PATH] [--no-header]
-  ntr serve     <vocab.csv> [--port N] [--max-batch N] [--max-wait-ms N]
+  ntr serve     <vocab.csv> [--port N] [--max-batch N]
                             [--cache-mb N] [--workers N] [--queue-cap N]
                             [--max-conns N] [--idle-timeout-ms N]
                             [--request-timeout-ms N] [--faults SPEC]
@@ -109,8 +109,8 @@ const USAGE: &str = "usage:
   serve: newline-delimited-JSON embedding server over TCP on 127.0.0.1. The
   CSV trains the vocabulary; clients send
   {\"id\":1,\"model\":\"tapas\",\"context\":\"...\",\"columns\":[...],\"rows\":[[...]]}
-  per line and get the table embedding (or a typed error) back; requests are
-  micro-batched (--max-batch, --max-wait-ms) across --workers model replicas
+  per line and get the table embedding (or a typed error) back; each flush
+  takes what is queued (up to --max-batch) across --workers model replicas
   with an LRU embedding cache of --cache-mb megabytes (0 disables). Batching
   is bit-identical to sequential encoding. {\"cmd\":\"shutdown\"} drains and
   exits; --port 0 picks an ephemeral port (printed on startup).
@@ -789,7 +789,6 @@ fn serve(rest: &[String]) -> Result<(), String> {
     let timeout_ms: u64 = parsed_flag(&flags, "--request-timeout-ms", 0u64)?;
     let cfg = ntr_serve::ServeConfig {
         max_batch: parsed_flag(&flags, "--max-batch", 8)?,
-        max_wait: std::time::Duration::from_millis(parsed_flag(&flags, "--max-wait-ms", 2)?),
         n_workers: parsed_flag(&flags, "--workers", 0).map(|w: usize| {
             if w == 0 {
                 ntr::tensor::par::max_threads()

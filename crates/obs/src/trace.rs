@@ -353,7 +353,6 @@ pub mod schema {
                 req("port", U64),
                 req("workers", U64),
                 req("max_batch", U64),
-                req("max_wait", U64),
                 req("cache_bytes", U64),
                 opt("queue_cap", U64),
                 opt("max_conns", U64),

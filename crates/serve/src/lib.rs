@@ -2,8 +2,8 @@
 //!
 //! The batched embedding service: the deployment-facing layer over the
 //! `ntr` pipeline and model zoo. Concurrent clients submit encode
-//! requests (table + context + model choice); a dynamic micro-batcher
-//! coalesces them (flush on `max_batch` or a `max_wait` deadline), a
+//! requests (table + context + model choice); a micro-batcher takes
+//! whatever is queued (up to `max_batch`, never lingering for more), a
 //! worker pool of deterministic model replicas encodes each batch, and a
 //! content-hash keyed LRU cache short-circuits repeated tables. Results
 //! are **bit-identical** to sequential [`ntr::Pipeline::encode`] calls at

@@ -164,7 +164,6 @@ impl Server {
             ev.u64("port", u64::from(addr.port()))
                 .u64("workers", cfg.n_workers.max(1) as u64)
                 .u64("max_batch", cfg.max_batch as u64)
-                .u64("max_wait", cfg.max_wait.as_millis() as u64)
                 .u64("cache_bytes", cfg.cache_bytes as u64)
                 .u64("queue_cap", cfg.queue_cap as u64)
                 .u64("max_conns", server_cfg.max_conns as u64)

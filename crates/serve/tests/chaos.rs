@@ -55,7 +55,6 @@ fn pipeline() -> Pipeline {
 fn chaos_cfg(pipeline: &Pipeline, faults: Option<FaultPlan>) -> ServeConfig {
     ServeConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         n_workers: 2,
         cache_bytes: 0,
         queue_cap: 256,
@@ -200,17 +199,60 @@ fn slow_flush_delays_but_never_hangs() {
     assert_eq!(stats.quarantined, 0);
 }
 
+/// Work that queues up while a flush runs leaves as one batch the moment
+/// the replicas are free — not one job per flush.
+#[test]
+fn work_queued_behind_a_flush_leaves_in_one_batch() {
+    let reference = pipeline();
+    let cfg = ServeConfig {
+        max_batch: 8,
+        ..chaos_cfg(&reference, plan("serve-slow@1"))
+    };
+    let model_cfg = cfg.model_config.expect("chaos_cfg pins the model");
+    let service =
+        EmbeddingService::start(pipeline(), cfg, ntr_obs::Obs::disabled()).expect("spawn service");
+    let handle = service.handle();
+
+    let plug = handle.submit(request("plug"));
+    wait_for("the plug's flush to begin", || handle.stats().batches == 1);
+    let contexts: Vec<String> = (0..8).map(|i| format!("queued {i}")).collect();
+    let rxs: Vec<_> = contexts.iter().map(|c| handle.submit(request(c))).collect();
+    assert_eq!(
+        handle.stats().batches,
+        1,
+        "all eight queued behind the plug"
+    );
+
+    let mut model = ntr::build_encoder(ntr::EncoderSpec::f32(ModelKind::Bert), &model_cfg)
+        .expect("bert at f32 is a valid spec");
+    let bits = |e: &ntr::TableEncoding| -> Vec<u32> {
+        e.states.data().iter().map(|v| v.to_bits()).collect()
+    };
+    for (rx, ctx) in rxs.iter().zip(&contexts) {
+        let reply = rx
+            .recv_timeout(ANSWER_WITHIN)
+            .expect("answered")
+            .expect("encodes");
+        let expected = reference
+            .try_encode(model.as_mut(), &sample(), ctx)
+            .expect("sequential encode");
+        assert_eq!(bits(&reply.encoding), bits(&expected), "{ctx}");
+    }
+    plug.recv_timeout(ANSWER_WITHIN)
+        .expect("answered")
+        .expect("the plug only ran late");
+
+    drop(handle);
+    let stats = service.shutdown();
+    assert_eq!(stats.batches, 2, "the plug, then all eight in one flush");
+    assert_eq!(stats.errors, 0);
+}
+
 #[test]
 fn deadlines_are_enforced_at_admission_and_in_queue() {
-    let pipeline = pipeline();
-    let cfg = ServeConfig {
-        // A batch that can never fill: the lone request sits in the
-        // queue for the full max_wait, blowing its 1ms budget.
-        max_wait: Duration::from_millis(120),
-        ..chaos_cfg(&pipeline, None)
-    };
-    let service =
-        EmbeddingService::start(pipeline, cfg, ntr_obs::Obs::disabled()).expect("spawn service");
+    // The first flush stalls 60 ms: whatever is submitted once it has
+    // begun sits in the queue at least that long.
+    let service = start_service(plan("serve-slow@1"), ntr_obs::Obs::disabled());
     let handle = service.handle();
 
     // Tier 1 (admission): a zero budget is already expired, answered
@@ -224,7 +266,10 @@ fn deadlines_are_enforced_at_admission_and_in_queue() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
 
-    // Tier 2 (in-queue): expires while waiting for the batch to fill.
+    // Tier 2 (in-queue): submitted behind the stalled flush, so its 1 ms
+    // budget is long gone when the batcher next looks at the queue.
+    let plug = handle.submit(request("plug"));
+    wait_for("the plug's flush to begin", || handle.stats().batches == 1);
     let rx = handle.submit(ServeRequest {
         timeout: Some(Duration::from_millis(1)),
         ..request("expired in queue")
@@ -233,8 +278,11 @@ fn deadlines_are_enforced_at_admission_and_in_queue() {
         Err(EncodeError::DeadlineExceeded { timeout_ms }) => assert_eq!(timeout_ms, 1),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
+    plug.recv_timeout(ANSWER_WITHIN)
+        .expect("answered")
+        .expect("the plug itself only ran late");
 
-    // No budget: the same shape succeeds, just late.
+    // No budget: the same shape succeeds.
     handle
         .submit(request("patient"))
         .recv_timeout(ANSWER_WITHIN)

@@ -20,7 +20,6 @@ use ntr_models::ModelConfig;
 use ntr_serve::{EmbeddingService, ServeConfig, ServeRequest};
 use ntr_table::{LinearizerOptions, Table};
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// A deterministic table whose shape and cell text vary with `seed`.
 fn table(seed: u64, n_rows: usize, n_cols: usize) -> Table {
@@ -152,7 +151,6 @@ proptest! {
             pipeline(),
             ServeConfig {
                 max_batch,
-                max_wait: Duration::from_millis(1),
                 n_workers,
                 cache_bytes: 0, // cache off: every request must hit the batch path
                 queue_cap: 0,
@@ -194,7 +192,6 @@ fn cache_returns_identical_encoding() {
         pipeline(),
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             n_workers: 2,
             cache_bytes: 32 << 20,
             queue_cap: 0,
@@ -257,7 +254,6 @@ fn errors_are_typed_and_isolated() {
         p,
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             n_workers: 2,
             cache_bytes: 0,
             queue_cap: 0,

@@ -34,7 +34,6 @@ fn start_server(server_cfg: ServerConfig) -> Server {
         .expect("vocab is non-empty");
     let cfg = ServeConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         n_workers: 2,
         cache_bytes: 32 << 20,
         queue_cap: 256,

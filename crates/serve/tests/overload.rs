@@ -5,15 +5,16 @@
 //! server serves normally once the burst passes.
 //!
 //! Determinism comes from the service's accounting: `queue_depth` rises at
-//! admission and falls only when a batch flushes. With `queue_cap = 2`,
-//! `max_batch` large, and a `max_wait` much longer than it takes to land
-//! the whole wave, exactly 2 requests of each wave are admitted and the
-//! rest shed — no raciness in the counts.
+//! admission and falls only when the batcher takes a batch. Each wave is
+//! sent behind a plug request whose flush is stalled (`serve-slow@N`), so
+//! the batcher takes nothing while the wave lands: with `queue_cap = 2`
+//! exactly 2 requests of each wave are admitted and the rest shed.
 
 use ntr::Pipeline;
 use ntr_serve::json::{self, Json};
 use ntr_serve::{ServeConfig, Server, ServerConfig};
 use ntr_table::{LinearizerOptions, Table};
+use ntr_tensor::faults::FaultPlan;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -40,14 +41,15 @@ fn start_server() -> Server {
         .build()
         .expect("vocab is non-empty");
     let cfg = ServeConfig {
-        max_batch: 64,                        // never flushes on size
-        max_wait: Duration::from_millis(400), // the admission window
+        max_batch: 64, // a wave's admitted requests leave in one flush
         n_workers: 1,
         cache_bytes: 0, // cache off: hits would bypass admission
         queue_cap: QUEUE_CAP,
         model_config: Some(ntr_models::ModelConfig::tiny(
             pipeline.tokenizer().vocab_size(),
         )),
+        // Flushes 1 and 3 are the two plugs (2 is wave 1's admitted pair).
+        faults: Some(FaultPlan::parse("serve-slow@1,serve-slow@3").expect("valid fault spec")),
         ..ServeConfig::default()
     };
     Server::start_with(
@@ -66,23 +68,61 @@ fn request(id: u64) -> String {
     )
 }
 
-/// Opens WAVE connections, fires one request on each, reads one response
-/// from each. Returns (ok_count, shed_count); panics on a dropped
-/// connection or any response that is neither a success nor `Overloaded`.
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    s
+}
+
+fn read_doc(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("read response");
+    json::parse(resp.trim()).expect("valid JSON response")
+}
+
+/// Sends a plug request whose flush stalls and returns once the batcher
+/// has taken it, i.e. once nothing more leaves the queue until the stall
+/// ends. The lines of one connection are handled in order, so a `health`
+/// sent after the plug sees `queue_depth` 1 until the batcher picks the
+/// plug up and 0 from then on.
+fn plug(addr: std::net::SocketAddr, id: u64) -> BufReader<TcpStream> {
+    let mut reader = BufReader::new(connect(addr));
+    let health = "{\"cmd\": \"health\"}\n";
+    reader
+        .get_mut()
+        .write_all(format!("{}\n{health}", request(id)).as_bytes())
+        .expect("write plug");
+    while read_doc(&mut reader)
+        .get("queue_depth")
+        .and_then(Json::as_u64)
+        != Some(0)
+    {
+        reader
+            .get_mut()
+            .write_all(health.as_bytes())
+            .expect("write health");
+    }
+    reader
+}
+
+/// Opens WAVE connections, plugs the batcher, fires one request on each
+/// connection, reads one response from each. Returns (ok_count,
+/// shed_count); panics on a dropped connection or any response that is
+/// neither a success nor `Overloaded`.
 fn run_wave(addr: std::net::SocketAddr, base_id: u64) -> (usize, usize) {
-    let conns: Vec<TcpStream> = (0..WAVE)
-        .map(|_| {
-            let s = TcpStream::connect(addr).expect("connect");
-            s.set_read_timeout(Some(Duration::from_secs(30)))
-                .expect("read timeout");
-            s
-        })
-        .collect();
+    let conns: Vec<TcpStream> = (0..WAVE).map(|_| connect(addr)).collect();
+    let mut plug = plug(addr, base_id + WAVE as u64);
     for (i, conn) in conns.iter().enumerate() {
         (&mut &*conn)
             .write_all(format!("{}\n", request(base_id + i as u64)).as_bytes())
             .expect("write request");
     }
+    assert_eq!(
+        read_doc(&mut plug).get("ok"),
+        Some(&Json::Bool(true)),
+        "the plug itself only ran late"
+    );
 
     let (mut ok, mut shed) = (0, 0);
     for (i, conn) in conns.into_iter().enumerate() {
@@ -131,7 +171,7 @@ fn overload_sheds_exactly_and_recovers() {
     let server = start_server();
     let addr = server.addr();
 
-    // Wave 1: 8 requests against a queue of 2 inside one flush window.
+    // Wave 1: 8 requests against a queue of 2 while the batcher is held.
     let (ok1, shed1) = run_wave(addr, 100);
     assert_eq!(ok1, QUEUE_CAP, "wave 1 admits exactly queue_cap requests");
     assert_eq!(shed1, WAVE - QUEUE_CAP, "wave 1 sheds the rest");
@@ -143,22 +183,15 @@ fn overload_sheds_exactly_and_recovers() {
     assert_eq!(shed2, WAVE - QUEUE_CAP, "wave 2 sheds the rest");
 
     // After the bursts: a lone request sails through.
-    let calm = TcpStream::connect(addr).expect("connect");
-    calm.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    (&mut &calm)
+    let mut calm = BufReader::new(connect(addr));
+    calm.get_mut()
         .write_all(format!("{}\n", request(300)).as_bytes())
         .expect("write request");
-    let mut reader = BufReader::new(&calm);
-    let mut resp = String::new();
-    reader.read_line(&mut resp).expect("read response");
-    let doc = json::parse(resp.trim()).expect("valid JSON");
     assert_eq!(
-        doc.get("ok"),
+        read_doc(&mut calm).get("ok"),
         Some(&Json::Bool(true)),
         "server serves normally after the overload passes"
     );
-    drop(reader);
     drop(calm);
 
     server.stop();
@@ -166,10 +199,11 @@ fn overload_sheds_exactly_and_recovers() {
     // Exact, monotonic accounting: the server-side shed counter equals the
     // client-observed rejections across both waves.
     assert_eq!(stats.service.shed, (shed1 + shed2) as u64);
-    // `requests` counts every submission, shed ones included.
-    assert_eq!(stats.service.requests, (2 * WAVE + 1) as u64);
+    // `requests` counts every submission, shed ones included: two waves
+    // with a plug each, and the calm request.
+    assert_eq!(stats.service.requests, (2 * (WAVE + 1) + 1) as u64);
     // Shedding is per-request, never per-connection.
-    assert_eq!(stats.event_loop.conns_accepted, (2 * WAVE + 1) as u64);
+    assert_eq!(stats.event_loop.conns_accepted, (2 * (WAVE + 1) + 1) as u64);
     assert_eq!(stats.event_loop.conns_rejected, 0);
     assert_eq!(stats.event_loop.accept_errors, 0);
 }

@@ -65,7 +65,6 @@ fn start_with_index(n_tables: usize) -> Fixture {
 
     let cfg = ServeConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         n_workers: 2,
         model_config: Some(model_cfg),
         ..ServeConfig::default()

@@ -9,7 +9,6 @@ use ntr_serve::{ServeConfig, Server};
 use ntr_table::{LinearizerOptions, Table};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 fn sample() -> Table {
     Table::from_strings(
@@ -31,7 +30,6 @@ fn start_server() -> Server {
         .expect("vocab is non-empty");
     let cfg = ServeConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         n_workers: 2,
         cache_bytes: 32 << 20,
         queue_cap: 256,

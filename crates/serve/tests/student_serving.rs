@@ -14,7 +14,6 @@ use ntr::{EncodeError, EncoderSpec, ModelKind, Pipeline, QuantSpec, TableEncodin
 use ntr_models::ModelConfig;
 use ntr_serve::{EmbeddingService, ServeConfig, ServeRequest};
 use ntr_table::{LinearizerOptions, Table};
-use std::time::Duration;
 
 fn table(seed: u64) -> Table {
     let cells: Vec<Vec<String>> = (0..3)
@@ -55,7 +54,6 @@ fn serve_one(spec: EncoderSpec, cfg: ModelConfig, n_workers: usize) -> Vec<u32> 
         pipeline(spec),
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             n_workers,
             cache_bytes: 0, // every request is a cache miss
             queue_cap: 0,
@@ -106,7 +104,6 @@ fn int8_and_f32_student_do_not_share_cache_entries() {
         pipeline(int8),
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             n_workers: 2,
             cache_bytes: 32 << 20,
             queue_cap: 0,
