@@ -633,7 +633,7 @@ fn index_build(rest: &[String]) -> Result<(), String> {
     let params = IndexParams::from_flags(&flags)?;
     let obs = open_obs(&flags)?;
     let (corpus, pipeline, model_cfg) = params.stack()?;
-    let mut model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
+    let model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
 
     let t_encode = std::time::Instant::now();
     let mut store = ntr_index::EmbeddingStore::new(model_cfg.d_model);
@@ -644,7 +644,7 @@ fn index_build(rest: &[String]) -> Result<(), String> {
         .collect();
     for chunk in reqs.chunks(32) {
         let encs = pipeline
-            .encode_batch(model.as_mut(), chunk)
+            .encode_batch(model.as_ref(), chunk)
             .map_err(|e| e.to_string())?;
         for (req, enc) in chunk.iter().zip(&encs) {
             store
@@ -716,9 +716,9 @@ fn index_query(rest: &[String]) -> Result<(), String> {
         .to_string();
 
     let (_, pipeline, model_cfg) = params.stack()?;
-    let mut model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
+    let model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
-    let enc = pipeline.encode(model.as_mut(), &table, &context);
+    let enc = pipeline.encode(model.as_ref(), &table, &context);
     let res = idx
         .search(enc.table_embedding().data(), k, nprobe)
         .map_err(|e| e.to_string())?;
@@ -1007,10 +1007,10 @@ fn encode(rest: &[String]) -> Result<(), String> {
         .encoder(spec)
         .build()
         .map_err(|e| e.to_string())?;
-    let mut model = pipeline
+    let model = pipeline
         .build_default_encoder()
         .map_err(|e| e.to_string())?;
-    let enc = pipeline.encode(model.as_mut(), &table, &context);
+    let enc = pipeline.encode(model.as_ref(), &table, &context);
     println!(
         "model {} | {} tokens -> states {:?} | table embedding norm {:.3}",
         spec,

@@ -7,7 +7,7 @@ use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder};
 use ntr_nn::serialize::{self as checkpoint, CheckpointError};
 use ntr_nn::Layer;
 use ntr_table::{EncodedTable, Linearizer, LinearizerKind, LinearizerOptions, Table, TokenKind};
-use ntr_tensor::Tensor;
+use ntr_tensor::{par, Tensor};
 use ntr_tokenizer::{train::WordPieceTrainer, WordPieceTokenizer};
 use std::path::Path;
 
@@ -352,14 +352,15 @@ impl Pipeline {
     /// Runs the model over an already-serialized table and packages the
     /// representations — the single compute core shared by
     /// [`Pipeline::encode`] and [`Pipeline::encode_batch`], which is what
-    /// makes their outputs bit-identical.
+    /// makes their outputs bit-identical. Inference is
+    /// [`SequenceEncoder::infer`]: the model is only read.
     pub fn encode_serialized(
         &self,
-        model: &mut dyn SequenceEncoder,
+        model: &dyn SequenceEncoder,
         encoded: EncodedTable,
     ) -> TableEncoding {
         let input = EncoderInput::from_encoded(&encoded);
-        let states = model.encode(&input, false);
+        let states = model.infer(&input);
         TableEncoding { encoded, states }
     }
 
@@ -367,7 +368,7 @@ impl Pipeline {
     /// [`Pipeline::check_model`] + the shared compute core.
     pub fn try_encode(
         &self,
-        model: &mut dyn SequenceEncoder,
+        model: &dyn SequenceEncoder,
         table: &Table,
         context: &str,
     ) -> Result<TableEncoding, EncodeError> {
@@ -376,26 +377,28 @@ impl Pipeline {
         Ok(self.encode_serialized(model, encoded))
     }
 
-    /// Batch-first encode: validates the model once, then encodes every
-    /// request in order through the same compute core as
-    /// [`Pipeline::encode`], so the outputs are bit-identical to `reqs`
-    /// encoded one at a time. Fails on the first invalid request.
+    /// Batch-first encode: validates the model once, then serializes and
+    /// encodes the requests in parallel across the `ntr_tensor::par` pool,
+    /// each through the same compute core as [`Pipeline::encode`]. Results
+    /// come back in request order and are bit-identical to `reqs` encoded
+    /// one at a time, at any thread count. Fails with the error of the
+    /// first invalid request in request order.
     ///
-    /// Sequence-encoder models carry per-call state (`&mut self`), so a
-    /// single model instance processes the batch serially; concurrent
-    /// batched serving over model replicas is `ntr-serve`'s job.
+    /// Every task reads the one shared model ([`SequenceEncoder::infer`] is
+    /// `&self`); kernels a task calls see a thread budget of
+    /// `max_threads / tasks`, so they do not fan out a second time.
     pub fn encode_batch(
         &self,
-        model: &mut dyn SequenceEncoder,
+        model: &dyn SequenceEncoder,
         reqs: &[EncodeRequest],
     ) -> Result<Vec<TableEncoding>, EncodeError> {
         self.check_model(model)?;
-        let mut out = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            let encoded = self.try_serialize(&req.table, &req.context)?;
-            out.push(self.encode_serialized(model, encoded));
-        }
-        Ok(out)
+        par::map_tasks(reqs.len(), par::max_threads(), |i| {
+            let encoded = self.try_serialize(&reqs[i].table, &reqs[i].context)?;
+            Ok(self.encode_serialized(model, encoded))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Saves a model's weights to `path` crash-safely: the `NTRW` v2 file
@@ -419,7 +422,7 @@ impl Pipeline {
     /// existed) but runs the identical serialization and model invocation.
     pub fn encode(
         &self,
-        model: &mut dyn SequenceEncoder,
+        model: &dyn SequenceEncoder,
         table: &Table,
         context: &str,
     ) -> TableEncoding {

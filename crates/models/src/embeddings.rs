@@ -11,6 +11,7 @@ use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
 use ntr_nn::{Dropout, Embedding, Layer, LayerNorm, Param};
 use ntr_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Which structural embedding tables a model enables.
 #[derive(Debug, Clone, Copy)]
@@ -102,47 +103,62 @@ impl TableEmbeddings {
         self.word.dim()
     }
 
-    /// Embeds an input: sum of enabled tables → LayerNorm → dropout.
+    /// Embeds an input: sum of enabled tables → LayerNorm → dropout. With
+    /// `train = false` this is [`TableEmbeddings::infer`].
     ///
     /// Sequence positions, row ids and column ids beyond the configured
     /// maxima are clamped to the last bucket rather than panicking, so
     /// oversized tables degrade gracefully.
     pub fn forward(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        let n = input.len();
-        let positions: Vec<usize> = (0..n).map(|i| i.min(self.max_seq - 1)).collect();
-        let mut x = self.word.forward(&input.ids);
-        x.add_assign(&self.position.forward(&positions));
-        if let Some(seg) = &mut self.segment {
-            x.add_assign(&seg.forward(&input.segments));
+        if !train {
+            return self.infer(input);
         }
-        if let Some(row) = &mut self.row {
-            let rows: Vec<usize> = input
-                .rows
-                .iter()
-                .map(|&r| r.min(self.max_rows - 1))
-                .collect();
-            x.add_assign(&row.forward(&rows));
-        }
-        if let Some(col) = &mut self.col {
-            let cols: Vec<usize> = input
-                .cols
-                .iter()
-                .map(|&c| c.min(self.max_cols - 1))
-                .collect();
-            x.add_assign(&col.forward(&cols));
-        }
-        if let Some(kind) = &mut self.kind {
-            x.add_assign(&kind.forward(&input.kinds));
-        }
-        if let Some(rank) = &mut self.rank {
-            let ranks: Vec<usize> = input
-                .ranks
-                .iter()
-                .map(|&r| r.min(self.max_rows - 1))
-                .collect();
-            x.add_assign(&rank.forward(&ranks));
-        }
-        self.dropout.forward(&self.ln.forward(&x), train)
+        let ids = self.ids(input);
+        let x = sum_lookups(self.tables_mut(), ids, |e, ids| e.forward(ids));
+        self.dropout.forward(&self.ln.forward(&x), true)
+    }
+
+    /// The inference embedding: the same sum and LayerNorm as
+    /// [`TableEmbeddings::forward`], with no caches and no dropout.
+    pub fn infer(&self, input: &EncoderInput) -> Tensor {
+        let tables = [
+            Some(&self.word),
+            Some(&self.position),
+            self.segment.as_ref(),
+            self.row.as_ref(),
+            self.col.as_ref(),
+            self.kind.as_ref(),
+            self.rank.as_ref(),
+        ];
+        let x = sum_lookups(tables, self.ids(input), |e, ids| e.lookup(ids));
+        self.ln.forward_inference(&x)
+    }
+
+    /// The ids each table looks up, clamped to its size, in summation order:
+    /// word, position, segment, row, column, kind, rank.
+    fn ids<'i>(&self, input: &'i EncoderInput) -> [Cow<'i, [usize]>; 7] {
+        let clamp = |ids: &[usize], max: usize| ids.iter().map(|&i| i.min(max - 1)).collect();
+        [
+            Cow::Borrowed(&input.ids[..]),
+            Cow::Owned((0..input.len()).map(|i| i.min(self.max_seq - 1)).collect()),
+            Cow::Borrowed(&input.segments[..]),
+            Cow::Owned(clamp(&input.rows, self.max_rows)),
+            Cow::Owned(clamp(&input.cols, self.max_cols)),
+            Cow::Borrowed(&input.kinds[..]),
+            Cow::Owned(clamp(&input.ranks, self.max_rows)),
+        ]
+    }
+
+    fn tables_mut(&mut self) -> [Option<&mut Embedding>; 7] {
+        [
+            Some(&mut self.word),
+            Some(&mut self.position),
+            self.segment.as_mut(),
+            self.row.as_mut(),
+            self.col.as_mut(),
+            self.kind.as_mut(),
+            self.rank.as_mut(),
+        ]
     }
 
     /// Backpropagates into every enabled table. Embeddings are sources, so
@@ -195,6 +211,26 @@ impl Layer for TableEmbeddings {
     fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
         self.dropout.visit_rng("dropout", f);
     }
+}
+
+/// Sums the lookups of every enabled table, in order; `lookup` is the
+/// caching `forward` for training or the read-only `lookup` for inference.
+fn sum_lookups<E>(
+    tables: [Option<E>; 7],
+    ids: [Cow<'_, [usize]>; 7],
+    mut lookup: impl FnMut(E, &[usize]) -> Tensor,
+) -> Tensor {
+    let mut sum: Option<Tensor> = None;
+    for (table, ids) in tables.into_iter().zip(ids) {
+        if let Some(table) = table {
+            let x = lookup(table, &ids);
+            match &mut sum {
+                None => sum = Some(x),
+                Some(sum) => sum.add_assign(&x),
+            }
+        }
+    }
+    sum.expect("the word table is always enabled")
 }
 
 fn visit(child: &mut dyn Layer, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {

@@ -50,10 +50,15 @@ use ntr_tensor::Tensor;
 /// Common interface of the encoder-style models: turn an [`EncoderInput`]
 /// into per-token hidden states `[seq, d_model]`.
 ///
-/// `train=true` enables dropout and records caches;
-/// [`SequenceEncoder::backward`] then propagates a `[seq, d_model]` gradient
-/// and accumulates parameter gradients.
-pub trait SequenceEncoder: Layer {
+/// [`SequenceEncoder::infer`] is the one inference path: `&self`, no caches,
+/// no dropout, so one model is shared by every thread that encodes with it
+/// (hence the `Send + Sync` bound). `encode(input, false)` is a call to
+/// it. `encode(input, true)` is the training forward: it enables dropout
+/// and records caches, and [`SequenceEncoder::backward`] then propagates a
+/// `[seq, d_model]` gradient and accumulates parameter gradients. A
+/// `backward` after an inference encode has no caches to consume and
+/// panics.
+pub trait SequenceEncoder: Layer + Send + Sync {
     /// Model width.
     fn d_model(&self) -> usize;
 
@@ -63,10 +68,15 @@ pub trait SequenceEncoder: Layer {
     /// typed error instead of an embedding-lookup panic.
     fn vocab_size(&self) -> usize;
 
-    /// Encodes an input into hidden states.
+    /// Encodes an input into hidden states for inference, recording
+    /// nothing.
+    fn infer(&self, input: &EncoderInput) -> Tensor;
+
+    /// Encodes an input into hidden states; with `train = false` this is
+    /// [`SequenceEncoder::infer`].
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor;
 
-    /// Backpropagates through the last `encode` call.
+    /// Backpropagates through the last training `encode` call.
     fn backward(&mut self, d_states: &Tensor);
 
     /// Short, stable model-family name for reports.

@@ -129,10 +129,19 @@ impl SequenceEncoder for Mate {
         self.cfg.vocab_size
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
+    fn infer(&self, input: &EncoderInput) -> Tensor {
         let mask = self.head_masks(input);
-        let x = self.embeddings.forward(input, train);
-        self.encoder.forward(&x, Some(&mask), train)
+        self.encoder
+            .infer(&self.embeddings.infer(input), Some(&mask))
+    }
+
+    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
+        if !train {
+            return self.infer(input);
+        }
+        let mask = self.head_masks(input);
+        let x = self.embeddings.forward(input, true);
+        self.encoder.forward(&x, Some(&mask), true)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

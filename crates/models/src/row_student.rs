@@ -17,8 +17,10 @@
 //! A student carries a [`QuantSpec`]: at `F32` inference is the exact
 //! reference path; at `Int8` the two MLP matmuls run through
 //! `ntr_tensor::quant` on an int8 snapshot of the weights
-//! ([`ntr_nn::QuantizedLinear`]) that is re-derived lazily whenever the
-//! parameters change (any `visit_params` call invalidates it). Scales are
+//! ([`ntr_nn::QuantizedLinear`]) that is derived once, on first use, and
+//! re-derived after the parameters change (any `visit_params` call
+//! invalidates it). The snapshot sits in a `OnceLock`, so inference stays
+//! `&self` and threads sharing one student derive it once. Scales are
 //! a pure function of the f32 weights, so a checkpoint round-trip
 //! re-derives bit-identical snapshots — pinned by tests below. Training
 //! always runs the f32 path.
@@ -30,6 +32,7 @@ use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
 use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear};
 use ntr_tensor::{simd, Tensor};
+use std::sync::OnceLock;
 
 /// Shallow per-row encoder: embeddings → row-mean context mix → per-token
 /// MLP with residual → LayerNorm. No attention anywhere.
@@ -46,9 +49,9 @@ pub struct RowStudent {
     pub ln: LayerNorm,
     cfg: ModelConfig,
     precision: QuantSpec,
-    /// Int8 snapshots of (proj1, proj2); `None` until first int8 encode
+    /// Int8 snapshots of (proj1, proj2); empty until first int8 encode
     /// and after any parameter mutation.
-    qcache: Option<(QuantizedLinear, QuantizedLinear)>,
+    qcache: OnceLock<(QuantizedLinear, QuantizedLinear)>,
     /// Row ids and MLP activation from the last training forward.
     cache: Option<TrainCache>,
 }
@@ -105,7 +108,7 @@ impl RowStudent {
             ln: LayerNorm::new(cfg.d_model),
             cfg: *cfg,
             precision: QuantSpec::F32,
-            qcache: None,
+            qcache: OnceLock::new(),
             cache: None,
         }
     }
@@ -128,44 +131,9 @@ impl RowStudent {
     /// The int8 weight snapshots, deriving them if stale. Exposed so
     /// tests can pin that a checkpoint round-trip re-derives identical
     /// scales.
-    pub fn quantized_mlp(&mut self) -> &(QuantizedLinear, QuantizedLinear) {
-        if self.qcache.is_none() {
-            self.qcache = Some((self.proj1.quantized(), self.proj2.quantized()));
-        }
-        self.qcache.as_ref().expect("just filled")
-    }
-
-    /// The f32 reference forward (training and `F32` inference).
-    fn forward_f32(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        let mut h = self.embeddings.forward(input, train);
-        mix_row_means(&mut h, &input.rows);
-        if train {
-            let mut gelu = Gelu::default();
-            let y = self.proj2.forward(&gelu.forward(&self.proj1.forward(&h)));
-            self.cache = Some(TrainCache {
-                rows: input.rows.clone(),
-                gelu,
-            });
-            self.ln.forward(&h.add(&y))
-        } else {
-            let y = self.proj2.forward_inference(
-                &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
-            );
-            self.ln.forward_inference(&h.add(&y))
-        }
-    }
-
-    /// The int8 inference forward: embeddings/context/LayerNorm stay f32,
-    /// the two MLP matmuls run on the quantized snapshot.
-    fn forward_int8(&mut self, input: &EncoderInput) -> Tensor {
-        let on = simd::active();
-        let mut h = self.embeddings.forward(input, false);
-        mix_row_means(&mut h, &input.rows);
-        let (q1, q2) = self.quantized_mlp();
-        // The fast GELU's approximation error (< 5e-5) is far below the
-        // int8 quantization noise on either side of it.
-        let y = q2.forward(on, &Gelu::default().forward_approx(&q1.forward(on, &h)));
-        self.ln.forward_inference(&h.add(&y))
+    pub fn quantized_mlp(&self) -> &(QuantizedLinear, QuantizedLinear) {
+        self.qcache
+            .get_or_init(|| (self.proj1.quantized(), self.proj2.quantized()))
     }
 }
 
@@ -178,12 +146,40 @@ impl SequenceEncoder for RowStudent {
         self.cfg.vocab_size
     }
 
+    /// At `Int8` the two MLP matmuls run on the quantized snapshot;
+    /// embeddings, context mix and LayerNorm stay f32.
+    fn infer(&self, input: &EncoderInput) -> Tensor {
+        let mut h = self.embeddings.infer(input);
+        mix_row_means(&mut h, &input.rows);
+        let y = match self.precision {
+            QuantSpec::F32 => self.proj2.forward_inference(
+                &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
+            ),
+            QuantSpec::Int8 => {
+                let on = simd::active();
+                let (q1, q2) = self.quantized_mlp();
+                // The fast GELU's approximation error (< 5e-5) is far below
+                // the int8 quantization noise on either side of it.
+                q2.forward(on, &Gelu::default().forward_approx(&q1.forward(on, &h)))
+            }
+        };
+        self.ln.forward_inference(&h.add(&y))
+    }
+
+    /// Training always runs the f32 path.
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train && self.precision == QuantSpec::Int8 {
-            self.forward_int8(input)
-        } else {
-            self.forward_f32(input, train)
+        if !train {
+            return self.infer(input);
         }
+        let mut h = self.embeddings.forward(input, true);
+        mix_row_means(&mut h, &input.rows);
+        let mut gelu = Gelu::default();
+        let y = self.proj2.forward(&gelu.forward(&self.proj1.forward(&h)));
+        self.cache = Some(TrainCache {
+            rows: input.rows.clone(),
+            gelu,
+        });
+        self.ln.forward(&h.add(&y))
     }
 
     fn backward(&mut self, d_states: &Tensor) {
@@ -210,7 +206,7 @@ impl Layer for RowStudent {
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
         // Any visit may mutate weights (optimizer step, checkpoint load),
         // so the int8 snapshot is stale from here on.
-        self.qcache = None;
+        self.qcache = OnceLock::new();
         self.embeddings
             .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
         self.proj1

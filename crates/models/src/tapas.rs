@@ -98,9 +98,16 @@ impl SequenceEncoder for Tapas {
         self.cfg.vocab_size
     }
 
+    fn infer(&self, input: &EncoderInput) -> Tensor {
+        self.encoder.infer(&self.embeddings.infer(input), None)
+    }
+
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        let x = self.embeddings.forward(input, train);
-        self.encoder.forward(&x, None, train)
+        if !train {
+            return self.infer(input);
+        }
+        let x = self.embeddings.forward(input, true);
+        self.encoder.forward(&x, None, true)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

@@ -92,6 +92,15 @@ impl Turl {
         AttnMask::Shared(m)
     }
 
+    /// Per-layer, per-head attention maps of an inference encode of `input`
+    /// under the visibility matrix (`maps[layer][head]` is `[n, n]`) — the
+    /// §3.3 inspection view, computed on request.
+    pub fn attention_maps(&self, input: &EncoderInput) -> Vec<Vec<Tensor>> {
+        let mask = Self::visibility_mask(input);
+        self.encoder
+            .attention_maps(&self.embeddings.infer(input), Some(&mask))
+    }
+
     /// Entity embedding for linking tasks: the MER decoder's column for the
     /// entity, shape `[1, d]`.
     pub fn entity_embedding(&self, entity: u32) -> Tensor {
@@ -108,10 +117,19 @@ impl SequenceEncoder for Turl {
         self.cfg.vocab_size
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
+    fn infer(&self, input: &EncoderInput) -> Tensor {
         let mask = Self::visibility_mask(input);
-        let x = self.embeddings.forward(input, train);
-        self.encoder.forward(&x, Some(&mask), train)
+        self.encoder
+            .infer(&self.embeddings.infer(input), Some(&mask))
+    }
+
+    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
+        if !train {
+            return self.infer(input);
+        }
+        let mask = Self::visibility_mask(input);
+        let x = self.embeddings.forward(input, true);
+        self.encoder.forward(&x, Some(&mask), true)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

@@ -91,10 +91,11 @@ impl AttnMask {
 /// Multi-head attention: Q/K/V/O projections plus the softmax core.
 ///
 /// Supports self-attention ([`MultiHeadAttention::forward_self`]) and
-/// cross-attention ([`MultiHeadAttention::forward_cross`]). After any
-/// forward, the per-head attention distributions are available via
-/// [`MultiHeadAttention::last_attention`] — the inspection hook used by the
-/// paper's hands-on §3.3 ("visualize the attention weights").
+/// cross-attention ([`MultiHeadAttention::forward_cross`]) for training, and
+/// the cache-free [`MultiHeadAttention::infer`] for inference. The per-head
+/// attention distributions — the inspection hook used by the paper's
+/// hands-on §3.3 ("visualize the attention weights") — are computed on
+/// request by [`MultiHeadAttention::attention_probs`], never kept.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -104,7 +105,6 @@ pub struct MultiHeadAttention {
     n_heads: usize,
     d_head: usize,
     cache: Option<Cache>,
-    last_probs: Vec<Tensor>,
 }
 
 #[derive(Debug, Clone)]
@@ -134,7 +134,6 @@ impl MultiHeadAttention {
             n_heads,
             d_head: d_model / n_heads,
             cache: None,
-            last_probs: Vec::new(),
         }
     }
 
@@ -148,13 +147,8 @@ impl MultiHeadAttention {
         self.n_heads * self.d_head
     }
 
-    /// Per-head attention distributions from the most recent forward pass.
-    /// Each tensor is `[n_q, n_k]`; empty before the first forward.
-    pub fn last_attention(&self) -> &[Tensor] {
-        &self.last_probs
-    }
-
-    /// Self-attention over `x: [n, d]`.
+    /// Self-attention over `x: [n, d]`, recording what
+    /// [`MultiHeadAttention::backward_self`] needs.
     pub fn forward_self(&mut self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
         self.forward(x, x, mask, true)
     }
@@ -166,13 +160,33 @@ impl MultiHeadAttention {
         self.forward(xq, xkv, mask, false)
     }
 
-    fn forward(
-        &mut self,
-        xq: &Tensor,
-        xkv: &Tensor,
-        mask: Option<&AttnMask>,
-        self_attn: bool,
-    ) -> Tensor {
+    /// Self-attention over `x: [n, d]` for inference: the same arithmetic as
+    /// [`MultiHeadAttention::forward_self`], bit for bit, but it records
+    /// nothing, so any number of threads may run it on one shared block.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        self.check(x, x, mask);
+        let q = self.wq.forward_inference(x);
+        let k = self.wk.forward_inference(x);
+        let v = self.wv.forward_inference(x);
+        let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
+            self.head_probs(&q, &k, h, mask).matmul(&self.head(&v, h))
+        });
+        self.wo.forward_inference(&self.concat(heads))
+    }
+
+    /// The per-head attention distributions of self-attention over `x`,
+    /// each `[n, n]` with rows summing to one — computed for this call and
+    /// returned, nothing is kept.
+    pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
+        self.check(x, x, mask);
+        let q = self.wq.forward_inference(x);
+        let k = self.wk.forward_inference(x);
+        par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
+            self.head_probs(&q, &k, h, mask)
+        })
+    }
+
+    fn check(&self, xq: &Tensor, xkv: &Tensor, mask: Option<&AttnMask>) {
         let d = self.d_model();
         assert_eq!(
             xq.dim(1),
@@ -186,37 +200,58 @@ impl MultiHeadAttention {
             "key/value input width {} != d_model {d}",
             xkv.dim(1)
         );
-        let (n_q, n_k) = (xq.dim(0), xkv.dim(0));
         if let Some(m) = mask {
-            m.check(self.n_heads, n_q, n_k);
+            m.check(self.n_heads, xq.dim(0), xkv.dim(0));
         }
+    }
 
+    fn head_threads(&self, q: &Tensor, k: &Tensor) -> usize {
+        head_threads(self.n_heads, q.dim(0) * k.dim(0) * self.d_head)
+    }
+
+    /// Head `h`'s columns of a `[n, d_model]` projection.
+    fn head(&self, x: &Tensor, h: usize) -> Tensor {
+        x.cols(h * self.d_head, (h + 1) * self.d_head)
+    }
+
+    /// Head `h`'s attention probabilities. Scores become probabilities in
+    /// place: scale, mask and softmax are one pass over each row of the
+    /// `Q·Kᵀ` output.
+    fn head_probs(&self, q: &Tensor, k: &Tensor, h: usize, mask: Option<&AttnMask>) -> Tensor {
+        let scale = 1.0 / (self.d_head as f32).sqrt();
+        let mut p = self.head(q, h).matmul_nt(&self.head(k, h));
+        p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
+        p
+    }
+
+    /// Concatenates per-head outputs `[n, d_head]` into `[n, d_model]`.
+    fn concat(&self, heads: Vec<Tensor>) -> Tensor {
+        let mut concat = Tensor::zeros(&[heads[0].dim(0), self.d_model()]);
+        for (h, oh) in heads.iter().enumerate() {
+            concat.set_cols(h * self.d_head, oh);
+        }
+        concat
+    }
+
+    fn forward(
+        &mut self,
+        xq: &Tensor,
+        xkv: &Tensor,
+        mask: Option<&AttnMask>,
+        self_attn: bool,
+    ) -> Tensor {
+        self.check(xq, xkv, mask);
         let q = self.wq.forward(xq);
         let k = self.wk.forward(xkv);
         let v = self.wv.forward(xkv);
 
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let dh = self.d_head;
-        let threads = head_threads(self.n_heads, n_q * n_k * dh);
-        let heads = par::map_tasks(self.n_heads, threads, |h| {
-            let (s, e) = (h * dh, (h + 1) * dh);
-            let qh = q.cols(s, e);
-            let kh = k.cols(s, e);
-            let vh = v.cols(s, e);
-            // Scores become probabilities in place: scale, mask and
-            // softmax are one pass over each row of the `Q·Kᵀ` output.
-            let mut p = qh.matmul_nt(&kh);
-            p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
-            let oh = p.matmul(&vh);
+        let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
+            let p = self.head_probs(&q, &k, h, mask);
+            let oh = p.matmul(&self.head(&v, h));
             (p, oh)
         });
-        let mut concat = Tensor::zeros(&[n_q, d]);
-        let mut probs = Vec::with_capacity(self.n_heads);
-        for (h, (p, oh)) in heads.into_iter().enumerate() {
-            concat.set_cols(h * dh, &oh);
-            probs.push(p);
-        }
-        self.last_probs = probs.clone();
+        let (probs, outs): (Vec<Tensor>, Vec<Tensor>) = heads.into_iter().unzip();
+        let concat = self.concat(outs);
         self.cache = Some(Cache {
             q,
             k,
@@ -332,12 +367,12 @@ mod tests {
 
     #[test]
     fn forward_shapes_and_prob_rows_sum_to_one() {
-        let mut a = mha(8, 2, 1);
+        let a = mha(8, 2, 1);
         let x = SeededInit::new(2).uniform(&[5, 8], -1.0, 1.0);
-        let y = a.forward_self(&x, None);
-        assert_eq!(y.shape(), &[5, 8]);
-        assert_eq!(a.last_attention().len(), 2);
-        for p in a.last_attention() {
+        assert_eq!(a.infer(&x, None).shape(), &[5, 8]);
+        let probs = a.attention_probs(&x, None);
+        assert_eq!(probs.len(), 2);
+        for p in &probs {
             assert_eq!(p.shape(), &[5, 5]);
             for r in 0..5 {
                 let s: f32 = p.row(r).iter().sum();
@@ -346,13 +381,28 @@ mod tests {
         }
     }
 
+    /// The inference path is the training forward minus its records: same
+    /// bits, with and without a mask, and it leaves no cache behind.
+    #[test]
+    fn infer_is_bit_identical_to_forward_and_records_nothing() {
+        let mut a = mha(8, 2, 20);
+        let x = SeededInit::new(21).uniform(&[6, 8], -1.0, 1.0);
+        for mask in [None, Some(AttnMask::causal(6))] {
+            let inferred = a.infer(&x, mask.as_ref());
+            assert!(a.cache.is_none(), "infer must not record a cache");
+            assert_eq!(inferred, a.forward_self(&x, mask.as_ref()));
+            let cached = &a.cache.as_ref().expect("forward records").probs;
+            assert_eq!(cached, &a.attention_probs(&x, mask.as_ref()));
+            a.cache = None;
+        }
+    }
+
     #[test]
     fn causal_mask_blocks_future() {
-        let mut a = mha(8, 2, 3);
+        let a = mha(8, 2, 3);
         let x = SeededInit::new(4).uniform(&[4, 8], -1.0, 1.0);
         let mask = AttnMask::causal(4);
-        let _ = a.forward_self(&x, Some(&mask));
-        for p in a.last_attention() {
+        for p in a.attention_probs(&x, Some(&mask)) {
             for i in 0..4 {
                 for j in i + 1..4 {
                     assert!(p.at(&[i, j]).abs() < 1e-7, "future leak at ({i},{j})");
@@ -363,11 +413,10 @@ mod tests {
 
     #[test]
     fn padding_mask_zeroes_padded_keys() {
-        let mut a = mha(8, 2, 5);
+        let a = mha(8, 2, 5);
         let x = SeededInit::new(6).uniform(&[4, 8], -1.0, 1.0);
         let mask = AttnMask::padding(4, 4, 2);
-        let _ = a.forward_self(&x, Some(&mask));
-        for p in a.last_attention() {
+        for p in a.attention_probs(&x, Some(&mask)) {
             for i in 0..4 {
                 assert!(p.at(&[i, 2]) < 1e-7 && p.at(&[i, 3]) < 1e-7);
             }
@@ -376,14 +425,14 @@ mod tests {
 
     #[test]
     fn per_head_masks_differ_per_head() {
-        let mut a = mha(8, 2, 7);
+        let a = mha(8, 2, 7);
         let x = SeededInit::new(8).uniform(&[3, 8], -1.0, 1.0);
         let mut m0 = Tensor::zeros(&[3, 3]);
         m0.set(&[0, 2], f32::NEG_INFINITY);
         let m1 = Tensor::zeros(&[3, 3]);
-        let _ = a.forward_self(&x, Some(&AttnMask::PerHead(vec![m0, m1])));
-        assert!(a.last_attention()[0].at(&[0, 2]) < 1e-7);
-        assert!(a.last_attention()[1].at(&[0, 2]) > 1e-7);
+        let probs = a.attention_probs(&x, Some(&AttnMask::PerHead(vec![m0, m1])));
+        assert!(probs[0].at(&[0, 2]) < 1e-7);
+        assert!(probs[1].at(&[0, 2]) > 1e-7);
     }
 
     /// Full finite-difference check of self-attention input gradients,

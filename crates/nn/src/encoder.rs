@@ -32,6 +32,12 @@ impl FeedForward {
         self.lin2.forward(&self.act.forward(&self.lin1.forward(x)))
     }
 
+    /// Forward without caching, for inference.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.lin2
+            .forward_inference(&self.act.forward_inference(&self.lin1.forward_inference(x)))
+    }
+
     /// Backward; returns the input gradient.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         self.lin1
@@ -87,8 +93,13 @@ impl EncoderLayer {
         }
     }
 
-    /// Forward pass; `mask` is forwarded to the attention core.
+    /// Forward pass; `mask` is forwarded to the attention core. With
+    /// `train = false` this is [`EncoderLayer::infer`] and records nothing
+    /// for a backward pass.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
+        if !train {
+            return self.infer(x, mask);
+        }
         let h = self
             .drop1
             .forward(&self.attn.forward_self(&self.ln1.forward(x), mask), train);
@@ -97,6 +108,25 @@ impl EncoderLayer {
             .drop2
             .forward(&self.ffn.forward(&self.ln2.forward(&x1)), train);
         x1.add(&h2)
+    }
+
+    /// Inference forward: no caches, no dropout, `&self` — bit-identical to
+    /// `forward(x, mask, false)`.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        // The residual sums land in the branch outputs' buffers; addition
+        // commutes exactly, so the bits are those of `x + branch`.
+        let mut x1 = self.attn.infer(&self.ln1.forward_inference(x), mask);
+        x1.add_assign(x);
+        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1));
+        out.add_assign(&x1);
+        out
+    }
+
+    /// This layer's per-head attention distributions over `x` (see
+    /// [`MultiHeadAttention::attention_probs`]).
+    pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
+        self.attn
+            .attention_probs(&self.ln1.forward_inference(x), mask)
     }
 
     /// Backward pass; returns the input gradient.
@@ -111,11 +141,6 @@ impl EncoderLayer {
             .ln1
             .backward(&self.attn.backward_self(&self.drop1.backward(&dx1)));
         dx1.add(&dattn)
-    }
-
-    /// The attention sub-layer (for weight inspection / visualization).
-    pub fn attention(&self) -> &MultiHeadAttention {
-        &self.attn
     }
 }
 
@@ -169,12 +194,26 @@ impl Encoder {
     }
 
     /// Forward through all layers; the same `mask` is applied at every layer.
+    /// With `train = false` this is [`Encoder::infer`].
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
+        if !train {
+            return self.infer(x, mask);
+        }
         let mut h = x.clone();
         for layer in &mut self.layers {
             h = layer.forward(&h, mask, train);
         }
         self.final_ln.forward(&h)
+    }
+
+    /// Inference through all layers: no caches, no dropout, `&self`, so one
+    /// encoder can serve any number of threads at once.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        let mut h: Option<Tensor> = None;
+        for layer in &self.layers {
+            h = Some(layer.infer(h.as_ref().unwrap_or(x), mask));
+        }
+        self.final_ln.forward_inference(h.as_ref().unwrap_or(x))
     }
 
     /// Backward through all layers in reverse.
@@ -186,12 +225,17 @@ impl Encoder {
         g
     }
 
-    /// Per-layer, per-head attention maps from the last forward pass.
-    pub fn attention_maps(&self) -> Vec<&[Tensor]> {
-        self.layers
-            .iter()
-            .map(|l| l.attention().last_attention())
-            .collect()
+    /// Per-layer, per-head attention maps of an inference pass over `x`:
+    /// `maps[layer][head]` is `[n, n]`. Computed for this call and returned;
+    /// no forward keeps them.
+    pub fn attention_maps(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Vec<Tensor>> {
+        let mut maps = Vec::with_capacity(self.layers.len());
+        let mut h = x.clone();
+        for layer in &self.layers {
+            maps.push(layer.attention_probs(&h, mask));
+            h = layer.infer(&h, mask);
+        }
+        maps
     }
 }
 
@@ -264,13 +308,37 @@ mod tests {
 
     #[test]
     fn encoder_exposes_attention_maps() {
-        let mut enc = Encoder::new(2, 8, 2, 16, 0.0, &mut SeededInit::new(12));
+        let enc = Encoder::new(2, 8, 2, 16, 0.0, &mut SeededInit::new(12));
         let x = SeededInit::new(13).uniform(&[4, 8], -1.0, 1.0);
-        let _ = enc.forward(&x, None, false);
-        let maps = enc.attention_maps();
+        let maps = enc.attention_maps(&x, None);
         assert_eq!(maps.len(), 2);
         assert_eq!(maps[0].len(), 2);
         assert_eq!(maps[0][0].shape(), &[4, 4]);
+    }
+
+    /// `infer` is the eval forward minus its records: bit-identical to a
+    /// training-mode forward with dropout 0, which does record caches.
+    #[test]
+    fn infer_matches_the_recording_forward_bit_for_bit() {
+        let mut enc = Encoder::new(2, 8, 2, 16, 0.0, &mut SeededInit::new(15));
+        let x = SeededInit::new(16).uniform(&[5, 8], -1.0, 1.0);
+        let mask = AttnMask::causal(5);
+        assert_eq!(
+            enc.infer(&x, Some(&mask)),
+            enc.forward(&x, Some(&mask), true)
+        );
+        assert_eq!(enc.infer(&x, None), enc.forward(&x, None, false));
+        let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
+        assert_eq!(ffn.infer(&x), ffn.clone().forward(&x));
+    }
+
+    #[test]
+    #[should_panic(expected = "without a cached forward")]
+    fn backward_after_an_inference_forward_panics() {
+        let mut enc = Encoder::new(1, 8, 2, 16, 0.0, &mut SeededInit::new(18));
+        let x = SeededInit::new(19).uniform(&[3, 8], -1.0, 1.0);
+        let _ = enc.forward(&x, None, false);
+        let _ = enc.backward(&Tensor::ones(&[3, 8]));
     }
 
     #[test]

@@ -6,15 +6,29 @@
 //! ## Architecture
 //!
 //! Every layer is a plain struct owning its [`Param`]s and an activation
-//! cache. Training follows the classic three-step contract:
+//! cache. Inference and training are two paths over the same weights:
 //!
-//! 1. `forward(&mut self, x, train)` computes the output **and records the
-//!    activations** needed by the backward pass;
-//! 2. `backward(&mut self, grad_out)` consumes the cache, **accumulates**
-//!    parameter gradients into each `Param`, and returns the gradient with
-//!    respect to the layer input;
-//! 3. an [`optim::Adam`] step visits all parameters via [`Layer::visit_params`]
-//!    and applies the update, after which `zero_grad` resets accumulators.
+//! * **Inference** is `&self`: [`Linear::forward_inference`],
+//!   [`LayerNorm::forward_inference`], [`Gelu::forward_inference`],
+//!   [`Embedding::lookup`] and the `infer` methods of
+//!   [`MultiHeadAttention`], [`encoder::FeedForward`], [`EncoderLayer`] and
+//!   [`Encoder`] record nothing and apply no dropout, so one set of weights
+//!   can serve any number of threads at once. `forward(.., train = false)`
+//!   on the encoder blocks *is* `infer`; it leaves nothing for a backward
+//!   pass, and a `backward` after it panics ("without a cached forward").
+//! * **Training** follows the classic three-step contract:
+//!   1. `forward(&mut self, x, ..)` (with `train = true` where the layer
+//!      takes the flag) computes the output **and records the activations**
+//!      needed by the backward pass;
+//!   2. `backward(&mut self, grad_out)` consumes the cache, **accumulates**
+//!      parameter gradients into each `Param`, and returns the gradient with
+//!      respect to the layer input;
+//!   3. an [`optim::Adam`] step visits all parameters via
+//!      [`Layer::visit_params`] and applies the update, after which
+//!      `zero_grad` resets accumulators.
+//!
+//! Both paths run the same kernels in the same order, so an inference
+//! output is bit-identical to the training forward's with dropout off.
 //!
 //! Backward passes are hand-derived rather than taped: the model zoo in
 //! `ntr-models` only needs a fixed set of blocks, and explicit code is easier

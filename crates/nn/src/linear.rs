@@ -41,7 +41,7 @@ impl Linear {
 
     /// `y = x·W + b` for `x: [n, d_in]`; caches `x` for the backward pass.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = x.matmul(&self.w.value).add_row_broadcast(&self.b.value);
+        let y = self.forward_inference(x);
         self.cache_x = Some(x.clone());
         y
     }

@@ -1,5 +1,5 @@
-//! The batched embedding service: a dynamic micro-batcher in front of a
-//! worker pool of model replicas, with a self-healing core.
+//! The batched embedding service: a dynamic micro-batcher in front of
+//! worker replicas that share one model per spec, with a self-healing core.
 //!
 //! # Batching
 //!
@@ -14,13 +14,13 @@
 //!
 //! # Bit-identity
 //!
-//! The models are stateful `&mut` encoders with no batch dimension, so
-//! "batched forward" here means: distribute the batch over `n_workers`
-//! model *replicas* and encode each request as a single sequence through
-//! [`Pipeline::encode_serialized`] — the exact compute core behind the
-//! sequential [`Pipeline::encode`]. Replicas are built lazily from the
-//! same config (same seed ⇒ identical weights), and inference consumes no
-//! RNG state, so every request's output is bit-identical to what a
+//! The models have no batch dimension, so "batched forward" here means:
+//! distribute the batch over `n_workers` replica threads and encode each
+//! request as a single sequence through [`Pipeline::encode_serialized`] —
+//! the exact compute core behind the sequential [`Pipeline::encode`].
+//! Inference is `&self` ([`SequenceEncoder::infer`]): each spec has one
+//! model, built lazily from the shared seeded config and read by every
+//! replica at once, so every request's output is bit-identical to what a
 //! sequential `encode` call would produce, at any batch size and worker
 //! count. Requests are length-bucketed (longest-first greedy assignment)
 //! so workers finish at roughly the same time.
@@ -37,12 +37,12 @@
 //!   still on the board is answered with [`EncodeError::Internal`].
 //!   Exactly one response per request, no matter where the panic fired.
 //! * **Replica quarantine.** A replica whose bucket panics is
-//!   quarantined: its models are dropped and rebuilt lazily from the
-//!   shared seeded [`ModelConfig`], so the rebuilt replica is
-//!   bit-identical to the pre-fault one by construction. After
-//!   `MAX_REBUILDS` *consecutive* failures the replica is retired and
-//!   load respreads over the survivors (the last active replica is never
-//!   retired).
+//!   quarantined: the fault is counted and reported, and the replica goes
+//!   back into service. It owns no model state — inference only reads the
+//!   shared models — so there is nothing to drop or rebuild, and its next
+//!   output is bit-identical to a fault-free one. After `MAX_REBUILDS`
+//!   *consecutive* failures the replica is retired and load respreads over
+//!   the survivors (the last active replica is never retired).
 //! * **Batcher supervision.** The batcher loop runs under `catch_unwind`
 //!   with bounded restarts and exponential backoff; past the budget it
 //!   stops batching and answers everything with a typed
@@ -89,8 +89,8 @@ use std::time::{Duration, Instant};
 /// Locks a mutex, recovering from poisoning: a panic that died while
 /// holding the lock (already isolated by the flush path) must not turn
 /// every later `lock().unwrap()` into a second panic. The protected
-/// state is either a cache (rebuildable), a counter, or replica models
-/// that the quarantine path drops anyway.
+/// state is a cache (rebuildable), a counter, or the map of shared models,
+/// which only ever gains fully built entries.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -120,9 +120,9 @@ pub struct ServeConfig {
     /// requests are queued ahead of the micro-batcher (0 = unbounded).
     /// Cache hits are always admitted — they never occupy the queue.
     pub queue_cap: usize,
-    /// Model configuration for the replicas; `None` uses the pipeline's
-    /// [`Pipeline::default_config`]. All replicas share one config (and
-    /// therefore one set of weights per family).
+    /// Model configuration; `None` uses the pipeline's
+    /// [`Pipeline::default_config`]. Every replica reads the one model this
+    /// config builds per encoder spec.
     pub model_config: Option<ModelConfig>,
     /// Deadline applied to requests that carry none of their own
     /// (`None` = no default deadline).
@@ -284,8 +284,8 @@ pub struct ServeStats {
     pub internal: u64,
     /// Batcher-loop supervision restarts.
     pub restarts: u64,
-    /// Replica quarantine events (each one dropped and rebuilt a
-    /// replica's models).
+    /// Replica quarantine events (a replica's bucket panicked; the replica
+    /// went back into service).
     pub quarantined: u64,
     /// Cache misses rejected with [`EncodeError::Degraded`] while the
     /// breaker was open (also counted in `errors`).
@@ -306,7 +306,7 @@ pub struct ServeStats {
 /// One replica's health, as reported by the `health` wire verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaStatus {
-    /// Times this replica was quarantined and rebuilt.
+    /// Times this replica was quarantined.
     pub rebuilds: u64,
     /// Retired after `MAX_REBUILDS` consecutive failures; no longer
     /// assigned buckets.
@@ -340,11 +340,6 @@ struct ReplicaHealth {
     retired: bool,
 }
 
-struct Replica {
-    models: Mutex<HashMap<EncoderSpec, Box<dyn SequenceEncoder + Send>>>,
-    health: Mutex<ReplicaHealth>,
-}
-
 /// Count-based circuit breaker over recent flush outcomes. Deterministic
 /// by construction: state changes only on flush completions and
 /// admission decisions, never on wall-clock time.
@@ -363,7 +358,9 @@ struct Shared {
     cfg: ServeConfig,
     model_cfg: ModelConfig,
     cache: Mutex<EmbeddingCache>,
-    replicas: Vec<Replica>,
+    /// One model per spec, built on first use, read by every replica.
+    models: Mutex<HashMap<EncoderSpec, Arc<dyn SequenceEncoder + Send>>>,
+    replicas: Vec<Mutex<ReplicaHealth>>,
     faults: Mutex<FaultPlan>,
     breaker: Mutex<Breaker>,
     obs: ntr_obs::Obs,
@@ -404,6 +401,13 @@ impl Shared {
         self.latencies_us.record(us);
         self.obs.observe("serve/latency_us", us);
         complete(r);
+    }
+
+    /// The shared model for `spec`, built from the seeded config on first use.
+    fn model(&self, spec: EncoderSpec) -> Arc<dyn SequenceEncoder + Send> {
+        let mut models = lock_clean(&self.models);
+        let build = || build_encoder(spec, &self.model_cfg).expect("spec validated at admission");
+        Arc::clone(models.entry(spec).or_insert_with(|| build().into()))
     }
 
     /// Answers whatever is still on the flight board with a typed
@@ -461,7 +465,7 @@ impl Shared {
                 .replicas
                 .iter()
                 .map(|r| {
-                    let h = lock_clean(&r.health);
+                    let h = lock_clean(r);
                     ReplicaStatus {
                         rebuilds: h.rebuilds,
                         retired: h.retired,
@@ -714,11 +718,9 @@ impl EmbeddingService {
         let faults = cfg.faults.clone().unwrap_or_default();
         let shared = Arc::new(Shared {
             cache: Mutex::new(EmbeddingCache::new(cfg.cache_bytes)),
+            models: Mutex::new(HashMap::new()),
             replicas: (0..n_workers)
-                .map(|_| Replica {
-                    models: Mutex::new(HashMap::new()),
-                    health: Mutex::new(ReplicaHealth::default()),
-                })
+                .map(|_| Mutex::new(ReplicaHealth::default()))
                 .collect(),
             pipeline,
             cfg,
@@ -969,7 +971,7 @@ fn flush_inner(
     // when a replica is retired.
     let active: Vec<usize> = {
         let mut active: Vec<usize> = (0..shared.replicas.len())
-            .filter(|&r| !lock_clean(&shared.replicas[r].health).retired)
+            .filter(|&r| !lock_clean(&shared.replicas[r]).retired)
             .collect();
         if active.is_empty() {
             active.push(0); // the last replica is never retired, but be safe
@@ -987,10 +989,9 @@ fn flush_inner(
         buckets[lightest].push(i);
     }
 
-    // Encode every bucket concurrently, one model replica per bucket.
-    // Each request runs through `encode_serialized` — the same compute
-    // core as sequential `Pipeline::encode` — on a replica whose weights
-    // are bit-identical by construction (same config, same seed). The
+    // Encode every bucket concurrently, one replica per bucket. Each
+    // request runs through `encode_serialized` — the same compute core as
+    // sequential `Pipeline::encode` — on the spec's shared model. The
     // bucket body runs under `catch_unwind`: a panic quarantines the
     // replica and fails only that bucket's unanswered requests.
     let slots: Vec<Mutex<Vec<(usize, EncoderSpec, EncodedTable)>>> = {
@@ -1010,19 +1011,15 @@ fn flush_inner(
     };
     let bucket_panics: Vec<usize> = par::map_tasks(n_buckets, n_buckets, |b| {
         let replica_idx = active[b];
-        let replica = &shared.replicas[replica_idx];
         let members: Vec<usize> = lock_clean(&slots[b]).iter().map(|(i, _, _)| *i).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let work = std::mem::take(&mut *lock_clean(&slots[b]));
-            let mut models = lock_clean(&replica.models);
             for (job_no, (i, spec, encoded)) in work.into_iter().enumerate() {
                 if panic_armed && b == 0 && job_no == 0 {
                     panic!("{INJECTED_FLUSH_PANIC_MSG}");
                 }
-                let model = models.entry(spec).or_insert_with(|| {
-                    build_encoder(spec, &shared.model_cfg).expect("spec validated at admission")
-                });
-                let enc = Arc::new(shared.pipeline.encode_serialized(model.as_mut(), encoded));
+                let model = shared.model(spec);
+                let enc = Arc::new(shared.pipeline.encode_serialized(model.as_ref(), encoded));
                 let Some(inflight) = lock_clean(&board[i]).take() else {
                     continue;
                 };
@@ -1044,7 +1041,7 @@ fn flush_inner(
         }));
         match outcome {
             Ok(()) => {
-                lock_clean(&replica.health).consecutive_failures = 0;
+                lock_clean(&shared.replicas[replica_idx]).consecutive_failures = 0;
                 0
             }
             Err(payload) => {
@@ -1068,20 +1065,18 @@ fn flush_inner(
     bucket_panics.into_iter().sum()
 }
 
-/// Consecutive flush panics a replica survives (each one quarantines and
-/// rebuilds it) before it is retired and load respreads.
+/// Consecutive flush panics a replica survives (each one quarantines it)
+/// before it is retired and load respreads.
 const MAX_REBUILDS: u32 = 3;
 
-/// Quarantines a replica after its bucket panicked: drop its models (the
-/// panic may have left an encoder mid-mutation) so they rebuild lazily
-/// from the shared seeded config — bit-identical to the originals by
-/// construction. After `MAX_REBUILDS` consecutive failures the replica
-/// is retired, unless it is the last active one.
+/// Quarantines a replica after its bucket panicked: counts the fault and
+/// reports it. Inference never mutates the shared models, so a panic
+/// mid-encode leaves nothing to drop or rebuild. After `MAX_REBUILDS`
+/// consecutive failures the replica is retired, unless it is the last
+/// active one.
 fn quarantine(shared: &Shared, replica_idx: usize, flush_no: u64, msg: &str, n_active: usize) {
-    let replica = &shared.replicas[replica_idx];
-    lock_clean(&replica.models).clear();
     let (rebuilds, retired) = {
-        let mut h = lock_clean(&replica.health);
+        let mut h = lock_clean(&shared.replicas[replica_idx]);
         h.consecutive_failures += 1;
         h.rebuilds += 1;
         if h.consecutive_failures >= MAX_REBUILDS && n_active > 1 {
@@ -1268,6 +1263,7 @@ mod tests {
                 .expect("tiny vocab"),
             model_cfg: ModelConfig::tiny(64),
             cache: Mutex::new(EmbeddingCache::new(0)),
+            models: Mutex::new(HashMap::new()),
             replicas: Vec::new(),
             faults: Mutex::new(FaultPlan::none()),
             breaker: Mutex::new(breaker),

@@ -71,6 +71,10 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
         self.as_ref().vocab_size()
     }
 
+    fn infer(&self, input: &EncoderInput) -> Tensor {
+        self.as_ref().infer(input)
+    }
+
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
         self.as_mut().encode(input, train)
     }

@@ -145,10 +145,8 @@ mod tests {
 
     #[test]
     fn heatmap_renders_rows_with_labels() {
-        let (e, tok, mut model) = setup();
-        let input = EncoderInput::from_encoded(&e);
-        let _ = model.encode(&input, false);
-        let maps = model.encoder.attention_maps();
+        let (e, tok, model) = setup();
+        let maps = model.attention_maps(&EncoderInput::from_encoded(&e));
         let art = attention_heatmap(&maps[0][0], &e, &tok, 8);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 8.min(e.len()));
@@ -157,10 +155,8 @@ mod tests {
 
     #[test]
     fn top_attended_is_sorted_and_bounded() {
-        let (e, tok, mut model) = setup();
-        let input = EncoderInput::from_encoded(&e);
-        let _ = model.encode(&input, false);
-        let maps = model.encoder.attention_maps();
+        let (e, tok, model) = setup();
+        let maps = model.attention_maps(&EncoderInput::from_encoded(&e));
         let top = top_attended(&maps[0][0], &e, &tok, 0, 3);
         assert_eq!(top.len(), 3);
         assert!(top[0].3 >= top[1].3 && top[1].3 >= top[2].3);
@@ -168,9 +164,8 @@ mod tests {
 
     #[test]
     fn similarity_grid_marks_anchor() {
-        let (e, _, mut model) = setup();
-        let input = EncoderInput::from_encoded(&e);
-        let states = model.encode(&input, false);
+        let (e, _, model) = setup();
+        let states = model.infer(&EncoderInput::from_encoded(&e));
         let grid = cell_similarity_grid(&e, &states, (0, 0), 2, 2);
         assert!(grid.contains("*+1.00"), "{grid}");
         let missing = cell_similarity_grid(&e, &states, (9, 9), 2, 2);

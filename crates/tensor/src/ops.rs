@@ -152,8 +152,9 @@ impl Tensor {
         );
     }
 
-    /// Adds a 1-D bias of length `cols` to every row of a 2-D tensor.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
+    /// Adds a 1-D bias of length `cols` to every row of a 2-D tensor, in
+    /// the tensor's own buffer.
+    pub fn add_row_broadcast(mut self, bias: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "add_row_broadcast requires a 2-D tensor");
         assert_eq!(
             bias.numel(),
@@ -163,17 +164,16 @@ impl Tensor {
             self.dim(1)
         );
         let cols = self.dim(1);
-        let mut out = self.clone();
         let b = bias.data();
-        let threads = elem_threads(out.numel(), 12);
-        par::for_chunks(out.data_mut(), cols.max(1), threads, |_, chunk| {
+        let threads = elem_threads(self.numel(), 12);
+        par::for_chunks(self.data_mut(), cols.max(1), threads, |_, chunk| {
             for row in chunk.chunks_mut(cols.max(1)) {
                 for (x, &bv) in row.iter_mut().zip(b) {
                     *x += bv;
                 }
             }
         });
-        out
+        self
     }
 
     fn zip_with(&self, other: &Tensor, op: &str, f: impl Fn(f32, f32) -> f32) -> Tensor {

@@ -7,7 +7,7 @@
 
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
-use ntr::models::{EncoderInput, ModelConfig, SequenceEncoder, Turl};
+use ntr::models::{EncoderInput, ModelConfig, Turl};
 use ntr::table::{Linearizer, LinearizerOptions, TurlLinearizer};
 use ntr::tasks::TrainConfig;
 use ntr::tasks::TrainRun;
@@ -80,8 +80,7 @@ fn main() {
     let t = &corpus.tables[0];
     let e = TurlLinearizer.linearize(t, &t.caption, &tok, &LinearizerOptions::default());
     let input = EncoderInput::from_encoded(&e);
-    let _ = model.encode(&input, false);
-    let maps = model.encoder.attention_maps();
+    let maps = model.attention_maps(&input);
     println!(
         "\nattention inspection: {} layers x {} heads, map shape {:?}",
         maps.len(),

@@ -65,10 +65,10 @@ fn main() {
     // 2. §3.3-style inspection of one TURL encoding.
     // ------------------------------------------------------------------
     let t = &corpus.tables[0];
-    let mut turl = Turl::new(&cfg);
+    let turl = Turl::new(&cfg);
     let e = TurlLinearizer.linearize(t, &t.caption, &tok, &opts);
     let input = EncoderInput::from_encoded(&e);
-    let states = turl.encode(&input, false);
+    let states = turl.infer(&input);
 
     println!(
         "table `{}` under the TURL linearizer ({} tokens)\n",
@@ -76,7 +76,7 @@ fn main() {
         e.len()
     );
     println!("attention heatmap, layer 0 / head 0 (first 16 tokens):");
-    let maps = turl.encoder.attention_maps();
+    let maps = turl.attention_maps(&input);
     print!("{}", attention_heatmap(&maps[0][0], &e, &tok, 16));
 
     if let Some(span) = e.cell_span(0, 0) {

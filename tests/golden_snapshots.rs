@@ -14,7 +14,10 @@
 
 use ntr::pipeline::Pipeline;
 use ntr::tasks::TrainRun;
-use ntr_models::{EncoderInput, Mate, ModelConfig, SequenceEncoder, Tapas, Turl, VanillaBert};
+use ntr_models::{
+    EncoderInput, Mate, ModelConfig, QuantSpec, RowStudent, SequenceEncoder, Tapas, Turl,
+    VanillaBert,
+};
 use ntr_table::{
     ColumnMajorLinearizer, Linearizer, LinearizerOptions, RowMajorLinearizer, Table,
     TapexLinearizer, TemplateLinearizer, TurlLinearizer,
@@ -215,7 +218,59 @@ fn first_forward_pass_logits_are_pinned_impl() {
         &tapex.lm_head.forward(&states),
     ));
 
+    // The distilled student has no head of its own: pin its states, at both
+    // serving precisions.
+    let mut student = RowStudent::new(&cfg);
+    let states = student.encode(&input, false);
+    out.push_str(&logits_fingerprint("row-student/f32", &states));
+    student.set_precision(QuantSpec::Int8);
+    let states = student.encode(&input, false);
+    out.push_str(&logits_fingerprint("row-student/int8", &states));
+
+    out.push_str(&encode_batch_fingerprint());
     check("logits.txt", &out);
+}
+
+/// CRC-32 of the table embeddings `Pipeline::encode_batch` returns for 32
+/// generated tables under the pipeline's default teacher — pins the batched
+/// path, which may fan requests out across threads, to fixed bits.
+fn encode_batch_fingerprint() -> String {
+    use ntr::corpus::tables::{CorpusConfig, TableCorpus};
+    use ntr::corpus::{World, WorldConfig};
+    use ntr::pipeline::EncodeRequest;
+
+    let world = World::generate(WorldConfig::default());
+    let corpus = TableCorpus::generate(
+        &world,
+        &CorpusConfig {
+            n_tables: 32,
+            min_rows: 2,
+            max_rows: 5,
+            seed: 0xBA7C,
+            ..CorpusConfig::default()
+        },
+    );
+    let p = Pipeline::builder()
+        .vocab_from_tables(&corpus.tables)
+        .vocab_size(800)
+        .build()
+        .expect("vocab is non-empty");
+    let mut model = p.build_default_encoder().expect("default spec is valid");
+    let reqs: Vec<EncodeRequest> = corpus
+        .tables
+        .iter()
+        .cloned()
+        .map(EncodeRequest::captioned)
+        .collect();
+    let encodings = p
+        .encode_batch(model.as_mut(), &reqs)
+        .expect("generated tables fit the budget");
+    let embeddings: Vec<Tensor> = encodings.iter().map(|e| e.table_embedding()).collect();
+    format!(
+        "pipeline/encode_batch: tables={} crc32={:08x}\n",
+        embeddings.len(),
+        crc32_f32(embeddings.iter().flat_map(|t| t.data()))
+    )
 }
 
 /// Short MLM training run used by the supervisor no-op golden: the sample

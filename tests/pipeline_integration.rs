@@ -1,9 +1,19 @@
 //! Cross-crate integration: CSV → pipeline → every model family →
 //! representations → checkpoints.
 
-use ntr::pipeline::Pipeline;
-use ntr::table::Table;
+use ntr::corpus::tables::{CorpusConfig, TableCorpus};
+use ntr::corpus::{World, WorldConfig};
+use ntr::models::SequenceEncoder;
+use ntr::pipeline::{EncodeError, EncodeRequest, Pipeline, TableEncoding};
+use ntr::table::{LinearizerOptions, Table};
+use ntr::tensor::par;
 use ntr::zoo::{build_encoder, EncoderSpec, ModelKind};
+
+// Every thread that encodes shares one model: inference is `&self`.
+const _: fn() = || {
+    fn assert_sync<T: Sync + ?Sized>() {}
+    assert_sync::<dyn SequenceEncoder>();
+};
 
 fn sample_csv() -> &'static str {
     "Country,Capital,Population\nFrance,Paris,67.8\nAustralia,Canberra,25.69\nJapan,Tokyo,125.7\n"
@@ -177,4 +187,98 @@ fn model_parameter_counts_are_stable() {
             kind.name()
         );
     }
+}
+
+/// Token budget of the batch fixture.
+const BATCH_MAX_TOKENS: usize = 96;
+
+/// 24 generated tables as captioned requests, and a pipeline whose budget
+/// fits each of them but not [`too_large`].
+fn batch_fixture() -> (Pipeline, Vec<EncodeRequest>) {
+    let world = World::generate(WorldConfig::default());
+    let corpus = TableCorpus::generate(
+        &world,
+        &CorpusConfig {
+            n_tables: 24,
+            min_rows: 2,
+            max_rows: 4,
+            seed: 0xE0B,
+            ..CorpusConfig::default()
+        },
+    );
+    let pipeline = Pipeline::builder()
+        .vocab_from_tables(&corpus.tables)
+        .vocab_size(800)
+        .options(LinearizerOptions {
+            max_tokens: BATCH_MAX_TOKENS,
+            ..LinearizerOptions::default()
+        })
+        .build()
+        .expect("vocab is non-empty");
+    let reqs = corpus
+        .tables
+        .into_iter()
+        .map(EncodeRequest::captioned)
+        .collect();
+    (pipeline, reqs)
+}
+
+/// A table whose only row overflows the fixture's budget on its own.
+fn too_large(id: &str) -> EncodeRequest {
+    let long = vec!["population"; 4 * BATCH_MAX_TOKENS].join(" ");
+    EncodeRequest::captioned(Table::from_strings(
+        id,
+        &["Country", "Notes"],
+        &[&["France", &long]],
+    ))
+}
+
+fn state_bits(encodings: &[TableEncoding]) -> Vec<Vec<u32>> {
+    encodings
+        .iter()
+        .map(|e| e.states.data().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn encode_batch_fails_on_the_first_invalid_request_at_every_thread_count() {
+    let (pipeline, mut reqs) = batch_fixture();
+    reqs[5] = too_large("huge5");
+    reqs[20] = too_large("huge20");
+    let model = pipeline.build_default_encoder().expect("default spec");
+    for threads in [1, 2, 4] {
+        let err = par::with_threads(threads, || pipeline.encode_batch(&*model, &reqs))
+            .map(|encodings| encodings.len())
+            .expect_err("two requests are too large");
+        assert_eq!(
+            err,
+            EncodeError::TableTooLarge {
+                table_id: "huge5".to_string(),
+                max_tokens: BATCH_MAX_TOKENS,
+            },
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn encode_batch_is_bit_identical_across_thread_counts_and_to_try_encode() {
+    let (pipeline, reqs) = batch_fixture();
+    let model = pipeline.build_default_encoder().expect("default spec");
+    let one_at_a_time: Vec<TableEncoding> = reqs
+        .iter()
+        .map(|r| {
+            pipeline
+                .try_encode(&*model, &r.table, &r.context)
+                .expect("every fixture table fits")
+        })
+        .collect();
+    let expected = state_bits(&one_at_a_time);
+    for threads in [1, 2, 4] {
+        let batch = par::with_threads(threads, || pipeline.encode_batch(&*model, &reqs))
+            .expect("every fixture table fits");
+        assert_eq!(state_bits(&batch), expected, "threads={threads}");
+    }
+    let empty = pipeline.encode_batch(&*model, &[]).expect("an empty batch");
+    assert!(empty.is_empty());
 }
