@@ -17,7 +17,7 @@
 
 use ntr::corpus::kb::{World, WorldConfig};
 use ntr::corpus::tables::{CorpusConfig, TableCorpus, TableKind};
-use ntr::models::{ModelConfig, RowStudent};
+use ntr::models::{ModelConfig, RowStudent, Want};
 use ntr::obs::trace::{parse_line, schema};
 use ntr::obs::{Obs, ObsOptions};
 use ntr::pipeline::{EncodeRequest, Pipeline};
@@ -718,7 +718,8 @@ fn index_query(rest: &[String]) -> Result<(), String> {
     let (_, pipeline, model_cfg) = params.stack()?;
     let model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
-    let enc = pipeline.encode(model.as_ref(), &table, &context);
+    let encoded = pipeline.serialize(&table, &context);
+    let enc = pipeline.encode_serialized(model.as_ref(), encoded, Want::Table);
     let res = idx
         .search(enc.table_embedding().data(), k, nprobe)
         .map_err(|e| e.to_string())?;

@@ -3,7 +3,7 @@
 //! column, table).
 
 use crate::zoo::{build_encoder, EncoderSpec, ModelKind};
-use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder};
+use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Want};
 use ntr_nn::serialize::{self as checkpoint, CheckpointError};
 use ntr_nn::Layer;
 use ntr_table::{EncodedTable, Linearizer, LinearizerKind, LinearizerOptions, Table, TokenKind};
@@ -350,22 +350,26 @@ impl Pipeline {
     }
 
     /// Runs the model over an already-serialized table and packages the
-    /// representations — the single compute core shared by
-    /// [`Pipeline::encode`] and [`Pipeline::encode_batch`], which is what
-    /// makes their outputs bit-identical. Inference is
-    /// [`SequenceEncoder::infer`]: the model is only read.
+    /// representations `want` asks for — the single compute core shared by
+    /// [`Pipeline::encode`], [`Pipeline::try_encode`] and
+    /// [`Pipeline::encode_batch`], which is what makes their outputs
+    /// bit-identical (a [`Want::Table`] encoding's one row is row 0 of the
+    /// [`Want::All`] one). Inference is [`SequenceEncoder::infer`]: the model
+    /// is only read.
     pub fn encode_serialized(
         &self,
         model: &dyn SequenceEncoder,
         encoded: EncodedTable,
+        want: Want,
     ) -> TableEncoding {
         let input = EncoderInput::from_encoded(&encoded);
-        let states = model.infer(&input);
+        let states = model.infer(&input, want);
         TableEncoding { encoded, states }
     }
 
     /// Validating single encode: [`Pipeline::try_serialize`] +
-    /// [`Pipeline::check_model`] + the shared compute core.
+    /// [`Pipeline::check_model`] + the shared compute core, every token's
+    /// state.
     pub fn try_encode(
         &self,
         model: &dyn SequenceEncoder,
@@ -374,13 +378,16 @@ impl Pipeline {
     ) -> Result<TableEncoding, EncodeError> {
         self.check_model(model)?;
         let encoded = self.try_serialize(table, context)?;
-        Ok(self.encode_serialized(model, encoded))
+        Ok(self.encode_serialized(model, encoded, Want::All))
     }
 
-    /// Batch-first encode: validates the model once, then serializes and
-    /// encodes the requests in parallel across the `ntr_tensor::par` pool,
-    /// each through the same compute core as [`Pipeline::encode`]. Results
-    /// come back in request order and are bit-identical to `reqs` encoded
+    /// Batch-first table embedding: validates the model once, then
+    /// serializes and encodes the requests in parallel across the
+    /// `ntr_tensor::par` pool, each through the same compute core as
+    /// [`Pipeline::encode`] with [`Want::Table`]: every result holds the
+    /// `[1, d]` `[CLS]` state ([`TableEncoding::table_embedding`]), which is
+    /// all an index consumes, and none of the token-level states. Results
+    /// come back in request order, bit-identical to row 0 of `reqs` encoded
     /// one at a time, at any thread count. Fails with the error of the
     /// first invalid request in request order.
     ///
@@ -395,7 +402,7 @@ impl Pipeline {
         self.check_model(model)?;
         par::map_tasks(reqs.len(), par::max_threads(), |i| {
             let encoded = self.try_serialize(&reqs[i].table, &reqs[i].context)?;
-            Ok(self.encode_serialized(model, encoded))
+            Ok(self.encode_serialized(model, encoded, Want::Table))
         })
         .into_iter()
         .collect()
@@ -414,12 +421,14 @@ impl Pipeline {
         checkpoint::load(model, path)
     }
 
-    /// Full encode: serialize, run the model, package the representations.
+    /// Full encode: serialize, run the model, package the representations
+    /// at every granularity.
     ///
-    /// The legacy infallible wrapper around the [`Pipeline::encode_batch`]
-    /// compute core: it skips the validation (so degenerate inputs encode
-    /// to whatever survives truncation, exactly as before this API
-    /// existed) but runs the identical serialization and model invocation.
+    /// The legacy infallible wrapper around the shared compute core: it
+    /// skips the validation of [`Pipeline::try_encode`] (so degenerate
+    /// inputs encode to whatever survives truncation, exactly as before
+    /// that API existed) but runs the identical serialization and model
+    /// invocation.
     pub fn encode(
         &self,
         model: &dyn SequenceEncoder,
@@ -427,16 +436,18 @@ impl Pipeline {
         context: &str,
     ) -> TableEncoding {
         let encoded = self.serialize(table, context);
-        self.encode_serialized(model, encoded)
+        self.encode_serialized(model, encoded, Want::All)
     }
 }
 
-/// The output representations of one table encoding, at every granularity
-/// (the survey's "Output Model Representation" dimension).
+/// The output representations of one table encoding (the survey's "Output
+/// Model Representation" dimension): every granularity for a
+/// [`Want::All`] encoding, the table level alone for a [`Want::Table`] one.
 pub struct TableEncoding {
     /// The serialized table (ids + structural metadata + spans).
     pub encoded: EncodedTable,
-    /// Hidden states, `[seq_len, d_model]`.
+    /// Hidden states: `[seq_len, d_model]` for every token, or `[1,
+    /// d_model]` — the `[CLS]` state alone — from [`Want::Table`].
     pub states: Tensor,
 }
 
@@ -446,24 +457,38 @@ impl TableEncoding {
         self.states.rows(0, 1)
     }
 
+    /// Whether `states` holds a row per token, which the cell, row and
+    /// column accessors pool over; a table-level encoding does not.
+    fn has_token_states(&self) -> bool {
+        self.states.dim(0) == self.encoded.len()
+    }
+
     /// Cell-level representation (mean over the cell's tokens), if the
-    /// cell survived truncation.
+    /// cell survived truncation and the encoding holds token states.
     pub fn cell_embedding(&self, row: usize, col: usize) -> Option<Tensor> {
+        if !self.has_token_states() {
+            return None;
+        }
         let span = self.encoded.cell_span(row, col)?;
         Some(ntr_models::pool_mean(&self.states, &span))
     }
 
-    /// Row-level representation: mean over the row's cell tokens.
+    /// Row-level representation: mean over the row's cell tokens (`None`
+    /// without token states).
     pub fn row_embedding(&self, row: usize) -> Option<Tensor> {
         self.pool_where(|m| m.row == row + 1 && m.kind == TokenKind::Cell)
     }
 
-    /// Column-level representation: mean over the column's cell tokens.
+    /// Column-level representation: mean over the column's cell tokens
+    /// (`None` without token states).
     pub fn column_embedding(&self, col: usize) -> Option<Tensor> {
         self.pool_where(|m| m.col == col + 1 && m.kind == TokenKind::Cell)
     }
 
     fn pool_where(&self, keep: impl Fn(&ntr_table::TokenMeta) -> bool) -> Option<Tensor> {
+        if !self.has_token_states() {
+            return None;
+        }
         let d = self.states.dim(1);
         let mut sum = Tensor::zeros(&[1, d]);
         let mut n = 0usize;
@@ -482,7 +507,8 @@ impl TableEncoding {
         }
     }
 
-    /// Cosine similarity between two cells' representations.
+    /// Cosine similarity between two cells' representations (`None` when
+    /// either is).
     pub fn cell_similarity(&self, a: (usize, usize), b: (usize, usize)) -> Option<f32> {
         Some(
             self.cell_embedding(a.0, a.1)?
@@ -530,6 +556,29 @@ mod tests {
         assert!(enc.row_embedding(1).is_some());
         assert!(enc.column_embedding(2).is_some());
         assert!(enc.cell_similarity((0, 0), (1, 0)).unwrap().is_finite());
+    }
+
+    /// A batch encoding holds the table level alone: the `[CLS]` row of the
+    /// full encode, and `None` — not a panic or a pool over the wrong rows —
+    /// from every token-level accessor.
+    #[test]
+    fn table_level_encodings_answer_only_the_table_level() {
+        let p = pipeline();
+        let t = sample();
+        let model = build_encoder(EncoderSpec::f32(ModelKind::Tapas), &p.default_config()).unwrap();
+        let full = p.encode(model.as_ref(), &t, &t.caption);
+        let batch = p
+            .encode_batch(model.as_ref(), &[EncodeRequest::captioned(t.clone())])
+            .unwrap();
+        let table = &batch[0];
+        assert_eq!(table.states.shape(), &[1, 64]);
+        assert_eq!(table.encoded.len(), full.encoded.len());
+        assert_eq!(table.table_embedding(), full.table_embedding());
+        assert!(full.cell_embedding(0, 0).is_some());
+        assert!(table.cell_embedding(0, 0).is_none());
+        assert!(table.row_embedding(1).is_none());
+        assert!(table.column_embedding(2).is_none());
+        assert!(table.cell_similarity((0, 0), (1, 0)).is_none());
     }
 
     #[test]

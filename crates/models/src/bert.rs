@@ -11,7 +11,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param};
+use ntr_nn::{Encoder, Layer, Param, Want};
 use ntr_tensor::Tensor;
 
 /// BERT-style text encoder with an MLM head.
@@ -61,13 +61,14 @@ impl SequenceEncoder for VanillaBert {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput) -> Tensor {
-        self.encoder.infer(&self.embeddings.infer(input), None)
+    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+        self.encoder
+            .infer(&self.embeddings.infer(input), None, want)
     }
 
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
         if !train {
-            return self.infer(input);
+            return self.infer(input, Want::All);
         }
         let x = self.embeddings.forward(input, true);
         self.encoder.forward(&x, None, true)

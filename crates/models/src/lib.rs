@@ -44,20 +44,23 @@ pub use tapas::Tapas;
 pub use tapex::Tapex;
 pub use turl::Turl;
 
+pub use ntr_nn::Want;
+
 use ntr_nn::Layer;
 use ntr_tensor::Tensor;
 
 /// Common interface of the encoder-style models: turn an [`EncoderInput`]
-/// into per-token hidden states `[seq, d_model]`.
+/// into per-token hidden states `[seq, d_model]`, or into the `[CLS]` row
+/// alone when that is all the caller consumes.
 ///
 /// [`SequenceEncoder::infer`] is the one inference path: `&self`, no caches,
 /// no dropout, so one model is shared by every thread that encodes with it
 /// (hence the `Send + Sync` bound). `encode(input, false)` is a call to
-/// it. `encode(input, true)` is the training forward: it enables dropout
-/// and records caches, and [`SequenceEncoder::backward`] then propagates a
-/// `[seq, d_model]` gradient and accumulates parameter gradients. A
-/// `backward` after an inference encode has no caches to consume and
-/// panics.
+/// it for every row. `encode(input, true)` is the training forward: it
+/// enables dropout and records caches, and [`SequenceEncoder::backward`]
+/// then propagates a `[seq, d_model]` gradient and accumulates parameter
+/// gradients. A `backward` after an inference encode has no caches to
+/// consume and panics.
 pub trait SequenceEncoder: Layer + Send + Sync {
     /// Model width.
     fn d_model(&self) -> usize;
@@ -68,12 +71,14 @@ pub trait SequenceEncoder: Layer + Send + Sync {
     /// typed error instead of an embedding-lookup panic.
     fn vocab_size(&self) -> usize;
 
-    /// Encodes an input into hidden states for inference, recording
-    /// nothing.
-    fn infer(&self, input: &EncoderInput) -> Tensor;
+    /// Encodes an input for inference, recording nothing: `[seq, d_model]`
+    /// states for [`Want::All`], the `[1, d_model]` `[CLS]` state for
+    /// [`Want::Table`] — bit-identical to row 0 of the former, at a
+    /// fraction of the last layer's work.
+    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor;
 
     /// Encodes an input into hidden states; with `train = false` this is
-    /// [`SequenceEncoder::infer`].
+    /// [`SequenceEncoder::infer`] with [`Want::All`].
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor;
 
     /// Backpropagates through the last training `encode` call.

@@ -17,7 +17,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param};
+use ntr_nn::{AttnMask, Encoder, Layer, Param, Want};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -129,15 +129,15 @@ impl SequenceEncoder for Mate {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput) -> Tensor {
+    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
         let mask = self.head_masks(input);
         self.encoder
-            .infer(&self.embeddings.infer(input), Some(&mask))
+            .infer(&self.embeddings.infer(input), Some(&mask), want)
     }
 
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
         if !train {
-            return self.infer(input);
+            return self.infer(input, Want::All);
         }
         let mask = self.head_masks(input);
         let x = self.embeddings.forward(input, true);

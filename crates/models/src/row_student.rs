@@ -30,7 +30,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear};
+use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Want};
 use ntr_tensor::{simd, Tensor};
 use std::sync::OnceLock;
 
@@ -147,19 +147,28 @@ impl SequenceEncoder for RowStudent {
     }
 
     /// At `Int8` the two MLP matmuls run on the quantized snapshot;
-    /// embeddings, context mix and LayerNorm stay f32.
-    fn infer(&self, input: &EncoderInput) -> Tensor {
+    /// embeddings, context mix and LayerNorm stay f32. The row-mean mix
+    /// reads every row; under [`Want::Table`] the MLP, residual and
+    /// LayerNorm then run on row 0 alone.
+    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
         let mut h = self.embeddings.infer(input);
         mix_row_means(&mut h, &input.rows);
+        let (n, rows) = (h.dim(0), want.rows(h.dim(0)));
+        if rows < n {
+            h = h.rows(0, rows);
+        }
         let y = match self.precision {
-            QuantSpec::F32 => self.proj2.forward_inference(
-                &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
+            QuantSpec::F32 => self.proj2.forward_part(
+                &Gelu::default().forward_inference(&self.proj1.forward_part(&h, n)),
+                n,
             ),
             QuantSpec::Int8 => {
                 let on = simd::active();
                 let (q1, q2) = self.quantized_mlp();
                 // The fast GELU's approximation error (< 5e-5) is far below
-                // the int8 quantization noise on either side of it.
+                // the int8 quantization noise on either side of it. The
+                // quantized matmul is exact integer math per row, the same
+                // for any row count.
                 q2.forward(on, &Gelu::default().forward_approx(&q1.forward(on, &h)))
             }
         };
@@ -169,7 +178,7 @@ impl SequenceEncoder for RowStudent {
     /// Training always runs the f32 path.
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
         if !train {
-            return self.infer(input);
+            return self.infer(input, Want::All);
         }
         let mut h = self.embeddings.forward(input, true);
         mix_row_means(&mut h, &input.rows);

@@ -3,12 +3,14 @@
 //! same number of allocations on every call (nothing accumulates across
 //! requests), and clearly fewer bytes than a training forward, which records
 //! activation caches and dropout masks. If caches creep back into
-//! inference, the byte ratio fails.
+//! inference, the byte ratio fails. The table-level pass (`Want::Table`)
+//! is held the same way, and to a clear cut below the full one: if its last
+//! layer starts computing rows nobody reads, that ratio fails.
 //!
 //! Only this binary installs the hook; no library crate declares a global
 //! allocator, so no other program pays for the counting.
 
-use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Tapas};
+use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Tapas, Want};
 use ntr_tensor::par;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,16 +97,30 @@ fn infer_allocates_the_same_every_call_and_less_than_a_training_forward() {
     });
     let x = input(64);
 
-    let _warm_up = model.infer(&x);
-    let first = measure(|| model.infer(&x));
-    for call in 1..100 {
-        assert_eq!(measure(|| model.infer(&x)), first, "call {call}");
-    }
+    let steady = |want: Want| {
+        let _warm_up = model.infer(&x, want);
+        let first = measure(|| model.infer(&x, want));
+        for call in 1..100 {
+            assert_eq!(
+                measure(|| model.infer(&x, want)),
+                first,
+                "{want:?} call {call}"
+            );
+        }
+        first
+    };
+    let (_, all_bytes) = steady(Want::All);
+    let (_, table_bytes) = steady(Want::Table);
 
     let (_, train_bytes) = measure(|| model.encode(&x, true));
-    let (_, infer_bytes) = first;
     assert!(
-        infer_bytes as f64 <= 0.8 * train_bytes as f64,
-        "infer allocates {infer_bytes} bytes, a training forward {train_bytes}"
+        all_bytes as f64 <= 0.8 * train_bytes as f64,
+        "infer allocates {all_bytes} bytes, a training forward {train_bytes}"
+    );
+    let ratio = table_bytes as f64 / all_bytes as f64;
+    println!("Want::Table / Want::All bytes at [64, 32], 2 layers: {ratio:.3}");
+    assert!(
+        ratio <= 0.7,
+        "a table-level infer allocates {table_bytes} bytes, a full one {all_bytes}"
     );
 }

@@ -62,6 +62,17 @@ impl AttnMask {
         AttnMask::Shared(m)
     }
 
+    /// The mask of the first `rows` queries: every head's mask cut to its
+    /// leading rows, for a pass that queries only those rows.
+    pub(crate) fn leading_rows(&self, rows: usize) -> AttnMask {
+        match self {
+            AttnMask::Shared(m) => AttnMask::Shared(m.rows(0, rows)),
+            AttnMask::PerHead(ms) => {
+                AttnMask::PerHead(ms.iter().map(|m| m.rows(0, rows)).collect())
+            }
+        }
+    }
+
     fn for_head(&self, h: usize) -> &Tensor {
         match self {
             AttnMask::Shared(m) => m,
@@ -160,18 +171,25 @@ impl MultiHeadAttention {
         self.forward(xq, xkv, mask, false)
     }
 
-    /// Self-attention over `x: [n, d]` for inference: the same arithmetic as
-    /// [`MultiHeadAttention::forward_self`], bit for bit, but it records
-    /// nothing, so any number of threads may run it on one shared block.
-    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.check(x, x, mask);
-        let q = self.wq.forward_inference(x);
+    /// Self-attention over `x: [n, d]` for inference, answered for the
+    /// query rows `xq`: `x` itself for every row, or some of `x`'s rows
+    /// (`x.rows(0, 1)` for the `[CLS]` row alone) with `mask` holding just
+    /// those rows' masks. Keys and values span all of `x`. Every kernel
+    /// runs as it would for all `n` rows, so each output row is bit for bit
+    /// the same row of `infer(x, x, mask)`, which is
+    /// [`MultiHeadAttention::forward_self`] minus its records — so any
+    /// number of threads may run it on one shared block.
+    pub fn infer(&self, xq: &Tensor, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        self.check(xq, x, mask);
+        let n = x.dim(0);
+        let q = self.wq.forward_part(xq, n);
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
         let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask).matmul(&self.head(&v, h))
+            self.head_probs(&q, &k, h, mask, n)
+                .matmul_part(&self.head(&v, h), n)
         });
-        self.wo.forward_inference(&self.concat(heads))
+        self.wo.forward_part(&self.concat(heads), n)
     }
 
     /// The per-head attention distributions of self-attention over `x`,
@@ -182,7 +200,7 @@ impl MultiHeadAttention {
         let q = self.wq.forward_inference(x);
         let k = self.wk.forward_inference(x);
         par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask)
+            self.head_probs(&q, &k, h, mask, q.dim(0))
         })
     }
 
@@ -214,12 +232,19 @@ impl MultiHeadAttention {
         x.cols(h * self.d_head, (h + 1) * self.d_head)
     }
 
-    /// Head `h`'s attention probabilities. Scores become probabilities in
-    /// place: scale, mask and softmax are one pass over each row of the
-    /// `Q·Kᵀ` output.
-    fn head_probs(&self, q: &Tensor, k: &Tensor, h: usize, mask: Option<&AttnMask>) -> Tensor {
+    /// Head `h`'s attention probabilities for the query rows `q` of an
+    /// `m_full`-row sequence. Scores become probabilities in place: scale,
+    /// mask and softmax are one pass over each row of the `Q·Kᵀ` output.
+    fn head_probs(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        h: usize,
+        mask: Option<&AttnMask>,
+        m_full: usize,
+    ) -> Tensor {
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut p = self.head(q, h).matmul_nt(&self.head(k, h));
+        let mut p = self.head(q, h).matmul_nt_part(&self.head(k, h), m_full);
         p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
         p
     }
@@ -246,7 +271,7 @@ impl MultiHeadAttention {
         let v = self.wv.forward(xkv);
 
         let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            let p = self.head_probs(&q, &k, h, mask);
+            let p = self.head_probs(&q, &k, h, mask, q.dim(0));
             let oh = p.matmul(&self.head(&v, h));
             (p, oh)
         });
@@ -369,7 +394,7 @@ mod tests {
     fn forward_shapes_and_prob_rows_sum_to_one() {
         let a = mha(8, 2, 1);
         let x = SeededInit::new(2).uniform(&[5, 8], -1.0, 1.0);
-        assert_eq!(a.infer(&x, None).shape(), &[5, 8]);
+        assert_eq!(a.infer(&x, &x, None).shape(), &[5, 8]);
         let probs = a.attention_probs(&x, None);
         assert_eq!(probs.len(), 2);
         for p in &probs {
@@ -388,12 +413,32 @@ mod tests {
         let mut a = mha(8, 2, 20);
         let x = SeededInit::new(21).uniform(&[6, 8], -1.0, 1.0);
         for mask in [None, Some(AttnMask::causal(6))] {
-            let inferred = a.infer(&x, mask.as_ref());
+            let inferred = a.infer(&x, &x, mask.as_ref());
             assert!(a.cache.is_none(), "infer must not record a cache");
             assert_eq!(inferred, a.forward_self(&x, mask.as_ref()));
             let cached = &a.cache.as_ref().expect("forward records").probs;
             assert_eq!(cached, &a.attention_probs(&x, mask.as_ref()));
             a.cache = None;
+        }
+    }
+
+    /// Querying a leading block of rows gives those rows of the full pass,
+    /// bit for bit, with shared and per-head masks cut to the same rows.
+    #[test]
+    fn leading_query_rows_reproduce_the_full_pass() {
+        let a = mha(8, 2, 22);
+        let x = SeededInit::new(23).uniform(&[7, 8], -1.0, 1.0);
+        let mut m0 = Tensor::zeros(&[7, 7]);
+        m0.set(&[0, 6], f32::NEG_INFINITY);
+        m0.set(&[1, 2], f32::NEG_INFINITY);
+        let per_head = AttnMask::PerHead(vec![m0, AttnMask::padding(7, 7, 5).for_head(0).clone()]);
+        for mask in [None, Some(AttnMask::causal(7)), Some(per_head)] {
+            let full = a.infer(&x, &x, mask.as_ref());
+            for rows in [1, 3, 7] {
+                let cut = mask.as_ref().map(|m| m.leading_rows(rows));
+                let part = a.infer(&x.rows(0, rows), &x, cut.as_ref());
+                assert_eq!(part, full.rows(0, rows), "{rows} query rows");
+            }
         }
     }
 

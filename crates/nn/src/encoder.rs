@@ -8,6 +8,40 @@ use crate::layernorm::LayerNorm;
 use crate::linear::Linear;
 use crate::{Layer, Param};
 use ntr_tensor::Tensor;
+use std::borrow::Cow;
+
+/// Which rows of its output an inference pass produces: the survey's output
+/// granularity, chosen by the caller instead of computed in full and cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Want {
+    /// The table-level representation alone: the `[CLS]` row, `[1, d]`.
+    /// Every layer but the last runs in full; the last computes keys and
+    /// values over every row and everything else for row 0 only. The row
+    /// is bit-identical to row 0 of [`Want::All`].
+    Table,
+    /// Every token's state, `[n, d]`: what cell, row and column pooling,
+    /// token heads and training need.
+    All,
+}
+
+impl Want {
+    /// How many leading rows of an `n`-row sequence this asks for.
+    pub fn rows(self, n: usize) -> usize {
+        match self {
+            Want::Table => n.min(1),
+            Want::All => n,
+        }
+    }
+}
+
+/// The first `rows` rows of `x`, borrowed when that is all of `x`.
+fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
+    if rows == x.dim(0) {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x.rows(0, rows))
+    }
+}
 
 /// Position-wise feed-forward block: `Linear → GELU → Linear`.
 #[derive(Debug, Clone)]
@@ -32,10 +66,16 @@ impl FeedForward {
         self.lin2.forward(&self.act.forward(&self.lin1.forward(x)))
     }
 
-    /// Forward without caching, for inference.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.lin2
-            .forward_inference(&self.act.forward_inference(&self.lin1.forward_inference(x)))
+    /// Forward without caching, for inference, over some of the rows of an
+    /// `m_full`-row sequence (`x.dim(0)` when `x` is all of it): each
+    /// output row has the bits of the same row of the full forward.
+    pub fn infer(&self, x: &Tensor, m_full: usize) -> Tensor {
+        self.lin2.forward_part(
+            &self
+                .act
+                .forward_inference(&self.lin1.forward_part(x, m_full)),
+            m_full,
+        )
     }
 
     /// Backward; returns the input gradient.
@@ -94,11 +134,11 @@ impl EncoderLayer {
     }
 
     /// Forward pass; `mask` is forwarded to the attention core. With
-    /// `train = false` this is [`EncoderLayer::infer`] and records nothing
-    /// for a backward pass.
+    /// `train = false` this is [`EncoderLayer::infer`] over every row and
+    /// records nothing for a backward pass.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
-            return self.infer(x, mask);
+            return self.infer(x, mask, Want::All);
         }
         let h = self
             .drop1
@@ -110,14 +150,28 @@ impl EncoderLayer {
         x1.add(&h2)
     }
 
-    /// Inference forward: no caches, no dropout, `&self` — bit-identical to
-    /// `forward(x, mask, false)`.
-    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+    /// Inference forward: no caches, no dropout, `&self`. With
+    /// [`Want::All`] it is bit-identical to `forward(x, mask, false)`; with
+    /// [`Want::Table`] it returns that output's row 0 alone, `[1, d]`, having
+    /// computed LN1, keys and values over every row (the row attends to all
+    /// of them) and the rest for row 0 only. `mask` covers every row either
+    /// way.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, want: Want) -> Tensor {
+        let n = x.dim(0);
+        let rows = want.rows(n);
+        let cut;
+        let mask = if rows < n {
+            cut = mask.map(|m| m.leading_rows(rows));
+            cut.as_ref()
+        } else {
+            mask
+        };
+        let h = self.ln1.forward_inference(x);
         // The residual sums land in the branch outputs' buffers; addition
         // commutes exactly, so the bits are those of `x + branch`.
-        let mut x1 = self.attn.infer(&self.ln1.forward_inference(x), mask);
-        x1.add_assign(x);
-        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1));
+        let mut x1 = self.attn.infer(&leading_rows(&h, rows), &h, mask);
+        x1.add_assign(&leading_rows(x, rows));
+        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1), n);
         out.add_assign(&x1);
         out
     }
@@ -194,10 +248,10 @@ impl Encoder {
     }
 
     /// Forward through all layers; the same `mask` is applied at every layer.
-    /// With `train = false` this is [`Encoder::infer`].
+    /// With `train = false` this is [`Encoder::infer`] over every row.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
-            return self.infer(x, mask);
+            return self.infer(x, mask, Want::All);
         }
         let mut h = x.clone();
         for layer in &mut self.layers {
@@ -207,13 +261,22 @@ impl Encoder {
     }
 
     /// Inference through all layers: no caches, no dropout, `&self`, so one
-    /// encoder can serve any number of threads at once.
-    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+    /// encoder can serve any number of threads at once. `want` narrows the
+    /// last layer only — every earlier layer's rows are the next layer's
+    /// keys and values — and the final LayerNorm runs on what it returns.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, want: Want) -> Tensor {
+        let last = self.layers.len().saturating_sub(1);
         let mut h: Option<Tensor> = None;
-        for layer in &self.layers {
-            h = Some(layer.infer(h.as_ref().unwrap_or(x), mask));
+        for (i, layer) in self.layers.iter().enumerate() {
+            let w = if i == last { want } else { Want::All };
+            h = Some(layer.infer(h.as_ref().unwrap_or(x), mask, w));
         }
-        self.final_ln.forward_inference(h.as_ref().unwrap_or(x))
+        match &h {
+            Some(h) => self.final_ln.forward_inference(h),
+            None => self
+                .final_ln
+                .forward_inference(&leading_rows(x, want.rows(x.dim(0)))),
+        }
     }
 
     /// Backward through all layers in reverse.
@@ -233,7 +296,7 @@ impl Encoder {
         let mut h = x.clone();
         for layer in &self.layers {
             maps.push(layer.attention_probs(&h, mask));
-            h = layer.infer(&h, mask);
+            h = layer.infer(&h, mask, Want::All);
         }
         maps
     }
@@ -324,12 +387,28 @@ mod tests {
         let x = SeededInit::new(16).uniform(&[5, 8], -1.0, 1.0);
         let mask = AttnMask::causal(5);
         assert_eq!(
-            enc.infer(&x, Some(&mask)),
+            enc.infer(&x, Some(&mask), Want::All),
             enc.forward(&x, Some(&mask), true)
         );
-        assert_eq!(enc.infer(&x, None), enc.forward(&x, None, false));
+        assert_eq!(enc.infer(&x, None, Want::All), enc.forward(&x, None, false));
         let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
-        assert_eq!(ffn.infer(&x), ffn.clone().forward(&x));
+        assert_eq!(ffn.infer(&x, 5), ffn.clone().forward(&x));
+    }
+
+    /// `Want::Table` is row 0 of `Want::All`, bit for bit, at every depth
+    /// (zero layers included), with and without a mask.
+    #[test]
+    fn table_is_row_zero_of_all() {
+        let x = SeededInit::new(20).uniform(&[9, 8], -1.0, 1.0);
+        for n_layers in [0, 1, 2] {
+            let enc = Encoder::new(n_layers, 8, 2, 16, 0.0, &mut SeededInit::new(21));
+            for mask in [None, Some(AttnMask::causal(9))] {
+                let all = enc.infer(&x, mask.as_ref(), Want::All);
+                let table = enc.infer(&x, mask.as_ref(), Want::Table);
+                assert_eq!(table.shape(), &[1, 8]);
+                assert_eq!(table, all.rows(0, 1), "{n_layers} layers");
+            }
+        }
     }
 
     #[test]

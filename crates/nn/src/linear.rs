@@ -49,7 +49,15 @@ impl Linear {
     /// Same as [`forward`](Self::forward) but without caching — for
     /// inference paths that will never call `backward`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
+        self.forward_part(x, x.dim(0))
+    }
+
+    /// [`forward_inference`](Self::forward_inference) of some of the rows
+    /// of an `[m_full, d_in]` input: each output row has the bits of the
+    /// same row of the whole input's forward ([`Tensor::matmul_part`]).
+    pub fn forward_part(&self, x: &Tensor, m_full: usize) -> Tensor {
+        x.matmul_part(&self.w.value, m_full)
+            .add_row_broadcast(&self.b.value)
     }
 
     /// Accumulates parameter grads and returns `d loss / d x`.

@@ -1,4 +1,6 @@
-//! Content-addressed LRU cache of table encodings.
+//! Content-addressed LRU cache of table encodings. What the service stores
+//! is table-level (`Want::Table`): the `[1, d]` `[CLS]` state plus the
+//! serialized table a reply reports the length of, not a state per token.
 //!
 //! The key is a 64-bit FNV-1a hash over everything that determines an
 //! encoding bit-for-bit: the encoder spec (model family *and* serving
@@ -10,7 +12,9 @@
 //! while any single-character difference lands on a different key.
 //!
 //! Capacity is measured in approximate bytes of the stored encodings, not
-//! entry count, because encodings vary ~100× in size with table shape.
+//! entry count, because an encoding's size still grows with the table (its
+//! serialized ids and token metadata) and any caller may insert a
+//! token-level one.
 //! Eviction is least-recently-used. Hits, misses, and evictions are
 //! counted for the `serve_end` trace event and the metrics snapshot.
 

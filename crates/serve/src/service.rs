@@ -17,13 +17,16 @@
 //! The models have no batch dimension, so "batched forward" here means:
 //! distribute the batch over `n_workers` replica threads and encode each
 //! request as a single sequence through [`Pipeline::encode_serialized`] —
-//! the exact compute core behind the sequential [`Pipeline::encode`].
-//! Inference is `&self` ([`SequenceEncoder::infer`]): each spec has one
-//! model, built lazily from the shared seeded config and read by every
-//! replica at once, so every request's output is bit-identical to what a
-//! sequential `encode` call would produce, at any batch size and worker
-//! count. Requests are length-bucketed (longest-first greedy assignment)
-//! so workers finish at roughly the same time.
+//! the exact compute core behind the sequential [`Pipeline::encode`] — with
+//! [`Want::Table`]: a reply (and a search) consumes the `[CLS]` row alone,
+//! so that is all the encoder computes in its last layer, and all a reply
+//! or cache entry holds (`states` is `[1, d]`). Inference is `&self`
+//! ([`SequenceEncoder::infer`]): each spec has one model, built lazily from
+//! the shared seeded config and read by every replica at once, so every
+//! request's output is bit-identical to row 0 of what a sequential `encode`
+//! call would produce, at any batch size and worker count. Requests are
+//! length-bucketed (longest-first greedy assignment) so workers finish at
+//! roughly the same time.
 //!
 //! # Self-healing
 //!
@@ -73,7 +76,7 @@
 //! touching the batcher.
 
 use crate::cache::{content_key, CacheStats, EmbeddingCache};
-use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, TableEncoding};
+use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, TableEncoding, Want};
 use ntr_models::{ModelConfig, SequenceEncoder};
 use ntr_obs::metrics::Histogram;
 use ntr_table::{EncodedTable, Table};
@@ -204,8 +207,8 @@ pub struct ServeReply {
     pub cached: bool,
 }
 
-// Compact by hand: a `TableEncoding` holds full per-token tensors, which
-// derived Debug would dump wholesale into assertion messages.
+// Compact by hand: derived Debug would dump the serialized table's ids and
+// token metadata, and the embedding's floats, into assertion messages.
 impl std::fmt::Debug for ServeReply {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeReply")
@@ -991,7 +994,8 @@ fn flush_inner(
 
     // Encode every bucket concurrently, one replica per bucket. Each
     // request runs through `encode_serialized` — the same compute core as
-    // sequential `Pipeline::encode` — on the spec's shared model. The
+    // sequential `Pipeline::encode` — on the spec's shared model, for the
+    // table-level row that replies and searches read. The
     // bucket body runs under `catch_unwind`: a panic quarantines the
     // replica and fails only that bucket's unanswered requests.
     let slots: Vec<Mutex<Vec<(usize, EncoderSpec, EncodedTable)>>> = {
@@ -1019,7 +1023,11 @@ fn flush_inner(
                     panic!("{INJECTED_FLUSH_PANIC_MSG}");
                 }
                 let model = shared.model(spec);
-                let enc = Arc::new(shared.pipeline.encode_serialized(model.as_ref(), encoded));
+                let enc = Arc::new(shared.pipeline.encode_serialized(
+                    model.as_ref(),
+                    encoded,
+                    Want::Table,
+                ));
                 let Some(inflight) = lock_clean(&board[i]).take() else {
                     continue;
                 };

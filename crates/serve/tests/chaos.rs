@@ -225,18 +225,23 @@ fn work_queued_behind_a_flush_leaves_in_one_batch() {
 
     let mut model = ntr::build_encoder(ntr::EncoderSpec::f32(ModelKind::Bert), &model_cfg)
         .expect("bert at f32 is a valid spec");
-    let bits = |e: &ntr::TableEncoding| -> Vec<u32> {
-        e.states.data().iter().map(|v| v.to_bits()).collect()
-    };
+    let bits =
+        |t: &ntr_tensor::Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
     for (rx, ctx) in rxs.iter().zip(&contexts) {
         let reply = rx
             .recv_timeout(ANSWER_WITHIN)
             .expect("answered")
             .expect("encodes");
+        // A reply holds the table-level row the sequential encode pools.
         let expected = reference
             .try_encode(model.as_mut(), &sample(), ctx)
             .expect("sequential encode");
-        assert_eq!(bits(&reply.encoding), bits(&expected), "{ctx}");
+        assert_eq!(reply.encoding.states.shape(), &[1, model_cfg.d_model]);
+        assert_eq!(
+            bits(&reply.encoding.states),
+            bits(&expected.table_embedding()),
+            "{ctx}"
+        );
     }
     plug.recv_timeout(ANSWER_WITHIN)
         .expect("answered")

@@ -1,11 +1,11 @@
 //! The bit-identity contract of the serving stack, checked three ways:
 //!
-//! 1. `Pipeline::encode_batch` output must equal per-request
-//!    `Pipeline::encode` output bit-for-bit (property-tested over random
-//!    table shapes and batch compositions);
+//! 1. `Pipeline::encode_batch` output must equal the table-level row of
+//!    per-request `Pipeline::encode` output bit-for-bit (property-tested
+//!    over random table shapes and batch compositions);
 //! 2. the full [`EmbeddingService`] — micro-batcher, length bucketing,
-//!    worker replicas — must also reproduce sequential `encode` exactly,
-//!    at every batch size and worker count;
+//!    worker replicas — must also reproduce that row of sequential `encode`
+//!    exactly, at every batch size and worker count, and hold nothing else;
 //! 3. the cache must answer duplicate content with the *same* encoding
 //!    (same `Arc`, same bits) and count hits/misses/evictions correctly.
 //!
@@ -60,8 +60,14 @@ fn tiny_cfg(p: &Pipeline) -> ModelConfig {
     ModelConfig::tiny(p.tokenizer().vocab_size())
 }
 
+/// The table-level row of an encoding: what a batch or a reply holds, and
+/// what it is compared with in a sequential encode.
 fn bits(enc: &TableEncoding) -> Vec<u32> {
-    enc.states.data().iter().map(|v| v.to_bits()).collect()
+    enc.table_embedding()
+        .data()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 /// Sequential ground truth: a fresh model per request, exactly what a
@@ -122,6 +128,7 @@ proptest! {
         let got = p.encode_batch(model.as_mut(), &batch_reqs).unwrap();
         prop_assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
+            prop_assert_eq!(g.states.shape(), &[1, cfg.d_model]);
             prop_assert_eq!(&bits(g), e);
         }
     }
@@ -172,6 +179,7 @@ proptest! {
         for (rx, e) in rxs.into_iter().zip(&expected) {
             let reply = rx.recv().unwrap().unwrap();
             prop_assert!(!reply.cached);
+            prop_assert_eq!(reply.encoding.states.shape(), &[1, cfg.d_model]);
             prop_assert_eq!(&bits(&reply.encoding), e);
         }
         drop(handle);

@@ -1,8 +1,8 @@
 //! Serving the distilled row student at int8 end to end (DESIGN.md §13):
 //!
 //! * a cache miss through `ModelKind::RowStudent` at `QuantSpec::Int8`
-//!   answers with exactly the bits a sequential `Pipeline::encode` of the
-//!   same spec produces;
+//!   answers with exactly the bits of the table-level row a sequential
+//!   `Pipeline::encode` of the same spec produces, and holds that row alone;
 //! * those bits are identical with SIMD forced off — the int8 matmul
 //!   accumulates in integer arithmetic, so lane width (and, with the CI
 //!   `NTR_THREADS={1,4}` legs running this test, thread count) cannot
@@ -45,8 +45,13 @@ fn pipeline(spec: EncoderSpec) -> Pipeline {
         .expect("vocab is non-empty")
 }
 
+/// The table-level row an encoding answers with — all a reply holds.
 fn bits(enc: &TableEncoding) -> Vec<u32> {
-    enc.states.data().iter().map(|v| v.to_bits()).collect()
+    enc.table_embedding()
+        .data()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 fn serve_one(spec: EncoderSpec, cfg: ModelConfig, n_workers: usize) -> Vec<u32> {
@@ -70,6 +75,7 @@ fn serve_one(spec: EncoderSpec, cfg: ModelConfig, n_workers: usize) -> Vec<u32> 
         .unwrap()
         .unwrap();
     assert!(!reply.cached, "cache is disabled; this must be a miss");
+    assert_eq!(reply.encoding.states.shape(), &[1, cfg.d_model]);
     let out = bits(&reply.encoding);
     drop(handle);
     let stats = service.shutdown();

@@ -7,7 +7,7 @@ use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
     pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, SequenceEncoder, Tapas, Tapex,
-    Turl, VanillaBert,
+    Turl, VanillaBert, Want,
 };
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_sql::gen::{GenConfig, QueryGenerator};
@@ -71,8 +71,8 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
         self.as_ref().vocab_size()
     }
 
-    fn infer(&self, input: &EncoderInput) -> Tensor {
-        self.as_ref().infer(input)
+    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+        self.as_ref().infer(input, want)
     }
 
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {

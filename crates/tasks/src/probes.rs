@@ -12,7 +12,7 @@
 //! embedding before and after the perturbation.
 
 use ntr_corpus::tables::TableCorpus;
-use ntr_models::{EncoderInput, SequenceEncoder};
+use ntr_models::{EncoderInput, SequenceEncoder, Want};
 use ntr_table::{Column, Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -34,14 +34,13 @@ pub struct ConsistencyReport {
 }
 
 fn cls_embedding<M: SequenceEncoder + ?Sized>(
-    model: &mut M,
+    model: &M,
     table: &Table,
     tok: &WordPieceTokenizer,
     opts: &LinearizerOptions,
 ) -> Tensor {
     let e = RowMajorLinearizer.linearize(table, &table.caption, tok, opts);
-    let input = EncoderInput::from_encoded(&e);
-    model.encode(&input, false).rows(0, 1)
+    model.infer(&EncoderInput::from_encoded(&e), Want::Table)
 }
 
 fn permuted_rows(t: &Table, rng: &mut StdRng) -> Table {

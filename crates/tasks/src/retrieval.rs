@@ -13,7 +13,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, SequenceEncoder};
+use ntr_models::{EncoderInput, SequenceEncoder, Want};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::merge_grads;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
@@ -41,9 +41,8 @@ pub fn table_input(
 }
 
 /// Embeds an input as its `[CLS]` state, shape `[1, d]`.
-pub fn embed<M: SequenceEncoder>(model: &mut M, input: &EncoderInput) -> Tensor {
-    let states = model.encode(input, false);
-    states.rows(0, 1)
+pub fn embed<M: SequenceEncoder>(model: &M, input: &EncoderInput) -> Tensor {
+    model.infer(input, Want::Table)
 }
 
 /// Retrieval quality over a split.

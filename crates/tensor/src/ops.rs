@@ -23,7 +23,11 @@
 //! cost model (serial below the grain threshold, capped fan-out above it).
 //! Products below [`NAIVE_MAX_FLOPS`] take the original simple loops in
 //! [`crate::naive`] instead — at that size packing overhead would cost more
-//! than it saves.
+//! than it saves. Both kernels compute each output row from its own input
+//! row alone, but not with the same arithmetic, so a row's bits depend on
+//! which kernel the product's row count selected. [`Tensor::matmul_part`] and
+//! [`Tensor::matmul_nt_part`] take that row count as an argument: a subset of
+//! rows multiplied with the kernel of the whole product.
 //!
 //! With the `simd` feature active ([`crate::simd::active`], captured once
 //! per kernel call), the element-wise kernels and the GEMM core dispatch to
@@ -204,10 +208,19 @@ impl Tensor {
     /// already in the packed `[k, n]` layout the GEMM core consumes, so no
     /// copy is needed for this variant.
     pub fn matmul(&self, b: &Tensor) -> Tensor {
+        self.matmul_part(b, dims2(self, "matmul lhs").0)
+    }
+
+    /// [`matmul`](Self::matmul) of some of the rows of an `[m_full, k]`
+    /// operand: the kernel is the one a product of all `m_full` rows takes,
+    /// so every output row has the bits of the same row of that product.
+    /// (Both kernels are row-independent, but they differ from each other,
+    /// and which one runs depends on the row count — see DESIGN §9.)
+    pub fn matmul_part(&self, b: &Tensor, m_full: usize) -> Tensor {
         let (m, k) = dims2(self, "matmul lhs");
         let (kb, n) = dims2(b, "matmul rhs");
         assert_eq!(k, kb, "matmul: inner dims differ ({k} vs {kb})");
-        if m * k * n <= NAIVE_MAX_FLOPS {
+        if m_full * k * n <= NAIVE_MAX_FLOPS {
             return crate::naive::matmul(self, b);
         }
         let mut out = vec![0.0f32; m * n];
@@ -237,10 +250,17 @@ impl Tensor {
     /// `B` is packed to `[k, n]` once so the inner loop streams `B` and `C`
     /// contiguously instead of striding down `B`'s rows.
     pub fn matmul_nt(&self, b: &Tensor) -> Tensor {
+        self.matmul_nt_part(b, dims2(self, "matmul_nt lhs").0)
+    }
+
+    /// [`matmul_nt`](Self::matmul_nt) of some of the rows of an
+    /// `[m_full, k]` operand, with the kernel of the full product — the
+    /// `matmul_nt` twin of [`matmul_part`](Self::matmul_part).
+    pub fn matmul_nt_part(&self, b: &Tensor, m_full: usize) -> Tensor {
         let (m, k) = dims2(self, "matmul_nt lhs");
         let (n, kb) = dims2(b, "matmul_nt rhs");
         assert_eq!(k, kb, "matmul_nt: inner dims differ ({k} vs {kb})");
-        if m * k * n <= NAIVE_MAX_FLOPS {
+        if m_full * k * n <= NAIVE_MAX_FLOPS {
             return crate::naive::matmul_nt(self, b);
         }
         let bt = pack_transpose(b.data(), n, k);
@@ -564,6 +584,70 @@ mod tests {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0], &[5]);
         let b = t(&[1.0, 1.0, 1.0, 1.0, 1.0], &[5]);
         assert_eq!(a.dot(&b), 15.0);
+    }
+
+    /// Every row of a `_part` product has the bits of the same row of the
+    /// full product: both sides of the naive cutoff, both SIMD lanes, any
+    /// thread count. Plain `matmul_nt` on one row does not (the naive
+    /// kernel's 4-way `dot` differs from the GEMM's k-sequential sum), which
+    /// is why the entry exists.
+    #[test]
+    fn part_products_reproduce_rows_of_the_full_product() {
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let operand = |rows: usize, cols: usize, seed: usize| {
+            Tensor::from_fn(&[rows, cols], |i| {
+                ((i * 7919 + seed * 104_729) % 2003) as f32 / 1001.0 - 1.0
+            })
+        };
+        let mut plain_differs = false;
+        // (k, n): 16·107 and 64·128 per row put m_full on both sides of
+        // NAIVE_MAX_FLOPS (19 and 4 rows respectively).
+        for (k, n) in [(16usize, 107usize), (64, 128)] {
+            let b = operand(k, n, 1);
+            let bt = operand(n, k, 2);
+            for m_full in [1usize, 2, 3, 4, 7, 9, 33, 107] {
+                let a = operand(m_full, k, m_full);
+                for lane_scalar in [false, true] {
+                    for threads in [1, 2, 4] {
+                        let mut run = || {
+                            let full = a.matmul(&b);
+                            let full_nt = a.matmul_nt(&bt);
+                            for r in 0..m_full {
+                                let row = a.rows(r, r + 1);
+                                let what = format!("k={k} n={n} m_full={m_full} row {r}");
+                                let part = row.matmul_part(&b, m_full);
+                                assert_eq!(bits(part.data()), bits(full.row(r)), "matmul {what}");
+                                let part = row.matmul_nt_part(&bt, m_full);
+                                assert_eq!(
+                                    bits(part.data()),
+                                    bits(full_nt.row(r)),
+                                    "matmul_nt {what}"
+                                );
+                                if lane_scalar {
+                                    let plain = row.matmul_nt(&bt);
+                                    plain_differs |= bits(plain.data()) != bits(full_nt.row(r));
+                                }
+                            }
+                            // A leading block of rows, as attention's queries are.
+                            let lead = m_full.div_ceil(2);
+                            let part = a.rows(0, lead).matmul_part(&b, m_full);
+                            assert_eq!(part, full.rows(0, lead));
+                        };
+                        par::with_threads(threads, || {
+                            if lane_scalar {
+                                crate::simd::force_scalar(run)
+                            } else {
+                                run()
+                            }
+                        });
+                    }
+                }
+            }
+        }
+        assert!(
+            plain_differs,
+            "the naive and GEMM kernels happened to agree"
+        );
     }
 
     #[test]

@@ -3,10 +3,10 @@
 
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
-use ntr::models::SequenceEncoder;
+use ntr::models::{EncoderInput, ModelConfig, SequenceEncoder, Want};
 use ntr::pipeline::{EncodeError, EncodeRequest, Pipeline, TableEncoding};
 use ntr::table::{LinearizerOptions, Table};
-use ntr::tensor::par;
+use ntr::tensor::{par, simd, Tensor};
 use ntr::zoo::{build_encoder, EncoderSpec, ModelKind};
 
 // Every thread that encodes shares one model: inference is `&self`.
@@ -233,10 +233,14 @@ fn too_large(id: &str) -> EncodeRequest {
     ))
 }
 
-fn state_bits(encodings: &[TableEncoding]) -> Vec<Vec<u32>> {
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn embedding_bits(encodings: &[TableEncoding]) -> Vec<Vec<u32>> {
     encodings
         .iter()
-        .map(|e| e.states.data().iter().map(|v| v.to_bits()).collect())
+        .map(|e| bits(&e.table_embedding()))
         .collect()
 }
 
@@ -261,6 +265,8 @@ fn encode_batch_fails_on_the_first_invalid_request_at_every_thread_count() {
     }
 }
 
+/// A batch holds table-level encodings: the `[CLS]` row of `try_encode`'s
+/// full states, bit for bit, and nothing else.
 #[test]
 fn encode_batch_is_bit_identical_across_thread_counts_and_to_try_encode() {
     let (pipeline, reqs) = batch_fixture();
@@ -273,12 +279,82 @@ fn encode_batch_is_bit_identical_across_thread_counts_and_to_try_encode() {
                 .expect("every fixture table fits")
         })
         .collect();
-    let expected = state_bits(&one_at_a_time);
+    let expected = embedding_bits(&one_at_a_time);
     for threads in [1, 2, 4] {
         let batch = par::with_threads(threads, || pipeline.encode_batch(&*model, &reqs))
             .expect("every fixture table fits");
-        assert_eq!(state_bits(&batch), expected, "threads={threads}");
+        assert_eq!(embedding_bits(&batch), expected, "threads={threads}");
+        for enc in &batch {
+            assert_eq!(enc.states.shape(), &[1, model.d_model()]);
+        }
     }
     let empty = pipeline.encode_batch(&*model, &[]).expect("an empty batch");
     assert!(empty.is_empty());
+}
+
+/// Every spec the registry serves: each family at f32, the student at int8.
+fn every_spec() -> Vec<EncoderSpec> {
+    let f32_specs = ModelKind::ALL.iter().map(|&kind| EncoderSpec::f32(kind));
+    f32_specs
+        .chain([EncoderSpec::int8(ModelKind::RowStudent)])
+        .collect()
+}
+
+/// A synthetic `n`-token input: `[CLS]`, seven context tokens, then cells
+/// in 12-token rows of four columns — enough structure for TURL's
+/// visibility matrix, MATE's row and column heads and the student's
+/// row-mean mix to matter.
+fn synthetic_input(n: usize) -> EncoderInput {
+    let kind = |i: usize| match i {
+        0 => 0,
+        1..=7 => 1,
+        _ => 3,
+    };
+    EncoderInput {
+        ids: (0..n).map(|i| 7 + (i * 31) % 250).collect(),
+        rows: (0..n)
+            .map(|i| if i < 8 { 0 } else { 1 + (i - 8) / 12 })
+            .collect(),
+        cols: (0..n).map(|i| if i < 8 { 0 } else { 1 + i % 4 }).collect(),
+        segments: (0..n).map(|i| usize::from(i >= 8)).collect(),
+        kinds: (0..n).map(kind).collect(),
+        ranks: (0..n).map(|i| i % 5).collect(),
+    }
+}
+
+/// `Want::Table` is row 0 of `Want::All`, bit for bit, for every spec, at
+/// sequence lengths on both sides of the kernels' naive cutoff, on both
+/// SIMD lanes and at any thread count: the claim the serve replies, the
+/// index and `encode_batch` rest on.
+#[test]
+fn table_level_infer_is_row_zero_of_the_full_infer_for_every_spec() {
+    let cfg = ModelConfig {
+        vocab_size: 300,
+        ..ModelConfig::default()
+    };
+    for spec in every_spec() {
+        let model = build_encoder(spec, &cfg).expect("registry spec");
+        for n in [1, 2, 7, 9, 33, 107, 128] {
+            let input = synthetic_input(n);
+            for scalar in [false, true] {
+                let run = |want: Want| {
+                    if scalar {
+                        simd::force_scalar(|| model.infer(&input, want))
+                    } else {
+                        model.infer(&input, want)
+                    }
+                };
+                let all = run(Want::All);
+                assert_eq!(all.shape(), &[n, cfg.d_model], "{spec} n={n}");
+                for threads in [1, 2, 4] {
+                    let table = par::with_threads(threads, || run(Want::Table));
+                    assert_eq!(
+                        bits(&table),
+                        bits(&all.rows(0, 1)),
+                        "{spec} n={n} scalar={scalar} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
 }
