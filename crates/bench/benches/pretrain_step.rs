@@ -1,5 +1,5 @@
-//! E3's timing companion: cost of one MLM training step (forward, loss,
-//! backward) per model family.
+//! E3's timing companion: cost of one MLM training step (forward, the head
+//! and loss on the masked rows, backward) per model family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
@@ -11,9 +11,14 @@ use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr::tasks::pretrain::MlmModel;
 use std::hint::black_box;
 
-fn step<M: MlmModel>(model: &mut M, input: &EncoderInput, targets: &[usize]) -> f32 {
+fn step<M: MlmModel>(
+    model: &mut M,
+    input: &EncoderInput,
+    rows: &[usize],
+    targets: &[usize],
+) -> f32 {
     let states = model.encode(input, true);
-    let logits = model.mlm_head().forward(&states);
+    let logits = model.mlm_head().forward_rows(&states, rows);
     let (loss, dlogits) = softmax_cross_entropy(&logits, targets, None);
     let dstates = model.mlm_head().backward(&dlogits);
     model.backward(&dstates);
@@ -44,24 +49,25 @@ fn bench_step(c: &mut Criterion) {
     let e = RowMajorLinearizer.linearize(t, &t.caption, &tok, &LinearizerOptions::default());
     let masked = mask_mlm(&e, &MlmConfig::bert(tok.vocab_size()), 1);
     let input = EncoderInput::from_masked(&e, &masked);
+    let (rows, targets) = masked.positions();
 
     let mut group = c.benchmark_group("mlm_train_step");
     group.sample_size(20);
     let mut bert = VanillaBert::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("bert"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut bert, &input, &masked.targets)))
+        b.iter(|| black_box(step(&mut bert, &input, &rows, &targets)))
     });
     let mut tapas = Tapas::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("tapas"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut tapas, &input, &masked.targets)))
+        b.iter(|| black_box(step(&mut tapas, &input, &rows, &targets)))
     });
     let mut turl = Turl::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("turl"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut turl, &input, &masked.targets)))
+        b.iter(|| black_box(step(&mut turl, &input, &rows, &targets)))
     });
     let mut mate = Mate::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("mate"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut mate, &input, &masked.targets)))
+        b.iter(|| black_box(step(&mut mate, &input, &rows, &targets)))
     });
     group.finish();
 }

@@ -82,18 +82,18 @@ pub fn run(setup: &Setup) -> Vec<Report> {
     );
 
     let mut bert = VanillaBert::new(&cfg);
-    let untrained = evaluate(&mut bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
+    let untrained = evaluate(&bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
     eval_row(&mut report, "bert untrained", &untrained);
 
     TrainRun::new(pre_cfg)
         .max_tokens(MAX_TOKENS)
         .mlm(&mut bert, &setup.corpus, &setup.tok)
         .expect("infallible: no checkpointing configured");
-    let pretrained = evaluate(&mut bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
+    let pretrained = evaluate(&bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
     eval_row(&mut report, "bert pretrained", &pretrained);
 
     light_finetune(&mut bert, &ds, setup);
-    let tuned = evaluate(&mut bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
+    let tuned = evaluate(&bert, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
     eval_row(&mut report, "bert pretrained+ft", &tuned);
 
     let mut turl = Turl::new(&cfg);
@@ -106,7 +106,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
         .mlm(&mut turl, &setup.corpus, &setup.tok)
         .expect("infallible: no checkpointing configured");
     light_finetune(&mut turl, &ds, setup);
-    let turl_eval = evaluate(&mut turl, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
+    let turl_eval = evaluate(&turl, &ds, Split::Test, &pools, &setup.tok, MAX_TOKENS);
     eval_row(&mut report, "turl pretrained+ft", &turl_eval);
 
     vec![report]

@@ -72,7 +72,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
             .mlm(&mut model, &train_corpus, &setup.tok)
             .expect("infallible: no checkpointing configured");
         let row_eval = eval_mlm(
-            &mut model,
+            &model,
             &held_out,
             &setup.tok,
             MAX_TOKENS,
@@ -80,7 +80,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
             0x7E,
         );
         let col_eval = eval_mlm(
-            &mut model,
+            &model,
             &held_out,
             &setup.tok,
             MAX_TOKENS,

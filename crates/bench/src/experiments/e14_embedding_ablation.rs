@@ -60,7 +60,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
             .mlm(&mut encoder, &setup.corpus, &setup.tok)
             .expect("infallible: no checkpointing configured");
         let mlm = eval_mlm(
-            &mut encoder,
+            &encoder,
             &setup.corpus.tables,
             &setup.tok,
             160,

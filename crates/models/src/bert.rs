@@ -143,12 +143,13 @@ mod tests {
             3,
         );
         let inp = EncoderInput::from_masked(&e, &masked);
+        let (rows, targets) = masked.positions();
         let mut adam = ntr_nn::optim::Adam::new(5e-3);
         let mut losses = Vec::new();
         for _ in 0..12 {
             let states = m.encode(&inp, true);
-            let logits = m.mlm.forward(&states);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, &masked.targets, None);
+            let logits = m.mlm.forward_rows(&states, &rows);
+            let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
             losses.push(loss);
             let dstates = m.mlm.backward(&dlogits);
             SequenceEncoder::backward(&mut m, &dstates);

@@ -15,6 +15,9 @@ pub struct MlmHead {
     act: Gelu,
     ln: LayerNorm,
     decoder: Linear,
+    /// The rows the last training forward read and the row count of its
+    /// states; `None` when it read every row.
+    rows: Option<(Vec<usize>, usize)>,
 }
 
 impl MlmHead {
@@ -25,6 +28,7 @@ impl MlmHead {
             act: Gelu::default(),
             ln: LayerNorm::new(d_model),
             decoder: Linear::new(d_model, vocab, &mut init.fork()),
+            rows: None,
         }
     }
 
@@ -35,20 +39,50 @@ impl MlmHead {
 
     /// `[n, d] → [n, vocab]` logits.
     pub fn forward(&mut self, states: &Tensor) -> Tensor {
-        self.decoder.forward(
-            &self
-                .ln
-                .forward(&self.act.forward(&self.transform.forward(states))),
-        )
+        self.rows = None;
+        self.forward_train(states, states.dim(0))
+    }
+
+    /// `[n, d] → [rows.len(), vocab]`: the logits of `rows` (ascending)
+    /// alone, each with the bits of that row of [`forward`](Self::forward).
+    /// The next [`backward`](Self::backward) takes their gradient and
+    /// returns `[n, d]`, zero on every other row, with the parameter
+    /// gradients of an all-rows pass whose other rows have a zero logit
+    /// gradient (DESIGN §6).
+    pub fn forward_rows(&mut self, states: &Tensor, rows: &[usize]) -> Tensor {
+        let n = states.dim(0);
+        self.rows = Some((rows.to_vec(), n));
+        self.forward_train(&gather_rows(states, rows), n)
+    }
+
+    fn forward_train(&mut self, x: &Tensor, n: usize) -> Tensor {
+        let h = self.act.forward(&self.transform.forward_part_train(x, n));
+        self.decoder.forward_part_train(&self.ln.forward(&h), n)
+    }
+
+    /// [`forward_rows`](Self::forward_rows) for inference: records nothing.
+    pub fn infer_rows(&self, states: &Tensor, rows: &[usize]) -> Tensor {
+        let n = states.dim(0);
+        let h = self.transform.forward_part(&gather_rows(states, rows), n);
+        let h = self.ln.forward_inference(&self.act.forward_inference(&h));
+        self.decoder.forward_part(&h, n)
     }
 
     /// Backward; returns `d/d states`.
     pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        self.transform.backward(
+        let dx = self.transform.backward(
             &self
                 .act
                 .backward(&self.ln.backward(&self.decoder.backward(dlogits))),
-        )
+        );
+        let Some((rows, n)) = self.rows.take() else {
+            return dx;
+        };
+        let mut dstates = Tensor::zeros(&[n, dx.dim(1)]);
+        for (k, &r) in rows.iter().enumerate() {
+            dstates.row_mut(r).copy_from_slice(dx.row(k));
+        }
+        dstates
     }
 
     /// Rows of the decoder weight, used as output-space embeddings (e.g.
@@ -176,6 +210,15 @@ pub fn pool_mean_backward(d_pooled: &Tensor, span: &Range<usize>, seq_len: usize
         for j in 0..d {
             out.data_mut()[i * d + j] = d_pooled.data()[j] * scale;
         }
+    }
+    out
+}
+
+/// `[rows.len(), d]`: the given rows of `states`, in order.
+fn gather_rows(states: &Tensor, rows: &[usize]) -> Tensor {
+    let mut out = Tensor::zeros(&[rows.len(), states.dim(1)]);
+    for (k, &r) in rows.iter().enumerate() {
+        out.row_mut(k).copy_from_slice(states.row(r));
     }
     out
 }

@@ -16,7 +16,9 @@ pub struct Linear {
     pub w: Param,
     /// Bias vector, shape `[d_out]`.
     pub b: Param,
-    cache_x: Option<Tensor>,
+    /// The training forward's input, and the row count of the whole input
+    /// it was taken from.
+    cache: Option<(Tensor, usize)>,
 }
 
 impl Linear {
@@ -25,7 +27,7 @@ impl Linear {
         Self {
             w: Param::new(init.xavier(d_in, d_out)),
             b: Param::new(Tensor::zeros(&[d_out])),
-            cache_x: None,
+            cache: None,
         }
     }
 
@@ -41,8 +43,17 @@ impl Linear {
 
     /// `y = x·W + b` for `x: [n, d_in]`; caches `x` for the backward pass.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.forward_inference(x);
-        self.cache_x = Some(x.clone());
+        self.forward_part_train(x, x.dim(0))
+    }
+
+    /// [`forward`](Self::forward) of some of the rows of an `[m_full,
+    /// d_in]` input ([`forward_part`](Self::forward_part)). The backward
+    /// takes every product with the kernel of the whole input, so its
+    /// gradients have the bits of a whole-input pass whose other rows get
+    /// a zero output gradient.
+    pub fn forward_part_train(&mut self, x: &Tensor, m_full: usize) -> Tensor {
+        let y = self.forward_part(x, m_full);
+        self.cache = Some((x.clone(), m_full));
         y
     }
 
@@ -65,13 +76,13 @@ impl Linear {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .cache_x
+        let (x, m_full) = self
+            .cache
             .take()
             .expect("Linear::backward called without a cached forward");
-        self.w.accumulate(&x.matmul_tn(dy));
+        self.w.accumulate(&x.matmul_tn_part(dy, m_full));
         self.b.accumulate(&dy.sum_rows());
-        dy.matmul_nt(&self.w.value)
+        dy.matmul_nt_part(&self.w.value, m_full)
     }
 }
 

@@ -26,6 +26,17 @@ impl MaskedExample {
     pub fn n_masked(&self) -> usize {
         self.targets.iter().filter(|&&t| t != Self::IGNORE).count()
     }
+
+    /// The positions with a real target, ascending, and their targets: the
+    /// rows an MLM loss reads.
+    pub fn positions(&self) -> (Vec<usize>, Vec<usize>) {
+        self.targets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != Self::IGNORE)
+            .map(|(p, &t)| (p, t))
+            .unzip()
+    }
 }
 
 /// Configuration for BERT-style MLM masking.
@@ -200,6 +211,12 @@ mod tests {
         let m = mask_mlm(&e, &cfg, 7);
         assert_eq!(m.input_ids.len(), e.len());
         assert!(m.n_masked() >= 1);
+        let (rows, targets) = m.positions();
+        assert_eq!(rows.len(), m.n_masked());
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending: {rows:?}");
+        for (&r, &t) in rows.iter().zip(&targets) {
+            assert_eq!(m.targets[r], t);
+        }
         for (i, &t) in m.targets.iter().enumerate() {
             if t != MaskedExample::IGNORE {
                 assert_eq!(t, e.ids()[i], "target must be the original id");

@@ -23,8 +23,8 @@ use crate::supervisor::{run_supervised, SupervisorConfig, TrainError};
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::datasets::{ImputationDataset, ImputationExample};
 use ntr_corpus::Split;
-use ntr_models::EncoderInput;
-use ntr_nn::loss::{softmax_cross_entropy, IGNORE_INDEX};
+use ntr_models::{EncoderInput, Want};
+use ntr_nn::loss::softmax_cross_entropy;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -221,12 +221,8 @@ pub fn finetune_supervised<M: MlmModel>(
                 let (input, positions, slot_targets) = &prepared[item.index];
                 obs.count_tokens(input.len() as u64);
                 let states = model.encode(input, true);
-                let logits = model.mlm_head().forward(&states);
-                let mut targets = vec![IGNORE_INDEX; input.len()];
-                for (k, &pos) in positions.iter().enumerate() {
-                    targets[pos] = slot_targets[k];
-                }
-                let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                let logits = model.mlm_head().forward_rows(&states, positions);
+                let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
                 let dstates = model.mlm_head().backward(&dlogits);
                 model.backward(&dstates);
                 batch_loss += loss;
@@ -280,7 +276,7 @@ fn sliced(outcomes: &[Outcome]) -> ImputationEval {
 
 /// Evaluates a model on one split by candidate ranking.
 pub fn evaluate<M: MlmModel>(
-    model: &mut M,
+    model: &M,
     ds: &ImputationDataset,
     split: Split,
     pools: &CandidatePools,
@@ -297,16 +293,18 @@ pub fn evaluate<M: MlmModel>(
         let Some((input, positions)) = masked_input(ex, tok, max_tokens) else {
             continue;
         };
-        let states = model.encode(&input, false);
-        let logits = model.mlm_head().forward(&states);
-        let log_probs = logits.log_softmax_rows();
+        let states = model.infer(&input, Want::All);
+        let log_probs = model
+            .mlm_head_ref()
+            .infer_rows(&states, &positions)
+            .log_softmax_rows();
         let candidates = pools.candidates(ex);
         let mut best: Option<(f32, &str)> = None;
         for cand in &candidates {
             let slots = value_slots(cand, tok);
             let mut score = 0.0;
-            for (k, &pos) in positions.iter().enumerate() {
-                score += log_probs.at(&[pos, slots[k]]);
+            for (k, &slot) in slots.iter().enumerate() {
+                score += log_probs.at(&[k, slot]);
             }
             score /= positions.len() as f32;
             if best.is_none() || score > best.as_ref().expect("set").0 {
@@ -444,7 +442,7 @@ mod tests {
             ..ModelConfig::tiny(tok.vocab_size())
         };
         let mut model = VanillaBert::new(&cfg);
-        let before = evaluate(&mut model, &ds, Split::Train, &pools, &tok, 128);
+        let before = evaluate(&model, &ds, Split::Train, &pools, &tok, 128);
         finetune(
             &mut model,
             &ds,
@@ -458,7 +456,7 @@ mod tests {
             },
             128,
         );
-        let after = evaluate(&mut model, &ds, Split::Train, &pools, &tok, 128);
+        let after = evaluate(&model, &ds, Split::Train, &pools, &tok, 128);
         assert!(after.n > 0);
         assert!(
             after.accuracy > before.accuracy,

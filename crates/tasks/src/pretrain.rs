@@ -23,31 +23,26 @@ use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
 pub trait MlmModel: SequenceEncoder {
     /// The masked-language-modeling head.
     fn mlm_head(&mut self) -> &mut MlmHead;
+
+    /// The same head, for `&self` inference.
+    fn mlm_head_ref(&self) -> &MlmHead;
 }
 
-impl MlmModel for VanillaBert {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        &mut self.mlm
-    }
+macro_rules! mlm_model {
+    ($($model:ty),*) => {$(
+        impl MlmModel for $model {
+            fn mlm_head(&mut self) -> &mut MlmHead {
+                &mut self.mlm
+            }
+
+            fn mlm_head_ref(&self) -> &MlmHead {
+                &self.mlm
+            }
+        }
+    )*};
 }
 
-impl MlmModel for Turl {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        &mut self.mlm
-    }
-}
-
-impl MlmModel for Tapas {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        &mut self.mlm
-    }
-}
-
-impl MlmModel for Mate {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        &mut self.mlm
-    }
-}
+mlm_model!(VanillaBert, Turl, Tapas, Mate);
 
 // Boxed MLM models train through the same generic loops as concrete ones;
 // this is what lets `ntr::zoo::build_mlm_model` return one registry type
@@ -92,6 +87,16 @@ impl MlmModel for Box<dyn MlmModel + Send> {
     fn mlm_head(&mut self) -> &mut MlmHead {
         self.as_mut().mlm_head()
     }
+
+    fn mlm_head_ref(&self) -> &MlmHead {
+        self.as_ref().mlm_head_ref()
+    }
+}
+
+/// How many rows of `logits` have their target as the argmax.
+fn argmax_hits(logits: &Tensor, targets: &[usize]) -> usize {
+    let preds = logits.argmax_rows();
+    preds.iter().zip(targets).filter(|(p, t)| p == t).count()
 }
 
 /// Loss/accuracy trajectory of a pretraining run (one point per optimizer
@@ -224,17 +229,11 @@ impl<'a> TrainRun<'a> {
                         mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
                     let input = EncoderInput::from_masked(e, &masked);
                     let states = model.encode(&input, true);
-                    let logits = model.mlm_head().forward(&states);
-                    let (loss, dlogits) = softmax_cross_entropy(&logits, &masked.targets, None);
-                    let preds = logits.argmax_rows();
-                    for (pos, &t) in masked.targets.iter().enumerate() {
-                        if t != MaskedExample::IGNORE {
-                            batch_masked += 1;
-                            if preds[pos] == t {
-                                batch_hits += 1;
-                            }
-                        }
-                    }
+                    let (rows, targets) = masked.positions();
+                    let logits = model.mlm_head().forward_rows(&states, &rows);
+                    let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                    batch_masked += targets.len();
+                    batch_hits += argmax_hits(&logits, &targets);
                     let dstates = model.mlm_head().backward(&dlogits);
                     model.backward(&dstates);
                     batch_loss += loss;
@@ -295,16 +294,15 @@ impl TrainRun<'_> {
                     // 1. MER corruption (whole entity cells → [MASK]).
                     let (mer_ids, masked_entities) = mask_entities(e, 0.3, seed);
                     // 2. MLM corruption on top, skipping positions MER already took.
-                    let mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
+                    let mut mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
                     let mut input_ids = mer_ids;
-                    let mut mlm_targets = mlm.targets.clone();
                     let mer_positions: std::collections::HashSet<usize> = masked_entities
                         .iter()
                         .flat_map(|m| m.positions.iter().copied())
                         .collect();
                     for (pos, id) in input_ids.iter_mut().enumerate() {
                         if mer_positions.contains(&pos) {
-                            mlm_targets[pos] = MaskedExample::IGNORE;
+                            mlm.targets[pos] = MaskedExample::IGNORE;
                         } else if mlm.targets[pos] != MaskedExample::IGNORE {
                             *id = mlm.input_ids[pos];
                         }
@@ -315,17 +313,11 @@ impl TrainRun<'_> {
                     let d = states.dim(1);
 
                     // MLM objective.
-                    let logits = model.mlm.forward(&states);
-                    let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &mlm_targets, None);
-                    let preds = logits.argmax_rows();
-                    for (pos, &t) in mlm_targets.iter().enumerate() {
-                        if t != MaskedExample::IGNORE {
-                            n_mlm += 1;
-                            if preds[pos] == t {
-                                hits_mlm += 1;
-                            }
-                        }
-                    }
+                    let (rows, targets) = mlm.positions();
+                    let logits = model.mlm.forward_rows(&states, &rows);
+                    let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                    n_mlm += targets.len();
+                    hits_mlm += argmax_hits(&logits, &targets);
                     let mut dstates = model.mlm.backward(&dlogits);
 
                     // MER objective: pool each masked cell, classify over entities.
@@ -344,13 +336,8 @@ impl TrainRun<'_> {
                         let (loss, dmer_logits) =
                             softmax_cross_entropy(&mer_logits, &targets, None);
                         mer_loss = loss;
-                        let mer_preds = mer_logits.argmax_rows();
-                        for (k, &t) in targets.iter().enumerate() {
-                            n_mer += 1;
-                            if mer_preds[k] == t {
-                                hits_mer += 1;
-                            }
-                        }
+                        n_mer += targets.len();
+                        hits_mer += argmax_hits(&mer_logits, &targets);
                         let d_pooled = model.mer.backward(&dmer_logits);
                         for (k, m) in masked_entities.iter().enumerate() {
                             let span = m.positions[0]..m.positions[m.positions.len() - 1] + 1;
@@ -445,7 +432,7 @@ impl TrainRun<'_> {
 /// Held-out MLM evaluation: masks each table once (seeded) and measures
 /// masked-token recovery accuracy, without touching the model's weights.
 pub fn eval_mlm<M: MlmModel>(
-    model: &mut M,
+    model: &M,
     tables: &[ntr_table::Table],
     tok: &WordPieceTokenizer,
     max_tokens: usize,
@@ -462,18 +449,10 @@ pub fn eval_mlm<M: MlmModel>(
     for (i, t) in tables.iter().enumerate() {
         let e = linearizer.linearize(t, &t.caption, tok, &opts);
         let masked = mask_mlm(&e, &mlm_cfg, seed ^ i as u64);
-        let input = EncoderInput::from_masked(&e, &masked);
-        let states = model.encode(&input, false);
-        let logits = model.mlm_head().forward(&states);
-        let preds = logits.argmax_rows();
-        for (pos, &target) in masked.targets.iter().enumerate() {
-            if target != MaskedExample::IGNORE {
-                total += 1;
-                if preds[pos] == target {
-                    hits += 1;
-                }
-            }
-        }
+        let states = model.infer(&EncoderInput::from_masked(&e, &masked), Want::All);
+        let (rows, targets) = masked.positions();
+        total += targets.len();
+        hits += argmax_hits(&model.mlm_head_ref().infer_rows(&states, &rows), &targets);
     }
     hits as f64 / total.max(1) as f64
 }

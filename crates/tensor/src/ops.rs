@@ -232,10 +232,18 @@ impl Tensor {
     ///
     /// `A` is packed to `[m, k]` once so the panel walk is unit-stride.
     pub fn matmul_tn(&self, b: &Tensor) -> Tensor {
+        self.matmul_tn_part(b, dims2(self, "matmul_tn lhs").0)
+    }
+
+    /// [`matmul_tn`](Self::matmul_tn) over some of the `k_full` rows both
+    /// operands share, with the kernel of the full product. Both kernels
+    /// accumulate k-sequentially, so when every dropped row of `B` is zero
+    /// the result has the bits of the full product (DESIGN §9).
+    pub fn matmul_tn_part(&self, b: &Tensor, k_full: usize) -> Tensor {
         let (k, m) = dims2(self, "matmul_tn lhs");
         let (kb, n) = dims2(b, "matmul_tn rhs");
         assert_eq!(k, kb, "matmul_tn: leading dims differ ({k} vs {kb})");
-        if m * k * n <= NAIVE_MAX_FLOPS {
+        if m * k_full * n <= NAIVE_MAX_FLOPS {
             return crate::naive::matmul_tn(self, b);
         }
         let at = pack_transpose(self.data(), k, m);
@@ -647,6 +655,76 @@ mod tests {
         assert!(
             plain_differs,
             "the naive and GEMM kernels happened to agree"
+        );
+    }
+
+    /// Dropping the all-zero rows of `dy` leaves `xᵀ·dy` (with the kernel
+    /// of the full row count), `Σ_rows dy` and the kept rows of `dy·Wᵀ`
+    /// bit-identical: both lanes, 1/2/4 threads, both sides of the cutoff.
+    /// A plain `matmul_tn` on the kept rows takes the naive kernel at
+    /// `64·k·64 ≤ 32³` and differs from the FMA GEMM on the vector lane.
+    #[test]
+    fn zero_rows_are_exact_no_ops() {
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let operand = |rows: usize, cols: usize, seed: usize| {
+            Tensor::from_fn(&[rows, cols], |i| {
+                ((i * 7919 + seed * 104_729) % 2003) as f32 / 1001.0 - 1.0
+            })
+        };
+        let vector_gemm = crate::simd::active() && crate::simd::has_gemm();
+        let mut plain_differs = false;
+        let k_full = 101;
+        let x = operand(k_full, 64, 1);
+        for n in [64usize, 1013] {
+            let w = operand(64, n, 2);
+            for keep in [0usize, 1, 8, 9, 101] {
+                let rows: Vec<usize> = (0..keep).map(|i| i * k_full / keep).collect();
+                let mut dy = Tensor::zeros(&[k_full, n]);
+                let src = operand(k_full, n, 3);
+                for &r in &rows {
+                    dy.row_mut(r).copy_from_slice(src.row(r));
+                }
+                let gather = |t: &Tensor| {
+                    let mut out = Tensor::zeros(&[rows.len(), t.dim(1)]);
+                    for (k, &r) in rows.iter().enumerate() {
+                        out.row_mut(k).copy_from_slice(t.row(r));
+                    }
+                    out
+                };
+                let (x_kept, dy_kept) = (gather(&x), gather(&dy));
+                for lane_scalar in [false, true] {
+                    for threads in [1, 2, 4] {
+                        let mut run = || {
+                            let what = format!("n={n} keep={keep}");
+                            let full = x.matmul_tn(&dy);
+                            let part = x_kept.matmul_tn_part(&dy_kept, k_full);
+                            assert_eq!(bits(part.data()), bits(full.data()), "tn {what}");
+                            let db = dy_kept.sum_rows();
+                            assert_eq!(bits(db.data()), bits(dy.sum_rows().data()), "{what}");
+                            let full_nt = dy.matmul_nt(&w);
+                            let part_nt = dy_kept.matmul_nt_part(&w, k_full);
+                            for (k, &r) in rows.iter().enumerate() {
+                                assert_eq!(bits(part_nt.row(k)), bits(full_nt.row(r)), "nt {what}");
+                            }
+                            if !lane_scalar && keep > 0 {
+                                let plain = x_kept.matmul_tn(&dy_kept);
+                                plain_differs |= bits(plain.data()) != bits(full.data());
+                            }
+                        };
+                        par::with_threads(threads, || {
+                            if lane_scalar {
+                                crate::simd::force_scalar(run)
+                            } else {
+                                run()
+                            }
+                        });
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            plain_differs, vector_gemm,
+            "a plain matmul_tn on the kept rows differs exactly when the FMA GEMM runs"
         );
     }
 

@@ -49,7 +49,7 @@ fn main() {
         ..ModelConfig::default()
     };
     let mut model = VanillaBert::new(&cfg);
-    let untrained = evaluate(&mut model, &ds, Split::Test, &pools, &tok, 192);
+    let untrained = evaluate(&model, &ds, Split::Test, &pools, &tok, 192);
 
     // 2. Pretrain with MLM over the corpus (the paper's pipeline (1)).
     println!("pretraining (MLM over the corpus)...");
@@ -68,7 +68,7 @@ fn main() {
         report.mlm_loss.first().copied().unwrap_or(0.0),
         report.mlm_loss.last().copied().unwrap_or(0.0)
     );
-    let pretrained = evaluate(&mut model, &ds, Split::Test, &pools, &tok, 192);
+    let pretrained = evaluate(&model, &ds, Split::Test, &pools, &tok, 192);
 
     // 3. Fine-tune for imputation (the paper's pipeline (2)). With ~100
     //    training cells a small model overfits within a couple of epochs,
@@ -97,7 +97,7 @@ fn main() {
             },
             192,
         );
-        let val = evaluate(&mut candidate, &ds, Split::Val, &pools, &tok, 192);
+        let val = evaluate(&candidate, &ds, Split::Val, &pools, &tok, 192);
         println!("  epochs={epochs}: val acc {:.3}", val.accuracy);
         if best.as_ref().is_none_or(|(b, _, _)| val.accuracy > *b) {
             let mut buf = Vec::new();
@@ -108,7 +108,7 @@ fn main() {
     let (_, best_epochs, weights) = best.expect("grid is non-empty");
     println!("  selected epochs={best_epochs}");
     ntr::nn::serialize::load_from(&mut model, &mut weights.as_slice()).expect("load");
-    let tuned = evaluate(&mut model, &ds, Split::Test, &pools, &tok, 192);
+    let tuned = evaluate(&model, &ds, Split::Test, &pools, &tok, 192);
     let baseline = baseline_mode(&ds, Split::Test, &pools);
 
     println!("\n                     |  acc  |  f1");
