@@ -28,7 +28,7 @@ fn eval_row(report: &mut Report, name: &str, e: &ImputationEval) {
     ]);
 }
 
-fn light_finetune<M: MlmModel>(model: &mut M, ds: &ImputationDataset, setup: &Setup) {
+fn light_finetune<M: MlmModel + Clone>(model: &mut M, ds: &ImputationDataset, setup: &Setup) {
     finetune(
         model,
         ds,

@@ -19,7 +19,7 @@ use ntr::tasks::TrainRun;
 
 const MAX_TOKENS: usize = 192;
 
-fn pretrain<M: MlmModel>(model: &mut M, setup: &Setup) {
+fn pretrain<M: MlmModel + Clone>(model: &mut M, setup: &Setup) {
     TrainRun::new(TrainConfig {
         epochs: setup.epochs(4, 15),
         lr: 3e-3,
@@ -32,7 +32,7 @@ fn pretrain<M: MlmModel>(model: &mut M, setup: &Setup) {
     .expect("infallible: no checkpointing configured");
 }
 
-fn measure<M: SequenceEncoder + 'static>(
+fn measure<M: SequenceEncoder + Clone + 'static>(
     encoder: M,
     setup: &Setup,
     nli: &NliDataset,

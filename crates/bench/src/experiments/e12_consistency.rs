@@ -42,7 +42,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
         setup.corpus.len()
     ));
 
-    fn probe<M: MlmModel>(
+    fn probe<M: MlmModel + Clone>(
         mut model: M,
         name: &str,
         setup: &Setup,

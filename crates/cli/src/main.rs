@@ -370,7 +370,7 @@ fn pretrain(rest: &[String]) -> Result<(), String> {
     };
 
     #[allow(clippy::too_many_arguments)]
-    fn run_mlm<M: MlmModel>(
+    fn run_mlm<M: MlmModel + Clone>(
         mut model: M,
         corpus: &TableCorpus,
         tok: &ntr::tokenizer::WordPieceTokenizer,

@@ -19,7 +19,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::{pool_mean, pool_mean_backward};
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{merge_grads, Encoder, Layer, Param};
+use ntr_nn::{grads_of, merge_grads, Encoder, Layer, Param};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -255,7 +255,7 @@ impl TaBert {
                     .row_mut(r * n_cols + c)
                     .copy_from_slice(d_in.row(r));
             }
-            merge_grads(&mut self.vertical, &mut col.encoder);
+            merge_grads(&mut self.vertical, &mut [grads_of(&mut col.encoder)]);
         }
 
         // Horizontal backward per row.
@@ -268,8 +268,8 @@ impl TaBert {
             }
             let dx = row.encoder.backward(&d_states);
             row.embeddings.backward(&dx);
-            merge_grads(&mut self.row_encoder, &mut row.encoder);
-            merge_grads(&mut self.embeddings, &mut row.embeddings);
+            merge_grads(&mut self.row_encoder, &mut [grads_of(&mut row.encoder)]);
+            merge_grads(&mut self.embeddings, &mut [grads_of(&mut row.embeddings)]);
         }
     }
 }

@@ -15,6 +15,7 @@ use ntr_nn::{Decoder, Encoder, Layer, Linear, Param};
 use ntr_tokenizer::SpecialToken;
 
 /// Encoder–decoder table model.
+#[derive(Clone)]
 pub struct Tapex {
     /// Encoder-side structural embeddings.
     pub embeddings: TableEmbeddings,

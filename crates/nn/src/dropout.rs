@@ -38,11 +38,6 @@ impl Dropout {
         self.p
     }
 
-    /// Snapshot of the mask generator's state, for checkpointing.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
     /// Visits this layer's RNG state under `name` — the building block the
     /// owning layers' [`crate::Layer::visit_rng_state`] impls forward to.
     pub fn visit_rng(&mut self, name: &str, f: &mut dyn FnMut(&str, &mut [u64; 4])) {

@@ -38,9 +38,9 @@
 //! to verify. Every layer's gradient is pinned by a finite-difference check in
 //! its unit tests (see [`gradcheck`]).
 //!
-//! Sequences are processed unbatched (`[seq_len, d_model]` matrices); batching
-//! is a loop over sequences with gradient accumulation, which keeps shapes
-//! two-dimensional everywhere and makes the kernels trivially auditable.
+//! Sequences are processed unbatched (`[seq_len, d_model]` matrices), which
+//! keeps shapes two-dimensional and the kernels auditable; a batch's examples
+//! train on per-worker clones whose gradients [`merge_grads`] folds in order.
 //!
 //! ## Example: one training step of a tiny MLP
 //!
@@ -132,31 +132,42 @@ pub fn visit_rng_child(
     child.visit_rng_state(&mut |name, s| f(&format!("{prefix}/{name}"), s));
 }
 
-/// Adds a clone's accumulated gradients into the master's parameters.
-///
-/// This is the unrolled-weight-sharing primitive: when one block must
-/// process several sequences within a single backward pass (TaBERT's
-/// per-row/per-column encoders, bi-encoder retrieval), the block is cloned
-/// per sequence (clones share values but have fresh gradient accumulators
-/// after `zero_grad`), each clone runs its own forward/backward, and this
-/// function folds the clone gradients back into the master. Visit order is
-/// deterministic and identical across clones, so the pairing is exact.
+/// A copy of a layer's gradients in visit order: one set for [`merge_grads`].
+pub fn grads_of(layer: &mut dyn Layer) -> Vec<ntr_tensor::Tensor> {
+    let mut grads = Vec::new();
+    layer.visit_params(&mut |_, p| grads.push(p.grad.clone()));
+    grads
+}
+
+/// Adds gradient sets (one tensor per parameter, in visit order) into the
+/// master's gradients, set after set, and zeroes them: the sum depends on
+/// the sets' order alone. TaBERT, bi-encoder retrieval and the training
+/// supervisor fold their clones' and examples' gradients with it.
 ///
 /// # Panics
-/// Panics when the parameter counts (or shapes) of master and clone differ.
-pub fn merge_grads(master: &mut dyn Layer, clone: &mut dyn Layer) {
-    let mut grads: Vec<ntr_tensor::Tensor> = Vec::new();
-    clone.visit_params(&mut |_, p| grads.push(p.grad.clone()));
+/// Panics when a set does not match the master's parameters.
+pub fn merge_grads(master: &mut dyn Layer, sets: &mut [Vec<ntr_tensor::Tensor>]) {
+    // Small blocks keep the master's slice in L1 across the sets and skip
+    // a set's untouched (+0.0) rows, such as most of an embedding table.
+    const BLOCK: usize = 64;
     let mut i = 0;
     master.visit_params(&mut |name, p| {
-        assert!(
-            i < grads.len(),
-            "clone/master param count mismatch at {name}"
-        );
-        p.grad.add_assign(&grads[i]);
+        for set in sets.iter() {
+            assert_eq!(set[i].shape(), p.grad.shape(), "gradient set at {name}");
+        }
+        for (b, block) in p.grad.data_mut().chunks_mut(BLOCK).enumerate() {
+            for set in sets.iter_mut() {
+                let src = &mut set[i].data_mut()[b * BLOCK..][..block.len()];
+                if src.iter().fold(0, |bits, s| bits | s.to_bits()) != 0 {
+                    for (g, s) in block.iter_mut().zip(src) {
+                        *g += std::mem::take(s);
+                    }
+                }
+            }
+        }
         i += 1;
     });
-    assert_eq!(i, grads.len(), "clone/master param count mismatch");
+    assert!(sets.iter().all(|s| s.len() == i), "gradient set length");
 }
 
 /// Finite-difference gradient checking utilities shared by layer tests.

@@ -118,6 +118,7 @@ impl AggQaDataset {
 
 /// The model: a TAPAS encoder, its built-in aggregation head, and a
 /// question→column pointer.
+#[derive(Clone)]
 pub struct AggregationQa {
     /// The TAPAS encoder (with `agg_head`).
     pub tapas: Tapas,
@@ -146,6 +147,10 @@ impl Layer for AggregationQa {
             .visit_params(&mut |n, p| f(&format!("tapas/{n}"), p));
         self.wq.visit_params(&mut |n, p| f(&format!("wq/{n}"), p));
         self.wk.visit_params(&mut |n, p| f(&format!("wk/{n}"), p));
+    }
+
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+        ntr_nn::visit_rng_child(&mut self.tapas, "tapas", f);
     }
 }
 
@@ -211,7 +216,7 @@ pub fn finetune(
     opts: &LinearizerOptions,
 ) {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, p| {
+    fit(model, cfg, &prepared, |model, p, _| {
         let states = model.tapas.encode(&p.input, true);
         let (seq_len, d) = (states.dim(0), states.dim(1));
         let scale = 1.0 / (d as f32).sqrt();

@@ -16,6 +16,7 @@ use ntr_tokenizer::WordPieceTokenizer;
 
 /// A column classifier: encoder + label head over the mean of the target
 /// column's cell tokens.
+#[derive(Clone)]
 pub struct ColumnAnnotator<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,
@@ -40,6 +41,10 @@ impl<M: SequenceEncoder> Layer for ColumnAnnotator<M> {
             .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
         self.head
             .visit_params(&mut |n, p| f(&format!("head/{n}"), p));
+    }
+
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
     }
 }
 
@@ -96,25 +101,25 @@ fn prepare(
         .collect()
 }
 
-/// Fine-tunes the annotator on the training split.
-pub fn finetune<M: SequenceEncoder>(
+/// Fine-tunes the annotator on the training split; returns each step's loss.
+pub fn finetune<M: SequenceEncoder + Clone>(
     model: &mut ColumnAnnotator<M>,
     ds: &CtaDataset,
     tok: &WordPieceTokenizer,
     cfg: &TrainConfig,
     opts: &LinearizerOptions,
-) {
+) -> Vec<f32> {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, (input, positions, label)| {
+    fit(model, cfg, &prepared, |model, (input, cells, label), _| {
         let states = model.encoder.encode(input, true);
-        let pooled = pool_positions(&states, positions);
+        let pooled = pool_positions(&states, cells);
         let logits = model.head.forward(&pooled);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
         let d_pooled = model.head.backward(&dlogits);
-        let dstates = scatter_positions(&d_pooled, positions, states.dim(0));
+        let dstates = scatter_positions(&d_pooled, cells, states.dim(0));
         model.encoder.backward(&dstates);
         loss
-    });
+    })
 }
 
 /// CTA evaluation: accuracy + macro-F1 over the label space.

@@ -151,6 +151,7 @@ impl TrainRun<'_> {
             .collect();
         let n_spans: usize = examples.iter().map(|e| e.spans.len()).sum();
         let teacher_family = teacher.family();
+        let d_model = student.config().d_model;
 
         let mut announced = false;
         let steps = run_supervised(
@@ -160,42 +161,41 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32)| r.0,
-            |student, batch, obs| {
+            |student, item| {
+                let ex = &examples[item.index];
+                let states = student.encode(&ex.input, true);
+                let seq_len = states.dim(0);
+                let mut dstates = Tensor::zeros(states.shape());
+                let mut spans = Vec::with_capacity(ex.spans.len());
+                for (k, span) in ex.spans.iter().enumerate() {
+                    let u = pool_mean(&states, span);
+                    let (loss, cos, du) = span_loss(u.data(), ex.targets.row(k), cos_weight);
+                    spans.push((loss, cos));
+                    let du = Tensor::from_vec(du, &[1, states.dim(1)]);
+                    dstates.add_assign(&pool_mean_backward(&du, span, seq_len));
+                }
+                student.backward(&dstates);
+                (ex.input.len(), spans)
+            },
+            |results, _, obs| {
                 if !announced {
                     announced = true;
                     if let Some(e) = obs.event("distill_start") {
                         e.u64("tables", examples.len() as u64)
                             .u64("spans", n_spans as u64)
-                            .u64("d_model", student.config().d_model as u64)
+                            .u64("d_model", d_model as u64)
                             .str("teacher", teacher_family)
                             .f32("cos_weight", cos_weight)
                             .finish();
                     }
                 }
-                let mut batch_loss = 0.0f32;
-                let mut batch_cos = 0.0f32;
-                let mut batch_spans = 0usize;
-                for item in batch {
-                    let ex = &examples[item.index];
-                    obs.count_tokens(ex.input.len() as u64);
-                    let states = student.encode(&ex.input, true);
-                    let seq_len = states.dim(0);
-                    let mut dstates = Tensor::zeros(states.shape());
-                    for (k, span) in ex.spans.iter().enumerate() {
-                        let u = pool_mean(&states, span);
-                        let (loss, cos, du) = span_loss(u.data(), ex.targets.row(k), cos_weight);
-                        batch_loss += loss;
-                        batch_cos += cos;
-                        batch_spans += 1;
-                        let du = Tensor::from_vec(du, &[1, states.dim(1)]);
-                        dstates.add_assign(&pool_mean_backward(&du, span, seq_len));
-                    }
-                    student.backward(&dstates);
-                }
+                obs.count_tokens(results.iter().map(|r| r.0 as u64).sum());
+                let spans = results.iter().flat_map(|r| &r.1);
+                let (loss, cos, n) =
+                    spans.fold((0.0f32, 0.0f32, 0), |a, s| (a.0 + s.0, a.1 + s.1, a.2 + 1));
                 obs.inc("distill/steps");
-                obs.add("distill/spans", batch_spans as u64);
-                let n = batch_spans.max(1) as f32;
-                let r = (batch_loss / n, batch_cos / n);
+                obs.add("distill/spans", n as u64);
+                let r = (loss / n.max(1) as f32, cos / n.max(1) as f32);
                 if let Some(e) = obs.event("distill_step") {
                     e.f32("loss", r.0).f32("cosine", r.1).finish();
                 }

@@ -19,7 +19,7 @@
 
 use crate::metrics::{accuracy, macro_f1};
 use crate::pretrain::MlmModel;
-use crate::supervisor::{run_supervised, SupervisorConfig, TrainError};
+use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError};
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::datasets::{ImputationDataset, ImputationExample};
 use ntr_corpus::Split;
@@ -166,7 +166,7 @@ pub fn value_slots(value: &str, tok: &WordPieceTokenizer) -> Vec<usize> {
 }
 
 /// Fine-tunes a model on the imputation training split.
-pub fn finetune<M: MlmModel>(
+pub fn finetune<M: MlmModel + Clone>(
     model: &mut M,
     ds: &ImputationDataset,
     tok: &WordPieceTokenizer,
@@ -189,7 +189,7 @@ pub fn finetune<M: MlmModel>(
 /// self-healing supervisor (gradient clipping, anomaly detection,
 /// rollback/retry, fault drills). Returns the mean training loss per
 /// optimizer step this invocation ran.
-pub fn finetune_supervised<M: MlmModel>(
+pub fn finetune_supervised<M: MlmModel + Clone>(
     model: &mut M,
     ds: &ImputationDataset,
     tok: &WordPieceTokenizer,
@@ -215,20 +215,16 @@ pub fn finetune_supervised<M: MlmModel>(
         topts,
         scfg,
         |loss: &f32| *loss,
-        |model, batch, obs| {
-            let mut batch_loss = 0.0;
-            for item in batch {
-                let (input, positions, slot_targets) = &prepared[item.index];
-                obs.count_tokens(input.len() as u64);
-                let states = model.encode(input, true);
-                let logits = model.mlm_head().forward_rows(&states, positions);
-                let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
-                let dstates = model.mlm_head().backward(&dlogits);
-                model.backward(&dstates);
-                batch_loss += loss;
-            }
-            batch_loss / batch.len() as f32
+        |model, item| {
+            let (input, positions, slot_targets) = &prepared[item.index];
+            let states = model.encode(input, true);
+            let logits = model.mlm_head().forward_rows(&states, positions);
+            let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
+            let dstates = model.mlm_head().backward(&dlogits);
+            model.backward(&dstates);
+            (input.len(), loss)
         },
+        mean_loss,
     )
 }
 

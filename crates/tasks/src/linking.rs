@@ -43,7 +43,7 @@ pub fn finetune(
             Some((input, span, ex.gold as usize))
         })
         .collect();
-    fit(model, cfg, &prepared, |model, (input, span, gold)| {
+    fit(model, cfg, &prepared, |model, (input, span, gold), _| {
         let states = model.encode(input, true);
         let pooled = pool_mean(&states, span);
         let logits = model.mer.forward(&pooled);

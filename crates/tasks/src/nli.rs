@@ -15,6 +15,7 @@ use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::WordPieceTokenizer;
 
 /// A claim-verification model: encoder + binary classifier over `[CLS]`.
+#[derive(Clone)]
 pub struct FactVerifier<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,
@@ -46,6 +47,10 @@ impl<M: SequenceEncoder> Layer for FactVerifier<M> {
         self.head
             .visit_params(&mut |n, p| f(&format!("head/{n}"), p));
     }
+
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    }
 }
 
 fn encode(
@@ -64,7 +69,7 @@ fn encode(
 }
 
 /// Fine-tunes a verifier on the training split.
-pub fn finetune<M: SequenceEncoder>(
+pub fn finetune<M: SequenceEncoder + Clone>(
     model: &mut FactVerifier<M>,
     ds: &NliDataset,
     tok: &WordPieceTokenizer,
@@ -72,7 +77,7 @@ pub fn finetune<M: SequenceEncoder>(
     opts: &LinearizerOptions,
 ) {
     let prepared = encode(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, (input, label)| {
+    fit(model, cfg, &prepared, |model, (input, label), _| {
         let (logits, seq_len) = model.logits(input, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
         let d_pooled = model.head.backward(&dlogits);

@@ -2,7 +2,7 @@
 //! modeling, TURL's joint MLM + masked entity recovery, and TAPEX's
 //! neural-SQL-executor objective.
 
-use crate::supervisor::{run_supervised, SupervisorConfig, TrainError};
+use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError};
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
@@ -26,6 +26,9 @@ pub trait MlmModel: SequenceEncoder {
 
     /// The same head, for `&self` inference.
     fn mlm_head_ref(&self) -> &MlmHead;
+
+    /// A boxed copy: what makes `Box<dyn MlmModel + Send>` `Clone`.
+    fn clone_box(&self) -> Box<dyn MlmModel + Send>;
 }
 
 macro_rules! mlm_model {
@@ -37,6 +40,10 @@ macro_rules! mlm_model {
 
             fn mlm_head_ref(&self) -> &MlmHead {
                 &self.mlm
+            }
+
+            fn clone_box(&self) -> Box<dyn MlmModel + Send> {
+                Box::new(self.clone())
             }
         }
     )*};
@@ -91,12 +98,30 @@ impl MlmModel for Box<dyn MlmModel + Send> {
     fn mlm_head_ref(&self) -> &MlmHead {
         self.as_ref().mlm_head_ref()
     }
+
+    fn clone_box(&self) -> Box<dyn MlmModel + Send> {
+        self.as_ref().clone_box()
+    }
+}
+
+impl Clone for Box<dyn MlmModel + Send> {
+    fn clone(&self) -> Self {
+        self.as_ref().clone_box()
+    }
 }
 
 /// How many rows of `logits` have their target as the argmax.
 fn argmax_hits(logits: &Tensor, targets: &[usize]) -> usize {
     let preds = logits.argmax_rows();
     preds.iter().zip(targets).filter(|(p, t)| p == t).count()
+}
+
+/// Mean loss per example and recovery accuracy over a batch's per-example
+/// `(loss, targets recovered, targets)`, summed in example order.
+fn recovery<'a>(batch: impl ExactSizeIterator<Item = &'a (f32, usize, usize)>) -> (f32, f32) {
+    let n = batch.len() as f32;
+    let (loss, hits, targets) = batch.fold((0.0, 0, 0), |a, r| (a.0 + r.0, a.1 + r.1, a.2 + r.2));
+    (loss / n, hits as f32 / targets.max(1) as f32)
 }
 
 /// Loss/accuracy trajectory of a pretraining run (one point per optimizer
@@ -193,7 +218,7 @@ impl<'a> TrainRun<'a> {
     }
 
     /// MLM pretraining of `model` over `corpus`.
-    pub fn mlm<M: MlmModel>(
+    pub fn mlm<M: MlmModel + Clone>(
         &self,
         model: &mut M,
         corpus: &TableCorpus,
@@ -218,30 +243,23 @@ impl<'a> TrainRun<'a> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32)| r.0,
-            |model, batch, obs| {
-                let mut batch_loss = 0.0;
-                let mut batch_hits = 0usize;
-                let mut batch_masked = 0usize;
-                for item in batch {
-                    let e = &encoded[item.index];
-                    obs.count_tokens(e.ids().len() as u64);
-                    let masked =
-                        mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
-                    let input = EncoderInput::from_masked(e, &masked);
-                    let states = model.encode(&input, true);
-                    let (rows, targets) = masked.positions();
-                    let logits = model.mlm_head().forward_rows(&states, &rows);
-                    let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
-                    batch_masked += targets.len();
-                    batch_hits += argmax_hits(&logits, &targets);
-                    let dstates = model.mlm_head().backward(&dlogits);
-                    model.backward(&dstates);
-                    batch_loss += loss;
-                }
+            |model, item| {
+                let e = &encoded[item.index];
+                let masked = mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
+                let states = model.encode(&EncoderInput::from_masked(e, &masked), true);
+                let (rows, targets) = masked.positions();
+                let logits = model.mlm_head().forward_rows(&states, &rows);
+                let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                let dstates = model.mlm_head().backward(&dlogits);
+                model.backward(&dstates);
                 (
-                    batch_loss / batch.len() as f32,
-                    batch_hits as f32 / batch_masked.max(1) as f32,
+                    e.ids().len(),
+                    (loss, argmax_hits(&logits, &targets), targets.len()),
                 )
+            },
+            |examples, _, obs| {
+                obs.count_tokens(examples.iter().map(|e| e.0 as u64).sum());
+                recovery(examples.iter().map(|e| &e.1))
             },
         )?;
         let mut report = PretrainReport::default();
@@ -283,79 +301,64 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32, f32, f32)| r.0 + r.1,
-            |model, batch, obs| {
-                let (mut bl_mlm, mut bl_mer) = (0.0f32, 0.0f32);
-                let (mut hits_mlm, mut n_mlm, mut hits_mer, mut n_mer) =
-                    (0usize, 0usize, 0usize, 0usize);
-                for item in batch {
-                    let e = &encoded[item.index];
-                    obs.count_tokens(e.ids().len() as u64);
-                    let seed = base_seed ^ ((item.epoch * 131 + item.pos) as u64);
-                    // 1. MER corruption (whole entity cells → [MASK]).
-                    let (mer_ids, masked_entities) = mask_entities(e, 0.3, seed);
-                    // 2. MLM corruption on top, skipping positions MER already took.
-                    let mut mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
-                    let mut input_ids = mer_ids;
-                    let mer_positions: std::collections::HashSet<usize> = masked_entities
-                        .iter()
-                        .flat_map(|m| m.positions.iter().copied())
-                        .collect();
-                    for (pos, id) in input_ids.iter_mut().enumerate() {
-                        if mer_positions.contains(&pos) {
-                            mlm.targets[pos] = MaskedExample::IGNORE;
-                        } else if mlm.targets[pos] != MaskedExample::IGNORE {
-                            *id = mlm.input_ids[pos];
-                        }
+            |model, item| {
+                let e = &encoded[item.index];
+                let seed = base_seed ^ ((item.epoch * 131 + item.pos) as u64);
+                // 1. MER corruption (whole entity cells → [MASK]).
+                let (mer_ids, masked_entities) = mask_entities(e, 0.3, seed);
+                // 2. MLM corruption on top, skipping positions MER already took.
+                let mut mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
+                let mut input_ids = mer_ids;
+                for (pos, id) in input_ids.iter_mut().enumerate() {
+                    if masked_entities.iter().any(|m| m.positions.contains(&pos)) {
+                        mlm.targets[pos] = MaskedExample::IGNORE;
+                    } else if mlm.targets[pos] != MaskedExample::IGNORE {
+                        *id = mlm.input_ids[pos];
                     }
-                    let input = EncoderInput::from_encoded_with_ids(e, input_ids);
-                    let states = model.encode(&input, true);
-                    let seq_len = states.dim(0);
-                    let d = states.dim(1);
-
-                    // MLM objective.
-                    let (rows, targets) = mlm.positions();
-                    let logits = model.mlm.forward_rows(&states, &rows);
-                    let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
-                    n_mlm += targets.len();
-                    hits_mlm += argmax_hits(&logits, &targets);
-                    let mut dstates = model.mlm.backward(&dlogits);
-
-                    // MER objective: pool each masked cell, classify over entities.
-                    let mut mer_loss = 0.0;
-                    if !masked_entities.is_empty() {
-                        let mut pooled = Tensor::zeros(&[masked_entities.len(), d]);
-                        for (k, m) in masked_entities.iter().enumerate() {
-                            let span = m.positions[0]..m.positions[m.positions.len() - 1] + 1;
-                            pooled
-                                .row_mut(k)
-                                .copy_from_slice(pool_mean(&states, &span).data());
-                        }
-                        let mer_logits = model.mer.forward(&pooled);
-                        let targets: Vec<usize> =
-                            masked_entities.iter().map(|m| m.entity as usize).collect();
-                        let (loss, dmer_logits) =
-                            softmax_cross_entropy(&mer_logits, &targets, None);
-                        mer_loss = loss;
-                        n_mer += targets.len();
-                        hits_mer += argmax_hits(&mer_logits, &targets);
-                        let d_pooled = model.mer.backward(&dmer_logits);
-                        for (k, m) in masked_entities.iter().enumerate() {
-                            let span = m.positions[0]..m.positions[m.positions.len() - 1] + 1;
-                            let dp = d_pooled.rows(k, k + 1);
-                            dstates.add_assign(&pool_mean_backward(&dp, &span, seq_len));
-                        }
-                    }
-
-                    model.backward(&dstates);
-                    bl_mlm += mlm_loss;
-                    bl_mer += mer_loss;
                 }
-                (
-                    bl_mlm / batch.len() as f32,
-                    bl_mer / batch.len() as f32,
-                    hits_mlm as f32 / n_mlm.max(1) as f32,
-                    hits_mer as f32 / n_mer.max(1) as f32,
-                )
+                let input = EncoderInput::from_encoded_with_ids(e, input_ids);
+                let states = model.encode(&input, true);
+                let (seq_len, d) = (states.dim(0), states.dim(1));
+
+                // MLM objective.
+                let (rows, targets) = mlm.positions();
+                let logits = model.mlm.forward_rows(&states, &rows);
+                let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                let mlm_rec = (mlm_loss, argmax_hits(&logits, &targets), targets.len());
+                let mut dstates = model.mlm.backward(&dlogits);
+
+                // MER objective: pool each masked cell, classify over entities.
+                let mut mer_rec = (0.0, 0, 0);
+                let spans: Vec<_> = (masked_entities.iter())
+                    .map(|m| m.positions[0]..m.positions[m.positions.len() - 1] + 1)
+                    .collect();
+                if !masked_entities.is_empty() {
+                    let mut pooled = Tensor::zeros(&[spans.len(), d]);
+                    for (k, span) in spans.iter().enumerate() {
+                        pooled
+                            .row_mut(k)
+                            .copy_from_slice(pool_mean(&states, span).data());
+                    }
+                    let mer_logits = model.mer.forward(&pooled);
+                    let targets: Vec<usize> =
+                        masked_entities.iter().map(|m| m.entity as usize).collect();
+                    let (loss, dmer_logits) = softmax_cross_entropy(&mer_logits, &targets, None);
+                    mer_rec = (loss, argmax_hits(&mer_logits, &targets), targets.len());
+                    let d_pooled = model.mer.backward(&dmer_logits);
+                    for (k, span) in spans.iter().enumerate() {
+                        let dp = d_pooled.rows(k, k + 1);
+                        dstates.add_assign(&pool_mean_backward(&dp, span, seq_len));
+                    }
+                }
+
+                model.backward(&dstates);
+                (e.ids().len(), mlm_rec, mer_rec)
+            },
+            |examples, _, obs| {
+                obs.count_tokens(examples.iter().map(|e| e.0 as u64).sum());
+                let (mlm_loss, mlm_acc) = recovery(examples.iter().map(|e| &e.1));
+                let (mer_loss, mer_acc) = recovery(examples.iter().map(|e| &e.2));
+                (mlm_loss, mer_loss, mlm_acc, mer_acc)
             },
         )?;
         let mut report = PretrainReport::default();
@@ -416,15 +419,11 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |loss: &f32| *loss,
-            |model, batch, obs| {
-                let mut batch_loss = 0.0;
-                for item in batch {
-                    let (input, target) = &pairs[item.index];
-                    obs.count_tokens((input.len() + target.len()) as u64);
-                    batch_loss += model.train_step(input, target);
-                }
-                batch_loss / batch.len() as f32
+            |model, item| {
+                let (input, target) = &pairs[item.index];
+                (input.len() + target.len(), model.train_step(input, target))
             },
+            mean_loss,
         )
     }
 }

@@ -24,6 +24,7 @@ use ntr_tokenizer::WordPieceTokenizer;
 /// cell-selection QA needs at small scale; a per-token linear head (as in
 /// [`ntr_models::Tapas::cell_head`]) memorizes positions instead of
 /// learning to match question tokens against cells.
+#[derive(Clone)]
 pub struct CellSelector<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,
@@ -88,6 +89,10 @@ impl<M: SequenceEncoder> Layer for CellSelector<M> {
         self.wq.visit_params(&mut |n, p| f(&format!("wq/{n}"), p));
         self.wk.visit_params(&mut |n, p| f(&format!("wk/{n}"), p));
     }
+
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    }
 }
 
 /// Applies a TaBERT-style *content snapshot* to every example: keep only
@@ -125,7 +130,7 @@ pub fn encode_qa(
 
 /// Fine-tunes a cell selector: BCE on cell tokens (1 inside the answer
 /// cell, 0 in other cells; non-cell tokens excluded).
-pub fn finetune<M: SequenceEncoder>(
+pub fn finetune<M: SequenceEncoder + Clone>(
     model: &mut CellSelector<M>,
     ds: &QaDataset,
     tok: &WordPieceTokenizer,
@@ -153,7 +158,7 @@ pub fn finetune<M: SequenceEncoder>(
             Some((EncoderInput::from_encoded(&encoded), targets, mask))
         })
         .collect();
-    fit(model, cfg, &prepared, |model, (input, targets, mask)| {
+    fit(model, cfg, &prepared, |model, (input, targets, mask), _| {
         let states = model.encoder.encode(input, true);
         let logits = model.head_forward(&states);
         let (loss, dlogits) = binary_cross_entropy_with_logits(&logits, targets, Some(mask));

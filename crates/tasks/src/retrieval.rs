@@ -15,7 +15,7 @@ use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
 use ntr_models::{EncoderInput, SequenceEncoder, Want};
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::merge_grads;
+use ntr_nn::{grads_of, merge_grads};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
@@ -106,9 +106,11 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
 ) {
     const TEMPERATURE: f32 = 10.0; // scales cosine logits into a useful range
     let train_idx = ds.indices(Split::Train);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x8E);
-    fit(model, cfg, &train_idx, |model, &qi| {
+    fit(model, cfg, &train_idx, |model, &qi, item| {
         let q = &ds.queries[qi];
+        // Negatives come from this example's own stream, like MLM masks.
+        let mut rng =
+            StdRng::seed_from_u64(cfg.seed ^ 0x8E ^ ((item.epoch * 31 + item.pos) as u64));
         // Candidates: positive first, then sampled negatives.
         let mut cand_ids = vec![q.positive];
         while cand_ids.len() < n_negatives + 1 {
@@ -172,10 +174,9 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
         q_clone.backward(&dq_states);
 
         // Merge clone grads into the master.
-        merge_grads(model, &mut q_clone);
-        for (clone, _) in &mut t_clones {
-            merge_grads(model, clone);
-        }
+        let mut sets = vec![grads_of(&mut q_clone)];
+        sets.extend(t_clones.iter_mut().map(|(clone, _)| grads_of(clone)));
+        merge_grads(model, &mut sets);
         loss
     });
 }

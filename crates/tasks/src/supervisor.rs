@@ -55,12 +55,14 @@
 use crate::trainer::{BatchItem, TrainConfig, Trainer, TrainerOptions};
 use ntr_nn::optim::{clip_global_grad_norm, global_grad_norm};
 use ntr_nn::serialize::{load_checkpoint, CheckpointError, TrainCheckpoint};
-use ntr_nn::Layer;
+use ntr_nn::{grads_of, merge_grads, Layer};
 use ntr_obs::Obs;
 use ntr_tensor::faults::{self, FaultKind, FaultPlan};
 use ntr_tensor::par;
+use ntr_tensor::Tensor;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Slack added to the EMA spike threshold so near-zero losses don't trip
 /// it on ratio noise.
@@ -261,27 +263,28 @@ fn emit_step(
 /// through here: `TrainRun::{mlm,turl,tapex,distill}`, imputation's
 /// `finetune_supervised`, and (via [`fit`]) the seven downstream fine-tunes.
 ///
-/// `step_fn` is the driver's batch body — forward, loss, backward,
-/// gradient accumulation — returning its per-step record; `loss_of`
-/// extracts the scalar loss the anomaly detector watches. The `Obs`
-/// handle passed to `step_fn` is the run's observability sink (a no-op
-/// unless `topts.obs` configured one): drivers report per-example token
-/// counts into it. The optimizer step, clipping, checkpointing, anomaly
-/// handling, fault injection, and event tracing all belong to the
-/// supervisor.
+/// A driver supplies `example`, the per-example body (forward, loss and
+/// backward on the replica it is handed; see [`run_batch`]), and `reduce`,
+/// which turns the batch's results, in example order, into the step record
+/// and reports into the run's `Obs` (a no-op unless `topts.obs` configured
+/// one). `loss_of` extracts the loss the anomaly detector watches. The
+/// gradient fold, optimizer step, clipping, checkpointing, anomaly
+/// handling, fault injection and event tracing belong to the supervisor.
 ///
 /// Returns one record per completed optimizer step (skipped batch windows
 /// contribute none), or a typed [`TrainError`]. Never panics on worker
-/// failures: panics raised inside `step_fn` are caught and handled as
-/// anomalies.
-pub fn run_supervised<M: Layer, R>(
+/// failures: panics raised inside `example` or `reduce` are caught and
+/// handled as anomalies.
+#[allow(clippy::too_many_arguments)]
+pub fn run_supervised<M: Layer + Clone + Send, E: Send, R>(
     model: &mut M,
     cfg: &TrainConfig,
     n_examples: usize,
     topts: &TrainerOptions,
     scfg: &SupervisorConfig,
     loss_of: impl Fn(&R) -> f32,
-    mut step_fn: impl FnMut(&mut M, &[BatchItem], &Obs) -> R,
+    example: impl Fn(&mut M, &BatchItem) -> E + Sync,
+    mut reduce: impl FnMut(Vec<E>, &[BatchItem], &Obs) -> R,
 ) -> Result<Vec<R>, TrainError> {
     let mut trainer = topts.build(model, cfg, n_examples)?;
     let obs = trainer.obs().clone();
@@ -293,6 +296,13 @@ pub fn run_supervised<M: Layer, R>(
             .u64("seed", cfg.seed)
             .finish();
     }
+    // Every step starts from zero accumulators (see `run_batch`).
+    model.zero_grad();
+    let (mut replicas, mut slots) = (Vec::new(), Vec::new());
+    let mut step_fn = |model: &mut M, batch: &[BatchItem], obs: &Obs| {
+        let results = run_batch(model, &mut replicas, &mut slots, batch, &example);
+        reduce(results, batch, obs)
+    };
     let mut retries_used: u32 = 0;
     let result = supervise_loop(
         model,
@@ -322,11 +332,11 @@ pub fn run_supervised<M: Layer, R>(
 /// The plain fine-tune form of [`run_supervised`]: no checkpointing, no
 /// supervision, and a per-example body (forward, backward, returns that
 /// example's loss). Returns the mean loss per optimizer step.
-pub(crate) fn fit<M: Layer, E>(
+pub(crate) fn fit<M: Layer + Clone + Send, E: Sync>(
     model: &mut M,
     cfg: &TrainConfig,
     examples: &[E],
-    mut example_loss: impl FnMut(&mut M, &E) -> f32,
+    example_loss: impl Fn(&mut M, &E, &BatchItem) -> f32 + Sync,
 ) -> Vec<f32> {
     run_supervised(
         model,
@@ -335,15 +345,111 @@ pub(crate) fn fit<M: Layer, E>(
         &TrainerOptions::default(),
         &SupervisorConfig::default(),
         |loss: &f32| *loss,
-        |model, batch, _| {
-            let mut batch_loss = 0.0;
-            for item in batch {
-                batch_loss += example_loss(model, &examples[item.index]);
-            }
-            batch_loss / batch.len() as f32
-        },
+        |model, item| example_loss(model, &examples[item.index], item),
+        |losses, _, _| losses.iter().sum::<f32>() / losses.len() as f32,
     )
     .expect("no checkpoint, resume or supervisor is configured, so the run cannot fail")
+}
+
+/// The step record of examples that return `(tokens, loss)`: counts the
+/// tokens into `obs` and returns the mean loss, in example order.
+pub(crate) fn mean_loss(examples: Vec<(usize, f32)>, _: &[BatchItem], obs: &Obs) -> f32 {
+    obs.count_tokens(examples.iter().map(|e| e.0 as u64).sum());
+    examples.iter().fold(0.0, |loss, e| loss + e.1) / examples.len() as f32
+}
+
+/// The dropout stream of example `i` in a step: a pure function of the
+/// master's stream `state` at step start and `i`, whatever worker runs the
+/// example. `i = u64::MAX` is the master's own next state.
+fn derive_stream(state: [u64; 4], i: u64) -> [u64; 4] {
+    use rand::SeedableRng;
+    let mix = |h: u64, &w: &u64| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    rand::rngs::StdRng::seed_from_u64(state.iter().fold(i, mix)).state()
+}
+
+/// Runs `example` for every item of `batch` on one replica per pool worker
+/// (DESIGN §6): example `i` draws [`derive_stream`]`(master, i)`, and the
+/// gradients reach `model`'s zeroed accumulators in example order through
+/// [`merge_grads`], so a step is bit-identical at any `NTR_THREADS`.
+/// Returns the results in example order; re-raises a panic in `example`.
+fn run_batch<M: Layer + Clone + Send, E: Send>(
+    model: &mut M,
+    replicas: &mut Vec<M>,
+    slots: &mut Vec<Vec<Tensor>>,
+    batch: &[BatchItem],
+    example: &(impl Fn(&mut M, &BatchItem) -> E + Sync),
+) -> Vec<E> {
+    let n = batch.len();
+    if replicas.is_empty() {
+        *replicas = vec![model.clone(); par::max_threads().clamp(1, n)];
+    }
+    let per = n.div_ceil(replicas.len());
+    if slots.len() < 1 + n - per {
+        slots.resize(1 + n - per, grads_of(model));
+    }
+    let mut streams = Vec::new();
+    model.visit_rng_state(&mut |_, s| {
+        streams.push(*s);
+        *s = derive_stream(*s, u64::MAX);
+    });
+    // The master's values, lent to the workers for the dispatch.
+    let mut values = Vec::new();
+    model.visit_params(&mut |_, p| {
+        values.push(std::mem::replace(&mut p.value, Tensor::zeros(&[0])));
+    });
+    // Worker 0 runs the first examples and folds each into the master at
+    // once, through one reused slot; the others keep a slot per example.
+    let (first, rest) = slots.split_at_mut(1);
+    let master = std::iter::once(Some(&mut *model)).chain(std::iter::repeat_with(|| None));
+    let jobs: Vec<Mutex<_>> = (replicas.iter_mut().zip(batch.chunks(per)))
+        .zip(std::iter::once(first).chain(rest[..n - per].chunks_mut(per)))
+        .zip(master)
+        .map(Mutex::new)
+        .collect();
+    let out = par::try_map_tasks(jobs.len(), jobs.len(), |w| {
+        let mut job = jobs[w].lock().expect("each job is locked once");
+        let (((replica, items), slots), master) = &mut *job;
+        let mut k = 0;
+        replica.visit_params(&mut |_, p| {
+            p.value.data_mut().copy_from_slice(values[k].data());
+            k += 1;
+        });
+        let mut results = Vec::with_capacity(items.len());
+        for (j, item) in items.iter().enumerate() {
+            let i = w * per + j;
+            let mut k = 0;
+            replica.visit_rng_state(&mut |_, s| {
+                *s = derive_stream(streams[k], i as u64);
+                k += 1;
+            });
+            results.push(example(replica, item));
+            let slot = &mut slots[j.min(slots.len() - 1)];
+            let mut k = 0;
+            replica.visit_params(&mut |_, p| {
+                std::mem::swap(&mut p.grad, &mut slot[k]);
+                k += 1;
+            });
+            if let Some(master) = master {
+                merge_grads(&mut **master, std::slice::from_mut(slot));
+            }
+        }
+        results
+    });
+    drop(jobs);
+    let mut values = values.into_iter();
+    model.visit_params(&mut |_, p| p.value = values.next().expect("one value per param"));
+    match out {
+        Ok(parts) => {
+            merge_grads(model, &mut slots[1..1 + n - per]);
+            parts.into_iter().flatten().collect()
+        }
+        Err(panic) => {
+            // Half-run examples leave partial gradients behind.
+            replicas.clear();
+            slots.clear();
+            std::panic::resume_unwind(Box::new(panic.message))
+        }
+    }
 }
 
 /// The supervisor loop body, split out so [`run_supervised`] can emit
@@ -440,21 +546,14 @@ fn supervise_loop<M: Layer, R>(
         }
 
         let t0 = obs.now();
-        let result: Result<R, String> = if plan.take(FaultKind::WorkerPanic, step) {
-            // Drive the injected panic through a real pool dispatch so the
+        if plan.take(FaultKind::WorkerPanic, step) {
+            // The step's own pool dispatch takes the injected panic, so the
             // drill exercises genuine worker panic isolation.
             faults::arm_worker_panic();
-            let mut scratch = vec![0.0f32; 64];
-            let dispatch = par::try_for_chunks(&mut scratch, 1, par::max_threads(), |_, _| {});
-            faults::disarm_worker_panic();
-            match dispatch {
-                Err(p) => Err(p.to_string()),
-                Ok(()) => Err("injected worker panic".to_string()),
-            }
-        } else {
-            catch_unwind(AssertUnwindSafe(|| step_fn(model, &batch, obs)))
-                .map_err(|payload| format!("worker panic: {}", par::payload_message(payload)))
-        };
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| step_fn(model, &batch, obs)))
+            .map_err(|payload| format!("worker panic: {}", par::payload_message(payload)));
+        faults::disarm_worker_panic();
 
         let mut step_grad_norm: Option<f32> = None;
         let anomaly: Option<(&'static str, String)> = match &result {

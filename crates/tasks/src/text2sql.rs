@@ -42,7 +42,7 @@ pub fn finetune(
         .iter()
         .map(|&i| example_io(&ds.examples[i], tok, max_tokens))
         .collect();
-    fit(model, cfg, &prepared, |model, (input, target)| {
+    fit(model, cfg, &prepared, |model, (input, target), _| {
         model.train_step(input, target)
     })
 }

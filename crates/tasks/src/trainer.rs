@@ -279,11 +279,6 @@ impl Trainer {
         self
     }
 
-    /// The run's shuffling/masking seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The run's observability handle (a no-op sink unless
     /// [`TrainerOptions::obs`] configured one).
     pub fn obs(&self) -> &Obs {
@@ -501,7 +496,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut model = Linear::new(2, 2, &mut SeededInit::new(8));
-        let losses = crate::supervisor::fit(&mut model, &cfg, &[1.0, 2.0, 3.0], |model, &x| {
+        let losses = crate::supervisor::fit(&mut model, &cfg, &[1.0, 2.0, 3.0], |model, &x, _| {
             let _ = model.forward(&Tensor::ones(&[1, 2]));
             let _ = model.backward(&Tensor::ones(&[1, 2]));
             x

@@ -10,13 +10,14 @@
 use ntr_corpus::datasets::ImputationDataset;
 use ntr_corpus::tables::{CorpusConfig, TableCorpus};
 use ntr_corpus::{World, WorldConfig};
-use ntr_models::{ModelConfig, Turl, VanillaBert};
+use ntr_models::{ModelConfig, Tapas, Turl, VanillaBert};
 use ntr_nn::serialize::TrainCheckpoint;
 use ntr_nn::Layer;
 use ntr_tasks::imputation::finetune_supervised;
 use ntr_tasks::supervisor::SupervisorConfig;
 use ntr_tasks::trainer::{TrainConfig, TrainerOptions};
 use ntr_tasks::TrainRun;
+use ntr_tensor::par;
 use ntr_tokenizer::WordPieceTokenizer;
 use std::path::PathBuf;
 
@@ -215,6 +216,69 @@ fn imputation_finetune_resume_is_bit_identical() {
     assert_eq!(stitched, bits(&full), "fine-tuning loss trace differs");
     assert_eq!(
         param_bits(&mut straight),
+        param_bits(&mut resumed),
+        "final parameters differ after resume"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn mlm_resume_with_dropout_on_two_threads_retraces_the_single_thread_run() {
+    // A batch's examples train on per-worker replicas, each on dropout
+    // streams derived from the master's: the checkpointed master streams
+    // still determine the run, whatever the pool size.
+    let (_, corpus, tok) = small_world();
+    let mcfg = ModelConfig {
+        dropout: 0.1,
+        ..ModelConfig::tiny(tok.vocab_size())
+    };
+    let tcfg = TrainConfig {
+        epochs: 2,
+        lr: 3e-3,
+        batch_size: 4,
+        warmup_frac: 0.1,
+        seed: 11,
+    };
+    let path = ckpt_path("mlm_two_threads.ntrw");
+    let run = |model: &mut Tapas, topts: TrainerOptions| {
+        TrainRun::new(tcfg)
+            .max_tokens(64)
+            .trainer(&topts)
+            .mlm(model, &corpus, &tok)
+            .unwrap()
+            .mlm_loss
+    };
+
+    let mut single = Tapas::new(&mcfg);
+    let full = par::with_threads(1, || run(&mut single, TrainerOptions::default()));
+    assert!(full.len() >= 4, "need ≥4 steps to halt mid-run");
+    let halt_at = (full.len() / 2) as u64;
+    let (stitched, mut resumed) = par::with_threads(2, || {
+        let head = run(
+            &mut Tapas::new(&mcfg),
+            TrainerOptions {
+                checkpoint: Some((path.clone(), 1)),
+                halt_after: Some(halt_at),
+                ..Default::default()
+            },
+        );
+        let mut resumed = Tapas::new(&ModelConfig {
+            seed: 0xDEAD,
+            ..mcfg
+        });
+        let tail = run(
+            &mut resumed,
+            TrainerOptions {
+                resume: Some(path.clone()),
+                ..Default::default()
+            },
+        );
+        let stitched: Vec<u32> = bits(&head).into_iter().chain(bits(&tail)).collect();
+        (stitched, resumed)
+    });
+    assert_eq!(stitched, bits(&full), "MLM loss trace differs");
+    assert_eq!(
+        param_bits(&mut single),
         param_bits(&mut resumed),
         "final parameters differ after resume"
     );

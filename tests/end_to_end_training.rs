@@ -207,12 +207,12 @@ mod mlm_rows_path {
     use ntr::tasks::imputation;
     use ntr::tasks::pretrain::MlmModel;
     use ntr::tasks::supervisor::{run_supervised, SupervisorConfig};
-    use ntr::tasks::trainer::TrainerOptions;
+    use ntr::tasks::trainer::{BatchItem, Trainer, TrainerOptions};
     use ntr::tasks::{TrainConfig, TrainRun};
     use ntr::tensor::{par, simd, Tensor};
     use ntr::tokenizer::WordPieceTokenizer;
 
-    const MAX_TOKENS: usize = 64;
+    pub(super) const MAX_TOKENS: usize = 64;
 
     /// Runs `f` on both SIMD lanes at 1, 2 and 4 pool threads.
     fn on_every_lane_and_pool(mut f: impl FnMut(&str)) {
@@ -230,12 +230,12 @@ mod mlm_rows_path {
         }
     }
 
-    fn bits(xs: &[f32]) -> Vec<u32> {
+    pub(super) fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
     /// CRC-32 of the state dict: every parameter's bytes, in name order.
-    fn state_crc(model: &mut dyn Layer) -> u32 {
+    pub(super) fn state_crc(model: &mut dyn Layer) -> u32 {
         let params = ntr::nn::serialize::state_dict(model);
         let bytes: Vec<u8> = params
             .values()
@@ -258,19 +258,59 @@ mod mlm_rows_path {
         (loss, head.backward(&dlogits))
     }
 
-    fn run<M: Layer, R>(
-        model: &mut M,
-        cfg: &TrainConfig,
-        n: usize,
-        loss_of: impl Fn(&R) -> f32,
-        step: impl FnMut(&mut M, &[ntr::tasks::trainer::BatchItem], &ntr::obs::Obs) -> R,
-    ) -> Vec<R> {
-        let (topts, scfg) = (TrainerOptions::default(), SupervisorConfig::default());
-        run_supervised(model, cfg, n, &topts, &scfg, loss_of, step).expect("no faults")
+    /// How a reference loop runs its per-example bodies, each returning
+    /// `(loss, second loss)`; a step records the per-example mean of each.
+    #[derive(Clone, Copy)]
+    pub(super) enum Driver {
+        /// Through `run_supervised`: replicas, derived streams, the fold.
+        Supervised,
+        /// A plain serial loop on the master: each example's backward
+        /// accumulates into the master's own gradients, one after another.
+        Serial,
+    }
+
+    impl Driver {
+        pub(super) fn run<M: Layer + Clone + Send>(
+            self,
+            model: &mut M,
+            cfg: &TrainConfig,
+            n: usize,
+            body: impl Fn(&mut M, &BatchItem) -> (f32, f32) + Sync,
+        ) -> Vec<(f32, f32)> {
+            let mean = |ls: &[(f32, f32)]| {
+                let (mut a, mut b) = (0.0f32, 0.0f32);
+                for l in ls {
+                    a += l.0;
+                    b += l.1;
+                }
+                (a / ls.len() as f32, b / ls.len() as f32)
+            };
+            match self {
+                Driver::Supervised => {
+                    let (topts, scfg) = (TrainerOptions::default(), SupervisorConfig::default());
+                    let loss_of = |r: &(f32, f32)| r.0 + r.1;
+                    run_supervised(model, cfg, n, &topts, &scfg, loss_of, body, |ls, _, _| {
+                        mean(&ls)
+                    })
+                    .expect("no faults")
+                }
+                Driver::Serial => {
+                    let mut trainer = Trainer::new(cfg, n);
+                    let mut out = Vec::new();
+                    while let Some(batch) = trainer.next_batch() {
+                        let ls: Vec<_> = batch.iter().map(|item| body(model, item)).collect();
+                        trainer.step(model).expect("no checkpoint configured");
+                        out.push(mean(&ls));
+                    }
+                    out
+                }
+            }
+        }
     }
 
     /// `TrainRun::mlm`'s loop with the all-rows head.
-    fn reference_mlm<M: MlmModel>(
+    pub(super) fn reference_mlm<M: MlmModel + Clone>(
+        driver: Driver,
         model: &mut M,
         cfg: &TrainConfig,
         corpus: &TableCorpus,
@@ -286,29 +326,21 @@ mod mlm_rows_path {
             .iter()
             .map(|t| RowMajorLinearizer.linearize(t, &t.caption, tok, &opts))
             .collect();
-        run(
-            model,
-            cfg,
-            encoded.len(),
-            |l: &f32| *l,
-            |model, batch, _| {
-                let mut batch_loss = 0.0;
-                for item in batch {
-                    let e = &encoded[item.index];
-                    let seed = cfg.seed ^ ((item.epoch * 31 + item.pos) as u64);
-                    let masked = mask_mlm(e, &mlm_cfg, seed);
-                    let states = model.encode(&EncoderInput::from_masked(e, &masked), true);
-                    let (loss, dstates) = all_rows(model.mlm_head(), &states, &masked.targets);
-                    model.backward(&dstates);
-                    batch_loss += loss;
-                }
-                batch_loss / batch.len() as f32
-            },
-        )
+        let steps = driver.run(model, cfg, encoded.len(), |model, item| {
+            let e = &encoded[item.index];
+            let seed = cfg.seed ^ ((item.epoch * 31 + item.pos) as u64);
+            let masked = mask_mlm(e, &mlm_cfg, seed);
+            let states = model.encode(&EncoderInput::from_masked(e, &masked), true);
+            let (loss, dstates) = all_rows(model.mlm_head(), &states, &masked.targets);
+            model.backward(&dstates);
+            (loss, 0.0)
+        });
+        steps.into_iter().map(|s| s.0).collect()
     }
 
     /// `TrainRun::turl`'s loop with the all-rows MLM head: (MLM, MER) loss.
-    fn reference_turl(
+    pub(super) fn reference_turl(
+        driver: Driver,
         model: &mut Turl,
         cfg: &TrainConfig,
         corpus: &TableCorpus,
@@ -324,57 +356,51 @@ mod mlm_rows_path {
             .iter()
             .map(|t| TurlLinearizer.linearize(t, &t.caption, tok, &opts))
             .collect();
-        let loss_of = |r: &(f32, f32)| r.0 + r.1;
-        run(model, cfg, encoded.len(), loss_of, |model, batch, _| {
-            let (mut bl_mlm, mut bl_mer) = (0.0f32, 0.0f32);
-            for item in batch {
-                let e = &encoded[item.index];
-                let seed = cfg.seed ^ ((item.epoch * 131 + item.pos) as u64);
-                let (mut ids, entities) = mask_entities(e, 0.3, seed);
-                let mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
-                let mut targets = mlm.targets.clone();
-                for (p, id) in ids.iter_mut().enumerate() {
-                    if entities.iter().any(|m| m.positions.contains(&p)) {
-                        targets[p] = IGNORE_INDEX;
-                    } else if targets[p] != IGNORE_INDEX {
-                        *id = mlm.input_ids[p];
-                    }
+        driver.run(model, cfg, encoded.len(), |model, item| {
+            let e = &encoded[item.index];
+            let seed = cfg.seed ^ ((item.epoch * 131 + item.pos) as u64);
+            let (mut ids, entities) = mask_entities(e, 0.3, seed);
+            let mlm = mask_mlm(e, &mlm_cfg, seed ^ 0xA5A5);
+            let mut targets = mlm.targets.clone();
+            for (p, id) in ids.iter_mut().enumerate() {
+                if entities.iter().any(|m| m.positions.contains(&p)) {
+                    targets[p] = IGNORE_INDEX;
+                } else if targets[p] != IGNORE_INDEX {
+                    *id = mlm.input_ids[p];
                 }
-                let states = model.encode(&EncoderInput::from_encoded_with_ids(e, ids), true);
-                let (mlm_loss, mut dstates) = all_rows(&mut model.mlm, &states, &targets);
-                let mut mer_loss = 0.0;
-                if !entities.is_empty() {
-                    let spans: Vec<_> = entities
-                        .iter()
-                        .map(|m| m.positions[0]..m.positions[m.positions.len() - 1] + 1)
-                        .collect();
-                    let mut pooled = Tensor::zeros(&[spans.len(), states.dim(1)]);
-                    for (k, span) in spans.iter().enumerate() {
-                        pooled
-                            .row_mut(k)
-                            .copy_from_slice(pool_mean(&states, span).data());
-                    }
-                    let mer_targets: Vec<usize> =
-                        entities.iter().map(|m| m.entity as usize).collect();
-                    let mer_logits = model.mer.forward(&pooled);
-                    let (loss, dmer) = softmax_cross_entropy(&mer_logits, &mer_targets, None);
-                    mer_loss = loss;
-                    let d_pooled = model.mer.backward(&dmer);
-                    for (k, span) in spans.iter().enumerate() {
-                        let dp = d_pooled.rows(k, k + 1);
-                        dstates.add_assign(&pool_mean_backward(&dp, span, states.dim(0)));
-                    }
-                }
-                model.backward(&dstates);
-                bl_mlm += mlm_loss;
-                bl_mer += mer_loss;
             }
-            (bl_mlm / batch.len() as f32, bl_mer / batch.len() as f32)
+            let states = model.encode(&EncoderInput::from_encoded_with_ids(e, ids), true);
+            let (mlm_loss, mut dstates) = all_rows(&mut model.mlm, &states, &targets);
+            let mut mer_loss = 0.0;
+            if !entities.is_empty() {
+                let spans: Vec<_> = entities
+                    .iter()
+                    .map(|m| m.positions[0]..m.positions[m.positions.len() - 1] + 1)
+                    .collect();
+                let mut pooled = Tensor::zeros(&[spans.len(), states.dim(1)]);
+                for (k, span) in spans.iter().enumerate() {
+                    pooled
+                        .row_mut(k)
+                        .copy_from_slice(pool_mean(&states, span).data());
+                }
+                let mer_targets: Vec<usize> = entities.iter().map(|m| m.entity as usize).collect();
+                let mer_logits = model.mer.forward(&pooled);
+                let (loss, dmer) = softmax_cross_entropy(&mer_logits, &mer_targets, None);
+                mer_loss = loss;
+                let d_pooled = model.mer.backward(&dmer);
+                for (k, span) in spans.iter().enumerate() {
+                    let dp = d_pooled.rows(k, k + 1);
+                    dstates.add_assign(&pool_mean_backward(&dp, span, states.dim(0)));
+                }
+            }
+            model.backward(&dstates);
+            (mlm_loss, mer_loss)
         })
     }
 
     /// `imputation::finetune_supervised`'s loop with the all-rows head.
-    fn reference_imputation<M: MlmModel>(
+    pub(super) fn reference_imputation<M: MlmModel + Clone>(
+        driver: Driver,
         model: &mut M,
         ds: &ImputationDataset,
         tok: &WordPieceTokenizer,
@@ -393,30 +419,21 @@ mod mlm_rows_path {
                 ))
             })
             .collect();
-        run(
-            model,
-            cfg,
-            prepared.len(),
-            |l: &f32| *l,
-            |model, batch, _| {
-                let mut batch_loss = 0.0;
-                for item in batch {
-                    let (input, positions, slots) = &prepared[item.index];
-                    let states = model.encode(input, true);
-                    let mut targets = vec![IGNORE_INDEX; input.len()];
-                    for (&p, &t) in positions.iter().zip(slots) {
-                        targets[p] = t;
-                    }
-                    let (loss, dstates) = all_rows(model.mlm_head(), &states, &targets);
-                    model.backward(&dstates);
-                    batch_loss += loss;
-                }
-                batch_loss / batch.len() as f32
-            },
-        )
+        let steps = driver.run(model, cfg, prepared.len(), |model, item| {
+            let (input, positions, slots) = &prepared[item.index];
+            let states = model.encode(input, true);
+            let mut targets = vec![IGNORE_INDEX; input.len()];
+            for (&p, &t) in positions.iter().zip(slots) {
+                targets[p] = t;
+            }
+            let (loss, dstates) = all_rows(model.mlm_head(), &states, &targets);
+            model.backward(&dstates);
+            (loss, 0.0)
+        });
+        steps.into_iter().map(|s| s.0).collect()
     }
 
-    fn assert_mlm_matches<M: MlmModel>(
+    fn assert_mlm_matches<M: MlmModel + Clone>(
         family: &str,
         what: &str,
         build: impl Fn() -> M,
@@ -434,7 +451,7 @@ mod mlm_rows_path {
             .mlm(&mut rows_path, corpus, tok)
             .expect("no faults configured");
         let mut reference = build();
-        let expected = reference_mlm(&mut reference, &cfg, corpus, tok);
+        let expected = reference_mlm(Driver::Supervised, &mut reference, &cfg, corpus, tok);
         assert_eq!(report.mlm_loss.len(), 2, "{family}: two steps");
         assert_eq!(
             bits(&report.mlm_loss),
@@ -504,7 +521,7 @@ mod mlm_rows_path {
                 .expect("no faults configured");
             let mut reference = Turl::new(&cfg);
             let (mlm, mer): (Vec<f32>, Vec<f32>) =
-                reference_turl(&mut reference, &turl_cfg, &corpus, &tok)
+                reference_turl(Driver::Supervised, &mut reference, &turl_cfg, &corpus, &tok)
                     .into_iter()
                     .unzip();
             assert_eq!(bits(&report.mlm_loss), bits(&mlm), "turl mlm loss, {what}");
@@ -527,7 +544,8 @@ mod mlm_rows_path {
             )
             .expect("no faults configured");
             let mut reference = VanillaBert::new(&cfg);
-            let expected = reference_imputation(&mut reference, &ds, &tok, &ft_cfg);
+            let expected =
+                reference_imputation(Driver::Supervised, &mut reference, &ds, &tok, &ft_cfg);
             assert_eq!(losses.len(), 1, "one step");
             assert_eq!(bits(&losses), bits(&expected), "imputation loss, {what}");
             assert_eq!(
@@ -589,5 +607,402 @@ mod mlm_rows_path {
                 }
             }
         });
+    }
+}
+
+/// Every `run_supervised` caller trains a batch's examples on per-worker
+/// replicas, each example on dropout streams derived from the master's and
+/// its index in the batch, and folds the gradients in example order. So a
+/// run is bit-identical at every pool size, and — with dropout off — it is
+/// the plain serial loop on the master up to the summation order of the
+/// fold.
+mod data_parallel {
+    use super::mlm_rows_path::{
+        bits, reference_imputation, reference_mlm, reference_turl, state_crc, Driver, MAX_TOKENS,
+    };
+    use super::{quick, small_world};
+    use ntr::corpus::datasets::{CtaDataset, ImputationDataset};
+    use ntr::corpus::tables::{CorpusConfig, TableCorpus};
+    use ntr::corpus::{Split, World};
+    use ntr::models::{
+        pool_mean, pool_mean_backward, EncoderInput, Mate, ModelConfig, RowStudent,
+        SequenceEncoder, Tapas, Tapex, Turl, VanillaBert, Want,
+    };
+    use ntr::nn::grads_of;
+    use ntr::nn::loss::softmax_cross_entropy;
+    use ntr::sql::gen::{GenConfig, QueryGenerator};
+    use ntr::table::masking::{mask_mlm, MlmConfig};
+    use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer, TokenKind};
+    use ntr::tasks::cta::{self, ColumnAnnotator};
+    use ntr::tasks::distill::distill_spans;
+    use ntr::tasks::imputation;
+    use ntr::tasks::pretrain::{tapex_example, MlmModel};
+    use ntr::tasks::supervisor::{run_supervised, SupervisorConfig};
+    use ntr::tasks::trainer::TrainerOptions;
+    use ntr::tasks::{TrainConfig, TrainRun};
+    use ntr::tensor::{par, Tensor};
+    use ntr::tokenizer::WordPieceTokenizer;
+
+    /// Six examples per objective at batch 3: two optimizer steps.
+    const EXAMPLES: usize = 6;
+
+    fn train_cfg() -> TrainConfig {
+        TrainConfig {
+            epochs: 1,
+            batch_size: 3,
+            ..quick(1, 3e-3)
+        }
+    }
+
+    fn opts() -> LinearizerOptions {
+        LinearizerOptions {
+            max_tokens: MAX_TOKENS,
+            ..Default::default()
+        }
+    }
+
+    struct Fixture {
+        world: World,
+        corpus: TableCorpus,
+        tok: WordPieceTokenizer,
+        imputation: ImputationDataset,
+        cta: CtaDataset,
+    }
+
+    /// Splits that train on the first [`EXAMPLES`] of `n` examples `usable`
+    /// accepts and test on the rest.
+    fn first_six_train(n: usize, usable: impl Fn(usize) -> bool) -> Vec<Split> {
+        let mut taken = 0;
+        let splits = (0..n)
+            .map(|i| {
+                if taken < EXAMPLES && usable(i) {
+                    taken += 1;
+                    Split::Train
+                } else {
+                    Split::Test
+                }
+            })
+            .collect();
+        assert_eq!(taken, EXAMPLES, "the fixture holds six usable examples");
+        splits
+    }
+
+    fn fixture() -> Fixture {
+        let (world, _, _) = small_world();
+        let corpus = TableCorpus::generate_entity_only(
+            &world,
+            &CorpusConfig {
+                n_tables: EXAMPLES,
+                min_rows: 3,
+                max_rows: 4,
+                null_prob: 0.0,
+                headerless_prob: 0.0,
+                seed: 0xD9A,
+            },
+        );
+        let tok = ntr::corpus::vocab::train_tokenizer(&corpus, &[], 900);
+        let mut imputation = ImputationDataset::build(&corpus, 2, 0xD9B);
+        imputation.splits = first_six_train(imputation.examples.len(), |i| {
+            imputation::masked_input(&imputation.examples[i], &tok, MAX_TOKENS).is_some()
+        });
+        let mut cta = CtaDataset::build(&corpus, 0xD9C);
+        cta.splits = first_six_train(cta.examples.len(), |i| {
+            !cta_positions(&cta, i, &tok).1.is_empty()
+        });
+        Fixture {
+            world,
+            corpus,
+            tok,
+            imputation,
+            cta,
+        }
+    }
+
+    /// CTA example `i`'s input and the positions of its column's cells.
+    fn cta_positions(
+        ds: &CtaDataset,
+        i: usize,
+        tok: &WordPieceTokenizer,
+    ) -> (EncoderInput, Vec<usize>) {
+        let ex = &ds.examples[i];
+        let encoded = RowMajorLinearizer.linearize(&ex.table, "", tok, &opts());
+        let positions = (0..encoded.len())
+            .filter(|&p| {
+                let m = &encoded.meta()[p];
+                m.col == ex.col + 1 && m.kind == TokenKind::Cell
+            })
+            .collect();
+        (EncoderInput::from_encoded(&encoded), positions)
+    }
+
+    /// The first three tables, two generated queries each: TAPEX's six.
+    fn tapex_corpus(fx: &Fixture) -> TableCorpus {
+        TableCorpus {
+            tables: fx.corpus.tables[..EXAMPLES / 2].to_vec(),
+            kinds: Vec::new(),
+        }
+    }
+
+    /// One run's loss trace and final state-dict CRC-32.
+    type Run = (&'static str, Vec<f32>, u32);
+
+    fn mlm_run<M: MlmModel + Clone>(name: &'static str, mut model: M, fx: &Fixture) -> Run {
+        let report = TrainRun::new(train_cfg())
+            .max_tokens(MAX_TOKENS)
+            .mlm(&mut model, &fx.corpus, &fx.tok)
+            .expect("no faults configured");
+        (name, report.mlm_loss, state_crc(&mut model))
+    }
+
+    /// Every `run_supervised` caller once, two steps at batch 3 each.
+    fn every_caller(fx: &Fixture, mcfg: &ModelConfig) -> Vec<Run> {
+        let (cfg, tok) = (train_cfg(), &fx.tok);
+        let run = TrainRun::new(cfg).max_tokens(MAX_TOKENS);
+        let mut out = vec![
+            mlm_run("mlm/bert", VanillaBert::new(mcfg), fx),
+            mlm_run("mlm/tapas", Tapas::new(mcfg), fx),
+            mlm_run("mlm/turl", Turl::new(mcfg), fx),
+            mlm_run("mlm/mate", Mate::new(mcfg), fx),
+        ];
+
+        let mut turl = Turl::new(mcfg);
+        let r = run.turl(&mut turl, &fx.corpus, tok).expect("no faults");
+        let losses = r.mlm_loss.iter().zip(&r.mer_loss).map(|(a, b)| a + b);
+        out.push(("turl", losses.collect(), state_crc(&mut turl)));
+
+        let mut tapex = Tapex::new(mcfg);
+        let losses = run
+            .tapex(&mut tapex, &tapex_corpus(fx), tok)
+            .expect("no faults");
+        out.push(("tapex", losses, state_crc(&mut tapex)));
+
+        let mut bert = VanillaBert::new(mcfg);
+        let (topts, scfg) = (TrainerOptions::default(), SupervisorConfig::default());
+        let losses = imputation::finetune_supervised(
+            &mut bert,
+            &fx.imputation,
+            tok,
+            &cfg,
+            MAX_TOKENS,
+            &topts,
+            &scfg,
+        )
+        .expect("no faults");
+        out.push(("imputation", losses, state_crc(&mut bert)));
+
+        let mut student = RowStudent::new(&ModelConfig { seed: 99, ..*mcfg });
+        let r = run
+            .distill(&mut student, &mut Tapas::new(mcfg), 0.0, &fx.corpus, tok)
+            .expect("no faults");
+        out.push(("distill", r.loss, state_crc(&mut student)));
+
+        let mut annotator = ColumnAnnotator::new(VanillaBert::new(mcfg), fx.cta.labels.len(), 5);
+        let losses = cta::finetune(&mut annotator, &fx.cta, tok, &cfg, &opts());
+        out.push(("fit/cta", losses, state_crc(&mut annotator)));
+        for (name, losses, _) in &out {
+            assert_eq!(losses.len(), 2, "{name}: two steps");
+        }
+        out
+    }
+
+    /// The same objectives, each body a test-local copy, in the serial
+    /// loop on the master.
+    fn every_caller_serially(fx: &Fixture, mcfg: &ModelConfig) -> Vec<Vec<f32>> {
+        let (cfg, tok, serial) = (train_cfg(), &fx.tok, Driver::Serial);
+        let corpus = &fx.corpus;
+        let mut out = vec![
+            reference_mlm(serial, &mut VanillaBert::new(mcfg), &cfg, corpus, tok),
+            reference_mlm(serial, &mut Tapas::new(mcfg), &cfg, corpus, tok),
+            reference_mlm(serial, &mut Turl::new(mcfg), &cfg, corpus, tok),
+            reference_mlm(serial, &mut Mate::new(mcfg), &cfg, corpus, tok),
+        ];
+        let turl = reference_turl(serial, &mut Turl::new(mcfg), &cfg, corpus, tok);
+        out.push(turl.iter().map(|(a, b)| a + b).collect());
+
+        let mut pairs = Vec::new();
+        for (ti, table) in tapex_corpus(fx).tables.iter().enumerate() {
+            let mut gen = QueryGenerator::new(cfg.seed ^ (ti as u64), GenConfig::default());
+            for (sql, answer) in gen.generate_n(table, 2) {
+                pairs.push(tapex_example(table, &sql, &answer, tok, MAX_TOKENS));
+            }
+        }
+        let tapex = serial.run(&mut Tapex::new(mcfg), &cfg, pairs.len(), |m, item| {
+            let (input, target) = &pairs[item.index];
+            (m.train_step(input, target), 0.0)
+        });
+        out.push(tapex.iter().map(|s| s.0).collect());
+
+        let ds = &fx.imputation;
+        out.push(reference_imputation(
+            serial,
+            &mut VanillaBert::new(mcfg),
+            ds,
+            tok,
+            &cfg,
+        ));
+
+        // Distillation at cos_weight 0: the mean over spans of the MSE.
+        let teacher = Tapas::new(mcfg);
+        let examples: Vec<_> = corpus
+            .tables
+            .iter()
+            .map(|t| {
+                let encoded = RowMajorLinearizer.linearize(t, &t.caption, tok, &opts());
+                let input = EncoderInput::from_encoded(&encoded);
+                let states = teacher.infer(&input, Want::All);
+                let spans = distill_spans(&encoded);
+                let targets: Vec<Tensor> = spans.iter().map(|s| pool_mean(&states, s)).collect();
+                (input, spans, targets)
+            })
+            .collect();
+        let mut student = RowStudent::new(&ModelConfig { seed: 99, ..*mcfg });
+        let distill = serial.run(&mut student, &cfg, examples.len(), |m, item| {
+            let (input, spans, targets) = &examples[item.index];
+            let states = m.encode(input, true);
+            let d = states.dim(1);
+            let mut dstates = Tensor::zeros(states.shape());
+            let mut loss = 0.0;
+            for (span, t) in spans.iter().zip(targets) {
+                let u = pool_mean(&states, span);
+                let mut du = Tensor::zeros(&[1, d]);
+                for j in 0..d {
+                    let diff = u.data()[j] - t.data()[j];
+                    loss += diff * diff / d as f32;
+                    du.data_mut()[j] = 2.0 * diff / d as f32;
+                }
+                dstates.add_assign(&pool_mean_backward(&du, span, states.dim(0)));
+            }
+            m.backward(&dstates);
+            (loss, spans.len() as f32)
+        });
+        out.push(distill.iter().map(|(loss, spans)| loss / spans).collect());
+
+        let cta_ds = &fx.cta;
+        let prepared: Vec<_> = cta_ds
+            .indices(Split::Train)
+            .into_iter()
+            .map(|i| (cta_positions(cta_ds, i, tok), cta_ds.examples[i].label))
+            .collect();
+        let mut annotator = ColumnAnnotator::new(VanillaBert::new(mcfg), cta_ds.labels.len(), 5);
+        let cta = serial.run(&mut annotator, &cfg, prepared.len(), |m, item| {
+            let ((input, positions), label) = &prepared[item.index];
+            let states = m.encoder.encode(input, true);
+            let (n, d) = (states.dim(0), states.dim(1));
+            let scale = 1.0 / positions.len() as f32;
+            let mut pooled = Tensor::zeros(&[1, d]);
+            for &p in positions {
+                for j in 0..d {
+                    pooled.data_mut()[j] += states.at(&[p, j]);
+                }
+            }
+            let logits = m.head.forward(&pooled.scale(scale));
+            let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
+            let d_pooled = m.head.backward(&dlogits);
+            let mut dstates = Tensor::zeros(&[n, d]);
+            for &p in positions {
+                for j in 0..d {
+                    dstates.data_mut()[p * d + j] = d_pooled.data()[j] * scale;
+                }
+            }
+            m.encoder.backward(&dstates);
+            (loss, 0.0)
+        });
+        out.push(cta.iter().map(|s| s.0).collect());
+        out
+    }
+
+    fn tiny(fx: &Fixture, dropout: f32) -> ModelConfig {
+        ModelConfig {
+            n_entities: fx.world.n_entities(),
+            dropout,
+            ..ModelConfig::tiny(fx.tok.vocab_size())
+        }
+    }
+
+    #[test]
+    fn every_caller_is_bit_identical_at_every_pool_size() {
+        let fx = fixture();
+        // `ModelConfig::tiny` trains without dropout; 0.1 makes the derived
+        // per-example streams load-bearing.
+        for dropout in [ModelConfig::tiny(8).dropout, 0.1] {
+            let mcfg = tiny(&fx, dropout);
+            let one = par::with_threads(1, || every_caller(&fx, &mcfg));
+            for threads in [2, 4] {
+                let many = par::with_threads(threads, || every_caller(&fx, &mcfg));
+                for ((name, a, crc_a), (_, b, crc_b)) in one.iter().zip(&many) {
+                    let what = format!("{name}, dropout {dropout}, 1 vs {threads} threads");
+                    assert_eq!(bits(a), bits(b), "loss, {what}");
+                    assert_eq!(crc_a, crc_b, "weights, {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropout_free_runs_match_a_serial_loop_on_the_master() {
+        let fx = fixture();
+        let mcfg = tiny(&fx, 0.0);
+        let parallel = par::with_threads(2, || every_caller(&fx, &mcfg));
+        let serial = every_caller_serially(&fx, &mcfg);
+        let mut report = Vec::new();
+        for ((name, got, _), want) in parallel.iter().zip(&serial) {
+            assert_eq!(got.len(), want.len(), "{name}: step count");
+            let mut worst = 0.0f32;
+            for (g, w) in got.iter().zip(want) {
+                worst = worst.max((g - w).abs() / w.abs().max(f32::MIN_POSITIVE));
+            }
+            assert!(worst <= 1e-5, "{name}: {got:?} vs serial {want:?}");
+            report.push(format!("{name} {worst:.1e}"));
+        }
+        eprintln!("largest relative loss deviation from the serial loop: {report:?}");
+    }
+
+    #[test]
+    fn identical_examples_draw_distinct_dropout_masks() {
+        let fx = fixture();
+        let model = VanillaBert::new(&tiny(&fx, 0.1));
+        let e = RowMajorLinearizer.linearize(&fx.corpus.tables[0], "", &fx.tok, &opts());
+        let masked = mask_mlm(&e, &MlmConfig::bert(fx.tok.vocab_size()), 1);
+        let input = EncoderInput::from_masked(&e, &masked);
+        let (rows, targets) = masked.positions();
+        let cfg = TrainConfig {
+            batch_size: 2,
+            ..train_cfg()
+        };
+        // Both examples of the one step are the same bytes; only their
+        // dropout streams tell them apart.
+        let per_example_grads = |threads| {
+            par::with_threads(threads, || {
+                let (topts, scfg) = (TrainerOptions::default(), SupervisorConfig::default());
+                run_supervised(
+                    &mut model.clone(),
+                    &cfg,
+                    2,
+                    &topts,
+                    &scfg,
+                    |_: &Vec<Vec<u32>>| 0.0,
+                    |m, _| {
+                        let states = m.encode(&input, true);
+                        let logits = m.mlm_head().forward_rows(&states, &rows);
+                        let (_, dlogits) = softmax_cross_entropy(&logits, &targets, None);
+                        let dstates = m.mlm_head().backward(&dlogits);
+                        m.backward(&dstates);
+                        grads_of(m)
+                            .iter()
+                            .flat_map(|g| bits(g.data()))
+                            .collect::<Vec<_>>()
+                    },
+                    |grads, _, _| grads,
+                )
+                .expect("no faults")
+                .remove(0)
+            })
+        };
+        let one = per_example_grads(1);
+        assert_eq!(one.len(), 2);
+        assert_ne!(one[0], one[1], "two examples ran on one dropout stream");
+        for threads in [2, 4] {
+            assert_eq!(per_example_grads(threads), one, "{threads} threads");
+        }
     }
 }
