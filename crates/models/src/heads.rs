@@ -16,7 +16,8 @@ pub struct MlmHead {
     ln: LayerNorm,
     decoder: Linear,
     /// The rows the last training forward read and the row count of its
-    /// states; `None` when it read every row.
+    /// states, the size of the gradient it scatters into; `None` when it
+    /// read every row.
     rows: Option<(Vec<usize>, usize)>,
 }
 
@@ -40,7 +41,7 @@ impl MlmHead {
     /// `[n, d] → [n, vocab]` logits.
     pub fn forward(&mut self, states: &Tensor) -> Tensor {
         self.rows = None;
-        self.forward_train(states, states.dim(0))
+        self.forward_train(states)
     }
 
     /// `[n, d] → [rows.len(), vocab]`: the logits of `rows` (ascending)
@@ -50,22 +51,20 @@ impl MlmHead {
     /// gradients of an all-rows pass whose other rows have a zero logit
     /// gradient (DESIGN §6).
     pub fn forward_rows(&mut self, states: &Tensor, rows: &[usize]) -> Tensor {
-        let n = states.dim(0);
-        self.rows = Some((rows.to_vec(), n));
-        self.forward_train(&gather_rows(states, rows), n)
+        self.rows = Some((rows.to_vec(), states.dim(0)));
+        self.forward_train(&gather_rows(states, rows))
     }
 
-    fn forward_train(&mut self, x: &Tensor, n: usize) -> Tensor {
-        let h = self.act.forward(&self.transform.forward_part_train(x, n));
-        self.decoder.forward_part_train(&self.ln.forward(&h), n)
+    fn forward_train(&mut self, x: &Tensor) -> Tensor {
+        let h = self.act.forward(&self.transform.forward(x));
+        self.decoder.forward(&self.ln.forward(&h))
     }
 
     /// [`forward_rows`](Self::forward_rows) for inference: records nothing.
     pub fn infer_rows(&self, states: &Tensor, rows: &[usize]) -> Tensor {
-        let n = states.dim(0);
-        let h = self.transform.forward_part(&gather_rows(states, rows), n);
+        let h = self.transform.forward_inference(&gather_rows(states, rows));
         let h = self.ln.forward_inference(&self.act.forward_inference(&h));
-        self.decoder.forward_part(&h, n)
+        self.decoder.forward_inference(&h)
     }
 
     /// Backward; returns `d/d states`.

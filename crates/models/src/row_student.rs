@@ -158,9 +158,8 @@ impl SequenceEncoder for RowStudent {
             h = h.rows(0, rows);
         }
         let y = match self.precision {
-            QuantSpec::F32 => self.proj2.forward_part(
-                &Gelu::default().forward_inference(&self.proj1.forward_part(&h, n)),
-                n,
+            QuantSpec::F32 => self.proj2.forward_inference(
+                &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
             ),
             QuantSpec::Int8 => {
                 let on = simd::active();

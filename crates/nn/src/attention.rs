@@ -175,21 +175,19 @@ impl MultiHeadAttention {
     /// query rows `xq`: `x` itself for every row, or some of `x`'s rows
     /// (`x.rows(0, 1)` for the `[CLS]` row alone) with `mask` holding just
     /// those rows' masks. Keys and values span all of `x`. Every kernel
-    /// runs as it would for all `n` rows, so each output row is bit for bit
-    /// the same row of `infer(x, x, mask)`, which is
+    /// computes a row from that row alone, so each output row is bit for
+    /// bit the same row of `infer(x, x, mask)`, which is
     /// [`MultiHeadAttention::forward_self`] minus its records — so any
     /// number of threads may run it on one shared block.
     pub fn infer(&self, xq: &Tensor, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
         self.check(xq, x, mask);
-        let n = x.dim(0);
-        let q = self.wq.forward_part(xq, n);
+        let q = self.wq.forward_inference(xq);
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
         let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask, n)
-                .matmul_part(&self.head(&v, h), n)
+            self.head_probs(&q, &k, h, mask).matmul(&self.head(&v, h))
         });
-        self.wo.forward_part(&self.concat(heads), n)
+        self.wo.forward_inference(&self.concat(heads))
     }
 
     /// The per-head attention distributions of self-attention over `x`,
@@ -200,7 +198,7 @@ impl MultiHeadAttention {
         let q = self.wq.forward_inference(x);
         let k = self.wk.forward_inference(x);
         par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask, q.dim(0))
+            self.head_probs(&q, &k, h, mask)
         })
     }
 
@@ -232,19 +230,12 @@ impl MultiHeadAttention {
         x.cols(h * self.d_head, (h + 1) * self.d_head)
     }
 
-    /// Head `h`'s attention probabilities for the query rows `q` of an
-    /// `m_full`-row sequence. Scores become probabilities in place: scale,
-    /// mask and softmax are one pass over each row of the `Q·Kᵀ` output.
-    fn head_probs(
-        &self,
-        q: &Tensor,
-        k: &Tensor,
-        h: usize,
-        mask: Option<&AttnMask>,
-        m_full: usize,
-    ) -> Tensor {
+    /// Head `h`'s attention probabilities for the query rows `q`. Scores
+    /// become probabilities in place: scale, mask and softmax are one pass
+    /// over each row of the `Q·Kᵀ` output.
+    fn head_probs(&self, q: &Tensor, k: &Tensor, h: usize, mask: Option<&AttnMask>) -> Tensor {
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut p = self.head(q, h).matmul_nt_part(&self.head(k, h), m_full);
+        let mut p = self.head(q, h).matmul_nt(&self.head(k, h));
         p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
         p
     }
@@ -271,7 +262,7 @@ impl MultiHeadAttention {
         let v = self.wv.forward(xkv);
 
         let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            let p = self.head_probs(&q, &k, h, mask, q.dim(0));
+            let p = self.head_probs(&q, &k, h, mask);
             let oh = p.matmul(&self.head(&v, h));
             (p, oh)
         });

@@ -66,16 +66,12 @@ impl FeedForward {
         self.lin2.forward(&self.act.forward(&self.lin1.forward(x)))
     }
 
-    /// Forward without caching, for inference, over some of the rows of an
-    /// `m_full`-row sequence (`x.dim(0)` when `x` is all of it): each
-    /// output row has the bits of the same row of the full forward.
-    pub fn infer(&self, x: &Tensor, m_full: usize) -> Tensor {
-        self.lin2.forward_part(
-            &self
-                .act
-                .forward_inference(&self.lin1.forward_part(x, m_full)),
-            m_full,
-        )
+    /// Forward without caching, for inference. Rows are independent: some
+    /// of the rows of a sequence give the bits of those rows of the whole
+    /// sequence's forward.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.lin2
+            .forward_inference(&self.act.forward_inference(&self.lin1.forward_inference(x)))
     }
 
     /// Backward; returns the input gradient.
@@ -171,7 +167,7 @@ impl EncoderLayer {
         // commutes exactly, so the bits are those of `x + branch`.
         let mut x1 = self.attn.infer(&leading_rows(&h, rows), &h, mask);
         x1.add_assign(&leading_rows(x, rows));
-        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1), n);
+        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1));
         out.add_assign(&x1);
         out
     }
@@ -392,7 +388,7 @@ mod tests {
         );
         assert_eq!(enc.infer(&x, None, Want::All), enc.forward(&x, None, false));
         let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
-        assert_eq!(ffn.infer(&x, 5), ffn.clone().forward(&x));
+        assert_eq!(ffn.infer(&x), ffn.clone().forward(&x));
     }
 
     /// `Want::Table` is row 0 of `Want::All`, bit for bit, at every depth

@@ -16,9 +16,8 @@ pub struct Linear {
     pub w: Param,
     /// Bias vector, shape `[d_out]`.
     pub b: Param,
-    /// The training forward's input, and the row count of the whole input
-    /// it was taken from.
-    cache: Option<(Tensor, usize)>,
+    /// The training forward's input.
+    cache: Option<Tensor>,
 }
 
 impl Linear {
@@ -43,32 +42,17 @@ impl Linear {
 
     /// `y = x·W + b` for `x: [n, d_in]`; caches `x` for the backward pass.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_part_train(x, x.dim(0))
-    }
-
-    /// [`forward`](Self::forward) of some of the rows of an `[m_full,
-    /// d_in]` input ([`forward_part`](Self::forward_part)). The backward
-    /// takes every product with the kernel of the whole input, so its
-    /// gradients have the bits of a whole-input pass whose other rows get
-    /// a zero output gradient.
-    pub fn forward_part_train(&mut self, x: &Tensor, m_full: usize) -> Tensor {
-        let y = self.forward_part(x, m_full);
-        self.cache = Some((x.clone(), m_full));
+        let y = self.forward_inference(x);
+        self.cache = Some(x.clone());
         y
     }
 
     /// Same as [`forward`](Self::forward) but without caching — for
-    /// inference paths that will never call `backward`.
+    /// inference paths that will never call `backward`. Each output row
+    /// depends on its own input row alone, so some of the rows of an input
+    /// give the bits of those rows of the whole input's forward.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.forward_part(x, x.dim(0))
-    }
-
-    /// [`forward_inference`](Self::forward_inference) of some of the rows
-    /// of an `[m_full, d_in]` input: each output row has the bits of the
-    /// same row of the whole input's forward ([`Tensor::matmul_part`]).
-    pub fn forward_part(&self, x: &Tensor, m_full: usize) -> Tensor {
-        x.matmul_part(&self.w.value, m_full)
-            .add_row_broadcast(&self.b.value)
+        x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
     }
 
     /// Accumulates parameter grads and returns `d loss / d x`.
@@ -76,13 +60,13 @@ impl Linear {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, m_full) = self
+        let x = self
             .cache
             .take()
             .expect("Linear::backward called without a cached forward");
-        self.w.accumulate(&x.matmul_tn_part(dy, m_full));
+        self.w.accumulate(&x.matmul_tn(dy));
         self.b.accumulate(&dy.sum_rows());
-        dy.matmul_nt_part(&self.w.value, m_full)
+        dy.matmul_nt(&self.w.value)
     }
 }
 

@@ -25,9 +25,10 @@
 //!    AVX2/FMA micro-kernels ([`simd`]; element-wise kernels stay
 //!    bit-identical to scalar, reductions and the FMA GEMM are
 //!    tolerance-bounded — and still bit-identical across thread counts).
-//!    The original simple kernels survive in [`naive`] as the
-//!    property-tested reference and the small-size fast path, and benchmarks
-//!    in `ntr-bench` keep us honest.
+//!    Every matmul runs the one GEMM at every size, so an output row's
+//!    bits never depend on how many rows share its product. The original
+//!    simple kernels survive in [`naive`] as the property-tested reference,
+//!    and benchmarks in `ntr-bench` keep us honest.
 //!
 //! The crate deliberately stops at raw math: neural-network layers, parameter
 //! management and backpropagation live in `ntr-nn`, which composes these

@@ -1,9 +1,11 @@
 //! Reference matmul kernels: the original simple triple-loop implementations.
 //!
-//! These remain the source of truth for correctness. The tiled, multithreaded
-//! kernels in `ops` are property-tested against them, fall back to them below
-//! a size threshold (where packing and spawn overhead would dominate), and the
-//! benches use them to measure speedups.
+//! These remain the source of truth for correctness: the tiled,
+//! multithreaded GEMM that every `Tensor` matmul runs at every size is
+//! property-tested against them, and the benches use them to measure
+//! speedups. Nothing else calls them. They take no shortcut — a `0` in `A`
+//! still multiplies its row of `B`, so an `inf` or NaN there reaches the
+//! output as it does in the GEMM.
 
 use crate::ops::{dims2, dot};
 use crate::Tensor;
@@ -20,9 +22,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let arow = &ad[i * k..(i + 1) * k];
         let crow = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let brow = &bd[kk * n..(kk + 1) * n];
             for (c, &bv) in crow.iter_mut().zip(brow) {
                 *c += av * bv;
@@ -44,9 +43,6 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         let arow = &ad[kk * m..(kk + 1) * m];
         let brow = &bd[kk * n..(kk + 1) * n];
         for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let crow = &mut out[i * n..(i + 1) * n];
             for (c, &bv) in crow.iter_mut().zip(brow) {
                 *c += av * bv;
@@ -72,9 +68,4 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[m, n])
-}
-
-/// `C = Aᵀ · Bᵀ` for `A: [k, m]`, `B: [n, k]`, via explicit transposes.
-pub fn matmul_tt(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul(&a.transpose(), &b.transpose())
 }

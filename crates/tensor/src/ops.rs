@@ -1,45 +1,38 @@
 //! Element-wise arithmetic and matrix-multiplication kernels.
 //!
-//! The four matmul variants (`matmul`, `matmul_tn`, `matmul_nt`, `matmul_tt`)
-//! exist because hand-derived backward passes in `ntr-nn` need products with
+//! The three matmul variants (`matmul`, `matmul_tn`, `matmul_nt`) exist
+//! because hand-derived backward passes in `ntr-nn` need products with
 //! either operand transposed; computing them directly avoids materializing
 //! transposed copies in the training hot path.
 //!
 //! # Kernel structure
 //!
-//! All four variants funnel into one cache-blocked GEMM ([`gemm_into`]) that
-//! computes `C = A · B` with both operands in row-major `[rows, k]` /
-//! `[k, cols]` layout. Transposed operands are packed into that layout once
-//! per call ([`pack_transpose`]), so the innermost loop is always unit-stride
-//! over `B` and `C` regardless of variant. The GEMM tiles the k dimension
-//! into panels that stay L1/L2-resident across row blocks and updates
-//! `MR = 4` output rows per pass through a panel (a register-blocked
-//! extension of the 4-wide unrolled [`dot`] the crate started with).
+//! Every variant, at every size, funnels into one cache-blocked GEMM
+//! ([`gemm_into`]) that computes `C = A · B` with both operands in row-major
+//! `[rows, k]` / `[k, cols]` layout. A transposed operand is packed into that
+//! layout once per call ([`pack_transpose`]), so the innermost loop is always
+//! unit-stride over `B` and `C` regardless of variant. The GEMM tiles the k
+//! dimension into panels that stay L1/L2-resident across row blocks and
+//! updates `MR = 4` output rows per pass through a panel.
 //!
-//! Output rows are partitioned across threads via [`crate::par`]; every row's
-//! floating-point accumulation order is the same in the 4-row and tail paths
-//! and independent of the partition, so results are **bit-identical for any
-//! thread count**. How wide to partition is decided by the [`crate::grain`]
-//! cost model (serial below the grain threshold, capped fan-out above it).
-//! Products below [`NAIVE_MAX_FLOPS`] take the original simple loops in
-//! [`crate::naive`] instead — at that size packing overhead would cost more
-//! than it saves. Both kernels compute each output row from its own input
-//! row alone, but not with the same arithmetic, so a row's bits depend on
-//! which kernel the product's row count selected. [`Tensor::matmul_part`] and
-//! [`Tensor::matmul_nt_part`] take that row count as an argument: a subset of
-//! rows multiplied with the kernel of the whole product.
+//! Each output element is one k-ordered chain of `a[i][k]·b[k][j]` terms
+//! added to a `+0` start: unfused on the scalar lane, one FMA per term on
+//! the SIMD lane. The chain is the same in the 4-row blocks and the row
+//! tail, in every column tile width and across k-panels, so an element's
+//! bits depend only on its own row of `A` and column of `B` — not on how
+//! many rows or columns share the product, nor on how rows are partitioned
+//! across threads (**bit-identical for any thread count**). A subset of
+//! rows is therefore multiplied with a plain `matmul` of those rows. How
+//! wide to partition is decided by the [`crate::grain`] cost model (serial
+//! below the grain threshold, capped fan-out above it).
 //!
 //! With the `simd` feature active ([`crate::simd::active`], captured once
 //! per kernel call), the element-wise kernels and the GEMM core dispatch to
 //! explicit AVX2/FMA micro-kernels. Element-wise SIMD is bit-identical to
-//! scalar; the FMA GEMM is tolerance-bounded against scalar but still
-//! bit-identical across thread counts (per-element accumulation stays
-//! k-sequential under any partition).
+//! scalar; the FMA GEMM is tolerance-bounded against scalar.
 
 use crate::{grain, par, simd, Tensor};
 
-/// `m·k·n` at or below this uses the [`crate::naive`] kernels (32³).
-const NAIVE_MAX_FLOPS: usize = 32 * 32 * 32;
 /// Don't give a GEMM worker thread fewer output rows than this.
 const MIN_ROWS_PER_THREAD: usize = 8;
 /// k-panel length: `KC · n` floats of `B` stay cache-hot across row blocks.
@@ -204,25 +197,12 @@ impl Tensor {
 
     /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
     ///
-    /// Cache-blocked and multithreaded above [`NAIVE_MAX_FLOPS`]; `B` is
-    /// already in the packed `[k, n]` layout the GEMM core consumes, so no
+    /// `B` is already in the `[k, n]` layout the GEMM core consumes, so no
     /// copy is needed for this variant.
     pub fn matmul(&self, b: &Tensor) -> Tensor {
-        self.matmul_part(b, dims2(self, "matmul lhs").0)
-    }
-
-    /// [`matmul`](Self::matmul) of some of the rows of an `[m_full, k]`
-    /// operand: the kernel is the one a product of all `m_full` rows takes,
-    /// so every output row has the bits of the same row of that product.
-    /// (Both kernels are row-independent, but they differ from each other,
-    /// and which one runs depends on the row count — see DESIGN §9.)
-    pub fn matmul_part(&self, b: &Tensor, m_full: usize) -> Tensor {
         let (m, k) = dims2(self, "matmul lhs");
         let (kb, n) = dims2(b, "matmul rhs");
         assert_eq!(k, kb, "matmul: inner dims differ ({k} vs {kb})");
-        if m_full * k * n <= NAIVE_MAX_FLOPS {
-            return crate::naive::matmul(self, b);
-        }
         let mut out = vec![0.0f32; m * n];
         gemm_into(&mut out, self.data(), b.data(), m, k, n);
         Tensor::from_vec(out, &[m, n])
@@ -232,20 +212,9 @@ impl Tensor {
     ///
     /// `A` is packed to `[m, k]` once so the panel walk is unit-stride.
     pub fn matmul_tn(&self, b: &Tensor) -> Tensor {
-        self.matmul_tn_part(b, dims2(self, "matmul_tn lhs").0)
-    }
-
-    /// [`matmul_tn`](Self::matmul_tn) over some of the `k_full` rows both
-    /// operands share, with the kernel of the full product. Both kernels
-    /// accumulate k-sequentially, so when every dropped row of `B` is zero
-    /// the result has the bits of the full product (DESIGN §9).
-    pub fn matmul_tn_part(&self, b: &Tensor, k_full: usize) -> Tensor {
         let (k, m) = dims2(self, "matmul_tn lhs");
         let (kb, n) = dims2(b, "matmul_tn rhs");
         assert_eq!(k, kb, "matmul_tn: leading dims differ ({k} vs {kb})");
-        if m * k_full * n <= NAIVE_MAX_FLOPS {
-            return crate::naive::matmul_tn(self, b);
-        }
         let at = pack_transpose(self.data(), k, m);
         let mut out = vec![0.0f32; m * n];
         gemm_into(&mut out, &at, b.data(), m, k, n);
@@ -258,39 +227,12 @@ impl Tensor {
     /// `B` is packed to `[k, n]` once so the inner loop streams `B` and `C`
     /// contiguously instead of striding down `B`'s rows.
     pub fn matmul_nt(&self, b: &Tensor) -> Tensor {
-        self.matmul_nt_part(b, dims2(self, "matmul_nt lhs").0)
-    }
-
-    /// [`matmul_nt`](Self::matmul_nt) of some of the rows of an
-    /// `[m_full, k]` operand, with the kernel of the full product — the
-    /// `matmul_nt` twin of [`matmul_part`](Self::matmul_part).
-    pub fn matmul_nt_part(&self, b: &Tensor, m_full: usize) -> Tensor {
         let (m, k) = dims2(self, "matmul_nt lhs");
         let (n, kb) = dims2(b, "matmul_nt rhs");
         assert_eq!(k, kb, "matmul_nt: inner dims differ ({k} vs {kb})");
-        if m_full * k * n <= NAIVE_MAX_FLOPS {
-            return crate::naive::matmul_nt(self, b);
-        }
         let bt = pack_transpose(b.data(), n, k);
         let mut out = vec![0.0f32; m * n];
         gemm_into(&mut out, self.data(), &bt, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// `C = Aᵀ · Bᵀ` for `A: [k, m]`, `B: [n, k]`. Rarely needed; provided
-    /// for completeness of the backward-pass algebra. Both operands are
-    /// packed.
-    pub fn matmul_tt(&self, b: &Tensor) -> Tensor {
-        let (k, m) = dims2(self, "matmul_tt lhs");
-        let (n, kb) = dims2(b, "matmul_tt rhs");
-        assert_eq!(k, kb, "matmul_tt: inner dims differ ({k} vs {kb})");
-        if m * k * n <= NAIVE_MAX_FLOPS {
-            return crate::naive::matmul_tt(self, b);
-        }
-        let at = pack_transpose(self.data(), k, m);
-        let bt = pack_transpose(b.data(), n, k);
-        let mut out = vec![0.0f32; m * n];
-        gemm_into(&mut out, &at, &bt, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -556,7 +498,7 @@ mod tests {
 
     #[test]
     fn tiled_matmul_identity_is_noop() {
-        // 64×64 exceeds NAIVE_MAX_FLOPS, so this exercises the tiled path.
+        // 64 rows fill whole 4-row blocks and 8-wide column tiles.
         let a = Tensor::from_fn(&[64, 64], |i| (i % 97) as f32 * 0.01 - 1.0);
         let c = a.matmul(&Tensor::eye(64));
         assert!(allclose(c.data(), a.data(), 1e-6, 1e-6));
@@ -574,11 +516,6 @@ mod tests {
         let nt = a.matmul_nt(&b);
         let expect = a.matmul(&b.transpose());
         assert!(allclose(nt.data(), expect.data(), 1e-6, 1e-6));
-        // Aᵀ·Bᵀ: [2,3]·[2,3]ᵀ? shapes: a [3,2] → aᵀ [2,3]; need bᵀ [2,3]ᵀ… use b [3,2] ⇒ bᵀ [2,3]
-        let c = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let tt = a.matmul_tt(&c);
-        let expect = a.transpose().matmul(&c.transpose());
-        assert!(allclose(tt.data(), expect.data(), 1e-6, 1e-6));
     }
 
     #[test]
@@ -592,140 +529,6 @@ mod tests {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0], &[5]);
         let b = t(&[1.0, 1.0, 1.0, 1.0, 1.0], &[5]);
         assert_eq!(a.dot(&b), 15.0);
-    }
-
-    /// Every row of a `_part` product has the bits of the same row of the
-    /// full product: both sides of the naive cutoff, both SIMD lanes, any
-    /// thread count. Plain `matmul_nt` on one row does not (the naive
-    /// kernel's 4-way `dot` differs from the GEMM's k-sequential sum), which
-    /// is why the entry exists.
-    #[test]
-    fn part_products_reproduce_rows_of_the_full_product() {
-        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let operand = |rows: usize, cols: usize, seed: usize| {
-            Tensor::from_fn(&[rows, cols], |i| {
-                ((i * 7919 + seed * 104_729) % 2003) as f32 / 1001.0 - 1.0
-            })
-        };
-        let mut plain_differs = false;
-        // (k, n): 16·107 and 64·128 per row put m_full on both sides of
-        // NAIVE_MAX_FLOPS (19 and 4 rows respectively).
-        for (k, n) in [(16usize, 107usize), (64, 128)] {
-            let b = operand(k, n, 1);
-            let bt = operand(n, k, 2);
-            for m_full in [1usize, 2, 3, 4, 7, 9, 33, 107] {
-                let a = operand(m_full, k, m_full);
-                for lane_scalar in [false, true] {
-                    for threads in [1, 2, 4] {
-                        let mut run = || {
-                            let full = a.matmul(&b);
-                            let full_nt = a.matmul_nt(&bt);
-                            for r in 0..m_full {
-                                let row = a.rows(r, r + 1);
-                                let what = format!("k={k} n={n} m_full={m_full} row {r}");
-                                let part = row.matmul_part(&b, m_full);
-                                assert_eq!(bits(part.data()), bits(full.row(r)), "matmul {what}");
-                                let part = row.matmul_nt_part(&bt, m_full);
-                                assert_eq!(
-                                    bits(part.data()),
-                                    bits(full_nt.row(r)),
-                                    "matmul_nt {what}"
-                                );
-                                if lane_scalar {
-                                    let plain = row.matmul_nt(&bt);
-                                    plain_differs |= bits(plain.data()) != bits(full_nt.row(r));
-                                }
-                            }
-                            // A leading block of rows, as attention's queries are.
-                            let lead = m_full.div_ceil(2);
-                            let part = a.rows(0, lead).matmul_part(&b, m_full);
-                            assert_eq!(part, full.rows(0, lead));
-                        };
-                        par::with_threads(threads, || {
-                            if lane_scalar {
-                                crate::simd::force_scalar(run)
-                            } else {
-                                run()
-                            }
-                        });
-                    }
-                }
-            }
-        }
-        assert!(
-            plain_differs,
-            "the naive and GEMM kernels happened to agree"
-        );
-    }
-
-    /// Dropping the all-zero rows of `dy` leaves `xᵀ·dy` (with the kernel
-    /// of the full row count), `Σ_rows dy` and the kept rows of `dy·Wᵀ`
-    /// bit-identical: both lanes, 1/2/4 threads, both sides of the cutoff.
-    /// A plain `matmul_tn` on the kept rows takes the naive kernel at
-    /// `64·k·64 ≤ 32³` and differs from the FMA GEMM on the vector lane.
-    #[test]
-    fn zero_rows_are_exact_no_ops() {
-        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let operand = |rows: usize, cols: usize, seed: usize| {
-            Tensor::from_fn(&[rows, cols], |i| {
-                ((i * 7919 + seed * 104_729) % 2003) as f32 / 1001.0 - 1.0
-            })
-        };
-        let vector_gemm = crate::simd::active() && crate::simd::has_gemm();
-        let mut plain_differs = false;
-        let k_full = 101;
-        let x = operand(k_full, 64, 1);
-        for n in [64usize, 1013] {
-            let w = operand(64, n, 2);
-            for keep in [0usize, 1, 8, 9, 101] {
-                let rows: Vec<usize> = (0..keep).map(|i| i * k_full / keep).collect();
-                let mut dy = Tensor::zeros(&[k_full, n]);
-                let src = operand(k_full, n, 3);
-                for &r in &rows {
-                    dy.row_mut(r).copy_from_slice(src.row(r));
-                }
-                let gather = |t: &Tensor| {
-                    let mut out = Tensor::zeros(&[rows.len(), t.dim(1)]);
-                    for (k, &r) in rows.iter().enumerate() {
-                        out.row_mut(k).copy_from_slice(t.row(r));
-                    }
-                    out
-                };
-                let (x_kept, dy_kept) = (gather(&x), gather(&dy));
-                for lane_scalar in [false, true] {
-                    for threads in [1, 2, 4] {
-                        let mut run = || {
-                            let what = format!("n={n} keep={keep}");
-                            let full = x.matmul_tn(&dy);
-                            let part = x_kept.matmul_tn_part(&dy_kept, k_full);
-                            assert_eq!(bits(part.data()), bits(full.data()), "tn {what}");
-                            let db = dy_kept.sum_rows();
-                            assert_eq!(bits(db.data()), bits(dy.sum_rows().data()), "{what}");
-                            let full_nt = dy.matmul_nt(&w);
-                            let part_nt = dy_kept.matmul_nt_part(&w, k_full);
-                            for (k, &r) in rows.iter().enumerate() {
-                                assert_eq!(bits(part_nt.row(k)), bits(full_nt.row(r)), "nt {what}");
-                            }
-                            if !lane_scalar && keep > 0 {
-                                let plain = x_kept.matmul_tn(&dy_kept);
-                                plain_differs |= bits(plain.data()) != bits(full.data());
-                            }
-                        };
-                        par::with_threads(threads, || {
-                            if lane_scalar {
-                                crate::simd::force_scalar(run)
-                            } else {
-                                run()
-                            }
-                        });
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            plain_differs, vector_gemm,
-            "a plain matmul_tn on the kept rows differs exactly when the FMA GEMM runs"
-        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * **Tiled vs naive**: every matmul variant agrees with `ntr_tensor::naive`
 //!   to within 1e-4 relative error over random shapes, including degenerate
 //!   dims (`m/k/n = 1`) and sizes straddling the `MR = 4` register block and
-//!   the 32³/64³ naive/parallel thresholds.
+//!   the 64³ parallel threshold, and puts NaN and `inf` in the same places
+//!   when zeros in `A` meet non-finite values in `B`.
 //! * **Thread-count invariance**: the parallel path is **bit-identical** for
 //!   any thread count, because rows are partitioned without changing any
 //!   row's accumulation order. Checked with exact equality.
@@ -15,7 +16,7 @@ use ntr_tensor::{allclose, naive, par, Tensor};
 use proptest::prelude::*;
 
 /// Dims that exercise 1, the MR=4 register-block edges, and the 32/64 tile
-/// and threshold boundaries.
+/// boundaries.
 fn dim() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..9, 30usize..35, 62usize..67]
 }
@@ -78,13 +79,44 @@ proptest! {
     }
 
     #[test]
-    fn matmul_tt_matches_naive((m, k, n, av, bv) in mats()) {
-        let a = Tensor::from_vec(av, &[k, m]);
-        let b = Tensor::from_vec(bv, &[n, k]);
-        let got = a.matmul_tt(&b);
-        let want = naive::matmul_tt(&a, &b);
-        prop_assert!(allclose(got.data(), want.data(), 1e-4, 1e-5));
+    fn non_finite_values_land_where_the_reference_puts_them((m, k, n, av, bv) in special_mats()) {
+        let (a, b) = (Tensor::from_vec(av, &[m, k]), Tensor::from_vec(bv, &[k, n]));
+        prop_assert!(specials_agree(&a.matmul(&b), &naive::matmul(&a, &b)), "matmul");
+        let (a, b) = (a.reshape(&[k, m]), b.reshape(&[k, n]));
+        prop_assert!(specials_agree(&a.matmul_tn(&b), &naive::matmul_tn(&a, &b)), "matmul_tn");
+        let (a, b) = (a.reshape(&[m, k]), b.reshape(&[n, k]));
+        prop_assert!(specials_agree(&a.matmul_nt(&b), &naive::matmul_nt(&a, &b)), "matmul_nt");
     }
+}
+
+/// [`mats`] with a quarter of `A`'s entries set to `0` and about one in
+/// seven of `B`'s set to `inf`, `-inf` or NaN, so a `0` often meets an
+/// `inf` or NaN (a NaN product) and an `inf` often meets a nonzero.
+fn special_mats() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
+    mats().prop_map(|(m, k, n, av, bv)| {
+        let av = av.iter().map(|&x| if x.abs() < 0.5 { 0.0 } else { x });
+        let bv = bv.iter().map(|&x| match x {
+            x if x > 1.8 => f32::INFINITY,
+            x if x < -1.8 => f32::NEG_INFINITY,
+            x if x.abs() < 0.1 => f32::NAN,
+            x => x,
+        });
+        (m, k, n, av.collect(), bv.collect())
+    })
+}
+
+/// NaN where the other has NaN, the same `inf` where the other has an
+/// `inf`, and finite values within the tiled-vs-naive tolerance.
+fn specials_agree(got: &Tensor, want: &Tensor) -> bool {
+    got.data().iter().zip(want.data()).all(|(&g, &w)| {
+        if g.is_nan() || w.is_nan() {
+            g.is_nan() && w.is_nan()
+        } else if g.is_infinite() || w.is_infinite() {
+            g == w
+        } else {
+            (g - w).abs() <= 1e-5 + 1e-4 * w.abs()
+        }
+    })
 }
 
 proptest! {

@@ -4,7 +4,7 @@
 use ntr::sql::{execute, parse_query, Answer};
 use ntr::table::masking::{mask_mlm, MaskedExample, MlmConfig};
 use ntr::table::{parse_csv, write_csv, Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
-use ntr::tensor::Tensor;
+use ntr::tensor::{par, simd, Tensor};
 use ntr::tokenizer::{train::WordPieceTrainer, WordPieceTokenizer};
 use proptest::prelude::*;
 
@@ -63,6 +63,108 @@ proptest! {
             1e-3,
             1e-4
         ));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The matmul element contract: one k-ordered chain per element
+// ---------------------------------------------------------------------
+
+/// `(m, k, n, seed)`: `m` and `n` on both sides of 32, so products fall on
+/// both sides of 32³, and `k` from one term to past one 256-long k-panel.
+fn product_dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    let k = prop_oneof![Just(1usize), Just(16), Just(64), Just(300)];
+    (1usize..=130, k, 1usize..=130, 0u64..u64::MAX)
+}
+
+/// Pseudo-random `[rows, cols]` values in `[-1, 1)` drawn from `seed`.
+fn operand(rows: usize, cols: usize, seed: u64) -> Tensor {
+    Tensor::from_fn(&[rows, cols], |i| {
+        let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    })
+}
+
+/// A pseudo-random ascending subset of `0..len`, possibly empty.
+fn pick(len: usize, seed: u64) -> Vec<usize> {
+    (0..len)
+        .filter(|&i| (i as u64 ^ seed).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 1)
+        .collect()
+}
+
+fn gather(t: &Tensor, rows: &[usize]) -> Tensor {
+    let mut out = Tensor::zeros(&[rows.len(), t.dim(1)]);
+    for (i, &r) in rows.iter().enumerate() {
+        out.row_mut(i).copy_from_slice(t.row(r));
+    }
+    out
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `f` on the scalar lane and the default lane at 1, 2 and 4 threads.
+fn on_every_lane(f: impl Fn() -> Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    for threads in [1, 2, 4] {
+        par::with_threads(threads, || simd::force_scalar(&f))?;
+        par::with_threads(threads, &f)?;
+    }
+    Ok(())
+}
+
+type Product = fn(&Tensor, &Tensor) -> Tensor;
+type Slice = fn(&Tensor, usize, usize) -> Tensor;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any part of a product has the bits of that part of the full product:
+    /// a subset of `A`'s rows, two `A` operands stacked, a column split of
+    /// `B` on and off the 8-wide tile boundary; and rows where `dy` is
+    /// exactly zero drop out of `xᵀ·dy` and `Σ_rows dy` without a trace.
+    #[test]
+    fn a_part_of_a_product_has_the_bits_of_the_full_product((m, k, n, seed) in product_dims()) {
+        let a = operand(m, k, seed);
+        let a2 = operand(m % 7 + 1, k, seed ^ 1);
+        let stacked = Tensor::vstack(&[&a, &a2]);
+        let rows = pick(m, seed ^ 2);
+        let split = (seed >> 8) as usize % n;
+        // `B` is `[k, n]` for `matmul` and `[n, k]` for `matmul_nt`; either
+        // way the product's columns are `B`'s `0..n` in `slice`.
+        let variants: [(&str, Product, Tensor, Slice); 2] = [
+            ("matmul", Tensor::matmul, operand(k, n, seed ^ 3), Tensor::cols),
+            ("matmul_nt", Tensor::matmul_nt, operand(n, k, seed ^ 4), Tensor::rows),
+        ];
+        on_every_lane(|| {
+            for (name, product, b, slice) in &variants {
+                let full = product(&a, b);
+                prop_assert_eq!(bits(&product(&gather(&a, &rows), b)), bits(&gather(&full, &rows)), "{} rows {:?}", name, rows);
+                let both = Tensor::vstack(&[&full, &product(&a2, b)]);
+                prop_assert_eq!(bits(&product(&stacked, b)), bits(&both), "{} stacked", name);
+                for c in [split / 8 * 8, split] {
+                    let halves = [product(&a, &slice(b, 0, c)), product(&a, &slice(b, c, n))];
+                    let joined = Tensor::hstack(&[&halves[0], &halves[1]]);
+                    prop_assert_eq!(bits(&joined), bits(&full), "{} split at {}", name, c);
+                }
+            }
+            Ok(())
+        })?;
+
+        // `xᵀ·dy` over `m` rows of which only `rows` carry a gradient.
+        let x = operand(m, k, seed ^ 5);
+        let mut dy = Tensor::zeros(&[m, n]);
+        let src = operand(m, n, seed ^ 6);
+        for &r in &rows {
+            dy.row_mut(r).copy_from_slice(src.row(r));
+        }
+        let (x_kept, dy_kept) = (gather(&x, &rows), gather(&dy, &rows));
+        on_every_lane(|| {
+            let (full, kept) = (x.matmul_tn(&dy), x_kept.matmul_tn(&dy_kept));
+            prop_assert_eq!(bits(&kept), bits(&full), "matmul_tn keeping {:?}", rows);
+            prop_assert_eq!(bits(&dy_kept.sum_rows()), bits(&dy.sum_rows()), "sum_rows");
+            Ok(())
+        })?;
     }
 }
 
