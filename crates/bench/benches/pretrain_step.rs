@@ -1,10 +1,10 @@
-//! E3's timing companion: cost of one MLM training step (forward, the head
-//! and loss on the masked rows, backward) per model family.
+//! E3's timing companion: cost of one MLM training step (the forward's last
+//! layer, the head and loss on the masked rows, backward) per model family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
-use ntr::models::{EncoderInput, Mate, ModelConfig, Tapas, Turl, VanillaBert};
+use ntr::models::{EncoderInput, Mate, ModelConfig, Rows, Tapas, Turl, VanillaBert};
 use ntr::nn::loss::softmax_cross_entropy;
 use ntr::table::masking::{mask_mlm, MlmConfig};
 use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
@@ -17,8 +17,8 @@ fn step<M: MlmModel>(
     rows: &[usize],
     targets: &[usize],
 ) -> f32 {
-    let states = model.encode(input, true);
-    let logits = model.mlm_head().forward_rows(&states, rows);
+    let states = model.encode_train(input, &Rows::Only(rows.to_vec()));
+    let logits = model.mlm_head().forward(&states);
     let (loss, dlogits) = softmax_cross_entropy(&logits, targets, None);
     let dstates = model.mlm_head().backward(&dlogits);
     model.backward(&dstates);

@@ -11,7 +11,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param, Want};
+use ntr_nn::{Encoder, Layer, Param, Rows, Want};
 use ntr_tensor::Tensor;
 
 /// BERT-style text encoder with an MLM head.
@@ -66,12 +66,9 @@ impl SequenceEncoder for VanillaBert {
             .infer(&self.embeddings.infer(input), None, want)
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Want::All);
-        }
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
         let x = self.embeddings.forward(input, true);
-        self.encoder.forward(&x, None, true)
+        self.encoder.forward_train(&x, None, rows)
     }
 
     fn backward(&mut self, d_states: &Tensor) {
@@ -147,8 +144,8 @@ mod tests {
         let mut adam = ntr_nn::optim::Adam::new(5e-3);
         let mut losses = Vec::new();
         for _ in 0..12 {
-            let states = m.encode(&inp, true);
-            let logits = m.mlm.forward_rows(&states, &rows);
+            let states = m.encode_train(&inp, &Rows::Only(rows.clone()));
+            let logits = m.mlm.forward(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
             losses.push(loss);
             let dstates = m.mlm.backward(&dlogits);

@@ -15,10 +15,6 @@ pub struct MlmHead {
     act: Gelu,
     ln: LayerNorm,
     decoder: Linear,
-    /// The rows the last training forward read and the row count of its
-    /// states, the size of the gradient it scatters into; `None` when it
-    /// read every row.
-    rows: Option<(Vec<usize>, usize)>,
 }
 
 impl MlmHead {
@@ -29,7 +25,6 @@ impl MlmHead {
             act: Gelu::default(),
             ln: LayerNorm::new(d_model),
             decoder: Linear::new(d_model, vocab, &mut init.fork()),
-            rows: None,
         }
     }
 
@@ -38,50 +33,29 @@ impl MlmHead {
         self.decoder.d_out()
     }
 
-    /// `[n, d] → [n, vocab]` logits.
+    /// `[m, d] → [m, vocab]` logits, each row from its own state. An MLM
+    /// step hands it the loss rows' states alone
+    /// ([`SequenceEncoder::encode_train`](crate::SequenceEncoder::encode_train)).
     pub fn forward(&mut self, states: &Tensor) -> Tensor {
-        self.rows = None;
-        self.forward_train(states)
-    }
-
-    /// `[n, d] → [rows.len(), vocab]`: the logits of `rows` (ascending)
-    /// alone, each with the bits of that row of [`forward`](Self::forward).
-    /// The next [`backward`](Self::backward) takes their gradient and
-    /// returns `[n, d]`, zero on every other row, with the parameter
-    /// gradients of an all-rows pass whose other rows have a zero logit
-    /// gradient (DESIGN §6).
-    pub fn forward_rows(&mut self, states: &Tensor, rows: &[usize]) -> Tensor {
-        self.rows = Some((rows.to_vec(), states.dim(0)));
-        self.forward_train(&gather_rows(states, rows))
-    }
-
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let h = self.act.forward(&self.transform.forward(x));
+        let h = self.act.forward(&self.transform.forward(states));
         self.decoder.forward(&self.ln.forward(&h))
     }
 
-    /// [`forward_rows`](Self::forward_rows) for inference: records nothing.
+    /// The logits of `rows` of `[n, d]` states, for inference: records
+    /// nothing.
     pub fn infer_rows(&self, states: &Tensor, rows: &[usize]) -> Tensor {
-        let h = self.transform.forward_inference(&gather_rows(states, rows));
+        let h = self.transform.forward_inference(&states.gather_rows(rows));
         let h = self.ln.forward_inference(&self.act.forward_inference(&h));
         self.decoder.forward_inference(&h)
     }
 
     /// Backward; returns `d/d states`.
     pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        let dx = self.transform.backward(
+        self.transform.backward(
             &self
                 .act
                 .backward(&self.ln.backward(&self.decoder.backward(dlogits))),
-        );
-        let Some((rows, n)) = self.rows.take() else {
-            return dx;
-        };
-        let mut dstates = Tensor::zeros(&[n, dx.dim(1)]);
-        for (k, &r) in rows.iter().enumerate() {
-            dstates.row_mut(r).copy_from_slice(dx.row(k));
-        }
-        dstates
+        )
     }
 
     /// Rows of the decoder weight, used as output-space embeddings (e.g.
@@ -209,15 +183,6 @@ pub fn pool_mean_backward(d_pooled: &Tensor, span: &Range<usize>, seq_len: usize
         for j in 0..d {
             out.data_mut()[i * d + j] = d_pooled.data()[j] * scale;
         }
-    }
-    out
-}
-
-/// `[rows.len(), d]`: the given rows of `states`, in order.
-fn gather_rows(states: &Tensor, rows: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(&[rows.len(), states.dim(1)]);
-    for (k, &r) in rows.iter().enumerate() {
-        out.row_mut(k).copy_from_slice(states.row(r));
     }
     out
 }

@@ -44,7 +44,7 @@ pub use tapas::Tapas;
 pub use tapex::Tapex;
 pub use turl::Turl;
 
-pub use ntr_nn::Want;
+pub use ntr_nn::{Rows, Want};
 
 use ntr_nn::Layer;
 use ntr_tensor::Tensor;
@@ -55,12 +55,11 @@ use ntr_tensor::Tensor;
 ///
 /// [`SequenceEncoder::infer`] is the one inference path: `&self`, no caches,
 /// no dropout, so one model is shared by every thread that encodes with it
-/// (hence the `Send + Sync` bound). `encode(input, false)` is a call to
-/// it for every row. `encode(input, true)` is the training forward: it
-/// enables dropout and records caches, and [`SequenceEncoder::backward`]
-/// then propagates a `[seq, d_model]` gradient and accumulates parameter
-/// gradients. A `backward` after an inference encode has no caches to
-/// consume and panics.
+/// (hence the `Send + Sync` bound). [`SequenceEncoder::encode_train`] is the
+/// one training forward: it enables dropout and records caches, and
+/// [`SequenceEncoder::backward`] then propagates the gradient of the rows it
+/// returned and accumulates parameter gradients. A `backward` after an
+/// inference encode has no caches to consume and panics.
 pub trait SequenceEncoder: Layer + Send + Sync {
     /// Model width.
     fn d_model(&self) -> usize;
@@ -77,11 +76,20 @@ pub trait SequenceEncoder: Layer + Send + Sync {
     /// fraction of the last layer's work.
     fn infer(&self, input: &EncoderInput, want: Want) -> Tensor;
 
-    /// Encodes an input into hidden states; with `train = false` this is
-    /// [`SequenceEncoder::infer`] with [`Want::All`].
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor;
+    /// Every token's hidden states: [`SequenceEncoder::encode_train`] with
+    /// `train`, [`SequenceEncoder::infer`] without.
+    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
+        if !train {
+            return self.infer(input, Want::All);
+        }
+        self.encode_train(input, &Rows::All)
+    }
 
-    /// Backpropagates through the last training `encode` call.
+    /// The training forward: the states of the rows a loss reads alone, the
+    /// last encoder layer computing only what they need.
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor;
+
+    /// Backpropagates the gradient of what `encode_train` returned.
     fn backward(&mut self, d_states: &Tensor);
 
     /// Short, stable model-family name for reports.

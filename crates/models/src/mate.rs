@@ -17,7 +17,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Want};
+use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows, Want};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -135,13 +135,10 @@ impl SequenceEncoder for Mate {
             .infer(&self.embeddings.infer(input), Some(&mask), want)
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Want::All);
-        }
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
         let mask = self.head_masks(input);
         let x = self.embeddings.forward(input, true);
-        self.encoder.forward(&x, Some(&mask), true)
+        self.encoder.forward_train(&x, Some(&mask), rows)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

@@ -30,7 +30,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Want};
+use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Rows, Want};
 use ntr_tensor::{simd, Tensor};
 use std::sync::OnceLock;
 
@@ -60,6 +60,8 @@ pub struct RowStudent {
 struct TrainCache {
     rows: Vec<usize>,
     gelu: Gelu,
+    /// The output rows.
+    out: Rows,
 }
 
 /// Adds to each token the mean embedding of its row group (tokens sharing
@@ -174,11 +176,8 @@ impl SequenceEncoder for RowStudent {
         self.ln.forward_inference(&h.add(&y))
     }
 
-    /// Training always runs the f32 path.
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Want::All);
-        }
+    /// Training always runs the f32 path; the LayerNorm runs on `rows`.
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
         let mut h = self.embeddings.forward(input, true);
         mix_row_means(&mut h, &input.rows);
         let mut gelu = Gelu::default();
@@ -186,22 +185,23 @@ impl SequenceEncoder for RowStudent {
         self.cache = Some(TrainCache {
             rows: input.rows.clone(),
             gelu,
+            out: rows.clone(),
         });
-        self.ln.forward(&h.add(&y))
+        self.ln.forward(&rows.of(&h.add(&y)))
     }
 
     fn backward(&mut self, d_states: &Tensor) {
-        let TrainCache { rows, mut gelu } = self
+        let mut c = self
             .cache
             .take()
             .expect("RowStudent::backward called without a cached training forward");
-        let dz = self.ln.backward(d_states);
+        let dz = c.out.scatter(self.ln.backward(d_states), c.rows.len());
         // z = h + proj2(gelu(proj1(h))): both branches feed dh.
         let dh_mlp = self
             .proj1
-            .backward(&gelu.backward(&self.proj2.backward(&dz)));
+            .backward(&c.gelu.backward(&self.proj2.backward(&dz)));
         let dh = dz.add(&dh_mlp);
-        let de = mix_row_means_backward(&dh, &rows);
+        let de = mix_row_means_backward(&dh, &c.rows);
         self.embeddings.backward(&de);
     }
 

@@ -13,7 +13,7 @@ use crate::heads::{ClassifierHead, MlmHead, TokenScoreHead};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param, Want};
+use ntr_nn::{Encoder, Layer, Param, Rows, Want};
 use ntr_table::EncodedTable;
 use ntr_tensor::Tensor;
 
@@ -103,12 +103,9 @@ impl SequenceEncoder for Tapas {
             .infer(&self.embeddings.infer(input), None, want)
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Want::All);
-        }
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
         let x = self.embeddings.forward(input, true);
-        self.encoder.forward(&x, None, true)
+        self.encoder.forward_train(&x, None, rows)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

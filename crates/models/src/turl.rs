@@ -18,7 +18,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Want};
+use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows, Want};
 use ntr_tensor::Tensor;
 
 /// TURL-style encoder with MLM and MER heads.
@@ -123,13 +123,10 @@ impl SequenceEncoder for Turl {
             .infer(&self.embeddings.infer(input), Some(&mask), want)
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Want::All);
-        }
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
         let mask = Self::visibility_mask(input);
         let x = self.embeddings.forward(input, true);
-        self.encoder.forward(&x, Some(&mask), true)
+        self.encoder.forward_train(&x, Some(&mask), rows)
     }
 
     fn backward(&mut self, d_states: &Tensor) {

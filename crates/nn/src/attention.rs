@@ -12,6 +12,7 @@
 //! All of these are [`AttnMask`] values; the attention core is shared and its
 //! backward pass is verified once by finite differences.
 
+use crate::encoder::Rows;
 use crate::init::SeededInit;
 use crate::linear::Linear;
 use crate::{Layer, Param};
@@ -62,14 +63,13 @@ impl AttnMask {
         AttnMask::Shared(m)
     }
 
-    /// The mask of the first `rows` queries: every head's mask cut to its
-    /// leading rows, for a pass that queries only those rows.
-    pub(crate) fn leading_rows(&self, rows: usize) -> AttnMask {
+    /// Every head's mask cut by `cut` to the query rows of a pass that
+    /// queries only those: `|m| m.rows(0, 1)` for the `[CLS]` row,
+    /// `|m| m.gather_rows(rows)` for some rows.
+    pub(crate) fn cut(&self, cut: impl Fn(&Tensor) -> Tensor) -> AttnMask {
         match self {
-            AttnMask::Shared(m) => AttnMask::Shared(m.rows(0, rows)),
-            AttnMask::PerHead(ms) => {
-                AttnMask::PerHead(ms.iter().map(|m| m.rows(0, rows)).collect())
-            }
+            AttnMask::Shared(m) => AttnMask::Shared(cut(m)),
+            AttnMask::PerHead(ms) => AttnMask::PerHead(ms.iter().map(cut).collect()),
         }
     }
 
@@ -125,6 +125,8 @@ struct Cache {
     v: Tensor,
     probs: Vec<Tensor>,
     self_attn: bool,
+    /// The query rows of a self-attention pass.
+    rows: Rows,
 }
 
 impl MultiHeadAttention {
@@ -161,14 +163,26 @@ impl MultiHeadAttention {
     /// Self-attention over `x: [n, d]`, recording what
     /// [`MultiHeadAttention::backward_self`] needs.
     pub fn forward_self(&mut self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.forward(x, x, mask, true)
+        self.forward_queries(x, &Rows::All, mask)
+    }
+
+    /// Self-attention over `x: [n, d]` for the query rows `rows` alone, as
+    /// [`MultiHeadAttention::infer`] for `xq`: keys and values span `x`,
+    /// `mask` covers every row, each output row has the bits of that row of
+    /// [`MultiHeadAttention::forward_self`], and `backward_self` is `[n, d]`.
+    pub fn forward_queries(&mut self, x: &Tensor, rows: &Rows, mask: Option<&AttnMask>) -> Tensor {
+        let cut = match rows {
+            Rows::All => None,
+            Rows::Only(r) => mask.map(|m| m.cut(|t| t.gather_rows(r))),
+        };
+        self.forward(&rows.of(x), x, cut.as_ref().or(mask), Some(rows))
     }
 
     /// Cross-attention: queries from `xq: [n_q, d]`, keys/values from
     /// `xkv: [n_k, d]`. Input gradients are returned separately by
     /// [`MultiHeadAttention::backward_cross`].
     pub fn forward_cross(&mut self, xq: &Tensor, xkv: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.forward(xq, xkv, mask, false)
+        self.forward(xq, xkv, mask, None)
     }
 
     /// Self-attention over `x: [n, d]` for inference, answered for the
@@ -249,12 +263,14 @@ impl MultiHeadAttention {
         concat
     }
 
+    /// The training forward; `self_rows` is the query rows of
+    /// self-attention, `None` for cross-attention.
     fn forward(
         &mut self,
         xq: &Tensor,
         xkv: &Tensor,
         mask: Option<&AttnMask>,
-        self_attn: bool,
+        self_rows: Option<&Rows>,
     ) -> Tensor {
         self.check(xq, xkv, mask);
         let q = self.wq.forward(xq);
@@ -273,12 +289,15 @@ impl MultiHeadAttention {
             k,
             v,
             probs,
-            self_attn,
+            self_attn: self_rows.is_some(),
+            rows: self_rows.cloned().unwrap_or(Rows::All),
         });
         self.wo.forward(&concat)
     }
 
-    /// Backward for self-attention; returns `d loss / d x`.
+    /// Backward for self-attention; returns `d loss / d x`, `[n, d]`. After
+    /// [`MultiHeadAttention::forward_queries`] a row outside the query
+    /// rows gets its key/value gradient alone (`+0` plus it).
     ///
     /// # Panics
     /// Panics if the preceding forward was cross-attention (use
@@ -347,7 +366,7 @@ impl MultiHeadAttention {
             dv.set_cols(h * dh, &dvh);
         }
 
-        let dxq = self.wq.backward(&dq);
+        let dxq = cache.rows.scatter(self.wq.backward(&dq), n_k);
         let dxk = self.wk.backward(&dk);
         let dxv = self.wv.backward(&dv);
         (dxq, dxk.add(&dxv))
@@ -426,7 +445,7 @@ mod tests {
         for mask in [None, Some(AttnMask::causal(7)), Some(per_head)] {
             let full = a.infer(&x, &x, mask.as_ref());
             for rows in [1, 3, 7] {
-                let cut = mask.as_ref().map(|m| m.leading_rows(rows));
+                let cut = mask.as_ref().map(|m| m.cut(|t| t.rows(0, rows)));
                 let part = a.infer(&x.rows(0, rows), &x, cut.as_ref());
                 assert_eq!(part, full.rows(0, rows), "{rows} query rows");
             }

@@ -1,5 +1,6 @@
 //! Inverted dropout with an explicit, seedable mask source.
 
+use crate::encoder::Rows;
 use ntr_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,19 +49,36 @@ impl Dropout {
 
     /// Applies dropout when `train` is true; identity otherwise.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+        if !train {
+            self.cache_mask = None;
+            return x.clone();
+        }
+        self.forward_train(x, x.dim(0), &Rows::All)
+    }
+
+    /// Training dropout of `rows` of an `n`-row activation, `x` holding
+    /// those rows alone. The mask is drawn for all `n` rows in row-major
+    /// order and cut to `rows`, so the stream and each kept row's mask are
+    /// those of [`Rows::All`].
+    pub fn forward_train(&mut self, x: &Tensor, n: usize, rows: &Rows) -> Tensor {
+        if self.p == 0.0 {
             self.cache_mask = None;
             return x.clone();
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask = Tensor::from_fn(x.shape(), |_| {
+        let mut shape = x.shape().to_vec();
+        shape[0] = n;
+        let mut mask = Tensor::from_fn(&shape, |_| {
             if self.rng.gen::<f32>() < keep {
                 scale
             } else {
                 0.0
             }
         });
+        if let Rows::Only(rows) = rows {
+            mask = mask.gather_rows(rows);
+        }
         let y = x.mul(&mask);
         self.cache_mask = Some(mask);
         y

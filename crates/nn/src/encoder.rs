@@ -34,6 +34,36 @@ impl Want {
     }
 }
 
+/// Which rows of its output a training forward produces: the rows its loss
+/// reads, the training twin of [`Want`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rows {
+    /// Every row, `[n, d]`.
+    All,
+    /// These rows, ascending (the order a loss sums them in): `[m, d]`, each
+    /// row with the bits of that row of [`Rows::All`].
+    Only(Vec<usize>),
+}
+
+impl Rows {
+    /// These rows of `x`, borrowed when that is all of `x`.
+    pub fn of<'t>(&self, x: &'t Tensor) -> Cow<'t, Tensor> {
+        match self {
+            Rows::All => Cow::Borrowed(x),
+            Rows::Only(rows) => Cow::Owned(x.gather_rows(rows)),
+        }
+    }
+
+    /// `g`, the gradient of these rows of an `n`-row tensor, as the whole
+    /// tensor's gradient: `+0` on every row the selection skips.
+    pub fn scatter(&self, g: Tensor, n: usize) -> Tensor {
+        match self {
+            Rows::All => g,
+            Rows::Only(rows) => g.scatter_rows(rows, n),
+        }
+    }
+}
+
 /// The first `rows` rows of `x`, borrowed when that is all of `x`.
 fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
     if rows == x.dim(0) {
@@ -107,6 +137,8 @@ pub struct EncoderLayer {
     ln2: LayerNorm,
     ffn: FeedForward,
     drop2: Dropout,
+    /// The output rows of the last training forward.
+    rows: Rows,
 }
 
 impl EncoderLayer {
@@ -126,24 +158,36 @@ impl EncoderLayer {
             ln2: LayerNorm::new(d_model),
             ffn: FeedForward::new(d_model, d_ff, init),
             drop2: Dropout::new(dropout, seed_base.wrapping_add(1)),
+            rows: Rows::All,
         }
     }
 
-    /// Forward pass; `mask` is forwarded to the attention core. With
-    /// `train = false` this is [`EncoderLayer::infer`] over every row and
-    /// records nothing for a backward pass.
+    /// Forward pass over every row: [`EncoderLayer::forward_train`] with
+    /// `train`, [`EncoderLayer::infer`] (recording nothing) without.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
             return self.infer(x, mask, Want::All);
         }
-        let h = self
-            .drop1
-            .forward(&self.attn.forward_self(&self.ln1.forward(x), mask), train);
-        let x1 = x.add(&h);
-        let h2 = self
-            .drop2
-            .forward(&self.ffn.forward(&self.ln2.forward(&x1)), train);
-        x1.add(&h2)
+        self.forward_train(x, mask, &Rows::All)
+    }
+
+    /// Training forward of the output rows `rows`, recording what
+    /// [`EncoderLayer::backward`] needs. LN1, keys and values run over every
+    /// row of `x` (the rows attend to all of them), everything else for
+    /// `rows` alone; `mask` covers every row. Both dropouts draw their masks
+    /// for every row, so their streams advance as under [`Rows::All`].
+    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: &Rows) -> Tensor {
+        let n = x.dim(0);
+        let h = self.attn.forward_queries(&self.ln1.forward(x), rows, mask);
+        // The residual sums land in the branch outputs' buffers; addition
+        // commutes exactly, so the bits are those of `x + branch`.
+        let mut x1 = self.drop1.forward_train(&h, n, rows);
+        x1.add_assign(&rows.of(x));
+        let h2 = self.ffn.forward(&self.ln2.forward(&x1));
+        let mut out = self.drop2.forward_train(&h2, n, rows);
+        out.add_assign(&x1);
+        self.rows = rows.clone();
+        out
     }
 
     /// Inference forward: no caches, no dropout, `&self`. With
@@ -157,7 +201,7 @@ impl EncoderLayer {
         let rows = want.rows(n);
         let cut;
         let mask = if rows < n {
-            cut = mask.map(|m| m.leading_rows(rows));
+            cut = mask.map(|m| m.cut(|t| t.rows(0, rows)));
             cut.as_ref()
         } else {
             mask
@@ -179,18 +223,19 @@ impl EncoderLayer {
             .attention_probs(&self.ln1.forward_inference(x), mask)
     }
 
-    /// Backward pass; returns the input gradient.
+    /// Backward pass from the gradient of the rows the training forward
+    /// produced; returns the gradient of every input row.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         // Residual 2: dy flows both into the FFN branch and straight through.
         let dffn = self
             .ln2
             .backward(&self.ffn.backward(&self.drop2.backward(dy)));
         let dx1 = dy.add(&dffn);
-        // Residual 1.
+        // Residual 1: a row no output reads gets `+0` plus its K/V gradient.
         let dattn = self
             .ln1
             .backward(&self.attn.backward_self(&self.drop1.backward(&dx1)));
-        dx1.add(&dattn)
+        self.rows.scatter(dx1, dattn.dim(0)).add(&dattn)
     }
 }
 
@@ -243,17 +288,28 @@ impl Encoder {
         self.final_ln.dim()
     }
 
-    /// Forward through all layers; the same `mask` is applied at every layer.
-    /// With `train = false` this is [`Encoder::infer`] over every row.
+    /// Forward through all layers over every row: [`Encoder::forward_train`]
+    /// with `train`, [`Encoder::infer`] without.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
             return self.infer(x, mask, Want::All);
         }
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, mask, train);
+        self.forward_train(x, mask, &Rows::All)
+    }
+
+    /// Training forward, the same `mask` at every layer, returning the
+    /// states of `rows` and recording what [`Encoder::backward`] needs.
+    /// `rows` narrows the last layer only, as `want` does in
+    /// [`Encoder::infer`]; narrowing an encoder with no layer panics.
+    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: &Rows) -> Tensor {
+        assert!(*rows == Rows::All || !self.layers.is_empty());
+        let last = self.layers.len().saturating_sub(1);
+        let mut h: Option<Tensor> = None;
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let r = if i == last { rows } else { &Rows::All };
+            h = Some(layer.forward_train(h.as_ref().unwrap_or(x), mask, r));
         }
-        self.final_ln.forward(&h)
+        self.final_ln.forward(h.as_ref().unwrap_or(x))
     }
 
     /// Inference through all layers: no caches, no dropout, `&self`, so one
@@ -275,7 +331,8 @@ impl Encoder {
         }
     }
 
-    /// Backward through all layers in reverse.
+    /// Backward through all layers in reverse, from the gradient of the
+    /// rows the training forward returned to that of every input row.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let mut g = self.final_ln.backward(dy);
         for layer in self.layers.iter_mut().rev() {
@@ -363,6 +420,26 @@ mod tests {
         let dyc = dy.clone();
         let num = numeric_grad(&x, 5e-3, |x| probe.forward(x, None, false).mul(&dyc).sum());
         assert_close(&dx, &num, 3e-2, "encoder dx");
+    }
+
+    /// The rows path's input gradient, by finite differences: with one
+    /// layer, rows 0 and 2 reach the selected rows' loss through keys and
+    /// values alone.
+    #[test]
+    fn encoder_rows_gradcheck() {
+        let mut enc = Encoder::new(1, 6, 2, 12, 0.0, &mut SeededInit::new(22));
+        let x = SeededInit::new(23).uniform(&[4, 6], -0.5, 0.5);
+        let dy = SeededInit::new(24).uniform(&[2, 6], -1.0, 1.0);
+        let rows = Rows::Only(vec![1, 3]);
+        let mask = AttnMask::causal(4);
+        let _ = enc.forward_train(&x, Some(&mask), &rows);
+        let dx = enc.backward(&dy);
+        assert!(dx.row(0).iter().chain(dx.row(2)).any(|&g| g != 0.0));
+        let mut probe = enc.clone();
+        let num = numeric_grad(&x, 5e-3, |x| {
+            probe.forward_train(x, Some(&mask), &rows).mul(&dy).sum()
+        });
+        assert_close(&dx, &num, 3e-2, "encoder rows dx");
     }
 
     #[test]

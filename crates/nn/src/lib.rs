@@ -84,7 +84,7 @@ pub use attention::{AttnMask, MultiHeadAttention};
 pub use decoder::{Decoder, DecoderLayer};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
-pub use encoder::{Encoder, EncoderLayer, Want};
+pub use encoder::{Encoder, EncoderLayer, Rows, Want};
 pub use layernorm::LayerNorm;
 pub use linear::{Linear, QuantizedLinear};
 pub use param::Param;

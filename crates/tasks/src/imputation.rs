@@ -23,7 +23,7 @@ use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError}
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::datasets::{ImputationDataset, ImputationExample};
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, Want};
+use ntr_models::{EncoderInput, Rows, Want};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
@@ -217,8 +217,8 @@ pub fn finetune_supervised<M: MlmModel + Clone>(
         |loss: &f32| *loss,
         |model, item| {
             let (input, positions, slot_targets) = &prepared[item.index];
-            let states = model.encode(input, true);
-            let logits = model.mlm_head().forward_rows(&states, positions);
+            let states = model.encode_train(input, &Rows::Only(positions.clone()));
+            let logits = model.mlm_head().forward(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
             let dstates = model.mlm_head().backward(&dlogits);
             model.backward(&dstates);

@@ -7,7 +7,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::NliDataset;
 use ntr_corpus::Split;
-use ntr_models::{ClassifierHead, EncoderInput, SequenceEncoder};
+use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder, Want};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::{Layer, Param};
@@ -33,10 +33,14 @@ impl<M: SequenceEncoder> FactVerifier<M> {
         }
     }
 
-    fn logits(&mut self, input: &EncoderInput, train: bool) -> (ntr_tensor::Tensor, usize) {
-        let states = self.encoder.encode(input, train);
-        let pooled = states.rows(0, 1); // [CLS]
-        (self.head.forward(&pooled), states.dim(0))
+    /// The head's logits on the `[CLS]` state, the one row it reads.
+    fn logits(&mut self, input: &EncoderInput, train: bool) -> ntr_tensor::Tensor {
+        let pooled = if train {
+            self.encoder.encode_train(input, &Rows::Only(vec![0]))
+        } else {
+            self.encoder.infer(input, Want::Table)
+        };
+        self.head.forward(&pooled)
     }
 }
 
@@ -78,13 +82,10 @@ pub fn finetune<M: SequenceEncoder + Clone>(
 ) {
     let prepared = encode(ds, &ds.indices(Split::Train), tok, opts);
     fit(model, cfg, &prepared, |model, (input, label), _| {
-        let (logits, seq_len) = model.logits(input, true);
+        let logits = model.logits(input, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
         let d_pooled = model.head.backward(&dlogits);
-        // Only the CLS row received gradient.
-        let mut dstates = ntr_tensor::Tensor::zeros(&[seq_len, d_pooled.dim(1)]);
-        dstates.row_mut(0).copy_from_slice(d_pooled.row(0));
-        model.encoder.backward(&dstates);
+        model.encoder.backward(&d_pooled);
         loss
     });
 }
@@ -122,7 +123,7 @@ pub fn evaluate<M: SequenceEncoder>(
     let mut pred = Vec::with_capacity(prepared.len());
     let mut gold = Vec::with_capacity(prepared.len());
     for (input, label) in &prepared {
-        let (logits, _) = model.logits(input, false);
+        let logits = model.logits(input, false);
         pred.push(logits.argmax_rows()[0] == 1);
         gold.push(*label == 1);
     }

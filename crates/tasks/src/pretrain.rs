@@ -6,8 +6,8 @@ use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError}
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
-    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, SequenceEncoder, Tapas, Tapex,
-    Turl, VanillaBert, Want,
+    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, Rows, SequenceEncoder, Tapas,
+    Tapex, Turl, VanillaBert, Want,
 };
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_sql::gen::{GenConfig, QueryGenerator};
@@ -77,8 +77,8 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
         self.as_ref().infer(input, want)
     }
 
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        self.as_mut().encode(input, train)
+    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+        self.as_mut().encode_train(input, rows)
     }
 
     fn backward(&mut self, d_states: &Tensor) {
@@ -246,9 +246,10 @@ impl<'a> TrainRun<'a> {
             |model, item| {
                 let e = &encoded[item.index];
                 let masked = mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
-                let states = model.encode(&EncoderInput::from_masked(e, &masked), true);
                 let (rows, targets) = masked.positions();
-                let logits = model.mlm_head().forward_rows(&states, &rows);
+                let input = EncoderInput::from_masked(e, &masked);
+                let states = model.encode_train(&input, &Rows::Only(rows));
+                let logits = model.mlm_head().forward(&states);
                 let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                 let dstates = model.mlm_head().backward(&dlogits);
                 model.backward(&dstates);
@@ -317,20 +318,27 @@ impl TrainRun<'_> {
                     }
                 }
                 let input = EncoderInput::from_encoded_with_ids(e, input_ids);
-                let states = model.encode(&input, true);
-                let (seq_len, d) = (states.dim(0), states.dim(1));
+                // The encoder computes the rows either loss reads, ascending:
+                // the MLM positions and the masked cells' tokens.
+                let (mlm_rows, targets) = mlm.positions();
+                let mut rows = mlm_rows.clone();
+                rows.extend(masked_entities.iter().flat_map(|m| &m.positions));
+                rows.sort_unstable();
+                let at = |p: usize| rows.binary_search(&p).expect("a loss row");
+                let states = model.encode_train(&input, &Rows::Only(rows.clone()));
+                let (m, d) = (rows.len(), states.dim(1));
 
                 // MLM objective.
-                let (rows, targets) = mlm.positions();
-                let logits = model.mlm.forward_rows(&states, &rows);
+                let mlm_at: Vec<usize> = mlm_rows.iter().map(|&p| at(p)).collect();
+                let logits = model.mlm.forward(&states.gather_rows(&mlm_at));
                 let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                 let mlm_rec = (mlm_loss, argmax_hits(&logits, &targets), targets.len());
-                let mut dstates = model.mlm.backward(&dlogits);
+                let mut dstates = model.mlm.backward(&dlogits).scatter_rows(&mlm_at, m);
 
                 // MER objective: pool each masked cell, classify over entities.
                 let mut mer_rec = (0.0, 0, 0);
                 let spans: Vec<_> = (masked_entities.iter())
-                    .map(|m| m.positions[0]..m.positions[m.positions.len() - 1] + 1)
+                    .map(|m| at(m.positions[0])..at(m.positions[m.positions.len() - 1]) + 1)
                     .collect();
                 if !masked_entities.is_empty() {
                     let mut pooled = Tensor::zeros(&[spans.len(), d]);
@@ -347,7 +355,7 @@ impl TrainRun<'_> {
                     let d_pooled = model.mer.backward(&dmer_logits);
                     for (k, span) in spans.iter().enumerate() {
                         let dp = d_pooled.rows(k, k + 1);
-                        dstates.add_assign(&pool_mean_backward(&dp, span, seq_len));
+                        dstates.add_assign(&pool_mean_backward(&dp, span, m));
                     }
                 }
 

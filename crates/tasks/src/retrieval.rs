@@ -13,7 +13,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, SequenceEncoder, Want};
+use ntr_models::{EncoderInput, Rows, SequenceEncoder, Want};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::{grads_of, merge_grads};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
@@ -124,8 +124,8 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
         let q_input = query_input(&q.text, tok);
         let mut q_clone = model.clone();
         q_clone.zero_grad();
-        let q_states = q_clone.encode(&q_input, true);
-        let q_emb = q_states.rows(0, 1);
+        // Only the `[CLS]` rows reach the loss.
+        let q_emb = q_clone.encode_train(&q_input, &Rows::Only(vec![0]));
 
         let mut t_clones = Vec::with_capacity(cand_ids.len());
         let mut t_embs = Vec::with_capacity(cand_ids.len());
@@ -133,9 +133,8 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
             let input = table_input(&ds.corpus.tables[ti], tok, opts);
             let mut c = model.clone();
             c.zero_grad();
-            let states = c.encode(&input, true);
-            t_embs.push(states.rows(0, 1));
-            t_clones.push((c, states.dim(0)));
+            t_embs.push(c.encode_train(&input, &Rows::Only(vec![0])));
+            t_clones.push(c);
         }
 
         // Cosine logits and CE (positive is class 0).
@@ -164,18 +163,13 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
             // d/d t_emb
             let mut dt = q_emb.scale(1.0 / (qn * tn));
             dt.axpy(-cos / (tn * tn), t_emb);
-            let (clone, seq_len) = &mut t_clones[k];
-            let mut dstates = Tensor::zeros(&[*seq_len, d]);
-            dstates.row_mut(0).copy_from_slice(dt.scale(g).data());
-            clone.backward(&dstates);
+            t_clones[k].backward(&dt.scale(g));
         }
-        let mut dq_states = Tensor::zeros(&[q_states.dim(0), d]);
-        dq_states.row_mut(0).copy_from_slice(d_q.data());
-        q_clone.backward(&dq_states);
+        q_clone.backward(&d_q);
 
         // Merge clone grads into the master.
         let mut sets = vec![grads_of(&mut q_clone)];
-        sets.extend(t_clones.iter_mut().map(|(clone, _)| grads_of(clone)));
+        sets.extend(t_clones.iter_mut().map(|c| grads_of(c)));
         merge_grads(model, &mut sets);
         loss
     });

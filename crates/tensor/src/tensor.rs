@@ -227,6 +227,27 @@ impl Tensor {
         }
     }
 
+    /// Copies the rows `idx` of a 2-D tensor, in that order, into a new
+    /// `[idx.len(), cols]` tensor.
+    pub fn gather_rows(&self, idx: &[usize]) -> Self {
+        let mut out = Tensor::zeros(&[idx.len(), self.dim(1)]);
+        for (k, &r) in idx.iter().enumerate() {
+            out.row_mut(k).copy_from_slice(self.row(r));
+        }
+        out
+    }
+
+    /// The adjoint of [`Tensor::gather_rows`]: a zero `[n, cols]` tensor
+    /// whose row `idx[k]` is row `k` of `self` (`idx` distinct).
+    pub fn scatter_rows(&self, idx: &[usize], n: usize) -> Self {
+        assert_eq!(self.dim(0), idx.len(), "scatter_rows: one index per row");
+        let mut out = Tensor::zeros(&[n, self.dim(1)]);
+        for (k, &r) in idx.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(self.row(k));
+        }
+        out
+    }
+
     /// Copies columns `[start, end)` of a 2-D tensor into a new tensor —
     /// used to split projection outputs into attention heads.
     pub fn cols(&self, start: usize, end: usize) -> Self {
@@ -372,6 +393,16 @@ mod tests {
         assert_eq!(t.ndim(), 2);
         assert_eq!(t.at(&[1, 2]), 6.0);
         assert_eq!(t.row(1), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn gather_and_scatter_rows_are_adjoint() {
+        let t = Tensor::from_fn(&[4, 2], |i| i as f32 + 1.0);
+        let g = t.gather_rows(&[1, 3]);
+        assert_eq!(g.data(), &[3.0, 4.0, 7.0, 8.0]);
+        let s = g.scatter_rows(&[1, 3], 4);
+        assert_eq!(s.data(), &[0.0, 0.0, 3.0, 4.0, 0.0, 0.0, 7.0, 8.0]);
+        assert_eq!(t.gather_rows(&[]).shape(), &[0, 2]);
     }
 
     #[test]

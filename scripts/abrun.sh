@@ -1,0 +1,119 @@
+#!/usr/bin/env bash
+# Paired A/B runs of one ntrbench workload: parent against change.
+#
+#   scripts/abrun.sh [-n PAIRS] [-w WORKLOAD] [-s SECONDS] [-e SEED] [-t THREADS] [-r] A B
+#
+# A and B are git revisions; `.` stands for the working tree (tracked and
+# untracked files that .gitignore does not exclude). Each side is exported
+# in turn to the same directory, $ABRUN_DIR (default ${TMPDIR:-/tmp}/ntr-abrun),
+# and ntrbench is built there, so both binaries come from one absolute path
+# and differ only in the source. Both binaries are kept under $ABRUN_DIR/bin.
+#
+# Then PAIRS pairs run one after the other, each pair running both sides
+# back to back; odd pairs run A first, even pairs B first. Every run's
+# end-to-end metrics are printed, then one Markdown row per metric: every
+# value of each side, the paired ratios B/A, and each side's median with its
+# quartiles. A ratio above 1 is a gain for `throughput` and a loss for the
+# latencies and `setup_s`.
+# THREADS, when given, is exported as NTR_THREADS to every run. -r reuses
+# the two binaries a previous call built instead of building them again.
+#
+# Nothing in the repository is written: not BENCHMARK.json, not the
+# benchmark's own directory. Exit code 1 when a run fails a check.
+set -euo pipefail
+
+pairs=5 workload=train_mlm seconds=16 seed=17 threads= reuse=
+while getopts "n:w:s:e:t:r" opt; do
+    case $opt in
+        n) pairs=$OPTARG ;;
+        w) workload=$OPTARG ;;
+        s) seconds=$OPTARG ;;
+        e) seed=$OPTARG ;;
+        t) threads=$OPTARG ;;
+        r) reuse=1 ;;
+        *) sed -n '2,4p' "$0" >&2; exit 2 ;;
+    esac
+done
+shift $((OPTIND - 1))
+[ $# -eq 2 ] || { sed -n '2,4p' "$0" >&2; exit 2; }
+
+repo=$(git rev-parse --show-toplevel)
+dir=${ABRUN_DIR:-${TMPDIR:-/tmp}/ntr-abrun}
+manifest=crates/bench/src/bin/ntrbench/Cargo.toml
+mkdir -p "$dir/bin" "$dir/out"
+
+# Exports revision $1 to $dir/src (file times set to now, so cargo rebuilds
+# what changed since the other side) and builds ntrbench into bin/$2.
+build() {
+    rm -rf "$dir/src"
+    mkdir -p "$dir/src"
+    if [ "$1" = . ]; then
+        (cd "$repo" && git ls-files -z --cached --others --exclude-standard |
+            xargs -0 tar -cf - --no-recursion) | tar -xmf - -C "$dir/src"
+    else
+        git -C "$repo" archive "$1" | tar -xmf - -C "$dir/src"
+    fi
+    (cd "$dir/src" && CARGO_TARGET_DIR="$dir/target" \
+        cargo build --release --offline --quiet --manifest-path "$manifest")
+    cp "$dir/target/release/ntrbench" "$dir/bin/$2"
+    echo "built $2 from $1" >&2
+}
+if [ -z "$reuse" ]; then
+    build "$1" A
+    build "$2" B
+fi
+
+# run SIDE PAIR: one run, its output kept in out/SIDE-PAIR.txt.
+status=0
+run() {
+    local out="$dir/out/$1-$2.txt"
+    if ! env ${threads:+NTR_THREADS=$threads} "$dir/bin/$1" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" >"$out"; then
+        echo "run $1 of pair $2 failed a check: see $out" >&2
+        status=1
+    fi
+    awk -v side="$1" -v pair="$2" '
+        /^metric / { m = m sprintf(" %s=%s", $2, $3) }
+        /^counter tasks.final_loss / { m = m sprintf(" final_loss=%s", $3) }
+        /^count / { m = m sprintf(" failed=%s", $5) }
+        END { printf "pair %s %s:%s\n", pair, side, m }' "$out"
+}
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then run A "$i"; run B "$i"; else run B "$i"; run A "$i"; fi
+done
+
+echo
+echo "$workload, $pairs pairs, seed $seed, ${threads:-default} threads; A = $1, B = $2"
+echo
+echo "| metric | A | B | paired ratios B/A | median [quartiles] A → B |"
+echo "| --- | --- | --- | --- | --- |"
+for metric in setup_s throughput p50_ms p95_ms; do
+    for i in $(seq 1 "$pairs"); do
+        for side in A B; do
+            awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }' "$dir/out/$side-$i.txt"
+        done | paste -sd' '
+    done | awk -v m="$metric" '
+        # The p-quantile of v[1..n], interpolated between order statistics.
+        function quantile(v, n, p,    i, j, t, s, h) {
+            for (i = 1; i <= n; i++) s[i] = v[i]
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+            h = 1 + (n - 1) * p; i = int(h)
+            return i < n ? s[i] + (h - i) * (s[i + 1] - s[i]) : s[n]
+        }
+        function summary(v, n) {
+            return sprintf("%.5g [%.5g, %.5g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+        }
+        NF == 2 {
+            n++; a[n] = $1; b[n] = $2
+            as = as sprintf(" %.5g", $1); bs = bs sprintf(" %.5g", $2)
+            rs = rs sprintf(" %.2f", $1 == 0 ? 0 : $2 / $1)
+        }
+        END {
+            if (!n) exit
+            ma = quantile(a, n, 0.5); mb = quantile(b, n, 0.5)
+            printf "| %s |%s |%s |%s | %s → %s (%.2f×) |\n", m, as, bs, rs, summary(a, n), summary(b, n),
+                ma == 0 ? 0 : mb / ma
+        }'
+done
+exit $status

@@ -187,9 +187,11 @@ fn consistency_probes_distinguish_perturbation_kinds() {
     }
 }
 
-/// The MLM head runs on the loss rows alone (`MlmHead::forward_rows`). Every
-/// driver that does so must train bit-identically to the all-rows head it
-/// replaced: `forward`, the loss over `IGNORE`-padded targets, `backward`.
+/// An MLM step computes the loss rows alone: the encoder's last layer
+/// (`SequenceEncoder::encode_train` with `Rows::Only`) and the head run on
+/// them. Every driver that does so must train bit-identically to the
+/// all-rows forward and head it replaced: `encode(input, true)`, `forward`,
+/// the loss over `IGNORE`-padded targets, `backward`.
 mod mlm_rows_path {
     use super::{quick, small_world};
     use ntr::corpus::datasets::ImputationDataset;
@@ -201,7 +203,7 @@ mod mlm_rows_path {
     };
     use ntr::nn::init::SeededInit;
     use ntr::nn::loss::{softmax_cross_entropy, IGNORE_INDEX};
-    use ntr::nn::Layer;
+    use ntr::nn::{AttnMask, Encoder, Layer, Rows};
     use ntr::table::masking::{mask_entities, mask_mlm, MlmConfig};
     use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer, TurlLinearizer};
     use ntr::tasks::imputation;
@@ -247,6 +249,12 @@ mod mlm_rows_path {
     fn grad_bits(layer: &mut dyn Layer) -> Vec<u32> {
         let mut out = Vec::new();
         layer.visit_params(&mut |_, p| out.extend(bits(p.grad.data())));
+        out
+    }
+
+    fn rng_states(layer: &mut dyn Layer) -> Vec<[u64; 4]> {
+        let mut out = Vec::new();
+        layer.visit_rng_state(&mut |_, s| out.push(*s));
         out
     }
 
@@ -472,16 +480,21 @@ mod mlm_rows_path {
             tables: corpus.tables[..6].to_vec(),
             kinds: Vec::new(),
         };
-        let cfg = ModelConfig {
-            n_entities: world.n_entities(),
-            ..ModelConfig::tiny(tok.vocab_size())
-        };
-        on_every_lane_and_pool(|what| {
-            assert_mlm_matches("bert", what, || VanillaBert::new(&cfg), &corpus, &tok);
-            assert_mlm_matches("tapas", what, || Tapas::new(&cfg), &corpus, &tok);
-            assert_mlm_matches("turl", what, || Turl::new(&cfg), &corpus, &tok);
-            assert_mlm_matches("mate", what, || Mate::new(&cfg), &corpus, &tok);
-        });
+        // Dropout 0.1 as well: the rows path must draw the all-rows masks.
+        for dropout in [0.0, 0.1] {
+            let cfg = ModelConfig {
+                n_entities: world.n_entities(),
+                dropout,
+                ..ModelConfig::tiny(tok.vocab_size())
+            };
+            on_every_lane_and_pool(|what| {
+                let what = format!("dropout {dropout}, {what}");
+                assert_mlm_matches("bert", &what, || VanillaBert::new(&cfg), &corpus, &tok);
+                assert_mlm_matches("tapas", &what, || Tapas::new(&cfg), &corpus, &tok);
+                assert_mlm_matches("turl", &what, || Turl::new(&cfg), &corpus, &tok);
+                assert_mlm_matches("mate", &what, || Mate::new(&cfg), &corpus, &tok);
+            });
+        }
     }
 
     #[test]
@@ -499,10 +512,6 @@ mod mlm_rows_path {
             },
         );
         let tok = ntr::corpus::vocab::train_tokenizer(&corpus, &[], 900);
-        let cfg = ModelConfig {
-            n_entities: world.n_entities(),
-            ..ModelConfig::tiny(tok.vocab_size())
-        };
         let turl_cfg = TrainConfig {
             epochs: 1,
             batch_size: 3,
@@ -513,47 +522,55 @@ mod mlm_rows_path {
             batch_size: ds.indices(Split::Train).len(),
             ..turl_cfg
         };
-        on_every_lane_and_pool(|what| {
-            let mut rows_path = Turl::new(&cfg);
-            let report = TrainRun::new(turl_cfg)
-                .max_tokens(MAX_TOKENS)
-                .turl(&mut rows_path, &corpus, &tok)
-                .expect("no faults configured");
-            let mut reference = Turl::new(&cfg);
-            let (mlm, mer): (Vec<f32>, Vec<f32>) =
-                reference_turl(Driver::Supervised, &mut reference, &turl_cfg, &corpus, &tok)
-                    .into_iter()
-                    .unzip();
-            assert_eq!(bits(&report.mlm_loss), bits(&mlm), "turl mlm loss, {what}");
-            assert_eq!(bits(&report.mer_loss), bits(&mer), "turl mer loss, {what}");
-            assert_eq!(
-                state_crc(&mut rows_path),
-                state_crc(&mut reference),
-                "turl weights, {what}"
-            );
+        for dropout in [0.0, 0.1] {
+            let cfg = ModelConfig {
+                n_entities: world.n_entities(),
+                dropout,
+                ..ModelConfig::tiny(tok.vocab_size())
+            };
+            on_every_lane_and_pool(|what| {
+                let what = format!("dropout {dropout}, {what}");
+                let mut rows_path = Turl::new(&cfg);
+                let report = TrainRun::new(turl_cfg)
+                    .max_tokens(MAX_TOKENS)
+                    .turl(&mut rows_path, &corpus, &tok)
+                    .expect("no faults configured");
+                let mut reference = Turl::new(&cfg);
+                let (mlm, mer): (Vec<f32>, Vec<f32>) =
+                    reference_turl(Driver::Supervised, &mut reference, &turl_cfg, &corpus, &tok)
+                        .into_iter()
+                        .unzip();
+                assert_eq!(bits(&report.mlm_loss), bits(&mlm), "turl mlm loss, {what}");
+                assert_eq!(bits(&report.mer_loss), bits(&mer), "turl mer loss, {what}");
+                assert_eq!(
+                    state_crc(&mut rows_path),
+                    state_crc(&mut reference),
+                    "turl weights, {what}"
+                );
 
-            let mut rows_path = VanillaBert::new(&cfg);
-            let losses = imputation::finetune_supervised(
-                &mut rows_path,
-                &ds,
-                &tok,
-                &ft_cfg,
-                MAX_TOKENS,
-                &TrainerOptions::default(),
-                &SupervisorConfig::default(),
-            )
-            .expect("no faults configured");
-            let mut reference = VanillaBert::new(&cfg);
-            let expected =
-                reference_imputation(Driver::Supervised, &mut reference, &ds, &tok, &ft_cfg);
-            assert_eq!(losses.len(), 1, "one step");
-            assert_eq!(bits(&losses), bits(&expected), "imputation loss, {what}");
-            assert_eq!(
-                state_crc(&mut rows_path),
-                state_crc(&mut reference),
-                "imputation weights, {what}"
-            );
-        });
+                let mut rows_path = VanillaBert::new(&cfg);
+                let losses = imputation::finetune_supervised(
+                    &mut rows_path,
+                    &ds,
+                    &tok,
+                    &ft_cfg,
+                    MAX_TOKENS,
+                    &TrainerOptions::default(),
+                    &SupervisorConfig::default(),
+                )
+                .expect("no faults configured");
+                let mut reference = VanillaBert::new(&cfg);
+                let expected =
+                    reference_imputation(Driver::Supervised, &mut reference, &ds, &tok, &ft_cfg);
+                assert_eq!(losses.len(), 1, "one step");
+                assert_eq!(bits(&losses), bits(&expected), "imputation loss, {what}");
+                assert_eq!(
+                    state_crc(&mut rows_path),
+                    state_crc(&mut reference),
+                    "imputation weights, {what}"
+                );
+            });
+        }
     }
 
     #[test]
@@ -585,9 +602,11 @@ mod mlm_rows_path {
                 let dstates = all.backward(&dlogits);
 
                 let mut part = head.clone();
-                let logits = part.forward_rows(&states, rows);
+                let logits = part.forward(&states.gather_rows(rows));
                 let (part_loss, d) = softmax_cross_entropy(&logits, &targets, None);
                 let part_dstates = part.backward(&d);
+                assert_eq!(part_dstates.shape(), &[rows.len(), 64]);
+                let part_dstates = part_dstates.scatter_rows(rows, n);
 
                 assert_eq!(loss.to_bits(), part_loss.to_bits(), "loss, {what}");
                 for (k, &r) in rows.iter().enumerate() {
@@ -595,7 +614,6 @@ mod mlm_rows_path {
                 }
                 let inferred = head.infer_rows(&states, rows);
                 assert_eq!(bits(inferred.data()), bits(logits.data()), "infer, {what}");
-                assert_eq!(part_dstates.shape(), &[n, 64]);
                 // Equal as values: a row the loss skips is +0 here and may
                 // be -0 on the all-rows path.
                 assert_eq!(part_dstates.data(), dstates.data(), "dstates, {what}");
@@ -607,6 +625,72 @@ mod mlm_rows_path {
                 }
             }
         });
+    }
+
+    /// The encoder's training forward on a row selection is the all-rows
+    /// forward cut to those rows: the rows' output bits, every parameter
+    /// gradient and both dropout streams of each layer are those of the
+    /// all-rows pass whose other rows get a zero gradient, and the input
+    /// gradient is equal as values (a row no loss reads may be `±0`).
+    #[test]
+    fn encoder_rows_path_matches_the_all_rows_forward_at_the_edges() {
+        let (world, corpus, tok) = small_world();
+        let cfg = ModelConfig {
+            n_entities: world.n_entities(),
+            ..ModelConfig::tiny(tok.vocab_size())
+        };
+        let t = &corpus.tables[0];
+        let opts = LinearizerOptions {
+            max_tokens: MAX_TOKENS,
+            ..Default::default()
+        };
+        let input = EncoderInput::from_encoded(&TurlLinearizer.linearize(t, "", &tok, &opts));
+        let n = input.len();
+        let masks = [
+            None,
+            Some(AttnMask::causal(n)),
+            Some(Turl::visibility_mask(&input)),
+            Some(Mate::new(&cfg).head_masks(&input)),
+        ];
+        let row_sets: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0],
+            vec![n - 1],
+            vec![0, n - 1],
+            vec![2, 5, 6, n / 2, n - 3],
+            (0..n).collect(),
+        ];
+        let x = SeededInit::new(3).uniform(&[n, cfg.d_model], -1.0, 1.0);
+        let dy = SeededInit::new(4).uniform(&[n, cfg.d_model], -1.0, 1.0);
+        for dropout in [0.0, 0.1] {
+            let (d, heads, d_ff) = (cfg.d_model, cfg.n_heads, cfg.d_ff);
+            let enc = Encoder::new(2, d, heads, d_ff, dropout, &mut SeededInit::new(5));
+            on_every_lane_and_pool(|what| {
+                for (m, mask) in masks.iter().enumerate() {
+                    for rows in &row_sets {
+                        let what = format!(
+                            "{} row(s) from {:?}, mask {m}, dropout {dropout}, {what}",
+                            rows.len(),
+                            rows.first()
+                        );
+                        let mut all = enc.clone();
+                        let y = all.forward_train(&x, mask.as_ref(), &Rows::All);
+                        let dx = all.backward(&dy.gather_rows(rows).scatter_rows(rows, n));
+
+                        let mut part = enc.clone();
+                        let y_part =
+                            part.forward_train(&x, mask.as_ref(), &Rows::Only(rows.clone()));
+                        let dx_part = part.backward(&dy.gather_rows(rows));
+
+                        let y_rows = y.gather_rows(rows);
+                        assert_eq!(bits(y_part.data()), bits(y_rows.data()), "out, {what}");
+                        assert_eq!(dx_part.data(), dx.data(), "dx, {what}");
+                        assert_eq!(grad_bits(&mut part), grad_bits(&mut all), "grads, {what}");
+                        assert_eq!(rng_states(&mut part), rng_states(&mut all), "rng, {what}");
+                    }
+                }
+            });
+        }
     }
 }
 
@@ -625,7 +709,7 @@ mod data_parallel {
     use ntr::corpus::tables::{CorpusConfig, TableCorpus};
     use ntr::corpus::{Split, World};
     use ntr::models::{
-        pool_mean, pool_mean_backward, EncoderInput, Mate, ModelConfig, RowStudent,
+        pool_mean, pool_mean_backward, EncoderInput, Mate, ModelConfig, RowStudent, Rows,
         SequenceEncoder, Tapas, Tapex, Turl, VanillaBert, Want,
     };
     use ntr::nn::grads_of;
@@ -982,8 +1066,8 @@ mod data_parallel {
                     &scfg,
                     |_: &Vec<Vec<u32>>| 0.0,
                     |m, _| {
-                        let states = m.encode(&input, true);
-                        let logits = m.mlm_head().forward_rows(&states, &rows);
+                        let states = m.encode_train(&input, &Rows::Only(rows.clone()));
+                        let logits = m.mlm_head().forward(&states);
                         let (_, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                         let dstates = m.mlm_head().backward(&dlogits);
                         m.backward(&dstates);
