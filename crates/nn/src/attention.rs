@@ -198,10 +198,8 @@ impl MultiHeadAttention {
         let q = self.wq.forward_inference(xq);
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
-        let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask).matmul(&self.head(&v, h))
-        });
-        self.wo.forward_inference(&self.concat(heads))
+        self.wo
+            .forward_inference(&self.attend((&q, &k, &v), mask, false).1)
     }
 
     /// The per-head attention distributions of self-attention over `x`,
@@ -210,9 +208,9 @@ impl MultiHeadAttention {
     pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
         self.check(x, x, mask);
         let q = self.wq.forward_inference(x);
-        let k = self.wk.forward_inference(x);
-        par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            self.head_probs(&q, &k, h, mask)
+        let kt = self.wk.forward_inference(x).transpose();
+        par::map_tasks(self.n_heads, self.head_threads(&q, &kt), |h| {
+            self.head_probs(&q, &kt, h, mask)
         })
     }
 
@@ -235,32 +233,47 @@ impl MultiHeadAttention {
         }
     }
 
-    fn head_threads(&self, q: &Tensor, k: &Tensor) -> usize {
-        head_threads(self.n_heads, q.dim(0) * k.dim(0) * self.d_head)
+    fn head_threads(&self, q: &Tensor, kt: &Tensor) -> usize {
+        head_threads(self.n_heads, q.dim(0) * kt.dim(1) * self.d_head)
     }
 
-    /// Head `h`'s columns of a `[n, d_model]` projection.
-    fn head(&self, x: &Tensor, h: usize) -> Tensor {
-        x.cols(h * self.d_head, (h + 1) * self.d_head)
-    }
-
-    /// Head `h`'s attention probabilities for the query rows `q`. Scores
+    /// Head `h`'s attention probabilities for the query rows `q`, with the
+    /// keys transposed once per layer into `kt: [d_model, n_k]`: head `h`
+    /// reads its columns of `q` and its rows of `kt` where they lie. Scores
     /// become probabilities in place: scale, mask and softmax are one pass
     /// over each row of the `Q·Kᵀ` output.
-    fn head_probs(&self, q: &Tensor, k: &Tensor, h: usize, mask: Option<&AttnMask>) -> Tensor {
+    fn head_probs(&self, q: &Tensor, kt: &Tensor, h: usize, mask: Option<&AttnMask>) -> Tensor {
+        let (s, e) = (h * self.d_head, (h + 1) * self.d_head);
         let scale = 1.0 / (self.d_head as f32).sqrt();
-        let mut p = self.head(q, h).matmul_nt(&self.head(k, h));
+        let mut p = q.view().col_slice(s, e).matmul(kt.view().row_slice(s, e));
         p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
         p
     }
 
-    /// Concatenates per-head outputs `[n, d_head]` into `[n, d_model]`.
-    fn concat(&self, heads: Vec<Tensor>) -> Tensor {
-        let mut concat = Tensor::zeros(&[heads[0].dim(0), self.d_model()]);
-        for (h, oh) in heads.iter().enumerate() {
-            concat.set_cols(h * self.d_head, oh);
-        }
-        concat
+    /// The heads' outputs `P·V_h`, each written once into its columns of
+    /// one `[n_q, d_model]` tensor, and every head's probabilities when
+    /// `keep` (else none: inference frees each head's as it goes).
+    fn attend(
+        &self,
+        (q, k, v): (&Tensor, &Tensor, &Tensor),
+        mask: Option<&AttnMask>,
+        keep: bool,
+    ) -> (Vec<Tensor>, Tensor) {
+        let kt = k.transpose();
+        let dh = self.d_head;
+        let heads = par::map_tasks(self.n_heads, self.head_threads(q, &kt), |h| {
+            let p = self.head_probs(q, &kt, h, mask);
+            let oh = p.view().matmul(v.view().col_slice(h * dh, (h + 1) * dh));
+            (keep.then_some(p), oh)
+        });
+        let mut out = Tensor::zeros(&[q.dim(0), self.d_model()]);
+        let probs = (heads.into_iter().enumerate())
+            .filter_map(|(h, (p, oh))| {
+                out.set_cols(h * dh, &oh);
+                p
+            })
+            .collect();
+        (probs, out)
     }
 
     /// The training forward; `self_rows` is the query rows of
@@ -277,13 +290,7 @@ impl MultiHeadAttention {
         let k = self.wk.forward(xkv);
         let v = self.wv.forward(xkv);
 
-        let heads = par::map_tasks(self.n_heads, self.head_threads(&q, &k), |h| {
-            let p = self.head_probs(&q, &k, h, mask);
-            let oh = p.matmul(&self.head(&v, h));
-            (p, oh)
-        });
-        let (probs, outs): (Vec<Tensor>, Vec<Tensor>) = heads.into_iter().unzip();
-        let concat = self.concat(outs);
+        let (probs, concat) = self.attend((&q, &k, &v), mask, true);
         self.cache = Some(Cache {
             q,
             k,
@@ -327,19 +334,17 @@ impl MultiHeadAttention {
         let scale = 1.0 / (self.d_head as f32).sqrt();
 
         let dconcat = self.wo.backward(dy);
+        let vt = cache.v.transpose();
         let dh = self.d_head;
         let threads = head_threads(self.n_heads, n_q * n_k * dh);
         let heads = par::map_tasks(self.n_heads, threads, |h| {
             let (s, e) = (h * dh, (h + 1) * dh);
-            let doh = dconcat.cols(s, e);
+            let doh = dconcat.view().col_slice(s, e);
             let p = &cache.probs[h];
-            let vh = cache.v.cols(s, e);
-            let qh = cache.q.cols(s, e);
-            let kh = cache.k.cols(s, e);
 
             // dP = dO·Vᵀ ; dV = Pᵀ·dO
-            let dp = doh.matmul_nt(&vh);
-            let dvh = p.matmul_tn(&doh);
+            let dp = doh.matmul(vt.view().row_slice(s, e));
+            let dvh = p.view().t().matmul(doh);
 
             // Softmax Jacobian row-wise: dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
             let mut ds = Tensor::zeros(&[n_q, n_k]);
@@ -353,8 +358,10 @@ impl MultiHeadAttention {
                 }
             }
 
-            let dqh = ds.matmul(&kh).scale(scale);
-            let dkh = ds.matmul_tn(&qh).scale(scale);
+            let mut dqh = ds.view().matmul(cache.k.view().col_slice(s, e));
+            let mut dkh = ds.view().t().matmul(cache.q.view().col_slice(s, e));
+            dqh.map_mut(|x| x * scale);
+            dkh.map_mut(|x| x * scale);
             (dqh, dkh, dvh)
         });
         let mut dq = Tensor::zeros(&[n_q, d]);
@@ -548,6 +555,167 @@ mod tests {
             probe.forward_cross(&xqc, kv, None).mul(&dyc).sum()
         });
         assert_close(&dxkv, &num_kv, 3e-2, "cross dxkv");
+    }
+
+    /// Head `h`'s columns of `x`, copied out.
+    fn head_copy(x: &Tensor, h: usize, dh: usize) -> Tensor {
+        x.view().col_slice(h * dh, (h + 1) * dh).to_tensor()
+    }
+
+    /// The copying reference of [`MultiHeadAttention::attend`]: every head's
+    /// columns copied out, `Kᵀ` packed per head, outputs concatenated.
+    fn reference_attend(
+        a: &MultiHeadAttention,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        mask: Option<&AttnMask>,
+    ) -> (Vec<Tensor>, Tensor) {
+        let dh = a.d_head;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (mut probs, mut outs) = (Vec::new(), Vec::new());
+        for h in 0..a.n_heads {
+            let kh = head_copy(k, h, dh).transpose();
+            let mut p = head_copy(q, h, dh).matmul(&kh);
+            p.scale_mask_softmax_rows(scale, mask.map(|m| m.for_head(h)));
+            outs.push(p.matmul(&head_copy(v, h, dh)));
+            probs.push(p);
+        }
+        (probs, Tensor::hstack(&outs.iter().collect::<Vec<_>>()))
+    }
+
+    fn reference_infer(
+        a: &MultiHeadAttention,
+        xq: &Tensor,
+        x: &Tensor,
+        mask: Option<&AttnMask>,
+    ) -> Tensor {
+        let q = a.wq.forward_inference(xq);
+        let (k, v) = (a.wk.forward_inference(x), a.wv.forward_inference(x));
+        a.wo.forward_inference(&reference_attend(a, &q, &k, &v, mask).1)
+    }
+
+    /// The copying reference of `backward_inner`, on the cache of the
+    /// forward that `a` recorded: head columns copied out, every
+    /// transposed operand an explicit transpose.
+    fn reference_backward(a: &mut MultiHeadAttention, dy: &Tensor) -> (Tensor, Tensor) {
+        let cache = a.cache.take().expect("a recorded forward");
+        let (dh, d) = (a.d_head, a.d_model());
+        let (n_q, n_k) = (cache.q.dim(0), cache.k.dim(0));
+        let scale = 1.0 / (dh as f32).sqrt();
+        let dconcat = a.wo.backward(dy);
+        let (mut dqs, mut dks, mut dvs) = (Vec::new(), Vec::new(), Vec::new());
+        for h in 0..a.n_heads {
+            let doh = head_copy(&dconcat, h, dh);
+            let p = &cache.probs[h];
+            let dp = doh.matmul(&head_copy(&cache.v, h, dh).transpose());
+            dvs.push(p.transpose().matmul(&doh));
+            let mut ds = Tensor::zeros(&[n_q, n_k]);
+            for r in 0..n_q {
+                let (prow, dprow) = (p.row(r), dp.row(r));
+                let dot: f32 = prow.iter().zip(dprow).map(|(&a, &b)| a * b).sum();
+                for j in 0..n_k {
+                    ds.row_mut(r)[j] = prow[j] * (dprow[j] - dot);
+                }
+            }
+            dqs.push(ds.matmul(&head_copy(&cache.k, h, dh)).scale(scale));
+            dks.push(
+                ds.transpose()
+                    .matmul(&head_copy(&cache.q, h, dh))
+                    .scale(scale),
+            );
+        }
+        let cat = |parts: &Vec<Tensor>| Tensor::hstack(&parts.iter().collect::<Vec<_>>());
+        let (dq, dk, dv) = (cat(&dqs), cat(&dks), cat(&dvs));
+        assert_eq!((dq.dim(1), dk.dim(1)), (d, d));
+        let dxq = cache.rows.scatter(a.wq.backward(&dq), n_k);
+        (dxq, a.wk.backward(&dk).add(&a.wv.backward(&dv)))
+    }
+
+    fn grads(a: &mut MultiHeadAttention) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        a.visit_params(&mut |_, p| out.push(p.grad.data().iter().map(|g| g.to_bits()).collect()));
+        out
+    }
+
+    /// `n_q × n_k` masks: none, causal-shaped (key `j` hidden past query
+    /// `i + n_k - n_q`) and per head (a scatter of hidden keys, never a
+    /// whole row).
+    fn masks(n_heads: usize, n_q: usize, n_k: usize) -> Vec<Option<AttnMask>> {
+        let causal = Tensor::from_fn(&[n_q, n_k], |i| {
+            let (r, c) = (i / n_k, i % n_k);
+            if c > r + n_k - n_q {
+                f32::NEG_INFINITY
+            } else {
+                0.0
+            }
+        });
+        let per_head = (0..n_heads)
+            .map(|h| {
+                Tensor::from_fn(&[n_q, n_k], |i| {
+                    let hidden = i % n_k != 0 && (i * 7 + h * 3) % 5 == 0;
+                    if hidden {
+                        f32::NEG_INFINITY
+                    } else {
+                        0.0
+                    }
+                })
+            })
+            .collect();
+        vec![
+            None,
+            Some(AttnMask::Shared(causal)),
+            Some(AttnMask::PerHead(per_head)),
+        ]
+    }
+
+    /// Heads read by stride give the bits of heads copied out, on both
+    /// lanes at 1, 2 and 4 threads: `infer`, `forward_queries` over all
+    /// rows and some, and both backward variants with all four
+    /// projections' gradients.
+    #[test]
+    fn heads_by_stride_match_a_copying_reference() {
+        use ntr_tensor::{par, simd};
+        let check = || {
+            for (d, heads) in [(24, 3), (20, 2)] {
+                let (n, n_q) = (9, 5);
+                let x = SeededInit::new(30).uniform(&[n, d], -1.0, 1.0);
+                let xq = SeededInit::new(31).uniform(&[n_q, d], -1.0, 1.0);
+                let dy = SeededInit::new(32).uniform(&[n, d], -1.0, 1.0);
+                for mask in masks(heads, n, n) {
+                    let mut a = mha(d, heads, 33);
+                    let m = mask.as_ref();
+                    assert_eq!(a.infer(&x, &x, m), reference_infer(&a, &x, &x, m));
+                    for rows in [Rows::All, Rows::Only(vec![0, 3, 4, 8])] {
+                        let cut = match &rows {
+                            Rows::All => mask.clone(),
+                            Rows::Only(r) => mask.as_ref().map(|m| m.cut(|t| t.gather_rows(r))),
+                        };
+                        let out = a.forward_queries(&x, &rows, m);
+                        assert_eq!(out, reference_infer(&a, &rows.of(&x), &x, cut.as_ref()));
+                        let dy = rows.of(&dy).into_owned();
+                        let mut b = a.clone();
+                        let dx = a.backward_self(&dy);
+                        let (dxq, dxkv) = reference_backward(&mut b, &dy);
+                        assert_eq!(dx, dxq.add(&dxkv));
+                        assert_eq!(grads(&mut a), grads(&mut b));
+                    }
+                }
+                for mask in masks(heads, n_q, n) {
+                    let mut a = mha(d, heads, 34);
+                    let m = mask.as_ref();
+                    assert_eq!(a.forward_cross(&xq, &x, m), reference_infer(&a, &xq, &x, m));
+                    let mut b = a.clone();
+                    let dy = dy.rows(0, n_q);
+                    assert_eq!(a.backward_cross(&dy), reference_backward(&mut b, &dy));
+                    assert_eq!(grads(&mut a), grads(&mut b));
+                }
+            }
+        };
+        for threads in [1, 2, 4] {
+            par::with_threads(threads, check);
+            par::with_threads(threads, || simd::force_scalar(check));
+        }
     }
 
     #[test]

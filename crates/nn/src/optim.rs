@@ -175,7 +175,7 @@ impl AdamStep<'_> {
 
 /// Linear warmup followed by linear decay to zero — the standard BERT
 /// fine-tuning schedule.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WarmupLinearSchedule {
     /// Peak learning rate reached at the end of warmup.
     pub peak_lr: f32,

@@ -26,8 +26,9 @@
 //! under [`std::panic::catch_unwind`], applies global-norm gradient
 //! clipping, and checks three anomaly signals: non-finite loss, non-finite
 //! global gradient norm, and an EMA loss-spike (`loss > spike_factor ×
-//! EMA`). On an anomaly it restores the last good checkpoint (an in-memory
-//! [`ntr_nn::serialize::TrainCheckpoint`], bit-identical to what
+//! EMA`). On an anomaly it restores the last good state (an in-memory
+//! [`Snapshot`](crate::trainer::Snapshot) refilled in place after every good
+//! step, holding what
 //! [`Trainer::save_state`](crate::trainer::Trainer::save_state) writes),
 //! deterministically **skips the offending batch window**
 //! (identified by the epoch/position of its first example, so a replay
@@ -52,9 +53,9 @@
 //! `catch_unwind`, no norm computation, no snapshots — so loss traces and
 //! final parameters are **bit-identical** to the unsupervised baseline.
 
-use crate::trainer::{BatchItem, TrainConfig, Trainer, TrainerOptions};
+use crate::trainer::{BatchItem, Snapshot, TrainConfig, Trainer, TrainerOptions};
 use ntr_nn::optim::{clip_global_grad_norm, global_grad_norm};
-use ntr_nn::serialize::{load_checkpoint, CheckpointError, TrainCheckpoint};
+use ntr_nn::serialize::{load_checkpoint, CheckpointError};
 use ntr_nn::{grads_of, merge_grads, Layer};
 use ntr_obs::Obs;
 use ntr_tensor::faults::{self, FaultKind, FaultPlan};
@@ -212,9 +213,8 @@ fn ema_of<R>(out: &[R], alpha: f32, loss_of: &impl Fn(&R) -> f32) -> Option<f32>
 /// The supervisor's last-good rollback state: the model/optimizer/cursor
 /// snapshot plus the loss EMA at capture time, so a rollback restores the
 /// anomaly detector without rescanning the step history.
-#[derive(Clone)]
 struct GoodState {
-    ckpt: TrainCheckpoint,
+    snap: Snapshot,
     ema: Option<f32>,
 }
 
@@ -488,9 +488,13 @@ fn supervise_loop<M: Layer, R>(
     // The run's starting state: what a fresh process would deterministically
     // reconstruct. The fallback when a crash finds no usable disk checkpoint,
     // and the first "last good" snapshot.
-    let initial = snapshots.then(|| trainer.capture(model));
+    let initial = snapshots.then(|| {
+        let mut snap = Snapshot::default();
+        trainer.capture_into(model, &mut snap);
+        snap
+    });
     let mut last_good: Option<GoodState> =
-        initial.clone().map(|ckpt| GoodState { ckpt, ema: None });
+        initial.clone().map(|snap| GoodState { snap, ema: None });
     let base_steps = trainer.steps();
     let mut skip: HashSet<(usize, usize)> = HashSet::new();
     let mut ema: Option<f32> = None;
@@ -520,7 +524,7 @@ fn supervise_loop<M: Layer, R>(
             };
             if !restored {
                 let initial = initial.as_ref().expect("crash fault implies snapshots");
-                trainer.restore(model, initial)?;
+                trainer.rollback(model, initial);
             }
             model.zero_grad();
             out.truncate(trainer.steps().saturating_sub(base_steps) as usize);
@@ -530,10 +534,9 @@ fn supervise_loop<M: Layer, R>(
             ema = ema_of(&out, scfg.ema_alpha, loss_of);
             lr_scale = 1.0;
             trainer.set_lr_scale(1.0);
-            last_good = Some(GoodState {
-                ckpt: trainer.capture(model),
-                ema,
-            });
+            let state = last_good.as_mut().expect("crash fault implies snapshots");
+            trainer.capture_into(model, &mut state.snap);
+            state.ema = ema;
             let _ = obs.take_step_tokens();
             if let Some(e) = obs.event("crash_recovery") {
                 e.u64("step", step)
@@ -634,7 +637,7 @@ fn supervise_loop<M: Layer, R>(
                     // boundaries, so a rollback-and-replay makes the
                     // identical capture decisions it made the first time.
                     if trainer.steps().is_multiple_of(cadence) {
-                        state.ckpt = trainer.capture(model);
+                        trainer.capture_into(model, &mut state.snap);
                         state.ema = ema;
                     }
                 }
@@ -669,7 +672,7 @@ fn supervise_loop<M: Layer, R>(
                 }
                 *retries_used += 1;
                 let state = last_good.as_ref().expect("rollback implies snapshots");
-                trainer.restore(model, &state.ckpt)?;
+                trainer.rollback(model, &state.snap);
                 model.zero_grad();
                 lr_scale *= scfg.lr_backoff;
                 trainer.set_lr_scale(lr_scale);

@@ -13,6 +13,7 @@ use ntr_nn::serialize::{
 };
 use ntr_nn::Layer;
 use ntr_obs::{Obs, ObsOptions};
+use ntr_tensor::Tensor;
 use std::path::{Path, PathBuf};
 
 /// Hyperparameters for a fine-tuning run.
@@ -190,6 +191,24 @@ impl TrainerOptions {
     }
 }
 
+/// A training state held in memory for rollback: weights and Adam moments
+/// as flat buffers in [`Layer::visit_params`] order, which parameters have
+/// moments, the RNG streams, and the optimizer scalars, schedule and
+/// stream cursor. [`Trainer::capture_into`] fills it, [`Trainer::rollback`]
+/// restores it.
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    values: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+    has_moments: Vec<bool>,
+    rngs: Vec<[u64; 4]>,
+    /// Adam's lr, β₁, β₂, ε and weight decay, its step count, and the LR
+    /// schedule.
+    adam: (f32, [f32; 4], u64, WarmupLinearSchedule),
+    cursor: TrainCursor,
+}
+
 /// Owns a training run's example stream and optimizer.
 ///
 /// The stream is the concatenation of each epoch's seeded shuffle, chunked
@@ -256,14 +275,7 @@ impl Trainer {
             )));
         }
         let mut t = Self::new(cfg, n_examples);
-        t.opt = ScheduledOptimizer::from_parts(adam, schedule);
-        t.epoch = cursor.epoch as usize;
-        t.pos = cursor.example as usize;
-        t.order = if t.epoch < t.epochs {
-            epoch_order(n_examples, t.epoch, cfg.seed)
-        } else {
-            Vec::new()
-        };
+        t.resume_at(adam, schedule, cursor);
         Ok(t)
     }
 
@@ -296,19 +308,70 @@ impl Trainer {
         self.opt.set_lr_scale(scale);
     }
 
-    /// Captures the full training state as an **in-memory** checkpoint —
-    /// what [`Trainer::save_state`] would write, without touching disk. The
-    /// supervisor keeps one of these per good step for cheap rollback.
-    pub fn capture(&self, model: &mut dyn Layer) -> TrainCheckpoint {
-        TrainCheckpoint::capture_train(model, self.opt.adam(), self.opt.schedule(), self.cursor())
+    /// Captures what [`Trainer::save_state`] would write into `snap`, with
+    /// no disk and no names: its buffers grow on the first capture and are
+    /// refilled in place after that (the supervisor's per-step capture).
+    pub fn capture_into(&self, model: &mut dyn Layer, snap: &mut Snapshot) {
+        let adam = self.opt.adam();
+        for buf in [&mut snap.values, &mut snap.m, &mut snap.v] {
+            buf.clear();
+        }
+        snap.has_moments.clear();
+        snap.rngs.clear();
+        model.visit_params(&mut |_, p| {
+            snap.values.extend_from_slice(p.value.data());
+            let moments = adam.moments_of(p.id());
+            snap.has_moments.push(moments.is_some());
+            if let Some((m, v)) = moments {
+                snap.m.extend_from_slice(m.data());
+                snap.v.extend_from_slice(v.data());
+            }
+            snap.m.resize(snap.values.len(), 0.0);
+            snap.v.resize(snap.values.len(), 0.0);
+        });
+        model.visit_rng_state(&mut |_, s| snap.rngs.push(*s));
+        let hyper = [adam.beta1(), adam.beta2(), adam.eps(), adam.weight_decay()];
+        snap.adam = (adam.lr(), hyper, adam.steps(), *self.opt.schedule());
+        snap.cursor = self.cursor();
+    }
+
+    /// Rolls back to `snap` (see [`Trainer::capture_into`]): weights,
+    /// optimizer moments, schedule, RNG streams and the stream cursor, as
+    /// [`Trainer::restore`] restores a checkpoint. The LR backoff
+    /// multiplier resets to 1.0.
+    ///
+    /// # Panics
+    /// Panics if `snap` was not captured from this model.
+    pub fn rollback(&mut self, model: &mut dyn Layer, snap: &Snapshot) {
+        let (lr, [beta1, beta2, eps, wd], steps, schedule) = snap.adam;
+        let mut adam = Adam::new(lr)
+            .with_weight_decay(wd)
+            .with_betas(beta1, beta2, eps);
+        adam.set_steps(steps);
+        let (mut i, mut off) = (0, 0);
+        model.visit_params(&mut |_, p| {
+            let span = off..off + p.value.numel();
+            p.value
+                .data_mut()
+                .copy_from_slice(&snap.values[span.clone()]);
+            if snap.has_moments[i] {
+                let moment =
+                    |buf: &[f32]| Tensor::from_vec(buf[span.clone()].to_vec(), p.value.shape());
+                adam.set_moments(p.id(), moment(&snap.m), moment(&snap.v));
+            }
+            (i, off) = (i + 1, span.end);
+        });
+        let mut rngs = snap.rngs.iter();
+        model.visit_rng_state(&mut |_, s| *s = *rngs.next().expect("one state per stream"));
+        self.resume_at(adam, schedule, snap.cursor);
     }
 
     /// Restores model weights, optimizer moments, RNG streams, and the
-    /// stream cursor from a checkpoint (in-memory or loaded from disk),
-    /// leaving the trainer exactly where it was when the checkpoint was
-    /// captured. The LR backoff multiplier resets to 1.0. Fails on a
-    /// weights-only checkpoint or a seed mismatch (either would silently
-    /// retrace a different example stream).
+    /// stream cursor from a checkpoint loaded from disk, leaving the
+    /// trainer exactly where it was when the checkpoint was written. The
+    /// LR backoff multiplier resets to 1.0. Fails on a weights-only
+    /// checkpoint or a seed mismatch (either would silently retrace a
+    /// different example stream).
     pub fn restore(
         &mut self,
         model: &mut dyn Layer,
@@ -326,6 +389,12 @@ impl Trainer {
                 cursor.seed, self.seed
             )));
         }
+        self.resume_at(adam, schedule, cursor);
+        Ok(())
+    }
+
+    /// Puts the optimizer and the stream cursor back at a saved point.
+    fn resume_at(&mut self, adam: Adam, schedule: WarmupLinearSchedule, cursor: TrainCursor) {
         self.opt = ScheduledOptimizer::from_parts(adam, schedule);
         self.epoch = cursor.epoch as usize;
         self.pos = cursor.example as usize;
@@ -334,7 +403,6 @@ impl Trainer {
         } else {
             Vec::new()
         };
-        Ok(())
     }
 
     /// Completed optimizer steps.
@@ -604,9 +672,13 @@ mod tests {
             t.step(model).unwrap();
             b
         };
-        train_step(&mut model, &mut t);
-        train_step(&mut model, &mut t);
-        let snap = t.capture(&mut model);
+        // A snapshot before any step holds no moments; refilled after two.
+        let mut initial = Snapshot::default();
+        t.capture_into(&mut model, &mut initial);
+        let mut snap = initial.clone();
+        let b1 = train_step(&mut model, &mut t);
+        let b2 = train_step(&mut model, &mut t);
+        t.capture_into(&mut model, &mut snap);
 
         // Continue two more steps, recording the stream and weights.
         let b3 = train_step(&mut model, &mut t);
@@ -614,10 +686,18 @@ mod tests {
         let w_after = model.w.value.clone();
 
         // Roll back and replay: same batches, same bits.
-        t.restore(&mut model, &snap).unwrap();
+        t.rollback(&mut model, &snap);
         assert_eq!(t.steps(), 2);
         assert_eq!(train_step(&mut model, &mut t), b3);
         assert_eq!(train_step(&mut model, &mut t), b4);
+        assert_eq!(model.w.value.data(), w_after.data());
+
+        // And from the very start, where Adam had no moments yet.
+        t.rollback(&mut model, &initial);
+        assert_eq!(t.steps(), 0);
+        for b in [b1, b2, b3, b4] {
+            assert_eq!(train_step(&mut model, &mut t), b);
+        }
         assert_eq!(model.w.value.data(), w_after.data());
     }
 

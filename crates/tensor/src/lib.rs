@@ -60,6 +60,7 @@ pub mod simd;
 mod tensor;
 mod workpool;
 
+pub use ops::View;
 pub use tensor::Tensor;
 
 /// Numerical comparison helper used across the workspace's tests: `true` when

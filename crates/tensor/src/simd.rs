@@ -21,7 +21,7 @@
 //!   [`gelu_fast`]): vector lanes perform the same single rounding as the
 //!   scalar loop, so SIMD on/off produces the same bits. (`axpy`, `affine`
 //!   and `gelu_fast` deliberately use separate multiply + add, not FMA, to
-//!   preserve this.)
+//!   preserve this.) [`transpose`] only moves floats.
 //! * **Tolerance-bounded** — reductions and the GEMM micro-kernel (`sum`,
 //!   `sum_sq`, `sq_dev_sum`, `sum_and_dot`, `dot`, [`gemm_block`]): lane
 //!   accumulators reassociate the sum, and the GEMM uses FMA (one rounding
@@ -63,6 +63,7 @@
 
 #![allow(clippy::missing_safety_doc)]
 
+use crate::View;
 use std::cell::Cell;
 
 thread_local! {
@@ -516,23 +517,58 @@ pub fn has_gemm() -> bool {
 }
 
 /// FMA-accelerated GEMM core: `out: [rows, n] += a: [rows, k] · b: [k, n]`,
-/// k blocked into `KC` panels, `MR = 4` rows per pass, 16/8-wide column
-/// tiles with an `f32::mul_add` column tail. Every output element is
+/// `a` read through its strides and `b` with unit column stride (or one
+/// column), k blocked into `KC` panels, `MR = 4` rows per pass, 16/8-wide
+/// column tiles with an `f32::mul_add` column tail. Every output element is
 /// accumulated k-sequentially with fused multiply-adds, so results are
-/// invariant to row partitioning and tile placement (bit-identical for any
-/// thread count) while differing from the unfused scalar path in the last
-/// ulps.
+/// invariant to row partitioning, tile placement and operand strides
+/// (bit-identical for any thread count) while differing from the unfused
+/// scalar path in the last ulps.
 ///
 /// Caller must have verified [`active`]`()` (which implies CPU support).
-pub fn gemm_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+pub fn gemm_block(out: &mut [f32], a: View, b: View) {
+    let (k, n) = (b.rows, b.cols);
+    assert!(a.cols == k && out.len() == a.rows * n && (b.cs == 1 || n == 1));
+    assert!(
+        a.in_bounds() && b.in_bounds(),
+        "gemm_block: a view outside its data"
+    );
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        unsafe { avx::gemm_block(out, a, b, k, n) }
+        // SAFETY: the kernel touches `out[i·n + j]`, `A (i, p)` and `B (p, j)`
+        // for `i < rows`, `p < k`, `j < n` alone, which the asserts above put
+        // inside `out` and the two views' data; `active()` checked the CPU.
+        unsafe { avx::gemm_block(out, a, b) }
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        let _ = (out, a, b, k, n);
+        let _ = (out, a, b);
         unreachable!("simd::gemm_block called without an accelerated implementation");
+    }
+}
+
+/// `dst: [cols, rows] = srcᵀ` for `src: [rows, cols]` with row stride `ld`:
+/// the one transpose behind [`crate::Tensor::transpose`] and every packed
+/// matmul operand. It only moves floats, so both lanes give the same bits;
+/// the vector lane moves 8×8 tiles through registers.
+pub fn transpose(on: bool, dst: &mut [f32], src: &[f32], rows: usize, cols: usize, ld: usize) {
+    assert_eq!(dst.len(), rows * cols, "transpose: destination size");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let fits = cols <= ld && (rows - 1) * ld + cols <= src.len();
+    assert!(fits, "transpose: source too short");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if on {
+        // SAFETY: the kernel reads `src[r·ld + c]` and writes `dst[c·rows + r]`
+        // for `r < rows`, `c < cols` alone, in bounds by the asserts above.
+        return unsafe { avx::transpose(dst, src, rows, cols, ld) };
+    }
+    let _ = on;
+    for (c, col) in dst.chunks_exact_mut(rows).enumerate() {
+        for (r, x) in col.iter_mut().enumerate() {
+            *x = src[r * ld + c];
+        }
     }
 }
 
@@ -542,6 +578,7 @@ mod avx {
     //! for `dot`/`gemm_block`), guaranteed by `supported()` before any
     //! call; slices are read/written only in-bounds.
 
+    use crate::View;
     use core::arch::x86_64::*;
 
     /// k-panel length, matching the scalar GEMM's cache blocking.
@@ -1090,28 +1127,26 @@ mod avx {
         }
     }
 
-    /// See [`super::gemm_block`]. `out: [rows, n]`, `a: [rows, k]`,
-    /// `b: [k, n]`, all row-major and dense.
+    /// See [`super::gemm_block`], which checks the shapes.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_block(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    pub unsafe fn gemm_block(out: &mut [f32], a: View, b: View) {
+        let (k, n) = (b.rows, b.cols);
         if n == 0 || k == 0 {
             return;
         }
         let rows = out.len() / n;
         let op = out.as_mut_ptr();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
         for kb in (0..k).step_by(KC) {
             let kc = KC.min(k - kb);
             let mut i = 0;
             // 4-row register blocks.
             while i + 4 <= rows {
-                gemm_rows::<4>(op, ap, bp, i, kb, kc, k, n);
+                gemm_rows::<4>(op, a, b, i, kb, kc);
                 i += 4;
             }
             // Row tail: identical per-element FMA order, one row at a time.
             while i < rows {
-                gemm_rows::<1>(op, ap, bp, i, kb, kc, k, n);
+                gemm_rows::<1>(op, a, b, i, kb, kc);
                 i += 1;
             }
         }
@@ -1121,17 +1156,18 @@ mod avx {
     /// `mul_add` column tiles. Each output element sees one fused
     /// multiply-add per k step, in k order, regardless of tile width.
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop)]
     unsafe fn gemm_rows<const R: usize>(
         op: *mut f32,
-        ap: *const f32,
-        bp: *const f32,
+        a: View,
+        b: View,
         i: usize,
         kb: usize,
         kc: usize,
-        k: usize,
-        n: usize,
     ) {
+        let (ap, bp, brs, n) = (a.data.as_ptr(), b.data.as_ptr(), b.rs, b.cols);
+        // `A (i, p)` at `i·rs + p·cs`, `B (p, j)` at `p·brs + j`.
+        let a_at = |r: usize, off: usize| ap.add((i + r) * a.rs + (kb + off) * a.cs);
         let mut jb = 0;
         while jb + 16 <= n {
             let mut acc0 = [_mm256_setzero_ps(); R];
@@ -1141,11 +1177,11 @@ mod avx {
                 acc1[r] = _mm256_loadu_ps(op.add((i + r) * n + jb + 8));
             }
             for off in 0..kc {
-                let brow = bp.add((kb + off) * n + jb);
+                let brow = bp.add((kb + off) * brs + jb);
                 let b0 = _mm256_loadu_ps(brow);
                 let b1 = _mm256_loadu_ps(brow.add(8));
                 for r in 0..R {
-                    let av = _mm256_set1_ps(*ap.add((i + r) * k + kb + off));
+                    let av = _mm256_set1_ps(*a_at(r, off));
                     acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
                     acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
                 }
@@ -1162,9 +1198,9 @@ mod avx {
                 acc[r] = _mm256_loadu_ps(op.add((i + r) * n + jb));
             }
             for off in 0..kc {
-                let b0 = _mm256_loadu_ps(bp.add((kb + off) * n + jb));
+                let b0 = _mm256_loadu_ps(bp.add((kb + off) * brs + jb));
                 for r in 0..R {
-                    let av = _mm256_set1_ps(*ap.add((i + r) * k + kb + off));
+                    let av = _mm256_set1_ps(*a_at(r, off));
                     acc[r] = _mm256_fmadd_ps(av, b0, acc[r]);
                 }
             }
@@ -1177,13 +1213,66 @@ mod avx {
             for r in 0..R {
                 let mut acc = *op.add((i + r) * n + jb);
                 for off in 0..kc {
-                    let av = *ap.add((i + r) * k + kb + off);
-                    let bv = *bp.add((kb + off) * n + jb);
-                    acc = av.mul_add(bv, acc);
+                    let bv = *bp.add((kb + off) * brs + jb);
+                    acc = (*a_at(r, off)).mul_add(bv, acc);
                 }
                 *op.add((i + r) * n + jb) = acc;
             }
             jb += 1;
+        }
+    }
+
+    /// See [`super::transpose`], which checks the bounds: 8×8 tiles a
+    /// column block at a time, so each output row is written sequentially,
+    /// and a scalar copy of the edges.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose(dst: &mut [f32], src: &[f32], rows: usize, cols: usize, ld: usize) {
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let (r8, c8) = (rows / 8 * 8, cols / 8 * 8);
+        let copy = |r: usize, c: usize| *dp.add(c * rows + r) = *sp.add(r * ld + c);
+        for c in (0..c8).step_by(8) {
+            for r in (0..r8).step_by(8) {
+                tile8(sp.add(r * ld + c), ld, dp.add(c * rows + r), rows);
+            }
+            for r in r8..rows {
+                (c..c + 8).for_each(|c| copy(r, c));
+            }
+        }
+        for c in c8..cols {
+            (0..rows).for_each(|r| copy(r, c));
+        }
+    }
+
+    /// Transposes the 8×8 tile at `s` (row stride `ld`) into `d` (row
+    /// stride `ldd`): pairwise unpacks give `t[0] = a00 a10 a01 a11 | a04
+    /// a14 a05 a15`, 4-lane shuffles `u[0] = a00 a10 a20 a30 | a04 a14 a24
+    /// a34`, and 128-bit lane swaps the columns.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::needless_range_loop)]
+    unsafe fn tile8(s: *const f32, ld: usize, d: *mut f32, ldd: usize) {
+        let [mut r, mut t, mut u] = [[_mm256_setzero_ps(); 8]; 3];
+        for i in 0..8 {
+            r[i] = _mm256_loadu_ps(s.add(i * ld));
+        }
+        for i in (0..8).step_by(2) {
+            t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+            t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+        }
+        for i in (0..8).step_by(4) {
+            u[i] = _mm256_shuffle_ps::<0x44>(t[i], t[i + 2]);
+            u[i + 1] = _mm256_shuffle_ps::<0xEE>(t[i], t[i + 2]);
+            u[i + 2] = _mm256_shuffle_ps::<0x44>(t[i + 1], t[i + 3]);
+            u[i + 3] = _mm256_shuffle_ps::<0xEE>(t[i + 1], t[i + 3]);
+        }
+        for j in 0..4 {
+            _mm256_storeu_ps(
+                d.add(j * ldd),
+                _mm256_permute2f128_ps::<0x20>(u[j], u[j + 4]),
+            );
+            _mm256_storeu_ps(
+                d.add((j + 4) * ldd),
+                _mm256_permute2f128_ps::<0x31>(u[j], u[j + 4]),
+            );
         }
     }
 }

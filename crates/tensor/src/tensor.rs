@@ -248,35 +248,8 @@ impl Tensor {
         out
     }
 
-    /// Copies columns `[start, end)` of a 2-D tensor into a new tensor —
-    /// used to split projection outputs into attention heads.
-    pub fn cols(&self, start: usize, end: usize) -> Self {
-        assert_eq!(
-            self.ndim(),
-            2,
-            "cols() requires a 2-D tensor, got {:?}",
-            self.shape
-        );
-        assert!(
-            start <= end && end <= self.shape[1],
-            "column range {start}..{end} out of bounds ({} cols)",
-            self.shape[1]
-        );
-        let rows = self.shape[0];
-        let cols = self.shape[1];
-        let width = end - start;
-        let mut data = Vec::with_capacity(rows * width);
-        for r in 0..rows {
-            data.extend_from_slice(&self.data[r * cols + start..r * cols + end]);
-        }
-        Self {
-            shape: vec![rows, width],
-            data,
-        }
-    }
-
     /// Writes `src` into columns starting at `start` — the inverse of
-    /// [`Tensor::cols`].
+    /// [`View::col_slice`](crate::View::col_slice).
     ///
     /// # Panics
     /// Panics on rank/row/width mismatches.
@@ -300,23 +273,7 @@ impl Tensor {
 
     /// Transpose of a 2-D tensor (copies).
     pub fn transpose(&self) -> Self {
-        assert_eq!(
-            self.ndim(),
-            2,
-            "transpose() requires a 2-D tensor, got {:?}",
-            self.shape
-        );
-        let (r, c) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
-            }
-        }
-        Self {
-            shape: vec![c, r],
-            data: out,
-        }
+        self.view().t().to_tensor()
     }
 
     /// Vertically stacks 2-D tensors with equal column counts.
@@ -465,19 +422,19 @@ mod tests {
     #[test]
     fn cols_and_set_cols_roundtrip() {
         let t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]);
-        let mid = t.cols(1, 3);
+        let mid = t.view().col_slice(1, 3).to_tensor();
         assert_eq!(mid.shape(), &[3, 2]);
         assert_eq!(mid.data(), &[1.0, 2.0, 5.0, 6.0, 9.0, 10.0]);
         let mut out = Tensor::zeros(&[3, 4]);
         out.set_cols(1, &mid);
-        assert_eq!(out.cols(1, 3), mid);
+        assert_eq!(out.view().col_slice(1, 3).to_tensor(), mid);
         assert_eq!(out.at(&[0, 0]), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn cols_rejects_bad_range() {
-        let _ = Tensor::zeros(&[2, 3]).cols(1, 4);
+        let _ = Tensor::zeros(&[2, 3]).view().col_slice(1, 4);
     }
 
     #[test]

@@ -73,8 +73,8 @@ proptest! {
         let c = m.dim(1);
         let half = c / 2;
         if half > 0 {
-            let left = m.cols(0, half);
-            let right = m.cols(half, c);
+            let left = m.view().col_slice(0, half).to_tensor();
+            let right = m.view().col_slice(half, c).to_tensor();
             let mut rebuilt = Tensor::zeros(&[m.dim(0), c]);
             rebuilt.set_cols(0, &left);
             rebuilt.set_cols(half, &right);

@@ -2,6 +2,7 @@
 # Paired A/B runs of one ntrbench workload: parent against change.
 #
 #   scripts/abrun.sh [-n PAIRS] [-w WORKLOAD] [-s SECONDS] [-e SEED] [-t THREADS] [-r] A B
+#   scripts/abrun.sh -E REV [-n PAIRS] [-w WORKLOAD] [-s SECONDS] [-e SEED] [-r] A B
 #
 # A and B are git revisions; `.` stands for the working tree (tracked and
 # untracked files that .gitignore does not exclude). Each side is exported
@@ -18,12 +19,17 @@
 # THREADS, when given, is exported as NTR_THREADS to every run. -r reuses
 # the two binaries a previous call built instead of building them again.
 #
+# Settings mode (-E REV): one binary, built from REV as above, runs under two
+# environment settings; A and B are then space-separated VAR=value lists,
+# e.g. `-E HEAD NTR_THREADS=1 NTR_THREADS=2`, paired and alternated the same
+# way. With -r it reuses the A binary of the previous call.
+#
 # Nothing in the repository is written: not BENCHMARK.json, not the
 # benchmark's own directory. Exit code 1 when a run fails a check.
 set -euo pipefail
 
-pairs=5 workload=train_mlm seconds=16 seed=17 threads= reuse=
-while getopts "n:w:s:e:t:r" opt; do
+pairs=5 workload=train_mlm seconds=16 seed=17 threads= reuse= rev=
+while getopts "n:w:s:e:t:rE:" opt; do
     case $opt in
         n) pairs=$OPTARG ;;
         w) workload=$OPTARG ;;
@@ -31,11 +37,12 @@ while getopts "n:w:s:e:t:r" opt; do
         e) seed=$OPTARG ;;
         t) threads=$OPTARG ;;
         r) reuse=1 ;;
-        *) sed -n '2,4p' "$0" >&2; exit 2 ;;
+        E) rev=$OPTARG ;;
+        *) sed -n '2,5p' "$0" >&2; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
-[ $# -eq 2 ] || { sed -n '2,4p' "$0" >&2; exit 2; }
+[ $# -eq 2 ] || { sed -n '2,5p' "$0" >&2; exit 2; }
 
 repo=$(git rev-parse --show-toplevel)
 dir=${ABRUN_DIR:-${TMPDIR:-/tmp}/ntr-abrun}
@@ -58,7 +65,10 @@ build() {
     cp "$dir/target/release/ntrbench" "$dir/bin/$2"
     echo "built $2 from $1" >&2
 }
-if [ -z "$reuse" ]; then
+A=$1 B=$2
+if [ -n "$rev" ]; then
+    [ -n "$reuse" ] || build "$rev" A
+elif [ -z "$reuse" ]; then
     build "$1" A
     build "$2" B
 fi
@@ -66,8 +76,13 @@ fi
 # run SIDE PAIR: one run, its output kept in out/SIDE-PAIR.txt.
 status=0
 run() {
-    local out="$dir/out/$1-$2.txt"
-    if ! env ${threads:+NTR_THREADS=$threads} "$dir/bin/$1" \
+    local out="$dir/out/$1-$2.txt" bin=$1 settings=
+    if [ -n "$rev" ]; then
+        bin=A
+        if [ "$1" = A ]; then settings=$A; else settings=$B; fi
+    fi
+    # shellcheck disable=SC2086 # a setting list splits into VAR=value words
+    if ! env ${threads:+NTR_THREADS=$threads} $settings "$dir/bin/$bin" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" >"$out"; then
         echo "run $1 of pair $2 failed a check: see $out" >&2
         status=1
@@ -83,7 +98,7 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo
-echo "$workload, $pairs pairs, seed $seed, ${threads:-default} threads; A = $1, B = $2"
+echo "$workload, $pairs pairs, seed $seed, ${threads:-default} threads; A = $1, B = $2${rev:+, one binary from $rev}"
 echo
 echo "| metric | A | B | paired ratios B/A | median [quartiles] A → B |"
 echo "| --- | --- | --- | --- | --- |"

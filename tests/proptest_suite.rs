@@ -133,7 +133,7 @@ proptest! {
         // `B` is `[k, n]` for `matmul` and `[n, k]` for `matmul_nt`; either
         // way the product's columns are `B`'s `0..n` in `slice`.
         let variants: [(&str, Product, Tensor, Slice); 2] = [
-            ("matmul", Tensor::matmul, operand(k, n, seed ^ 3), Tensor::cols),
+            ("matmul", Tensor::matmul, operand(k, n, seed ^ 3), cols),
             ("matmul_nt", Tensor::matmul_nt, operand(n, k, seed ^ 4), Tensor::rows),
         ];
         on_every_lane(|| {
@@ -165,6 +165,106 @@ proptest! {
             prop_assert_eq!(bits(&dy_kept.sum_rows()), bits(&dy.sum_rows()), "sum_rows");
             Ok(())
         })?;
+    }
+}
+
+/// Columns `[start, end)` of `t`, copied.
+fn cols(t: &Tensor, start: usize, end: usize) -> Tensor {
+    t.view().col_slice(start, end).to_tensor()
+}
+
+/// `t`'s transpose, index by index.
+fn transposed(t: &Tensor) -> Tensor {
+    let (r, c) = (t.dim(0), t.dim(1));
+    Tensor::from_fn(&[c, r], |i| t.data()[(i % r) * c + i / r])
+}
+
+/// Columns `[start, start + w)` of `t`, copied index by index.
+fn cols_of(t: &Tensor, start: usize, w: usize) -> Tensor {
+    let c = t.dim(1);
+    Tensor::from_fn(&[t.dim(0), w], |i| t.data()[(i / w) * c + start + i % w])
+}
+
+/// `(m, k, n, seed)` as [`product_dims`], with `k = 107` (a head count
+/// of rows) among the inner dimensions.
+fn strided_dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    let k = prop_oneof![Just(1usize), Just(16), Just(64), Just(107), Just(300)];
+    (1usize..=130, k, 1usize..=130, 0u64..u64::MAX)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A product read through strides has the bits of the same product of
+    /// dense copies: `A` given transposed (`matmul_tn`), `B` given
+    /// transposed (`matmul_nt`), and `A`, `B`, `Aᵀ` and `Bᵀ` as column
+    /// slices of wider matrices at a random offset (one attention head's
+    /// columns), on both lanes at 1, 2 and 4 threads.
+    #[test]
+    fn a_strided_product_has_the_bits_of_copy_then_multiply((m, k, n, seed) in strided_dims()) {
+        let pad = (seed % 13) as usize + 1;
+        let (oa, ob) = ((seed >> 8) as usize % (pad + 1), (seed >> 16) as usize % (pad + 1));
+        let (a, b) = (operand(m, k, seed), operand(k, n, seed ^ 1));
+        let (at, bt) = (operand(k, m, seed ^ 2), operand(n, k, seed ^ 3));
+        let wide_a = operand(m, k + pad, seed ^ 4);
+        let wide_b = operand(k, n + pad, seed ^ 5);
+        let wide_at = operand(k, m + pad, seed ^ 6);
+        let wide_bt = operand(n, k + pad, seed ^ 7);
+        let (a_s, b_s) = (cols_of(&wide_a, oa, k), cols_of(&wide_b, ob, n));
+        let (at_s, bt_s) = (cols_of(&wide_at, oa, m), cols_of(&wide_bt, ob, k));
+        on_every_lane(|| {
+            let tn = at.matmul_tn(&b);
+            prop_assert_eq!(bits(&tn), bits(&transposed(&at).matmul(&b)), "matmul_tn");
+            let nt = a.matmul_nt(&bt);
+            prop_assert_eq!(bits(&nt), bits(&a.matmul(&transposed(&bt))), "matmul_nt");
+            let sliced = wide_a.view().col_slice(oa, oa + k).matmul(b.view());
+            prop_assert_eq!(bits(&sliced), bits(&a_s.matmul(&b)), "A a column slice at {}", oa);
+            let sliced = a.view().matmul(wide_b.view().col_slice(ob, ob + n));
+            prop_assert_eq!(bits(&sliced), bits(&a.matmul(&b_s)), "B a column slice at {}", ob);
+            let heads = wide_at.view().col_slice(oa, oa + m).t().matmul(wide_b.view().col_slice(ob, ob + n));
+            prop_assert_eq!(bits(&heads), bits(&transposed(&at_s).matmul(&b_s)), "Aᵀ and B slices");
+            let packed = a.view().matmul(wide_bt.view().col_slice(ob, ob + k).t());
+            prop_assert_eq!(bits(&packed), bits(&a.matmul(&transposed(&bt_s))), "Bᵀ a slice");
+            Ok(())
+        })?;
+    }
+}
+
+/// The one transpose routine is the index-by-index transpose at every shape
+/// with rows and columns in `0..=20`, 107 and 871 — whole 8×8 tiles, their
+/// edges, and none — read densely or as a column slice (a row stride wider
+/// than the row), on both lanes.
+#[test]
+fn transpose_is_the_index_by_index_transpose() {
+    let sizes: Vec<usize> = (0..=20).chain([107, 871]).collect();
+    for &r in &sizes {
+        for &c in &sizes {
+            let t = operand(r, c, (r * 1000 + c) as u64);
+            let want = transposed(&t);
+            let sliced = (c > 1).then(|| transposed(&cols_of(&t, 1, c - 1)));
+            for scalar in [false, true] {
+                let check = || {
+                    assert_eq!(
+                        bits(&t.transpose()),
+                        bits(&want),
+                        "[{r}, {c}] scalar {scalar}"
+                    );
+                    if let Some(sliced) = &sliced {
+                        let got = t.view().col_slice(1, c).t().to_tensor();
+                        assert_eq!(
+                            bits(&got),
+                            bits(sliced),
+                            "[{r}, {c}] sliced, scalar {scalar}"
+                        );
+                    }
+                };
+                if scalar {
+                    simd::force_scalar(check)
+                } else {
+                    check()
+                }
+            }
+        }
     }
 }
 
