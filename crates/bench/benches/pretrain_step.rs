@@ -17,7 +17,7 @@ fn step<M: MlmModel>(
     rows: &[usize],
     targets: &[usize],
 ) -> f32 {
-    let states = model.encode_train(input, &Rows::Only(rows.to_vec()));
+    let states = model.encode_train(input, Rows::Only(rows));
     let logits = model.mlm_head().forward(&states);
     let (loss, dlogits) = softmax_cross_entropy(&logits, targets, None);
     let dstates = model.mlm_head().backward(&dlogits);

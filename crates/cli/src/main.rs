@@ -17,7 +17,7 @@
 
 use ntr::corpus::kb::{World, WorldConfig};
 use ntr::corpus::tables::{CorpusConfig, TableCorpus, TableKind};
-use ntr::models::{ModelConfig, RowStudent, Want};
+use ntr::models::{ModelConfig, RowStudent, Rows};
 use ntr::obs::trace::{parse_line, schema};
 use ntr::obs::{Obs, ObsOptions};
 use ntr::pipeline::{EncodeRequest, Pipeline};
@@ -719,7 +719,7 @@ fn index_query(rest: &[String]) -> Result<(), String> {
     let model = build_encoder(params.spec(), &model_cfg).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
     let encoded = pipeline.serialize(&table, &context);
-    let enc = pipeline.encode_serialized(model.as_ref(), encoded, Want::Table);
+    let enc = pipeline.encode_serialized(model.as_ref(), encoded, Rows::CLS);
     let res = idx
         .search(enc.table_embedding().data(), k, nprobe)
         .map_err(|e| e.to_string())?;

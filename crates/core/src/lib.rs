@@ -58,6 +58,6 @@ pub use ntr_tasks as tasks;
 pub use ntr_tensor as tensor;
 pub use ntr_tokenizer as tokenizer;
 
-pub use ntr_models::Want;
+pub use ntr_models::Rows;
 pub use pipeline::{EncodeError, EncodeRequest, Pipeline, PipelineBuilder, TableEncoding};
 pub use zoo::{build_encoder, build_mlm_model, EncoderSpec, ModelKind, QuantSpec};

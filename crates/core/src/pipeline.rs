@@ -3,7 +3,7 @@
 //! column, table).
 
 use crate::zoo::{build_encoder, EncoderSpec, ModelKind};
-use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Want};
+use ntr_models::{EncoderInput, ModelConfig, Rows, SequenceEncoder};
 use ntr_nn::serialize::{self as checkpoint, CheckpointError};
 use ntr_nn::Layer;
 use ntr_table::{EncodedTable, Linearizer, LinearizerKind, LinearizerOptions, Table, TokenKind};
@@ -350,20 +350,20 @@ impl Pipeline {
     }
 
     /// Runs the model over an already-serialized table and packages the
-    /// representations `want` asks for — the single compute core shared by
+    /// states of `rows` — the single compute core shared by
     /// [`Pipeline::encode`], [`Pipeline::try_encode`] and
     /// [`Pipeline::encode_batch`], which is what makes their outputs
-    /// bit-identical (a [`Want::Table`] encoding's one row is row 0 of the
-    /// [`Want::All`] one). Inference is [`SequenceEncoder::infer`]: the model
-    /// is only read.
+    /// bit-identical (a [`Rows::CLS`] encoding's one row is row 0 of the
+    /// [`Rows::All`] one). Inference is [`SequenceEncoder::infer`]: the
+    /// model is only read.
     pub fn encode_serialized(
         &self,
         model: &dyn SequenceEncoder,
         encoded: EncodedTable,
-        want: Want,
+        rows: Rows,
     ) -> TableEncoding {
         let input = EncoderInput::from_encoded(&encoded);
-        let states = model.infer(&input, want);
+        let states = model.infer(&input, rows);
         TableEncoding { encoded, states }
     }
 
@@ -378,13 +378,13 @@ impl Pipeline {
     ) -> Result<TableEncoding, EncodeError> {
         self.check_model(model)?;
         let encoded = self.try_serialize(table, context)?;
-        Ok(self.encode_serialized(model, encoded, Want::All))
+        Ok(self.encode_serialized(model, encoded, Rows::All))
     }
 
     /// Batch-first table embedding: validates the model once, then
     /// serializes and encodes the requests in parallel across the
     /// `ntr_tensor::par` pool, each through the same compute core as
-    /// [`Pipeline::encode`] with [`Want::Table`]: every result holds the
+    /// [`Pipeline::encode`] with [`Rows::CLS`]: every result holds the
     /// `[1, d]` `[CLS]` state ([`TableEncoding::table_embedding`]), which is
     /// all an index consumes, and none of the token-level states. Results
     /// come back in request order, bit-identical to row 0 of `reqs` encoded
@@ -402,7 +402,7 @@ impl Pipeline {
         self.check_model(model)?;
         par::map_tasks(reqs.len(), par::max_threads(), |i| {
             let encoded = self.try_serialize(&reqs[i].table, &reqs[i].context)?;
-            Ok(self.encode_serialized(model, encoded, Want::Table))
+            Ok(self.encode_serialized(model, encoded, Rows::CLS))
         })
         .into_iter()
         .collect()
@@ -436,18 +436,18 @@ impl Pipeline {
         context: &str,
     ) -> TableEncoding {
         let encoded = self.serialize(table, context);
-        self.encode_serialized(model, encoded, Want::All)
+        self.encode_serialized(model, encoded, Rows::All)
     }
 }
 
 /// The output representations of one table encoding (the survey's "Output
 /// Model Representation" dimension): every granularity for a
-/// [`Want::All`] encoding, the table level alone for a [`Want::Table`] one.
+/// [`Rows::All`] encoding, the table level alone for a [`Rows::CLS`] one.
 pub struct TableEncoding {
     /// The serialized table (ids + structural metadata + spans).
     pub encoded: EncodedTable,
     /// Hidden states: `[seq_len, d_model]` for every token, or `[1,
-    /// d_model]` — the `[CLS]` state alone — from [`Want::Table`].
+    /// d_model]` — the `[CLS]` state alone — from [`Rows::CLS`].
     pub states: Tensor,
 }
 

@@ -11,7 +11,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param, Rows, Want};
+use ntr_nn::{Encoder, Layer, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// BERT-style text encoder with an MLM head.
@@ -61,12 +61,12 @@ impl SequenceEncoder for VanillaBert {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
         self.encoder
-            .infer(&self.embeddings.infer(input), None, want)
+            .infer(&self.embeddings.infer(input), None, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         let x = self.embeddings.forward(input, true);
         self.encoder.forward_train(&x, None, rows)
     }
@@ -144,7 +144,7 @@ mod tests {
         let mut adam = ntr_nn::optim::Adam::new(5e-3);
         let mut losses = Vec::new();
         for _ in 0..12 {
-            let states = m.encode_train(&inp, &Rows::Only(rows.clone()));
+            let states = m.encode_train(&inp, Rows::Only(&rows));
             let logits = m.mlm.forward(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
             losses.push(loss);

@@ -41,10 +41,11 @@ impl MlmHead {
         self.decoder.forward(&self.ln.forward(&h))
     }
 
-    /// The logits of `rows` of `[n, d]` states, for inference: records
-    /// nothing.
-    pub fn infer_rows(&self, states: &Tensor, rows: &[usize]) -> Tensor {
-        let h = self.transform.forward_inference(&states.gather_rows(rows));
+    /// [`MlmHead::forward`] for inference, recording nothing: an
+    /// evaluation hands it the states of the rows it scores alone
+    /// ([`SequenceEncoder::infer`](crate::SequenceEncoder::infer)).
+    pub fn infer(&self, states: &Tensor) -> Tensor {
+        let h = self.transform.forward_inference(states);
         let h = self.ln.forward_inference(&self.act.forward_inference(&h));
         self.decoder.forward_inference(&h)
     }

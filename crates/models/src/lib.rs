@@ -16,7 +16,10 @@
 //!
 //! All models share [`EncoderInput`] (token ids + structural metadata from
 //! `ntr-table`'s linearizers) and implement [`SequenceEncoder`], so the
-//! fine-tuning heads in `ntr-tasks` are generic over the family.
+//! fine-tuning heads in `ntr-tasks` are generic over the family. A caller
+//! names the rows it reads with [`Rows`] — [`Rows::CLS`] for the table
+//! level, the masked rows for an MLM loss or its evaluation — and the last
+//! encoder layer computes those alone.
 
 mod config;
 mod embeddings;
@@ -44,14 +47,14 @@ pub use tapas::Tapas;
 pub use tapex::Tapex;
 pub use turl::Turl;
 
-pub use ntr_nn::{Rows, Want};
+pub use ntr_nn::Rows;
 
 use ntr_nn::Layer;
 use ntr_tensor::Tensor;
 
 /// Common interface of the encoder-style models: turn an [`EncoderInput`]
-/// into per-token hidden states `[seq, d_model]`, or into the `[CLS]` row
-/// alone when that is all the caller consumes.
+/// into per-token hidden states `[seq, d_model]`, or into the [`Rows`] of
+/// them the caller consumes.
 ///
 /// [`SequenceEncoder::infer`] is the one inference path: `&self`, no caches,
 /// no dropout, so one model is shared by every thread that encodes with it
@@ -70,24 +73,24 @@ pub trait SequenceEncoder: Layer + Send + Sync {
     /// typed error instead of an embedding-lookup panic.
     fn vocab_size(&self) -> usize;
 
-    /// Encodes an input for inference, recording nothing: `[seq, d_model]`
-    /// states for [`Want::All`], the `[1, d_model]` `[CLS]` state for
-    /// [`Want::Table`] — bit-identical to row 0 of the former, at a
-    /// fraction of the last layer's work.
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor;
+    /// Encodes an input for inference, recording nothing: the states of
+    /// `rows` — `[seq, d_model]` for [`Rows::All`], the `[1, d_model]`
+    /// `[CLS]` state for [`Rows::CLS`] — each bit-identical to that row of
+    /// [`Rows::All`], the last layer computing only what they need.
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor;
 
     /// Every token's hidden states: [`SequenceEncoder::encode_train`] with
     /// `train`, [`SequenceEncoder::infer`] without.
     fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
         if !train {
-            return self.infer(input, Want::All);
+            return self.infer(input, Rows::All);
         }
-        self.encode_train(input, &Rows::All)
+        self.encode_train(input, Rows::All)
     }
 
-    /// The training forward: the states of the rows a loss reads alone, the
-    /// last encoder layer computing only what they need.
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor;
+    /// The training forward of [`SequenceEncoder::infer`]: the states of
+    /// the rows a loss reads, recording what `backward` needs.
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor;
 
     /// Backpropagates the gradient of what `encode_train` returned.
     fn backward(&mut self, d_states: &Tensor);

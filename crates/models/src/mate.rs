@@ -17,7 +17,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows, Want};
+use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -129,13 +129,13 @@ impl SequenceEncoder for Mate {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mask = self.head_masks(input);
         self.encoder
-            .infer(&self.embeddings.infer(input), Some(&mask), want)
+            .infer(&self.embeddings.infer(input), Some(&mask), rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mask = self.head_masks(input);
         let x = self.embeddings.forward(input, true);
         self.encoder.forward_train(&x, Some(&mask), rows)

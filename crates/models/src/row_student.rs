@@ -30,7 +30,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Rows, Want};
+use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Rows};
 use ntr_tensor::{simd, Tensor};
 use std::sync::OnceLock;
 
@@ -52,7 +52,8 @@ pub struct RowStudent {
     /// Int8 snapshots of (proj1, proj2); empty until first int8 encode
     /// and after any parameter mutation.
     qcache: OnceLock<(QuantizedLinear, QuantizedLinear)>,
-    /// Row ids and MLP activation from the last training forward.
+    /// Row ids, output rows and MLP activation from the last training
+    /// forward.
     cache: Option<TrainCache>,
 }
 
@@ -60,13 +61,13 @@ pub struct RowStudent {
 struct TrainCache {
     rows: Vec<usize>,
     gelu: Gelu,
-    /// The output rows.
-    out: Rows,
+    /// The output rows, `None` for every row.
+    out: Option<Vec<usize>>,
 }
 
 /// Adds to each token the mean embedding of its row group (tokens sharing
-/// a `rows[t]` id), in place. Returns the per-group `1/|g|` weights used,
-/// keyed by row id, so backward can reuse the grouping.
+/// a `rows[t]` id), in place. The mix is symmetric, so it is its own
+/// backward: `de[u] = dh[u] + (1/|g|) Σ_{t∈g} dh[t]`.
 fn mix_row_means(x: &mut Tensor, rows: &[usize]) {
     let (n, d) = (x.dim(0), x.dim(1));
     debug_assert_eq!(rows.len(), n);
@@ -89,13 +90,6 @@ fn mix_row_means(x: &mut Tensor, rows: &[usize]) {
             *v += m * inv;
         }
     }
-}
-
-/// Backward of [`mix_row_means`]: `de[u] = dh[u] + (1/|g|) Σ_{t∈g} dh[t]`.
-fn mix_row_means_backward(dh: &Tensor, rows: &[usize]) -> Tensor {
-    let mut de = dh.clone();
-    mix_row_means(&mut de, rows);
-    de
 }
 
 impl RowStudent {
@@ -150,15 +144,12 @@ impl SequenceEncoder for RowStudent {
 
     /// At `Int8` the two MLP matmuls run on the quantized snapshot;
     /// embeddings, context mix and LayerNorm stay f32. The row-mean mix
-    /// reads every row; under [`Want::Table`] the MLP, residual and
-    /// LayerNorm then run on row 0 alone.
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+    /// reads every row; the MLP, residual and LayerNorm then run on `rows`
+    /// alone.
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mut h = self.embeddings.infer(input);
         mix_row_means(&mut h, &input.rows);
-        let (n, rows) = (h.dim(0), want.rows(h.dim(0)));
-        if rows < n {
-            h = h.rows(0, rows);
-        }
+        let h = rows.of(&h);
         let y = match self.precision {
             QuantSpec::F32 => self.proj2.forward_inference(
                 &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
@@ -176,18 +167,19 @@ impl SequenceEncoder for RowStudent {
         self.ln.forward_inference(&h.add(&y))
     }
 
-    /// Training always runs the f32 path; the LayerNorm runs on `rows`.
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    /// Training always runs the f32 path, narrowed as `infer` narrows.
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mut h = self.embeddings.forward(input, true);
         mix_row_means(&mut h, &input.rows);
+        let h = rows.of(&h);
         let mut gelu = Gelu::default();
         let y = self.proj2.forward(&gelu.forward(&self.proj1.forward(&h)));
         self.cache = Some(TrainCache {
             rows: input.rows.clone(),
             gelu,
-            out: rows.clone(),
+            out: rows.record(),
         });
-        self.ln.forward(&rows.of(&h.add(&y)))
+        self.ln.forward(&h.add(&y))
     }
 
     fn backward(&mut self, d_states: &Tensor) {
@@ -195,13 +187,13 @@ impl SequenceEncoder for RowStudent {
             .cache
             .take()
             .expect("RowStudent::backward called without a cached training forward");
-        let dz = c.out.scatter(self.ln.backward(d_states), c.rows.len());
+        let dz = self.ln.backward(d_states);
         // z = h + proj2(gelu(proj1(h))): both branches feed dh.
         let dh_mlp = self
             .proj1
             .backward(&c.gelu.backward(&self.proj2.backward(&dz)));
-        let dh = dz.add(&dh_mlp);
-        let de = mix_row_means_backward(&dh, &c.rows);
+        let mut de = Rows::from(c.out.as_deref()).scatter(dz.add(&dh_mlp), c.rows.len());
+        mix_row_means(&mut de, &c.rows);
         self.embeddings.backward(&de);
     }
 

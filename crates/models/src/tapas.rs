@@ -13,7 +13,7 @@ use crate::heads::{ClassifierHead, MlmHead, TokenScoreHead};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param, Rows, Want};
+use ntr_nn::{Encoder, Layer, Param, Rows};
 use ntr_table::EncodedTable;
 use ntr_tensor::Tensor;
 
@@ -98,12 +98,12 @@ impl SequenceEncoder for Tapas {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
         self.encoder
-            .infer(&self.embeddings.infer(input), None, want)
+            .infer(&self.embeddings.infer(input), None, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         let x = self.embeddings.forward(input, true);
         self.encoder.forward_train(&x, None, rows)
     }

@@ -18,7 +18,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows, Want};
+use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// TURL-style encoder with MLM and MER heads.
@@ -117,13 +117,13 @@ impl SequenceEncoder for Turl {
         self.cfg.vocab_size
     }
 
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mask = Self::visibility_mask(input);
         self.encoder
-            .infer(&self.embeddings.infer(input), Some(&mask), want)
+            .infer(&self.embeddings.infer(input), Some(&mask), rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         let mask = Self::visibility_mask(input);
         let x = self.embeddings.forward(input, true);
         self.encoder.forward_train(&x, Some(&mask), rows)

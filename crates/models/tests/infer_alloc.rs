@@ -3,14 +3,14 @@
 //! same number of allocations on every call (nothing accumulates across
 //! requests), and clearly fewer bytes than a training forward, which records
 //! activation caches and dropout masks. If caches creep back into
-//! inference, the byte ratio fails. The table-level pass (`Want::Table`)
+//! inference, the byte ratio fails. The table-level pass (`Rows::CLS`)
 //! is held the same way, and to a clear cut below the full one: if its last
 //! layer starts computing rows nobody reads, that ratio fails.
 //!
 //! Only this binary installs the hook; no library crate declares a global
 //! allocator, so no other program pays for the counting.
 
-use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Tapas, Want};
+use ntr_models::{EncoderInput, ModelConfig, Rows, SequenceEncoder, Tapas};
 use ntr_tensor::par;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,20 +97,21 @@ fn infer_allocates_the_same_every_call_and_less_than_a_training_forward() {
     });
     let x = input(64);
 
-    let steady = |want: Want| {
-        let _warm_up = model.infer(&x, want);
-        let first = measure(|| model.infer(&x, want));
+    let steady = |rows: Rows| {
+        let _warm_up = model.infer(&x, rows);
+        let first = measure(|| model.infer(&x, rows));
         for call in 1..100 {
             assert_eq!(
-                measure(|| model.infer(&x, want)),
+                measure(|| model.infer(&x, rows)),
                 first,
-                "{want:?} call {call}"
+                "{rows:?} call {call}"
             );
         }
+        println!("{rows:?}: {first:?} (allocations, bytes) per infer");
         first
     };
-    let (_, all_bytes) = steady(Want::All);
-    let (_, table_bytes) = steady(Want::Table);
+    let (_, all_bytes) = steady(Rows::All);
+    let (_, table_bytes) = steady(Rows::CLS);
 
     let (_, train_bytes) = measure(|| model.encode(&x, true));
     assert!(
@@ -118,7 +119,7 @@ fn infer_allocates_the_same_every_call_and_less_than_a_training_forward() {
         "infer allocates {all_bytes} bytes, a training forward {train_bytes}"
     );
     let ratio = table_bytes as f64 / all_bytes as f64;
-    println!("Want::Table / Want::All bytes at [64, 32], 2 layers: {ratio:.3}");
+    println!("Rows::CLS / Rows::All bytes at [64, 32], 2 layers: {ratio:.3}");
     assert!(
         ratio <= 0.7,
         "a table-level infer allocates {table_bytes} bytes, a full one {all_bytes}"

@@ -17,6 +17,9 @@ use crate::init::SeededInit;
 use crate::linear::Linear;
 use crate::{Layer, Param};
 use ntr_tensor::{grain, par, Tensor};
+use std::borrow::Cow;
+
+const NO_CACHE: &str = "attention backward called without a cached forward";
 
 /// Thread count for fanning `n_heads` heads of `work` flops each across the
 /// pool, decided by the grain cost model on the total score work. Heads
@@ -63,14 +66,17 @@ impl AttnMask {
         AttnMask::Shared(m)
     }
 
-    /// Every head's mask cut by `cut` to the query rows of a pass that
-    /// queries only those: `|m| m.rows(0, 1)` for the `[CLS]` row,
-    /// `|m| m.gather_rows(rows)` for some rows.
-    pub(crate) fn cut(&self, cut: impl Fn(&Tensor) -> Tensor) -> AttnMask {
-        match self {
+    /// Every head's mask cut to the query rows `rows` of a pass that
+    /// queries only those, borrowed when that is every row.
+    pub(crate) fn cut(&self, rows: Rows) -> Cow<'_, AttnMask> {
+        if rows == Rows::All {
+            return Cow::Borrowed(self);
+        }
+        let cut = |m: &Tensor| rows.of(m).into_owned();
+        Cow::Owned(match self {
             AttnMask::Shared(m) => AttnMask::Shared(cut(m)),
             AttnMask::PerHead(ms) => AttnMask::PerHead(ms.iter().map(cut).collect()),
-        }
+        })
     }
 
     fn for_head(&self, h: usize) -> &Tensor {
@@ -125,8 +131,8 @@ struct Cache {
     v: Tensor,
     probs: Vec<Tensor>,
     self_attn: bool,
-    /// The query rows of a self-attention pass.
-    rows: Rows,
+    /// The query rows of a self-attention pass, `None` for every row.
+    rows: Option<Vec<usize>>,
 }
 
 impl MultiHeadAttention {
@@ -163,19 +169,15 @@ impl MultiHeadAttention {
     /// Self-attention over `x: [n, d]`, recording what
     /// [`MultiHeadAttention::backward_self`] needs.
     pub fn forward_self(&mut self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.forward_queries(x, &Rows::All, mask)
+        self.forward_queries(x, Rows::All, mask)
     }
 
     /// Self-attention over `x: [n, d]` for the query rows `rows` alone, as
-    /// [`MultiHeadAttention::infer`] for `xq`: keys and values span `x`,
-    /// `mask` covers every row, each output row has the bits of that row of
-    /// [`MultiHeadAttention::forward_self`], and `backward_self` is `[n, d]`.
-    pub fn forward_queries(&mut self, x: &Tensor, rows: &Rows, mask: Option<&AttnMask>) -> Tensor {
-        let cut = match rows {
-            Rows::All => None,
-            Rows::Only(r) => mask.map(|m| m.cut(|t| t.gather_rows(r))),
-        };
-        self.forward(&rows.of(x), x, cut.as_ref().or(mask), Some(rows))
+    /// [`MultiHeadAttention::infer`] computes it, recording what
+    /// [`MultiHeadAttention::backward_self`] needs; that returns `[n, d]`.
+    pub fn forward_queries(&mut self, x: &Tensor, rows: Rows, mask: Option<&AttnMask>) -> Tensor {
+        let mask = mask.map(|m| m.cut(rows));
+        self.forward(&rows.of(x), x, mask.as_deref(), Some(rows))
     }
 
     /// Cross-attention: queries from `xq: [n_q, d]`, keys/values from
@@ -186,16 +188,16 @@ impl MultiHeadAttention {
     }
 
     /// Self-attention over `x: [n, d]` for inference, answered for the
-    /// query rows `xq`: `x` itself for every row, or some of `x`'s rows
-    /// (`x.rows(0, 1)` for the `[CLS]` row alone) with `mask` holding just
-    /// those rows' masks. Keys and values span all of `x`. Every kernel
-    /// computes a row from that row alone, so each output row is bit for
-    /// bit the same row of `infer(x, x, mask)`, which is
-    /// [`MultiHeadAttention::forward_self`] minus its records — so any
-    /// number of threads may run it on one shared block.
-    pub fn infer(&self, xq: &Tensor, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.check(xq, x, mask);
-        let q = self.wq.forward_inference(xq);
+    /// query rows `rows`: keys and values span all of `x`, and `mask`
+    /// covers every row. Every kernel computes a row from that row alone,
+    /// so each output row is bit for bit that row of the [`Rows::All`]
+    /// pass, which is [`MultiHeadAttention::forward_self`] minus its
+    /// records — so any number of threads may run it on one shared block.
+    pub fn infer(&self, x: &Tensor, rows: Rows, mask: Option<&AttnMask>) -> Tensor {
+        let (xq, mask) = (rows.of(x), mask.map(|m| m.cut(rows)));
+        let mask = mask.as_deref();
+        self.check(&xq, x, mask);
+        let q = self.wq.forward_inference(&xq);
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
         self.wo
@@ -283,7 +285,7 @@ impl MultiHeadAttention {
         xq: &Tensor,
         xkv: &Tensor,
         mask: Option<&AttnMask>,
-        self_rows: Option<&Rows>,
+        self_rows: Option<Rows>,
     ) -> Tensor {
         self.check(xq, xkv, mask);
         let q = self.wq.forward(xq);
@@ -297,9 +299,17 @@ impl MultiHeadAttention {
             v,
             probs,
             self_attn: self_rows.is_some(),
-            rows: self_rows.cloned().unwrap_or(Rows::All),
+            rows: self_rows.and_then(Rows::record),
         });
         self.wo.forward(&concat)
+    }
+
+    /// `g`, a gradient of the query rows of the recorded self-attention
+    /// forward, as the gradient of every input row: `+0` on the rows it
+    /// did not query.
+    pub(crate) fn scatter_queries(&self, g: Tensor) -> Tensor {
+        let cache = self.cache.as_ref().expect(NO_CACHE);
+        Rows::from(cache.rows.as_deref()).scatter(g, cache.k.dim(0))
     }
 
     /// Backward for self-attention; returns `d loss / d x`, `[n, d]`. After
@@ -320,10 +330,7 @@ impl MultiHeadAttention {
     }
 
     fn backward_inner(&mut self, dy: &Tensor, expect_self: bool) -> (Tensor, Tensor) {
-        let cache = self
-            .cache
-            .take()
-            .expect("attention backward called without a cached forward");
+        let cache = self.cache.take().expect(NO_CACHE);
         assert_eq!(
             cache.self_attn, expect_self,
             "attention backward variant does not match the forward variant"
@@ -373,7 +380,7 @@ impl MultiHeadAttention {
             dv.set_cols(h * dh, &dvh);
         }
 
-        let dxq = cache.rows.scatter(self.wq.backward(&dq), n_k);
+        let dxq = Rows::from(cache.rows.as_deref()).scatter(self.wq.backward(&dq), n_k);
         let dxk = self.wk.backward(&dk);
         let dxv = self.wv.backward(&dv);
         (dxq, dxk.add(&dxv))
@@ -411,7 +418,7 @@ mod tests {
     fn forward_shapes_and_prob_rows_sum_to_one() {
         let a = mha(8, 2, 1);
         let x = SeededInit::new(2).uniform(&[5, 8], -1.0, 1.0);
-        assert_eq!(a.infer(&x, &x, None).shape(), &[5, 8]);
+        assert_eq!(a.infer(&x, Rows::All, None).shape(), &[5, 8]);
         let probs = a.attention_probs(&x, None);
         assert_eq!(probs.len(), 2);
         for p in &probs {
@@ -430,7 +437,7 @@ mod tests {
         let mut a = mha(8, 2, 20);
         let x = SeededInit::new(21).uniform(&[6, 8], -1.0, 1.0);
         for mask in [None, Some(AttnMask::causal(6))] {
-            let inferred = a.infer(&x, &x, mask.as_ref());
+            let inferred = a.infer(&x, Rows::All, mask.as_ref());
             assert!(a.cache.is_none(), "infer must not record a cache");
             assert_eq!(inferred, a.forward_self(&x, mask.as_ref()));
             let cached = &a.cache.as_ref().expect("forward records").probs;
@@ -439,10 +446,10 @@ mod tests {
         }
     }
 
-    /// Querying a leading block of rows gives those rows of the full pass,
-    /// bit for bit, with shared and per-head masks cut to the same rows.
+    /// Querying some rows gives those rows of the full pass, bit for bit,
+    /// with shared and per-head masks cut to the same rows.
     #[test]
-    fn leading_query_rows_reproduce_the_full_pass() {
+    fn some_query_rows_reproduce_the_full_pass() {
         let a = mha(8, 2, 22);
         let x = SeededInit::new(23).uniform(&[7, 8], -1.0, 1.0);
         let mut m0 = Tensor::zeros(&[7, 7]);
@@ -450,11 +457,10 @@ mod tests {
         m0.set(&[1, 2], f32::NEG_INFINITY);
         let per_head = AttnMask::PerHead(vec![m0, AttnMask::padding(7, 7, 5).for_head(0).clone()]);
         for mask in [None, Some(AttnMask::causal(7)), Some(per_head)] {
-            let full = a.infer(&x, &x, mask.as_ref());
-            for rows in [1, 3, 7] {
-                let cut = mask.as_ref().map(|m| m.cut(|t| t.rows(0, rows)));
-                let part = a.infer(&x.rows(0, rows), &x, cut.as_ref());
-                assert_eq!(part, full.rows(0, rows), "{rows} query rows");
+            let full = a.infer(&x, Rows::All, mask.as_ref());
+            for rows in [&[0][..], &[0, 1, 2], &[1, 4, 6], &[0, 1, 2, 3, 4, 5, 6]] {
+                let part = a.infer(&x, Rows::Only(rows), mask.as_ref());
+                assert_eq!(part, full.gather_rows(rows), "query rows {rows:?}");
             }
         }
     }
@@ -628,7 +634,7 @@ mod tests {
         let cat = |parts: &Vec<Tensor>| Tensor::hstack(&parts.iter().collect::<Vec<_>>());
         let (dq, dk, dv) = (cat(&dqs), cat(&dks), cat(&dvs));
         assert_eq!((dq.dim(1), dk.dim(1)), (d, d));
-        let dxq = cache.rows.scatter(a.wq.backward(&dq), n_k);
+        let dxq = Rows::from(cache.rows.as_deref()).scatter(a.wq.backward(&dq), n_k);
         (dxq, a.wk.backward(&dk).add(&a.wv.backward(&dv)))
     }
 
@@ -685,14 +691,11 @@ mod tests {
                 for mask in masks(heads, n, n) {
                     let mut a = mha(d, heads, 33);
                     let m = mask.as_ref();
-                    assert_eq!(a.infer(&x, &x, m), reference_infer(&a, &x, &x, m));
-                    for rows in [Rows::All, Rows::Only(vec![0, 3, 4, 8])] {
-                        let cut = match &rows {
-                            Rows::All => mask.clone(),
-                            Rows::Only(r) => mask.as_ref().map(|m| m.cut(|t| t.gather_rows(r))),
-                        };
-                        let out = a.forward_queries(&x, &rows, m);
-                        assert_eq!(out, reference_infer(&a, &rows.of(&x), &x, cut.as_ref()));
+                    assert_eq!(a.infer(&x, Rows::All, m), reference_infer(&a, &x, &x, m));
+                    for rows in [Rows::All, Rows::Only(&[0, 3, 4, 8])] {
+                        let cut = m.map(|m| m.cut(rows));
+                        let out = a.forward_queries(&x, rows, m);
+                        assert_eq!(out, reference_infer(&a, &rows.of(&x), &x, cut.as_deref()));
                         let dy = rows.of(&dy).into_owned();
                         let mut b = a.clone();
                         let dx = a.backward_self(&dy);

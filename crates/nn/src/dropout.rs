@@ -53,14 +53,14 @@ impl Dropout {
             self.cache_mask = None;
             return x.clone();
         }
-        self.forward_train(x, x.dim(0), &Rows::All)
+        self.forward_train(x, x.dim(0), Rows::All)
     }
 
     /// Training dropout of `rows` of an `n`-row activation, `x` holding
     /// those rows alone. The mask is drawn for all `n` rows in row-major
     /// order and cut to `rows`, so the stream and each kept row's mask are
     /// those of [`Rows::All`].
-    pub fn forward_train(&mut self, x: &Tensor, n: usize, rows: &Rows) -> Tensor {
+    pub fn forward_train(&mut self, x: &Tensor, n: usize, rows: Rows) -> Tensor {
         if self.p == 0.0 {
             self.cache_mask = None;
             return x.clone();

@@ -10,66 +10,68 @@ use crate::{Layer, Param};
 use ntr_tensor::Tensor;
 use std::borrow::Cow;
 
-/// Which rows of its output an inference pass produces: the survey's output
+/// Which rows of its output a pass produces: the survey's output
 /// granularity, chosen by the caller instead of computed in full and cut.
+/// Inference and training narrow the same way: every layer but the last
+/// runs in full (its rows are the next layer's keys and values), and the
+/// last computes LN1, keys and values over every row and the rest for the
+/// selected rows alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Want {
+pub enum Rows<'a> {
+    /// Every row, `[n, d]`: what cell, row and column pooling and token
+    /// heads read.
+    All,
+    /// These rows, ascending and distinct (the order a loss sums them in):
+    /// `[m, d]`, each row with the bits of that row of [`Rows::All`].
+    Only(&'a [usize]),
+}
+
+impl<'a> Rows<'a> {
     /// The table-level representation alone: the `[CLS]` row, `[1, d]`.
-    /// Every layer but the last runs in full; the last computes keys and
-    /// values over every row and everything else for row 0 only. The row
-    /// is bit-identical to row 0 of [`Want::All`].
-    Table,
-    /// Every token's state, `[n, d]`: what cell, row and column pooling,
-    /// token heads and training need.
-    All,
-}
+    pub const CLS: Rows<'static> = Rows::Only(&[0]);
 
-impl Want {
-    /// How many leading rows of an `n`-row sequence this asks for.
-    pub fn rows(self, n: usize) -> usize {
-        match self {
-            Want::Table => n.min(1),
-            Want::All => n,
-        }
+    /// The selected rows of an `n`-row tensor, `None` for all of them.
+    fn only(self, n: usize) -> Option<&'a [usize]> {
+        let Rows::Only(rows) = self else {
+            return None;
+        };
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < n),
+            "Rows::Only({rows:?}) must be ascending, distinct and below {n}"
+        );
+        Some(rows)
     }
-}
 
-/// Which rows of its output a training forward produces: the rows its loss
-/// reads, the training twin of [`Want`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Rows {
-    /// Every row, `[n, d]`.
-    All,
-    /// These rows, ascending (the order a loss sums them in): `[m, d]`, each
-    /// row with the bits of that row of [`Rows::All`].
-    Only(Vec<usize>),
-}
-
-impl Rows {
     /// These rows of `x`, borrowed when that is all of `x`.
-    pub fn of<'t>(&self, x: &'t Tensor) -> Cow<'t, Tensor> {
-        match self {
-            Rows::All => Cow::Borrowed(x),
-            Rows::Only(rows) => Cow::Owned(x.gather_rows(rows)),
+    pub fn of<'t>(self, x: &'t Tensor) -> Cow<'t, Tensor> {
+        match self.only(x.dim(0)) {
+            None => Cow::Borrowed(x),
+            Some(rows) => Cow::Owned(x.gather_rows(rows)),
         }
     }
 
     /// `g`, the gradient of these rows of an `n`-row tensor, as the whole
     /// tensor's gradient: `+0` on every row the selection skips.
-    pub fn scatter(&self, g: Tensor, n: usize) -> Tensor {
+    pub fn scatter(self, g: Tensor, n: usize) -> Tensor {
+        match self.only(n) {
+            None => g,
+            Some(rows) => g.scatter_rows(rows, n),
+        }
+    }
+
+    /// An owned copy for a training forward to record, `None` for every
+    /// row; [`Rows::from`] reads it back.
+    pub fn record(self) -> Option<Vec<usize>> {
         match self {
-            Rows::All => g,
-            Rows::Only(rows) => g.scatter_rows(rows, n),
+            Rows::All => None,
+            Rows::Only(rows) => Some(rows.to_vec()),
         }
     }
 }
 
-/// The first `rows` rows of `x`, borrowed when that is all of `x`.
-fn leading_rows(x: &Tensor, rows: usize) -> Cow<'_, Tensor> {
-    if rows == x.dim(0) {
-        Cow::Borrowed(x)
-    } else {
-        Cow::Owned(x.rows(0, rows))
+impl<'a> From<Option<&'a [usize]>> for Rows<'a> {
+    fn from(rows: Option<&'a [usize]>) -> Self {
+        rows.map_or(Rows::All, Rows::Only)
     }
 }
 
@@ -137,8 +139,6 @@ pub struct EncoderLayer {
     ln2: LayerNorm,
     ffn: FeedForward,
     drop2: Dropout,
-    /// The output rows of the last training forward.
-    rows: Rows,
 }
 
 impl EncoderLayer {
@@ -158,7 +158,6 @@ impl EncoderLayer {
             ln2: LayerNorm::new(d_model),
             ffn: FeedForward::new(d_model, d_ff, init),
             drop2: Dropout::new(dropout, seed_base.wrapping_add(1)),
-            rows: Rows::All,
         }
     }
 
@@ -166,17 +165,16 @@ impl EncoderLayer {
     /// `train`, [`EncoderLayer::infer`] (recording nothing) without.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
-            return self.infer(x, mask, Want::All);
+            return self.infer(x, mask, Rows::All);
         }
-        self.forward_train(x, mask, &Rows::All)
+        self.forward_train(x, mask, Rows::All)
     }
 
     /// Training forward of the output rows `rows`, recording what
-    /// [`EncoderLayer::backward`] needs. LN1, keys and values run over every
-    /// row of `x` (the rows attend to all of them), everything else for
-    /// `rows` alone; `mask` covers every row. Both dropouts draw their masks
-    /// for every row, so their streams advance as under [`Rows::All`].
-    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: &Rows) -> Tensor {
+    /// [`EncoderLayer::backward`] needs; it computes what
+    /// [`EncoderLayer::infer`] does. Both dropouts draw their masks for
+    /// every row, so their streams advance as under [`Rows::All`].
+    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
         let n = x.dim(0);
         let h = self.attn.forward_queries(&self.ln1.forward(x), rows, mask);
         // The residual sums land in the branch outputs' buffers; addition
@@ -186,31 +184,20 @@ impl EncoderLayer {
         let h2 = self.ffn.forward(&self.ln2.forward(&x1));
         let mut out = self.drop2.forward_train(&h2, n, rows);
         out.add_assign(&x1);
-        self.rows = rows.clone();
         out
     }
 
-    /// Inference forward: no caches, no dropout, `&self`. With
-    /// [`Want::All`] it is bit-identical to `forward(x, mask, false)`; with
-    /// [`Want::Table`] it returns that output's row 0 alone, `[1, d]`, having
-    /// computed LN1, keys and values over every row (the row attends to all
-    /// of them) and the rest for row 0 only. `mask` covers every row either
-    /// way.
-    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, want: Want) -> Tensor {
-        let n = x.dim(0);
-        let rows = want.rows(n);
-        let cut;
-        let mask = if rows < n {
-            cut = mask.map(|m| m.cut(|t| t.rows(0, rows)));
-            cut.as_ref()
-        } else {
-            mask
-        };
+    /// Inference forward of the output rows `rows`: no caches, no dropout,
+    /// `&self`. LN1, keys and values run over every row of `x` (the rows
+    /// attend to all of them), everything else for `rows` alone; `mask`
+    /// covers every row. With [`Rows::All`] it is bit-identical to
+    /// `forward(x, mask, false)`, and each selected row has that row's bits.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
         let h = self.ln1.forward_inference(x);
         // The residual sums land in the branch outputs' buffers; addition
         // commutes exactly, so the bits are those of `x + branch`.
-        let mut x1 = self.attn.infer(&leading_rows(&h, rows), &h, mask);
-        x1.add_assign(&leading_rows(x, rows));
+        let mut x1 = self.attn.infer(&h, rows, mask);
+        x1.add_assign(&rows.of(x));
         let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1));
         out.add_assign(&x1);
         out
@@ -231,11 +218,10 @@ impl EncoderLayer {
             .ln2
             .backward(&self.ffn.backward(&self.drop2.backward(dy)));
         let dx1 = dy.add(&dffn);
+        let dh = self.drop1.backward(&dx1);
         // Residual 1: a row no output reads gets `+0` plus its K/V gradient.
-        let dattn = self
-            .ln1
-            .backward(&self.attn.backward_self(&self.drop1.backward(&dx1)));
-        self.rows.scatter(dx1, dattn.dim(0)).add(&dattn)
+        let dx = self.attn.scatter_queries(dx1);
+        dx.add(&self.ln1.backward(&self.attn.backward_self(&dh)))
     }
 }
 
@@ -292,42 +278,39 @@ impl Encoder {
     /// with `train`, [`Encoder::infer`] without.
     pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
         if !train {
-            return self.infer(x, mask, Want::All);
+            return self.infer(x, mask, Rows::All);
         }
-        self.forward_train(x, mask, &Rows::All)
+        self.forward_train(x, mask, Rows::All)
     }
 
     /// Training forward, the same `mask` at every layer, returning the
     /// states of `rows` and recording what [`Encoder::backward`] needs.
-    /// `rows` narrows the last layer only, as `want` does in
-    /// [`Encoder::infer`]; narrowing an encoder with no layer panics.
-    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: &Rows) -> Tensor {
-        assert!(*rows == Rows::All || !self.layers.is_empty());
+    /// `rows` narrows the last layer only, as in [`Encoder::infer`];
+    /// narrowing an encoder with no layer panics.
+    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
+        assert!(rows == Rows::All || !self.layers.is_empty());
         let last = self.layers.len().saturating_sub(1);
         let mut h: Option<Tensor> = None;
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let r = if i == last { rows } else { &Rows::All };
+            let r = if i == last { rows } else { Rows::All };
             h = Some(layer.forward_train(h.as_ref().unwrap_or(x), mask, r));
         }
         self.final_ln.forward(h.as_ref().unwrap_or(x))
     }
 
     /// Inference through all layers: no caches, no dropout, `&self`, so one
-    /// encoder can serve any number of threads at once. `want` narrows the
-    /// last layer only — every earlier layer's rows are the next layer's
-    /// keys and values — and the final LayerNorm runs on what it returns.
-    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, want: Want) -> Tensor {
+    /// encoder can serve any number of threads at once. `rows` narrows the
+    /// last layer only, and the final LayerNorm runs on what it returns.
+    pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
         let last = self.layers.len().saturating_sub(1);
         let mut h: Option<Tensor> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            let w = if i == last { want } else { Want::All };
-            h = Some(layer.infer(h.as_ref().unwrap_or(x), mask, w));
+            let r = if i == last { rows } else { Rows::All };
+            h = Some(layer.infer(h.as_ref().unwrap_or(x), mask, r));
         }
         match &h {
             Some(h) => self.final_ln.forward_inference(h),
-            None => self
-                .final_ln
-                .forward_inference(&leading_rows(x, want.rows(x.dim(0)))),
+            None => self.final_ln.forward_inference(&rows.of(x)),
         }
     }
 
@@ -349,7 +332,7 @@ impl Encoder {
         let mut h = x.clone();
         for layer in &self.layers {
             maps.push(layer.attention_probs(&h, mask));
-            h = layer.infer(&h, mask, Want::All);
+            h = layer.infer(&h, mask, Rows::All);
         }
         maps
     }
@@ -430,14 +413,14 @@ mod tests {
         let mut enc = Encoder::new(1, 6, 2, 12, 0.0, &mut SeededInit::new(22));
         let x = SeededInit::new(23).uniform(&[4, 6], -0.5, 0.5);
         let dy = SeededInit::new(24).uniform(&[2, 6], -1.0, 1.0);
-        let rows = Rows::Only(vec![1, 3]);
+        let rows = Rows::Only(&[1, 3]);
         let mask = AttnMask::causal(4);
-        let _ = enc.forward_train(&x, Some(&mask), &rows);
+        let _ = enc.forward_train(&x, Some(&mask), rows);
         let dx = enc.backward(&dy);
         assert!(dx.row(0).iter().chain(dx.row(2)).any(|&g| g != 0.0));
         let mut probe = enc.clone();
         let num = numeric_grad(&x, 5e-3, |x| {
-            probe.forward_train(x, Some(&mask), &rows).mul(&dy).sum()
+            probe.forward_train(x, Some(&mask), rows).mul(&dy).sum()
         });
         assert_close(&dx, &num, 3e-2, "encoder rows dx");
     }
@@ -460,15 +443,15 @@ mod tests {
         let x = SeededInit::new(16).uniform(&[5, 8], -1.0, 1.0);
         let mask = AttnMask::causal(5);
         assert_eq!(
-            enc.infer(&x, Some(&mask), Want::All),
+            enc.infer(&x, Some(&mask), Rows::All),
             enc.forward(&x, Some(&mask), true)
         );
-        assert_eq!(enc.infer(&x, None, Want::All), enc.forward(&x, None, false));
+        assert_eq!(enc.infer(&x, None, Rows::All), enc.forward(&x, None, false));
         let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
         assert_eq!(ffn.infer(&x), ffn.clone().forward(&x));
     }
 
-    /// `Want::Table` is row 0 of `Want::All`, bit for bit, at every depth
+    /// [`Rows::CLS`] is row 0 of [`Rows::All`], bit for bit, at every depth
     /// (zero layers included), with and without a mask.
     #[test]
     fn table_is_row_zero_of_all() {
@@ -476,12 +459,26 @@ mod tests {
         for n_layers in [0, 1, 2] {
             let enc = Encoder::new(n_layers, 8, 2, 16, 0.0, &mut SeededInit::new(21));
             for mask in [None, Some(AttnMask::causal(9))] {
-                let all = enc.infer(&x, mask.as_ref(), Want::All);
-                let table = enc.infer(&x, mask.as_ref(), Want::Table);
+                let all = enc.infer(&x, mask.as_ref(), Rows::All);
+                let table = enc.infer(&x, mask.as_ref(), Rows::CLS);
                 assert_eq!(table.shape(), &[1, 8]);
                 assert_eq!(table, all.rows(0, 1), "{n_layers} layers");
             }
         }
+    }
+
+    /// A selection out of order, repeated or out of range is caught before
+    /// it reaches a kernel, in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must be ascending, distinct and below 3")]
+    fn an_unordered_row_selection_panics() {
+        let x = Tensor::ones(&[3, 2]);
+        for rows in [[0, 3].as_slice(), &[1, 1]] {
+            let caught = std::panic::catch_unwind(|| Rows::Only(rows).of(&x));
+            assert!(caught.is_err(), "{rows:?}");
+        }
+        let _ = Rows::Only(&[2, 1]).of(&x);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   can serve any number of threads at once. `forward(.., train = false)`
 //!   on the encoder blocks *is* `infer`; it leaves nothing for a backward
 //!   pass, and a `backward` after it panics ("without a cached forward").
-//!   [`Want`] says which output rows a caller reads: [`Want::Table`] runs
-//!   the last layer for the `[CLS]` row alone, bit-identical to row 0 of
-//!   [`Want::All`].
+//!   [`Rows`] says which output rows a caller reads, in inference and in
+//!   training alike: [`Rows::CLS`] runs the last layer for the `[CLS]` row
+//!   alone, bit-identical to row 0 of [`Rows::All`].
 //! * **Training** follows the classic three-step contract:
 //!   1. `forward(&mut self, x, ..)` (with `train = true` where the layer
 //!      takes the flag) computes the output **and records the activations**
@@ -84,7 +84,7 @@ pub use attention::{AttnMask, MultiHeadAttention};
 pub use decoder::{Decoder, DecoderLayer};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
-pub use encoder::{Encoder, EncoderLayer, Rows, Want};
+pub use encoder::{Encoder, EncoderLayer, Rows};
 pub use layernorm::LayerNorm;
 pub use linear::{Linear, QuantizedLinear};
 pub use param::Param;

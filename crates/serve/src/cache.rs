@@ -1,5 +1,5 @@
 //! Content-addressed LRU cache of table encodings. What the service stores
-//! is table-level (`Want::Table`): the `[1, d]` `[CLS]` state plus the
+//! is table-level (`Rows::CLS`): the `[1, d]` `[CLS]` state plus the
 //! serialized table a reply reports the length of, not a state per token.
 //!
 //! The key is a 64-bit FNV-1a hash over everything that determines an

@@ -18,7 +18,7 @@
 //! distribute the batch over `n_workers` replica threads and encode each
 //! request as a single sequence through [`Pipeline::encode_serialized`] —
 //! the exact compute core behind the sequential [`Pipeline::encode`] — with
-//! [`Want::Table`]: a reply (and a search) consumes the `[CLS]` row alone,
+//! [`Rows::CLS`]: a reply (and a search) consumes the `[CLS]` row alone,
 //! so that is all the encoder computes in its last layer, and all a reply
 //! or cache entry holds (`states` is `[1, d]`). Inference is `&self`
 //! ([`SequenceEncoder::infer`]): each spec has one model, built lazily from
@@ -76,7 +76,7 @@
 //! touching the batcher.
 
 use crate::cache::{content_key, CacheStats, EmbeddingCache};
-use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, TableEncoding, Want};
+use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, Rows, TableEncoding};
 use ntr_models::{ModelConfig, SequenceEncoder};
 use ntr_obs::metrics::Histogram;
 use ntr_table::{EncodedTable, Table};
@@ -1026,7 +1026,7 @@ fn flush_inner(
                 let enc = Arc::new(shared.pipeline.encode_serialized(
                     model.as_ref(),
                     encoded,
-                    Want::Table,
+                    Rows::CLS,
                 ));
                 let Some(inflight) = lock_clean(&board[i]).take() else {
                     continue;

@@ -23,7 +23,7 @@ use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError}
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::datasets::{ImputationDataset, ImputationExample};
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, Rows, Want};
+use ntr_models::{EncoderInput, Rows};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
@@ -217,7 +217,7 @@ pub fn finetune_supervised<M: MlmModel + Clone>(
         |loss: &f32| *loss,
         |model, item| {
             let (input, positions, slot_targets) = &prepared[item.index];
-            let states = model.encode_train(input, &Rows::Only(positions.clone()));
+            let states = model.encode_train(input, Rows::Only(positions));
             let logits = model.mlm_head().forward(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
             let dstates = model.mlm_head().backward(&dlogits);
@@ -289,11 +289,10 @@ pub fn evaluate<M: MlmModel>(
         let Some((input, positions)) = masked_input(ex, tok, max_tokens) else {
             continue;
         };
-        let states = model.infer(&input, Want::All);
-        let log_probs = model
-            .mlm_head_ref()
-            .infer_rows(&states, &positions)
-            .log_softmax_rows();
+        // `masked_input`'s mask slots are consecutive: ascending and
+        // distinct, as `Rows::Only` requires.
+        let states = model.infer(&input, Rows::Only(&positions));
+        let log_probs = model.mlm_head_ref().infer(&states).log_softmax_rows();
         let candidates = pools.candidates(ex);
         let mut best: Option<(f32, &str)> = None;
         for cand in &candidates {

@@ -7,7 +7,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::NliDataset;
 use ntr_corpus::Split;
-use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder, Want};
+use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::{Layer, Param};
@@ -36,9 +36,9 @@ impl<M: SequenceEncoder> FactVerifier<M> {
     /// The head's logits on the `[CLS]` state, the one row it reads.
     fn logits(&mut self, input: &EncoderInput, train: bool) -> ntr_tensor::Tensor {
         let pooled = if train {
-            self.encoder.encode_train(input, &Rows::Only(vec![0]))
+            self.encoder.encode_train(input, Rows::CLS)
         } else {
-            self.encoder.infer(input, Want::Table)
+            self.encoder.infer(input, Rows::CLS)
         };
         self.head.forward(&pooled)
     }

@@ -7,7 +7,7 @@ use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
     pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, Rows, SequenceEncoder, Tapas,
-    Tapex, Turl, VanillaBert, Want,
+    Tapex, Turl, VanillaBert,
 };
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_sql::gen::{GenConfig, QueryGenerator};
@@ -73,11 +73,11 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
         self.as_ref().vocab_size()
     }
 
-    fn infer(&self, input: &EncoderInput, want: Want) -> Tensor {
-        self.as_ref().infer(input, want)
+    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
+        self.as_ref().infer(input, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: &Rows) -> Tensor {
+    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
         self.as_mut().encode_train(input, rows)
     }
 
@@ -248,7 +248,7 @@ impl<'a> TrainRun<'a> {
                 let masked = mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
                 let (rows, targets) = masked.positions();
                 let input = EncoderInput::from_masked(e, &masked);
-                let states = model.encode_train(&input, &Rows::Only(rows));
+                let states = model.encode_train(&input, Rows::Only(&rows));
                 let logits = model.mlm_head().forward(&states);
                 let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                 let dstates = model.mlm_head().backward(&dlogits);
@@ -325,7 +325,7 @@ impl TrainRun<'_> {
                 rows.extend(masked_entities.iter().flat_map(|m| &m.positions));
                 rows.sort_unstable();
                 let at = |p: usize| rows.binary_search(&p).expect("a loss row");
-                let states = model.encode_train(&input, &Rows::Only(rows.clone()));
+                let states = model.encode_train(&input, Rows::Only(&rows));
                 let (m, d) = (rows.len(), states.dim(1));
 
                 // MLM objective.
@@ -456,10 +456,11 @@ pub fn eval_mlm<M: MlmModel>(
     for (i, t) in tables.iter().enumerate() {
         let e = linearizer.linearize(t, &t.caption, tok, &opts);
         let masked = mask_mlm(&e, &mlm_cfg, seed ^ i as u64);
-        let states = model.infer(&EncoderInput::from_masked(&e, &masked), Want::All);
+        // `positions()` is ascending and distinct, as `Rows::Only` requires.
         let (rows, targets) = masked.positions();
+        let states = model.infer(&EncoderInput::from_masked(&e, &masked), Rows::Only(&rows));
         total += targets.len();
-        hits += argmax_hits(&model.mlm_head_ref().infer_rows(&states, &rows), &targets);
+        hits += argmax_hits(&model.mlm_head_ref().infer(&states), &targets);
     }
     hits as f64 / total.max(1) as f64
 }

@@ -11,9 +11,10 @@
 //! Each probe reports the mean cosine similarity between the `[CLS]` table
 //! embedding before and after the perturbation.
 
+use crate::retrieval::{embed, table_input};
 use ntr_corpus::tables::TableCorpus;
-use ntr_models::{EncoderInput, SequenceEncoder, Want};
-use ntr_table::{Column, Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
+use ntr_models::SequenceEncoder;
+use ntr_table::{Column, LinearizerOptions, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
 use rand::rngs::StdRng;
@@ -31,16 +32,6 @@ pub struct ConsistencyReport {
     pub header_similarity: f64,
     /// Tables probed.
     pub n: usize,
-}
-
-fn cls_embedding<M: SequenceEncoder + ?Sized>(
-    model: &M,
-    table: &Table,
-    tok: &WordPieceTokenizer,
-    opts: &LinearizerOptions,
-) -> Tensor {
-    let e = RowMajorLinearizer.linearize(table, &table.caption, tok, opts);
-    model.infer(&EncoderInput::from_encoded(&e), Want::Table)
 }
 
 fn permuted_rows(t: &Table, rng: &mut StdRng) -> Table {
@@ -80,16 +71,17 @@ pub fn consistency<M: SequenceEncoder + ?Sized>(
     seed: u64,
 ) -> ConsistencyReport {
     let mut rng = StdRng::seed_from_u64(seed);
+    let cls = |t: &Table| embed(&*model, &table_input(t, tok, opts));
     let mut quads: Vec<[Tensor; 4]> = Vec::new();
     for t in &corpus.tables {
         if t.n_rows() < 2 || t.n_cols() < 2 {
             continue;
         }
         quads.push([
-            cls_embedding(model, t, tok, opts),
-            cls_embedding(model, &permuted_rows(t, &mut rng), tok, opts),
-            cls_embedding(model, &permuted_cols(t, &mut rng), tok, opts),
-            cls_embedding(model, &stripped_headers(t), tok, opts),
+            cls(t),
+            cls(&permuted_rows(t, &mut rng)),
+            cls(&permuted_cols(t, &mut rng)),
+            cls(&stripped_headers(t)),
         ]);
     }
     let n = quads.len();

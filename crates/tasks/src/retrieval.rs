@@ -13,7 +13,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, Rows, SequenceEncoder, Want};
+use ntr_models::{EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::{grads_of, merge_grads};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
@@ -41,8 +41,8 @@ pub fn table_input(
 }
 
 /// Embeds an input as its `[CLS]` state, shape `[1, d]`.
-pub fn embed<M: SequenceEncoder>(model: &M, input: &EncoderInput) -> Tensor {
-    model.infer(input, Want::Table)
+pub fn embed<M: SequenceEncoder + ?Sized>(model: &M, input: &EncoderInput) -> Tensor {
+    model.infer(input, Rows::CLS)
 }
 
 /// Retrieval quality over a split.
@@ -125,7 +125,7 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
         let mut q_clone = model.clone();
         q_clone.zero_grad();
         // Only the `[CLS]` rows reach the loss.
-        let q_emb = q_clone.encode_train(&q_input, &Rows::Only(vec![0]));
+        let q_emb = q_clone.encode_train(&q_input, Rows::CLS);
 
         let mut t_clones = Vec::with_capacity(cand_ids.len());
         let mut t_embs = Vec::with_capacity(cand_ids.len());
@@ -133,7 +133,7 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
             let input = table_input(&ds.corpus.tables[ti], tok, opts);
             let mut c = model.clone();
             c.zero_grad();
-            t_embs.push(c.encode_train(&input, &Rows::Only(vec![0])));
+            t_embs.push(c.encode_train(&input, Rows::CLS));
             t_clones.push(c);
         }
 

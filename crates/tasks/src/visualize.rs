@@ -122,7 +122,7 @@ pub fn cell_similarity_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntr_models::{EncoderInput, ModelConfig, SequenceEncoder, Turl, Want};
+    use ntr_models::{EncoderInput, ModelConfig, Rows, SequenceEncoder, Turl};
     use ntr_table::{Linearizer, LinearizerOptions, Table, TurlLinearizer};
     use ntr_tokenizer::train::WordPieceTrainer;
 
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn similarity_grid_marks_anchor() {
         let (e, _, model) = setup();
-        let states = model.infer(&EncoderInput::from_encoded(&e), Want::All);
+        let states = model.infer(&EncoderInput::from_encoded(&e), Rows::All);
         let grid = cell_similarity_grid(&e, &states, (0, 0), 2, 2);
         assert!(grid.contains("*+1.00"), "{grid}");
         let missing = cell_similarity_grid(&e, &states, (9, 9), 2, 2);

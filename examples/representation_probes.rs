@@ -8,7 +8,7 @@
 
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
-use ntr::models::{EncoderInput, ModelConfig, SequenceEncoder, Turl, Want};
+use ntr::models::{EncoderInput, ModelConfig, Rows, SequenceEncoder, Turl};
 use ntr::table::{Linearizer, LinearizerOptions, TurlLinearizer};
 use ntr::tasks::probes::consistency;
 use ntr::tasks::visualize::{attention_heatmap, cell_similarity_grid, top_attended};
@@ -68,7 +68,7 @@ fn main() {
     let turl = Turl::new(&cfg);
     let e = TurlLinearizer.linearize(t, &t.caption, &tok, &opts);
     let input = EncoderInput::from_encoded(&e);
-    let states = turl.infer(&input, Want::All);
+    let states = turl.infer(&input, Rows::All);
 
     println!(
         "table `{}` under the TURL linearizer ({} tokens)\n",

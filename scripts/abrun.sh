@@ -14,8 +14,13 @@
 # back to back; odd pairs run A first, even pairs B first. Every run's
 # end-to-end metrics are printed, then one Markdown row per metric: every
 # value of each side, the paired ratios B/A, and each side's median with its
-# quartiles. A ratio above 1 is a gain for `throughput` and a loss for the
-# latencies and `setup_s`.
+# quartiles, then how many pairs favoured B and the median paired ratio
+# with a distribution-free interval from the ratios' order statistics: the
+# narrowest [r(k), r(n+1-k)] that holds the true median ratio with at least
+# 90 % confidence (sign-test binomial; the achieved level is printed, and
+# below 6 pairs the widest interval, [min, max], reaches less). A ratio
+# above 1 is a gain for `throughput` and a loss for the latencies and
+# `setup_s`.
 # THREADS, when given, is exported as NTR_THREADS to every run. -r reuses
 # the two binaries a previous call built instead of building them again.
 #
@@ -100,35 +105,53 @@ done
 echo
 echo "$workload, $pairs pairs, seed $seed, ${threads:-default} threads; A = $1, B = $2${rev:+, one binary from $rev}"
 echo
-echo "| metric | A | B | paired ratios B/A | median [quartiles] A → B |"
-echo "| --- | --- | --- | --- | --- |"
+echo "| metric | A | B | paired ratios B/A | median [quartiles] A → B | B better | median ratio [interval] level |"
+echo "| --- | --- | --- | --- | --- | --- | --- |"
 for metric in setup_s throughput p50_ms p95_ms; do
     for i in $(seq 1 "$pairs"); do
         for side in A B; do
             awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }' "$dir/out/$side-$i.txt"
         done | paste -sd' '
     done | awk -v m="$metric" '
-        # The p-quantile of v[1..n], interpolated between order statistics.
-        function quantile(v, n, p,    i, j, t, s, h) {
+        # s[1..n]: v[1..n] sorted ascending.
+        function sorted(v, n, s,    i, j, t) {
             for (i = 1; i <= n; i++) s[i] = v[i]
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+        }
+        # The p-quantile of v[1..n], interpolated between order statistics.
+        function quantile(v, n, p,    i, s, h) {
+            sorted(v, n, s)
             h = 1 + (n - 1) * p; i = int(h)
             return i < n ? s[i] + (h - i) * (s[i + 1] - s[i]) : s[n]
+        }
+        # P(X <= k) for X ~ Binomial(n, 1/2).
+        function below(k, n,    i, c, t) {
+            c = 1; t = 0
+            for (i = 0; i <= k; i++) { t += c; c = c * (n - i) / (i + 1) }
+            return t / 2 ^ n
+        }
+        # The median of the ratios r[1..n] and its order-statistic interval.
+        function interval(r, n,    s, k) {
+            sorted(r, n, s)
+            for (k = 1; k + 1 <= n + 1 - (k + 1) && 1 - 2 * below(k, n) >= 0.9; k++) {}
+            return sprintf("%.3f [%.3f, %.3f] %.0f%%", quantile(r, n, 0.5), s[k], s[n + 1 - k],
+                100 * (1 - 2 * below(k - 1, n)))
         }
         function summary(v, n) {
             return sprintf("%.5g [%.5g, %.5g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
         }
         NF == 2 {
-            n++; a[n] = $1; b[n] = $2
+            n++; a[n] = $1; b[n] = $2; r[n] = $1 == 0 ? 0 : $2 / $1
             as = as sprintf(" %.5g", $1); bs = bs sprintf(" %.5g", $2)
-            rs = rs sprintf(" %.2f", $1 == 0 ? 0 : $2 / $1)
+            rs = rs sprintf(" %.2f", r[n])
+            won += m == "throughput" ? $2 > $1 : $2 < $1
         }
         END {
             if (!n) exit
             ma = quantile(a, n, 0.5); mb = quantile(b, n, 0.5)
-            printf "| %s |%s |%s |%s | %s → %s (%.2f×) |\n", m, as, bs, rs, summary(a, n), summary(b, n),
-                ma == 0 ? 0 : mb / ma
+            printf "| %s |%s |%s |%s | %s → %s (%.2f×) | %d/%d | %s |\n", m, as, bs, rs,
+                summary(a, n), summary(b, n), ma == 0 ? 0 : mb / ma, won, n, interval(r, n)
         }'
 done
 exit $status

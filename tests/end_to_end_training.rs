@@ -612,7 +612,7 @@ mod mlm_rows_path {
                 for (k, &r) in rows.iter().enumerate() {
                     assert_eq!(bits(logits.row(k)), bits(full_logits.row(r)), "{what}");
                 }
-                let inferred = head.infer_rows(&states, rows);
+                let inferred = head.infer(&states.gather_rows(rows));
                 assert_eq!(bits(inferred.data()), bits(logits.data()), "infer, {what}");
                 // Equal as values: a row the loss skips is +0 here and may
                 // be -0 on the all-rows path.
@@ -674,12 +674,11 @@ mod mlm_rows_path {
                             rows.first()
                         );
                         let mut all = enc.clone();
-                        let y = all.forward_train(&x, mask.as_ref(), &Rows::All);
+                        let y = all.forward_train(&x, mask.as_ref(), Rows::All);
                         let dx = all.backward(&dy.gather_rows(rows).scatter_rows(rows, n));
 
                         let mut part = enc.clone();
-                        let y_part =
-                            part.forward_train(&x, mask.as_ref(), &Rows::Only(rows.clone()));
+                        let y_part = part.forward_train(&x, mask.as_ref(), Rows::Only(rows));
                         let dx_part = part.backward(&dy.gather_rows(rows));
 
                         let y_rows = y.gather_rows(rows);
@@ -710,7 +709,7 @@ mod data_parallel {
     use ntr::corpus::{Split, World};
     use ntr::models::{
         pool_mean, pool_mean_backward, EncoderInput, Mate, ModelConfig, RowStudent, Rows,
-        SequenceEncoder, Tapas, Tapex, Turl, VanillaBert, Want,
+        SequenceEncoder, Tapas, Tapex, Turl, VanillaBert,
     };
     use ntr::nn::grads_of;
     use ntr::nn::loss::softmax_cross_entropy;
@@ -933,7 +932,7 @@ mod data_parallel {
             .map(|t| {
                 let encoded = RowMajorLinearizer.linearize(t, &t.caption, tok, &opts());
                 let input = EncoderInput::from_encoded(&encoded);
-                let states = teacher.infer(&input, Want::All);
+                let states = teacher.infer(&input, Rows::All);
                 let spans = distill_spans(&encoded);
                 let targets: Vec<Tensor> = spans.iter().map(|s| pool_mean(&states, s)).collect();
                 (input, spans, targets)
@@ -1066,7 +1065,7 @@ mod data_parallel {
                     &scfg,
                     |_: &Vec<Vec<u32>>| 0.0,
                     |m, _| {
-                        let states = m.encode_train(&input, &Rows::Only(rows.clone()));
+                        let states = m.encode_train(&input, Rows::Only(&rows));
                         let logits = m.mlm_head().forward(&states);
                         let (_, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                         let dstates = m.mlm_head().backward(&dlogits);

@@ -3,7 +3,7 @@
 
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
-use ntr::models::{EncoderInput, ModelConfig, SequenceEncoder, Want};
+use ntr::models::{EncoderInput, ModelConfig, Rows, SequenceEncoder};
 use ntr::pipeline::{EncodeError, EncodeRequest, Pipeline, TableEncoding};
 use ntr::table::{LinearizerOptions, Table};
 use ntr::tensor::{par, simd, Tensor};
@@ -322,10 +322,12 @@ fn synthetic_input(n: usize) -> EncoderInput {
     }
 }
 
-/// `Want::Table` is row 0 of `Want::All`, bit for bit, for every spec, at
-/// sequence lengths on both sides of the kernels' naive cutoff, on both
+/// Every row selection is those rows of [`Rows::All`], bit for bit, for
+/// every spec (TURL's visibility mask and MATE's per-head masks included),
+/// at sequence lengths on both sides of the kernels' naive cutoff, on both
 /// SIMD lanes and at any thread count: the claim the serve replies, the
-/// index and `encode_batch` rest on.
+/// index, `encode_batch` ([`Rows::CLS`]) and evaluation (the masked rows)
+/// rest on. The last selection lists every row, so it is `All` itself.
 #[test]
 fn table_level_infer_is_row_zero_of_the_full_infer_for_every_spec() {
     let cfg = ModelConfig {
@@ -336,23 +338,30 @@ fn table_level_infer_is_row_zero_of_the_full_infer_for_every_spec() {
         let model = build_encoder(spec, &cfg).expect("registry spec");
         for n in [1, 2, 7, 9, 33, 107, 128] {
             let input = synthetic_input(n);
+            let mut ends = vec![0, n - 1];
+            ends.dedup();
+            let scattered: Vec<usize> = (0..n).filter(|r| r % 5 == 2 || r % 7 == 3).collect();
+            let every: Vec<usize> = (0..n).collect();
+            let selections: [&[usize]; 6] = [&[0], &[], &[n - 1], &ends, &scattered, &every];
             for scalar in [false, true] {
-                let run = |want: Want| {
+                let run = |rows: Rows| {
                     if scalar {
-                        simd::force_scalar(|| model.infer(&input, want))
+                        simd::force_scalar(|| model.infer(&input, rows))
                     } else {
-                        model.infer(&input, want)
+                        model.infer(&input, rows)
                     }
                 };
-                let all = run(Want::All);
+                let all = run(Rows::All);
                 assert_eq!(all.shape(), &[n, cfg.d_model], "{spec} n={n}");
                 for threads in [1, 2, 4] {
-                    let table = par::with_threads(threads, || run(Want::Table));
-                    assert_eq!(
-                        bits(&table),
-                        bits(&all.rows(0, 1)),
-                        "{spec} n={n} scalar={scalar} threads={threads}"
-                    );
+                    for rows in selections {
+                        let part = par::with_threads(threads, || run(Rows::Only(rows)));
+                        assert_eq!(
+                            bits(&part),
+                            bits(&all.gather_rows(rows)),
+                            "{spec} n={n} rows={rows:?} scalar={scalar} threads={threads}"
+                        );
+                    }
                 }
             }
         }
