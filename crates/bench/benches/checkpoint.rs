@@ -12,15 +12,12 @@ use std::hint::black_box;
 fn train_checkpoint() -> TrainCheckpoint {
     let mut model = Tapas::new(&ModelConfig::tiny(800));
     let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
-    // One real optimizer step so the moment tensors are materialized.
+    // One real optimizer step so the moments are materialized.
     model.visit_params(&mut |_, p| {
         let g = ntr_tensor::Tensor::ones(p.value.shape());
         p.grad = g;
     });
-    {
-        let mut step = adam.begin_step();
-        model.visit_params(&mut |_, p| step.update(p));
-    }
+    adam.step(&mut model);
     model.zero_grad();
     let schedule = WarmupLinearSchedule {
         peak_lr: 1e-3,

@@ -9,7 +9,7 @@
 use crate::config::ModelConfig;
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Dropout, Embedding, Layer, LayerNorm, Param};
+use ntr_nn::{visit_child, Dropout, Embedding, Layer, LayerNorm, Name, Param};
 use ntr_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -187,28 +187,28 @@ impl TableEmbeddings {
 }
 
 impl Layer for TableEmbeddings {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit(&mut self.word, "word", f);
-        visit(&mut self.position, "position", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.word.visit_params(&mut visit_child("word", f));
+        self.position.visit_params(&mut visit_child("position", f));
         if let Some(e) = &mut self.segment {
-            visit(e, "segment", f);
+            e.visit_params(&mut visit_child("segment", f));
         }
         if let Some(e) = &mut self.row {
-            visit(e, "row", f);
+            e.visit_params(&mut visit_child("row", f));
         }
         if let Some(e) = &mut self.col {
-            visit(e, "col", f);
+            e.visit_params(&mut visit_child("col", f));
         }
         if let Some(e) = &mut self.kind {
-            visit(e, "kind", f);
+            e.visit_params(&mut visit_child("kind", f));
         }
         if let Some(e) = &mut self.rank {
-            visit(e, "rank", f);
+            e.visit_params(&mut visit_child("rank", f));
         }
-        visit(&mut self.ln, "ln", f);
+        self.ln.visit_params(&mut visit_child("ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         self.dropout.visit_rng("dropout", f);
     }
 }
@@ -231,10 +231,6 @@ fn sum_lookups<E>(
         }
     }
     sum.expect("the word table is always enabled")
-}
-
-fn visit(child: &mut dyn Layer, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-    child.visit_params(&mut |name, p| f(&format!("{prefix}/{name}"), p));
 }
 
 #[cfg(test)]
@@ -328,7 +324,7 @@ mod tests {
         e.backward(&Tensor::ones(&[8, 16]));
         let mut any = 0.0;
         e.visit_params(&mut |name, p| {
-            if name.starts_with("word/") {
+            if name.to_string().starts_with("word/") {
                 any += p.grad.data().iter().map(|g| g.abs()).sum::<f32>();
             }
         });

@@ -2,7 +2,7 @@
 //! mostly by the addition of classification layers" (§2.3).
 
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, Tanh};
+use ntr_nn::{visit_child, Gelu, Layer, LayerNorm, Linear, Name, Param, Tanh};
 use ntr_tensor::Tensor;
 use std::ops::Range;
 
@@ -74,10 +74,11 @@ impl MlmHead {
 }
 
 impl Layer for MlmHead {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit(&mut self.transform, "transform", f);
-        visit(&mut self.ln, "ln", f);
-        visit(&mut self.decoder, "decoder", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.transform
+            .visit_params(&mut visit_child("transform", f));
+        self.ln.visit_params(&mut visit_child("ln", f));
+        self.decoder.visit_params(&mut visit_child("decoder", f));
     }
 }
 
@@ -120,9 +121,9 @@ impl ClassifierHead {
 }
 
 impl Layer for ClassifierHead {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit(&mut self.pooler, "pooler", f);
-        visit(&mut self.out, "out", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.pooler.visit_params(&mut visit_child("pooler", f));
+        self.out.visit_params(&mut visit_child("out", f));
     }
 }
 
@@ -153,8 +154,8 @@ impl TokenScoreHead {
 }
 
 impl Layer for TokenScoreHead {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit(&mut self.score, "score", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.score.visit_params(&mut visit_child("score", f));
     }
 }
 
@@ -186,10 +187,6 @@ pub fn pool_mean_backward(d_pooled: &Tensor, span: &Range<usize>, seq_len: usize
         }
     }
     out
-}
-
-fn visit(child: &mut dyn Layer, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-    child.visit_params(&mut |name, p| f(&format!("{prefix}/{name}"), p));
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Encoder, Layer, Name, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -152,17 +152,17 @@ impl SequenceEncoder for Mate {
 }
 
 impl Layer for Mate {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
-        self.mlm.visit_params(&mut |n, p| f(&format!("mlm/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
+        self.encoder.visit_params(&mut visit_child("encoder", f));
+        self.mlm.visit_params(&mut visit_child("mlm", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
 

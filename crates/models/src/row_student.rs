@@ -30,7 +30,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Gelu, Layer, LayerNorm, Linear, Param, QuantizedLinear, Rows};
+use ntr_nn::{visit_child, Gelu, Layer, LayerNorm, Linear, Name, Param, QuantizedLinear, Rows};
 use ntr_tensor::{simd, Tensor};
 use std::sync::OnceLock;
 
@@ -203,21 +203,20 @@ impl SequenceEncoder for RowStudent {
 }
 
 impl Layer for RowStudent {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         // Any visit may mutate weights (optimizer step, checkpoint load),
         // so the int8 snapshot is stale from here on.
         self.qcache = OnceLock::new();
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
-        self.proj1
-            .visit_params(&mut |n, p| f(&format!("proj1/{n}"), p));
-        self.proj2
-            .visit_params(&mut |n, p| f(&format!("proj2/{n}"), p));
-        self.ln.visit_params(&mut |n, p| f(&format!("ln/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
+        self.proj1.visit_params(&mut visit_child("proj1", f));
+        self.proj2.visit_params(&mut visit_child("proj2", f));
+        self.ln.visit_params(&mut visit_child("ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
     }
 }
 
@@ -306,7 +305,7 @@ mod tests {
         let inp = input_sample();
         let before = m.encode(&inp, false);
         m.visit_params(&mut |name, p| {
-            if name.starts_with("proj1/w") {
+            if name.to_string() == "proj1/w" {
                 p.value.map_mut(|v| v * 2.0);
             }
         });
@@ -327,7 +326,7 @@ mod tests {
         let mut nonzero = std::collections::BTreeSet::new();
         m.visit_params(&mut |name, p| {
             if p.grad.data().iter().any(|&g| g != 0.0) {
-                nonzero.insert(name.split('/').next().unwrap().to_string());
+                nonzero.insert(name.to_string().split('/').next().unwrap().to_string());
             }
         });
         for group in ["embeddings", "proj1", "proj2", "ln"] {

@@ -19,7 +19,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::{pool_mean, pool_mean_backward};
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{grads_of, merge_grads, Encoder, Layer, Param};
+use ntr_nn::{grads_of, merge_grads, visit_child, Encoder, Layer, Name, Param};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -275,19 +275,21 @@ impl TaBert {
 }
 
 impl Layer for TaBert {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
         self.row_encoder
-            .visit_params(&mut |n, p| f(&format!("row_encoder/{n}"), p));
-        self.vertical
-            .visit_params(&mut |n, p| f(&format!("vertical/{n}"), p));
+            .visit_params(&mut visit_child("row_encoder", f));
+        self.vertical.visit_params(&mut visit_child("vertical", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.row_encoder, "row_encoder", f);
-        ntr_nn::visit_rng_child(&mut self.vertical, "vertical", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
+        self.row_encoder
+            .visit_rng_state(&mut visit_child("row_encoder", f));
+        self.vertical
+            .visit_rng_state(&mut visit_child("vertical", f));
     }
 }
 
@@ -366,7 +368,7 @@ mod tests {
             let mut analytic = None;
             let mut value = None;
             m.visit_params(&mut |n, p| {
-                if n == target {
+                if n.to_string() == target {
                     analytic = Some(p.grad.clone());
                     value = Some(p.value.clone());
                 }
@@ -380,7 +382,7 @@ mod tests {
             let num = numeric_grad(&value, 1e-2, |gamma| {
                 let mut probe = TaBert::new(&cfg());
                 probe.visit_params(&mut |n, p| {
-                    if n == target {
+                    if n.to_string() == target {
                         p.value = gamma.clone();
                     }
                 });
@@ -408,8 +410,7 @@ mod tests {
             first.get_or_insert(loss);
             last = loss;
             m.backward(&Tensor::zeros(&[6, 16]), Some(&dcols));
-            let mut step = adam.begin_step();
-            m.visit_params(&mut |_, p| step.update(p));
+            adam.step(&mut m);
             m.zero_grad();
         }
         assert!(last < first.unwrap() * 0.8, "{first:?} → {last}");

@@ -13,7 +13,7 @@ use crate::heads::{ClassifierHead, MlmHead, TokenScoreHead};
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{Encoder, Layer, Param, Rows};
+use ntr_nn::{visit_child, Encoder, Layer, Name, Param, Rows};
 use ntr_table::EncodedTable;
 use ntr_tensor::Tensor;
 
@@ -119,21 +119,20 @@ impl SequenceEncoder for Tapas {
 }
 
 impl Layer for Tapas {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
+        self.encoder.visit_params(&mut visit_child("encoder", f));
         self.cell_head
-            .visit_params(&mut |n, p| f(&format!("cell_head/{n}"), p));
-        self.agg_head
-            .visit_params(&mut |n, p| f(&format!("agg_head/{n}"), p));
-        self.mlm.visit_params(&mut |n, p| f(&format!("mlm/{n}"), p));
+            .visit_params(&mut visit_child("cell_head", f));
+        self.agg_head.visit_params(&mut visit_child("agg_head", f));
+        self.mlm.visit_params(&mut visit_child("mlm", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
 
@@ -196,7 +195,7 @@ mod tests {
         let mut zero_params = Vec::new();
         m.visit_params(&mut |n, p| {
             // Heads not used in this pass legitimately have zero grads.
-            if n.starts_with("agg_head") {
+            if n.to_string().starts_with("agg_head") {
                 return;
             }
             if p.grad.data().iter().all(|&g| g == 0.0) {

@@ -11,7 +11,7 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{Decoder, Encoder, Layer, Linear, Param};
+use ntr_nn::{visit_child, Decoder, Encoder, Layer, Linear, Name, Param};
 use ntr_tokenizer::SpecialToken;
 
 /// Encoder–decoder table model.
@@ -200,24 +200,23 @@ impl Tapex {
 }
 
 impl Layer for Tapex {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
+        self.encoder.visit_params(&mut visit_child("encoder", f));
         self.dec_embeddings
-            .visit_params(&mut |n, p| f(&format!("dec_embeddings/{n}"), p));
-        self.decoder
-            .visit_params(&mut |n, p| f(&format!("decoder/{n}"), p));
-        self.lm_head
-            .visit_params(&mut |n, p| f(&format!("lm_head/{n}"), p));
+            .visit_params(&mut visit_child("dec_embeddings", f));
+        self.decoder.visit_params(&mut visit_child("decoder", f));
+        self.lm_head.visit_params(&mut visit_child("lm_head", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
-        ntr_nn::visit_rng_child(&mut self.dec_embeddings, "dec_embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.decoder, "decoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
+        self.dec_embeddings
+            .visit_rng_state(&mut visit_child("dec_embeddings", f));
+        self.decoder.visit_rng_state(&mut visit_child("decoder", f));
     }
 }
 
@@ -261,8 +260,7 @@ mod tests {
             let loss = m.train_step(&inp, &target);
             first.get_or_insert(loss);
             last = loss;
-            let mut step = adam.begin_step();
-            m.visit_params(&mut |_, p| step.update(p));
+            adam.step(&mut m);
             m.zero_grad();
         }
         assert!(last < first.unwrap() * 0.2, "{first:?} → {last}");
@@ -293,8 +291,7 @@ mod tests {
         let mut adam = Adam::new(1e-2);
         for _ in 0..60 {
             let _ = m.train_step(&inp, &target);
-            let mut step = adam.begin_step();
-            m.visit_params(&mut |_, p| step.update(p));
+            adam.step(&mut m);
             m.zero_grad();
         }
         let beam = m.generate_beam(&inp, 10, 3);

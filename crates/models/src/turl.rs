@@ -18,7 +18,7 @@ use crate::heads::MlmHead;
 use crate::input::EncoderInput;
 use crate::SequenceEncoder;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{AttnMask, Encoder, Layer, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Encoder, Layer, Name, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// TURL-style encoder with MLM and MER heads.
@@ -140,18 +140,18 @@ impl SequenceEncoder for Turl {
 }
 
 impl Layer for Turl {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
-            .visit_params(&mut |n, p| f(&format!("embeddings/{n}"), p));
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
-        self.mlm.visit_params(&mut |n, p| f(&format!("mlm/{n}"), p));
-        self.mer.visit_params(&mut |n, p| f(&format!("mer/{n}"), p));
+            .visit_params(&mut visit_child("embeddings", f));
+        self.encoder.visit_params(&mut visit_child("encoder", f));
+        self.mlm.visit_params(&mut visit_child("mlm", f));
+        self.mer.visit_params(&mut visit_child("mer", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.embeddings, "embeddings", f);
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.embeddings
+            .visit_rng_state(&mut visit_child("embeddings", f));
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
 

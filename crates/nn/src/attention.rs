@@ -15,7 +15,7 @@
 use crate::encoder::Rows;
 use crate::init::SeededInit;
 use crate::linear::Linear;
-use crate::{Layer, Param};
+use crate::{visit_child, Layer, Name, Param};
 use ntr_tensor::{grain, par, Tensor};
 use std::borrow::Cow;
 
@@ -388,21 +388,12 @@ impl MultiHeadAttention {
 }
 
 impl Layer for MultiHeadAttention {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit_child(&mut self.wq, "wq", f);
-        visit_child(&mut self.wk, "wk", f);
-        visit_child(&mut self.wv, "wv", f);
-        visit_child(&mut self.wo, "wo", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.wq.visit_params(&mut visit_child("wq", f));
+        self.wk.visit_params(&mut visit_child("wk", f));
+        self.wv.visit_params(&mut visit_child("wv", f));
+        self.wo.visit_params(&mut visit_child("wo", f));
     }
-}
-
-/// Prefixes a child layer's parameter names with `prefix/`.
-pub(crate) fn visit_child(
-    child: &mut dyn Layer,
-    prefix: &str,
-    f: &mut dyn FnMut(&str, &mut Param),
-) {
-    child.visit_params(&mut |name, p| f(&format!("{prefix}/{name}"), p));
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Transformer decoder (causal self-attention + cross-attention), used by
 //! the TAPEX-style encoder–decoder model in `ntr-models`.
 
-use crate::attention::{visit_child, AttnMask, MultiHeadAttention};
+use crate::attention::{AttnMask, MultiHeadAttention};
 use crate::dropout::Dropout;
 use crate::encoder::FeedForward;
 use crate::init::SeededInit;
 use crate::layernorm::LayerNorm;
-use crate::{Layer, Param};
+use crate::{visit_child, Layer, Name, Param, Segment};
 use ntr_tensor::Tensor;
 
 /// One pre-LN decoder layer:
@@ -88,16 +88,18 @@ impl DecoderLayer {
 }
 
 impl Layer for DecoderLayer {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit_child(&mut self.ln1, "ln1", f);
-        visit_child(&mut self.self_attn, "self_attn", f);
-        visit_child(&mut self.ln2, "ln2", f);
-        visit_child(&mut self.cross_attn, "cross_attn", f);
-        visit_child(&mut self.ln3, "ln3", f);
-        visit_child(&mut self.ffn, "ffn", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.ln1.visit_params(&mut visit_child("ln1", f));
+        self.self_attn
+            .visit_params(&mut visit_child("self_attn", f));
+        self.ln2.visit_params(&mut visit_child("ln2", f));
+        self.cross_attn
+            .visit_params(&mut visit_child("cross_attn", f));
+        self.ln3.visit_params(&mut visit_child("ln3", f));
+        self.ffn.visit_params(&mut visit_child("ffn", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         self.drop1.visit_rng("drop1", f);
         self.drop2.visit_rng("drop2", f);
         self.drop3.visit_rng("drop3", f);
@@ -156,17 +158,17 @@ impl Decoder {
 }
 
 impl Layer for Decoder {
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            crate::visit_rng_child(layer, &format!("layer{i}"), f);
+            layer.visit_rng_state(&mut visit_child(Segment::Layer(i), f));
         }
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            visit_child(layer, &format!("layer{i}"), f);
+            layer.visit_params(&mut visit_child(Segment::Layer(i), f));
         }
-        visit_child(&mut self.final_ln, "final_ln", f);
+        self.final_ln.visit_params(&mut visit_child("final_ln", f));
     }
 }
 

@@ -1,6 +1,7 @@
 //! Inverted dropout with an explicit, seedable mask source.
 
 use crate::encoder::Rows;
+use crate::Name;
 use ntr_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,9 +42,9 @@ impl Dropout {
 
     /// Visits this layer's RNG state under `name` — the building block the
     /// owning layers' [`crate::Layer::visit_rng_state`] impls forward to.
-    pub fn visit_rng(&mut self, name: &str, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    pub fn visit_rng(&mut self, name: &str, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         let mut s = self.rng.state();
-        f(name, &mut s);
+        f(&Name::new(name), &mut s);
         self.rng.set_state(s);
     }
 

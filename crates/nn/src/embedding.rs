@@ -1,7 +1,7 @@
 //! Lookup-table embeddings with scatter-add backward.
 
 use crate::init::SeededInit;
-use crate::{Layer, Param};
+use crate::{Layer, Name, Param};
 use ntr_tensor::Tensor;
 
 /// An embedding table mapping ids `0..vocab` to `d`-dimensional vectors.
@@ -94,8 +94,8 @@ impl Embedding {
 }
 
 impl Layer for Embedding {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        f("weight", &mut self.weight);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        f(&Name::new("weight"), &mut self.weight);
     }
 }
 

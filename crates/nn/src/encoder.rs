@@ -1,12 +1,12 @@
 //! Transformer encoder: feed-forward block, pre-LN encoder layer, stack.
 
 use crate::activation::Gelu;
-use crate::attention::{visit_child, AttnMask, MultiHeadAttention};
+use crate::attention::{AttnMask, MultiHeadAttention};
 use crate::dropout::Dropout;
 use crate::init::SeededInit;
 use crate::layernorm::LayerNorm;
 use crate::linear::Linear;
-use crate::{Layer, Param};
+use crate::{visit_child, Layer, Name, Param, Segment};
 use ntr_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -114,9 +114,9 @@ impl FeedForward {
 }
 
 impl Layer for FeedForward {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit_child(&mut self.lin1, "lin1", f);
-        visit_child(&mut self.lin2, "lin2", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.lin1.visit_params(&mut visit_child("lin1", f));
+        self.lin2.visit_params(&mut visit_child("lin2", f));
     }
 }
 
@@ -226,14 +226,14 @@ impl EncoderLayer {
 }
 
 impl Layer for EncoderLayer {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        visit_child(&mut self.ln1, "ln1", f);
-        visit_child(&mut self.attn, "attn", f);
-        visit_child(&mut self.ln2, "ln2", f);
-        visit_child(&mut self.ffn, "ffn", f);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.ln1.visit_params(&mut visit_child("ln1", f));
+        self.attn.visit_params(&mut visit_child("attn", f));
+        self.ln2.visit_params(&mut visit_child("ln2", f));
+        self.ffn.visit_params(&mut visit_child("ffn", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         self.drop1.visit_rng("drop1", f);
         self.drop2.visit_rng("drop2", f);
     }
@@ -339,16 +339,16 @@ impl Encoder {
 }
 
 impl Layer for Encoder {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            visit_child(layer, &format!("layer{i}"), f);
+            layer.visit_params(&mut visit_child(Segment::Layer(i), f));
         }
-        visit_child(&mut self.final_ln, "final_ln", f);
+        self.final_ln.visit_params(&mut visit_child("final_ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            crate::visit_rng_child(layer, &format!("layer{i}"), f);
+            layer.visit_rng_state(&mut visit_child(Segment::Layer(i), f));
         }
     }
 }

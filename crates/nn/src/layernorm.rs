@@ -1,6 +1,6 @@
 //! Layer normalization over the feature dimension, with learned scale/shift.
 
-use crate::{Layer, Param};
+use crate::{Layer, Name, Param};
 use ntr_tensor::{simd, Tensor};
 
 /// LayerNorm: per-row normalization of a `[n, d]` tensor followed by a
@@ -118,9 +118,9 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        f("gamma", &mut self.gamma);
-        f("beta", &mut self.beta);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        f(&Name::new("gamma"), &mut self.gamma);
+        f(&Name::new("beta"), &mut self.beta);
     }
 }
 

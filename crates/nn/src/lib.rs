@@ -26,9 +26,9 @@
 //!   2. `backward(&mut self, grad_out)` consumes the cache, **accumulates**
 //!      parameter gradients into each `Param`, and returns the gradient with
 //!      respect to the layer input;
-//!   3. an [`optim::Adam`] step visits all parameters via
-//!      [`Layer::visit_params`] and applies the update, after which
-//!      `zero_grad` resets accumulators.
+//!   3. [`optim::Adam::step`] visits all parameters via
+//!      [`Layer::visit_params`] and updates each at its offset in Adam's
+//!      flat moment buffers, after which `zero_grad` resets accumulators.
 //!
 //! Both paths run the same kernels in the same order, so an inference
 //! output is bit-identical to the training forward's with dropout off.
@@ -45,24 +45,19 @@
 //! ## Example: one training step of a tiny MLP
 //!
 //! ```
-//! use ntr_nn::{Linear, Gelu, loss::softmax_cross_entropy, optim::Adam, Layer};
+//! use ntr_nn::{encoder::FeedForward, loss::softmax_cross_entropy, optim::Adam, Layer};
 //! use ntr_tensor::Tensor;
 //!
-//! let mut l1 = Linear::new(4, 8, &mut ntr_nn::init::SeededInit::new(1));
-//! let mut act = Gelu::default();
-//! let mut l2 = Linear::new(8, 3, &mut ntr_nn::init::SeededInit::new(2));
+//! // 4 → 8 → GELU → 4: paths "lin1/w", "lin1/b", "lin2/w", "lin2/b".
+//! let mut mlp = FeedForward::new(4, 8, &mut ntr_nn::init::SeededInit::new(1));
 //! let mut adam = Adam::new(1e-2);
 //!
-//! let x = Tensor::ones(&[2, 4]);
-//! let h = act.forward(&l1.forward(&x));
-//! let logits = l2.forward(&h);
+//! let logits = mlp.forward(&Tensor::ones(&[2, 4]));
 //! let (loss, dlogits) = softmax_cross_entropy(&logits, &[0, 2], None);
 //! assert!(loss.is_finite());
-//! let dh = act.backward(&l2.backward(&dlogits));
-//! l1.backward(&dh);
-//! let mut step = adam.begin_step();
-//! l1.visit_params(&mut |_, p| step.update(p));
-//! l2.visit_params(&mut |_, p| step.update(p));
+//! mlp.backward(&dlogits);
+//! adam.step(&mut mlp);
+//! mlp.zero_grad();
 //! ```
 
 pub mod activation;
@@ -89,14 +84,65 @@ pub use layernorm::LayerNorm;
 pub use linear::{Linear, QuantizedLinear};
 pub use param::Param;
 
+/// A parameter's or RNG stream's `/`-separated path, such as
+/// `encoder/layer0/attn/wq/w`, held as segments borrowed on the visiting
+/// stack: it is formatted only when displayed, so a visit whose callback
+/// ignores names allocates nothing for them. `to_string()` gives the path
+/// that [`serialize`] keys files by.
+#[derive(Debug, Clone, Copy)]
+pub struct Name<'a> {
+    head: Segment<'a>,
+    tail: Option<&'a Name<'a>>,
+}
+
+/// One segment of a [`Name`]: a field, or `layer{i}` for the `i`-th layer
+/// of a stack.
+#[derive(Debug, Clone, Copy)]
+pub enum Segment<'a> {
+    /// A named child or leaf.
+    Field(&'a str),
+    /// The `i`-th layer of a stack, displayed as `layer{i}`.
+    Layer(usize),
+}
+
+impl<'a> From<&'a str> for Segment<'a> {
+    fn from(s: &'a str) -> Self {
+        Segment::Field(s)
+    }
+}
+
+impl<'a> Name<'a> {
+    /// The one-segment name of a leaf parameter or RNG stream.
+    pub fn new(leaf: &'a str) -> Self {
+        Self {
+            head: Segment::Field(leaf),
+            tail: None,
+        }
+    }
+}
+
+impl std::fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.head {
+            Segment::Field(s) => f.write_str(s)?,
+            Segment::Layer(i) => write!(f, "layer{i}")?,
+        }
+        match self.tail {
+            Some(tail) => write!(f, "/{tail}"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Visitation interface over a layer's trainable parameters.
 ///
-/// The `name` passed to the visitor is a `/`-separated path that uniquely
+/// The [`Name`] passed to the visitor is a `/`-separated path that uniquely
 /// identifies the parameter within the layer; composite layers prefix the
-/// names of their children. Paths are the keys used by [`serialize`].
+/// names of their children with [`visit_child`]. Paths are the keys used by
+/// [`serialize`]; in memory, training state is positional (visit order).
 pub trait Layer {
     /// Calls `f` once per trainable parameter, in a deterministic order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param));
 
     /// Sets all parameter gradients to zero.
     fn zero_grad(&mut self) {
@@ -111,25 +157,28 @@ pub trait Layer {
     }
 
     /// Calls `f` once per internal RNG (dropout mask sources), in a
-    /// deterministic order, with a `/`-separated path like
-    /// [`Layer::visit_params`] uses. The visitor receives the raw state
-    /// words and may mutate them, which is how checkpoints capture *and*
-    /// restore the exact mask stream across a kill/resume boundary.
+    /// deterministic order, with a path like [`Layer::visit_params`] uses.
+    /// The visitor receives the raw state words and may mutate them, which
+    /// is how checkpoints capture *and* restore the exact mask stream
+    /// across a kill/resume boundary.
     ///
     /// Layers without stochastic state inherit this no-op default;
     /// composite layers must forward to children that override it.
-    fn visit_rng_state(&mut self, _f: &mut dyn FnMut(&str, &mut [u64; 4])) {}
+    fn visit_rng_state(&mut self, _f: &mut dyn FnMut(&Name, &mut [u64; 4])) {}
 }
 
-/// Prefixes a child layer's RNG-state paths with `prefix/` — the
-/// [`visit_rng_state`](Layer::visit_rng_state) counterpart of the name
-/// prefixing every composite layer does in `visit_params`.
-pub fn visit_rng_child(
-    child: &mut dyn Layer,
-    prefix: &str,
-    f: &mut dyn FnMut(&str, &mut [u64; 4]),
-) {
-    child.visit_rng_state(&mut |name, s| f(&format!("{prefix}/{name}"), s));
+/// The visitor a composite layer hands a child: it passes `f` each of the
+/// child's parameters or RNG streams under `prefix/`, e.g.
+/// `self.attn.visit_params(&mut visit_child("attn", f))`.
+pub fn visit_child<'f, T>(
+    prefix: impl Into<Segment<'f>>,
+    f: &'f mut dyn FnMut(&Name, &mut T),
+) -> impl FnMut(&Name, &mut T) + 'f {
+    let head = prefix.into();
+    move |name: &Name, x: &mut T| {
+        let tail = Some(name);
+        f(&Name { head, tail }, x)
+    }
 }
 
 /// A copy of a layer's gradients in visit order: one set for [`merge_grads`].

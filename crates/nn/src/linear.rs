@@ -2,7 +2,7 @@
 //! plus an int8 inference snapshot ([`QuantizedLinear`]).
 
 use crate::init::SeededInit;
-use crate::{Layer, Param};
+use crate::{Layer, Name, Param};
 use ntr_tensor::quant::{self, QuantizedMatrix};
 use ntr_tensor::Tensor;
 
@@ -71,9 +71,9 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        f("w", &mut self.w);
-        f("b", &mut self.b);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        f(&Name::new("w"), &mut self.w);
+        f(&Name::new("b"), &mut self.b);
     }
 }
 

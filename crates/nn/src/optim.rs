@@ -1,35 +1,57 @@
 //! Optimizers and learning-rate schedules.
 
-use crate::Param;
-use ntr_tensor::{grain, par, Tensor};
-use std::collections::HashMap;
+use crate::Layer;
+use ntr_tensor::{grain, par};
+
+const CHANGED: &str = "the model changed after Adam's first step";
 
 /// AdamW: Adam with decoupled weight decay and bias correction.
 ///
-/// Per-parameter moment state is keyed by [`Param::id`], so the same `Adam`
-/// instance can be shared across all of a model's parameters and across
-/// steps. Usage per step:
+/// The moments are positional: `m` and `v` hold every parameter's first
+/// and second moments back to back, in [`Layer::visit_params`] order, so
+/// one `Adam` steps one model. They are allocated (zeroed) on the first
+/// [`Adam::step`]; checkpoints translate them to and from paths
+/// ([`crate::serialize::TrainCheckpoint`]). Usage per step:
 ///
 /// ```text
-/// let mut step = adam.begin_step();      // advances t once
-/// model.visit_params(&mut |_, p| step.update(p));
+/// adam.step(&mut model);     // advances t, updates every parameter
 /// model.zero_grad();
 /// ```
 #[derive(Debug)]
 pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    t: u64,
-    state: HashMap<u64, Moments>,
+    pub(crate) lr: f32,
+    pub(crate) beta1: f32,
+    pub(crate) beta2: f32,
+    pub(crate) eps: f32,
+    pub(crate) weight_decay: f32,
+    pub(crate) t: u64,
+    pub(crate) m: Vec<f32>,
+    pub(crate) v: Vec<f32>,
 }
 
-#[derive(Debug)]
-struct Moments {
-    m: Tensor,
-    v: Tensor,
+impl Default for Adam {
+    /// Adam at learning rate 1e-3.
+    fn default() -> Self {
+        Self::new(1e-3)
+    }
+}
+
+impl Clone for Adam {
+    fn clone(&self) -> Self {
+        Self {
+            m: self.m.clone(),
+            v: self.v.clone(),
+            ..*self
+        }
+    }
+
+    /// Refills `self` in place: the moment buffers keep their capacity.
+    fn clone_from(&mut self, src: &Self) {
+        let (mut m, mut v) = (std::mem::take(&mut self.m), std::mem::take(&mut self.v));
+        m.clone_from(&src.m);
+        v.clone_from(&src.v);
+        *self = Self { m, v, ..*src };
+    }
 }
 
 impl Adam {
@@ -42,7 +64,8 @@ impl Adam {
             eps: 1e-8,
             weight_decay: 0.0,
             t: 0,
-            state: HashMap::new(),
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
@@ -57,118 +80,66 @@ impl Adam {
         self.lr = lr;
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Number of completed steps.
     pub fn steps(&self) -> u64 {
         self.t
     }
 
-    /// Overrides the completed-step counter (checkpoint resume). Bias
-    /// correction depends on `t`, so resuming must restore it exactly.
-    pub fn set_steps(&mut self, t: u64) {
-        self.t = t;
-    }
-
-    /// Overrides β₁/β₂/ε (checkpoint resume).
-    pub fn with_betas(mut self, beta1: f32, beta2: f32, eps: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self.eps = eps;
-        self
-    }
-
-    /// First-moment decay β₁.
-    pub fn beta1(&self) -> f32 {
-        self.beta1
-    }
-
-    /// Second-moment decay β₂.
-    pub fn beta2(&self) -> f32 {
-        self.beta2
-    }
-
-    /// Denominator stabilizer ε.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
-    /// Decoupled weight-decay coefficient.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
-    }
-
-    /// The moment pair for a parameter id, if that parameter has been
-    /// updated at least once.
-    pub fn moments_of(&self, id: u64) -> Option<(&Tensor, &Tensor)> {
-        self.state.get(&id).map(|s| (&s.m, &s.v))
-    }
-
-    /// Installs a moment pair for a parameter id (checkpoint resume).
+    /// One AdamW step over every parameter of `model`, from its
+    /// accumulated gradients. Advances `t`; does **not** zero the
+    /// gradients (callers do that after the step).
     ///
     /// # Panics
-    /// Panics if `m` and `v` disagree on shape.
-    pub fn set_moments(&mut self, id: u64, m: Tensor, v: Tensor) {
-        assert_eq!(m.shape(), v.shape(), "Adam moment shape mismatch");
-        self.state.insert(id, Moments { m, v });
-    }
-
-    /// Begins one optimizer step: advances the timestep and returns a guard
-    /// whose [`AdamStep::update`] applies the update to each parameter.
-    pub fn begin_step(&mut self) -> AdamStep<'_> {
+    /// Panics if `model` no longer has the parameters the moments were
+    /// made for (a parameter was added, removed or resized).
+    pub fn step(&mut self, model: &mut dyn Layer) {
         self.t += 1;
-        AdamStep { adam: self }
-    }
-}
-
-/// Guard for a single optimizer step. See [`Adam::begin_step`].
-pub struct AdamStep<'a> {
-    adam: &'a mut Adam,
-}
-
-impl AdamStep<'_> {
-    /// Applies the AdamW update to `p` using its accumulated gradient.
-    /// Does **not** zero the gradient; callers do that after the full step.
-    pub fn update(&mut self, p: &mut Param) {
-        let a = &mut *self.adam;
-        let entry = a.state.entry(p.id()).or_insert_with(|| Moments {
-            m: Tensor::zeros(p.value.shape()),
-            v: Tensor::zeros(p.value.shape()),
+        if self.m.is_empty() {
+            let n = model.num_params();
+            (self.m, self.v) = (vec![0.0; n], vec![0.0; n]);
+        }
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps, wd) =
+            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (ms, vs) = (&mut self.m[..], &mut self.v[..]);
+        let mut off = 0;
+        model.visit_params(&mut |name, p| {
+            let n = p.value.numel();
+            assert!(
+                off + n <= ms.len(),
+                "Adam: parameter {name} runs past the {} moments: {CHANGED}",
+                ms.len()
+            );
+            let (m, v) = (&mut ms[off..off + n], &mut vs[off..off + n]);
+            off += n;
+            // Priced as transcendental work: the per-element sqrt + divides
+            // dominate, not the four-buffer memory traffic.
+            let threads = grain::threads_for(grain::Work::Transcendental(n));
+            // The update is purely element-wise, so any chunking of the four
+            // buffers produces bit-identical results.
+            par::for_zip3_mut(
+                p.value.data_mut(),
+                m,
+                v,
+                p.grad.data(),
+                threads,
+                |w, m, v, g| {
+                    for i in 0..w.len() {
+                        let gi = g[i];
+                        m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+                        v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+                        let mhat = m[i] / bc1;
+                        let vhat = v[i] / bc2;
+                        w[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[i]);
+                    }
+                },
+            );
         });
         assert_eq!(
-            entry.m.shape(),
-            p.value.shape(),
-            "Adam state shape mismatch: parameter was recreated or resized"
-        );
-        let bc1 = 1.0 - a.beta1.powi(a.t as i32);
-        let bc2 = 1.0 - a.beta2.powi(a.t as i32);
-        let (lr, beta1, beta2, eps, wd) = (a.lr, a.beta1, a.beta2, a.eps, a.weight_decay);
-        let n = p.value.numel();
-        // Priced as transcendental work: the per-element sqrt + divides
-        // dominate, not the four-buffer memory traffic.
-        let threads = grain::threads_for(grain::Work::Transcendental(n));
-        // The update is purely element-wise, so any chunking of the four
-        // buffers produces bit-identical results.
-        let Moments { m, v } = entry;
-        par::for_zip3_mut(
-            p.value.data_mut(),
-            m.data_mut(),
-            v.data_mut(),
-            p.grad.data(),
-            threads,
-            |w, m, v, g| {
-                for i in 0..w.len() {
-                    let gi = g[i];
-                    m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
-                    v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-                    let mhat = m[i] / bc1;
-                    let vhat = v[i] / bc2;
-                    w[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[i]);
-                }
-            },
+            off,
+            ms.len(),
+            "Adam: parameter values vs moments: {CHANGED}"
         );
     }
 }
@@ -200,12 +171,10 @@ impl WarmupLinearSchedule {
     }
 }
 
-/// Global-norm gradient clipping: scales every gradient so the concatenated
-/// gradient vector has norm at most `max_norm`. Returns the pre-clip norm.
 /// Global L2 norm over **all** of `model`'s gradients, without modifying
 /// them. Returns NaN/Inf when any gradient is non-finite — the signal the
 /// training supervisor uses for anomaly detection.
-pub fn global_grad_norm(model: &mut dyn crate::Layer) -> f32 {
+pub fn global_grad_norm(model: &mut dyn Layer) -> f32 {
     let mut total = 0.0f32;
     model.visit_params(&mut |_, p| {
         total += p.grad.data().iter().map(|&g| g * g).sum::<f32>();
@@ -213,12 +182,12 @@ pub fn global_grad_norm(model: &mut dyn crate::Layer) -> f32 {
     total.sqrt()
 }
 
-/// [`clip_grad_norm`] over a whole [`crate::Layer`]: measures the global
+/// Global-norm gradient clipping over a whole [`Layer`]: measures the
 /// gradient norm across every parameter and, when it exceeds `max_norm`,
 /// scales all gradients down to it. Returns the **pre-clip** norm. A
 /// non-finite norm clips nothing (scaling NaN stays NaN); callers must
 /// treat it as an anomaly instead.
-pub fn clip_global_grad_norm(model: &mut dyn crate::Layer, max_norm: f32) -> f32 {
+pub fn clip_global_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
     let total = global_grad_norm(model);
     if total.is_finite() && total > max_norm && total > 0.0 {
         let scale = max_norm / total;
@@ -227,64 +196,87 @@ pub fn clip_global_grad_norm(model: &mut dyn crate::Layer, max_norm: f32) -> f32
     total
 }
 
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params
-        .iter()
-        .map(|p| p.grad.data().iter().map(|&g| g * g).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let scale = max_norm / total;
-        for p in params.iter_mut() {
-            p.grad.map_mut(|g| g * scale);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quadratic_step(adam: &mut Adam, p: &mut Param) {
-        // loss = Σ w², grad = 2w
-        p.zero_grad();
-        let g = p.value.scale(2.0);
-        p.accumulate(&g);
-        let mut step = adam.begin_step();
-        step.update(p);
+    use crate::init::SeededInit;
+    use crate::{Linear, Name, Param};
+    use ntr_tensor::Tensor;
+
+    /// A bare parameter as a one-parameter model.
+    struct One(Param);
+
+    impl Layer for One {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+            f(&Name::new("p"), &mut self.0);
+        }
     }
 
     #[test]
     fn adam_minimizes_quadratic() {
-        let mut p = Param::new(Tensor::from_vec(vec![5.0, -3.0], &[2]));
+        let mut one = One(Param::new(Tensor::from_vec(vec![5.0, -3.0], &[2])));
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
-            quadratic_step(&mut adam, &mut p);
+            // loss = Σ w², grad = 2w
+            let p = &mut one.0;
+            p.zero_grad();
+            let g = p.value.scale(2.0);
+            p.accumulate(&g);
+            adam.step(&mut one);
         }
-        assert!(p.value.norm() < 1e-2, "did not converge: {:?}", p.value);
+        assert!(
+            one.0.value.norm() < 1e-2,
+            "did not converge: {:?}",
+            one.0.value
+        );
     }
 
     #[test]
     fn weight_decay_shrinks_weights_without_gradient() {
-        let mut p = Param::new(Tensor::from_vec(vec![1.0], &[1]));
+        let mut one = One(Param::new(Tensor::from_vec(vec![1.0], &[1])));
         let mut adam = Adam::new(0.01).with_weight_decay(0.1);
         for _ in 0..100 {
-            p.zero_grad();
-            let mut step = adam.begin_step();
-            step.update(&mut p);
+            adam.step(&mut one);
         }
-        assert!(p.value.data()[0] < 1.0);
+        assert!(one.0.value.data()[0] < 1.0);
     }
 
     #[test]
     fn first_step_magnitude_is_lr() {
         // With bias correction, the first Adam step has magnitude ≈ lr.
-        let mut p = Param::new(Tensor::from_vec(vec![0.0], &[1]));
-        p.accumulate(&Tensor::from_vec(vec![123.0], &[1]));
+        let mut one = One(Param::new(Tensor::from_vec(vec![0.0], &[1])));
+        one.0.accumulate(&Tensor::from_vec(vec![123.0], &[1]));
         let mut adam = Adam::new(0.5);
-        adam.begin_step().update(&mut p);
-        assert!((p.value.data()[0].abs() - 0.5).abs() < 1e-3);
+        adam.step(&mut one);
+        assert!((one.0.value.data()[0].abs() - 0.5).abs() < 1e-3);
+    }
+
+    #[test]
+    fn each_parameter_steps_at_its_own_offset() {
+        // One Adam over a two-parameter model updates each parameter as a
+        // separate Adam would: its moments sit at its offset alone.
+        let mut lin = Linear::new(3, 2, &mut SeededInit::new(2));
+        let (mut w, mut b) = (One(lin.w.clone()), One(lin.b.clone()));
+        let mut adams = [Adam::new(0.1), Adam::new(0.1), Adam::new(0.1)];
+        for seed in 0..3 {
+            let g = SeededInit::new(seed).uniform(&[8], -1.0, 1.0);
+            lin.w.grad = Tensor::from_vec(g.data()[..6].to_vec(), &[3, 2]);
+            lin.b.grad = Tensor::from_vec(g.data()[6..].to_vec(), &[2]);
+            (w.0.grad, b.0.grad) = (lin.w.grad.clone(), lin.b.grad.clone());
+            adams[0].step(&mut lin);
+            adams[1].step(&mut w);
+            adams[2].step(&mut b);
+        }
+        assert_eq!((lin.w.value, lin.b.value), (w.0.value, b.0.value));
+    }
+
+    #[test]
+    #[should_panic(expected = "the model changed after Adam's first step")]
+    fn step_rejects_a_model_resized_after_the_first_step() {
+        let mut adam = Adam::new(0.1);
+        adam.step(&mut Linear::new(2, 2, &mut SeededInit::new(1)));
+        adam.step(&mut Linear::new(2, 3, &mut SeededInit::new(1)));
     }
 
     #[test]
@@ -312,25 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_scales_down_only_when_needed() {
-        let mut a = Param::new(Tensor::zeros(&[2]));
-        a.accumulate(&Tensor::from_vec(vec![3.0, 4.0], &[2]));
-        let norm = clip_grad_norm(&mut [&mut a], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((a.grad.norm() - 1.0).abs() < 1e-5);
-
-        let mut b = Param::new(Tensor::zeros(&[1]));
-        b.accumulate(&Tensor::from_vec(vec![0.1], &[1]));
-        clip_grad_norm(&mut [&mut b], 1.0);
-        assert!(
-            (b.grad.data()[0] - 0.1).abs() < 1e-7,
-            "small grads untouched"
-        );
-    }
-
-    #[test]
     fn global_clip_covers_every_parameter() {
-        let mut lin = crate::Linear::new(2, 2, &mut crate::init::SeededInit::new(7));
+        let mut lin = Linear::new(2, 2, &mut SeededInit::new(7));
         lin.w
             .accumulate(&Tensor::from_vec(vec![3.0, 0.0, 0.0, 0.0], &[2, 2]));
         lin.b.accumulate(&Tensor::from_vec(vec![0.0, 4.0], &[2]));
@@ -351,7 +326,7 @@ mod tests {
 
     #[test]
     fn global_norm_reports_nonfinite_without_clipping() {
-        let mut lin = crate::Linear::new(2, 2, &mut crate::init::SeededInit::new(8));
+        let mut lin = Linear::new(2, 2, &mut SeededInit::new(8));
         lin.w
             .accumulate(&Tensor::from_vec(vec![f32::NAN, 0.0, 0.0, 0.0], &[2, 2]));
         lin.b.accumulate(&Tensor::from_vec(vec![1.0, 2.0], &[2]));

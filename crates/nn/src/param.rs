@@ -5,32 +5,22 @@ use ntr_tensor::Tensor;
 /// A trainable tensor with its gradient accumulator.
 ///
 /// Layers accumulate into `grad` during `backward`; optimizers read `grad`
-/// and write `value`. Optimizer state (Adam moments) is keyed off the
-/// parameter's stable [`Param::id`], so parameters must not be recreated
-/// between optimizer steps.
+/// and write `value`. A parameter carries no identity: optimizer state is
+/// positional, at the parameter's offset in [`crate::Layer::visit_params`]
+/// order (see [`crate::optim::Adam`]).
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter values.
     pub value: Tensor,
     /// Accumulated gradient, same shape as `value`.
     pub grad: Tensor,
-    id: u64,
 }
 
 impl Param {
     /// Wraps an initialized tensor as a trainable parameter.
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
-        Self {
-            value,
-            grad,
-            id: next_id(),
-        }
-    }
-
-    /// Stable identity used by optimizers to key per-parameter state.
-    pub fn id(&self) -> u64 {
-        self.id
+        Self { value, grad }
     }
 
     /// Clears the gradient accumulator.
@@ -46,7 +36,7 @@ impl Param {
         self.grad.add_assign(g);
     }
 
-    /// Replaces the values while keeping identity and gradient shape.
+    /// Replaces the values while keeping the gradient's shape.
     ///
     /// # Panics
     /// Panics if the new values have a different shape.
@@ -62,22 +52,14 @@ impl Param {
     }
 }
 
-fn next_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn new_param_has_zero_grad_and_unique_id() {
+    fn new_param_has_zero_grad() {
         let a = Param::new(Tensor::ones(&[2, 2]));
-        let b = Param::new(Tensor::ones(&[2, 2]));
         assert!(a.grad.data().iter().all(|&x| x == 0.0));
-        assert_ne!(a.id(), b.id());
     }
 
     #[test]
@@ -91,12 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn load_replaces_values_keeps_id() {
+    fn load_replaces_values() {
         let mut p = Param::new(Tensor::zeros(&[2]));
-        let id = p.id();
         p.load(Tensor::ones(&[2]));
         assert_eq!(p.value.data(), &[1.0, 1.0]);
-        assert_eq!(p.id(), id);
     }
 
     #[test]

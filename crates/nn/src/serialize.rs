@@ -161,22 +161,27 @@ impl TrainCheckpoint {
     }
 
     /// Captures the full training state: weights, the moments `adam` holds
-    /// for them, the schedule, the dropout RNG streams, and `cursor`.
+    /// for them (keyed by path; none before Adam's first step), the
+    /// schedule, the dropout RNG streams, and `cursor`.
     pub fn capture_train(
         model: &mut dyn Layer,
         adam: &Adam,
         schedule: &WarmupLinearSchedule,
         cursor: TrainCursor,
     ) -> Self {
-        let mut params = BTreeMap::new();
+        let params = state_dict(model);
         let mut moments = BTreeMap::new();
-        model.visit_params(&mut |name, p| {
-            let prev = params.insert(name.to_string(), p.value.clone());
-            assert!(prev.is_none(), "duplicate parameter name {name}");
-            if let Some((m, v)) = adam.moments_of(p.id()) {
-                moments.insert(name.to_string(), (m.clone(), v.clone()));
-            }
-        });
+        let (m, v) = (&adam.m, &adam.v);
+        if !m.is_empty() {
+            let mut off = 0;
+            model.visit_params(&mut |name, p| {
+                let span = off..off + p.value.numel();
+                let moment =
+                    |buf: &[f32]| Tensor::from_vec(buf[span.clone()].to_vec(), p.value.shape());
+                moments.insert(name.to_string(), (moment(m), moment(v)));
+                off = span.end;
+            });
+        }
         let mut rngs = BTreeMap::new();
         model.visit_rng_state(&mut |name, s| {
             rngs.insert(name.to_string(), *s);
@@ -184,12 +189,12 @@ impl TrainCheckpoint {
         Self {
             params,
             state: Some(TrainState {
-                steps: adam.steps(),
-                lr: adam.lr(),
-                beta1: adam.beta1(),
-                beta2: adam.beta2(),
-                eps: adam.eps(),
-                weight_decay: adam.weight_decay(),
+                steps: adam.t,
+                lr: adam.lr,
+                beta1: adam.beta1,
+                beta2: adam.beta2,
+                eps: adam.eps,
+                weight_decay: adam.weight_decay,
                 moments,
                 schedule: *schedule,
                 cursor,
@@ -211,7 +216,7 @@ impl TrainCheckpoint {
             if error.is_some() {
                 return;
             }
-            match pending.remove(name) {
+            match pending.remove(name.to_string().as_str()) {
                 Some(t) if t.shape() == p.value.shape() => {}
                 Some(t) => {
                     error = Some(CheckpointError::Mismatch(format!(
@@ -236,13 +241,15 @@ impl TrainCheckpoint {
                 pending.len()
             )));
         }
-        model.visit_params(&mut |name, p| p.value = self.params[name].clone());
+        model.visit_params(&mut |name, p| p.value = self.params[&name.to_string()].clone());
         Ok(())
     }
 
     /// Loads parameters into `model` and, when training state is present,
-    /// rebuilds the optimizer, schedule and cursor and restores dropout RNG
-    /// streams. Returns `None` for weight-only/v1 checkpoints.
+    /// rebuilds the optimizer (its path-keyed moments laid out in visit
+    /// order, zero for a parameter the file holds none for), schedule and
+    /// cursor and restores dropout RNG streams. Returns `None` for
+    /// weight-only/v1 checkpoints.
     pub fn apply_train(
         &self,
         model: &mut dyn Layer,
@@ -251,28 +258,31 @@ impl TrainCheckpoint {
         let Some(st) = &self.state else {
             return Ok(None);
         };
-        let mut adam = Adam::new(st.lr)
-            .with_weight_decay(st.weight_decay)
-            .with_betas(st.beta1, st.beta2, st.eps);
-        adam.set_steps(st.steps);
-        let mut pending = st.moments.clone();
+        let mut pending: BTreeMap<&str, _> =
+            st.moments.iter().map(|(k, mv)| (k.as_str(), mv)).collect();
+        let (mut m, mut v) = (Vec::new(), Vec::new());
         let mut error: Option<CheckpointError> = None;
-        model.visit_params(&mut |name, p| {
-            if error.is_some() {
-                return;
-            }
-            if let Some((m, v)) = pending.remove(name) {
-                if m.shape() != p.value.shape() {
-                    error = Some(CheckpointError::Mismatch(format!(
-                        "moments for {name}: checkpoint shape {:?} != model shape {:?}",
-                        m.shape(),
-                        p.value.shape()
-                    )));
-                } else {
-                    adam.set_moments(p.id(), m, v);
-                }
-            }
-        });
+        if !pending.is_empty() {
+            model.visit_params(
+                &mut |name, p| match pending.remove(name.to_string().as_str()) {
+                    Some((pm, pv)) if pm.shape() == p.value.shape() => {
+                        m.extend_from_slice(pm.data());
+                        v.extend_from_slice(pv.data());
+                    }
+                    Some((pm, _)) => {
+                        error.get_or_insert(CheckpointError::Mismatch(format!(
+                            "moments for {name}: checkpoint shape {:?} != model shape {:?}",
+                            pm.shape(),
+                            p.value.shape()
+                        )));
+                    }
+                    None => {
+                        m.resize(m.len() + p.value.numel(), 0.0);
+                        v.resize(v.len() + p.value.numel(), 0.0);
+                    }
+                },
+            );
+        }
         if let Some(e) = error {
             return Err(e);
         }
@@ -284,7 +294,7 @@ impl TrainCheckpoint {
         }
         let mut rng_pending = st.rngs.clone();
         model.visit_rng_state(&mut |name, s| {
-            if let Some(saved) = rng_pending.remove(name) {
+            if let Some(saved) = rng_pending.remove(&name.to_string()) {
                 *s = saved;
             }
         });
@@ -294,6 +304,16 @@ impl TrainCheckpoint {
                 rng_pending.len()
             )));
         }
+        let adam = Adam {
+            lr: st.lr,
+            beta1: st.beta1,
+            beta2: st.beta2,
+            eps: st.eps,
+            weight_decay: st.weight_decay,
+            t: st.steps,
+            m,
+            v,
+        };
         Ok(Some((adam, st.schedule, st.cursor)))
     }
 }
@@ -819,8 +839,7 @@ mod tests {
             let x = SeededInit::new(15).uniform(&[2, 3], -1.0, 1.0);
             let _ = model.forward(&x);
             let _ = model.backward(&SeededInit::new(16).uniform(&[2, 4], -1.0, 1.0));
-            let mut step = adam.begin_step();
-            model.visit_params(&mut |_, p| step.update(p));
+            adam.step(&mut model);
             model.zero_grad();
         }
         let schedule = WarmupLinearSchedule {
@@ -845,15 +864,26 @@ mod tests {
             .expect("training state present");
         assert_eq!(state_dict(&mut model), state_dict(&mut restored));
         assert_eq!(adam2.steps(), 2);
-        assert_eq!(adam2.lr(), adam.lr());
+        assert_eq!(adam2.lr, adam.lr);
         assert_eq!(schedule2.warmup, 3);
         assert_eq!(schedule2.total, 17);
         assert_eq!(cursor2, cursor);
+        // Each path's saved moments sit at its offset in the flat buffers,
+        // bit for bit the moments the original Adam holds there.
+        let saved = &ckpt.state.as_ref().unwrap().moments;
+        let ((m, v), (m0, v0)) = ((&adam2.m, &adam2.v), (&adam.m, &adam.v));
+        assert_eq!((m.len(), v.len()), (3 * 4 + 4, 3 * 4 + 4));
+        let mut off = 0;
         restored.visit_params(&mut |name, p| {
-            let (m, v) = adam2.moments_of(p.id()).expect("moments restored");
-            let (m0, v0) = &ckpt.state.as_ref().unwrap().moments[name];
-            assert_eq!(m.data(), m0.data());
-            assert_eq!(v.data(), v0.data());
+            let span = off..off + p.value.numel();
+            let (ms, vs) = &saved[&name.to_string()];
+            assert_eq!(&m[span.clone()], ms.data(), "m of {name}");
+            assert_eq!(&v[span.clone()], vs.data(), "v of {name}");
+            assert_eq!(
+                (&m0[span.clone()], &v0[span.clone()]),
+                (ms.data(), vs.data())
+            );
+            off = span.end;
         });
     }
 
@@ -864,10 +894,7 @@ mod tests {
         let x = ntr_tensor::Tensor::ones(&[1, 2]);
         let _ = model.forward(&x);
         let _ = model.backward(&x);
-        {
-            let mut step = adam.begin_step();
-            model.visit_params(&mut |_, p| step.update(p));
-        }
+        adam.step(&mut model);
         let schedule = WarmupLinearSchedule {
             peak_lr: 1e-3,
             warmup: 1,

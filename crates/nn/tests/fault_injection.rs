@@ -21,10 +21,7 @@ fn small_checkpoint() -> Vec<u8> {
     let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
     let _ = model.forward(&Tensor::ones(&[1, 3]));
     let _ = model.backward(&Tensor::ones(&[1, 2]));
-    {
-        let mut step = adam.begin_step();
-        model.visit_params(&mut |_, p| step.update(p));
-    }
+    adam.step(&mut model);
     model.zero_grad();
     let schedule = WarmupLinearSchedule {
         peak_lr: 1e-3,

@@ -9,7 +9,7 @@
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::optim::Adam;
-use ntr_nn::{EncoderLayer, Gelu, MultiHeadAttention, Param};
+use ntr_nn::{EncoderLayer, Gelu, Layer, Linear, MultiHeadAttention};
 use ntr_tensor::{par, Tensor};
 
 fn attention_round_trip(threads: usize) -> (Tensor, Tensor) {
@@ -40,15 +40,15 @@ fn attention_is_bit_identical_across_thread_counts() {
 fn adam_round_trip(threads: usize) -> Tensor {
     par::with_threads(threads, || {
         // Large enough to cross the optimizer's parallel threshold.
-        let mut p = Param::new(SeededInit::new(10).uniform(&[256, 256], -0.1, 0.1));
+        let mut lin = Linear::new(256, 256, &mut SeededInit::new(10));
         let g = SeededInit::new(11).uniform(&[256, 256], -1.0, 1.0);
         let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
         for _ in 0..3 {
-            p.zero_grad();
-            p.accumulate(&g);
-            adam.begin_step().update(&mut p);
+            lin.zero_grad();
+            lin.w.accumulate(&g);
+            adam.step(&mut lin);
         }
-        p.value.clone()
+        lin.w.value.clone()
     })
 }
 

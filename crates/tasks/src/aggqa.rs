@@ -15,7 +15,7 @@ use ntr_corpus::Split;
 use ntr_models::{EncoderInput, SequenceEncoder, Tapas};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{Layer, Linear, Param};
+use ntr_nn::{visit_child, Layer, Linear, Name, Param};
 use ntr_sql::gen::{GenConfig, QueryGenerator};
 use ntr_sql::{execute, Agg, Answer, Query};
 use ntr_table::{
@@ -142,15 +142,14 @@ impl AggregationQa {
 }
 
 impl Layer for AggregationQa {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        self.tapas
-            .visit_params(&mut |n, p| f(&format!("tapas/{n}"), p));
-        self.wq.visit_params(&mut |n, p| f(&format!("wq/{n}"), p));
-        self.wk.visit_params(&mut |n, p| f(&format!("wk/{n}"), p));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.tapas.visit_params(&mut visit_child("tapas", f));
+        self.wq.visit_params(&mut visit_child("wq", f));
+        self.wk.visit_params(&mut visit_child("wk", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.tapas, "tapas", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.tapas.visit_rng_state(&mut visit_child("tapas", f));
     }
 }
 

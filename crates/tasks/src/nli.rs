@@ -10,7 +10,7 @@ use ntr_corpus::Split;
 use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{Layer, Param};
+use ntr_nn::{visit_child, Layer, Name, Param};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::WordPieceTokenizer;
 
@@ -45,15 +45,13 @@ impl<M: SequenceEncoder> FactVerifier<M> {
 }
 
 impl<M: SequenceEncoder> Layer for FactVerifier<M> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
-        self.head
-            .visit_params(&mut |n, p| f(&format!("head/{n}"), p));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.encoder.visit_params(&mut visit_child("encoder", f));
+        self.head.visit_params(&mut visit_child("head", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
 

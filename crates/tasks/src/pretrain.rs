@@ -55,11 +55,11 @@ mlm_model!(VanillaBert, Turl, Tapas, Mate);
 // this is what lets `ntr::zoo::build_mlm_model` return one registry type
 // that `TrainRun::mlm` and the checkpoint machinery accept directly.
 impl ntr_nn::Layer for Box<dyn MlmModel + Send> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut ntr_nn::Param)) {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&ntr_nn::Name, &mut ntr_nn::Param)) {
         self.as_mut().visit_params(f)
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&ntr_nn::Name, &mut [u64; 4])) {
         self.as_mut().visit_rng_state(f)
     }
 }

@@ -10,7 +10,7 @@ use ntr_corpus::Split;
 use ntr_models::{EncoderInput, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::binary_cross_entropy_with_logits;
-use ntr_nn::{Layer, Linear, Param};
+use ntr_nn::{visit_child, Layer, Linear, Name, Param};
 use ntr_table::{EncodedTable, Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -83,15 +83,14 @@ impl<M: SequenceEncoder> CellSelector<M> {
 }
 
 impl<M: SequenceEncoder> Layer for CellSelector<M> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
-        self.encoder
-            .visit_params(&mut |n, p| f(&format!("encoder/{n}"), p));
-        self.wq.visit_params(&mut |n, p| f(&format!("wq/{n}"), p));
-        self.wk.visit_params(&mut |n, p| f(&format!("wk/{n}"), p));
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
+        self.encoder.visit_params(&mut visit_child("encoder", f));
+        self.wq.visit_params(&mut visit_child("wq", f));
+        self.wk.visit_params(&mut visit_child("wk", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&str, &mut [u64; 4])) {
-        ntr_nn::visit_rng_child(&mut self.encoder, "encoder", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+        self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
 

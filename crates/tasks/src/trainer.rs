@@ -1,6 +1,6 @@
 //! The one training loop's state: configuration and the resumable
-//! [`Trainer`], which owns the example stream and the scheduled optimizer
-//! (both private to this module — every driver iterates and steps through
+//! [`Trainer`], which owns the example stream and Adam with its LR schedule
+//! (all private to this module — every driver iterates and steps through
 //! [`run_supervised`](crate::supervisor::run_supervised)) and can
 //! checkpoint / resume a run **bit-identically** — training 2N steps
 //! straight and training N, crashing, and resuming for N more produce the
@@ -13,7 +13,6 @@ use ntr_nn::serialize::{
 };
 use ntr_nn::Layer;
 use ntr_obs::{Obs, ObsOptions};
-use ntr_tensor::Tensor;
 use std::path::{Path, PathBuf};
 
 /// Hyperparameters for a fine-tuning run.
@@ -40,79 +39,6 @@ impl Default for TrainConfig {
             warmup_frac: 0.1,
             seed: 0xF17E,
         }
-    }
-}
-
-/// Drives Adam with a warmup-linear schedule over a known number of steps.
-#[derive(Debug)]
-struct ScheduledOptimizer {
-    adam: Adam,
-    schedule: WarmupLinearSchedule,
-    /// Transient multiplier on the scheduled LR — the supervisor's retry
-    /// backoff. Not checkpointed: a restored run starts back at 1.0.
-    lr_scale: f32,
-}
-
-impl ScheduledOptimizer {
-    /// Builds the optimizer for `total_steps` steps under `cfg`.
-    fn new(cfg: &TrainConfig, total_steps: u64) -> Self {
-        let warmup = ((total_steps as f32) * cfg.warmup_frac) as u64;
-        Self {
-            adam: Adam::new(cfg.lr).with_weight_decay(0.01),
-            schedule: WarmupLinearSchedule {
-                peak_lr: cfg.lr,
-                warmup: warmup.max(1),
-                total: total_steps.max(1),
-            },
-            lr_scale: 1.0,
-        }
-    }
-
-    /// Rebuilds an optimizer from checkpointed parts (resume path): the
-    /// saved schedule is authoritative, not one recomputed from config.
-    fn from_parts(adam: Adam, schedule: WarmupLinearSchedule) -> Self {
-        Self {
-            adam,
-            schedule,
-            lr_scale: 1.0,
-        }
-    }
-
-    /// Sets the transient LR multiplier (1.0 = scheduled LR unchanged).
-    fn set_lr_scale(&mut self, scale: f32) {
-        self.lr_scale = scale;
-    }
-
-    /// Applies one optimizer step to `model`'s accumulated gradients and
-    /// zeroes them.
-    fn step(&mut self, model: &mut dyn Layer) {
-        let t = self.adam.steps();
-        let lr = self.schedule.lr_at(t);
-        // Skip the multiply at scale 1.0 so the default path sets the
-        // schedule's LR bit-for-bit.
-        self.adam.set_lr(if self.lr_scale == 1.0 {
-            lr
-        } else {
-            lr * self.lr_scale
-        });
-        let mut guard = self.adam.begin_step();
-        model.visit_params(&mut |_, p| guard.update(p));
-        model.zero_grad();
-    }
-
-    /// Completed steps.
-    fn steps(&self) -> u64 {
-        self.adam.steps()
-    }
-
-    /// The underlying Adam state (for checkpoint capture).
-    fn adam(&self) -> &Adam {
-        &self.adam
-    }
-
-    /// The learning-rate schedule (for checkpoint capture).
-    fn schedule(&self) -> &WarmupLinearSchedule {
-        &self.schedule
     }
 }
 
@@ -191,21 +117,17 @@ impl TrainerOptions {
     }
 }
 
-/// A training state held in memory for rollback: weights and Adam moments
-/// as flat buffers in [`Layer::visit_params`] order, which parameters have
-/// moments, the RNG streams, and the optimizer scalars, schedule and
-/// stream cursor. [`Trainer::capture_into`] fills it, [`Trainer::rollback`]
+/// A training state held in memory for rollback: the weights in
+/// [`Layer::visit_params`] order, a copy of the optimizer with its flat
+/// moments, the LR schedule, the RNG streams and the stream cursor.
+/// [`Trainer::capture_into`] refills it in place, [`Trainer::rollback`]
 /// restores it.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     values: Vec<f32>,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    has_moments: Vec<bool>,
+    adam: Adam,
+    schedule: WarmupLinearSchedule,
     rngs: Vec<[u64; 4]>,
-    /// Adam's lr, β₁, β₂, ε and weight decay, its step count, and the LR
-    /// schedule.
-    adam: (f32, [f32; 4], u64, WarmupLinearSchedule),
     cursor: TrainCursor,
 }
 
@@ -218,7 +140,11 @@ pub struct Snapshot {
 /// example, so resumed runs retrace the original stream.
 #[derive(Debug)]
 pub struct Trainer {
-    opt: ScheduledOptimizer,
+    adam: Adam,
+    schedule: WarmupLinearSchedule,
+    /// Transient multiplier on the scheduled LR — the supervisor's retry
+    /// backoff. Not checkpointed: a restored run starts back at 1.0.
+    lr_scale: f32,
     n_examples: usize,
     epochs: usize,
     batch_size: usize,
@@ -235,8 +161,15 @@ impl Trainer {
     /// A fresh run over `n_examples` examples under `cfg`.
     pub fn new(cfg: &TrainConfig, n_examples: usize) -> Self {
         let total = (n_examples * cfg.epochs).div_ceil(cfg.batch_size.max(1)) as u64;
+        let warmup = ((total as f32) * cfg.warmup_frac) as u64;
         Self {
-            opt: ScheduledOptimizer::new(cfg, total),
+            adam: Adam::new(cfg.lr).with_weight_decay(0.01),
+            schedule: WarmupLinearSchedule {
+                peak_lr: cfg.lr,
+                warmup: warmup.max(1),
+                total: total.max(1),
+            },
+            lr_scale: 1.0,
             n_examples,
             epochs: cfg.epochs,
             batch_size: cfg.batch_size.max(1),
@@ -275,7 +208,8 @@ impl Trainer {
             )));
         }
         let mut t = Self::new(cfg, n_examples);
-        t.resume_at(adam, schedule, cursor);
+        (t.adam, t.schedule) = (adam, schedule);
+        t.seek(cursor);
         Ok(t)
     }
 
@@ -305,33 +239,19 @@ impl Trainer {
     /// Sets the transient multiplier on the scheduled LR — the supervisor's
     /// retry backoff (1.0 = scheduled LR unchanged).
     pub fn set_lr_scale(&mut self, scale: f32) {
-        self.opt.set_lr_scale(scale);
+        self.lr_scale = scale;
     }
 
     /// Captures what [`Trainer::save_state`] would write into `snap`, with
     /// no disk and no names: its buffers grow on the first capture and are
     /// refilled in place after that (the supervisor's per-step capture).
     pub fn capture_into(&self, model: &mut dyn Layer, snap: &mut Snapshot) {
-        let adam = self.opt.adam();
-        for buf in [&mut snap.values, &mut snap.m, &mut snap.v] {
-            buf.clear();
-        }
-        snap.has_moments.clear();
+        snap.values.clear();
         snap.rngs.clear();
-        model.visit_params(&mut |_, p| {
-            snap.values.extend_from_slice(p.value.data());
-            let moments = adam.moments_of(p.id());
-            snap.has_moments.push(moments.is_some());
-            if let Some((m, v)) = moments {
-                snap.m.extend_from_slice(m.data());
-                snap.v.extend_from_slice(v.data());
-            }
-            snap.m.resize(snap.values.len(), 0.0);
-            snap.v.resize(snap.values.len(), 0.0);
-        });
+        model.visit_params(&mut |_, p| snap.values.extend_from_slice(p.value.data()));
         model.visit_rng_state(&mut |_, s| snap.rngs.push(*s));
-        let hyper = [adam.beta1(), adam.beta2(), adam.eps(), adam.weight_decay()];
-        snap.adam = (adam.lr(), hyper, adam.steps(), *self.opt.schedule());
+        snap.adam.clone_from(&self.adam);
+        snap.schedule = self.schedule;
         snap.cursor = self.cursor();
     }
 
@@ -343,27 +263,17 @@ impl Trainer {
     /// # Panics
     /// Panics if `snap` was not captured from this model.
     pub fn rollback(&mut self, model: &mut dyn Layer, snap: &Snapshot) {
-        let (lr, [beta1, beta2, eps, wd], steps, schedule) = snap.adam;
-        let mut adam = Adam::new(lr)
-            .with_weight_decay(wd)
-            .with_betas(beta1, beta2, eps);
-        adam.set_steps(steps);
-        let (mut i, mut off) = (0, 0);
+        let mut values = snap.values.as_slice();
         model.visit_params(&mut |_, p| {
-            let span = off..off + p.value.numel();
-            p.value
-                .data_mut()
-                .copy_from_slice(&snap.values[span.clone()]);
-            if snap.has_moments[i] {
-                let moment =
-                    |buf: &[f32]| Tensor::from_vec(buf[span.clone()].to_vec(), p.value.shape());
-                adam.set_moments(p.id(), moment(&snap.m), moment(&snap.v));
-            }
-            (i, off) = (i + 1, span.end);
+            let (head, rest) = values.split_at(p.value.numel());
+            p.value.data_mut().copy_from_slice(head);
+            values = rest;
         });
         let mut rngs = snap.rngs.iter();
         model.visit_rng_state(&mut |_, s| *s = *rngs.next().expect("one state per stream"));
-        self.resume_at(adam, schedule, snap.cursor);
+        self.adam.clone_from(&snap.adam);
+        self.schedule = snap.schedule;
+        self.seek(snap.cursor);
     }
 
     /// Restores model weights, optimizer moments, RNG streams, and the
@@ -389,13 +299,15 @@ impl Trainer {
                 cursor.seed, self.seed
             )));
         }
-        self.resume_at(adam, schedule, cursor);
+        (self.adam, self.schedule) = (adam, schedule);
+        self.seek(cursor);
         Ok(())
     }
 
-    /// Puts the optimizer and the stream cursor back at a saved point.
-    fn resume_at(&mut self, adam: Adam, schedule: WarmupLinearSchedule, cursor: TrainCursor) {
-        self.opt = ScheduledOptimizer::from_parts(adam, schedule);
+    /// Puts the stream cursor back at a saved point and resets the LR
+    /// backoff multiplier.
+    fn seek(&mut self, cursor: TrainCursor) {
+        self.lr_scale = 1.0;
         self.epoch = cursor.epoch as usize;
         self.pos = cursor.example as usize;
         self.order = if self.epoch < self.epochs {
@@ -407,14 +319,14 @@ impl Trainer {
 
     /// Completed optimizer steps.
     pub fn steps(&self) -> u64 {
-        self.opt.steps()
+        self.adam.steps()
     }
 
     /// The next batch of examples, or `None` when the stream is exhausted
     /// (or a halt point was reached).
     pub fn next_batch(&mut self) -> Option<Vec<BatchItem>> {
         if let Some(h) = self.halt_after {
-            if self.opt.steps() >= h {
+            if self.adam.steps() >= h {
                 return None;
             }
         }
@@ -442,16 +354,25 @@ impl Trainer {
         }
     }
 
-    /// Applies one optimizer step to `model`'s accumulated gradients, then
-    /// writes a checkpoint if one is due. Only fails if a due checkpoint
-    /// cannot be written.
+    /// Applies one optimizer step at the scheduled LR to `model`'s
+    /// accumulated gradients and zeroes them, then writes a checkpoint if
+    /// one is due. Only fails if a due checkpoint cannot be written.
     pub fn step(&mut self, model: &mut dyn Layer) -> Result<(), CheckpointError> {
-        self.opt.step(model);
-        if let Some((path, every)) = self.checkpoint.clone() {
-            if self.opt.steps().is_multiple_of(every) {
-                let stats = self.save_state(model, &path)?;
+        let lr = self.schedule.lr_at(self.adam.steps());
+        // Skip the multiply at scale 1.0 so the default path sets the
+        // schedule's LR bit-for-bit.
+        self.adam.set_lr(if self.lr_scale == 1.0 {
+            lr
+        } else {
+            lr * self.lr_scale
+        });
+        self.adam.step(model);
+        model.zero_grad();
+        if let Some((path, every)) = &self.checkpoint {
+            if self.adam.steps().is_multiple_of(*every) {
+                let stats = self.save_state(model, path)?;
                 if let Some(e) = self.obs.event("ckpt_save") {
-                    e.u64("step", self.opt.steps())
+                    e.u64("step", self.adam.steps())
                         .u64("bytes", stats.bytes)
                         .u64("fsync_ms", stats.fsync_ms)
                         .finish();
@@ -480,12 +401,7 @@ impl Trainer {
         model: &mut dyn Layer,
         path: &Path,
     ) -> Result<SaveStats, CheckpointError> {
-        let ckpt = TrainCheckpoint::capture_train(
-            model,
-            self.opt.adam(),
-            self.opt.schedule(),
-            self.cursor(),
-        );
+        let ckpt = TrainCheckpoint::capture_train(model, &self.adam, &self.schedule, self.cursor());
         save_checkpoint_stats(&ckpt, path)
     }
 }
@@ -498,17 +414,16 @@ mod tests {
     use ntr_tensor::Tensor;
 
     #[test]
-    fn scheduled_optimizer_steps_and_zeroes() {
-        let cfg = TrainConfig::default();
-        let mut opt = ScheduledOptimizer::new(&cfg, 10);
+    fn a_step_updates_and_zeroes() {
+        let mut t = Trainer::new(&TrainConfig::default(), 10);
         let mut lin = Linear::new(2, 2, &mut SeededInit::new(1));
         let before = lin.w.value.clone();
         let _ = lin.forward(&Tensor::ones(&[1, 2]));
         let _ = lin.backward(&Tensor::ones(&[1, 2]));
-        opt.step(&mut lin);
+        t.step(&mut lin).unwrap();
         assert_ne!(lin.w.value, before);
         assert!(lin.w.grad.data().iter().all(|&g| g == 0.0));
-        assert_eq!(opt.steps(), 1);
+        assert_eq!(t.steps(), 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Allocation guard for the supervisor's rollback snapshot. A counting
-//! global allocator, local to this test binary, measures what
-//! `Trainer::capture_into` allocates when it refills a snapshot after a
-//! run's first step: nothing beyond what the model's own parameter visitor
-//! allocates for its path names, and nothing at all on a model whose
-//! visitor builds none.
+//! Allocation guard for the training step's state. A counting global
+//! allocator, local to this test binary, measures what a warm
+//! `Trainer::capture_into` (the supervisor's rollback snapshot), a bare
+//! parameter and RNG visit, and a warm `Trainer::step` allocate after a
+//! run's first step: nothing. Visitor paths are formatted only when
+//! displayed, and Adam's moments live in buffers made on the first step.
 //!
 //! Only this binary installs the hook; no library crate declares a global
 //! allocator, so no other program pays for the counting.
@@ -13,6 +13,7 @@ use ntr_nn::init::SeededInit;
 use ntr_nn::{Layer, Linear};
 use ntr_tasks::trainer::{Snapshot, Trainer};
 use ntr_tasks::TrainConfig;
+use ntr_tensor::par;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,38 +65,38 @@ fn measure(f: impl FnOnce()) -> u64 {
     BYTES.with(|c| c.replace(None)).expect("counting was on")
 }
 
-/// Captures `model`'s state at the start of a run, takes the run's first
-/// optimizer step (which gives every parameter Adam moments) and returns
-/// the bytes of the refill after it, with the bytes of a bare visit of the
-/// parameters and RNG streams.
-fn refill_bytes(model: &mut dyn Layer) -> (u64, u64) {
+/// Takes a run's first optimizer step (which allocates Adam's moments) and
+/// captures a snapshot after it (which sizes the snapshot's copy of them),
+/// then returns the bytes of a warm snapshot refill, of a bare visit of the
+/// parameters and RNG streams, and of a warm step (Adam and `zero_grad`)
+/// on one thread.
+fn warm_bytes(model: &mut dyn Layer) -> [u64; 3] {
     let mut trainer = Trainer::new(&TrainConfig::default(), 8);
     let mut snap = Snapshot::default();
-    trainer.capture_into(model, &mut snap);
     trainer.step(model).expect("no checkpoint is configured");
+    trainer.capture_into(model, &mut snap);
     let refill = measure(|| trainer.capture_into(model, &mut snap));
     let visit = measure(|| {
         model.visit_params(&mut |_, _| {});
         model.visit_rng_state(&mut |_, _| {});
     });
-    (refill, visit)
+    let step = par::with_threads(1, || {
+        measure(|| trainer.step(model).expect("no checkpoint is configured"))
+    });
+    [refill, visit, step]
 }
 
 #[test]
-fn a_snapshot_refill_allocates_nothing_of_its_own() {
+fn a_warm_refill_visit_and_step_allocate_nothing() {
     let mut linear = Linear::new(16, 8, &mut SeededInit::new(1));
-    assert_eq!(
-        refill_bytes(&mut linear),
-        (0, 0),
-        "Linear names its params without allocating"
-    );
+    assert_eq!(warm_bytes(&mut linear), [0, 0, 0], "Linear");
 
-    // The `train_mlm` model: its visitor formats each parameter's path, and
-    // the refill adds no byte to that.
+    // The `train_mlm` model: its visitor names nested paths, and neither
+    // the names nor Adam's moments cost an allocation once warm.
     let mut tapas = Tapas::new(&ModelConfig::default());
-    let (refill, visit) = refill_bytes(&mut tapas);
     assert_eq!(
-        refill, visit,
-        "a refill of Tapas allocates beyond its visitor's names"
+        warm_bytes(&mut tapas),
+        [0, 0, 0],
+        "Tapas: refill, visit, step"
     );
 }
