@@ -416,6 +416,40 @@ mod tests {
         assert!(last < first.unwrap() * 0.8, "{first:?} → {last}");
     }
 
+    /// One training `encode_table` and its backward, at dropout 0.1: the
+    /// gradient bits in visit order, then the output cells' bits.
+    fn train_pass_bits(m: &mut TaBert, t: &Table, tok: &WordPieceTokenizer) -> Vec<u8> {
+        let d_cells = SeededInit::new(41).uniform(&[6, 16], -1.0, 1.0);
+        let d_columns = SeededInit::new(42).uniform(&[3, 16], -1.0, 1.0);
+        let out = m.encode_table(t, &t.caption, tok, true);
+        m.backward(&d_cells, Some(&d_columns));
+        let mut bytes = Vec::new();
+        m.visit_params(&mut |_, p| {
+            bytes.extend(p.grad.data().iter().flat_map(|g| g.to_bits().to_le_bytes()))
+        });
+        bytes.extend(
+            out.cells
+                .data()
+                .iter()
+                .flat_map(|g| g.to_bits().to_le_bytes()),
+        );
+        bytes
+    }
+
+    /// Pins the shared-weight training pass bit for bit: every row and
+    /// column pass draws its dropout masks from the same starting streams,
+    /// and each pass's gradients fold into the model's in pass order.
+    #[test]
+    fn training_pass_is_pinned() {
+        let mut m = TaBert::new(&ModelConfig {
+            dropout: 0.1,
+            ..ModelConfig::tiny(300)
+        });
+        let t = sample_table();
+        let bits = ntr_tensor::simd::force_scalar(|| train_pass_bits(&mut m, &t, &tokenizer()));
+        assert_eq!(ntr_tensor::io::crc32(&bits), 2_528_125_801);
+    }
+
     #[test]
     #[should_panic(expected = "without a cached encode_table")]
     fn backward_requires_forward() {
