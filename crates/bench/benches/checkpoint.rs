@@ -6,19 +6,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ntr_models::{ModelConfig, Tapas};
 use ntr_nn::optim::{Adam, WarmupLinearSchedule};
 use ntr_nn::serialize::{parse_checkpoint, write_checkpoint_to, TrainCheckpoint, TrainCursor};
-use ntr_nn::Layer;
+use ntr_nn::Grads;
 use std::hint::black_box;
 
 fn train_checkpoint() -> TrainCheckpoint {
     let mut model = Tapas::new(&ModelConfig::tiny(800));
     let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
     // One real optimizer step so the moments are materialized.
-    model.visit_params(&mut |_, p| {
-        let g = ntr_tensor::Tensor::ones(p.value.shape());
-        p.grad = g;
-    });
-    adam.step(&mut model);
-    model.zero_grad();
+    let mut grads = Grads::new(&mut model);
+    grads.params_mut().for_each(|g| g.fill(1.0));
+    adam.step(&mut model, &grads);
     let schedule = WarmupLinearSchedule {
         peak_lr: 1e-3,
         warmup: 10,

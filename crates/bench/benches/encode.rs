@@ -34,16 +34,16 @@ fn bench_encode(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("encode");
     for kind in ModelKind::ALL {
-        let mut model = build_encoder(EncoderSpec::f32(kind), &cfg).expect("f32 spec");
+        let model = build_encoder(EncoderSpec::f32(kind), &cfg).expect("f32 spec");
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &input,
             |b, inp| b.iter(|| black_box(model.encode(inp, false))),
         );
     }
-    let mut tabert = TaBert::new(&cfg);
+    let tabert = TaBert::new(&cfg);
     group.bench_function("tabert", |b| {
-        b.iter(|| black_box(tabert.encode_table(table, &table.caption, &tok, false)))
+        b.iter(|| black_box(tabert.encode_table(table, &table.caption, &tok)))
     });
     group.finish();
 }

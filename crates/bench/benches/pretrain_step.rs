@@ -6,23 +6,25 @@ use ntr::corpus::tables::{CorpusConfig, TableCorpus};
 use ntr::corpus::{World, WorldConfig};
 use ntr::models::{EncoderInput, Mate, ModelConfig, Rows, Tapas, Turl, VanillaBert};
 use ntr::nn::loss::softmax_cross_entropy;
+use ntr::nn::Cx;
 use ntr::table::masking::{mask_mlm, MlmConfig};
 use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr::tasks::pretrain::MlmModel;
 use std::hint::black_box;
 
 fn step<M: MlmModel>(
-    model: &mut M,
+    model: &M,
+    cx: &mut Cx,
     input: &EncoderInput,
     rows: &[usize],
     targets: &[usize],
 ) -> f32 {
-    let states = model.encode_train(input, Rows::Only(rows));
-    let logits = model.mlm_head().forward(&states);
+    let (states, tape) = model.encode_train(input, Rows::Only(rows), cx);
+    let (logits, head) = model.mlm_head().forward_train(&states);
     let (loss, dlogits) = softmax_cross_entropy(&logits, targets, None);
-    let dstates = model.mlm_head().backward(&dlogits);
-    model.backward(&dstates);
-    model.zero_grad();
+    let dstates = model.mlm_head().backward(head, &dlogits, cx);
+    model.backward(tape, &dstates, cx);
+    cx.grads.zero();
     loss
 }
 
@@ -55,19 +57,23 @@ fn bench_step(c: &mut Criterion) {
     group.sample_size(20);
     let mut bert = VanillaBert::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("bert"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut bert, &input, &rows, &targets)))
+        let mut cx = Cx::new(&mut bert);
+        b.iter(|| black_box(step(&bert, &mut cx, &input, &rows, &targets)))
     });
     let mut tapas = Tapas::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("tapas"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut tapas, &input, &rows, &targets)))
+        let mut cx = Cx::new(&mut tapas);
+        b.iter(|| black_box(step(&tapas, &mut cx, &input, &rows, &targets)))
     });
     let mut turl = Turl::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("turl"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut turl, &input, &rows, &targets)))
+        let mut cx = Cx::new(&mut turl);
+        b.iter(|| black_box(step(&turl, &mut cx, &input, &rows, &targets)))
     });
     let mut mate = Mate::new(&cfg);
     group.bench_with_input(BenchmarkId::from_parameter("mate"), &(), |b, _| {
-        b.iter(|| black_box(step(&mut mate, &input, &rows, &targets)))
+        let mut cx = Cx::new(&mut mate);
+        b.iter(|| black_box(step(&mate, &mut cx, &input, &rows, &targets)))
     });
     group.finish();
 }

@@ -157,7 +157,7 @@ fn bench_layernorm(c: &mut Criterion) {
     let mut group = c.benchmark_group("layernorm");
     let mut init = SeededInit::new(3);
     let x = init.uniform(&[256, 64], -2.0, 2.0);
-    let mut ln = ntr::nn::LayerNorm::new(64);
+    let ln = ntr::nn::LayerNorm::new(64);
     for &t in &THREADS {
         for simd_on in simd_arms() {
             run_arm(

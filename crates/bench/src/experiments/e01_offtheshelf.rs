@@ -63,7 +63,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
     // TaBERT has a table-native interface.
     let mut tabert = TaBert::new(&cfg);
     let start = Instant::now();
-    let out = tabert.encode_table(table, &table.caption, &setup.tok, false);
+    let out = tabert.encode_table(table, &table.caption, &setup.tok);
     let ms = start.elapsed().as_secs_f64() * 1e3;
     report.row(&[
         "tabert".to_string(),

@@ -53,7 +53,7 @@ pub fn run(setup: &Setup) -> Vec<Report> {
             held_out.push((table.clone(), q, a));
         }
     }
-    let exec_acc = eval_tapex_execution(&mut executor, &held_out, &tok, MAX_TOKENS);
+    let exec_acc = eval_tapex_execution(&executor, &held_out, &tok, MAX_TOKENS);
 
     let mut exec_report = Report::new(
         "E10a — TAPEX as a neural SQL executor",

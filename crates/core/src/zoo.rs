@@ -214,7 +214,7 @@ mod tests {
         let cfg = ModelConfig::tiny(64);
         let input = sample_input();
         for kind in ModelKind::ALL {
-            let mut m = build_encoder(EncoderSpec::f32(kind), &cfg).unwrap();
+            let m = build_encoder(EncoderSpec::f32(kind), &cfg).unwrap();
             let states = m.encode(&input, false);
             assert_eq!(states.shape(), &[6, 16], "{}", kind.name());
             assert_eq!(m.family(), kind.name());
@@ -251,7 +251,7 @@ mod tests {
             let spec = EncoderSpec::int8(kind);
             match kind {
                 ModelKind::RowStudent => {
-                    let mut m = build_encoder(spec, &cfg).unwrap();
+                    let m = build_encoder(spec, &cfg).unwrap();
                     assert_eq!(m.encode(&sample_input(), false).shape(), &[6, 16]);
                 }
                 _ => match build_encoder(spec, &cfg) {

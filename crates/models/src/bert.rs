@@ -9,9 +9,9 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
 use crate::input::EncoderInput;
-use crate::SequenceEncoder;
+use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// BERT-style text encoder with an MLM head.
@@ -66,14 +66,12 @@ impl SequenceEncoder for VanillaBert {
             .infer(&self.embeddings.infer(input), None, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
-        let x = self.embeddings.forward(input, true);
-        self.encoder.forward_train(&x, None, rows)
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
+        crate::encode_train((&self.embeddings, &self.encoder), input, None, rows, cx)
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        let dx = self.encoder.backward(d_states);
-        self.embeddings.backward(&dx);
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
     }
 
     fn family(&self) -> &'static str {
@@ -89,7 +87,7 @@ impl Layer for VanillaBert {
         self.mlm.visit_params(&mut visit_child("mlm", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
@@ -105,8 +103,8 @@ mod tests {
     #[test]
     fn encode_shape_and_determinism() {
         let cfg = ModelConfig::tiny(300);
-        let mut a = VanillaBert::new(&cfg);
-        let mut b = VanillaBert::new(&cfg);
+        let a = VanillaBert::new(&cfg);
+        let b = VanillaBert::new(&cfg);
         let inp = input_sample();
         let x = a.encode(&inp, false);
         assert_eq!(x.shape(), &[inp.len(), cfg.d_model]);
@@ -117,7 +115,7 @@ mod tests {
     fn row_ids_do_not_affect_bert() {
         // The baseline is structure-blind by construction.
         let cfg = ModelConfig::tiny(300);
-        let mut m = VanillaBert::new(&cfg);
+        let m = VanillaBert::new(&cfg);
         let inp = input_sample();
         let mut moved = inp.clone();
         for r in &mut moved.rows {
@@ -141,17 +139,18 @@ mod tests {
         );
         let inp = EncoderInput::from_masked(&e, &masked);
         let (rows, targets) = masked.positions();
+        let mut cx = Cx::new(&mut m);
         let mut adam = ntr_nn::optim::Adam::new(5e-3);
         let mut losses = Vec::new();
         for _ in 0..12 {
-            let states = m.encode_train(&inp, Rows::Only(&rows));
-            let logits = m.mlm.forward(&states);
+            let (states, tape) = m.encode_train(&inp, Rows::Only(&rows), &mut cx);
+            let (logits, head) = m.mlm.forward_train(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
             losses.push(loss);
-            let dstates = m.mlm.backward(&dlogits);
-            SequenceEncoder::backward(&mut m, &dstates);
-            adam.step(&mut m);
-            m.zero_grad();
+            let dstates = m.mlm.backward(head, &dlogits, &mut cx);
+            m.backward(tape, &dstates, &mut cx);
+            adam.step(&mut m, &cx.grads);
+            cx.grads.zero();
         }
         assert!(
             losses.last().unwrap() < &(losses[0] * 0.7),

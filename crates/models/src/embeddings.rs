@@ -9,7 +9,8 @@
 use crate::config::ModelConfig;
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Dropout, Embedding, Layer, LayerNorm, Name, Param};
+use ntr_nn::layernorm::LayerNormTape;
+use ntr_nn::{visit_child, Cx, Dropout, Embedding, Layer, LayerNorm, Name, Param, Rows};
 use ntr_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -103,35 +104,37 @@ impl TableEmbeddings {
         self.word.dim()
     }
 
-    /// Embeds an input: sum of enabled tables → LayerNorm → dropout. With
-    /// `train = false` this is [`TableEmbeddings::infer`].
+    /// Inference embedding: [`TableEmbeddings::infer`].
+    ///
+    /// # Panics
+    /// Panics if `train` is set: training runs through
+    /// [`TableEmbeddings::forward_train`].
+    pub fn forward(&self, input: &EncoderInput, train: bool) -> Tensor {
+        assert!(
+            !train,
+            "TableEmbeddings::forward is inference; train through forward_train"
+        );
+        self.infer(input)
+    }
+
+    /// Embeds an input for inference: the sum of the enabled tables, then
+    /// LayerNorm, with no dropout.
     ///
     /// Sequence positions, row ids and column ids beyond the configured
     /// maxima are clamped to the last bucket rather than panicking, so
     /// oversized tables degrade gracefully.
-    pub fn forward(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input);
-        }
-        let ids = self.ids(input);
-        let x = sum_lookups(self.tables_mut(), ids, |e, ids| e.forward(ids));
-        self.dropout.forward(&self.ln.forward(&x), true)
+    pub fn infer(&self, input: &EncoderInput) -> Tensor {
+        self.ln.forward(&self.sum(&self.ids(input)))
     }
 
-    /// The inference embedding: the same sum and LayerNorm as
-    /// [`TableEmbeddings::forward`], with no caches and no dropout.
-    pub fn infer(&self, input: &EncoderInput) -> Tensor {
-        let tables = [
-            Some(&self.word),
-            Some(&self.position),
-            self.segment.as_ref(),
-            self.row.as_ref(),
-            self.col.as_ref(),
-            self.kind.as_ref(),
-            self.rank.as_ref(),
-        ];
-        let x = sum_lookups(tables, self.ids(input), |e, ids| e.lookup(ids));
-        self.ln.forward_inference(&x)
+    /// [`TableEmbeddings::infer`] followed by dropout, and the tape
+    /// [`TableEmbeddings::backward`] needs.
+    pub fn forward_train(&self, input: &EncoderInput, cx: &mut Cx) -> (Tensor, EmbeddingsTape) {
+        let ids = self.ids(input);
+        let (x, ln) = self.ln.forward_train(&self.sum(&ids));
+        let (y, dropout) = self.dropout.forward_train(&x, x.dim(0), Rows::All, cx);
+        let ids = ids.map(Cow::into_owned);
+        (y, EmbeddingsTape { ids, ln, dropout })
     }
 
     /// The ids each table looks up, clamped to its size, in summation order:
@@ -149,41 +152,56 @@ impl TableEmbeddings {
         ]
     }
 
-    fn tables_mut(&mut self) -> [Option<&mut Embedding>; 7] {
+    /// The tables in summation order, `None` where disabled.
+    fn tables(&self) -> [Option<&Embedding>; 7] {
         [
-            Some(&mut self.word),
-            Some(&mut self.position),
-            self.segment.as_mut(),
-            self.row.as_mut(),
-            self.col.as_mut(),
-            self.kind.as_mut(),
-            self.rank.as_mut(),
+            Some(&self.word),
+            Some(&self.position),
+            self.segment.as_ref(),
+            self.row.as_ref(),
+            self.col.as_ref(),
+            self.kind.as_ref(),
+            self.rank.as_ref(),
         ]
+    }
+
+    /// Sums the lookups of every enabled table, in order.
+    fn sum(&self, ids: &[Cow<'_, [usize]>; 7]) -> Tensor {
+        let mut sum: Option<Tensor> = None;
+        for (table, ids) in self.tables().into_iter().zip(ids) {
+            if let Some(table) = table {
+                let x = table.lookup(ids);
+                match &mut sum {
+                    None => sum = Some(x),
+                    Some(sum) => sum.add_assign(&x),
+                }
+            }
+        }
+        sum.expect("the word table is always enabled")
     }
 
     /// Backpropagates into every enabled table. Embeddings are sources, so
     /// nothing is returned.
-    pub fn backward(&mut self, dy: &Tensor) {
-        let dx = self.ln.backward(&self.dropout.backward(dy));
+    pub fn backward(&self, tape: EmbeddingsTape, dy: &Tensor, cx: &mut Cx) {
+        let dx = self
+            .ln
+            .backward(tape.ln, &Dropout::backward(tape.dropout, dy), cx);
         // The sum distributes the same gradient to every table.
-        self.word.backward(&dx);
-        self.position.backward(&dx);
-        if let Some(seg) = &mut self.segment {
-            seg.backward(&dx);
-        }
-        if let Some(row) = &mut self.row {
-            row.backward(&dx);
-        }
-        if let Some(col) = &mut self.col {
-            col.backward(&dx);
-        }
-        if let Some(kind) = &mut self.kind {
-            kind.backward(&dx);
-        }
-        if let Some(rank) = &mut self.rank {
-            rank.backward(&dx);
+        for (table, ids) in self.tables().into_iter().zip(&tape.ids) {
+            if let Some(table) = table {
+                table.backward(ids, &dx, cx);
+            }
         }
     }
+}
+
+/// What [`TableEmbeddings::backward`] needs: each table's ids, the
+/// LayerNorm's tape and the dropout mask.
+#[derive(Debug)]
+pub struct EmbeddingsTape {
+    ids: [Vec<usize>; 7],
+    ln: LayerNormTape,
+    dropout: Option<Tensor>,
 }
 
 impl Layer for TableEmbeddings {
@@ -208,29 +226,9 @@ impl Layer for TableEmbeddings {
         self.ln.visit_params(&mut visit_child("ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
-        self.dropout.visit_rng("dropout", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
+        f(&Name::new("dropout"), &mut self.dropout);
     }
-}
-
-/// Sums the lookups of every enabled table, in order; `lookup` is the
-/// caching `forward` for training or the read-only `lookup` for inference.
-fn sum_lookups<E>(
-    tables: [Option<E>; 7],
-    ids: [Cow<'_, [usize]>; 7],
-    mut lookup: impl FnMut(E, &[usize]) -> Tensor,
-) -> Tensor {
-    let mut sum: Option<Tensor> = None;
-    for (table, ids) in tables.into_iter().zip(ids) {
-        if let Some(table) = table {
-            let x = lookup(table, &ids);
-            match &mut sum {
-                None => sum = Some(x),
-                Some(sum) => sum.add_assign(&x),
-            }
-        }
-    }
-    sum.expect("the word table is always enabled")
 }
 
 #[cfg(test)]
@@ -254,12 +252,12 @@ mod tests {
 
     #[test]
     fn forward_shape_and_determinism() {
-        let mut a = TableEmbeddings::new(
+        let a = TableEmbeddings::new(
             &cfg(),
             EmbeddingFlags::structural(),
             &mut SeededInit::new(1),
         );
-        let mut b = TableEmbeddings::new(
+        let b = TableEmbeddings::new(
             &cfg(),
             EmbeddingFlags::structural(),
             &mut SeededInit::new(1),
@@ -272,7 +270,7 @@ mod tests {
 
     #[test]
     fn structural_ids_change_the_embedding() {
-        let mut e = TableEmbeddings::new(
+        let e = TableEmbeddings::new(
             &cfg(),
             EmbeddingFlags::structural(),
             &mut SeededInit::new(2),
@@ -288,8 +286,7 @@ mod tests {
 
     #[test]
     fn text_only_ignores_rows_and_cols() {
-        let mut e =
-            TableEmbeddings::new(&cfg(), EmbeddingFlags::text_only(), &mut SeededInit::new(3));
+        let e = TableEmbeddings::new(&cfg(), EmbeddingFlags::text_only(), &mut SeededInit::new(3));
         let base = input(6);
         let mut moved = base.clone();
         moved.rows[2] = 0;
@@ -299,7 +296,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_clamp_not_panic() {
-        let mut e = TableEmbeddings::new(
+        let e = TableEmbeddings::new(
             &cfg(),
             EmbeddingFlags::structural(),
             &mut SeededInit::new(4),
@@ -319,16 +316,10 @@ mod tests {
             EmbeddingFlags::structural(),
             &mut SeededInit::new(5),
         );
-        let inp = input(8);
-        let _ = e.forward(&inp, true);
-        e.backward(&Tensor::ones(&[8, 16]));
-        let mut any = 0.0;
-        e.visit_params(&mut |name, p| {
-            if name.to_string().starts_with("word/") {
-                any += p.grad.data().iter().map(|g| g.abs()).sum::<f32>();
-            }
-        });
-        assert!(any > 0.0);
+        let mut cx = Cx::new(&mut e);
+        let (_, tape) = e.forward_train(&input(8), &mut cx);
+        e.backward(tape, &Tensor::ones(&[8, 16]), &mut cx);
+        assert!(cx.grads.of(&e.word.weight).iter().any(|&g| g != 0.0));
     }
 
     #[test]

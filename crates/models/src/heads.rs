@@ -2,7 +2,8 @@
 //! mostly by the addition of classification layers" (§2.3).
 
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Gelu, Layer, LayerNorm, Linear, Name, Param, Tanh};
+use ntr_nn::layernorm::LayerNormTape;
+use ntr_nn::{visit_child, Cx, Gelu, Layer, LayerNorm, Linear, Name, Param, Tanh};
 use ntr_tensor::Tensor;
 use std::ops::Range;
 
@@ -12,9 +13,17 @@ use std::ops::Range;
 #[derive(Debug, Clone)]
 pub struct MlmHead {
     transform: Linear,
-    act: Gelu,
     ln: LayerNorm,
     decoder: Linear,
+}
+
+/// What [`MlmHead::backward`] needs of a training forward.
+#[derive(Debug)]
+pub struct MlmHeadTape {
+    states: Tensor,
+    h: Tensor,
+    ln: LayerNormTape,
+    normed: Tensor,
 }
 
 impl MlmHead {
@@ -22,7 +31,6 @@ impl MlmHead {
     pub fn new(d_model: usize, vocab: usize, init: &mut SeededInit) -> Self {
         Self {
             transform: Linear::new(d_model, d_model, &mut init.fork()),
-            act: Gelu::default(),
             ln: LayerNorm::new(d_model),
             decoder: Linear::new(d_model, vocab, &mut init.fork()),
         }
@@ -33,30 +41,39 @@ impl MlmHead {
         self.decoder.d_out()
     }
 
-    /// `[m, d] → [m, vocab]` logits, each row from its own state. An MLM
-    /// step hands it the loss rows' states alone
-    /// ([`SequenceEncoder::encode_train`](crate::SequenceEncoder::encode_train)).
-    pub fn forward(&mut self, states: &Tensor) -> Tensor {
-        let h = self.act.forward(&self.transform.forward(states));
-        self.decoder.forward(&self.ln.forward(&h))
+    /// `[m, d] → [m, vocab]` logits for inference, each row from its own
+    /// state: an evaluation hands it the states of the rows it scores alone
+    /// ([`SequenceEncoder::infer`](crate::SequenceEncoder::infer)).
+    pub fn forward(&self, states: &Tensor) -> Tensor {
+        let h = self.transform.forward(states);
+        self.decoder.forward(&self.ln.forward(&Gelu.forward(&h)))
     }
 
-    /// [`MlmHead::forward`] for inference, recording nothing: an
-    /// evaluation hands it the states of the rows it scores alone
-    /// ([`SequenceEncoder::infer`](crate::SequenceEncoder::infer)).
-    pub fn infer(&self, states: &Tensor) -> Tensor {
-        let h = self.transform.forward_inference(states);
-        let h = self.ln.forward_inference(&self.act.forward_inference(&h));
-        self.decoder.forward_inference(&h)
+    /// [`MlmHead::forward`] and its tape. An MLM step hands it the loss
+    /// rows' states alone
+    /// ([`SequenceEncoder::encode_train`](crate::SequenceEncoder::encode_train)).
+    pub fn forward_train(&self, states: &Tensor) -> (Tensor, MlmHeadTape) {
+        let (h, states) = self.transform.forward_train(states);
+        let (g, h) = Gelu.forward_train(&h);
+        let (normed, ln) = self.ln.forward_train(&g);
+        let (logits, normed) = self.decoder.forward_train(&normed);
+        (
+            logits,
+            MlmHeadTape {
+                states,
+                h,
+                ln,
+                normed,
+            },
+        )
     }
 
     /// Backward; returns `d/d states`.
-    pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        self.transform.backward(
-            &self
-                .act
-                .backward(&self.ln.backward(&self.decoder.backward(dlogits))),
-        )
+    pub fn backward(&self, tape: MlmHeadTape, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
+        let dnormed = self.decoder.backward(&tape.normed, dlogits, cx);
+        let dg = self.ln.backward(tape.ln, &dnormed, cx);
+        let dh = Gelu.backward(tape.h, &dg);
+        self.transform.backward(&tape.states, &dh, cx)
     }
 
     /// Rows of the decoder weight, used as output-space embeddings (e.g.
@@ -88,8 +105,15 @@ impl Layer for MlmHead {
 #[derive(Debug, Clone)]
 pub struct ClassifierHead {
     pooler: Linear,
-    act: Tanh,
     out: Linear,
+}
+
+/// What [`ClassifierHead::backward`] needs of a training forward.
+#[derive(Debug)]
+pub struct ClassifierHeadTape {
+    pooled: Tensor,
+    y: Tensor,
+    h: Tensor,
 }
 
 impl ClassifierHead {
@@ -97,7 +121,6 @@ impl ClassifierHead {
     pub fn new(d_model: usize, n_classes: usize, init: &mut SeededInit) -> Self {
         Self {
             pooler: Linear::new(d_model, d_model, &mut init.fork()),
-            act: Tanh::default(),
             out: Linear::new(d_model, n_classes, &mut init.fork()),
         }
     }
@@ -107,16 +130,25 @@ impl ClassifierHead {
         self.out.d_out()
     }
 
-    /// `[1, d]` pooled state → `[1, n_classes]` logits.
-    pub fn forward(&mut self, pooled: &Tensor) -> Tensor {
+    /// `[1, d]` pooled state → `[1, n_classes]` logits, for inference.
+    pub fn forward(&self, pooled: &Tensor) -> Tensor {
         self.out
-            .forward(&self.act.forward(&self.pooler.forward(pooled)))
+            .forward(&Tanh.forward(&self.pooler.forward(pooled)))
+    }
+
+    /// [`ClassifierHead::forward`] and its tape.
+    pub fn forward_train(&self, pooled: &Tensor) -> (Tensor, ClassifierHeadTape) {
+        let (p, pooled) = self.pooler.forward_train(pooled);
+        let (h, y) = Tanh.forward_train(&p);
+        let (logits, h) = self.out.forward_train(&h);
+        (logits, ClassifierHeadTape { pooled, y, h })
     }
 
     /// Backward; returns `d/d pooled`.
-    pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        self.pooler
-            .backward(&self.act.backward(&self.out.backward(dlogits)))
+    pub fn backward(&self, tape: ClassifierHeadTape, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
+        let dh = self.out.backward(&tape.h, dlogits, cx);
+        let dp = Tanh.backward(tape.y, &dh);
+        self.pooler.backward(&tape.pooled, &dp, cx)
     }
 }
 
@@ -142,14 +174,15 @@ impl TokenScoreHead {
         }
     }
 
-    /// `[n, d] → [n, 1]` per-token logits.
-    pub fn forward(&mut self, states: &Tensor) -> Tensor {
+    /// `[n, d] → [n, 1]` per-token logits, for inference.
+    pub fn forward(&self, states: &Tensor) -> Tensor {
         self.score.forward(states)
     }
 
-    /// Backward; returns `d/d states`.
-    pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
-        self.score.backward(dlogits)
+    /// Backward from the training forward's input `states` (its tape, as
+    /// for [`Linear`]); returns `d/d states`.
+    pub fn backward(&self, states: &Tensor, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
+        self.score.backward(states, dlogits, cx)
     }
 }
 
@@ -197,14 +230,14 @@ mod tests {
     #[test]
     fn mlm_head_shapes_and_gradcheck() {
         let mut h = MlmHead::new(8, 20, &mut SeededInit::new(1));
+        let mut cx = Cx::new(&mut h);
         let x = SeededInit::new(2).uniform(&[3, 8], -1.0, 1.0);
-        let logits = h.forward(&x);
+        let (logits, tape) = h.forward_train(&x);
         assert_eq!(logits.shape(), &[3, 20]);
+        assert_eq!(logits, h.forward(&x));
         let dy = SeededInit::new(3).uniform(&[3, 20], -0.1, 0.1);
-        let dx = h.backward(&dy);
-        let mut probe = h.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward(x).mul(&dyc).sum());
+        let dx = h.backward(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| h.forward(x).mul(&dy).sum());
         assert_close(&dx, &num, 3e-2, "mlm head dx");
     }
 
@@ -221,19 +254,18 @@ mod tests {
     #[test]
     fn classifier_head_gradcheck() {
         let mut h = ClassifierHead::new(6, 3, &mut SeededInit::new(5));
+        let mut cx = Cx::new(&mut h);
         let x = SeededInit::new(6).uniform(&[1, 6], -1.0, 1.0);
-        let logits = h.forward(&x);
+        let (logits, tape) = h.forward_train(&x);
         assert_eq!(logits.shape(), &[1, 3]);
-        let dy = Tensor::ones(&[1, 3]);
-        let dx = h.backward(&dy);
-        let mut probe = h.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward(x).sum());
+        let dx = h.backward(tape, &Tensor::ones(&[1, 3]), &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| h.forward(x).sum());
         assert_close(&dx, &num, 3e-2, "cls head dx");
     }
 
     #[test]
     fn token_score_head_is_one_logit_per_token() {
-        let mut h = TokenScoreHead::new(4, &mut SeededInit::new(7));
+        let h = TokenScoreHead::new(4, &mut SeededInit::new(7));
         let x = Tensor::ones(&[5, 4]);
         assert_eq!(h.forward(&x).shape(), &[5, 1]);
     }

@@ -36,33 +36,37 @@ mod turl;
 
 pub use bert::VanillaBert;
 pub use config::{ModelConfig, QuantSpec};
-pub use embeddings::EmbeddingFlags;
-pub use embeddings::TableEmbeddings;
-pub use heads::{pool_mean, pool_mean_backward, ClassifierHead, MlmHead, TokenScoreHead};
+pub use embeddings::{EmbeddingFlags, EmbeddingsTape, TableEmbeddings};
+pub use heads::{
+    pool_mean, pool_mean_backward, ClassifierHead, ClassifierHeadTape, MlmHead, MlmHeadTape,
+    TokenScoreHead,
+};
 pub use input::EncoderInput;
 pub use mate::{sparse_attention, sparse_attention_flops, Mate, SparseAxis, SparsePattern};
 pub use row_student::RowStudent;
-pub use tabert::TaBert;
+pub use tabert::{TaBert, TabertTape};
 pub use tapas::Tapas;
 pub use tapex::Tapex;
 pub use turl::Turl;
 
 pub use ntr_nn::Rows;
 
-use ntr_nn::Layer;
+use ntr_nn::encoder::EncoderTape;
+use ntr_nn::{AttnMask, Cx, Encoder, Layer};
 use ntr_tensor::Tensor;
+use std::any::Any;
 
 /// Common interface of the encoder-style models: turn an [`EncoderInput`]
 /// into per-token hidden states `[seq, d_model]`, or into the [`Rows`] of
 /// them the caller consumes.
 ///
-/// [`SequenceEncoder::infer`] is the one inference path: `&self`, no caches,
-/// no dropout, so one model is shared by every thread that encodes with it
-/// (hence the `Send + Sync` bound). [`SequenceEncoder::encode_train`] is the
-/// one training forward: it enables dropout and records caches, and
-/// [`SequenceEncoder::backward`] then propagates the gradient of the rows it
-/// returned and accumulates parameter gradients. A `backward` after an
-/// inference encode has no caches to consume and panics.
+/// Both paths are `&self`, so one model is shared by every thread that
+/// encodes or trains with it (hence the `Send + Sync` bound).
+/// [`SequenceEncoder::infer`] is the one inference path: no tape, no
+/// dropout. [`SequenceEncoder::encode_train`] is the one training forward:
+/// it draws dropout from the example's [`Cx`] and returns a [`Tape`], which
+/// [`SequenceEncoder::backward`] consumes to propagate the gradient of the
+/// rows it returned into the context's gradients.
 pub trait SequenceEncoder: Layer + Send + Sync {
     /// Model width.
     fn d_model(&self) -> usize;
@@ -79,24 +83,75 @@ pub trait SequenceEncoder: Layer + Send + Sync {
     /// [`Rows::All`], the last layer computing only what they need.
     fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor;
 
-    /// Every token's hidden states: [`SequenceEncoder::encode_train`] with
-    /// `train`, [`SequenceEncoder::infer`] without.
-    fn encode(&mut self, input: &EncoderInput, train: bool) -> Tensor {
-        if !train {
-            return self.infer(input, Rows::All);
-        }
-        self.encode_train(input, Rows::All)
+    /// Every token's hidden states, for inference:
+    /// [`SequenceEncoder::infer`] over [`Rows::All`].
+    ///
+    /// # Panics
+    /// Panics if `train` is set: training runs through
+    /// [`SequenceEncoder::encode_train`].
+    fn encode(&self, input: &EncoderInput, train: bool) -> Tensor {
+        assert!(
+            !train,
+            "SequenceEncoder::encode is inference; train through encode_train"
+        );
+        self.infer(input, Rows::All)
     }
 
     /// The training forward of [`SequenceEncoder::infer`]: the states of
-    /// the rows a loss reads, recording what `backward` needs.
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor;
+    /// the rows a loss reads, and the tape `backward` needs.
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape);
 
     /// Backpropagates the gradient of what `encode_train` returned.
-    fn backward(&mut self, d_states: &Tensor);
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx);
 
     /// Short, stable model-family name for reports.
     fn family(&self) -> &'static str;
+}
+
+/// What [`SequenceEncoder::backward`] needs of
+/// [`SequenceEncoder::encode_train`], opaque across families: each family
+/// boxes its own tape and takes it back.
+pub struct Tape(Box<dyn Any>);
+
+impl Tape {
+    /// Boxes a family's tape.
+    pub fn new<T: 'static>(tape: T) -> Self {
+        Self(Box::new(tape))
+    }
+
+    /// The family's tape back.
+    ///
+    /// # Panics
+    /// Panics on a tape another family's forward made.
+    pub fn take<T: 'static>(self) -> T {
+        *self.0.downcast().expect("a tape from another model family")
+    }
+}
+
+/// The training pass of the encoder-only families: embeddings, then the
+/// encoder under `mask`.
+fn encode_train(
+    (embeddings, encoder): (&TableEmbeddings, &Encoder),
+    input: &EncoderInput,
+    mask: Option<&AttnMask>,
+    rows: Rows,
+    cx: &mut Cx,
+) -> (Tensor, Tape) {
+    let (x, emb) = embeddings.forward_train(input, cx);
+    let (states, enc) = encoder.forward_train(&x, mask, rows, cx);
+    (states, Tape::new((emb, enc)))
+}
+
+/// The backward of [`encode_train`].
+fn backward(
+    (embeddings, encoder): (&TableEmbeddings, &Encoder),
+    tape: Tape,
+    d_states: &Tensor,
+    cx: &mut Cx,
+) {
+    let (emb, enc): (EmbeddingsTape, EncoderTape) = tape.take();
+    let dx = encoder.backward(enc, d_states, cx);
+    embeddings.backward(emb, &dx, cx);
 }
 
 #[cfg(test)]

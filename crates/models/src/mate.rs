@@ -15,9 +15,9 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
 use crate::input::EncoderInput;
-use crate::SequenceEncoder;
+use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, AttnMask, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -135,15 +135,19 @@ impl SequenceEncoder for Mate {
             .infer(&self.embeddings.infer(input), Some(&mask), rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
         let mask = self.head_masks(input);
-        let x = self.embeddings.forward(input, true);
-        self.encoder.forward_train(&x, Some(&mask), rows)
+        crate::encode_train(
+            (&self.embeddings, &self.encoder),
+            input,
+            Some(&mask),
+            rows,
+            cx,
+        )
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        let dx = self.encoder.backward(d_states);
-        self.embeddings.backward(&dx);
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
     }
 
     fn family(&self) -> &'static str {
@@ -159,7 +163,7 @@ impl Layer for Mate {
         self.mlm.visit_params(&mut visit_child("mlm", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
@@ -291,7 +295,7 @@ mod tests {
     #[test]
     fn encode_differs_from_dense_tapas_semantics() {
         let cfg = ModelConfig::tiny(300);
-        let mut m = Mate::new(&cfg);
+        let m = Mate::new(&cfg);
         let inp = input_sample();
         let out = m.encode(&inp, false);
         assert_eq!(out.shape(), &[inp.len(), cfg.d_model]);

@@ -26,11 +26,14 @@
 //! always runs the f32 path.
 
 use crate::config::{ModelConfig, QuantSpec};
-use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
+use crate::embeddings::{EmbeddingFlags, EmbeddingsTape, TableEmbeddings};
 use crate::input::EncoderInput;
-use crate::SequenceEncoder;
+use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Gelu, Layer, LayerNorm, Linear, Name, Param, QuantizedLinear, Rows};
+use ntr_nn::layernorm::LayerNormTape;
+use ntr_nn::{
+    visit_child, Cx, Dropout, Gelu, Layer, LayerNorm, Linear, Name, Param, QuantizedLinear, Rows,
+};
 use ntr_tensor::{simd, Tensor};
 use std::sync::OnceLock;
 
@@ -52,17 +55,20 @@ pub struct RowStudent {
     /// Int8 snapshots of (proj1, proj2); empty until first int8 encode
     /// and after any parameter mutation.
     qcache: OnceLock<(QuantizedLinear, QuantizedLinear)>,
-    /// Row ids, output rows and MLP activation from the last training
-    /// forward.
-    cache: Option<TrainCache>,
 }
 
-#[derive(Debug, Clone)]
-struct TrainCache {
+/// What the student's backward needs of a training forward.
+struct StudentTape {
+    embeddings: EmbeddingsTape,
+    /// The input's row ids.
     rows: Vec<usize>,
-    gelu: Gelu,
     /// The output rows, `None` for every row.
     out: Option<Vec<usize>>,
+    /// The MLP's input, its GELU's input and its second projection's input.
+    h: Tensor,
+    u: Tensor,
+    g: Tensor,
+    ln: LayerNormTape,
 }
 
 /// Adds to each token the mean embedding of its row group (tokens sharing
@@ -105,7 +111,6 @@ impl RowStudent {
             cfg: *cfg,
             precision: QuantSpec::F32,
             qcache: OnceLock::new(),
-            cache: None,
         }
     }
 
@@ -151,9 +156,7 @@ impl SequenceEncoder for RowStudent {
         mix_row_means(&mut h, &input.rows);
         let h = rows.of(&h);
         let y = match self.precision {
-            QuantSpec::F32 => self.proj2.forward_inference(
-                &Gelu::default().forward_inference(&self.proj1.forward_inference(&h)),
-            ),
+            QuantSpec::F32 => self.proj2.forward(&Gelu.forward(&self.proj1.forward(&h))),
             QuantSpec::Int8 => {
                 let on = simd::active();
                 let (q1, q2) = self.quantized_mlp();
@@ -161,40 +164,41 @@ impl SequenceEncoder for RowStudent {
                 // the int8 quantization noise on either side of it. The
                 // quantized matmul is exact integer math per row, the same
                 // for any row count.
-                q2.forward(on, &Gelu::default().forward_approx(&q1.forward(on, &h)))
+                q2.forward(on, &Gelu.forward_approx(&q1.forward(on, &h)))
             }
         };
-        self.ln.forward_inference(&h.add(&y))
-    }
-
-    /// Training always runs the f32 path, narrowed as `infer` narrows.
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
-        let mut h = self.embeddings.forward(input, true);
-        mix_row_means(&mut h, &input.rows);
-        let h = rows.of(&h);
-        let mut gelu = Gelu::default();
-        let y = self.proj2.forward(&gelu.forward(&self.proj1.forward(&h)));
-        self.cache = Some(TrainCache {
-            rows: input.rows.clone(),
-            gelu,
-            out: rows.record(),
-        });
         self.ln.forward(&h.add(&y))
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        let mut c = self
-            .cache
-            .take()
-            .expect("RowStudent::backward called without a cached training forward");
-        let dz = self.ln.backward(d_states);
+    /// Training always runs the f32 path, narrowed as `infer` narrows.
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
+        let (mut h, embeddings) = self.embeddings.forward_train(input, cx);
+        mix_row_means(&mut h, &input.rows);
+        let h = rows.of(&h).into_owned();
+        let (g, u) = Gelu.forward_train(&self.proj1.forward(&h));
+        let (y, g) = self.proj2.forward_train(&g);
+        let (out, ln) = self.ln.forward_train(&h.add(&y));
+        let tape = StudentTape {
+            embeddings,
+            rows: input.rows.clone(),
+            out: rows.record(),
+            h,
+            u,
+            g,
+            ln,
+        };
+        (out, Tape::new(tape))
+    }
+
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        let t: StudentTape = tape.take();
+        let dz = self.ln.backward(t.ln, d_states, cx);
         // z = h + proj2(gelu(proj1(h))): both branches feed dh.
-        let dh_mlp = self
-            .proj1
-            .backward(&c.gelu.backward(&self.proj2.backward(&dz)));
-        let mut de = Rows::from(c.out.as_deref()).scatter(dz.add(&dh_mlp), c.rows.len());
-        mix_row_means(&mut de, &c.rows);
-        self.embeddings.backward(&de);
+        let dg = self.proj2.backward(&t.g, &dz, cx);
+        let dh_mlp = self.proj1.backward(&t.h, &Gelu.backward(t.u, &dg), cx);
+        let mut de = Rows::from(t.out.as_deref()).scatter(dz.add(&dh_mlp), t.rows.len());
+        mix_row_means(&mut de, &t.rows);
+        self.embeddings.backward(t.embeddings, &de, cx);
     }
 
     fn family(&self) -> &'static str {
@@ -214,7 +218,7 @@ impl Layer for RowStudent {
         self.ln.visit_params(&mut visit_child("ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
     }
@@ -232,8 +236,8 @@ mod tests {
     #[test]
     fn encode_shape_and_determinism() {
         let cfg = ModelConfig::tiny(300);
-        let mut a = RowStudent::new(&cfg);
-        let mut b = RowStudent::new(&cfg);
+        let a = RowStudent::new(&cfg);
+        let b = RowStudent::new(&cfg);
         let inp = input_sample();
         let x = a.encode(&inp, false);
         assert_eq!(x.shape(), &[inp.len(), cfg.d_model]);
@@ -245,7 +249,7 @@ mod tests {
         // Unlike VanillaBert, the student's only cross-token signal is the
         // row grouping — erasing it must change the encoding.
         let cfg = ModelConfig::tiny(300);
-        let mut m = RowStudent::new(&cfg);
+        let m = RowStudent::new(&cfg);
         let inp = input_sample();
         let mut flat = inp.clone();
         for r in &mut flat.rows {
@@ -320,12 +324,13 @@ mod tests {
     fn gradients_flow_to_every_parameter_group() {
         let cfg = ModelConfig::tiny(300);
         let mut m = RowStudent::new(&cfg);
+        let mut cx = Cx::new(&mut m);
         let inp = input_sample();
-        let states = m.encode(&inp, true);
-        SequenceEncoder::backward(&mut m, &Tensor::ones(states.shape()));
+        let (states, tape) = m.encode_train(&inp, Rows::All, &mut cx);
+        m.backward(tape, &Tensor::ones(states.shape()), &mut cx);
         let mut nonzero = std::collections::BTreeSet::new();
         m.visit_params(&mut |name, p| {
-            if p.grad.data().iter().any(|&g| g != 0.0) {
+            if cx.grads.of(p).iter().any(|&g| g != 0.0) {
                 nonzero.insert(name.to_string().split('/').next().unwrap().to_string());
             }
         });

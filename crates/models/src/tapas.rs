@@ -11,9 +11,9 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::{ClassifierHead, MlmHead, TokenScoreHead};
 use crate::input::EncoderInput;
-use crate::SequenceEncoder;
+use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
 use ntr_table::EncodedTable;
 use ntr_tensor::Tensor;
 
@@ -103,14 +103,12 @@ impl SequenceEncoder for Tapas {
             .infer(&self.embeddings.infer(input), None, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
-        let x = self.embeddings.forward(input, true);
-        self.encoder.forward_train(&x, None, rows)
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
+        crate::encode_train((&self.embeddings, &self.encoder), input, None, rows, cx)
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        let dx = self.encoder.backward(d_states);
-        self.embeddings.backward(&dx);
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
     }
 
     fn family(&self) -> &'static str {
@@ -129,7 +127,7 @@ impl Layer for Tapas {
         self.mlm.visit_params(&mut visit_child("mlm", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
@@ -144,7 +142,7 @@ mod tests {
     #[test]
     fn structural_ids_change_encoding_unlike_bert() {
         let cfg = ModelConfig::tiny(300);
-        let mut m = Tapas::new(&cfg);
+        let m = Tapas::new(&cfg);
         let inp = input_sample();
         let mut flat = inp.clone();
         for r in &mut flat.rows {
@@ -159,7 +157,7 @@ mod tests {
     #[test]
     fn cell_scores_cover_all_cells() {
         let cfg = ModelConfig::tiny(300);
-        let mut m = Tapas::new(&cfg);
+        let m = Tapas::new(&cfg);
         let e = encoded_sample();
         let inp = EncoderInput::from_encoded(&e);
         let states = m.encode(&inp, false);
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn aggregation_head_has_four_ops() {
         let cfg = ModelConfig::tiny(300);
-        let mut m = Tapas::new(&cfg);
+        let m = Tapas::new(&cfg);
         let inp = input_sample();
         let states = m.encode(&inp, false);
         let pooled = states.rows(0, 1);
@@ -187,18 +185,21 @@ mod tests {
     fn full_backward_accumulates_grads_everywhere() {
         let cfg = ModelConfig::tiny(300);
         let mut m = Tapas::new(&cfg);
+        let mut cx = Cx::new(&mut m);
         let inp = input_sample();
-        let states = m.encode(&inp, true);
+        let (states, tape) = m.encode_train(&inp, Rows::All, &mut cx);
         let scores = m.cell_head.forward(&states);
-        let d = m.cell_head.backward(&Tensor::ones(scores.shape()));
-        SequenceEncoder::backward(&mut m, &d);
+        let d = m
+            .cell_head
+            .backward(&states, &Tensor::ones(scores.shape()), &mut cx);
+        m.backward(tape, &d, &mut cx);
         let mut zero_params = Vec::new();
         m.visit_params(&mut |n, p| {
             // Heads not used in this pass legitimately have zero grads.
             if n.to_string().starts_with("agg_head") {
                 return;
             }
-            if p.grad.data().iter().all(|&g| g == 0.0) {
+            if cx.grads.of(p).iter().all(|&g| g == 0.0) {
                 zero_params.push(n.to_string());
             }
         });

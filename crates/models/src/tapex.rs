@@ -11,7 +11,8 @@ use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::input::EncoderInput;
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{visit_child, Decoder, Encoder, Layer, Linear, Name, Param};
+use ntr_nn::{visit_child, Cx, Decoder, Dropout, Encoder, Layer, Linear, Name, Param, Rows};
+use ntr_tensor::Tensor;
 use ntr_tokenizer::SpecialToken;
 
 /// Encoder–decoder table model.
@@ -67,34 +68,51 @@ impl Tapex {
     /// One teacher-forced training step on `(input, target_ids)`.
     ///
     /// The decoder input is `[BOS] target[..-1]`; the loss is cross-entropy
-    /// of each position against `target_ids`. Accumulates gradients and
-    /// returns the mean loss.
+    /// of each position against `target_ids`. Accumulates gradients into
+    /// `cx` and returns the mean loss.
     ///
     /// # Panics
     /// Panics on an empty target.
-    pub fn train_step(&mut self, input: &EncoderInput, target_ids: &[usize]) -> f32 {
+    pub fn train_step(&self, input: &EncoderInput, target_ids: &[usize], cx: &mut Cx) -> f32 {
         assert!(!target_ids.is_empty(), "empty decoder target");
-        let memory = self
-            .encoder
-            .forward(&self.embeddings.forward(input, true), None, true);
+        let (x, emb) = self.embeddings.forward_train(input, cx);
+        let (memory, enc) = self.encoder.forward_train(&x, None, Rows::All, cx);
 
         let mut dec_input = Vec::with_capacity(target_ids.len());
         dec_input.push(SpecialToken::Bos.id());
         dec_input.extend_from_slice(&target_ids[..target_ids.len() - 1]);
         let dec_inp = EncoderInput::from_text_ids(dec_input);
 
-        let states =
-            self.decoder
-                .forward(&self.dec_embeddings.forward(&dec_inp, true), &memory, true);
-        let logits = self.lm_head.forward(&states);
+        let (y, dec_emb) = self.dec_embeddings.forward_train(&dec_inp, cx);
+        let (states, dec) = self.decoder.forward_train(&y, &memory, cx);
+        let (logits, states) = self.lm_head.forward_train(&states);
         let (loss, dlogits) = softmax_cross_entropy(&logits, target_ids, None);
 
-        let dstates = self.lm_head.backward(&dlogits);
-        let (d_dec, d_memory) = self.decoder.backward(&dstates);
-        self.dec_embeddings.backward(&d_dec);
-        let d_enc = self.encoder.backward(&d_memory);
-        self.embeddings.backward(&d_enc);
+        let dstates = self.lm_head.backward(&states, &dlogits, cx);
+        let (d_dec, d_memory) = self.decoder.backward(dec, &dstates, cx);
+        self.dec_embeddings.backward(dec_emb, &d_dec, cx);
+        let d_enc = self.encoder.backward(enc, &d_memory, cx);
+        self.embeddings.backward(emb, &d_enc, cx);
         loss
+    }
+
+    /// The encoder's states of `input`, which the decoder attends to.
+    fn memory(&self, input: &EncoderInput) -> Tensor {
+        self.encoder
+            .infer(&self.embeddings.infer(input), None, Rows::All)
+    }
+
+    /// The logits of the token after `[BOS] tokens`, `[1, vocab]`.
+    fn next_logits(&self, memory: &Tensor, tokens: &[usize]) -> Tensor {
+        let mut dec_input = Vec::with_capacity(tokens.len() + 1);
+        dec_input.push(SpecialToken::Bos.id());
+        dec_input.extend_from_slice(tokens);
+        let dec_inp = EncoderInput::from_text_ids(dec_input);
+        let states = self
+            .decoder
+            .forward(&self.dec_embeddings.infer(&dec_inp), memory);
+        let logits = self.lm_head.forward(&states);
+        logits.rows(logits.dim(0) - 1, logits.dim(0))
     }
 
     /// Beam-search generation with `beam_width` hypotheses; returns the
@@ -102,15 +120,13 @@ impl Tapex {
     /// Scores are mean token log-probabilities, which avoids the
     /// short-sequence bias of summed log-probs.
     pub fn generate_beam(
-        &mut self,
+        &self,
         input: &EncoderInput,
         max_len: usize,
         beam_width: usize,
     ) -> Vec<usize> {
         assert!(beam_width >= 1, "beam width must be at least 1");
-        let memory = self
-            .encoder
-            .forward(&self.embeddings.forward(input, false), None, false);
+        let memory = self.memory(input);
         // (tokens, total log-prob, finished)
         let mut beams: Vec<(Vec<usize>, f32, bool)> = vec![(Vec::new(), 0.0, false)];
         for _ in 0..max_len {
@@ -123,18 +139,7 @@ impl Tapex {
                     next.push((tokens.clone(), *score, true));
                     continue;
                 }
-                let mut dec_input = Vec::with_capacity(tokens.len() + 1);
-                dec_input.push(SpecialToken::Bos.id());
-                dec_input.extend_from_slice(tokens);
-                let dec_inp = EncoderInput::from_text_ids(dec_input);
-                let states = self.decoder.forward(
-                    &self.dec_embeddings.forward(&dec_inp, false),
-                    &memory,
-                    false,
-                );
-                let logits = self.lm_head.forward(&states);
-                let last = logits.rows(logits.dim(0) - 1, logits.dim(0));
-                let log_probs = last.log_softmax_rows();
+                let log_probs = self.next_logits(&memory, tokens).log_softmax_rows();
                 // Top beam_width continuations of this beam.
                 let mut scored: Vec<(usize, f32)> = (0..log_probs.dim(1))
                     .map(|t| (t, log_probs.at(&[0, t])))
@@ -172,24 +177,11 @@ impl Tapex {
 
     /// Greedy generation: encodes `input`, then emits tokens until `[SEP]`
     /// or `max_len`. Returns the generated ids (without the final `[SEP]`).
-    pub fn generate(&mut self, input: &EncoderInput, max_len: usize) -> Vec<usize> {
-        let memory = self
-            .encoder
-            .forward(&self.embeddings.forward(input, false), None, false);
+    pub fn generate(&self, input: &EncoderInput, max_len: usize) -> Vec<usize> {
+        let memory = self.memory(input);
         let mut out: Vec<usize> = Vec::new();
         for _ in 0..max_len {
-            let mut dec_input = Vec::with_capacity(out.len() + 1);
-            dec_input.push(SpecialToken::Bos.id());
-            dec_input.extend_from_slice(&out);
-            let dec_inp = EncoderInput::from_text_ids(dec_input);
-            let states = self.decoder.forward(
-                &self.dec_embeddings.forward(&dec_inp, false),
-                &memory,
-                false,
-            );
-            let logits = self.lm_head.forward(&states);
-            let last = logits.rows(logits.dim(0) - 1, logits.dim(0));
-            let next = last.argmax_rows()[0];
+            let next = self.next_logits(&memory, &out).argmax_rows()[0];
             if next == SpecialToken::Sep.id() {
                 break;
             }
@@ -210,7 +202,7 @@ impl Layer for Tapex {
         self.lm_head.visit_params(&mut visit_child("lm_head", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
@@ -235,7 +227,7 @@ mod tests {
 
     #[test]
     fn generate_is_bounded_and_deterministic() {
-        let mut m = Tapex::new(&cfg());
+        let m = Tapex::new(&cfg());
         let inp = input_sample();
         let a = m.generate(&inp, 8);
         let b = m.generate(&inp, 8);
@@ -253,15 +245,16 @@ mod tests {
         let mut target = tok.encode("paris");
         target.push(SpecialToken::Sep.id());
 
+        let mut cx = Cx::new(&mut m);
         let mut adam = Adam::new(1e-2);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let loss = m.train_step(&inp, &target);
+            let loss = m.train_step(&inp, &target, &mut cx);
             first.get_or_insert(loss);
             last = loss;
-            adam.step(&mut m);
-            m.zero_grad();
+            adam.step(&mut m, &cx.grads);
+            cx.grads.zero();
         }
         assert!(last < first.unwrap() * 0.2, "{first:?} → {last}");
         let generated = m.generate(&inp, 10);
@@ -274,7 +267,7 @@ mod tests {
 
     #[test]
     fn beam_width_one_matches_greedy() {
-        let mut m = Tapex::new(&cfg());
+        let m = Tapex::new(&cfg());
         let inp = input_sample();
         let greedy = m.generate(&inp, 8);
         let beam = m.generate_beam(&inp, 8, 1);
@@ -288,11 +281,12 @@ mod tests {
         let tok = tokenizer();
         let mut target = tok.encode("paris");
         target.push(SpecialToken::Sep.id());
+        let mut cx = Cx::new(&mut m);
         let mut adam = Adam::new(1e-2);
         for _ in 0..60 {
-            let _ = m.train_step(&inp, &target);
-            adam.step(&mut m);
-            m.zero_grad();
+            let _ = m.train_step(&inp, &target, &mut cx);
+            adam.step(&mut m, &cx.grads);
+            cx.grads.zero();
         }
         let beam = m.generate_beam(&inp, 10, 3);
         assert_eq!(beam, &target[..target.len() - 1]);
@@ -302,6 +296,7 @@ mod tests {
     #[should_panic(expected = "empty decoder target")]
     fn rejects_empty_target() {
         let mut m = Tapex::new(&cfg());
-        let _ = m.train_step(&input_sample(), &[]);
+        let mut cx = Cx::new(&mut m);
+        let _ = m.train_step(&input_sample(), &[], &mut cx);
     }
 }

@@ -16,9 +16,9 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
 use crate::input::EncoderInput;
-use crate::SequenceEncoder;
+use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, AttnMask, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
 use ntr_tensor::Tensor;
 
 /// TURL-style encoder with MLM and MER heads.
@@ -123,15 +123,19 @@ impl SequenceEncoder for Turl {
             .infer(&self.embeddings.infer(input), Some(&mask), rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
         let mask = Self::visibility_mask(input);
-        let x = self.embeddings.forward(input, true);
-        self.encoder.forward_train(&x, Some(&mask), rows)
+        crate::encode_train(
+            (&self.embeddings, &self.encoder),
+            input,
+            Some(&mask),
+            rows,
+            cx,
+        )
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        let dx = self.encoder.backward(d_states);
-        self.embeddings.backward(&dx);
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
     }
 
     fn family(&self) -> &'static str {
@@ -148,7 +152,7 @@ impl Layer for Turl {
         self.mer.visit_params(&mut visit_child("mer", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.embeddings
             .visit_rng_state(&mut visit_child("embeddings", f));
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
@@ -203,7 +207,7 @@ mod tests {
             dropout: 0.0,
             ..ModelConfig::tiny(300)
         };
-        let mut m = Turl::new(&one_layer);
+        let m = Turl::new(&one_layer);
         let e = encoded_sample();
         let inp = EncoderInput::from_encoded(&e);
         let a_span = e.cell_span(0, 0).unwrap();
@@ -239,7 +243,7 @@ mod tests {
 
     #[test]
     fn mer_head_and_entity_embeddings() {
-        let mut m = Turl::new(&cfg());
+        let m = Turl::new(&cfg());
         let inp = input_sample();
         let states = m.encode(&inp, false);
         let logits = m.mer.forward(&states.rows(0, 2));
@@ -250,8 +254,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = Turl::new(&cfg());
-        let mut b = Turl::new(&cfg());
+        let a = Turl::new(&cfg());
+        let b = Turl::new(&cfg());
         let inp = input_sample();
         assert_eq!(a.encode(&inp, false), b.encode(&inp, false));
     }

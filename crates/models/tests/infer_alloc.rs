@@ -11,6 +11,7 @@
 //! allocator, so no other program pays for the counting.
 
 use ntr_models::{EncoderInput, ModelConfig, Rows, SequenceEncoder, Tapas};
+use ntr_nn::Cx;
 use ntr_tensor::par;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +97,7 @@ fn infer_allocates_the_same_every_call_and_less_than_a_training_forward() {
         ..ModelConfig::default()
     });
     let x = input(64);
+    let mut cx = Cx::new(&mut model);
 
     let steady = |rows: Rows| {
         let _warm_up = model.infer(&x, rows);
@@ -113,7 +115,7 @@ fn infer_allocates_the_same_every_call_and_less_than_a_training_forward() {
     let (_, all_bytes) = steady(Rows::All);
     let (_, table_bytes) = steady(Rows::CLS);
 
-    let (_, train_bytes) = measure(|| model.encode(&x, true));
+    let (_, train_bytes) = measure(|| model.encode_train(&x, Rows::All, &mut cx));
     assert!(
         all_bytes as f64 <= 0.8 * train_bytes as f64,
         "infer allocates {all_bytes} bytes, a training forward {train_bytes}"

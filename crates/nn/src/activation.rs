@@ -1,4 +1,4 @@
-//! Element-wise activations with cached backward passes.
+//! Element-wise activations with taped backward passes.
 
 use ntr_tensor::{simd, Tensor};
 
@@ -17,23 +17,20 @@ pub use ntr_tensor::simd::{
 /// whole chunks to the [`ntr_tensor::simd`] kernels: with SIMD off they are
 /// the scalar functions above applied per element, with SIMD on `tanh` goes
 /// through the vector `exp` (tolerance-bounded; [`gelu_fast`] stays
-/// bit-identical).
-#[derive(Debug, Clone, Default)]
-pub struct Gelu {
-    cache_x: Option<Tensor>,
-}
+/// bit-identical). The training forward's tape is its input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Gelu;
 
 impl Gelu {
-    /// Applies GELU element-wise; caches the input.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_x = Some(x.clone());
-        self.forward_inference(x)
-    }
-
-    /// Forward without caching, for inference paths.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
+    /// Applies GELU element-wise.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
         let on = simd::active();
         x.par_map_chunks(|dst, src| simd::gelu(on, dst, src))
+    }
+
+    /// [`Gelu::forward`] and its tape, a copy of `x`.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
+        (self.forward(x), x.clone())
     }
 
     /// Forward with the fast approximate GELU ([`gelu_fast`]), for the
@@ -44,63 +41,52 @@ impl Gelu {
         x.par_map_chunks(|dst, src| simd::gelu_fast(on, dst, src))
     }
 
-    /// Returns `dy ⊙ gelu'(x)`, consuming the cached input in place.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut x = self
-            .cache_x
-            .take()
-            .expect("Gelu::backward called without a cached forward");
+    /// Returns `dy ⊙ gelu'(x)` from the training forward's input `x`,
+    /// computed in `x`'s buffer.
+    pub fn backward(&self, mut x: Tensor, dy: &Tensor) -> Tensor {
         let on = simd::active();
         x.zip_chunks_mut(dy, "gelu backward", |x, dy| simd::gelu_grad_mul(on, x, dy));
         x
     }
 }
 
-/// ReLU activation.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    cache_x: Option<Tensor>,
-}
+/// ReLU activation. The training forward's tape is its input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Relu;
 
 impl Relu {
-    /// Applies `max(0, x)` element-wise; caches the input.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_x = Some(x.clone());
-        x.par_map(|v| v.max(0.0))
+    /// Applies `max(0, x)` element-wise and returns the tape, a copy of `x`.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
+        (x.par_map(|v| v.max(0.0)), x.clone())
     }
 
-    /// Returns `dy ⊙ 1[x > 0]`, consuming the cached input in place.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut x = self
-            .cache_x
-            .take()
-            .expect("Relu::backward called without a cached forward");
+    /// Returns `dy ⊙ 1[x > 0]` from the training forward's input `x`.
+    pub fn backward(&self, mut x: Tensor, dy: &Tensor) -> Tensor {
         x.map_mut(|v| if v > 0.0 { 1.0 } else { 0.0 });
         x.mul_assign(dy);
         x
     }
 }
 
-/// Tanh activation (used for pooler heads).
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cache_y: Option<Tensor>,
-}
+/// Tanh activation (used for pooler heads). The training forward's tape is
+/// its output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tanh;
 
 impl Tanh {
-    /// Applies `tanh` element-wise; caches the output.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = x.par_map(f32::tanh);
-        self.cache_y = Some(y.clone());
-        y
+    /// Applies `tanh` element-wise.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        x.par_map(f32::tanh)
     }
 
-    /// Returns `dy ⊙ (1 − y²)`, consuming the cached output in place.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut y = self
-            .cache_y
-            .take()
-            .expect("Tanh::backward called without a cached forward");
+    /// [`Tanh::forward`] and its tape, a copy of the output.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
+        let y = self.forward(x);
+        (y.clone(), y)
+    }
+
+    /// Returns `dy ⊙ (1 − y²)` from the training forward's output `y`.
+    pub fn backward(&self, mut y: Tensor, dy: &Tensor) -> Tensor {
         y.map_mut(|v| 1.0 - v * v);
         y.mul_assign(dy);
         y
@@ -138,9 +124,8 @@ mod tests {
     #[test]
     fn gelu_gradcheck() {
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0], &[1, 5]);
-        let mut g = Gelu::default();
-        let _ = g.forward(&x);
-        let dx = g.backward(&Tensor::ones(&[1, 5]));
+        let (_, tape) = Gelu.forward_train(&x);
+        let dx = Gelu.backward(tape, &Tensor::ones(&[1, 5]));
         let num = numeric_grad(&x, 1e-3, |x| x.map(gelu).sum());
         assert_close(&dx, &num, 1e-2, "gelu");
     }
@@ -148,18 +133,17 @@ mod tests {
     #[test]
     fn relu_masks_negative() {
         let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]);
-        let mut r = Relu::default();
-        assert_eq!(r.forward(&x).data(), &[0.0, 2.0]);
-        let dx = r.backward(&Tensor::from_vec(vec![5.0, 5.0], &[1, 2]));
+        let (y, tape) = Relu.forward_train(&x);
+        assert_eq!(y.data(), &[0.0, 2.0]);
+        let dx = Relu.backward(tape, &Tensor::from_vec(vec![5.0, 5.0], &[1, 2]));
         assert_eq!(dx.data(), &[0.0, 5.0]);
     }
 
     #[test]
     fn tanh_gradcheck() {
         let x = Tensor::from_vec(vec![-1.5, 0.0, 0.7], &[1, 3]);
-        let mut t = Tanh::default();
-        let _ = t.forward(&x);
-        let dx = t.backward(&Tensor::ones(&[1, 3]));
+        let (_, tape) = Tanh.forward_train(&x);
+        let dx = Tanh.backward(tape, &Tensor::ones(&[1, 3]));
         let num = numeric_grad(&x, 1e-3, |x| x.map(f32::tanh).sum());
         assert_close(&dx, &num, 1e-2, "tanh");
     }

@@ -15,11 +15,9 @@
 use crate::encoder::Rows;
 use crate::init::SeededInit;
 use crate::linear::Linear;
-use crate::{visit_child, Layer, Name, Param};
+use crate::{visit_child, Cx, Layer, Name, Param};
 use ntr_tensor::{grain, par, Tensor};
 use std::borrow::Cow;
-
-const NO_CACHE: &str = "attention backward called without a cached forward";
 
 /// Thread count for fanning `n_heads` heads of `work` flops each across the
 /// pool, decided by the grain cost model on the total score work. Heads
@@ -107,12 +105,14 @@ impl AttnMask {
 
 /// Multi-head attention: Q/K/V/O projections plus the softmax core.
 ///
-/// Supports self-attention ([`MultiHeadAttention::forward_self`]) and
-/// cross-attention ([`MultiHeadAttention::forward_cross`]) for training, and
-/// the cache-free [`MultiHeadAttention::infer`] for inference. The per-head
-/// attention distributions — the inspection hook used by the paper's
-/// hands-on §3.3 ("visualize the attention weights") — are computed on
-/// request by [`MultiHeadAttention::attention_probs`], never kept.
+/// Inference is [`MultiHeadAttention::infer`] (self-attention over chosen
+/// query rows) and [`MultiHeadAttention::forward_cross`]; training is
+/// [`MultiHeadAttention::forward_train`] and
+/// [`MultiHeadAttention::forward_cross_train`], whose tapes the matching
+/// backward consumes. The per-head attention distributions — the
+/// inspection hook used by the paper's hands-on §3.3 ("visualize the
+/// attention weights") — are computed on request by
+/// [`MultiHeadAttention::attention_probs`], never kept.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -121,11 +121,14 @@ pub struct MultiHeadAttention {
     wo: Linear,
     n_heads: usize,
     d_head: usize,
-    cache: Option<Cache>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
+/// What an attention backward needs of its training forward.
+#[derive(Debug)]
+pub struct AttentionTape {
+    xq: Tensor,
+    xkv: Tensor,
+    concat: Tensor,
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -133,6 +136,14 @@ struct Cache {
     self_attn: bool,
     /// The query rows of a self-attention pass, `None` for every row.
     rows: Option<Vec<usize>>,
+}
+
+impl AttentionTape {
+    /// `g`, a gradient of the query rows of this self-attention forward, as
+    /// the gradient of every input row: `+0` on the rows it did not query.
+    pub(crate) fn scatter_queries(&self, g: Tensor) -> Tensor {
+        Rows::from(self.rows.as_deref()).scatter(g, self.k.dim(0))
+    }
 }
 
 impl MultiHeadAttention {
@@ -152,7 +163,6 @@ impl MultiHeadAttention {
             wo: Linear::new(d_model, d_model, &mut init.fork()),
             n_heads,
             d_head: d_model / n_heads,
-            cache: None,
         }
     }
 
@@ -166,42 +176,55 @@ impl MultiHeadAttention {
         self.n_heads * self.d_head
     }
 
-    /// Self-attention over `x: [n, d]`, recording what
-    /// [`MultiHeadAttention::backward_self`] needs.
-    pub fn forward_self(&mut self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.forward_queries(x, Rows::All, mask)
+    /// Self-attention over every row of `x: [n, d]`, for inference:
+    /// [`MultiHeadAttention::infer`] over [`Rows::All`].
+    pub fn forward_self(&self, x: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        self.infer(x, Rows::All, mask)
     }
 
-    /// Self-attention over `x: [n, d]` for the query rows `rows` alone, as
-    /// [`MultiHeadAttention::infer`] computes it, recording what
+    /// Cross-attention for inference: queries from `xq: [n_q, d]`,
+    /// keys/values from `xkv: [n_k, d]`.
+    pub fn forward_cross(&self, xq: &Tensor, xkv: &Tensor, mask: Option<&AttnMask>) -> Tensor {
+        self.check(xq, xkv, mask);
+        let q = self.wq.forward(xq);
+        let (k, v) = (self.wk.forward(xkv), self.wv.forward(xkv));
+        self.wo.forward(&self.attend((&q, &k, &v), mask, false).1)
+    }
+
+    /// Training self-attention over `x: [n, d]` for the query rows `rows`
+    /// alone, as [`MultiHeadAttention::infer`] computes it, and the tape
     /// [`MultiHeadAttention::backward_self`] needs; that returns `[n, d]`.
-    pub fn forward_queries(&mut self, x: &Tensor, rows: Rows, mask: Option<&AttnMask>) -> Tensor {
+    pub fn forward_train(
+        &self,
+        x: &Tensor,
+        rows: Rows,
+        mask: Option<&AttnMask>,
+    ) -> (Tensor, AttentionTape) {
         let mask = mask.map(|m| m.cut(rows));
-        self.forward(&rows.of(x), x, mask.as_deref(), Some(rows))
+        self.train(rows.of(x).into_owned(), x, mask.as_deref(), Some(rows))
     }
 
-    /// Cross-attention: queries from `xq: [n_q, d]`, keys/values from
-    /// `xkv: [n_k, d]`. Input gradients are returned separately by
+    /// Training cross-attention: queries from `xq: [n_q, d]`, keys/values
+    /// from `xkv: [n_k, d]`. Input gradients are returned separately by
     /// [`MultiHeadAttention::backward_cross`].
-    pub fn forward_cross(&mut self, xq: &Tensor, xkv: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.forward(xq, xkv, mask, None)
+    pub fn forward_cross_train(
+        &self,
+        xq: &Tensor,
+        xkv: &Tensor,
+        mask: Option<&AttnMask>,
+    ) -> (Tensor, AttentionTape) {
+        self.train(xq.clone(), xkv, mask, None)
     }
 
     /// Self-attention over `x: [n, d]` for inference, answered for the
     /// query rows `rows`: keys and values span all of `x`, and `mask`
     /// covers every row. Every kernel computes a row from that row alone,
     /// so each output row is bit for bit that row of the [`Rows::All`]
-    /// pass, which is [`MultiHeadAttention::forward_self`] minus its
-    /// records — so any number of threads may run it on one shared block.
+    /// pass, which is [`MultiHeadAttention::forward_train`] minus its
+    /// tape — so any number of threads may run it on one shared block.
     pub fn infer(&self, x: &Tensor, rows: Rows, mask: Option<&AttnMask>) -> Tensor {
         let (xq, mask) = (rows.of(x), mask.map(|m| m.cut(rows)));
-        let mask = mask.as_deref();
-        self.check(&xq, x, mask);
-        let q = self.wq.forward_inference(&xq);
-        let k = self.wk.forward_inference(x);
-        let v = self.wv.forward_inference(x);
-        self.wo
-            .forward_inference(&self.attend((&q, &k, &v), mask, false).1)
+        self.forward_cross(&xq, x, mask.as_deref())
     }
 
     /// The per-head attention distributions of self-attention over `x`,
@@ -209,8 +232,8 @@ impl MultiHeadAttention {
     /// returned, nothing is kept.
     pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
         self.check(x, x, mask);
-        let q = self.wq.forward_inference(x);
-        let kt = self.wk.forward_inference(x).transpose();
+        let q = self.wq.forward(x);
+        let kt = self.wk.forward(x).transpose();
         par::map_tasks(self.n_heads, self.head_threads(&q, &kt), |h| {
             self.head_probs(&q, &kt, h, mask)
         })
@@ -280,74 +303,80 @@ impl MultiHeadAttention {
 
     /// The training forward; `self_rows` is the query rows of
     /// self-attention, `None` for cross-attention.
-    fn forward(
-        &mut self,
-        xq: &Tensor,
+    fn train(
+        &self,
+        xq: Tensor,
         xkv: &Tensor,
         mask: Option<&AttnMask>,
         self_rows: Option<Rows>,
-    ) -> Tensor {
-        self.check(xq, xkv, mask);
-        let q = self.wq.forward(xq);
+    ) -> (Tensor, AttentionTape) {
+        self.check(&xq, xkv, mask);
+        let q = self.wq.forward(&xq);
         let k = self.wk.forward(xkv);
         let v = self.wv.forward(xkv);
-
         let (probs, concat) = self.attend((&q, &k, &v), mask, true);
-        self.cache = Some(Cache {
+        let y = self.wo.forward(&concat);
+        let tape = AttentionTape {
+            xq,
+            xkv: xkv.clone(),
+            concat,
             q,
             k,
             v,
             probs,
             self_attn: self_rows.is_some(),
             rows: self_rows.and_then(Rows::record),
-        });
-        self.wo.forward(&concat)
-    }
-
-    /// `g`, a gradient of the query rows of the recorded self-attention
-    /// forward, as the gradient of every input row: `+0` on the rows it
-    /// did not query.
-    pub(crate) fn scatter_queries(&self, g: Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect(NO_CACHE);
-        Rows::from(cache.rows.as_deref()).scatter(g, cache.k.dim(0))
+        };
+        (y, tape)
     }
 
     /// Backward for self-attention; returns `d loss / d x`, `[n, d]`. After
-    /// [`MultiHeadAttention::forward_queries`] a row outside the query
-    /// rows gets its key/value gradient alone (`+0` plus it).
+    /// a forward of some query rows, a row outside them gets its key/value
+    /// gradient alone (`+0` plus it).
     ///
     /// # Panics
-    /// Panics if the preceding forward was cross-attention (use
-    /// [`MultiHeadAttention::backward_cross`]) or missing.
-    pub fn backward_self(&mut self, dy: &Tensor) -> Tensor {
-        let (dxq, dxkv) = self.backward_inner(dy, true);
+    /// Panics if the tape is of cross-attention (use
+    /// [`MultiHeadAttention::backward_cross`]).
+    pub fn backward_self(&self, tape: AttentionTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        let (dxq, dxkv) = self.backward_inner(tape, dy, true, cx);
         dxq.add(&dxkv)
     }
 
     /// Backward for cross-attention; returns `(d/d xq, d/d xkv)`.
-    pub fn backward_cross(&mut self, dy: &Tensor) -> (Tensor, Tensor) {
-        self.backward_inner(dy, false)
+    pub fn backward_cross(
+        &self,
+        tape: AttentionTape,
+        dy: &Tensor,
+        cx: &mut Cx,
+    ) -> (Tensor, Tensor) {
+        self.backward_inner(tape, dy, false, cx)
     }
 
-    fn backward_inner(&mut self, dy: &Tensor, expect_self: bool) -> (Tensor, Tensor) {
-        let cache = self.cache.take().expect(NO_CACHE);
+    fn backward_inner(
+        &self,
+        tape: AttentionTape,
+        dy: &Tensor,
+        expect_self: bool,
+        cx: &mut Cx,
+    ) -> (Tensor, Tensor) {
         assert_eq!(
-            cache.self_attn, expect_self,
+            tape.self_attn, expect_self,
             "attention backward variant does not match the forward variant"
         );
         let d = self.d_model();
-        let n_q = cache.q.dim(0);
-        let n_k = cache.k.dim(0);
+        let n_q = tape.q.dim(0);
+        let n_k = tape.k.dim(0);
         let scale = 1.0 / (self.d_head as f32).sqrt();
 
-        let dconcat = self.wo.backward(dy);
-        let vt = cache.v.transpose();
+        let dconcat = self.wo.backward(&tape.concat, dy, cx);
+        let vt = tape.v.transpose();
         let dh = self.d_head;
         let threads = head_threads(self.n_heads, n_q * n_k * dh);
+        let (probs, q, k) = (&tape.probs, &tape.q, &tape.k);
         let heads = par::map_tasks(self.n_heads, threads, |h| {
             let (s, e) = (h * dh, (h + 1) * dh);
             let doh = dconcat.view().col_slice(s, e);
-            let p = &cache.probs[h];
+            let p = &probs[h];
 
             // dP = dO·Vᵀ ; dV = Pᵀ·dO
             let dp = doh.matmul(vt.view().row_slice(s, e));
@@ -365,8 +394,8 @@ impl MultiHeadAttention {
                 }
             }
 
-            let mut dqh = ds.view().matmul(cache.k.view().col_slice(s, e));
-            let mut dkh = ds.view().t().matmul(cache.q.view().col_slice(s, e));
+            let mut dqh = ds.view().matmul(k.view().col_slice(s, e));
+            let mut dkh = ds.view().t().matmul(q.view().col_slice(s, e));
             dqh.map_mut(|x| x * scale);
             dkh.map_mut(|x| x * scale);
             (dqh, dkh, dvh)
@@ -380,9 +409,10 @@ impl MultiHeadAttention {
             dv.set_cols(h * dh, &dvh);
         }
 
-        let dxq = Rows::from(cache.rows.as_deref()).scatter(self.wq.backward(&dq), n_k);
-        let dxk = self.wk.backward(&dk);
-        let dxv = self.wv.backward(&dv);
+        let rows = Rows::from(tape.rows.as_deref());
+        let dxq = rows.scatter(self.wq.backward(&tape.xq, &dq, cx), n_k);
+        let dxk = self.wk.backward(&tape.xkv, &dk, cx);
+        let dxv = self.wv.backward(&tape.xkv, &dv, cx);
         (dxq, dxk.add(&dxv))
     }
 }
@@ -399,7 +429,7 @@ impl Layer for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::{assert_close, numeric_grad};
+    use crate::gradcheck::{assert_close, grad, numeric_grad};
 
     fn mha(d: usize, h: usize, seed: u64) -> MultiHeadAttention {
         MultiHeadAttention::new(d, h, &mut SeededInit::new(seed))
@@ -421,19 +451,17 @@ mod tests {
         }
     }
 
-    /// The inference path is the training forward minus its records: same
-    /// bits, with and without a mask, and it leaves no cache behind.
+    /// The inference path is the training forward minus its tape: same
+    /// bits, with and without a mask.
     #[test]
-    fn infer_is_bit_identical_to_forward_and_records_nothing() {
-        let mut a = mha(8, 2, 20);
+    fn infer_is_bit_identical_to_the_training_forward() {
+        let a = mha(8, 2, 20);
         let x = SeededInit::new(21).uniform(&[6, 8], -1.0, 1.0);
         for mask in [None, Some(AttnMask::causal(6))] {
-            let inferred = a.infer(&x, Rows::All, mask.as_ref());
-            assert!(a.cache.is_none(), "infer must not record a cache");
-            assert_eq!(inferred, a.forward_self(&x, mask.as_ref()));
-            let cached = &a.cache.as_ref().expect("forward records").probs;
-            assert_eq!(cached, &a.attention_probs(&x, mask.as_ref()));
-            a.cache = None;
+            let (trained, tape) = a.forward_train(&x, Rows::All, mask.as_ref());
+            assert_eq!(a.infer(&x, Rows::All, mask.as_ref()), trained);
+            assert_eq!(a.forward_self(&x, mask.as_ref()), trained);
+            assert_eq!(tape.probs, a.attention_probs(&x, mask.as_ref()));
         }
     }
 
@@ -499,57 +527,49 @@ mod tests {
     #[test]
     fn gradcheck_self_attention_input() {
         let mut a = mha(6, 2, 9);
+        let mut cx = Cx::new(&mut a);
         let x = SeededInit::new(10).uniform(&[3, 6], -0.5, 0.5);
         let dy = SeededInit::new(11).uniform(&[3, 6], -1.0, 1.0);
 
-        let _ = a.forward_self(&x, None);
-        let dx = a.backward_self(&dy);
+        let (_, tape) = a.forward_train(&x, Rows::All, None);
+        let dx = a.backward_self(tape, &dy, &mut cx);
 
-        let mut probe = a.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward_self(x, None).mul(&dyc).sum());
+        let num = numeric_grad(&x, 5e-3, |x| a.forward_self(x, None).mul(&dy).sum());
         assert_close(&dx, &num, 3e-2, "mha dx");
     }
 
     #[test]
     fn gradcheck_projection_weights() {
         let mut a = mha(6, 2, 12);
+        let mut cx = Cx::new(&mut a);
         let x = SeededInit::new(13).uniform(&[3, 6], -0.5, 0.5);
         let dy = SeededInit::new(14).uniform(&[3, 6], -1.0, 1.0);
-        let _ = a.forward_self(&x, None);
-        let _ = a.backward_self(&dy);
+        let (_, tape) = a.forward_train(&x, Rows::All, None);
+        let _ = a.backward_self(tape, &dy, &mut cx);
 
-        let wq = a.wq.w.value.clone();
         let mut probe = a.clone();
-        let xc = x.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&wq, 5e-3, |w| {
+        let num = numeric_grad(&a.wq.w.value, 5e-3, |w| {
             probe.wq.w.value = w.clone();
-            probe.forward_self(&xc, None).mul(&dyc).sum()
+            probe.forward_self(&x, None).mul(&dy).sum()
         });
-        assert_close(&a.wq.w.grad, &num, 3e-2, "mha dwq");
+        assert_close(&grad(&cx.grads, &a.wq.w), &num, 3e-2, "mha dwq");
     }
 
     #[test]
     fn gradcheck_cross_attention_both_inputs() {
         let mut a = mha(6, 2, 15);
+        let mut cx = Cx::new(&mut a);
         let xq = SeededInit::new(16).uniform(&[2, 6], -0.5, 0.5);
         let xkv = SeededInit::new(17).uniform(&[4, 6], -0.5, 0.5);
         let dy = SeededInit::new(18).uniform(&[2, 6], -1.0, 1.0);
-        let _ = a.forward_cross(&xq, &xkv, None);
-        let (dxq, dxkv) = a.backward_cross(&dy);
+        let (_, tape) = a.forward_cross_train(&xq, &xkv, None);
+        let (dxq, dxkv) = a.backward_cross(tape, &dy, &mut cx);
 
-        let mut probe = a.clone();
-        let (xkvc, dyc) = (xkv.clone(), dy.clone());
-        let num_q = numeric_grad(&xq, 5e-3, |q| {
-            probe.forward_cross(q, &xkvc, None).mul(&dyc).sum()
-        });
+        let num_q = numeric_grad(&xq, 5e-3, |q| a.forward_cross(q, &xkv, None).mul(&dy).sum());
         assert_close(&dxq, &num_q, 3e-2, "cross dxq");
 
-        let mut probe = a.clone();
-        let (xqc, dyc) = (xq.clone(), dy.clone());
         let num_kv = numeric_grad(&xkv, 5e-3, |kv| {
-            probe.forward_cross(&xqc, kv, None).mul(&dyc).sum()
+            a.forward_cross(&xq, kv, None).mul(&dy).sum()
         });
         assert_close(&dxkv, &num_kv, 3e-2, "cross dxkv");
     }
@@ -587,25 +607,29 @@ mod tests {
         x: &Tensor,
         mask: Option<&AttnMask>,
     ) -> Tensor {
-        let q = a.wq.forward_inference(xq);
-        let (k, v) = (a.wk.forward_inference(x), a.wv.forward_inference(x));
-        a.wo.forward_inference(&reference_attend(a, &q, &k, &v, mask).1)
+        let q = a.wq.forward(xq);
+        let (k, v) = (a.wk.forward(x), a.wv.forward(x));
+        a.wo.forward(&reference_attend(a, &q, &k, &v, mask).1)
     }
 
-    /// The copying reference of `backward_inner`, on the cache of the
-    /// forward that `a` recorded: head columns copied out, every
-    /// transposed operand an explicit transpose.
-    fn reference_backward(a: &mut MultiHeadAttention, dy: &Tensor) -> (Tensor, Tensor) {
-        let cache = a.cache.take().expect("a recorded forward");
+    /// The copying reference of `backward_inner`, on the tape of a
+    /// training forward: head columns copied out, every transposed operand
+    /// an explicit transpose.
+    fn reference_backward(
+        a: &MultiHeadAttention,
+        tape: AttentionTape,
+        dy: &Tensor,
+        cx: &mut Cx,
+    ) -> (Tensor, Tensor) {
         let (dh, d) = (a.d_head, a.d_model());
-        let (n_q, n_k) = (cache.q.dim(0), cache.k.dim(0));
+        let (n_q, n_k) = (tape.q.dim(0), tape.k.dim(0));
         let scale = 1.0 / (dh as f32).sqrt();
-        let dconcat = a.wo.backward(dy);
+        let dconcat = a.wo.backward(&tape.concat, dy, cx);
         let (mut dqs, mut dks, mut dvs) = (Vec::new(), Vec::new(), Vec::new());
         for h in 0..a.n_heads {
             let doh = head_copy(&dconcat, h, dh);
-            let p = &cache.probs[h];
-            let dp = doh.matmul(&head_copy(&cache.v, h, dh).transpose());
+            let p = &tape.probs[h];
+            let dp = doh.matmul(&head_copy(&tape.v, h, dh).transpose());
             dvs.push(p.transpose().matmul(&doh));
             let mut ds = Tensor::zeros(&[n_q, n_k]);
             for r in 0..n_q {
@@ -615,24 +639,23 @@ mod tests {
                     ds.row_mut(r)[j] = prow[j] * (dprow[j] - dot);
                 }
             }
-            dqs.push(ds.matmul(&head_copy(&cache.k, h, dh)).scale(scale));
+            dqs.push(ds.matmul(&head_copy(&tape.k, h, dh)).scale(scale));
             dks.push(
                 ds.transpose()
-                    .matmul(&head_copy(&cache.q, h, dh))
+                    .matmul(&head_copy(&tape.q, h, dh))
                     .scale(scale),
             );
         }
         let cat = |parts: &Vec<Tensor>| Tensor::hstack(&parts.iter().collect::<Vec<_>>());
         let (dq, dk, dv) = (cat(&dqs), cat(&dks), cat(&dvs));
         assert_eq!((dq.dim(1), dk.dim(1)), (d, d));
-        let dxq = Rows::from(cache.rows.as_deref()).scatter(a.wq.backward(&dq), n_k);
-        (dxq, a.wk.backward(&dk).add(&a.wv.backward(&dv)))
+        let dxq = Rows::from(tape.rows.as_deref()).scatter(a.wq.backward(&tape.xq, &dq, cx), n_k);
+        let dxk = a.wk.backward(&tape.xkv, &dk, cx);
+        (dxq, dxk.add(&a.wv.backward(&tape.xkv, &dv, cx)))
     }
 
-    fn grads(a: &mut MultiHeadAttention) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        a.visit_params(&mut |_, p| out.push(p.grad.data().iter().map(|g| g.to_bits()).collect()));
-        out
+    fn bits(cx: &Cx) -> Vec<u32> {
+        cx.grads.data().iter().map(|g| g.to_bits()).collect()
     }
 
     /// `n_q × n_k` masks: none, causal-shaped (key `j` hidden past query
@@ -667,7 +690,7 @@ mod tests {
     }
 
     /// Heads read by stride give the bits of heads copied out, on both
-    /// lanes at 1, 2 and 4 threads: `infer`, `forward_queries` over all
+    /// lanes at 1, 2 and 4 threads: `infer`, `forward_train` over all
     /// rows and some, and both backward variants with all four
     /// projections' gradients.
     #[test]
@@ -681,28 +704,35 @@ mod tests {
                 let dy = SeededInit::new(32).uniform(&[n, d], -1.0, 1.0);
                 for mask in masks(heads, n, n) {
                     let mut a = mha(d, heads, 33);
+                    let (mut cx, mut cy) = (Cx::new(&mut a), Cx::new(&mut a));
                     let m = mask.as_ref();
                     assert_eq!(a.infer(&x, Rows::All, m), reference_infer(&a, &x, &x, m));
                     for rows in [Rows::All, Rows::Only(&[0, 3, 4, 8])] {
                         let cut = m.map(|m| m.cut(rows));
-                        let out = a.forward_queries(&x, rows, m);
+                        let (out, tape) = a.forward_train(&x, rows, m);
                         assert_eq!(out, reference_infer(&a, &rows.of(&x), &x, cut.as_deref()));
                         let dy = rows.of(&dy).into_owned();
-                        let mut b = a.clone();
-                        let dx = a.backward_self(&dy);
-                        let (dxq, dxkv) = reference_backward(&mut b, &dy);
+                        let (_, tape_b) = a.forward_train(&x, rows, m);
+                        let dx = a.backward_self(tape, &dy, &mut cx);
+                        let (dxq, dxkv) = reference_backward(&a, tape_b, &dy, &mut cy);
                         assert_eq!(dx, dxq.add(&dxkv));
-                        assert_eq!(grads(&mut a), grads(&mut b));
+                        assert_eq!(bits(&cx), bits(&cy));
                     }
                 }
                 for mask in masks(heads, n_q, n) {
                     let mut a = mha(d, heads, 34);
+                    let (mut cx, mut cy) = (Cx::new(&mut a), Cx::new(&mut a));
                     let m = mask.as_ref();
-                    assert_eq!(a.forward_cross(&xq, &x, m), reference_infer(&a, &xq, &x, m));
-                    let mut b = a.clone();
+                    let (out, tape) = a.forward_cross_train(&xq, &x, m);
+                    assert_eq!(out, reference_infer(&a, &xq, &x, m));
+                    assert_eq!(a.forward_cross(&xq, &x, m), out);
+                    let (_, tape_b) = a.forward_cross_train(&xq, &x, m);
                     let dy = dy.rows(0, n_q);
-                    assert_eq!(a.backward_cross(&dy), reference_backward(&mut b, &dy));
-                    assert_eq!(grads(&mut a), grads(&mut b));
+                    assert_eq!(
+                        a.backward_cross(tape, &dy, &mut cx),
+                        reference_backward(&a, tape_b, &dy, &mut cy)
+                    );
+                    assert_eq!(bits(&cx), bits(&cy));
                 }
             }
         };
@@ -716,9 +746,10 @@ mod tests {
     #[should_panic(expected = "does not match the forward variant")]
     fn mismatched_backward_variant_panics() {
         let mut a = mha(4, 1, 19);
+        let mut cx = Cx::new(&mut a);
         let x = Tensor::ones(&[2, 4]);
-        let _ = a.forward_self(&x, None);
-        let _ = a.backward_cross(&Tensor::ones(&[2, 4]));
+        let (_, tape) = a.forward_train(&x, Rows::All, None);
+        let _ = a.backward_cross(tape, &Tensor::ones(&[2, 4]), &mut cx);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Inverted dropout with an explicit, seedable mask source.
 
 use crate::encoder::Rows;
-use crate::Name;
+use crate::param::UNBOUND;
+use crate::Cx;
 use ntr_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -9,13 +10,17 @@ use rand::{Rng, SeedableRng};
 /// Inverted dropout: at train time each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1−p)`, so inference is a no-op.
 ///
-/// The layer owns its RNG (seeded at construction) so training runs are
-/// reproducible; `forward(x, train=false)` bypasses masking entirely.
+/// A training forward draws its mask from the example's [`Cx`], from the
+/// stream [`crate::Grads::new`] bound this layer to, so any number of
+/// examples train through one `&self` at once. The layer's own RNG
+/// (seeded at construction) is where that stream stands at step start: the
+/// training supervisor derives each example's stream from it and advances
+/// it once per step, and checkpoints save and restore it.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    cache_mask: Option<Tensor>,
+    pub(crate) at: usize,
 }
 
 impl Dropout {
@@ -31,7 +36,7 @@ impl Dropout {
         Self {
             p,
             rng: StdRng::seed_from_u64(seed),
-            cache_mask: None,
+            at: UNBOUND,
         }
     }
 
@@ -40,55 +45,58 @@ impl Dropout {
         self.p
     }
 
-    /// Visits this layer's RNG state under `name` — the building block the
-    /// owning layers' [`crate::Layer::visit_rng_state`] impls forward to.
-    pub fn visit_rng(&mut self, name: &str, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
-        let mut s = self.rng.state();
-        f(&Name::new(name), &mut s);
+    /// The state of this layer's own stream (see [`Dropout`]).
+    pub fn state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    /// Restores a state read by [`Dropout::state`].
+    pub fn set_state(&mut self, s: [u64; 4]) {
         self.rng.set_state(s);
     }
 
-    /// Applies dropout when `train` is true; identity otherwise.
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            self.cache_mask = None;
-            return x.clone();
-        }
-        self.forward_train(x, x.dim(0), Rows::All)
-    }
-
     /// Training dropout of `rows` of an `n`-row activation, `x` holding
-    /// those rows alone. The mask is drawn for all `n` rows in row-major
-    /// order and cut to `rows`, so the stream and each kept row's mask are
-    /// those of [`Rows::All`].
-    pub fn forward_train(&mut self, x: &Tensor, n: usize, rows: Rows) -> Tensor {
+    /// those rows alone, and the mask the backward needs (`None` at
+    /// `p = 0`). The mask is drawn for all `n` rows in row-major order and
+    /// cut to `rows`, so the stream and each kept row's mask are those of
+    /// [`Rows::All`].
+    ///
+    /// # Panics
+    /// Panics if no visit bound this layer to one of `cx`'s streams.
+    pub fn forward_train(
+        &self,
+        x: &Tensor,
+        n: usize,
+        rows: Rows,
+        cx: &mut Cx,
+    ) -> (Tensor, Option<Tensor>) {
+        let rng = cx.stream(self.at);
         if self.p == 0.0 {
-            self.cache_mask = None;
-            return x.clone();
+            return (x.clone(), None);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let mut shape = x.shape().to_vec();
         shape[0] = n;
-        let mut mask = Tensor::from_fn(&shape, |_| {
-            if self.rng.gen::<f32>() < keep {
-                scale
-            } else {
-                0.0
-            }
-        });
+        let mut mask = Tensor::from_fn(
+            &shape,
+            |_| {
+                if rng.gen::<f32>() < keep {
+                    scale
+                } else {
+                    0.0
+                }
+            },
+        );
         if let Rows::Only(rows) = rows {
             mask = mask.gather_rows(rows);
         }
-        let y = x.mul(&mask);
-        self.cache_mask = Some(mask);
-        y
+        (x.mul(&mask), Some(mask))
     }
 
-    /// Propagates the gradient through the same mask used in `forward`.
-    /// If the last forward was an inference pass, this is the identity.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match self.cache_mask.take() {
+    /// Propagates the gradient through the training forward's `mask`.
+    pub fn backward(mask: Option<Tensor>, dy: &Tensor) -> Tensor {
+        match mask {
             Some(mask) => dy.mul(&mask),
             None => dy.clone(),
         }
@@ -98,27 +106,37 @@ impl Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Layer;
 
-    #[test]
-    fn inference_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
-        let x = Tensor::ones(&[4, 4]);
-        assert_eq!(d.forward(&x, false), x);
-        assert_eq!(d.backward(&x), x);
+    /// A one-dropout model, bound to a context of its own.
+    fn bound(p: f32, seed: u64) -> (Dropout, Cx) {
+        struct One(Dropout);
+        impl Layer for One {
+            fn visit_params(&mut self, _: &mut dyn FnMut(&crate::Name, &mut crate::Param)) {}
+            fn visit_rng_state(&mut self, f: &mut dyn FnMut(&crate::Name, &mut Dropout)) {
+                f(&crate::Name::new("d"), &mut self.0);
+            }
+        }
+        let mut one = One(Dropout::new(p, seed));
+        let cx = Cx::new(&mut one);
+        (one.0, cx)
+    }
+
+    fn train(p: f32, seed: u64, x: &Tensor) -> (Tensor, Option<Tensor>) {
+        let (d, mut cx) = bound(p, seed);
+        d.forward_train(x, x.dim(0), Rows::All, &mut cx)
     }
 
     #[test]
     fn zero_probability_is_identity_even_in_train() {
-        let mut d = Dropout::new(0.0, 1);
         let x = Tensor::ones(&[4, 4]);
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(train(0.0, 1, &x), (x, None));
     }
 
     #[test]
     fn train_mask_zeroes_and_rescales() {
-        let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[32, 32]);
-        let y = d.forward(&x, true);
+        let (y, _) = train(0.5, 7, &x);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         let kept = y.data().iter().filter(|&&v| (v - 2.0).abs() < 1e-6).count();
         assert_eq!(zeros + kept, 1024, "values must be 0 or 1/(1-p)");
@@ -128,10 +146,9 @@ mod tests {
 
     #[test]
     fn backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[8, 8]);
-        let y = d.forward(&x, true);
-        let dx = d.backward(&Tensor::ones(&[8, 8]));
+        let (y, mask) = train(0.5, 3, &x);
+        let dx = Dropout::backward(mask, &Tensor::ones(&[8, 8]));
         // Gradient must be zero exactly where the activation was dropped.
         for (a, g) in y.data().iter().zip(dx.data()) {
             assert_eq!(*a == 0.0, *g == 0.0);
@@ -141,9 +158,17 @@ mod tests {
     #[test]
     fn same_seed_same_mask_sequence() {
         let x = Tensor::ones(&[4, 4]);
-        let a = Dropout::new(0.5, 9).forward(&x, true);
-        let b = Dropout::new(0.5, 9).forward(&x, true);
-        assert_eq!(a, b);
+        assert_eq!(train(0.5, 9, &x), train(0.5, 9, &x));
+    }
+
+    /// A dropout no visit reached has no stream to draw from, even at
+    /// `p = 0`: it panics instead of training on a private stream.
+    #[test]
+    #[should_panic(expected = "a dropout was never bound to a stream")]
+    fn an_unbound_dropout_panics() {
+        let (_, mut cx) = bound(0.5, 1);
+        let x = Tensor::ones(&[2, 2]);
+        let _ = Dropout::new(0.0, 1).forward_train(&x, 2, Rows::All, &mut cx);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Lookup-table embeddings with scatter-add backward.
 
 use crate::init::SeededInit;
-use crate::{Layer, Name, Param};
+use crate::{Cx, Layer, Name, Param};
 use ntr_tensor::Tensor;
 
 /// An embedding table mapping ids `0..vocab` to `d`-dimensional vectors.
 ///
 /// Table-aware models sum several of these per token (word + position +
-/// segment + row + column…, see `ntr-models`); each table independently
-/// caches the ids it saw and scatter-adds the output gradient into its rows.
+/// segment + row + column…, see `ntr-models`); each table's backward
+/// scatter-adds the output gradient into the rows of the ids it looked up,
+/// which are its tape.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     /// The table, shape `[vocab, d]`.
     pub weight: Param,
-    cache_ids: Option<Vec<usize>>,
 }
 
 impl Embedding {
@@ -22,7 +22,6 @@ impl Embedding {
     pub fn new(vocab: usize, d: usize, init: &mut SeededInit) -> Self {
         Self {
             weight: Param::new(init.normal(&[vocab, d], 0.02)),
-            cache_ids: None,
         }
     }
 
@@ -36,17 +35,10 @@ impl Embedding {
         self.weight.value.dim(1)
     }
 
-    /// Looks up `ids`, producing `[ids.len(), d]`; caches ids for backward.
+    /// Looks up `ids`, producing `[ids.len(), d]`.
     ///
     /// # Panics
     /// Panics when an id is out of range.
-    pub fn forward(&mut self, ids: &[usize]) -> Tensor {
-        let out = self.lookup(ids);
-        self.cache_ids = Some(ids.to_vec());
-        out
-    }
-
-    /// Lookup without caching, for inference paths.
     pub fn lookup(&self, ids: &[usize]) -> Tensor {
         let d = self.dim();
         let vocab = self.vocab();
@@ -63,17 +55,14 @@ impl Embedding {
         self.lookup(&[id])
     }
 
-    /// Scatter-adds `dy` rows into the rows of the table gradient.
+    /// Scatter-adds `dy` rows into the gradient rows of the `ids` the
+    /// lookup took.
     ///
     /// Embeddings are graph sources, so there is no input gradient to return.
     ///
     /// # Panics
-    /// Panics if called before `forward` or with a mismatched `dy` shape.
-    pub fn backward(&mut self, dy: &Tensor) {
-        let ids = self
-            .cache_ids
-            .take()
-            .expect("Embedding::backward called without a cached forward");
+    /// Panics on a `dy` shape that does not match `ids`.
+    pub fn backward(&self, ids: &[usize], dy: &Tensor, cx: &mut Cx) {
         assert_eq!(
             dy.shape(),
             &[ids.len(), self.dim()],
@@ -83,10 +72,9 @@ impl Embedding {
             self.dim()
         );
         let d = self.dim();
+        let grad = cx.grads.of_mut(&self.weight);
         for (pos, &id) in ids.iter().enumerate() {
-            let src = dy.row(pos).to_vec();
-            let dst = &mut self.weight.grad.data_mut()[id * d..(id + 1) * d];
-            for (g, s) in dst.iter_mut().zip(src) {
+            for (g, s) in grad[id * d..(id + 1) * d].iter_mut().zip(dy.row(pos)) {
                 *g += s;
             }
         }
@@ -105,8 +93,8 @@ mod tests {
 
     #[test]
     fn forward_gathers_rows() {
-        let mut e = Embedding::new(4, 3, &mut SeededInit::new(1));
-        let out = e.forward(&[2, 0, 2]);
+        let e = Embedding::new(4, 3, &mut SeededInit::new(1));
+        let out = e.lookup(&[2, 0, 2]);
         assert_eq!(out.shape(), &[3, 3]);
         assert_eq!(out.row(0), e.weight.value.row(2));
         assert_eq!(out.row(1), e.weight.value.row(0));
@@ -116,19 +104,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn forward_rejects_bad_id() {
-        let mut e = Embedding::new(4, 3, &mut SeededInit::new(1));
-        let _ = e.forward(&[4]);
+        let e = Embedding::new(4, 3, &mut SeededInit::new(1));
+        let _ = e.lookup(&[4]);
     }
 
     #[test]
     fn backward_scatter_adds_repeated_ids() {
         let mut e = Embedding::new(4, 2, &mut SeededInit::new(2));
-        let _ = e.forward(&[1, 1, 3]);
+        let mut cx = Cx::new(&mut e);
         let dy = Tensor::from_vec(vec![1.0, 2.0, 10.0, 20.0, 5.0, 6.0], &[3, 2]);
-        e.backward(&dy);
-        assert_eq!(&e.weight.grad.data()[2..4], &[11.0, 22.0]); // row 1 summed
-        assert_eq!(&e.weight.grad.data()[6..8], &[5.0, 6.0]); // row 3
-        assert_eq!(&e.weight.grad.data()[0..2], &[0.0, 0.0]); // untouched rows
+        e.backward(&[1, 1, 3], &dy, &mut cx);
+        let grad = cx.grads.of(&e.weight);
+        assert_eq!(&grad[2..4], &[11.0, 22.0]); // row 1 summed
+        assert_eq!(&grad[6..8], &[5.0, 6.0]); // row 3
+        assert_eq!(&grad[0..2], &[0.0, 0.0]); // untouched rows
     }
 
     #[test]

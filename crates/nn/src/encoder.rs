@@ -1,12 +1,12 @@
 //! Transformer encoder: feed-forward block, pre-LN encoder layer, stack.
 
 use crate::activation::Gelu;
-use crate::attention::{AttnMask, MultiHeadAttention};
+use crate::attention::{AttentionTape, AttnMask, MultiHeadAttention};
 use crate::dropout::Dropout;
 use crate::init::SeededInit;
-use crate::layernorm::LayerNorm;
+use crate::layernorm::{LayerNorm, LayerNormTape};
 use crate::linear::Linear;
-use crate::{visit_child, Layer, Name, Param, Segment};
+use crate::{visit_child, Cx, Layer, Name, Param, Segment};
 use ntr_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -79,8 +79,15 @@ impl<'a> From<Option<&'a [usize]>> for Rows<'a> {
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     lin1: Linear,
-    act: Gelu,
     lin2: Linear,
+}
+
+/// What [`FeedForward::backward`] needs: the inputs of its three steps.
+#[derive(Debug)]
+pub struct FeedForwardTape {
+    x: Tensor,
+    h: Tensor,
+    g: Tensor,
 }
 
 impl FeedForward {
@@ -88,28 +95,29 @@ impl FeedForward {
     pub fn new(d_model: usize, d_ff: usize, init: &mut SeededInit) -> Self {
         Self {
             lin1: Linear::new(d_model, d_ff, &mut init.fork()),
-            act: Gelu::default(),
             lin2: Linear::new(d_ff, d_model, &mut init.fork()),
         }
     }
 
-    /// Forward with caching.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.lin2.forward(&self.act.forward(&self.lin1.forward(x)))
+    /// Inference forward. Rows are independent: some of the rows of a
+    /// sequence give the bits of those rows of the whole sequence's forward.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.lin2.forward(&Gelu.forward(&self.lin1.forward(x)))
     }
 
-    /// Forward without caching, for inference. Rows are independent: some
-    /// of the rows of a sequence give the bits of those rows of the whole
-    /// sequence's forward.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.lin2
-            .forward_inference(&self.act.forward_inference(&self.lin1.forward_inference(x)))
+    /// [`FeedForward::forward`] and its tape.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, FeedForwardTape) {
+        let (h, x) = self.lin1.forward_train(x);
+        let (g, h) = Gelu.forward_train(&h);
+        let (y, g) = self.lin2.forward_train(&g);
+        (y, FeedForwardTape { x, h, g })
     }
 
     /// Backward; returns the input gradient.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.lin1
-            .backward(&self.act.backward(&self.lin2.backward(dy)))
+    pub fn backward(&self, tape: FeedForwardTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        let dg = self.lin2.backward(&tape.g, dy, cx);
+        let dh = Gelu.backward(tape.h, &dg);
+        self.lin1.backward(&tape.x, &dh, cx)
     }
 }
 
@@ -141,6 +149,17 @@ pub struct EncoderLayer {
     drop2: Dropout,
 }
 
+/// What [`EncoderLayer::backward`] needs of a training forward.
+#[derive(Debug)]
+pub struct EncoderLayerTape {
+    ln1: LayerNormTape,
+    attn: AttentionTape,
+    drop1: Option<Tensor>,
+    ln2: LayerNormTape,
+    ffn: FeedForwardTape,
+    drop2: Option<Tensor>,
+}
+
 impl EncoderLayer {
     /// New encoder layer.
     pub fn new(
@@ -161,44 +180,64 @@ impl EncoderLayer {
         }
     }
 
-    /// Forward pass over every row: [`EncoderLayer::forward_train`] with
-    /// `train`, [`EncoderLayer::infer`] (recording nothing) without.
-    pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
-        if !train {
-            return self.infer(x, mask, Rows::All);
-        }
-        self.forward_train(x, mask, Rows::All)
+    /// Inference over every row: [`EncoderLayer::infer`] with [`Rows::All`].
+    ///
+    /// # Panics
+    /// Panics if `train` is set: training runs through
+    /// [`EncoderLayer::forward_train`].
+    pub fn forward(&self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
+        assert!(
+            !train,
+            "EncoderLayer::forward is inference; train through forward_train"
+        );
+        self.infer(x, mask, Rows::All)
     }
 
-    /// Training forward of the output rows `rows`, recording what
+    /// Training forward of the output rows `rows` and the tape
     /// [`EncoderLayer::backward`] needs; it computes what
-    /// [`EncoderLayer::infer`] does. Both dropouts draw their masks for
-    /// every row, so their streams advance as under [`Rows::All`].
-    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
+    /// [`EncoderLayer::infer`] does, with dropout. Both dropouts draw their
+    /// masks for every row, so their streams advance as under [`Rows::All`].
+    pub fn forward_train(
+        &self,
+        x: &Tensor,
+        mask: Option<&AttnMask>,
+        rows: Rows,
+        cx: &mut Cx,
+    ) -> (Tensor, EncoderLayerTape) {
         let n = x.dim(0);
-        let h = self.attn.forward_queries(&self.ln1.forward(x), rows, mask);
+        let (h, ln1) = self.ln1.forward_train(x);
+        let (h, attn) = self.attn.forward_train(&h, rows, mask);
         // The residual sums land in the branch outputs' buffers; addition
         // commutes exactly, so the bits are those of `x + branch`.
-        let mut x1 = self.drop1.forward_train(&h, n, rows);
+        let (mut x1, drop1) = self.drop1.forward_train(&h, n, rows, cx);
         x1.add_assign(&rows.of(x));
-        let h2 = self.ffn.forward(&self.ln2.forward(&x1));
-        let mut out = self.drop2.forward_train(&h2, n, rows);
+        let (h2, ln2) = self.ln2.forward_train(&x1);
+        let (h2, ffn) = self.ffn.forward_train(&h2);
+        let (mut out, drop2) = self.drop2.forward_train(&h2, n, rows, cx);
         out.add_assign(&x1);
-        out
+        let tape = EncoderLayerTape {
+            ln1,
+            attn,
+            drop1,
+            ln2,
+            ffn,
+            drop2,
+        };
+        (out, tape)
     }
 
-    /// Inference forward of the output rows `rows`: no caches, no dropout,
+    /// Inference forward of the output rows `rows`: no tape, no dropout,
     /// `&self`. LN1, keys and values run over every row of `x` (the rows
     /// attend to all of them), everything else for `rows` alone; `mask`
-    /// covers every row. With [`Rows::All`] it is bit-identical to
-    /// `forward(x, mask, false)`, and each selected row has that row's bits.
+    /// covers every row. Each selected row has the bits of that row of
+    /// [`Rows::All`].
     pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
-        let h = self.ln1.forward_inference(x);
+        let h = self.ln1.forward(x);
         // The residual sums land in the branch outputs' buffers; addition
         // commutes exactly, so the bits are those of `x + branch`.
         let mut x1 = self.attn.infer(&h, rows, mask);
         x1.add_assign(&rows.of(x));
-        let mut out = self.ffn.infer(&self.ln2.forward_inference(&x1));
+        let mut out = self.ffn.forward(&self.ln2.forward(&x1));
         out.add_assign(&x1);
         out
     }
@@ -206,22 +245,22 @@ impl EncoderLayer {
     /// This layer's per-head attention distributions over `x` (see
     /// [`MultiHeadAttention::attention_probs`]).
     pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
-        self.attn
-            .attention_probs(&self.ln1.forward_inference(x), mask)
+        self.attn.attention_probs(&self.ln1.forward(x), mask)
     }
 
     /// Backward pass from the gradient of the rows the training forward
     /// produced; returns the gradient of every input row.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    pub fn backward(&self, tape: EncoderLayerTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
         // Residual 2: dy flows both into the FFN branch and straight through.
         let dffn = self
-            .ln2
-            .backward(&self.ffn.backward(&self.drop2.backward(dy)));
-        let dx1 = dy.add(&dffn);
-        let dh = self.drop1.backward(&dx1);
+            .ffn
+            .backward(tape.ffn, &Dropout::backward(tape.drop2, dy), cx);
+        let dx1 = dy.add(&self.ln2.backward(tape.ln2, &dffn, cx));
+        let dh = Dropout::backward(tape.drop1, &dx1);
         // Residual 1: a row no output reads gets `+0` plus its K/V gradient.
-        let dx = self.attn.scatter_queries(dx1);
-        dx.add(&self.ln1.backward(&self.attn.backward_self(&dh)))
+        let dx = tape.attn.scatter_queries(dx1);
+        let dattn = self.attn.backward_self(tape.attn, &dh, cx);
+        dx.add(&self.ln1.backward(tape.ln1, &dattn, cx))
     }
 }
 
@@ -233,9 +272,9 @@ impl Layer for EncoderLayer {
         self.ffn.visit_params(&mut visit_child("ffn", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
-        self.drop1.visit_rng("drop1", f);
-        self.drop2.visit_rng("drop2", f);
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
+        f(&Name::new("drop1"), &mut self.drop1);
+        f(&Name::new("drop2"), &mut self.drop2);
     }
 }
 
@@ -244,6 +283,14 @@ impl Layer for EncoderLayer {
 pub struct Encoder {
     layers: Vec<EncoderLayer>,
     final_ln: LayerNorm,
+}
+
+/// What [`Encoder::backward`] needs: every layer's tape, then the final
+/// LayerNorm's.
+#[derive(Debug)]
+pub struct EncoderTape {
+    layers: Vec<EncoderLayerTape>,
+    final_ln: LayerNormTape,
 }
 
 impl Encoder {
@@ -274,31 +321,45 @@ impl Encoder {
         self.final_ln.dim()
     }
 
-    /// Forward through all layers over every row: [`Encoder::forward_train`]
-    /// with `train`, [`Encoder::infer`] without.
-    pub fn forward(&mut self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
-        if !train {
-            return self.infer(x, mask, Rows::All);
-        }
-        self.forward_train(x, mask, Rows::All)
+    /// Inference over every row: [`Encoder::infer`] with [`Rows::All`].
+    ///
+    /// # Panics
+    /// Panics if `train` is set: training runs through
+    /// [`Encoder::forward_train`].
+    pub fn forward(&self, x: &Tensor, mask: Option<&AttnMask>, train: bool) -> Tensor {
+        assert!(
+            !train,
+            "Encoder::forward is inference; train through forward_train"
+        );
+        self.infer(x, mask, Rows::All)
     }
 
     /// Training forward, the same `mask` at every layer, returning the
-    /// states of `rows` and recording what [`Encoder::backward`] needs.
-    /// `rows` narrows the last layer only, as in [`Encoder::infer`];
-    /// narrowing an encoder with no layer panics.
-    pub fn forward_train(&mut self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
+    /// states of `rows` and the tape [`Encoder::backward`] needs. `rows`
+    /// narrows the last layer only, as in [`Encoder::infer`]; narrowing an
+    /// encoder with no layer panics.
+    pub fn forward_train(
+        &self,
+        x: &Tensor,
+        mask: Option<&AttnMask>,
+        rows: Rows,
+        cx: &mut Cx,
+    ) -> (Tensor, EncoderTape) {
         assert!(rows == Rows::All || !self.layers.is_empty());
         let last = self.layers.len().saturating_sub(1);
         let mut h: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for (i, layer) in self.layers.iter().enumerate() {
             let r = if i == last { rows } else { Rows::All };
-            h = Some(layer.forward_train(h.as_ref().unwrap_or(x), mask, r));
+            let (y, tape) = layer.forward_train(h.as_ref().unwrap_or(x), mask, r, cx);
+            layers.push(tape);
+            h = Some(y);
         }
-        self.final_ln.forward(h.as_ref().unwrap_or(x))
+        let (y, final_ln) = self.final_ln.forward_train(h.as_ref().unwrap_or(x));
+        (y, EncoderTape { layers, final_ln })
     }
 
-    /// Inference through all layers: no caches, no dropout, `&self`, so one
+    /// Inference through all layers: no tape, no dropout, `&self`, so one
     /// encoder can serve any number of threads at once. `rows` narrows the
     /// last layer only, and the final LayerNorm runs on what it returns.
     pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
@@ -309,17 +370,17 @@ impl Encoder {
             h = Some(layer.infer(h.as_ref().unwrap_or(x), mask, r));
         }
         match &h {
-            Some(h) => self.final_ln.forward_inference(h),
-            None => self.final_ln.forward_inference(&rows.of(x)),
+            Some(h) => self.final_ln.forward(h),
+            None => self.final_ln.forward(&rows.of(x)),
         }
     }
 
     /// Backward through all layers in reverse, from the gradient of the
     /// rows the training forward returned to that of every input row.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut g = self.final_ln.backward(dy);
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    pub fn backward(&self, tape: EncoderTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        let mut g = self.final_ln.backward(tape.final_ln, dy, cx);
+        for (layer, tape) in self.layers.iter().zip(tape.layers).rev() {
+            g = layer.backward(tape, &g, cx);
         }
         g
     }
@@ -346,7 +407,7 @@ impl Layer for Encoder {
         self.final_ln.visit_params(&mut visit_child("final_ln", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             layer.visit_rng_state(&mut visit_child(Segment::Layer(i), f));
         }
@@ -361,19 +422,18 @@ mod tests {
     #[test]
     fn ffn_gradcheck() {
         let mut f = FeedForward::new(4, 8, &mut SeededInit::new(1));
+        let mut cx = Cx::new(&mut f);
         let x = SeededInit::new(2).uniform(&[3, 4], -1.0, 1.0);
         let dy = SeededInit::new(3).uniform(&[3, 4], -1.0, 1.0);
-        let _ = f.forward(&x);
-        let dx = f.backward(&dy);
-        let mut probe = f.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward(x).mul(&dyc).sum());
+        let (_, tape) = f.forward_train(&x);
+        let dx = f.backward(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| f.forward(x).mul(&dy).sum());
         assert_close(&dx, &num, 2e-2, "ffn dx");
     }
 
     #[test]
     fn encoder_layer_preserves_shape() {
-        let mut l = EncoderLayer::new(8, 2, 16, 0.0, &mut SeededInit::new(4));
+        let l = EncoderLayer::new(8, 2, 16, 0.0, &mut SeededInit::new(4));
         let x = SeededInit::new(5).uniform(&[6, 8], -1.0, 1.0);
         let y = l.forward(&x, None, false);
         assert_eq!(y.shape(), x.shape());
@@ -382,26 +442,24 @@ mod tests {
     #[test]
     fn encoder_layer_gradcheck() {
         let mut l = EncoderLayer::new(6, 2, 12, 0.0, &mut SeededInit::new(6));
+        let mut cx = Cx::new(&mut l);
         let x = SeededInit::new(7).uniform(&[3, 6], -0.5, 0.5);
         let dy = SeededInit::new(8).uniform(&[3, 6], -1.0, 1.0);
-        let _ = l.forward(&x, None, true);
-        let dx = l.backward(&dy);
-        let mut probe = l.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward(x, None, false).mul(&dyc).sum());
+        let (_, tape) = l.forward_train(&x, None, Rows::All, &mut cx);
+        let dx = l.backward(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| l.forward(x, None, false).mul(&dy).sum());
         assert_close(&dx, &num, 3e-2, "encoder layer dx");
     }
 
     #[test]
     fn encoder_stack_gradcheck() {
         let mut enc = Encoder::new(2, 6, 2, 12, 0.0, &mut SeededInit::new(9));
+        let mut cx = Cx::new(&mut enc);
         let x = SeededInit::new(10).uniform(&[3, 6], -0.5, 0.5);
         let dy = SeededInit::new(11).uniform(&[3, 6], -1.0, 1.0);
-        let _ = enc.forward(&x, None, true);
-        let dx = enc.backward(&dy);
-        let mut probe = enc.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward(x, None, false).mul(&dyc).sum());
+        let (_, tape) = enc.forward_train(&x, None, Rows::All, &mut cx);
+        let dx = enc.backward(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| enc.forward(x, None, false).mul(&dy).sum());
         assert_close(&dx, &num, 3e-2, "encoder dx");
     }
 
@@ -411,17 +469,15 @@ mod tests {
     #[test]
     fn encoder_rows_gradcheck() {
         let mut enc = Encoder::new(1, 6, 2, 12, 0.0, &mut SeededInit::new(22));
+        let mut cx = Cx::new(&mut enc);
         let x = SeededInit::new(23).uniform(&[4, 6], -0.5, 0.5);
         let dy = SeededInit::new(24).uniform(&[2, 6], -1.0, 1.0);
         let rows = Rows::Only(&[1, 3]);
         let mask = AttnMask::causal(4);
-        let _ = enc.forward_train(&x, Some(&mask), rows);
-        let dx = enc.backward(&dy);
+        let (_, tape) = enc.forward_train(&x, Some(&mask), rows, &mut cx);
+        let dx = enc.backward(tape, &dy, &mut cx);
         assert!(dx.row(0).iter().chain(dx.row(2)).any(|&g| g != 0.0));
-        let mut probe = enc.clone();
-        let num = numeric_grad(&x, 5e-3, |x| {
-            probe.forward_train(x, Some(&mask), rows).mul(&dy).sum()
-        });
+        let num = numeric_grad(&x, 5e-3, |x| enc.infer(x, Some(&mask), rows).mul(&dy).sum());
         assert_close(&dx, &num, 3e-2, "encoder rows dx");
     }
 
@@ -435,20 +491,29 @@ mod tests {
         assert_eq!(maps[0][0].shape(), &[4, 4]);
     }
 
-    /// `infer` is the eval forward minus its records: bit-identical to a
-    /// training-mode forward with dropout 0, which does record caches.
+    /// `infer` is the training forward minus its tape: bit-identical to it
+    /// with dropout 0.
     #[test]
-    fn infer_matches_the_recording_forward_bit_for_bit() {
+    fn infer_matches_the_training_forward_bit_for_bit() {
         let mut enc = Encoder::new(2, 8, 2, 16, 0.0, &mut SeededInit::new(15));
+        let mut cx = Cx::new(&mut enc);
         let x = SeededInit::new(16).uniform(&[5, 8], -1.0, 1.0);
         let mask = AttnMask::causal(5);
         assert_eq!(
             enc.infer(&x, Some(&mask), Rows::All),
-            enc.forward(&x, Some(&mask), true)
+            enc.forward_train(&x, Some(&mask), Rows::All, &mut cx).0
         );
         assert_eq!(enc.infer(&x, None, Rows::All), enc.forward(&x, None, false));
         let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
-        assert_eq!(ffn.infer(&x), ffn.clone().forward(&x));
+        assert_eq!(ffn.forward(&x), ffn.forward_train(&x).0);
+    }
+
+    /// The inference spelling of the training forward panics and names it.
+    #[test]
+    #[should_panic(expected = "train through forward_train")]
+    fn forward_with_train_set_panics() {
+        let enc = Encoder::new(1, 8, 2, 16, 0.0, &mut SeededInit::new(18));
+        let _ = enc.forward(&Tensor::ones(&[3, 8]), None, true);
     }
 
     /// [`Rows::CLS`] is row 0 of [`Rows::All`], bit for bit, at every depth
@@ -479,15 +544,6 @@ mod tests {
             assert!(caught.is_err(), "{rows:?}");
         }
         let _ = Rows::Only(&[2, 1]).of(&x);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a cached forward")]
-    fn backward_after_an_inference_forward_panics() {
-        let mut enc = Encoder::new(1, 8, 2, 16, 0.0, &mut SeededInit::new(18));
-        let x = SeededInit::new(19).uniform(&[3, 8], -1.0, 1.0);
-        let _ = enc.forward(&x, None, false);
-        let _ = enc.backward(&Tensor::ones(&[3, 8]));
     }
 
     #[test]

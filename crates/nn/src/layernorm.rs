@@ -1,6 +1,6 @@
 //! Layer normalization over the feature dimension, with learned scale/shift.
 
-use crate::{Layer, Name, Param};
+use crate::{Cx, Layer, Name, Param};
 use ntr_tensor::{simd, Tensor};
 
 /// LayerNorm: per-row normalization of a `[n, d]` tensor followed by a
@@ -15,11 +15,11 @@ pub struct LayerNorm {
     /// Shift, shape `[d]`, initialized to zeros.
     pub beta: Param,
     eps: f32,
-    cache: Option<Cache>,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
+/// What [`LayerNorm::backward`] needs of a training forward.
+#[derive(Debug)]
+pub struct LayerNormTape {
     xhat: Tensor,
     inv_std: Vec<f32>,
 }
@@ -31,7 +31,6 @@ impl LayerNorm {
             gamma: Param::new(Tensor::ones(&[d])),
             beta: Param::new(Tensor::zeros(&[d])),
             eps: 1e-5,
-            cache: None,
         }
     }
 
@@ -40,16 +39,15 @@ impl LayerNorm {
         self.gamma.value.numel()
     }
 
-    /// Normalizes each row of `x: [n, d]`; caches normalized activations.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (out, xhat, inv_std) = self.compute(x);
-        self.cache = Some(Cache { xhat, inv_std });
-        out
+    /// Normalizes each row of `x: [n, d]`.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.compute(x).0
     }
 
-    /// Forward without caching, for inference paths.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.compute(x).0
+    /// [`LayerNorm::forward`] and its tape, the normalized activations.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, LayerNormTape) {
+        let (out, xhat, inv_std) = self.compute(x);
+        (out, LayerNormTape { xhat, inv_std })
     }
 
     fn compute(&self, x: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
@@ -78,15 +76,9 @@ impl LayerNorm {
         (out, xhat, inv_std)
     }
 
-    /// Accumulates γ/β grads and returns `d loss / d x`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let Cache { xhat, inv_std } = self
-            .cache
-            .take()
-            .expect("LayerNorm::backward called without a cached forward");
+    /// Accumulates γ/β grads into `cx` and returns `d loss / d x`.
+    pub fn backward(&self, tape: LayerNormTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        let LayerNormTape { xhat, inv_std } = tape;
         let (n, d) = (xhat.dim(0), xhat.dim(1));
         assert_eq!(
             dy.shape(),
@@ -95,8 +87,8 @@ impl LayerNorm {
         );
 
         // Parameter grads.
-        self.gamma.accumulate(&dy.mul(&xhat).sum_rows());
-        self.beta.accumulate(&dy.sum_rows());
+        cx.grads.add(&self.gamma, &dy.mul(&xhat).sum_rows());
+        cx.grads.add(&self.beta, &dy.sum_rows());
 
         // Input grad. (Same SIMD policy as `compute`: scalar fallbacks are
         // the original loops, the fused pass included.)
@@ -127,12 +119,12 @@ impl Layer for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::{assert_close, numeric_grad};
+    use crate::gradcheck::{assert_close, grad, numeric_grad};
     use crate::init::SeededInit;
 
     #[test]
     fn output_rows_are_normalized() {
-        let mut ln = LayerNorm::new(4);
+        let ln = LayerNorm::new(4);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, -5.0, 0.0, 5.0, 10.0], &[2, 4]);
         let y = ln.forward(&x);
         for r in 0..2 {
@@ -163,14 +155,15 @@ mod tests {
     fn gradcheck_input_and_params() {
         let mut init = SeededInit::new(4);
         let mut ln = LayerNorm::new(5);
+        let mut cx = Cx::new(&mut ln);
         ln.gamma.value = init.uniform(&[5], 0.5, 1.5);
         ln.beta.value = init.uniform(&[5], -0.5, 0.5);
         let x = init.uniform(&[3, 5], -2.0, 2.0);
 
-        let _ = ln.forward(&x);
+        let (_, tape) = ln.forward_train(&x);
         // Weighted-sum loss keeps the check sensitive to all directions.
         let dy = init.uniform(&[3, 5], -1.0, 1.0);
-        let dx = ln.backward(&dy);
+        let dx = ln.backward(tape, &dy, &mut cx);
 
         let gamma = ln.gamma.value.clone();
         let beta = ln.beta.value.clone();
@@ -179,7 +172,7 @@ mod tests {
             let mut probe = LayerNorm::new(5);
             probe.gamma.value = gamma.clone();
             probe.beta.value = beta.clone();
-            probe.forward_inference(x).mul(&dyc).sum()
+            probe.forward(x).mul(&dyc).sum()
         });
         assert_close(&dx, &num_dx, 2e-2, "layernorm dx");
 
@@ -189,17 +182,30 @@ mod tests {
             let mut probe = LayerNorm::new(5);
             probe.gamma.value = g.clone();
             probe.beta.value = betac.clone();
-            probe.forward_inference(&xc).mul(&dyc).sum()
+            probe.forward(&xc).mul(&dyc).sum()
         });
-        assert_close(&ln.gamma.grad, &num_dg, 2e-2, "layernorm dgamma");
+        assert_close(
+            &grad(&cx.grads, &ln.gamma),
+            &num_dg,
+            2e-2,
+            "layernorm dgamma",
+        );
+        let num_db = numeric_grad(&beta, 1e-2, |b| {
+            let mut probe = LayerNorm::new(5);
+            probe.gamma.value = gamma.clone();
+            probe.beta.value = b.clone();
+            probe.forward(&x).mul(&dy).sum()
+        });
+        assert_close(&grad(&cx.grads, &ln.beta), &num_db, 2e-2, "layernorm dbeta");
     }
 
     #[test]
     fn constant_row_does_not_produce_nan() {
         let mut ln = LayerNorm::new(3);
-        let y = ln.forward(&Tensor::full(&[1, 3], 5.0));
+        let mut cx = Cx::new(&mut ln);
+        let (y, tape) = ln.forward_train(&Tensor::full(&[1, 3], 5.0));
         assert!(y.data().iter().all(|x| x.is_finite()));
-        let dx = ln.backward(&Tensor::ones(&[1, 3]));
+        let dx = ln.backward(tape, &Tensor::ones(&[1, 3]), &mut cx);
         assert!(dx.data().iter().all(|x| x.is_finite()));
     }
 }

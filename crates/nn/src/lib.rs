@@ -5,59 +5,60 @@
 //!
 //! ## Architecture
 //!
-//! Every layer is a plain struct owning its [`Param`]s and an activation
-//! cache. Inference and training are two paths over the same weights:
+//! Every layer is a plain struct owning its [`Param`]s; it keeps no state
+//! between calls, and both paths run through `&self`:
 //!
-//! * **Inference** is `&self`: [`Linear::forward_inference`],
-//!   [`LayerNorm::forward_inference`], [`Gelu::forward_inference`],
-//!   [`Embedding::lookup`] and the `infer` methods of
-//!   [`MultiHeadAttention`], [`encoder::FeedForward`], [`EncoderLayer`] and
-//!   [`Encoder`] record nothing and apply no dropout, so one set of weights
-//!   can serve any number of threads at once. `forward(.., train = false)`
-//!   on the encoder blocks *is* `infer`; it leaves nothing for a backward
-//!   pass, and a `backward` after it panics ("without a cached forward").
-//!   [`Rows`] says which output rows a caller reads, in inference and in
-//!   training alike: [`Rows::CLS`] runs the last layer for the `[CLS]` row
-//!   alone, bit-identical to row 0 of [`Rows::All`].
-//! * **Training** follows the classic three-step contract:
-//!   1. `forward(&mut self, x, ..)` (with `train = true` where the layer
-//!      takes the flag) computes the output **and records the activations**
-//!      needed by the backward pass;
-//!   2. `backward(&mut self, grad_out)` consumes the cache, **accumulates**
-//!      parameter gradients into each `Param`, and returns the gradient with
-//!      respect to the layer input;
-//!   3. [`optim::Adam::step`] visits all parameters via
-//!      [`Layer::visit_params`] and updates each at its offset in Adam's
-//!      flat moment buffers, after which `zero_grad` resets accumulators.
+//! * **Inference** is `forward` (`infer` on the encoder blocks): it records
+//!   nothing and applies no dropout, so one set of weights serves any
+//!   number of threads at once. [`Rows`] says which output rows a caller
+//!   reads, in inference and in training alike: [`Rows::CLS`] runs the
+//!   last layer for the `[CLS]` row alone, bit-identical to row 0 of
+//!   [`Rows::All`].
+//! * **Training** goes through an example's context [`Cx`], which holds its
+//!   flat gradient buffer ([`Grads`]) and its dropout streams:
+//!   1. `forward_train(&self, x, ..)` computes the output and returns it
+//!      with the layer's *tape*, the activations its backward needs;
+//!   2. `backward(&self, tape, dy, cx)` consumes the tape, **accumulates**
+//!      parameter gradients into `cx.grads` at each parameter's offset, and
+//!      returns the gradient with respect to the layer input;
+//!   3. [`optim::Adam::step`] updates every parameter from the gradients
+//!      in visit order, after which the caller zeroes them.
+//!
+//!   [`Grads::new`] binds a model once: each parameter to its offset and
+//!   each [`Dropout`] to its stream, in [`Layer::visit_params`] and
+//!   [`Layer::visit_rng_state`] order. A parameter or dropout the visits
+//!   do not reach panics on first use instead of training on the side.
 //!
 //! Both paths run the same kernels in the same order, so an inference
 //! output is bit-identical to the training forward's with dropout off.
 //!
-//! Backward passes are hand-derived rather than taped: the model zoo in
-//! `ntr-models` only needs a fixed set of blocks, and explicit code is easier
-//! to verify. Every layer's gradient is pinned by a finite-difference check in
-//! its unit tests (see [`gradcheck`]).
+//! Backward passes are hand-derived rather than generic autodiff: the
+//! model zoo in `ntr-models` only needs a fixed set of blocks, and explicit
+//! code is easier to verify. Every layer's gradient is pinned by a
+//! finite-difference check in its unit tests (see [`gradcheck`]).
 //!
 //! Sequences are processed unbatched (`[seq_len, d_model]` matrices), which
-//! keeps shapes two-dimensional and the kernels auditable; a batch's examples
-//! train on per-worker clones whose gradients [`merge_grads`] folds in order.
+//! keeps shapes two-dimensional and the kernels auditable; a batch's
+//! examples train on contexts of their own whose gradients [`merge_grads`]
+//! folds in order.
 //!
 //! ## Example: one training step of a tiny MLP
 //!
 //! ```
-//! use ntr_nn::{encoder::FeedForward, loss::softmax_cross_entropy, optim::Adam, Layer};
+//! use ntr_nn::{encoder::FeedForward, loss::softmax_cross_entropy, optim::Adam, Cx};
 //! use ntr_tensor::Tensor;
 //!
 //! // 4 → 8 → GELU → 4: paths "lin1/w", "lin1/b", "lin2/w", "lin2/b".
 //! let mut mlp = FeedForward::new(4, 8, &mut ntr_nn::init::SeededInit::new(1));
+//! let mut cx = Cx::new(&mut mlp);
 //! let mut adam = Adam::new(1e-2);
 //!
-//! let logits = mlp.forward(&Tensor::ones(&[2, 4]));
+//! let (logits, tape) = mlp.forward_train(&Tensor::ones(&[2, 4]));
 //! let (loss, dlogits) = softmax_cross_entropy(&logits, &[0, 2], None);
 //! assert!(loss.is_finite());
-//! mlp.backward(&dlogits);
-//! adam.step(&mut mlp);
-//! mlp.zero_grad();
+//! mlp.backward(tape, &dlogits, &mut cx);
+//! adam.step(&mut mlp, &cx.grads);
+//! cx.grads.zero();
 //! ```
 
 pub mod activation;
@@ -66,6 +67,7 @@ pub mod decoder;
 pub mod dropout;
 pub mod embedding;
 pub mod encoder;
+mod grads;
 pub mod init;
 pub mod layernorm;
 pub mod linear;
@@ -80,6 +82,7 @@ pub use decoder::{Decoder, DecoderLayer};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use encoder::{Encoder, EncoderLayer, Rows};
+pub use grads::{merge_grads, Cx, Grads};
 pub use layernorm::LayerNorm;
 pub use linear::{Linear, QuantizedLinear};
 pub use param::Param;
@@ -134,7 +137,7 @@ impl std::fmt::Display for Name<'_> {
     }
 }
 
-/// Visitation interface over a layer's trainable parameters.
+/// Visitation interface over a layer's trainable parameters and dropouts.
 ///
 /// The [`Name`] passed to the visitor is a `/`-separated path that uniquely
 /// identifies the parameter within the layer; composite layers prefix the
@@ -144,11 +147,6 @@ pub trait Layer {
     /// Calls `f` once per trainable parameter, in a deterministic order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param));
 
-    /// Sets all parameter gradients to zero.
-    fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, p| p.zero_grad());
-    }
-
     /// Total number of trainable scalar parameters.
     fn num_params(&mut self) -> usize {
         let mut n = 0;
@@ -156,15 +154,15 @@ pub trait Layer {
         n
     }
 
-    /// Calls `f` once per internal RNG (dropout mask sources), in a
-    /// deterministic order, with a path like [`Layer::visit_params`] uses.
-    /// The visitor receives the raw state words and may mutate them, which
-    /// is how checkpoints capture *and* restore the exact mask stream
-    /// across a kill/resume boundary.
+    /// Calls `f` once per [`Dropout`] (a mask stream), in a deterministic
+    /// order, with a path like [`Layer::visit_params`] uses. Checkpoints
+    /// capture *and* restore each stream's state through it, and
+    /// [`Grads::new`] binds each dropout to its stream in a [`Cx`].
     ///
-    /// Layers without stochastic state inherit this no-op default;
-    /// composite layers must forward to children that override it.
-    fn visit_rng_state(&mut self, _f: &mut dyn FnMut(&Name, &mut [u64; 4])) {}
+    /// Layers without dropout inherit this no-op default; composite layers
+    /// must forward to children that override it, or training panics at
+    /// the first dropout left unbound.
+    fn visit_rng_state(&mut self, _f: &mut dyn FnMut(&Name, &mut Dropout)) {}
 }
 
 /// The visitor a composite layer hands a child: it passes `f` each of the
@@ -181,47 +179,15 @@ pub fn visit_child<'f, T>(
     }
 }
 
-/// A copy of a layer's gradients in visit order: one set for [`merge_grads`].
-pub fn grads_of(layer: &mut dyn Layer) -> Vec<ntr_tensor::Tensor> {
-    let mut grads = Vec::new();
-    layer.visit_params(&mut |_, p| grads.push(p.grad.clone()));
-    grads
-}
-
-/// Adds gradient sets (one tensor per parameter, in visit order) into the
-/// master's gradients, set after set, and zeroes them: the sum depends on
-/// the sets' order alone. TaBERT, bi-encoder retrieval and the training
-/// supervisor fold their clones' and examples' gradients with it.
-///
-/// # Panics
-/// Panics when a set does not match the master's parameters.
-pub fn merge_grads(master: &mut dyn Layer, sets: &mut [Vec<ntr_tensor::Tensor>]) {
-    // Small blocks keep the master's slice in L1 across the sets and skip
-    // a set's untouched (+0.0) rows, such as most of an embedding table.
-    const BLOCK: usize = 64;
-    let mut i = 0;
-    master.visit_params(&mut |name, p| {
-        for set in sets.iter() {
-            assert_eq!(set[i].shape(), p.grad.shape(), "gradient set at {name}");
-        }
-        for (b, block) in p.grad.data_mut().chunks_mut(BLOCK).enumerate() {
-            for set in sets.iter_mut() {
-                let src = &mut set[i].data_mut()[b * BLOCK..][..block.len()];
-                if src.iter().fold(0, |bits, s| bits | s.to_bits()) != 0 {
-                    for (g, s) in block.iter_mut().zip(src) {
-                        *g += std::mem::take(s);
-                    }
-                }
-            }
-        }
-        i += 1;
-    });
-    assert!(sets.iter().all(|s| s.len() == i), "gradient set length");
-}
-
 /// Finite-difference gradient checking utilities shared by layer tests.
 pub mod gradcheck {
+    use crate::{Grads, Param};
     use ntr_tensor::Tensor;
+
+    /// `p`'s gradient in `grads`, as a tensor of `p`'s shape.
+    pub fn grad(grads: &Grads, p: &Param) -> Tensor {
+        Tensor::from_vec(grads.of(p).to_vec(), p.value.shape())
+    }
 
     /// Numerically estimates `d loss / d x` for a scalar-valued function by
     /// central differences with step `eps`.

@@ -1,23 +1,22 @@
-//! Fully-connected layer `y = x·W + b` with cached-activation backward,
-//! plus an int8 inference snapshot ([`QuantizedLinear`]).
+//! Fully-connected layer `y = x·W + b` with a taped backward, plus an int8
+//! inference snapshot ([`QuantizedLinear`]).
 
 use crate::init::SeededInit;
-use crate::{Layer, Name, Param};
+use crate::{Cx, Layer, Name, Param};
 use ntr_tensor::quant::{self, QuantizedMatrix};
 use ntr_tensor::Tensor;
 
 /// An affine transformation from `d_in` to `d_out` features.
 ///
-/// Forward caches the input so [`Linear::backward`] can compute
-/// `dW = xᵀ·dy`, `db = Σ_rows dy`, and return `dx = dy·Wᵀ`.
+/// The training forward's tape is its input `x`, from which
+/// [`Linear::backward`] computes `dW = xᵀ·dy`, `db = Σ_rows dy`, and
+/// returns `dx = dy·Wᵀ`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix, shape `[d_in, d_out]`.
     pub w: Param,
     /// Bias vector, shape `[d_out]`.
     pub b: Param,
-    /// The training forward's input.
-    cache: Option<Tensor>,
 }
 
 impl Linear {
@@ -26,7 +25,6 @@ impl Linear {
         Self {
             w: Param::new(init.xavier(d_in, d_out)),
             b: Param::new(Tensor::zeros(&[d_out])),
-            cache: None,
         }
     }
 
@@ -40,32 +38,23 @@ impl Linear {
         self.w.value.dim(1)
     }
 
-    /// `y = x·W + b` for `x: [n, d_in]`; caches `x` for the backward pass.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.forward_inference(x);
-        self.cache = Some(x.clone());
-        y
-    }
-
-    /// Same as [`forward`](Self::forward) but without caching — for
-    /// inference paths that will never call `backward`. Each output row
-    /// depends on its own input row alone, so some of the rows of an input
-    /// give the bits of those rows of the whole input's forward.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
+    /// `y = x·W + b` for `x: [n, d_in]`. Each output row depends on its own
+    /// input row alone, so some of the rows of an input give the bits of
+    /// those rows of the whole input's forward.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
         x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
     }
 
-    /// Accumulates parameter grads and returns `d loss / d x`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .cache
-            .take()
-            .expect("Linear::backward called without a cached forward");
-        self.w.accumulate(&x.matmul_tn(dy));
-        self.b.accumulate(&dy.sum_rows());
+    /// [`Linear::forward`] and its tape, a copy of `x`.
+    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
+        (self.forward(x), x.clone())
+    }
+
+    /// Accumulates parameter gradients into `cx` and returns
+    /// `d loss / d x`, from the training forward's input `x`.
+    pub fn backward(&self, x: &Tensor, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        cx.grads.add(&self.w, &x.matmul_tn(dy));
+        cx.grads.add(&self.b, &dy.sum_rows());
         dy.matmul_nt(&self.w.value)
     }
 }
@@ -119,7 +108,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::{assert_close, numeric_grad};
+    use crate::gradcheck::{assert_close, grad, numeric_grad};
 
     fn make() -> Linear {
         Linear::new(3, 2, &mut SeededInit::new(11))
@@ -139,60 +128,51 @@ mod tests {
     #[test]
     fn gradcheck_input() {
         let mut l = make();
+        let mut cx = Cx::new(&mut l);
         let x = SeededInit::new(5).uniform(&[4, 3], -1.0, 1.0);
-        let y = l.forward(&x);
-        let dy = Tensor::ones(y.shape());
-        let dx = l.backward(&dy);
-        let w = l.w.value.clone();
-        let b = l.b.value.clone();
-        let num = numeric_grad(&x, 1e-2, |x| x.matmul(&w).add_row_broadcast(&b).sum());
+        let (y, tape) = l.forward_train(&x);
+        let dx = l.backward(&tape, &Tensor::ones(y.shape()), &mut cx);
+        let num = numeric_grad(&x, 1e-2, |x| l.forward(x).sum());
         assert_close(&dx, &num, 1e-2, "linear dx");
     }
 
     #[test]
     fn gradcheck_weights_and_bias() {
         let mut l = make();
+        let mut cx = Cx::new(&mut l);
         let x = SeededInit::new(6).uniform(&[4, 3], -1.0, 1.0);
-        let _ = l.forward(&x);
-        let _ = l.backward(&Tensor::ones(&[4, 2]));
+        let (_, tape) = l.forward_train(&x);
+        let _ = l.backward(&tape, &Tensor::ones(&[4, 2]), &mut cx);
         let b = l.b.value.clone();
         let numw = numeric_grad(&l.w.value, 1e-2, |w| {
             x.matmul(w).add_row_broadcast(&b).sum()
         });
-        assert_close(&l.w.grad, &numw, 1e-2, "linear dw");
+        assert_close(&grad(&cx.grads, &l.w), &numw, 1e-2, "linear dw");
         let w = l.w.value.clone();
         let numb = numeric_grad(&l.b.value, 1e-2, |b| {
             x.matmul(&w).add_row_broadcast(b).sum()
         });
-        assert_close(&l.b.grad, &numb, 1e-2, "linear db");
+        assert_close(&grad(&cx.grads, &l.b), &numb, 1e-2, "linear db");
     }
 
     #[test]
     fn grads_accumulate_across_calls() {
         let mut l = make();
+        let mut cx = Cx::new(&mut l);
         let x = Tensor::ones(&[1, 3]);
         for _ in 0..2 {
-            let _ = l.forward(&x);
-            let _ = l.backward(&Tensor::ones(&[1, 2]));
+            let (_, tape) = l.forward_train(&x);
+            let _ = l.backward(&tape, &Tensor::ones(&[1, 2]), &mut cx);
         }
         // db after two backward passes of all-ones dy = 2.
-        assert_eq!(l.b.grad.data(), &[2.0, 2.0]);
-        l.zero_grad();
-        assert_eq!(l.b.grad.data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a cached forward")]
-    fn backward_without_forward_panics() {
-        let mut l = make();
-        let _ = l.backward(&Tensor::ones(&[1, 2]));
+        assert_eq!(cx.grads.of(&l.b), &[2.0, 2.0]);
     }
 
     #[test]
     fn quantized_snapshot_tracks_f32_and_rederives_identically() {
         let l = Linear::new(16, 8, &mut SeededInit::new(3));
         let x = SeededInit::new(4).uniform(&[5, 16], -2.0, 2.0);
-        let exact = l.forward_inference(&x);
+        let exact = l.forward(&x);
         let q = l.quantized();
         let approx = q.forward(ntr_tensor::simd::active(), &x);
         assert_eq!(approx.shape(), exact.shape());

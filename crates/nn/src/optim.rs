@@ -1,6 +1,6 @@
 //! Optimizers and learning-rate schedules.
 
-use crate::Layer;
+use crate::{Grads, Layer};
 use ntr_tensor::{grain, par};
 
 const CHANGED: &str = "the model changed after Adam's first step";
@@ -9,13 +9,14 @@ const CHANGED: &str = "the model changed after Adam's first step";
 ///
 /// The moments are positional: `m` and `v` hold every parameter's first
 /// and second moments back to back, in [`Layer::visit_params`] order, so
-/// one `Adam` steps one model. They are allocated (zeroed) on the first
-/// [`Adam::step`]; checkpoints translate them to and from paths
+/// one `Adam` steps one model, from gradients in the same order
+/// ([`Grads`]). They are allocated (zeroed) on the first [`Adam::step`];
+/// checkpoints translate them to and from paths
 /// ([`crate::serialize::TrainCheckpoint`]). Usage per step:
 ///
 /// ```text
-/// adam.step(&mut model);     // advances t, updates every parameter
-/// model.zero_grad();
+/// adam.step(&mut model, &grads);     // advances t, updates every parameter
+/// grads.zero();
 /// ```
 #[derive(Debug)]
 pub struct Adam {
@@ -86,13 +87,14 @@ impl Adam {
     }
 
     /// One AdamW step over every parameter of `model`, from its
-    /// accumulated gradients. Advances `t`; does **not** zero the
+    /// accumulated gradients `grads`. Advances `t`; does **not** zero the
     /// gradients (callers do that after the step).
     ///
     /// # Panics
     /// Panics if `model` no longer has the parameters the moments were
-    /// made for (a parameter was added, removed or resized).
-    pub fn step(&mut self, model: &mut dyn Layer) {
+    /// made for (a parameter was added, removed or resized), or was not
+    /// bound to `grads`.
+    pub fn step(&mut self, model: &mut dyn Layer, grads: &Grads) {
         self.t += 1;
         if self.m.is_empty() {
             let n = model.num_params();
@@ -118,23 +120,17 @@ impl Adam {
             let threads = grain::threads_for(grain::Work::Transcendental(n));
             // The update is purely element-wise, so any chunking of the four
             // buffers produces bit-identical results.
-            par::for_zip3_mut(
-                p.value.data_mut(),
-                m,
-                v,
-                p.grad.data(),
-                threads,
-                |w, m, v, g| {
-                    for i in 0..w.len() {
-                        let gi = g[i];
-                        m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
-                        v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-                        let mhat = m[i] / bc1;
-                        let vhat = v[i] / bc2;
-                        w[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[i]);
-                    }
-                },
-            );
+            let g = grads.of(p);
+            par::for_zip3_mut(p.value.data_mut(), m, v, g, threads, |w, m, v, g| {
+                for i in 0..w.len() {
+                    let gi = g[i];
+                    m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+                    v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+                    let mhat = m[i] / bc1;
+                    let vhat = v[i] / bc2;
+                    w[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[i]);
+                }
+            });
         });
         assert_eq!(
             off,
@@ -171,27 +167,30 @@ impl WarmupLinearSchedule {
     }
 }
 
-/// Global L2 norm over **all** of `model`'s gradients, without modifying
-/// them. Returns NaN/Inf when any gradient is non-finite — the signal the
+/// Global L2 norm over **all** gradients, without modifying them: each
+/// parameter's squares summed, then the parameters' sums in visit order.
+/// Returns NaN/Inf when any gradient is non-finite — the signal the
 /// training supervisor uses for anomaly detection.
-pub fn global_grad_norm(model: &mut dyn Layer) -> f32 {
+pub fn global_grad_norm(grads: &Grads) -> f32 {
     let mut total = 0.0f32;
-    model.visit_params(&mut |_, p| {
-        total += p.grad.data().iter().map(|&g| g * g).sum::<f32>();
-    });
+    for g in grads.params() {
+        total += g.iter().map(|&g| g * g).sum::<f32>();
+    }
     total.sqrt()
 }
 
-/// Global-norm gradient clipping over a whole [`Layer`]: measures the
-/// gradient norm across every parameter and, when it exceeds `max_norm`,
-/// scales all gradients down to it. Returns the **pre-clip** norm. A
-/// non-finite norm clips nothing (scaling NaN stays NaN); callers must
-/// treat it as an anomaly instead.
-pub fn clip_global_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
-    let total = global_grad_norm(model);
+/// Global-norm gradient clipping: measures the norm across every
+/// parameter's gradient and, when it exceeds `max_norm`, scales all
+/// gradients down to it. Returns the **pre-clip** norm. A non-finite norm
+/// clips nothing (scaling NaN stays NaN); callers must treat it as an
+/// anomaly instead.
+pub fn clip_global_grad_norm(grads: &mut Grads, max_norm: f32) -> f32 {
+    let total = global_grad_norm(grads);
     if total.is_finite() && total > max_norm && total > 0.0 {
         let scale = max_norm / total;
-        model.visit_params(&mut |_, p| p.grad.map_mut(|g| g * scale));
+        for g in grads.params_mut() {
+            g.iter_mut().for_each(|g| *g *= scale);
+        }
     }
     total
 }
@@ -213,17 +212,24 @@ mod tests {
         }
     }
 
+    /// A one-parameter model of `values` and its gradients.
+    fn one(values: Vec<f32>) -> (One, Grads) {
+        let n = values.len();
+        let mut one = One(Param::new(Tensor::from_vec(values, &[n])));
+        let grads = Grads::new(&mut one);
+        (one, grads)
+    }
+
     #[test]
     fn adam_minimizes_quadratic() {
-        let mut one = One(Param::new(Tensor::from_vec(vec![5.0, -3.0], &[2])));
+        let (mut one, mut grads) = one(vec![5.0, -3.0]);
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
             // loss = Σ w², grad = 2w
-            let p = &mut one.0;
-            p.zero_grad();
-            let g = p.value.scale(2.0);
-            p.accumulate(&g);
-            adam.step(&mut one);
+            grads.zero();
+            let g = one.0.value.scale(2.0);
+            grads.add(&one.0, &g);
+            adam.step(&mut one, &grads);
         }
         assert!(
             one.0.value.norm() < 1e-2,
@@ -234,10 +240,10 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_weights_without_gradient() {
-        let mut one = One(Param::new(Tensor::from_vec(vec![1.0], &[1])));
+        let (mut one, grads) = one(vec![1.0]);
         let mut adam = Adam::new(0.01).with_weight_decay(0.1);
         for _ in 0..100 {
-            adam.step(&mut one);
+            adam.step(&mut one, &grads);
         }
         assert!(one.0.value.data()[0] < 1.0);
     }
@@ -245,10 +251,10 @@ mod tests {
     #[test]
     fn first_step_magnitude_is_lr() {
         // With bias correction, the first Adam step has magnitude ≈ lr.
-        let mut one = One(Param::new(Tensor::from_vec(vec![0.0], &[1])));
-        one.0.accumulate(&Tensor::from_vec(vec![123.0], &[1]));
+        let (mut one, mut grads) = one(vec![0.0]);
+        grads.add(&one.0, &Tensor::from_vec(vec![123.0], &[1]));
         let mut adam = Adam::new(0.5);
-        adam.step(&mut one);
+        adam.step(&mut one, &grads);
         assert!((one.0.value.data()[0].abs() - 0.5).abs() < 1e-3);
     }
 
@@ -257,26 +263,35 @@ mod tests {
         // One Adam over a two-parameter model updates each parameter as a
         // separate Adam would: its moments sit at its offset alone.
         let mut lin = Linear::new(3, 2, &mut SeededInit::new(2));
-        let (mut w, mut b) = (One(lin.w.clone()), One(lin.b.clone()));
+        let mut lg = Grads::new(&mut lin);
+        let (mut w, mut wg) = one(lin.w.value.data().to_vec());
+        let (mut b, mut bg) = one(lin.b.value.data().to_vec());
         let mut adams = [Adam::new(0.1), Adam::new(0.1), Adam::new(0.1)];
         for seed in 0..3 {
             let g = SeededInit::new(seed).uniform(&[8], -1.0, 1.0);
-            lin.w.grad = Tensor::from_vec(g.data()[..6].to_vec(), &[3, 2]);
-            lin.b.grad = Tensor::from_vec(g.data()[6..].to_vec(), &[2]);
-            (w.0.grad, b.0.grad) = (lin.w.grad.clone(), lin.b.grad.clone());
-            adams[0].step(&mut lin);
-            adams[1].step(&mut w);
-            adams[2].step(&mut b);
+            (lg, wg, bg) = (lg.zeros_like(), wg.zeros_like(), bg.zeros_like());
+            lg.add(&lin.w, &Tensor::from_vec(g.data()[..6].to_vec(), &[3, 2]));
+            lg.add(&lin.b, &Tensor::from_vec(g.data()[6..].to_vec(), &[2]));
+            wg.add(&w.0, &Tensor::from_vec(g.data()[..6].to_vec(), &[6]));
+            bg.add(&b.0, &Tensor::from_vec(g.data()[6..].to_vec(), &[2]));
+            adams[0].step(&mut lin, &lg);
+            adams[1].step(&mut w, &wg);
+            adams[2].step(&mut b, &bg);
         }
-        assert_eq!((lin.w.value, lin.b.value), (w.0.value, b.0.value));
+        assert_eq!(lin.w.value.data(), w.0.value.data());
+        assert_eq!(lin.b.value, b.0.value);
     }
 
     #[test]
     #[should_panic(expected = "the model changed after Adam's first step")]
     fn step_rejects_a_model_resized_after_the_first_step() {
         let mut adam = Adam::new(0.1);
-        adam.step(&mut Linear::new(2, 2, &mut SeededInit::new(1)));
-        adam.step(&mut Linear::new(2, 3, &mut SeededInit::new(1)));
+        let mut small = Linear::new(2, 2, &mut SeededInit::new(1));
+        let grads = Grads::new(&mut small);
+        adam.step(&mut small, &grads);
+        let mut big = Linear::new(2, 3, &mut SeededInit::new(1));
+        let grads = Grads::new(&mut big);
+        adam.step(&mut big, &grads);
     }
 
     #[test]
@@ -306,34 +321,37 @@ mod tests {
     #[test]
     fn global_clip_covers_every_parameter() {
         let mut lin = Linear::new(2, 2, &mut SeededInit::new(7));
-        lin.w
-            .accumulate(&Tensor::from_vec(vec![3.0, 0.0, 0.0, 0.0], &[2, 2]));
-        lin.b.accumulate(&Tensor::from_vec(vec![0.0, 4.0], &[2]));
-        let norm = clip_global_grad_norm(&mut lin, 1.0);
+        let mut grads = Grads::new(&mut lin);
+        grads.add(&lin.w, &Tensor::from_vec(vec![3.0, 0.0, 0.0, 0.0], &[2, 2]));
+        grads.add(&lin.b, &Tensor::from_vec(vec![0.0, 4.0], &[2]));
+        let norm = clip_global_grad_norm(&mut grads, 1.0);
         assert!((norm - 5.0).abs() < 1e-6, "norm spans both params: {norm}");
-        let clipped = global_grad_norm(&mut lin);
+        let clipped = global_grad_norm(&grads);
         assert!(
             (clipped - 1.0).abs() < 1e-5,
             "clipped to max_norm: {clipped}"
         );
 
         // Under the threshold nothing moves.
-        let before = lin.w.grad.clone();
-        let n2 = clip_global_grad_norm(&mut lin, 10.0);
+        let before = grads.data().to_vec();
+        let n2 = clip_global_grad_norm(&mut grads, 10.0);
         assert!((n2 - 1.0).abs() < 1e-5);
-        assert_eq!(lin.w.grad, before);
+        assert_eq!(grads.data(), before);
     }
 
     #[test]
     fn global_norm_reports_nonfinite_without_clipping() {
         let mut lin = Linear::new(2, 2, &mut SeededInit::new(8));
-        lin.w
-            .accumulate(&Tensor::from_vec(vec![f32::NAN, 0.0, 0.0, 0.0], &[2, 2]));
-        lin.b.accumulate(&Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let norm = clip_global_grad_norm(&mut lin, 0.5);
+        let mut grads = Grads::new(&mut lin);
+        grads.add(
+            &lin.w,
+            &Tensor::from_vec(vec![f32::NAN, 0.0, 0.0, 0.0], &[2, 2]),
+        );
+        grads.add(&lin.b, &Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let norm = clip_global_grad_norm(&mut grads, 0.5);
         assert!(norm.is_nan(), "NaN grads must surface in the norm");
         assert_eq!(
-            lin.b.grad.data(),
+            grads.of(&lin.b),
             &[1.0, 2.0],
             "no clipping applied on a non-finite norm"
         );

@@ -1,42 +1,33 @@
-//! Trainable parameters: a value tensor plus an accumulated gradient.
+//! Trainable parameters: a value tensor and where its gradient lies.
 
 use ntr_tensor::Tensor;
 
-/// A trainable tensor with its gradient accumulator.
+/// The offset of a parameter (or the stream index of a dropout) that no
+/// [`crate::Grads::new`] visit has bound.
+pub(crate) const UNBOUND: usize = usize::MAX;
+
+/// A trainable tensor.
 ///
-/// Layers accumulate into `grad` during `backward`; optimizers read `grad`
-/// and write `value`. A parameter carries no identity: optimizer state is
-/// positional, at the parameter's offset in [`crate::Layer::visit_params`]
-/// order (see [`crate::optim::Adam`]).
+/// Optimizers write `value`. The gradient lives outside the layer, in a
+/// flat [`crate::Grads`] buffer: `at` is the parameter's offset there, in
+/// [`crate::Layer::visit_params`] order, bound once per model by
+/// [`crate::Grads::new`]. A layer's backward writes its parameters'
+/// gradients through [`crate::Grads::add`], which panics on a parameter
+/// that was never bound.
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Current parameter values.
     pub value: Tensor,
-    /// Accumulated gradient, same shape as `value`.
-    pub grad: Tensor,
+    pub(crate) at: usize,
 }
 
 impl Param {
     /// Wraps an initialized tensor as a trainable parameter.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape());
-        Self { value, grad }
+        Self { value, at: UNBOUND }
     }
 
-    /// Clears the gradient accumulator.
-    pub fn zero_grad(&mut self) {
-        self.grad.data_mut().fill(0.0);
-    }
-
-    /// Accumulates `g` into the gradient.
-    ///
-    /// # Panics
-    /// Panics if `g` has a different shape than the parameter.
-    pub fn accumulate(&mut self, g: &Tensor) {
-        self.grad.add_assign(g);
-    }
-
-    /// Replaces the values while keeping the gradient's shape.
+    /// Replaces the values.
     ///
     /// # Panics
     /// Panics if the new values have a different shape.
@@ -55,22 +46,6 @@ impl Param {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn new_param_has_zero_grad() {
-        let a = Param::new(Tensor::ones(&[2, 2]));
-        assert!(a.grad.data().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn accumulate_then_zero() {
-        let mut p = Param::new(Tensor::zeros(&[3]));
-        p.accumulate(&Tensor::ones(&[3]));
-        p.accumulate(&Tensor::ones(&[3]));
-        assert_eq!(p.grad.data(), &[2.0, 2.0, 2.0]);
-        p.zero_grad();
-        assert_eq!(p.grad.data(), &[0.0, 0.0, 0.0]);
-    }
 
     #[test]
     fn load_replaces_values() {

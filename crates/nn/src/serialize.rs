@@ -183,8 +183,8 @@ impl TrainCheckpoint {
             });
         }
         let mut rngs = BTreeMap::new();
-        model.visit_rng_state(&mut |name, s| {
-            rngs.insert(name.to_string(), *s);
+        model.visit_rng_state(&mut |name, d| {
+            rngs.insert(name.to_string(), d.state());
         });
         Self {
             params,
@@ -293,9 +293,9 @@ impl TrainCheckpoint {
             )));
         }
         let mut rng_pending = st.rngs.clone();
-        model.visit_rng_state(&mut |name, s| {
+        model.visit_rng_state(&mut |name, d| {
             if let Some(saved) = rng_pending.remove(&name.to_string()) {
-                *s = saved;
+                d.set_state(saved);
             }
         });
         if let Some(extra) = rng_pending.keys().next() {
@@ -833,14 +833,15 @@ mod tests {
     #[test]
     fn train_state_roundtrips_bit_exactly() {
         let mut model = Linear::new(3, 4, &mut SeededInit::new(14));
+        let mut cx = crate::Cx::new(&mut model);
         let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
         // Take two real steps so moments and t are non-trivial.
         for _ in 0..2 {
             let x = SeededInit::new(15).uniform(&[2, 3], -1.0, 1.0);
-            let _ = model.forward(&x);
-            let _ = model.backward(&SeededInit::new(16).uniform(&[2, 4], -1.0, 1.0));
-            adam.step(&mut model);
-            model.zero_grad();
+            let dy = SeededInit::new(16).uniform(&[2, 4], -1.0, 1.0);
+            let _ = model.backward(&x, &dy, &mut cx);
+            adam.step(&mut model, &cx.grads);
+            cx.grads.zero();
         }
         let schedule = WarmupLinearSchedule {
             peak_lr: 1e-3,
@@ -890,11 +891,11 @@ mod tests {
     #[test]
     fn moments_for_unknown_parameter_is_mismatch() {
         let mut model = Linear::new(2, 2, &mut SeededInit::new(17));
+        let mut cx = crate::Cx::new(&mut model);
         let mut adam = Adam::new(1e-3);
         let x = ntr_tensor::Tensor::ones(&[1, 2]);
-        let _ = model.forward(&x);
-        let _ = model.backward(&x);
-        adam.step(&mut model);
+        let _ = model.backward(&x, &x, &mut cx);
+        adam.step(&mut model, &cx.grads);
         let schedule = WarmupLinearSchedule {
             peak_lr: 1e-3,
             warmup: 1,

@@ -11,18 +11,17 @@ use ntr_nn::optim::{Adam, WarmupLinearSchedule};
 use ntr_nn::serialize::{
     parse_checkpoint, write_checkpoint_to, CheckpointError, TrainCheckpoint, TrainCursor,
 };
-use ntr_nn::{Layer, Linear};
+use ntr_nn::{Cx, Linear};
 use ntr_tensor::Tensor;
 
 /// A small but fully-featured v2 checkpoint: parameters, Adam moments,
 /// schedule, cursor, and an RNG stream.
 fn small_checkpoint() -> Vec<u8> {
     let mut model = Linear::new(3, 2, &mut SeededInit::new(42));
+    let mut cx = Cx::new(&mut model);
     let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
-    let _ = model.forward(&Tensor::ones(&[1, 3]));
-    let _ = model.backward(&Tensor::ones(&[1, 2]));
-    adam.step(&mut model);
-    model.zero_grad();
+    let _ = model.backward(&Tensor::ones(&[1, 3]), &Tensor::ones(&[1, 2]), &mut cx);
+    adam.step(&mut model, &cx.grads);
     let schedule = WarmupLinearSchedule {
         peak_lr: 1e-3,
         warmup: 2,

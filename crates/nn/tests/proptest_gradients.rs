@@ -4,7 +4,7 @@
 use ntr_nn::gradcheck::numeric_grad;
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{Gelu, LayerNorm, Linear, MultiHeadAttention};
+use ntr_nn::{Cx, Gelu, LayerNorm, Linear, MultiHeadAttention, Rows};
 use proptest::prelude::*;
 
 fn close(analytic: &ntr_tensor::Tensor, numeric: &ntr_tensor::Tensor, tol: f32) -> bool {
@@ -24,11 +24,10 @@ proptest! {
         let mut layer = Linear::new(d_in, d_out, &mut init.fork());
         let x = init.uniform(&[n, d_in], -1.0, 1.0);
         let dy = init.uniform(&[n, d_out], -1.0, 1.0);
-        let _ = layer.forward(&x);
-        let dx = layer.backward(&dy);
-        let probe = layer.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 1e-2, |x| probe.forward_inference(x).mul(&dyc).sum());
+        let mut cx = Cx::new(&mut layer);
+        let (_, tape) = layer.forward_train(&x);
+        let dx = layer.backward(&tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 1e-2, |x| layer.forward(x).mul(&dy).sum());
         prop_assert!(close(&dx, &num, 3e-2));
     }
 
@@ -41,9 +40,8 @@ proptest! {
         let x = init.uniform(&[1, n], -2.0, 2.0);
         let num = numeric_grad(&x, 1e-3, |x| x.map(ntr_nn::activation::gelu).sum());
         let analytic = || {
-            let mut g = Gelu::default();
-            let _ = g.forward(&x);
-            g.backward(&ntr_tensor::Tensor::ones(&[1, n]))
+            let (_, tape) = Gelu.forward_train(&x);
+            Gelu.backward(tape, &ntr_tensor::Tensor::ones(&[1, n]))
         };
         prop_assert!(close(&analytic(), &num, 2e-2));
         prop_assert!(close(&ntr_tensor::simd::force_scalar(analytic), &num, 2e-2));
@@ -67,11 +65,10 @@ proptest! {
         if degenerate {
             return Ok(());
         }
-        let _ = ln.forward(&x);
-        let dx = ln.backward(&dy);
-        let probe = ln.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 1e-2, |x| probe.forward_inference(x).mul(&dyc).sum());
+        let mut cx = Cx::new(&mut ln);
+        let (_, tape) = ln.forward_train(&x);
+        let dx = ln.backward(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 1e-2, |x| ln.forward(x).mul(&dy).sum());
         prop_assert!(close(&dx, &num, 5e-2));
     }
 
@@ -81,11 +78,10 @@ proptest! {
         let mut attn = MultiHeadAttention::new(4, 2, &mut init);
         let x = init.uniform(&[n, 4], -0.5, 0.5);
         let dy = init.uniform(&[n, 4], -1.0, 1.0);
-        let _ = attn.forward_self(&x, None);
-        let dx = attn.backward_self(&dy);
-        let mut probe = attn.clone();
-        let dyc = dy.clone();
-        let num = numeric_grad(&x, 5e-3, |x| probe.forward_self(x, None).mul(&dyc).sum());
+        let mut cx = Cx::new(&mut attn);
+        let (_, tape) = attn.forward_train(&x, Rows::All, None);
+        let dx = attn.backward_self(tape, &dy, &mut cx);
+        let num = numeric_grad(&x, 5e-3, |x| attn.forward_self(x, None).mul(&dy).sum());
         prop_assert!(close(&dx, &num, 6e-2));
     }
 

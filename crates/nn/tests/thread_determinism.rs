@@ -9,16 +9,17 @@
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_nn::optim::Adam;
-use ntr_nn::{EncoderLayer, Gelu, Layer, Linear, MultiHeadAttention};
+use ntr_nn::{Cx, EncoderLayer, Gelu, Linear, MultiHeadAttention, Rows};
 use ntr_tensor::{par, Tensor};
 
 fn attention_round_trip(threads: usize) -> (Tensor, Tensor) {
     par::with_threads(threads, || {
         let mut attn = MultiHeadAttention::new(64, 4, &mut SeededInit::new(7));
+        let mut cx = Cx::new(&mut attn);
         let x = SeededInit::new(8).uniform(&[48, 64], -0.5, 0.5);
         let dy = SeededInit::new(9).uniform(&[48, 64], -1.0, 1.0);
-        let y = attn.forward_self(&x, None);
-        let dx = attn.backward_self(&dy);
+        let (y, tape) = attn.forward_train(&x, Rows::All, None);
+        let dx = attn.backward_self(tape, &dy, &mut cx);
         (y, dx)
     })
 }
@@ -41,12 +42,13 @@ fn adam_round_trip(threads: usize) -> Tensor {
     par::with_threads(threads, || {
         // Large enough to cross the optimizer's parallel threshold.
         let mut lin = Linear::new(256, 256, &mut SeededInit::new(10));
+        let mut cx = Cx::new(&mut lin);
         let g = SeededInit::new(11).uniform(&[256, 256], -1.0, 1.0);
         let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
         for _ in 0..3 {
-            lin.zero_grad();
-            lin.w.accumulate(&g);
-            adam.step(&mut lin);
+            cx.grads.zero();
+            cx.grads.add(&lin.w, &g);
+            adam.step(&mut lin, &cx.grads);
         }
         lin.w.value.clone()
     })
@@ -87,10 +89,9 @@ fn gelu_is_bit_identical_across_thread_counts() {
     let x = SeededInit::new(12).uniform(&[301, 257], -6.0, 6.0);
     let dy = SeededInit::new(13).uniform(&[301, 257], -1.0, 1.0);
     assert_thread_invariant("gelu", || {
-        let mut g = Gelu::default();
-        let y = g.forward(&x);
-        let approx = g.forward_approx(&x);
-        let dx = g.backward(&dy);
+        let (y, tape) = Gelu.forward_train(&x);
+        let approx = Gelu.forward_approx(&x);
+        let dx = Gelu.backward(tape, &dy);
         vec![y, approx, dx]
     });
 }
@@ -126,8 +127,9 @@ fn encoder_layer_is_bit_identical_across_thread_counts() {
     let dy = SeededInit::new(17).uniform(&[131, 64], -1.0, 1.0);
     assert_thread_invariant("encoder layer", || {
         let mut layer = EncoderLayer::new(64, 4, 128, 0.0, &mut SeededInit::new(18));
-        let y = layer.forward(&x, None, true);
-        let dx = layer.backward(&dy);
+        let mut cx = Cx::new(&mut layer);
+        let (y, tape) = layer.forward_train(&x, None, Rows::All, &mut cx);
+        let dx = layer.backward(tape, &dy, &mut cx);
         vec![y, dx]
     });
 }

@@ -12,10 +12,10 @@ use ntr_corpus::datasets::render_question;
 use ntr_corpus::split_three;
 use ntr_corpus::tables::TableCorpus;
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, SequenceEncoder, Tapas};
+use ntr_models::{EncoderInput, Rows, SequenceEncoder, Tapas};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{visit_child, Layer, Linear, Name, Param};
+use ntr_nn::{visit_child, Dropout, Layer, Linear, Name, Param};
 use ntr_sql::gen::{GenConfig, QueryGenerator};
 use ntr_sql::{execute, Agg, Answer, Query};
 use ntr_table::{
@@ -148,7 +148,7 @@ impl Layer for AggregationQa {
         self.wk.visit_params(&mut visit_child("wk", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.tapas.visit_rng_state(&mut visit_child("tapas", f));
     }
 }
@@ -215,16 +215,16 @@ pub fn finetune(
     opts: &LinearizerOptions,
 ) {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, p, _| {
-        let states = model.tapas.encode(&p.input, true);
+    fit(model, cfg, &prepared, |model, p, _, cx| {
+        let (states, tape) = model.tapas.encode_train(&p.input, Rows::All, cx);
         let (seq_len, d) = (states.dim(0), states.dim(1));
         let scale = 1.0 / (d as f32).sqrt();
 
         // Operator loss on [CLS].
         let cls = states.rows(0, 1);
-        let op_logits = model.tapas.agg_head.forward(&cls);
+        let (op_logits, head) = model.tapas.agg_head.forward_train(&cls);
         let (op_loss, d_op_logits) = softmax_cross_entropy(&op_logits, &[p.op], None);
-        let d_cls = model.tapas.agg_head.backward(&d_op_logits);
+        let d_cls = model.tapas.agg_head.backward(head, &d_op_logits, cx);
 
         // Column pointer loss.
         let pooled: Vec<Tensor> = p.col_positions.iter().map(|ps| pool(&states, ps)).collect();
@@ -236,8 +236,8 @@ pub fn finetune(
         let d_col = d_col_logits.transpose(); // [n_cols, 1]
         let dk = d_col.matmul(&q).scale(scale);
         let dq = d_col.matmul_tn(&k).scale(scale);
-        let d_pooled = model.wk.backward(&dk);
-        let d_cls2 = model.wq.backward(&dq);
+        let d_pooled = model.wk.backward(&pooled_mat, &dk, cx);
+        let d_cls2 = model.wq.backward(&cls, &dq, cx);
 
         // Assemble the state gradient.
         let mut dstates = Tensor::zeros(&[seq_len, d]);
@@ -252,7 +252,7 @@ pub fn finetune(
                 }
             }
         }
-        model.tapas.backward(&dstates);
+        model.tapas.backward(tape, &dstates, cx);
         op_loss + col_loss
     });
 }
@@ -296,10 +296,10 @@ pub fn evaluate(
         let cls = states.rows(0, 1);
         let op = model.tapas.agg_head.forward(&cls).argmax_rows()[0];
         let pooled: Vec<Tensor> = p.col_positions.iter().map(|ps| pool(&states, ps)).collect();
-        let q = model.wq.forward_inference(&cls);
+        let q = model.wq.forward(&cls);
         let k = model
             .wk
-            .forward_inference(&Tensor::vstack(&pooled.iter().collect::<Vec<_>>()));
+            .forward(&Tensor::vstack(&pooled.iter().collect::<Vec<_>>()));
         let col = k
             .matmul_nt(&q)
             .scale(1.0 / d.sqrt())

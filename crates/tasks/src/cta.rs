@@ -6,10 +6,10 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::CtaDataset;
 use ntr_corpus::Split;
-use ntr_models::{ClassifierHead, EncoderInput, SequenceEncoder};
+use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{visit_child, Layer, Name, Param};
+use ntr_nn::{visit_child, Dropout, Layer, Name, Param};
 use ntr_table::{EncodedTable, Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -41,7 +41,7 @@ impl<M: SequenceEncoder> Layer for ColumnAnnotator<M> {
         self.head.visit_params(&mut visit_child("head", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
@@ -100,7 +100,7 @@ fn prepare(
 }
 
 /// Fine-tunes the annotator on the training split; returns each step's loss.
-pub fn finetune<M: SequenceEncoder + Clone>(
+pub fn finetune<M: SequenceEncoder>(
     model: &mut ColumnAnnotator<M>,
     ds: &CtaDataset,
     tok: &WordPieceTokenizer,
@@ -108,16 +108,21 @@ pub fn finetune<M: SequenceEncoder + Clone>(
     opts: &LinearizerOptions,
 ) -> Vec<f32> {
     let prepared = prepare(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, (input, cells, label), _| {
-        let states = model.encoder.encode(input, true);
-        let pooled = pool_positions(&states, cells);
-        let logits = model.head.forward(&pooled);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
-        let d_pooled = model.head.backward(&dlogits);
-        let dstates = scatter_positions(&d_pooled, cells, states.dim(0));
-        model.encoder.backward(&dstates);
-        loss
-    })
+    fit(
+        model,
+        cfg,
+        &prepared,
+        |model, (input, cells, label), _, cx| {
+            let (states, tape) = model.encoder.encode_train(input, Rows::All, cx);
+            let pooled = pool_positions(&states, cells);
+            let (logits, head) = model.head.forward_train(&pooled);
+            let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
+            let d_pooled = model.head.backward(head, &dlogits, cx);
+            let dstates = scatter_positions(&d_pooled, cells, states.dim(0));
+            model.encoder.backward(tape, &dstates, cx);
+            loss
+        },
+    )
 }
 
 /// CTA evaluation: accuracy + macro-F1 over the label space.

@@ -16,7 +16,7 @@
 use crate::pretrain::TrainRun;
 use crate::supervisor::{run_supervised, TrainError};
 use ntr_corpus::tables::TableCorpus;
-use ntr_models::{pool_mean, pool_mean_backward, EncoderInput, RowStudent, SequenceEncoder};
+use ntr_models::{pool_mean, pool_mean_backward, EncoderInput, RowStudent, Rows, SequenceEncoder};
 use ntr_table::{EncodedTable, TokenKind};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -118,7 +118,7 @@ impl TrainRun<'_> {
     pub fn distill(
         &self,
         student: &mut RowStudent,
-        teacher: &mut dyn SequenceEncoder,
+        teacher: &dyn SequenceEncoder,
         cos_weight: f32,
         corpus: &TableCorpus,
         tok: &WordPieceTokenizer,
@@ -161,9 +161,9 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32)| r.0,
-            |student, item| {
+            |student, item, cx| {
                 let ex = &examples[item.index];
-                let states = student.encode(&ex.input, true);
+                let (states, tape) = student.encode_train(&ex.input, Rows::All, cx);
                 let seq_len = states.dim(0);
                 let mut dstates = Tensor::zeros(states.shape());
                 let mut spans = Vec::with_capacity(ex.spans.len());
@@ -174,7 +174,7 @@ impl TrainRun<'_> {
                     let du = Tensor::from_vec(du, &[1, states.dim(1)]);
                     dstates.add_assign(&pool_mean_backward(&du, span, seq_len));
                 }
-                student.backward(&dstates);
+                student.backward(tape, &dstates, cx);
                 (ex.input.len(), spans)
             },
             |results, _, obs| {
@@ -328,11 +328,11 @@ mod tests {
     #[test]
     fn distillation_improves_fidelity_to_the_teacher() {
         let (corpus, tok, cfg) = fixture();
-        let mut teacher = Tapas::new(&cfg);
+        let teacher = Tapas::new(&cfg);
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
         let report = TrainRun::new(tcfg())
             .max_tokens(64)
-            .distill(&mut student, &mut teacher, W, &corpus, &tok)
+            .distill(&mut student, &teacher, W, &corpus, &tok)
             .unwrap();
         assert!(!report.loss.is_empty());
         let first = report.cosine.first().copied().unwrap();
@@ -351,11 +351,11 @@ mod tests {
     fn distillation_is_deterministic() {
         let (corpus, tok, cfg) = fixture();
         let run = || {
-            let mut teacher = Tapas::new(&cfg);
+            let teacher = Tapas::new(&cfg);
             let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
             TrainRun::new(tcfg())
                 .max_tokens(64)
-                .distill(&mut student, &mut teacher, W, &corpus, &tok)
+                .distill(&mut student, &teacher, W, &corpus, &tok)
                 .unwrap()
                 .loss
         };
@@ -370,15 +370,15 @@ mod tests {
         let ckpt = dir.join("student.ckpt");
 
         // Uninterrupted run.
-        let mut teacher = Tapas::new(&cfg);
+        let teacher = Tapas::new(&cfg);
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
         let full = TrainRun::new(tcfg())
             .max_tokens(64)
-            .distill(&mut student, &mut teacher, W, &corpus, &tok)
+            .distill(&mut student, &teacher, W, &corpus, &tok)
             .unwrap();
 
         // Halted run + resume.
-        let mut teacher2 = Tapas::new(&cfg);
+        let teacher2 = Tapas::new(&cfg);
         let mut s2 = RowStudent::new(&ModelConfig { seed: 99, ..cfg });
         let halted = TrainRun::new(tcfg())
             .max_tokens(64)
@@ -387,7 +387,7 @@ mod tests {
                 halt_after: Some(2),
                 ..Default::default()
             })
-            .distill(&mut s2, &mut teacher2, W, &corpus, &tok)
+            .distill(&mut s2, &teacher2, W, &corpus, &tok)
             .unwrap();
         let mut s3 = RowStudent::new(&ModelConfig { seed: 1234, ..cfg });
         let resumed = TrainRun::new(tcfg())
@@ -396,7 +396,7 @@ mod tests {
                 resume: Some(ckpt.clone()),
                 ..Default::default()
             })
-            .distill(&mut s3, &mut teacher2, W, &corpus, &tok)
+            .distill(&mut s3, &teacher2, W, &corpus, &tok)
             .unwrap();
         let mut stitched = halted.loss.clone();
         stitched.extend_from_slice(&resumed.loss);

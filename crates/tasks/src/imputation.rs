@@ -166,7 +166,7 @@ pub fn value_slots(value: &str, tok: &WordPieceTokenizer) -> Vec<usize> {
 }
 
 /// Fine-tunes a model on the imputation training split.
-pub fn finetune<M: MlmModel + Clone>(
+pub fn finetune<M: MlmModel>(
     model: &mut M,
     ds: &ImputationDataset,
     tok: &WordPieceTokenizer,
@@ -189,7 +189,7 @@ pub fn finetune<M: MlmModel + Clone>(
 /// self-healing supervisor (gradient clipping, anomaly detection,
 /// rollback/retry, fault drills). Returns the mean training loss per
 /// optimizer step this invocation ran.
-pub fn finetune_supervised<M: MlmModel + Clone>(
+pub fn finetune_supervised<M: MlmModel>(
     model: &mut M,
     ds: &ImputationDataset,
     tok: &WordPieceTokenizer,
@@ -215,13 +215,13 @@ pub fn finetune_supervised<M: MlmModel + Clone>(
         topts,
         scfg,
         |loss: &f32| *loss,
-        |model, item| {
+        |model, item, cx| {
             let (input, positions, slot_targets) = &prepared[item.index];
-            let states = model.encode_train(input, Rows::Only(positions));
-            let logits = model.mlm_head().forward(&states);
+            let (states, tape) = model.encode_train(input, Rows::Only(positions), cx);
+            let (logits, head) = model.mlm_head().forward_train(&states);
             let (loss, dlogits) = softmax_cross_entropy(&logits, slot_targets, None);
-            let dstates = model.mlm_head().backward(&dlogits);
-            model.backward(&dstates);
+            let dstates = model.mlm_head().backward(head, &dlogits, cx);
+            model.backward(tape, &dstates, cx);
             (input.len(), loss)
         },
         mean_loss,
@@ -292,7 +292,7 @@ pub fn evaluate<M: MlmModel>(
         // `masked_input`'s mask slots are consecutive: ascending and
         // distinct, as `Rows::Only` requires.
         let states = model.infer(&input, Rows::Only(&positions));
-        let log_probs = model.mlm_head_ref().infer(&states).log_softmax_rows();
+        let log_probs = model.mlm_head().forward(&states).log_softmax_rows();
         let candidates = pools.candidates(ex);
         let mut best: Option<(f32, &str)> = None;
         for cand in &candidates {

@@ -10,7 +10,7 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::LinkingDataset;
 use ntr_corpus::Split;
-use ntr_models::{pool_mean, pool_mean_backward, EncoderInput, SequenceEncoder, Turl};
+use ntr_models::{pool_mean, pool_mean_backward, EncoderInput, Rows, SequenceEncoder, Turl};
 use ntr_nn::loss::softmax_cross_entropy;
 use ntr_table::{Linearizer, LinearizerOptions, TurlLinearizer};
 use ntr_tokenizer::WordPieceTokenizer;
@@ -43,16 +43,21 @@ pub fn finetune(
             Some((input, span, ex.gold as usize))
         })
         .collect();
-    fit(model, cfg, &prepared, |model, (input, span, gold), _| {
-        let states = model.encode(input, true);
-        let pooled = pool_mean(&states, span);
-        let logits = model.mer.forward(&pooled);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, &[*gold], None);
-        let d_pooled = model.mer.backward(&dlogits);
-        let dstates = pool_mean_backward(&d_pooled, span, states.dim(0));
-        SequenceEncoder::backward(model, &dstates);
-        loss
-    });
+    fit(
+        model,
+        cfg,
+        &prepared,
+        |model, (input, span, gold), _, cx| {
+            let (states, tape) = model.encode_train(input, Rows::All, cx);
+            let pooled = pool_mean(&states, span);
+            let (logits, head) = model.mer.forward_train(&pooled);
+            let (loss, dlogits) = softmax_cross_entropy(&logits, &[*gold], None);
+            let d_pooled = model.mer.backward(head, &dlogits, cx);
+            let dstates = pool_mean_backward(&d_pooled, span, states.dim(0));
+            model.backward(tape, &dstates, cx);
+            loss
+        },
+    );
 }
 
 /// Linking evaluation over candidate sets.

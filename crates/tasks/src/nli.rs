@@ -10,7 +10,7 @@ use ntr_corpus::Split;
 use ntr_models::{ClassifierHead, EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{visit_child, Layer, Name, Param};
+use ntr_nn::{visit_child, Dropout, Layer, Name, Param};
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::WordPieceTokenizer;
 
@@ -32,16 +32,6 @@ impl<M: SequenceEncoder> FactVerifier<M> {
             head: ClassifierHead::new(d, 2, &mut SeededInit::new(seed)),
         }
     }
-
-    /// The head's logits on the `[CLS]` state, the one row it reads.
-    fn logits(&mut self, input: &EncoderInput, train: bool) -> ntr_tensor::Tensor {
-        let pooled = if train {
-            self.encoder.encode_train(input, Rows::CLS)
-        } else {
-            self.encoder.infer(input, Rows::CLS)
-        };
-        self.head.forward(&pooled)
-    }
 }
 
 impl<M: SequenceEncoder> Layer for FactVerifier<M> {
@@ -50,7 +40,7 @@ impl<M: SequenceEncoder> Layer for FactVerifier<M> {
         self.head.visit_params(&mut visit_child("head", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
@@ -71,7 +61,7 @@ fn encode(
 }
 
 /// Fine-tunes a verifier on the training split.
-pub fn finetune<M: SequenceEncoder + Clone>(
+pub fn finetune<M: SequenceEncoder>(
     model: &mut FactVerifier<M>,
     ds: &NliDataset,
     tok: &WordPieceTokenizer,
@@ -79,11 +69,13 @@ pub fn finetune<M: SequenceEncoder + Clone>(
     opts: &LinearizerOptions,
 ) {
     let prepared = encode(ds, &ds.indices(Split::Train), tok, opts);
-    fit(model, cfg, &prepared, |model, (input, label), _| {
-        let logits = model.logits(input, true);
+    fit(model, cfg, &prepared, |model, (input, label), _, cx| {
+        // The head reads the `[CLS]` state alone.
+        let (pooled, tape) = model.encoder.encode_train(input, Rows::CLS, cx);
+        let (logits, head) = model.head.forward_train(&pooled);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
-        let d_pooled = model.head.backward(&dlogits);
-        model.encoder.backward(&d_pooled);
+        let d_pooled = model.head.backward(head, &dlogits, cx);
+        model.encoder.backward(tape, &d_pooled, cx);
         loss
     });
 }
@@ -121,7 +113,7 @@ pub fn evaluate<M: SequenceEncoder>(
     let mut pred = Vec::with_capacity(prepared.len());
     let mut gold = Vec::with_capacity(prepared.len());
     for (input, label) in &prepared {
-        let logits = model.logits(input, false);
+        let logits = model.head.forward(&model.encoder.infer(input, Rows::CLS));
         pred.push(logits.argmax_rows()[0] == 1);
         gold.push(*label == 1);
     }

@@ -6,10 +6,11 @@ use crate::supervisor::{mean_loss, run_supervised, SupervisorConfig, TrainError}
 use crate::trainer::{TrainConfig, TrainerOptions};
 use ntr_corpus::tables::TableCorpus;
 use ntr_models::{
-    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, Rows, SequenceEncoder, Tapas,
+    pool_mean, pool_mean_backward, EncoderInput, Mate, MlmHead, Rows, SequenceEncoder, Tapas, Tape,
     Tapex, Turl, VanillaBert,
 };
 use ntr_nn::loss::softmax_cross_entropy;
+use ntr_nn::{Cx, Dropout, Layer, Name, Param};
 use ntr_sql::gen::{GenConfig, QueryGenerator};
 use ntr_table::masking::{mask_entities, mask_mlm, MaskedExample, MlmConfig};
 use ntr_table::{
@@ -22,28 +23,14 @@ use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
 /// pretraining.
 pub trait MlmModel: SequenceEncoder {
     /// The masked-language-modeling head.
-    fn mlm_head(&mut self) -> &mut MlmHead;
-
-    /// The same head, for `&self` inference.
-    fn mlm_head_ref(&self) -> &MlmHead;
-
-    /// A boxed copy: what makes `Box<dyn MlmModel + Send>` `Clone`.
-    fn clone_box(&self) -> Box<dyn MlmModel + Send>;
+    fn mlm_head(&self) -> &MlmHead;
 }
 
 macro_rules! mlm_model {
     ($($model:ty),*) => {$(
         impl MlmModel for $model {
-            fn mlm_head(&mut self) -> &mut MlmHead {
-                &mut self.mlm
-            }
-
-            fn mlm_head_ref(&self) -> &MlmHead {
+            fn mlm_head(&self) -> &MlmHead {
                 &self.mlm
-            }
-
-            fn clone_box(&self) -> Box<dyn MlmModel + Send> {
-                Box::new(self.clone())
             }
         }
     )*};
@@ -54,12 +41,12 @@ mlm_model!(VanillaBert, Turl, Tapas, Mate);
 // Boxed MLM models train through the same generic loops as concrete ones;
 // this is what lets `ntr::zoo::build_mlm_model` return one registry type
 // that `TrainRun::mlm` and the checkpoint machinery accept directly.
-impl ntr_nn::Layer for Box<dyn MlmModel + Send> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&ntr_nn::Name, &mut ntr_nn::Param)) {
+impl Layer for Box<dyn MlmModel + Send> {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.as_mut().visit_params(f)
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&ntr_nn::Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.as_mut().visit_rng_state(f)
     }
 }
@@ -77,12 +64,12 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
         self.as_ref().infer(input, rows)
     }
 
-    fn encode_train(&mut self, input: &EncoderInput, rows: Rows) -> Tensor {
-        self.as_mut().encode_train(input, rows)
+    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
+        self.as_ref().encode_train(input, rows, cx)
     }
 
-    fn backward(&mut self, d_states: &Tensor) {
-        self.as_mut().backward(d_states)
+    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+        self.as_ref().backward(tape, d_states, cx)
     }
 
     fn family(&self) -> &'static str {
@@ -91,22 +78,8 @@ impl SequenceEncoder for Box<dyn MlmModel + Send> {
 }
 
 impl MlmModel for Box<dyn MlmModel + Send> {
-    fn mlm_head(&mut self) -> &mut MlmHead {
-        self.as_mut().mlm_head()
-    }
-
-    fn mlm_head_ref(&self) -> &MlmHead {
-        self.as_ref().mlm_head_ref()
-    }
-
-    fn clone_box(&self) -> Box<dyn MlmModel + Send> {
-        self.as_ref().clone_box()
-    }
-}
-
-impl Clone for Box<dyn MlmModel + Send> {
-    fn clone(&self) -> Self {
-        self.as_ref().clone_box()
+    fn mlm_head(&self) -> &MlmHead {
+        self.as_ref().mlm_head()
     }
 }
 
@@ -218,7 +191,7 @@ impl<'a> TrainRun<'a> {
     }
 
     /// MLM pretraining of `model` over `corpus`.
-    pub fn mlm<M: MlmModel + Clone>(
+    pub fn mlm<M: MlmModel>(
         &self,
         model: &mut M,
         corpus: &TableCorpus,
@@ -243,16 +216,16 @@ impl<'a> TrainRun<'a> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32)| r.0,
-            |model, item| {
+            |model, item, cx| {
                 let e = &encoded[item.index];
                 let masked = mask_mlm(e, &mlm_cfg, seed ^ ((item.epoch * 31 + item.pos) as u64));
                 let (rows, targets) = masked.positions();
                 let input = EncoderInput::from_masked(e, &masked);
-                let states = model.encode_train(&input, Rows::Only(&rows));
-                let logits = model.mlm_head().forward(&states);
+                let (states, tape) = model.encode_train(&input, Rows::Only(&rows), cx);
+                let (logits, head) = model.mlm_head().forward_train(&states);
                 let (loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
-                let dstates = model.mlm_head().backward(&dlogits);
-                model.backward(&dstates);
+                let dstates = model.mlm_head().backward(head, &dlogits, cx);
+                model.backward(tape, &dstates, cx);
                 (
                     e.ids().len(),
                     (loss, argmax_hits(&logits, &targets), targets.len()),
@@ -302,7 +275,7 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |r: &(f32, f32, f32, f32)| r.0 + r.1,
-            |model, item| {
+            |model, item, cx| {
                 let e = &encoded[item.index];
                 let seed = base_seed ^ ((item.epoch * 131 + item.pos) as u64);
                 // 1. MER corruption (whole entity cells → [MASK]).
@@ -325,15 +298,18 @@ impl TrainRun<'_> {
                 rows.extend(masked_entities.iter().flat_map(|m| &m.positions));
                 rows.sort_unstable();
                 let at = |p: usize| rows.binary_search(&p).expect("a loss row");
-                let states = model.encode_train(&input, Rows::Only(&rows));
+                let (states, tape) = model.encode_train(&input, Rows::Only(&rows), cx);
                 let (m, d) = (rows.len(), states.dim(1));
 
                 // MLM objective.
                 let mlm_at: Vec<usize> = mlm_rows.iter().map(|&p| at(p)).collect();
-                let logits = model.mlm.forward(&states.gather_rows(&mlm_at));
+                let (logits, head) = model.mlm.forward_train(&states.gather_rows(&mlm_at));
                 let (mlm_loss, dlogits) = softmax_cross_entropy(&logits, &targets, None);
                 let mlm_rec = (mlm_loss, argmax_hits(&logits, &targets), targets.len());
-                let mut dstates = model.mlm.backward(&dlogits).scatter_rows(&mlm_at, m);
+                let mut dstates = model
+                    .mlm
+                    .backward(head, &dlogits, cx)
+                    .scatter_rows(&mlm_at, m);
 
                 // MER objective: pool each masked cell, classify over entities.
                 let mut mer_rec = (0.0, 0, 0);
@@ -347,19 +323,19 @@ impl TrainRun<'_> {
                             .row_mut(k)
                             .copy_from_slice(pool_mean(&states, span).data());
                     }
-                    let mer_logits = model.mer.forward(&pooled);
+                    let (mer_logits, head) = model.mer.forward_train(&pooled);
                     let targets: Vec<usize> =
                         masked_entities.iter().map(|m| m.entity as usize).collect();
                     let (loss, dmer_logits) = softmax_cross_entropy(&mer_logits, &targets, None);
                     mer_rec = (loss, argmax_hits(&mer_logits, &targets), targets.len());
-                    let d_pooled = model.mer.backward(&dmer_logits);
+                    let d_pooled = model.mer.backward(head, &dmer_logits, cx);
                     for (k, span) in spans.iter().enumerate() {
                         let dp = d_pooled.rows(k, k + 1);
                         dstates.add_assign(&pool_mean_backward(&dp, span, m));
                     }
                 }
 
-                model.backward(&dstates);
+                model.backward(tape, &dstates, cx);
                 (e.ids().len(), mlm_rec, mer_rec)
             },
             |examples, _, obs| {
@@ -427,9 +403,12 @@ impl TrainRun<'_> {
             &self.topts,
             &self.scfg,
             |loss: &f32| *loss,
-            |model, item| {
+            |model, item, cx| {
                 let (input, target) = &pairs[item.index];
-                (input.len() + target.len(), model.train_step(input, target))
+                (
+                    input.len() + target.len(),
+                    model.train_step(input, target, cx),
+                )
             },
             mean_loss,
         )
@@ -460,7 +439,7 @@ pub fn eval_mlm<M: MlmModel>(
         let (rows, targets) = masked.positions();
         let states = model.infer(&EncoderInput::from_masked(&e, &masked), Rows::Only(&rows));
         total += targets.len();
-        hits += argmax_hits(&model.mlm_head_ref().infer(&states), &targets);
+        hits += argmax_hits(&model.mlm_head().forward(&states), &targets);
     }
     hits as f64 / total.max(1) as f64
 }
@@ -468,7 +447,7 @@ pub fn eval_mlm<M: MlmModel>(
 /// Evaluates TAPEX as a neural executor: greedy-generate the answer for
 /// each (sql, table) pair and compare denotation strings. Returns accuracy.
 pub fn eval_tapex_execution(
-    model: &mut Tapex,
+    model: &Tapex,
     pairs: &[(ntr_table::Table, ntr_sql::Query, ntr_sql::Answer)],
     tok: &WordPieceTokenizer,
     max_tokens: usize,

@@ -7,10 +7,10 @@ use crate::supervisor::fit;
 use crate::trainer::TrainConfig;
 use ntr_corpus::datasets::{QaDataset, QaExample};
 use ntr_corpus::Split;
-use ntr_models::{EncoderInput, SequenceEncoder};
+use ntr_models::{EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::init::SeededInit;
 use ntr_nn::loss::binary_cross_entropy_with_logits;
-use ntr_nn::{visit_child, Layer, Linear, Name, Param};
+use ntr_nn::{visit_child, Cx, Dropout, Layer, Linear, Name, Param};
 use ntr_table::{EncodedTable, Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::WordPieceTokenizer;
@@ -47,34 +47,27 @@ impl<M: SequenceEncoder> CellSelector<M> {
     }
 
     /// Per-token pointer logits `[n, 1]` for already-encoded `states`.
-    /// Caches for [`CellSelector::head_backward`].
-    pub fn head_forward(&mut self, states: &Tensor) -> Tensor {
+    pub fn head_forward(&self, states: &Tensor) -> Tensor {
         let d = states.dim(1) as f32;
         let q = self.wq.forward(&states.rows(0, 1)); // [1, d]
         let k = self.wk.forward(states); // [n, d]
         k.matmul_nt(&q).scale(1.0 / d.sqrt())
     }
 
-    /// Inference-only pointer logits (no caches).
-    pub fn head_forward_inference(&self, states: &Tensor) -> Tensor {
-        let d = states.dim(1) as f32;
-        let q = self.wq.forward_inference(&states.rows(0, 1));
-        let k = self.wk.forward_inference(states);
-        k.matmul_nt(&q).scale(1.0 / d.sqrt())
-    }
-
-    /// Backward through the pointer head; returns `d loss / d states`.
-    pub fn head_backward(&mut self, states: &Tensor, dlogits: &Tensor) -> Tensor {
+    /// Backward through the pointer head from the `states` it scored (its
+    /// tape); returns `d loss / d states`.
+    pub fn head_backward(&self, states: &Tensor, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
         let d = states.dim(1) as f32;
         let scale = 1.0 / d.sqrt();
-        // Recompute the projected values (cheap, avoids extra caching).
-        let q = self.wq.forward_inference(&states.rows(0, 1));
-        let k = self.wk.forward_inference(states);
+        // Recompute the projected values (cheap, avoids a tape).
+        let cls = states.rows(0, 1);
+        let q = self.wq.forward(&cls);
+        let k = self.wk.forward(states);
         // logits = scale · k·qᵀ
         let dk = dlogits.matmul(&q).scale(scale); // [n,1]·[1,d]
         let dq = dlogits.matmul_tn(&k).scale(scale); // [1,n]·[n,d]
-        let mut dstates = self.wk.backward(&dk);
-        let dcls = self.wq.backward(&dq);
+        let mut dstates = self.wk.backward(states, &dk, cx);
+        let dcls = self.wq.backward(&cls, &dq, cx);
         for j in 0..dcls.numel() {
             dstates.row_mut(0)[j] += dcls.data()[j];
         }
@@ -89,7 +82,7 @@ impl<M: SequenceEncoder> Layer for CellSelector<M> {
         self.wk.visit_params(&mut visit_child("wk", f));
     }
 
-    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut [u64; 4])) {
+    fn visit_rng_state(&mut self, f: &mut dyn FnMut(&Name, &mut Dropout)) {
         self.encoder.visit_rng_state(&mut visit_child("encoder", f));
     }
 }
@@ -129,7 +122,7 @@ pub fn encode_qa(
 
 /// Fine-tunes a cell selector: BCE on cell tokens (1 inside the answer
 /// cell, 0 in other cells; non-cell tokens excluded).
-pub fn finetune<M: SequenceEncoder + Clone>(
+pub fn finetune<M: SequenceEncoder>(
     model: &mut CellSelector<M>,
     ds: &QaDataset,
     tok: &WordPieceTokenizer,
@@ -157,14 +150,19 @@ pub fn finetune<M: SequenceEncoder + Clone>(
             Some((EncoderInput::from_encoded(&encoded), targets, mask))
         })
         .collect();
-    fit(model, cfg, &prepared, |model, (input, targets, mask), _| {
-        let states = model.encoder.encode(input, true);
-        let logits = model.head_forward(&states);
-        let (loss, dlogits) = binary_cross_entropy_with_logits(&logits, targets, Some(mask));
-        let dstates = model.head_backward(&states, &dlogits);
-        model.encoder.backward(&dstates);
-        loss
-    });
+    fit(
+        model,
+        cfg,
+        &prepared,
+        |model, (input, targets, mask), _, cx| {
+            let (states, tape) = model.encoder.encode_train(input, Rows::All, cx);
+            let logits = model.head_forward(&states);
+            let (loss, dlogits) = binary_cross_entropy_with_logits(&logits, targets, Some(mask));
+            let dstates = model.head_backward(&states, &dlogits, cx);
+            model.encoder.backward(tape, &dstates, cx);
+            loss
+        },
+    );
 }
 
 /// QA evaluation: exact-coordinate accuracy and denotation accuracy
@@ -201,7 +199,7 @@ pub fn evaluate<M: SequenceEncoder>(
         }
         let input = EncoderInput::from_encoded(&encoded);
         let states = model.encoder.encode(&input, false);
-        let scores = model.head_forward_inference(&states);
+        let scores = model.head_forward(&states);
         let mut best: Option<((usize, usize), f32)> = None;
         for (coord, span) in encoded.cells() {
             let mean = span.clone().map(|p| scores.at(&[p, 0])).sum::<f32>() / span.len() as f32;

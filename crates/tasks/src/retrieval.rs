@@ -4,8 +4,8 @@
 //!
 //! * **dense bi-encoder** — one shared [`SequenceEncoder`] embeds queries
 //!   and tables ( `[CLS]` state); cosine similarity ranks. Optional
-//!   contrastive fine-tuning (in-batch negatives) uses clone-and-merge
-//!   weight sharing (`ntr_nn::merge_grads`);
+//!   contrastive fine-tuning (in-batch negatives) runs each sequence on a
+//!   context of its own and folds their gradients (`ntr_nn::merge_grads`);
 //! * **lexical tf-idf baseline** — classic bag-of-words cosine.
 
 use crate::metrics::{hits_at_k, mrr, ndcg_at_k, rank_of};
@@ -15,7 +15,7 @@ use ntr_corpus::datasets::RetrievalDataset;
 use ntr_corpus::Split;
 use ntr_models::{EncoderInput, Rows, SequenceEncoder};
 use ntr_nn::loss::softmax_cross_entropy;
-use ntr_nn::{grads_of, merge_grads};
+use ntr_nn::merge_grads;
 use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer, Table};
 use ntr_tensor::Tensor;
 use ntr_tokenizer::{SpecialToken, WordPieceTokenizer};
@@ -94,9 +94,10 @@ pub fn evaluate_dense<M: SequenceEncoder>(
 
 /// Contrastive fine-tuning: for each training query, score the positive
 /// against `n_negatives` sampled tables and apply cross-entropy over the
-/// cosine logits (temperature-scaled). The shared encoder is cloned per
-/// sequence and the gradients merged (`ntr_nn::merge_grads`).
-pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
+/// cosine logits (temperature-scaled). Each sequence runs the shared
+/// encoder on a fresh context ([`ntr_nn::Cx::fork`]), and the contexts'
+/// gradients are folded in sequence order (`ntr_nn::merge_grads`).
+pub fn finetune_contrastive<M: SequenceEncoder>(
     model: &mut M,
     ds: &RetrievalDataset,
     tok: &WordPieceTokenizer,
@@ -106,7 +107,7 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
 ) {
     const TEMPERATURE: f32 = 10.0; // scales cosine logits into a useful range
     let train_idx = ds.indices(Split::Train);
-    fit(model, cfg, &train_idx, |model, &qi, item| {
+    fit(model, cfg, &train_idx, |model, &qi, item, cx| {
         let q = &ds.queries[qi];
         // Negatives come from this example's own stream, like MLM masks.
         let mut rng =
@@ -120,21 +121,20 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
             }
         }
 
-        // Clone-per-sequence forward.
-        let q_input = query_input(&q.text, tok);
-        let mut q_clone = model.clone();
-        q_clone.zero_grad();
-        // Only the `[CLS]` rows reach the loss.
-        let q_emb = q_clone.encode_train(&q_input, Rows::CLS);
-
-        let mut t_clones = Vec::with_capacity(cand_ids.len());
+        // One context per sequence, the query's first. Only the `[CLS]`
+        // rows reach the loss.
+        let mut cxs = vec![cx.fork()];
+        let (q_emb, q_tape) =
+            model.encode_train(&query_input(&q.text, tok), Rows::CLS, &mut cxs[0]);
+        let mut t_tapes = Vec::with_capacity(cand_ids.len());
         let mut t_embs = Vec::with_capacity(cand_ids.len());
         for &ti in &cand_ids {
             let input = table_input(&ds.corpus.tables[ti], tok, opts);
-            let mut c = model.clone();
-            c.zero_grad();
-            t_embs.push(c.encode_train(&input, Rows::CLS));
-            t_clones.push(c);
+            let mut t_cx = cx.fork();
+            let (t_emb, tape) = model.encode_train(&input, Rows::CLS, &mut t_cx);
+            t_embs.push(t_emb);
+            t_tapes.push(tape);
+            cxs.push(t_cx);
         }
 
         // Cosine logits and CE (positive is class 0).
@@ -149,7 +149,7 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
         // Backward through the cosine: for u·v/(|u||v|),
         // d/du = v/(|u||v|) − cos·u/|u|².
         let mut d_q = Tensor::zeros(&[1, d]);
-        for (k, t_emb) in t_embs.iter().enumerate() {
+        for (k, (t_emb, tape)) in t_embs.iter().zip(t_tapes).enumerate() {
             let g = dlogits.data()[k] * TEMPERATURE;
             if g == 0.0 {
                 continue;
@@ -163,14 +163,10 @@ pub fn finetune_contrastive<M: SequenceEncoder + Clone>(
             // d/d t_emb
             let mut dt = q_emb.scale(1.0 / (qn * tn));
             dt.axpy(-cos / (tn * tn), t_emb);
-            t_clones[k].backward(&dt.scale(g));
+            model.backward(tape, &dt.scale(g), &mut cxs[k + 1]);
         }
-        q_clone.backward(&d_q);
-
-        // Merge clone grads into the master.
-        let mut sets = vec![grads_of(&mut q_clone)];
-        sets.extend(t_clones.iter_mut().map(|c| grads_of(c)));
-        merge_grads(model, &mut sets);
+        model.backward(q_tape, &d_q, &mut cxs[0]);
+        merge_grads(&mut cx.grads, &mut cxs);
         loss
     });
 }

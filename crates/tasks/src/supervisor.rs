@@ -56,11 +56,10 @@
 use crate::trainer::{BatchItem, Snapshot, TrainConfig, Trainer, TrainerOptions};
 use ntr_nn::optim::{clip_global_grad_norm, global_grad_norm};
 use ntr_nn::serialize::{load_checkpoint, CheckpointError};
-use ntr_nn::{grads_of, merge_grads, Layer};
+use ntr_nn::{merge_grads, Cx, Grads, Layer};
 use ntr_obs::Obs;
 use ntr_tensor::faults::{self, FaultKind, FaultPlan};
 use ntr_tensor::par;
-use ntr_tensor::Tensor;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -183,15 +182,11 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-/// Poisons `model`'s first parameter gradient with NaN (the `nan@N` fault).
-fn poison_grads(model: &mut dyn Layer) {
-    let mut done = false;
-    model.visit_params(&mut |_, p| {
-        if !done {
-            p.grad.map_mut(|g| g + f32::NAN);
-            done = true;
-        }
-    });
+/// Poisons the first parameter's gradient with NaN (the `nan@N` fault).
+fn poison_grads(grads: &mut Grads) {
+    if let Some(g) = grads.params_mut().next() {
+        g.iter_mut().for_each(|g| *g += f32::NAN);
+    }
 }
 
 /// Recomputes the loss EMA from a replayed prefix of step results. Only
@@ -264,7 +259,8 @@ fn emit_step(
 /// `finetune_supervised`, and (via [`fit`]) the seven downstream fine-tunes.
 ///
 /// A driver supplies `example`, the per-example body (forward, loss and
-/// backward on the replica it is handed; see [`run_batch`]), and `reduce`,
+/// backward through the model into the context it is handed; see
+/// [`run_batch`]), and `reduce`,
 /// which turns the batch's results, in example order, into the step record
 /// and reports into the run's `Obs` (a no-op unless `topts.obs` configured
 /// one). `loss_of` extracts the loss the anomaly detector watches. The
@@ -276,14 +272,14 @@ fn emit_step(
 /// failures: panics raised inside `example` or `reduce` are caught and
 /// handled as anomalies.
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised<M: Layer + Clone + Send, E: Send, R>(
+pub fn run_supervised<M: Layer + Sync, E: Send, R>(
     model: &mut M,
     cfg: &TrainConfig,
     n_examples: usize,
     topts: &TrainerOptions,
     scfg: &SupervisorConfig,
     loss_of: impl Fn(&R) -> f32,
-    example: impl Fn(&mut M, &BatchItem) -> E + Sync,
+    example: impl Fn(&M, &BatchItem, &mut Cx) -> E + Sync,
     mut reduce: impl FnMut(Vec<E>, &[BatchItem], &Obs) -> R,
 ) -> Result<Vec<R>, TrainError> {
     let mut trainer = topts.build(model, cfg, n_examples)?;
@@ -296,11 +292,9 @@ pub fn run_supervised<M: Layer + Clone + Send, E: Send, R>(
             .u64("seed", cfg.seed)
             .finish();
     }
-    // Every step starts from zero accumulators (see `run_batch`).
-    model.zero_grad();
-    let (mut replicas, mut slots) = (Vec::new(), Vec::new());
-    let mut step_fn = |model: &mut M, batch: &[BatchItem], obs: &Obs| {
-        let results = run_batch(model, &mut replicas, &mut slots, batch, &example);
+    let mut slots = Vec::new();
+    let mut step_fn = |model: &mut M, grads: &mut Grads, batch: &[BatchItem], obs: &Obs| {
+        let results = run_batch(model, grads, &mut slots, batch, &example);
         reduce(results, batch, obs)
     };
     let mut retries_used: u32 = 0;
@@ -332,11 +326,11 @@ pub fn run_supervised<M: Layer + Clone + Send, E: Send, R>(
 /// The plain fine-tune form of [`run_supervised`]: no checkpointing, no
 /// supervision, and a per-example body (forward, backward, returns that
 /// example's loss). Returns the mean loss per optimizer step.
-pub(crate) fn fit<M: Layer + Clone + Send, E: Sync>(
+pub(crate) fn fit<M: Layer + Sync, E: Sync>(
     model: &mut M,
     cfg: &TrainConfig,
     examples: &[E],
-    example_loss: impl Fn(&mut M, &E, &BatchItem) -> f32 + Sync,
+    example_loss: impl Fn(&M, &E, &BatchItem, &mut Cx) -> f32 + Sync,
 ) -> Vec<f32> {
     run_supervised(
         model,
@@ -345,7 +339,7 @@ pub(crate) fn fit<M: Layer + Clone + Send, E: Sync>(
         &TrainerOptions::default(),
         &SupervisorConfig::default(),
         |loss: &f32| *loss,
-        |model, item| example_loss(model, &examples[item.index], item),
+        |model, item, cx| example_loss(model, &examples[item.index], item, cx),
         |losses, _, _| losses.iter().sum::<f32>() / losses.len() as f32,
     )
     .expect("no checkpoint, resume or supervisor is configured, so the run cannot fail")
@@ -367,85 +361,63 @@ fn derive_stream(state: [u64; 4], i: u64) -> [u64; 4] {
     rand::rngs::StdRng::seed_from_u64(state.iter().fold(i, mix)).state()
 }
 
-/// Runs `example` for every item of `batch` on one replica per pool worker
-/// (DESIGN §6): example `i` draws [`derive_stream`]`(master, i)`, and the
-/// gradients reach `model`'s zeroed accumulators in example order through
-/// [`merge_grads`], so a step is bit-identical at any `NTR_THREADS`.
-/// Returns the results in example order; re-raises a panic in `example`.
-fn run_batch<M: Layer + Clone + Send, E: Send>(
+/// Runs `example` for every item of `batch` on the pool's workers, each
+/// example in a context of its own (DESIGN §6): example `i` draws
+/// [`derive_stream`]`(master, i)`, and the gradients reach the zeroed
+/// `grads` in example order through [`merge_grads`], so a step is
+/// bit-identical at any `NTR_THREADS`. Worker 0 folds each of its examples
+/// at once through one reused context; the others keep a context per
+/// example in `slots`, folded after the dispatch. Returns the results in
+/// example order; re-raises a panic in `example`.
+fn run_batch<M: Layer + Sync, E: Send>(
     model: &mut M,
-    replicas: &mut Vec<M>,
-    slots: &mut Vec<Vec<Tensor>>,
+    grads: &mut Grads,
+    slots: &mut Vec<Cx>,
     batch: &[BatchItem],
-    example: &(impl Fn(&mut M, &BatchItem) -> E + Sync),
+    example: &(impl Fn(&M, &BatchItem, &mut Cx) -> E + Sync),
 ) -> Vec<E> {
     let n = batch.len();
-    if replicas.is_empty() {
-        *replicas = vec![model.clone(); par::max_threads().clamp(1, n)];
-    }
-    let per = n.div_ceil(replicas.len());
+    let per = n.div_ceil(par::max_threads().clamp(1, n));
     if slots.len() < 1 + n - per {
-        slots.resize(1 + n - per, grads_of(model));
+        slots.resize_with(1 + n - per, || Cx::like(grads));
     }
     let mut streams = Vec::new();
-    model.visit_rng_state(&mut |_, s| {
-        streams.push(*s);
-        *s = derive_stream(*s, u64::MAX);
+    model.visit_rng_state(&mut |_, d| {
+        streams.push(d.state());
+        d.set_state(derive_stream(d.state(), u64::MAX));
     });
-    // The master's values, lent to the workers for the dispatch.
-    let mut values = Vec::new();
-    model.visit_params(&mut |_, p| {
-        values.push(std::mem::replace(&mut p.value, Tensor::zeros(&[0])));
-    });
-    // Worker 0 runs the first examples and folds each into the master at
-    // once, through one reused slot; the others keep a slot per example.
+    let model = &*model;
     let (first, rest) = slots.split_at_mut(1);
-    let master = std::iter::once(Some(&mut *model)).chain(std::iter::repeat_with(|| None));
-    let jobs: Vec<Mutex<_>> = (replicas.iter_mut().zip(batch.chunks(per)))
+    let master = std::iter::once(Some(&mut *grads)).chain(std::iter::repeat_with(|| None));
+    let jobs: Vec<Mutex<_>> = (batch.chunks(per))
         .zip(std::iter::once(first).chain(rest[..n - per].chunks_mut(per)))
         .zip(master)
         .map(Mutex::new)
         .collect();
     let out = par::try_map_tasks(jobs.len(), jobs.len(), |w| {
         let mut job = jobs[w].lock().expect("each job is locked once");
-        let (((replica, items), slots), master) = &mut *job;
-        let mut k = 0;
-        replica.visit_params(&mut |_, p| {
-            p.value.data_mut().copy_from_slice(values[k].data());
-            k += 1;
-        });
+        let ((items, slots), master) = &mut *job;
         let mut results = Vec::with_capacity(items.len());
         for (j, item) in items.iter().enumerate() {
             let i = w * per + j;
-            let mut k = 0;
-            replica.visit_rng_state(&mut |_, s| {
-                *s = derive_stream(streams[k], i as u64);
-                k += 1;
-            });
-            results.push(example(replica, item));
-            let slot = &mut slots[j.min(slots.len() - 1)];
-            let mut k = 0;
-            replica.visit_params(&mut |_, p| {
-                std::mem::swap(&mut p.grad, &mut slot[k]);
-                k += 1;
-            });
+            let last = slots.len() - 1;
+            let cx = &mut slots[j.min(last)];
+            cx.set_streams(|k| derive_stream(streams[k], i as u64));
+            results.push(example(model, item, cx));
             if let Some(master) = master {
-                merge_grads(&mut **master, std::slice::from_mut(slot));
+                merge_grads(master, std::slice::from_mut(cx));
             }
         }
         results
     });
     drop(jobs);
-    let mut values = values.into_iter();
-    model.visit_params(&mut |_, p| p.value = values.next().expect("one value per param"));
     match out {
         Ok(parts) => {
-            merge_grads(model, &mut slots[1..1 + n - per]);
+            merge_grads(grads, &mut slots[1..1 + n - per]);
             parts.into_iter().flatten().collect()
         }
         Err(panic) => {
             // Half-run examples leave partial gradients behind.
-            replicas.clear();
             slots.clear();
             std::panic::resume_unwind(Box::new(panic.message))
         }
@@ -460,7 +432,7 @@ fn supervise_loop<M: Layer, R>(
     trainer: &mut Trainer,
     scfg: &SupervisorConfig,
     loss_of: &impl Fn(&R) -> f32,
-    step_fn: &mut impl FnMut(&mut M, &[BatchItem], &Obs) -> R,
+    step_fn: &mut impl FnMut(&mut M, &mut Grads, &[BatchItem], &Obs) -> R,
     obs: &Obs,
     retries_used: &mut u32,
 ) -> Result<Vec<R>, TrainError> {
@@ -471,7 +443,7 @@ fn supervise_loop<M: Layer, R>(
         // (only when armed) step tracing that reads but never perturbs it.
         while let Some(batch) = trainer.next_batch() {
             let t0 = obs.now();
-            let r = step_fn(model, &batch, obs);
+            let r = step_fn(model, trainer.grads_mut(), &batch, obs);
             trainer.step(model)?;
             if obs.enabled() {
                 emit_step(obs, trainer.steps(), &batch, loss_of(&r), 1.0, None, t0);
@@ -526,7 +498,7 @@ fn supervise_loop<M: Layer, R>(
                 let initial = initial.as_ref().expect("crash fault implies snapshots");
                 trainer.rollback(model, initial);
             }
-            model.zero_grad();
+            trainer.grads_mut().zero();
             out.truncate(trainer.steps().saturating_sub(base_steps) as usize);
             // A "restarted process" has no in-memory EMA; rebuild it from
             // the surviving step records (this is the one path that still
@@ -554,7 +526,8 @@ fn supervise_loop<M: Layer, R>(
             // drill exercises genuine worker panic isolation.
             faults::arm_worker_panic();
         }
-        let result = catch_unwind(AssertUnwindSafe(|| step_fn(model, &batch, obs)))
+        let grads = trainer.grads_mut();
+        let result = catch_unwind(AssertUnwindSafe(|| step_fn(model, grads, &batch, obs)))
             .map_err(|payload| format!("worker panic: {}", par::payload_message(payload)));
         faults::disarm_worker_panic();
 
@@ -563,11 +536,11 @@ fn supervise_loop<M: Layer, R>(
             Err(msg) => Some(("panic", msg.clone())),
             Ok(r) => {
                 if plan.take(FaultKind::Nan, step) {
-                    poison_grads(model);
+                    poison_grads(trainer.grads_mut());
                 }
                 let grad_norm = match scfg.clip_norm {
-                    Some(max) => clip_global_grad_norm(model, max),
-                    None => global_grad_norm(model),
+                    Some(max) => clip_global_grad_norm(trainer.grads_mut(), max),
+                    None => global_grad_norm(trainer.grads()),
                 };
                 step_grad_norm = Some(grad_norm);
                 let loss = loss_of(r);
@@ -645,7 +618,7 @@ fn supervise_loop<M: Layer, R>(
             Some((kind, what)) => {
                 // Grads may hold partial/poisoned accumulation; they are
                 // never part of a checkpoint, so clear them explicitly.
-                model.zero_grad();
+                trainer.grads_mut().zero();
                 let _ = obs.take_step_tokens();
                 if let Some(e) = obs.event("anomaly") {
                     e.u64("step", step)
@@ -673,7 +646,6 @@ fn supervise_loop<M: Layer, R>(
                 *retries_used += 1;
                 let state = last_good.as_ref().expect("rollback implies snapshots");
                 trainer.rollback(model, &state.snap);
-                model.zero_grad();
                 lr_scale *= scfg.lr_backoff;
                 trainer.set_lr_scale(lr_scale);
                 out.truncate(trainer.steps().saturating_sub(base_steps) as usize);

@@ -42,8 +42,8 @@ pub fn finetune(
         .iter()
         .map(|&i| example_io(&ds.examples[i], tok, max_tokens))
         .collect();
-    fit(model, cfg, &prepared, |model, (input, target), _| {
-        model.train_step(input, target)
+    fit(model, cfg, &prepared, |model, (input, target), _, cx| {
+        model.train_step(input, target, cx)
     })
 }
 

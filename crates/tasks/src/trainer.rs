@@ -1,5 +1,6 @@
 //! The one training loop's state: configuration and the resumable
-//! [`Trainer`], which owns the example stream and Adam with its LR schedule
+//! [`Trainer`], which owns the example stream, the model's gradients and
+//! Adam with its LR schedule
 //! (all private to this module — every driver iterates and steps through
 //! [`run_supervised`](crate::supervisor::run_supervised)) and can
 //! checkpoint / resume a run **bit-identically** — training 2N steps
@@ -11,7 +12,7 @@ use ntr_nn::serialize::{
     load_checkpoint, save_checkpoint_stats, CheckpointError, SaveStats, TrainCheckpoint,
     TrainCursor,
 };
-use ntr_nn::Layer;
+use ntr_nn::{Grads, Layer};
 use ntr_obs::{Obs, ObsOptions};
 use std::path::{Path, PathBuf};
 
@@ -104,7 +105,7 @@ impl TrainerOptions {
                 }
                 t
             }
-            None => Trainer::new(cfg, n_examples),
+            None => Trainer::new(model, cfg, n_examples),
         };
         if let Some((path, every)) = &self.checkpoint {
             t = t.with_checkpointing(path.clone(), *every);
@@ -131,7 +132,8 @@ pub struct Snapshot {
     cursor: TrainCursor,
 }
 
-/// Owns a training run's example stream and optimizer.
+/// Owns a training run's example stream, the model's gradients (one flat
+/// [`Grads`] buffer, which a step's examples fold into) and the optimizer.
 ///
 /// The stream is the concatenation of each epoch's seeded shuffle, chunked
 /// into batches of `batch_size` (clamped to at least 1) that **span epoch
@@ -141,6 +143,7 @@ pub struct Snapshot {
 #[derive(Debug)]
 pub struct Trainer {
     adam: Adam,
+    grads: Grads,
     schedule: WarmupLinearSchedule,
     /// Transient multiplier on the scheduled LR — the supervisor's retry
     /// backoff. Not checkpointed: a restored run starts back at 1.0.
@@ -158,12 +161,14 @@ pub struct Trainer {
 }
 
 impl Trainer {
-    /// A fresh run over `n_examples` examples under `cfg`.
-    pub fn new(cfg: &TrainConfig, n_examples: usize) -> Self {
+    /// A fresh run of `model` over `n_examples` examples under `cfg`,
+    /// binding the model to its gradients ([`Grads::new`]).
+    pub fn new(model: &mut dyn Layer, cfg: &TrainConfig, n_examples: usize) -> Self {
         let total = (n_examples * cfg.epochs).div_ceil(cfg.batch_size.max(1)) as u64;
         let warmup = ((total as f32) * cfg.warmup_frac) as u64;
         Self {
             adam: Adam::new(cfg.lr).with_weight_decay(0.01),
+            grads: Grads::new(model),
             schedule: WarmupLinearSchedule {
                 peak_lr: cfg.lr,
                 warmup: warmup.max(1),
@@ -207,7 +212,7 @@ impl Trainer {
                 cursor.seed, cfg.seed
             )));
         }
-        let mut t = Self::new(cfg, n_examples);
+        let mut t = Self::new(model, cfg, n_examples);
         (t.adam, t.schedule) = (adam, schedule);
         t.seek(cursor);
         Ok(t)
@@ -249,7 +254,7 @@ impl Trainer {
         snap.values.clear();
         snap.rngs.clear();
         model.visit_params(&mut |_, p| snap.values.extend_from_slice(p.value.data()));
-        model.visit_rng_state(&mut |_, s| snap.rngs.push(*s));
+        model.visit_rng_state(&mut |_, d| snap.rngs.push(d.state()));
         snap.adam.clone_from(&self.adam);
         snap.schedule = self.schedule;
         snap.cursor = self.cursor();
@@ -270,7 +275,7 @@ impl Trainer {
             values = rest;
         });
         let mut rngs = snap.rngs.iter();
-        model.visit_rng_state(&mut |_, s| *s = *rngs.next().expect("one state per stream"));
+        model.visit_rng_state(&mut |_, d| d.set_state(*rngs.next().expect("one state per stream")));
         self.adam.clone_from(&snap.adam);
         self.schedule = snap.schedule;
         self.seek(snap.cursor);
@@ -322,6 +327,16 @@ impl Trainer {
         self.adam.steps()
     }
 
+    /// The model's gradients, which the next [`Trainer::step`] applies.
+    pub fn grads(&self) -> &Grads {
+        &self.grads
+    }
+
+    /// The model's gradients, to accumulate into (or clip, or clear).
+    pub fn grads_mut(&mut self) -> &mut Grads {
+        &mut self.grads
+    }
+
     /// The next batch of examples, or `None` when the stream is exhausted
     /// (or a halt point was reached).
     pub fn next_batch(&mut self) -> Option<Vec<BatchItem>> {
@@ -354,7 +369,7 @@ impl Trainer {
         }
     }
 
-    /// Applies one optimizer step at the scheduled LR to `model`'s
+    /// Applies one optimizer step at the scheduled LR to `model` from the
     /// accumulated gradients and zeroes them, then writes a checkpoint if
     /// one is due. Only fails if a due checkpoint cannot be written.
     pub fn step(&mut self, model: &mut dyn Layer) -> Result<(), CheckpointError> {
@@ -366,8 +381,8 @@ impl Trainer {
         } else {
             lr * self.lr_scale
         });
-        self.adam.step(model);
-        model.zero_grad();
+        self.adam.step(model, &self.grads);
+        self.grads.zero();
         if let Some((path, every)) = &self.checkpoint {
             if self.adam.steps().is_multiple_of(*every) {
                 let stats = self.save_state(model, path)?;
@@ -413,16 +428,21 @@ mod tests {
     use ntr_nn::Linear;
     use ntr_tensor::Tensor;
 
+    /// The gradients of `lin` at an all-ones input and output gradient.
+    fn backprop(t: &mut Trainer, lin: &Linear) {
+        t.grads_mut().add(&lin.w, &Tensor::ones(&[2, 2]));
+        t.grads_mut().add(&lin.b, &Tensor::ones(&[2]));
+    }
+
     #[test]
     fn a_step_updates_and_zeroes() {
-        let mut t = Trainer::new(&TrainConfig::default(), 10);
         let mut lin = Linear::new(2, 2, &mut SeededInit::new(1));
+        let mut t = Trainer::new(&mut lin, &TrainConfig::default(), 10);
         let before = lin.w.value.clone();
-        let _ = lin.forward(&Tensor::ones(&[1, 2]));
-        let _ = lin.backward(&Tensor::ones(&[1, 2]));
+        backprop(&mut t, &lin);
         t.step(&mut lin).unwrap();
         assert_ne!(lin.w.value, before);
-        assert!(lin.w.grad.data().iter().all(|&g| g == 0.0));
+        assert!(t.grads().data().iter().all(|&g| g == 0.0));
         assert_eq!(t.steps(), 1);
     }
 
@@ -455,7 +475,8 @@ mod tests {
             seed: 7,
             ..TrainConfig::default()
         };
-        let mut t = Trainer::new(&cfg, 5);
+        let mut lin = Linear::new(2, 2, &mut SeededInit::new(1));
+        let mut t = Trainer::new(&mut lin, &cfg, 5);
         let batches = drain(&mut t);
         assert_eq!(batches.len(), 4);
         assert_eq!(batches[3].len(), 3);
@@ -479,18 +500,20 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut model = Linear::new(2, 2, &mut SeededInit::new(8));
-        let losses = crate::supervisor::fit(&mut model, &cfg, &[1.0, 2.0, 3.0], |model, &x, _| {
-            let _ = model.forward(&Tensor::ones(&[1, 2]));
-            let _ = model.backward(&Tensor::ones(&[1, 2]));
-            x
-        });
+        let ones = Tensor::ones(&[1, 2]);
+        let losses =
+            crate::supervisor::fit(&mut model, &cfg, &[1.0, 2.0, 3.0], |model, &x, _, cx| {
+                let _ = model.backward(&ones, &ones, cx);
+                x
+            });
         assert_eq!(losses.len(), 6, "3 examples x 2 epochs, one step each");
         assert!(losses.iter().all(|l| [1.0, 2.0, 3.0].contains(l)));
     }
 
     #[test]
     fn empty_dataset_yields_no_batches() {
-        let mut t = Trainer::new(&TrainConfig::default(), 0);
+        let mut lin = Linear::new(2, 2, &mut SeededInit::new(1));
+        let mut t = Trainer::new(&mut lin, &TrainConfig::default(), 0);
         assert!(t.next_batch().is_none());
     }
 
@@ -503,11 +526,10 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut model = Linear::new(2, 2, &mut SeededInit::new(2));
-        let mut t = Trainer::new(&cfg, 4).with_halt_after(3);
+        let mut t = Trainer::new(&mut model, &cfg, 4).with_halt_after(3);
         let mut steps = 0;
         while let Some(_b) = t.next_batch() {
-            let _ = model.forward(&Tensor::ones(&[1, 2]));
-            let _ = model.backward(&Tensor::ones(&[1, 2]));
+            backprop(&mut t, &model);
             t.step(&mut model).unwrap();
             steps += 1;
         }
@@ -529,24 +551,22 @@ mod tests {
 
         // Reference: drain the full stream in one go.
         let mut full_model = Linear::new(2, 2, &mut SeededInit::new(3));
-        let mut full = Trainer::new(&cfg, 5);
+        let mut full = Trainer::new(&mut full_model, &cfg, 5);
         let mut full_items = Vec::new();
         while let Some(b) = full.next_batch() {
-            let _ = full_model.forward(&Tensor::ones(&[1, 2]));
-            let _ = full_model.backward(&Tensor::ones(&[1, 2]));
+            backprop(&mut full, &full_model);
             full.step(&mut full_model).unwrap();
             full_items.extend(b);
         }
 
         // Crashed run: halt after 2 steps, checkpointing every step.
         let mut model = Linear::new(2, 2, &mut SeededInit::new(3));
-        let mut first = Trainer::new(&cfg, 5)
+        let mut first = Trainer::new(&mut model, &cfg, 5)
             .with_checkpointing(path.clone(), 1)
             .with_halt_after(2);
         let mut items = Vec::new();
         while let Some(b) = first.next_batch() {
-            let _ = model.forward(&Tensor::ones(&[1, 2]));
-            let _ = model.backward(&Tensor::ones(&[1, 2]));
+            backprop(&mut first, &model);
             first.step(&mut model).unwrap();
             items.extend(b);
         }
@@ -556,8 +576,7 @@ mod tests {
         let mut resumed = Trainer::resume(&mut resumed_model, &cfg, 5, &path).unwrap();
         assert_eq!(resumed.steps(), 2);
         while let Some(b) = resumed.next_batch() {
-            let _ = resumed_model.forward(&Tensor::ones(&[1, 2]));
-            let _ = resumed_model.backward(&Tensor::ones(&[1, 2]));
+            backprop(&mut resumed, &resumed_model);
             resumed.step(&mut resumed_model).unwrap();
             items.extend(b);
         }
@@ -579,11 +598,10 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut model = Linear::new(2, 2, &mut SeededInit::new(5));
-        let mut t = Trainer::new(&cfg, 4);
+        let mut t = Trainer::new(&mut model, &cfg, 4);
         let train_step = |model: &mut Linear, t: &mut Trainer| {
             let b = t.next_batch().expect("stream not exhausted");
-            let _ = model.forward(&Tensor::ones(&[1, 2]));
-            let _ = model.backward(&Tensor::ones(&[1, 2]));
+            backprop(t, model);
             t.step(model).unwrap();
             b
         };
@@ -620,7 +638,7 @@ mod tests {
     fn restore_rejects_weights_only_checkpoints() {
         let cfg = TrainConfig::default();
         let mut model = Linear::new(2, 2, &mut SeededInit::new(6));
-        let mut t = Trainer::new(&cfg, 3);
+        let mut t = Trainer::new(&mut model, &cfg, 3);
         let ckpt = ntr_nn::serialize::TrainCheckpoint::capture(&mut model);
         let err = t.restore(&mut model, &ckpt).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
@@ -636,7 +654,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ntrw");
         let mut model = Linear::new(2, 2, &mut SeededInit::new(4));
-        let t = Trainer::new(&cfg, 3);
+        let t = Trainer::new(&mut model, &cfg, 3);
         t.save_state(&mut model, &path).unwrap();
         let bad_cfg = TrainConfig {
             seed: 2,

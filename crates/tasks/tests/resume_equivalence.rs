@@ -224,7 +224,7 @@ fn imputation_finetune_resume_is_bit_identical() {
 
 #[test]
 fn mlm_resume_with_dropout_on_two_threads_retraces_the_single_thread_run() {
-    // A batch's examples train on per-worker replicas, each on dropout
+    // A batch's examples train in contexts of their own, each on dropout
     // streams derived from the master's: the checkpointed master streams
     // still determine the run, whatever the pool size.
     let (_, corpus, tok) = small_world();

@@ -68,10 +68,10 @@ fn measure(f: impl FnOnce()) -> u64 {
 /// Takes a run's first optimizer step (which allocates Adam's moments) and
 /// captures a snapshot after it (which sizes the snapshot's copy of them),
 /// then returns the bytes of a warm snapshot refill, of a bare visit of the
-/// parameters and RNG streams, and of a warm step (Adam and `zero_grad`)
+/// parameters and RNG streams, and of a warm step (Adam and the zeroing)
 /// on one thread.
 fn warm_bytes(model: &mut dyn Layer) -> [u64; 3] {
-    let mut trainer = Trainer::new(&TrainConfig::default(), 8);
+    let mut trainer = Trainer::new(model, &TrainConfig::default(), 8);
     let mut snap = Snapshot::default();
     trainer.step(model).expect("no checkpoint is configured");
     trainer.capture_into(model, &mut snap);

@@ -301,7 +301,7 @@ fn loss_spike_is_rolled_back_and_skipped() {
         &TrainerOptions::default(),
         &scfg,
         |l: &f32| *l,
-        |_, _| (),
+        |_, _, _| (),
         |_, batch, _obs| {
             if batch[0].epoch == 0 && batch[0].pos == 2 {
                 50.0

@@ -107,7 +107,7 @@ fn main() {
         let encoded = encode_qa(ex, &tok, &opts);
         let input = EncoderInput::from_encoded(&encoded);
         let states = model.encoder.encode(&input, false);
-        let scores = model.head_forward_inference(&states);
+        let scores = model.head_forward(&states);
         let mut best: Option<((usize, usize), f32)> = None;
         for (coord, span) in encoded.cells() {
             let s = span.clone().map(|p| scores.at(&[p, 0])).sum::<f32>() / span.len() as f32;

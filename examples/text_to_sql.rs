@@ -79,7 +79,7 @@ fn main() {
             held_out.push((table.clone(), q, a));
         }
     }
-    let exec_acc = eval_tapex_execution(&mut executor, &held_out, &tok, 160);
+    let exec_acc = eval_tapex_execution(&executor, &held_out, &tok, 160);
     println!(
         "  neural execution accuracy on {} held-out queries: {:.3}",
         held_out.len(),

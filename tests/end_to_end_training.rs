@@ -203,7 +203,7 @@ mod mlm_rows_path {
     };
     use ntr::nn::init::SeededInit;
     use ntr::nn::loss::{softmax_cross_entropy, IGNORE_INDEX};
-    use ntr::nn::{AttnMask, Encoder, Layer, Rows};
+    use ntr::nn::{merge_grads, AttnMask, Cx, Encoder, Layer, Rows};
     use ntr::table::masking::{mask_entities, mask_mlm, MlmConfig};
     use ntr::table::{Linearizer, LinearizerOptions, RowMajorLinearizer, TurlLinearizer};
     use ntr::tasks::imputation;
@@ -246,44 +246,41 @@ mod mlm_rows_path {
         ntr::tensor::io::crc32(&bytes)
     }
 
-    fn grad_bits(layer: &mut dyn Layer) -> Vec<u32> {
-        let mut out = Vec::new();
-        layer.visit_params(&mut |_, p| out.extend(bits(p.grad.data())));
-        out
+    fn grad_bits(cx: &Cx) -> Vec<u32> {
+        bits(cx.grads.data())
     }
 
-    fn rng_states(layer: &mut dyn Layer) -> Vec<[u64; 4]> {
-        let mut out = Vec::new();
-        layer.visit_rng_state(&mut |_, s| out.push(*s));
-        out
+    fn rng_states(cx: &Cx) -> Vec<[u64; 4]> {
+        cx.stream_states().collect()
     }
 
     /// The all-rows head step: logits for every row, a loss over
     /// `IGNORE`-padded targets, a backward through every row.
-    fn all_rows(head: &mut MlmHead, states: &Tensor, targets: &[usize]) -> (f32, Tensor) {
-        let logits = head.forward(states);
+    fn all_rows(head: &MlmHead, states: &Tensor, targets: &[usize], cx: &mut Cx) -> (f32, Tensor) {
+        let (logits, tape) = head.forward_train(states);
         let (loss, dlogits) = softmax_cross_entropy(&logits, targets, None);
-        (loss, head.backward(&dlogits))
+        (loss, head.backward(tape, &dlogits, cx))
     }
 
     /// How a reference loop runs its per-example bodies, each returning
     /// `(loss, second loss)`; a step records the per-example mean of each.
     #[derive(Clone, Copy)]
     pub(super) enum Driver {
-        /// Through `run_supervised`: replicas, derived streams, the fold.
+        /// Through `run_supervised`: contexts, derived streams, the fold.
         Supervised,
         /// A plain serial loop on the master: each example's backward
-        /// accumulates into the master's own gradients, one after another.
+        /// accumulates into one context, one after another, on the
+        /// master's own streams.
         Serial,
     }
 
     impl Driver {
-        pub(super) fn run<M: Layer + Clone + Send>(
+        pub(super) fn run<M: Layer + Sync>(
             self,
             model: &mut M,
             cfg: &TrainConfig,
             n: usize,
-            body: impl Fn(&mut M, &BatchItem) -> (f32, f32) + Sync,
+            body: impl Fn(&M, &BatchItem, &mut Cx) -> (f32, f32) + Sync,
         ) -> Vec<(f32, f32)> {
             let mean = |ls: &[(f32, f32)]| {
                 let (mut a, mut b) = (0.0f32, 0.0f32);
@@ -303,10 +300,15 @@ mod mlm_rows_path {
                     .expect("no faults")
                 }
                 Driver::Serial => {
-                    let mut trainer = Trainer::new(cfg, n);
+                    let mut trainer = Trainer::new(model, cfg, n);
+                    let mut cx = Cx::new(model);
                     let mut out = Vec::new();
                     while let Some(batch) = trainer.next_batch() {
-                        let ls: Vec<_> = batch.iter().map(|item| body(model, item)).collect();
+                        let ls: Vec<_> = batch
+                            .iter()
+                            .map(|item| body(model, item, &mut cx))
+                            .collect();
+                        merge_grads(trainer.grads_mut(), std::slice::from_mut(&mut cx));
                         trainer.step(model).expect("no checkpoint configured");
                         out.push(mean(&ls));
                     }
@@ -317,7 +319,7 @@ mod mlm_rows_path {
     }
 
     /// `TrainRun::mlm`'s loop with the all-rows head.
-    pub(super) fn reference_mlm<M: MlmModel + Clone>(
+    pub(super) fn reference_mlm<M: MlmModel>(
         driver: Driver,
         model: &mut M,
         cfg: &TrainConfig,
@@ -334,13 +336,14 @@ mod mlm_rows_path {
             .iter()
             .map(|t| RowMajorLinearizer.linearize(t, &t.caption, tok, &opts))
             .collect();
-        let steps = driver.run(model, cfg, encoded.len(), |model, item| {
+        let steps = driver.run(model, cfg, encoded.len(), |model, item, cx| {
             let e = &encoded[item.index];
             let seed = cfg.seed ^ ((item.epoch * 31 + item.pos) as u64);
             let masked = mask_mlm(e, &mlm_cfg, seed);
-            let states = model.encode(&EncoderInput::from_masked(e, &masked), true);
-            let (loss, dstates) = all_rows(model.mlm_head(), &states, &masked.targets);
-            model.backward(&dstates);
+            let input = EncoderInput::from_masked(e, &masked);
+            let (states, tape) = model.encode_train(&input, Rows::All, cx);
+            let (loss, dstates) = all_rows(model.mlm_head(), &states, &masked.targets, cx);
+            model.backward(tape, &dstates, cx);
             (loss, 0.0)
         });
         steps.into_iter().map(|s| s.0).collect()
@@ -364,7 +367,7 @@ mod mlm_rows_path {
             .iter()
             .map(|t| TurlLinearizer.linearize(t, &t.caption, tok, &opts))
             .collect();
-        driver.run(model, cfg, encoded.len(), |model, item| {
+        driver.run(model, cfg, encoded.len(), |model, item, cx| {
             let e = &encoded[item.index];
             let seed = cfg.seed ^ ((item.epoch * 131 + item.pos) as u64);
             let (mut ids, entities) = mask_entities(e, 0.3, seed);
@@ -377,8 +380,9 @@ mod mlm_rows_path {
                     *id = mlm.input_ids[p];
                 }
             }
-            let states = model.encode(&EncoderInput::from_encoded_with_ids(e, ids), true);
-            let (mlm_loss, mut dstates) = all_rows(&mut model.mlm, &states, &targets);
+            let input = EncoderInput::from_encoded_with_ids(e, ids);
+            let (states, tape) = model.encode_train(&input, Rows::All, cx);
+            let (mlm_loss, mut dstates) = all_rows(&model.mlm, &states, &targets, cx);
             let mut mer_loss = 0.0;
             if !entities.is_empty() {
                 let spans: Vec<_> = entities
@@ -392,22 +396,22 @@ mod mlm_rows_path {
                         .copy_from_slice(pool_mean(&states, span).data());
                 }
                 let mer_targets: Vec<usize> = entities.iter().map(|m| m.entity as usize).collect();
-                let mer_logits = model.mer.forward(&pooled);
+                let (mer_logits, head) = model.mer.forward_train(&pooled);
                 let (loss, dmer) = softmax_cross_entropy(&mer_logits, &mer_targets, None);
                 mer_loss = loss;
-                let d_pooled = model.mer.backward(&dmer);
+                let d_pooled = model.mer.backward(head, &dmer, cx);
                 for (k, span) in spans.iter().enumerate() {
                     let dp = d_pooled.rows(k, k + 1);
                     dstates.add_assign(&pool_mean_backward(&dp, span, states.dim(0)));
                 }
             }
-            model.backward(&dstates);
+            model.backward(tape, &dstates, cx);
             (mlm_loss, mer_loss)
         })
     }
 
     /// `imputation::finetune_supervised`'s loop with the all-rows head.
-    pub(super) fn reference_imputation<M: MlmModel + Clone>(
+    pub(super) fn reference_imputation<M: MlmModel>(
         driver: Driver,
         model: &mut M,
         ds: &ImputationDataset,
@@ -427,21 +431,21 @@ mod mlm_rows_path {
                 ))
             })
             .collect();
-        let steps = driver.run(model, cfg, prepared.len(), |model, item| {
+        let steps = driver.run(model, cfg, prepared.len(), |model, item, cx| {
             let (input, positions, slots) = &prepared[item.index];
-            let states = model.encode(input, true);
+            let (states, tape) = model.encode_train(input, Rows::All, cx);
             let mut targets = vec![IGNORE_INDEX; input.len()];
             for (&p, &t) in positions.iter().zip(slots) {
                 targets[p] = t;
             }
-            let (loss, dstates) = all_rows(model.mlm_head(), &states, &targets);
-            model.backward(&dstates);
+            let (loss, dstates) = all_rows(model.mlm_head(), &states, &targets, cx);
+            model.backward(tape, &dstates, cx);
             (loss, 0.0)
         });
         steps.into_iter().map(|s| s.0).collect()
     }
 
-    fn assert_mlm_matches<M: MlmModel + Clone>(
+    fn assert_mlm_matches<M: MlmModel>(
         family: &str,
         what: &str,
         build: impl Fn() -> M,
@@ -577,7 +581,8 @@ mod mlm_rows_path {
     fn head_rows_path_matches_the_all_rows_head_at_the_edges() {
         let n = 101;
         let states = SeededInit::new(1).uniform(&[n, 64], -1.0, 1.0);
-        let head = MlmHead::new(64, 300, &mut SeededInit::new(2));
+        let mut head = MlmHead::new(64, 300, &mut SeededInit::new(2));
+        let bound = Cx::new(&mut head);
         let row_sets: Vec<Vec<usize>> = vec![
             vec![],
             vec![0],
@@ -596,15 +601,15 @@ mod mlm_rows_path {
                     padded[r] = t;
                 }
 
-                let mut all = head.clone();
-                let full_logits = all.forward(&states);
+                let mut all = bound.fork();
+                let (full_logits, tape) = head.forward_train(&states);
                 let (loss, dlogits) = softmax_cross_entropy(&full_logits, &padded, None);
-                let dstates = all.backward(&dlogits);
+                let dstates = head.backward(tape, &dlogits, &mut all);
 
-                let mut part = head.clone();
-                let logits = part.forward(&states.gather_rows(rows));
+                let mut part = bound.fork();
+                let (logits, tape) = head.forward_train(&states.gather_rows(rows));
                 let (part_loss, d) = softmax_cross_entropy(&logits, &targets, None);
-                let part_dstates = part.backward(&d);
+                let part_dstates = head.backward(tape, &d, &mut part);
                 assert_eq!(part_dstates.shape(), &[rows.len(), 64]);
                 let part_dstates = part_dstates.scatter_rows(rows, n);
 
@@ -612,16 +617,16 @@ mod mlm_rows_path {
                 for (k, &r) in rows.iter().enumerate() {
                     assert_eq!(bits(logits.row(k)), bits(full_logits.row(r)), "{what}");
                 }
-                let inferred = head.infer(&states.gather_rows(rows));
+                let inferred = head.forward(&states.gather_rows(rows));
                 assert_eq!(bits(inferred.data()), bits(logits.data()), "infer, {what}");
                 // Equal as values: a row the loss skips is +0 here and may
                 // be -0 on the all-rows path.
                 assert_eq!(part_dstates.data(), dstates.data(), "dstates, {what}");
-                assert_eq!(grad_bits(&mut part), grad_bits(&mut all), "grads, {what}");
+                assert_eq!(grad_bits(&part), grad_bits(&all), "grads, {what}");
                 if rows.is_empty() {
                     assert_eq!(part_loss, 0.0);
                     assert!(part_dstates.data().iter().all(|&v| v == 0.0));
-                    assert!(grad_bits(&mut part).iter().all(|&b| b == 0));
+                    assert!(grad_bits(&part).iter().all(|&b| b == 0));
                 }
             }
         });
@@ -664,7 +669,8 @@ mod mlm_rows_path {
         let dy = SeededInit::new(4).uniform(&[n, cfg.d_model], -1.0, 1.0);
         for dropout in [0.0, 0.1] {
             let (d, heads, d_ff) = (cfg.d_model, cfg.n_heads, cfg.d_ff);
-            let enc = Encoder::new(2, d, heads, d_ff, dropout, &mut SeededInit::new(5));
+            let mut enc = Encoder::new(2, d, heads, d_ff, dropout, &mut SeededInit::new(5));
+            let bound = Cx::new(&mut enc);
             on_every_lane_and_pool(|what| {
                 for (m, mask) in masks.iter().enumerate() {
                     for rows in &row_sets {
@@ -673,19 +679,22 @@ mod mlm_rows_path {
                             rows.len(),
                             rows.first()
                         );
-                        let mut all = enc.clone();
-                        let y = all.forward_train(&x, mask.as_ref(), Rows::All);
-                        let dx = all.backward(&dy.gather_rows(rows).scatter_rows(rows, n));
+                        let mut all = bound.fork();
+                        let (y, tape) = enc.forward_train(&x, mask.as_ref(), Rows::All, &mut all);
+                        let dy_all = dy.gather_rows(rows).scatter_rows(rows, n);
+                        let dx = enc.backward(tape, &dy_all, &mut all);
 
-                        let mut part = enc.clone();
-                        let y_part = part.forward_train(&x, mask.as_ref(), Rows::Only(rows));
-                        let dx_part = part.backward(&dy.gather_rows(rows));
+                        let mut part = bound.fork();
+                        let rows_only = Rows::Only(rows);
+                        let (y_part, tape) =
+                            enc.forward_train(&x, mask.as_ref(), rows_only, &mut part);
+                        let dx_part = enc.backward(tape, &dy.gather_rows(rows), &mut part);
 
                         let y_rows = y.gather_rows(rows);
                         assert_eq!(bits(y_part.data()), bits(y_rows.data()), "out, {what}");
                         assert_eq!(dx_part.data(), dx.data(), "dx, {what}");
-                        assert_eq!(grad_bits(&mut part), grad_bits(&mut all), "grads, {what}");
-                        assert_eq!(rng_states(&mut part), rng_states(&mut all), "rng, {what}");
+                        assert_eq!(grad_bits(&part), grad_bits(&all), "grads, {what}");
+                        assert_eq!(rng_states(&part), rng_states(&all), "rng, {what}");
                     }
                 }
             });
@@ -693,9 +702,10 @@ mod mlm_rows_path {
     }
 }
 
-/// Every `run_supervised` caller trains a batch's examples on per-worker
-/// replicas, each example on dropout streams derived from the master's and
-/// its index in the batch, and folds the gradients in example order. So a
+/// Every `run_supervised` caller trains a batch's examples on the one
+/// model, each example in a context of its own whose dropout streams derive
+/// from the master's and its index in the batch, and folds the gradients
+/// in example order. So a
 /// run is bit-identical at every pool size, and — with dropout off — it is
 /// the plain serial loop on the master up to the summation order of the
 /// fold.
@@ -711,7 +721,6 @@ mod data_parallel {
         pool_mean, pool_mean_backward, EncoderInput, Mate, ModelConfig, RowStudent, Rows,
         SequenceEncoder, Tapas, Tapex, Turl, VanillaBert,
     };
-    use ntr::nn::grads_of;
     use ntr::nn::loss::softmax_cross_entropy;
     use ntr::sql::gen::{GenConfig, QueryGenerator};
     use ntr::table::masking::{mask_mlm, MlmConfig};
@@ -829,7 +838,7 @@ mod data_parallel {
     /// One run's loss trace and final state-dict CRC-32.
     type Run = (&'static str, Vec<f32>, u32);
 
-    fn mlm_run<M: MlmModel + Clone>(name: &'static str, mut model: M, fx: &Fixture) -> Run {
+    fn mlm_run<M: MlmModel>(name: &'static str, mut model: M, fx: &Fixture) -> Run {
         let report = TrainRun::new(train_cfg())
             .max_tokens(MAX_TOKENS)
             .mlm(&mut model, &fx.corpus, &fx.tok)
@@ -875,7 +884,7 @@ mod data_parallel {
 
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..*mcfg });
         let r = run
-            .distill(&mut student, &mut Tapas::new(mcfg), 0.0, &fx.corpus, tok)
+            .distill(&mut student, &Tapas::new(mcfg), 0.0, &fx.corpus, tok)
             .expect("no faults");
         out.push(("distill", r.loss, state_crc(&mut student)));
 
@@ -909,9 +918,9 @@ mod data_parallel {
                 pairs.push(tapex_example(table, &sql, &answer, tok, MAX_TOKENS));
             }
         }
-        let tapex = serial.run(&mut Tapex::new(mcfg), &cfg, pairs.len(), |m, item| {
+        let tapex = serial.run(&mut Tapex::new(mcfg), &cfg, pairs.len(), |m, item, cx| {
             let (input, target) = &pairs[item.index];
-            (m.train_step(input, target), 0.0)
+            (m.train_step(input, target, cx), 0.0)
         });
         out.push(tapex.iter().map(|s| s.0).collect());
 
@@ -939,9 +948,9 @@ mod data_parallel {
             })
             .collect();
         let mut student = RowStudent::new(&ModelConfig { seed: 99, ..*mcfg });
-        let distill = serial.run(&mut student, &cfg, examples.len(), |m, item| {
+        let distill = serial.run(&mut student, &cfg, examples.len(), |m, item, cx| {
             let (input, spans, targets) = &examples[item.index];
-            let states = m.encode(input, true);
+            let (states, tape) = m.encode_train(input, Rows::All, cx);
             let d = states.dim(1);
             let mut dstates = Tensor::zeros(states.shape());
             let mut loss = 0.0;
@@ -955,7 +964,7 @@ mod data_parallel {
                 }
                 dstates.add_assign(&pool_mean_backward(&du, span, states.dim(0)));
             }
-            m.backward(&dstates);
+            m.backward(tape, &dstates, cx);
             (loss, spans.len() as f32)
         });
         out.push(distill.iter().map(|(loss, spans)| loss / spans).collect());
@@ -967,9 +976,9 @@ mod data_parallel {
             .map(|i| (cta_positions(cta_ds, i, tok), cta_ds.examples[i].label))
             .collect();
         let mut annotator = ColumnAnnotator::new(VanillaBert::new(mcfg), cta_ds.labels.len(), 5);
-        let cta = serial.run(&mut annotator, &cfg, prepared.len(), |m, item| {
+        let cta = serial.run(&mut annotator, &cfg, prepared.len(), |m, item, cx| {
             let ((input, positions), label) = &prepared[item.index];
-            let states = m.encoder.encode(input, true);
+            let (states, tape) = m.encoder.encode_train(input, Rows::All, cx);
             let (n, d) = (states.dim(0), states.dim(1));
             let scale = 1.0 / positions.len() as f32;
             let mut pooled = Tensor::zeros(&[1, d]);
@@ -978,16 +987,16 @@ mod data_parallel {
                     pooled.data_mut()[j] += states.at(&[p, j]);
                 }
             }
-            let logits = m.head.forward(&pooled.scale(scale));
+            let (logits, head) = m.head.forward_train(&pooled.scale(scale));
             let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label], None);
-            let d_pooled = m.head.backward(&dlogits);
+            let d_pooled = m.head.backward(head, &dlogits, cx);
             let mut dstates = Tensor::zeros(&[n, d]);
             for &p in positions {
                 for j in 0..d {
                     dstates.data_mut()[p * d + j] = d_pooled.data()[j] * scale;
                 }
             }
-            m.encoder.backward(&dstates);
+            m.encoder.backward(tape, &dstates, cx);
             (loss, 0.0)
         });
         out.push(cta.iter().map(|s| s.0).collect());
@@ -1064,16 +1073,13 @@ mod data_parallel {
                     &topts,
                     &scfg,
                     |_: &Vec<Vec<u32>>| 0.0,
-                    |m, _| {
-                        let states = m.encode_train(&input, Rows::Only(&rows));
-                        let logits = m.mlm_head().forward(&states);
+                    |m, _, cx| {
+                        let (states, tape) = m.encode_train(&input, Rows::Only(&rows), cx);
+                        let (logits, head) = m.mlm_head().forward_train(&states);
                         let (_, dlogits) = softmax_cross_entropy(&logits, &targets, None);
-                        let dstates = m.mlm_head().backward(&dlogits);
-                        m.backward(&dstates);
-                        grads_of(m)
-                            .iter()
-                            .flat_map(|g| bits(g.data()))
-                            .collect::<Vec<_>>()
+                        let dstates = m.mlm_head().backward(head, &dlogits, cx);
+                        m.backward(tape, &dstates, cx);
+                        bits(cx.grads.data())
                     },
                     |grads, _, _| grads,
                 )

@@ -175,28 +175,28 @@ fn first_forward_pass_logits_are_pinned_impl() {
     };
     let mut out = String::new();
 
-    let mut bert = VanillaBert::new(&cfg);
+    let bert = VanillaBert::new(&cfg);
     let states = bert.encode(&input, false);
     out.push_str(&logits_fingerprint("bert/mlm", &bert.mlm.forward(&states)));
 
-    let mut tapas = Tapas::new(&cfg);
+    let tapas = Tapas::new(&cfg);
     let states = tapas.encode(&input, false);
     out.push_str(&logits_fingerprint(
         "tapas/mlm",
         &tapas.mlm.forward(&states),
     ));
 
-    let mut turl = Turl::new(&cfg);
+    let turl = Turl::new(&cfg);
     let states = turl.encode(&input, false);
     out.push_str(&logits_fingerprint("turl/mlm", &turl.mlm.forward(&states)));
 
-    let mut mate = Mate::new(&cfg);
+    let mate = Mate::new(&cfg);
     let states = mate.encode(&input, false);
     out.push_str(&logits_fingerprint("mate/mlm", &mate.mlm.forward(&states)));
 
     // TAPEX: encode the (query, table) pair, then take the lm-head logits
     // of the first decoder step (input = [BOS]).
-    let mut tapex = ntr_models::Tapex::new(&cfg);
+    let tapex = ntr_models::Tapex::new(&cfg);
     let te = TapexLinearizer.linearize(
         &t,
         "select Capital from countries",
@@ -208,11 +208,9 @@ fn first_forward_pass_logits_are_pinned_impl() {
         .encoder
         .forward(&tapex.embeddings.forward(&tinput, false), None, false);
     let dec_inp = EncoderInput::from_text_ids(vec![SpecialToken::Bos.id()]);
-    let states = tapex.decoder.forward(
-        &tapex.dec_embeddings.forward(&dec_inp, false),
-        &memory,
-        false,
-    );
+    let states = tapex
+        .decoder
+        .forward(&tapex.dec_embeddings.forward(&dec_inp, false), &memory);
     out.push_str(&logits_fingerprint(
         "tapex/lm_head",
         &tapex.lm_head.forward(&states),
@@ -541,11 +539,9 @@ fn finetune_streams_are_pinned_impl() {
     let losses = run.tapex(&mut m, &corpus, &tok).unwrap();
     line("tapex", &cfg, &losses, params_crc32(&mut m));
 
-    let mut teacher = Tapas::new(&mcfg);
+    let teacher = Tapas::new(&mcfg);
     let mut m = ntr_models::RowStudent::new(&ModelConfig { seed: 13, ..mcfg });
-    let r = run
-        .distill(&mut m, &mut teacher, 0.5, &corpus, &tok)
-        .unwrap();
+    let r = run.distill(&mut m, &teacher, 0.5, &corpus, &tok).unwrap();
     line("distill", &cfg, &r.loss, params_crc32(&mut m));
 
     check("finetune_streams.txt", &out);
