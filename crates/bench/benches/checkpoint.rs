@@ -14,7 +14,7 @@ fn train_checkpoint() -> TrainCheckpoint {
     let mut adam = Adam::new(1e-3).with_weight_decay(0.01);
     // One real optimizer step so the moments are materialized.
     let mut grads = Grads::new(&mut model);
-    grads.params_mut().for_each(|g| g.fill(1.0));
+    grads.data_mut().fill(1.0);
     adam.step(&mut model, &grads);
     let schedule = WarmupLinearSchedule {
         peak_lr: 1e-3,

@@ -8,11 +8,8 @@
 use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
-use crate::input::EncoderInput;
-use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
-use ntr_tensor::Tensor;
+use ntr_nn::{visit_child, Dropout, Encoder, Layer, Name, Param};
 
 /// BERT-style text encoder with an MLM head.
 #[derive(Debug, Clone)]
@@ -52,33 +49,6 @@ impl VanillaBert {
     }
 }
 
-impl SequenceEncoder for VanillaBert {
-    fn d_model(&self) -> usize {
-        self.cfg.d_model
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.cfg.vocab_size
-    }
-
-    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
-        self.encoder
-            .infer(&self.embeddings.infer(input), None, rows)
-    }
-
-    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
-        crate::encode_train((&self.embeddings, &self.encoder), input, None, rows, cx)
-    }
-
-    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
-        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
-    }
-
-    fn family(&self) -> &'static str {
-        "bert"
-    }
-}
-
 impl Layer for VanillaBert {
     fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
@@ -98,7 +68,9 @@ impl Layer for VanillaBert {
 mod tests {
     use super::*;
     use crate::test_support::{encoded_sample, input_sample};
+    use crate::{EncoderInput, SequenceEncoder};
     use ntr_nn::loss::softmax_cross_entropy;
+    use ntr_nn::{Cx, Rows};
 
     #[test]
     fn encode_shape_and_determinism() {

@@ -133,8 +133,7 @@ impl TableEmbeddings {
         let ids = self.ids(input);
         let (x, ln) = self.ln.forward_train(&self.sum(&ids));
         let (y, dropout) = self.dropout.forward_train(&x, x.dim(0), Rows::All, cx);
-        let ids = ids.map(Cow::into_owned);
-        (y, EmbeddingsTape { ids, ln, dropout })
+        (y, EmbeddingsTape(ids.map(Cow::into_owned), ln, dropout))
     }
 
     /// The ids each table looks up, clamped to its size, in summation order:
@@ -183,11 +182,10 @@ impl TableEmbeddings {
     /// Backpropagates into every enabled table. Embeddings are sources, so
     /// nothing is returned.
     pub fn backward(&self, tape: EmbeddingsTape, dy: &Tensor, cx: &mut Cx) {
-        let dx = self
-            .ln
-            .backward(tape.ln, &Dropout::backward(tape.dropout, dy), cx);
+        let EmbeddingsTape(ids, ln, dropout) = tape;
+        let dx = self.ln.backward(ln, &Dropout::backward(dropout, dy), cx);
         // The sum distributes the same gradient to every table.
-        for (table, ids) in self.tables().into_iter().zip(&tape.ids) {
+        for (table, ids) in self.tables().into_iter().zip(&ids) {
             if let Some(table) = table {
                 table.backward(ids, &dx, cx);
             }
@@ -198,11 +196,7 @@ impl TableEmbeddings {
 /// What [`TableEmbeddings::backward`] needs: each table's ids, the
 /// LayerNorm's tape and the dropout mask.
 #[derive(Debug)]
-pub struct EmbeddingsTape {
-    ids: [Vec<usize>; 7],
-    ln: LayerNormTape,
-    dropout: Option<Tensor>,
-}
+pub struct EmbeddingsTape([Vec<usize>; 7], LayerNormTape, Option<Tensor>);
 
 impl Layer for TableEmbeddings {
     fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {

@@ -17,14 +17,10 @@ pub struct MlmHead {
     decoder: Linear,
 }
 
-/// What [`MlmHead::backward`] needs of a training forward.
+/// What [`MlmHead::backward`] needs of a training forward: the states, the
+/// GELU's input, the LayerNorm's tape and the decoder's input.
 #[derive(Debug)]
-pub struct MlmHeadTape {
-    states: Tensor,
-    h: Tensor,
-    ln: LayerNormTape,
-    normed: Tensor,
-}
+pub struct MlmHeadTape(Tensor, Tensor, LayerNormTape, Tensor);
 
 impl MlmHead {
     /// New head mapping `d_model` states to `vocab` logits.
@@ -53,27 +49,19 @@ impl MlmHead {
     /// rows' states alone
     /// ([`SequenceEncoder::encode_train`](crate::SequenceEncoder::encode_train)).
     pub fn forward_train(&self, states: &Tensor) -> (Tensor, MlmHeadTape) {
-        let (h, states) = self.transform.forward_train(states);
-        let (g, h) = Gelu.forward_train(&h);
-        let (normed, ln) = self.ln.forward_train(&g);
-        let (logits, normed) = self.decoder.forward_train(&normed);
-        (
-            logits,
-            MlmHeadTape {
-                states,
-                h,
-                ln,
-                normed,
-            },
-        )
+        let h = self.transform.forward(states);
+        let (normed, ln) = self.ln.forward_train(&Gelu.forward(&h));
+        let logits = self.decoder.forward(&normed);
+        (logits, MlmHeadTape(states.clone(), h, ln, normed))
     }
 
     /// Backward; returns `d/d states`.
     pub fn backward(&self, tape: MlmHeadTape, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
-        let dnormed = self.decoder.backward(&tape.normed, dlogits, cx);
-        let dg = self.ln.backward(tape.ln, &dnormed, cx);
-        let dh = Gelu.backward(tape.h, &dg);
-        self.transform.backward(&tape.states, &dh, cx)
+        let MlmHeadTape(states, h, ln, normed) = tape;
+        let dg = self
+            .ln
+            .backward(ln, &self.decoder.backward(&normed, dlogits, cx), cx);
+        self.transform.backward(&states, &Gelu.backward(h, &dg), cx)
     }
 
     /// Rows of the decoder weight, used as output-space embeddings (e.g.
@@ -108,13 +96,10 @@ pub struct ClassifierHead {
     out: Linear,
 }
 
-/// What [`ClassifierHead::backward`] needs of a training forward.
+/// What [`ClassifierHead::backward`] needs of a training forward: the
+/// pooled state and the pooler's output.
 #[derive(Debug)]
-pub struct ClassifierHeadTape {
-    pooled: Tensor,
-    y: Tensor,
-    h: Tensor,
-}
+pub struct ClassifierHeadTape(Tensor, Tensor);
 
 impl ClassifierHead {
     /// New head with `n_classes` outputs.
@@ -138,17 +123,15 @@ impl ClassifierHead {
 
     /// [`ClassifierHead::forward`] and its tape.
     pub fn forward_train(&self, pooled: &Tensor) -> (Tensor, ClassifierHeadTape) {
-        let (p, pooled) = self.pooler.forward_train(pooled);
-        let (h, y) = Tanh.forward_train(&p);
-        let (logits, h) = self.out.forward_train(&h);
-        (logits, ClassifierHeadTape { pooled, y, h })
+        let h = Tanh.forward(&self.pooler.forward(pooled));
+        (self.out.forward(&h), ClassifierHeadTape(pooled.clone(), h))
     }
 
     /// Backward; returns `d/d pooled`.
     pub fn backward(&self, tape: ClassifierHeadTape, dlogits: &Tensor, cx: &mut Cx) -> Tensor {
-        let dh = self.out.backward(&tape.h, dlogits, cx);
-        let dp = Tanh.backward(tape.y, &dh);
-        self.pooler.backward(&tape.pooled, &dp, cx)
+        let ClassifierHeadTape(pooled, h) = tape;
+        let dh = self.out.backward(&h, dlogits, cx);
+        self.pooler.backward(&pooled, &Tanh.backward(h, &dh), cx)
     }
 }
 

@@ -52,7 +52,7 @@ pub use turl::Turl;
 pub use ntr_nn::Rows;
 
 use ntr_nn::encoder::EncoderTape;
-use ntr_nn::{AttnMask, Cx, Encoder, Layer};
+use ntr_nn::{AttnMask, Cx, Layer};
 use ntr_tensor::Tensor;
 use std::any::Any;
 
@@ -110,49 +110,60 @@ pub trait SequenceEncoder: Layer + Send + Sync {
 
 /// What [`SequenceEncoder::backward`] needs of
 /// [`SequenceEncoder::encode_train`], opaque across families: each family
-/// boxes its own tape and takes it back.
-pub struct Tape(Box<dyn Any>);
+/// boxes its own tape and downcasts it back.
+pub type Tape = Box<dyn Any>;
 
-impl Tape {
-    /// Boxes a family's tape.
-    pub fn new<T: 'static>(tape: T) -> Self {
-        Self(Box::new(tape))
-    }
+/// The [`SequenceEncoder`] of an encoder-only family: its embeddings, then
+/// its encoder under the attention mask that `|model, input| mask` gives.
+macro_rules! encoder_family {
+    ($model:ty, $family:literal, |$m:pat_param, $input:ident| $mask:expr) => {
+        impl SequenceEncoder for $model {
+            fn d_model(&self) -> usize {
+                self.config().d_model
+            }
 
-    /// The family's tape back.
-    ///
-    /// # Panics
-    /// Panics on a tape another family's forward made.
-    pub fn take<T: 'static>(self) -> T {
-        *self.0.downcast().expect("a tape from another model family")
-    }
+            fn vocab_size(&self) -> usize {
+                self.config().vocab_size
+            }
+
+            fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
+                let ($m, $input) = (self, input);
+                let mask: Option<AttnMask> = $mask;
+                let x = self.embeddings.infer(input);
+                self.encoder.infer(&x, mask.as_ref(), rows)
+            }
+
+            fn encode_train(
+                &self,
+                input: &EncoderInput,
+                rows: Rows,
+                cx: &mut Cx,
+            ) -> (Tensor, Tape) {
+                let ($m, $input) = (self, input);
+                let mask: Option<AttnMask> = $mask;
+                let (x, emb) = self.embeddings.forward_train(input, cx);
+                let (states, enc) = self.encoder.forward_train(&x, mask.as_ref(), rows, cx);
+                (states, Box::new((emb, enc)))
+            }
+
+            fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
+                let tape = tape.downcast::<(EmbeddingsTape, EncoderTape)>();
+                let (emb, enc) = *tape.expect("a tape of this family");
+                let dx = self.encoder.backward(enc, d_states, cx);
+                self.embeddings.backward(emb, &dx, cx);
+            }
+
+            fn family(&self) -> &'static str {
+                $family
+            }
+        }
+    };
 }
 
-/// The training pass of the encoder-only families: embeddings, then the
-/// encoder under `mask`.
-fn encode_train(
-    (embeddings, encoder): (&TableEmbeddings, &Encoder),
-    input: &EncoderInput,
-    mask: Option<&AttnMask>,
-    rows: Rows,
-    cx: &mut Cx,
-) -> (Tensor, Tape) {
-    let (x, emb) = embeddings.forward_train(input, cx);
-    let (states, enc) = encoder.forward_train(&x, mask, rows, cx);
-    (states, Tape::new((emb, enc)))
-}
-
-/// The backward of [`encode_train`].
-fn backward(
-    (embeddings, encoder): (&TableEmbeddings, &Encoder),
-    tape: Tape,
-    d_states: &Tensor,
-    cx: &mut Cx,
-) {
-    let (emb, enc): (EmbeddingsTape, EncoderTape) = tape.take();
-    let dx = encoder.backward(enc, d_states, cx);
-    embeddings.backward(emb, &dx, cx);
-}
+encoder_family!(VanillaBert, "bert", |_, _input| None);
+encoder_family!(Tapas, "tapas", |_, _input| None);
+encoder_family!(Turl, "turl", |_, input| Some(Turl::visibility_mask(input)));
+encoder_family!(Mate, "mate", |m, input| Some(m.head_masks(input)));
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -15,9 +15,8 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
 use crate::input::EncoderInput;
-use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, AttnMask, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Dropout, Encoder, Layer, Name, Param};
 use ntr_tensor::Tensor;
 
 /// Which structural axis a sparse head attends along.
@@ -118,41 +117,6 @@ fn axis_mask(input: &EncoderInput, axis: SparseAxis) -> Tensor {
         }
     }
     m
-}
-
-impl SequenceEncoder for Mate {
-    fn d_model(&self) -> usize {
-        self.cfg.d_model
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.cfg.vocab_size
-    }
-
-    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
-        let mask = self.head_masks(input);
-        self.encoder
-            .infer(&self.embeddings.infer(input), Some(&mask), rows)
-    }
-
-    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
-        let mask = self.head_masks(input);
-        crate::encode_train(
-            (&self.embeddings, &self.encoder),
-            input,
-            Some(&mask),
-            rows,
-            cx,
-        )
-    }
-
-    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
-        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
-    }
-
-    fn family(&self) -> &'static str {
-        "mate"
-    }
 }
 
 impl Layer for Mate {
@@ -278,6 +242,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use crate::test_support::input_sample;
+    use crate::SequenceEncoder;
     use ntr_tensor::allclose;
 
     #[test]

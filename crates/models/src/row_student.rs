@@ -57,19 +57,19 @@ pub struct RowStudent {
     qcache: OnceLock<(QuantizedLinear, QuantizedLinear)>,
 }
 
-/// What the student's backward needs of a training forward.
-struct StudentTape {
-    embeddings: EmbeddingsTape,
-    /// The input's row ids.
-    rows: Vec<usize>,
-    /// The output rows, `None` for every row.
-    out: Option<Vec<usize>>,
-    /// The MLP's input, its GELU's input and its second projection's input.
-    h: Tensor,
-    u: Tensor,
-    g: Tensor,
-    ln: LayerNormTape,
-}
+/// What the student's backward needs of a training forward: the
+/// embeddings' tape, the input's row ids, the output rows (`None` for
+/// every row), the MLP's input, its GELU's input, its second projection's
+/// input and the LayerNorm's tape.
+struct StudentTape(
+    EmbeddingsTape,
+    Vec<usize>,
+    Option<Vec<usize>>,
+    Tensor,
+    Tensor,
+    Tensor,
+    LayerNormTape,
+);
 
 /// Adds to each token the mean embedding of its row group (tokens sharing
 /// a `rows[t]` id), in place. The mix is symmetric, so it is its own
@@ -175,30 +175,27 @@ impl SequenceEncoder for RowStudent {
         let (mut h, embeddings) = self.embeddings.forward_train(input, cx);
         mix_row_means(&mut h, &input.rows);
         let h = rows.of(&h).into_owned();
-        let (g, u) = Gelu.forward_train(&self.proj1.forward(&h));
-        let (y, g) = self.proj2.forward_train(&g);
+        let u = self.proj1.forward(&h);
+        let g = Gelu.forward(&u);
+        let y = self.proj2.forward(&g);
         let (out, ln) = self.ln.forward_train(&h.add(&y));
-        let tape = StudentTape {
-            embeddings,
-            rows: input.rows.clone(),
-            out: rows.record(),
-            h,
-            u,
-            g,
-            ln,
-        };
-        (out, Tape::new(tape))
+        let out_rows = rows.record();
+        let tape = StudentTape(embeddings, input.rows.clone(), out_rows, h, u, g, ln);
+        (out, Box::new(tape))
     }
 
     fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
-        let t: StudentTape = tape.take();
-        let dz = self.ln.backward(t.ln, d_states, cx);
+        let tape = tape
+            .downcast::<StudentTape>()
+            .expect("a tape of this family");
+        let StudentTape(embeddings, rows, out, h, u, g, ln) = *tape;
+        let dz = self.ln.backward(ln, d_states, cx);
         // z = h + proj2(gelu(proj1(h))): both branches feed dh.
-        let dg = self.proj2.backward(&t.g, &dz, cx);
-        let dh_mlp = self.proj1.backward(&t.h, &Gelu.backward(t.u, &dg), cx);
-        let mut de = Rows::from(t.out.as_deref()).scatter(dz.add(&dh_mlp), t.rows.len());
-        mix_row_means(&mut de, &t.rows);
-        self.embeddings.backward(t.embeddings, &de, cx);
+        let dg = self.proj2.backward(&g, &dz, cx);
+        let dh_mlp = self.proj1.backward(&h, &Gelu.backward(u, &dg), cx);
+        let mut de = Rows::from(out.as_deref()).scatter(dz.add(&dh_mlp), rows.len());
+        mix_row_means(&mut de, &rows);
+        self.embeddings.backward(embeddings, &de, cx);
     }
 
     fn family(&self) -> &'static str {

@@ -50,25 +50,21 @@ impl TabertOutput {
     }
 }
 
-/// One row's training pass: its context and tapes, each column's cell
-/// span and the row's sequence length.
-struct RowPass {
-    cx: Cx,
-    embeddings: EmbeddingsTape,
-    encoder: EncoderTape,
-    spans: Vec<Option<Range<usize>>>,
-    seq_len: usize,
-}
+/// One row's training pass: its context, its embeddings' and encoder's
+/// tapes, each column's cell span and the row's sequence length.
+struct RowPass(
+    Cx,
+    EmbeddingsTape,
+    EncoderTape,
+    Vec<Option<Range<usize>>>,
+    usize,
+);
 
 /// What [`TaBert::backward`] needs of [`TaBert::encode_table_train`]:
-/// every row and column pass, in pass order.
-pub struct TabertTape {
-    rows: Vec<RowPass>,
-    cols: Vec<(Cx, EncoderTape)>,
-}
+/// every row pass, then every column pass's context and tape, in order.
+pub struct TabertTape(Vec<RowPass>, Vec<(Cx, EncoderTape)>);
 
 /// TaBERT-style encoder.
-#[derive(Debug, Clone)]
 pub struct TaBert {
     /// Input embeddings (shared across rows).
     pub embeddings: TableEmbeddings,
@@ -129,16 +125,7 @@ impl TaBert {
         context: &str,
         tok: &WordPieceTokenizer,
     ) -> TabertOutput {
-        self.encode_with(
-            table,
-            context,
-            tok,
-            |input, _| {
-                let x = self.embeddings.infer(input);
-                self.row_encoder.infer(&x, None, Rows::All)
-            },
-            |col_seq| self.vertical.infer(col_seq, None, Rows::All),
-        )
+        self.encode(table, context, tok, None).0
     }
 
     /// [`TaBert::encode_table`] with dropout, and the tape
@@ -151,48 +138,18 @@ impl TaBert {
         tok: &WordPieceTokenizer,
         cx: &Cx,
     ) -> (TabertOutput, TabertTape) {
-        let (mut rows, mut cols) = (Vec::new(), Vec::new());
-        let out = self.encode_with(
-            table,
-            context,
-            tok,
-            |input, spans| {
-                let mut cx = cx.fork();
-                let (x, embeddings) = self.embeddings.forward_train(input, &mut cx);
-                let (states, encoder) =
-                    self.row_encoder.forward_train(&x, None, Rows::All, &mut cx);
-                let (spans, seq_len) = (spans.to_vec(), states.dim(0));
-                rows.push(RowPass {
-                    cx,
-                    embeddings,
-                    encoder,
-                    spans,
-                    seq_len,
-                });
-                states
-            },
-            |col_seq| {
-                let mut cx = cx.fork();
-                let (fused, tape) = self
-                    .vertical
-                    .forward_train(col_seq, None, Rows::All, &mut cx);
-                cols.push((cx, tape));
-                fused
-            },
-        );
-        (out, TabertTape { rows, cols })
+        self.encode(table, context, tok, Some(cx))
     }
 
-    /// The passes of an encoding: `row` encodes a row's input (given its
-    /// cells' spans), `col` a column's sequence of pooled cells.
-    fn encode_with(
+    /// The row and column passes of an encoding. With `cx`, each pass
+    /// trains on a fork of it and leaves its tape.
+    fn encode(
         &self,
         table: &Table,
         context: &str,
         tok: &WordPieceTokenizer,
-        mut row: impl FnMut(&EncoderInput, &[Option<Range<usize>>]) -> Tensor,
-        mut col: impl FnMut(&Tensor) -> Tensor,
-    ) -> TabertOutput {
+        cx: Option<&Cx>,
+    ) -> (TabertOutput, TabertTape) {
         let n_rows = table.n_rows();
         let n_cols = table.n_cols();
         assert!(
@@ -206,12 +163,24 @@ impl TaBert {
         };
 
         // Horizontal passes, one per row.
+        let mut tape = TabertTape(Vec::new(), Vec::new());
         let mut cell_vecs = Tensor::zeros(&[n_rows * n_cols, d]);
         for r in 0..n_rows {
             let row_table = table.select_rows(&[r]);
             let encoded = RowMajorLinearizer.linearize(&row_table, context, tok, &opts);
             let spans: Vec<_> = (0..n_cols).map(|c| encoded.cell_span(0, c)).collect();
-            let states = row(&EncoderInput::from_encoded(&encoded), &spans);
+            let input = EncoderInput::from_encoded(&encoded);
+            let states = match cx.map(Cx::fork) {
+                None => (self.row_encoder).infer(&self.embeddings.infer(&input), None, Rows::All),
+                Some(mut pass) => {
+                    let (x, emb) = self.embeddings.forward_train(&input, &mut pass);
+                    let (states, enc) =
+                        (self.row_encoder).forward_train(&x, None, Rows::All, &mut pass);
+                    tape.0
+                        .push(RowPass(pass, emb, enc, spans.clone(), states.dim(0)));
+                    states
+                }
+            };
             for (c, span) in spans.iter().enumerate() {
                 if let Some(span) = span {
                     let pooled = pool_mean(&states, span);
@@ -232,7 +201,15 @@ impl TaBert {
                     .row_mut(r)
                     .copy_from_slice(cell_vecs.row(r * n_cols + c));
             }
-            let fused = col(&col_seq);
+            let fused = match cx.map(Cx::fork) {
+                None => self.vertical.infer(&col_seq, None, Rows::All),
+                Some(mut pass) => {
+                    let (fused, enc) =
+                        (self.vertical).forward_train(&col_seq, None, Rows::All, &mut pass);
+                    tape.1.push((pass, enc));
+                    fused
+                }
+            };
             for r in 0..n_rows {
                 out_cells
                     .row_mut(r * n_cols + c)
@@ -242,12 +219,13 @@ impl TaBert {
             columns.row_mut(c).copy_from_slice(summary.data());
         }
 
-        TabertOutput {
+        let out = TabertOutput {
             cells: out_cells,
             columns,
             n_rows,
             n_cols,
-        }
+        };
+        (out, tape)
     }
 
     /// Backpropagates through [`TaBert::encode_table_train`], folding each
@@ -266,7 +244,8 @@ impl TaBert {
         d_columns: Option<&Tensor>,
         cx: &mut Cx,
     ) {
-        let (n_rows, n_cols) = (tape.rows.len(), tape.cols.len());
+        let TabertTape(rows, cols) = tape;
+        let (n_rows, n_cols) = (rows.len(), cols.len());
         let d = self.cfg.d_model;
         assert_eq!(d_cells.shape(), &[n_rows * n_cols, d], "d_cells shape");
         if let Some(dc) = d_columns {
@@ -275,7 +254,7 @@ impl TaBert {
 
         // Vertical backward per column → gradient on pooled cell vectors.
         let mut d_cell_vecs = Tensor::zeros(&[n_rows * n_cols, d]);
-        for (c, (mut pass, col)) in tape.cols.into_iter().enumerate() {
+        for (c, (mut pass, col)) in cols.into_iter().enumerate() {
             let mut d_fused = Tensor::zeros(&[n_rows, d]);
             for r in 0..n_rows {
                 let src = d_cells.row(r * n_cols + c);
@@ -301,18 +280,16 @@ impl TaBert {
         }
 
         // Horizontal backward per row.
-        for (r, mut row) in tape.rows.into_iter().enumerate() {
-            let mut d_states = Tensor::zeros(&[row.seq_len, d]);
-            for (c, span) in row.spans.iter().enumerate() {
+        for (r, RowPass(mut pass, emb, enc, spans, seq_len)) in rows.into_iter().enumerate() {
+            let mut d_states = Tensor::zeros(&[seq_len, d]);
+            for (c, span) in spans.iter().enumerate() {
                 let Some(span) = span else { continue };
                 let d_pooled = d_cell_vecs.rows(r * n_cols + c, r * n_cols + c + 1);
-                d_states.add_assign(&pool_mean_backward(&d_pooled, span, row.seq_len));
+                d_states.add_assign(&pool_mean_backward(&d_pooled, span, seq_len));
             }
-            let dx = self
-                .row_encoder
-                .backward(row.encoder, &d_states, &mut row.cx);
-            self.embeddings.backward(row.embeddings, &dx, &mut row.cx);
-            merge_grads(&mut cx.grads, std::slice::from_mut(&mut row.cx));
+            let dx = self.row_encoder.backward(enc, &d_states, &mut pass);
+            self.embeddings.backward(emb, &dx, &mut pass);
+            merge_grads(&mut cx.grads, std::slice::from_mut(&mut pass));
         }
     }
 }

@@ -10,10 +10,8 @@
 use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::{ClassifierHead, MlmHead, TokenScoreHead};
-use crate::input::EncoderInput;
-use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, Dropout, Encoder, Layer, Name, Param};
 use ntr_table::EncodedTable;
 use ntr_tensor::Tensor;
 
@@ -89,33 +87,6 @@ impl Tapas {
     }
 }
 
-impl SequenceEncoder for Tapas {
-    fn d_model(&self) -> usize {
-        self.cfg.d_model
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.cfg.vocab_size
-    }
-
-    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
-        self.encoder
-            .infer(&self.embeddings.infer(input), None, rows)
-    }
-
-    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
-        crate::encode_train((&self.embeddings, &self.encoder), input, None, rows, cx)
-    }
-
-    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
-        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
-    }
-
-    fn family(&self) -> &'static str {
-        "tapas"
-    }
-}
-
 impl Layer for Tapas {
     fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
@@ -138,6 +109,9 @@ impl Layer for Tapas {
 mod tests {
     use super::*;
     use crate::test_support::{encoded_sample, input_sample};
+    use crate::{EncoderInput, SequenceEncoder};
+    use ntr_nn::{Cx, Rows};
+    use ntr_tensor::Tensor;
 
     #[test]
     fn structural_ids_change_encoding_unlike_bert() {

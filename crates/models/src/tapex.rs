@@ -16,7 +16,6 @@ use ntr_tensor::Tensor;
 use ntr_tokenizer::SpecialToken;
 
 /// Encoder–decoder table model.
-#[derive(Clone)]
 pub struct Tapex {
     /// Encoder-side structural embeddings.
     pub embeddings: TableEmbeddings,
@@ -85,7 +84,7 @@ impl Tapex {
 
         let (y, dec_emb) = self.dec_embeddings.forward_train(&dec_inp, cx);
         let (states, dec) = self.decoder.forward_train(&y, &memory, cx);
-        let (logits, states) = self.lm_head.forward_train(&states);
+        let logits = self.lm_head.forward(&states);
         let (loss, dlogits) = softmax_cross_entropy(&logits, target_ids, None);
 
         let dstates = self.lm_head.backward(&states, &dlogits, cx);

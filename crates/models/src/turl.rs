@@ -16,9 +16,8 @@ use crate::config::ModelConfig;
 use crate::embeddings::{EmbeddingFlags, TableEmbeddings};
 use crate::heads::MlmHead;
 use crate::input::EncoderInput;
-use crate::{SequenceEncoder, Tape};
 use ntr_nn::init::SeededInit;
-use ntr_nn::{visit_child, AttnMask, Cx, Dropout, Encoder, Layer, Name, Param, Rows};
+use ntr_nn::{visit_child, AttnMask, Dropout, Encoder, Layer, Name, Param};
 use ntr_tensor::Tensor;
 
 /// TURL-style encoder with MLM and MER heads.
@@ -108,41 +107,6 @@ impl Turl {
     }
 }
 
-impl SequenceEncoder for Turl {
-    fn d_model(&self) -> usize {
-        self.cfg.d_model
-    }
-
-    fn vocab_size(&self) -> usize {
-        self.cfg.vocab_size
-    }
-
-    fn infer(&self, input: &EncoderInput, rows: Rows) -> Tensor {
-        let mask = Self::visibility_mask(input);
-        self.encoder
-            .infer(&self.embeddings.infer(input), Some(&mask), rows)
-    }
-
-    fn encode_train(&self, input: &EncoderInput, rows: Rows, cx: &mut Cx) -> (Tensor, Tape) {
-        let mask = Self::visibility_mask(input);
-        crate::encode_train(
-            (&self.embeddings, &self.encoder),
-            input,
-            Some(&mask),
-            rows,
-            cx,
-        )
-    }
-
-    fn backward(&self, tape: Tape, d_states: &Tensor, cx: &mut Cx) {
-        crate::backward((&self.embeddings, &self.encoder), tape, d_states, cx);
-    }
-
-    fn family(&self) -> &'static str {
-        "turl"
-    }
-}
-
 impl Layer for Turl {
     fn visit_params(&mut self, f: &mut dyn FnMut(&Name, &mut Param)) {
         self.embeddings
@@ -163,6 +127,7 @@ impl Layer for Turl {
 mod tests {
     use super::*;
     use crate::test_support::{encoded_sample, input_sample};
+    use crate::{EncoderInput, SequenceEncoder};
 
     fn cfg() -> ModelConfig {
         ModelConfig {

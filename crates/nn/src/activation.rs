@@ -1,4 +1,4 @@
-//! Element-wise activations with taped backward passes.
+//! Element-wise activations and their backward passes.
 
 use ntr_tensor::{simd, Tensor};
 
@@ -17,7 +17,8 @@ pub use ntr_tensor::simd::{
 /// whole chunks to the [`ntr_tensor::simd`] kernels: with SIMD off they are
 /// the scalar functions above applied per element, with SIMD on `tanh` goes
 /// through the vector `exp` (tolerance-bounded; [`gelu_fast`] stays
-/// bit-identical). The training forward's tape is its input.
+/// bit-identical). The training forward is [`Gelu::forward`], and its tape
+/// is the input.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gelu;
 
@@ -26,11 +27,6 @@ impl Gelu {
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let on = simd::active();
         x.par_map_chunks(|dst, src| simd::gelu(on, dst, src))
-    }
-
-    /// [`Gelu::forward`] and its tape, a copy of `x`.
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
-        (self.forward(x), x.clone())
     }
 
     /// Forward with the fast approximate GELU ([`gelu_fast`]), for the
@@ -50,26 +46,8 @@ impl Gelu {
     }
 }
 
-/// ReLU activation. The training forward's tape is its input.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Relu;
-
-impl Relu {
-    /// Applies `max(0, x)` element-wise and returns the tape, a copy of `x`.
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
-        (x.par_map(|v| v.max(0.0)), x.clone())
-    }
-
-    /// Returns `dy ⊙ 1[x > 0]` from the training forward's input `x`.
-    pub fn backward(&self, mut x: Tensor, dy: &Tensor) -> Tensor {
-        x.map_mut(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        x.mul_assign(dy);
-        x
-    }
-}
-
-/// Tanh activation (used for pooler heads). The training forward's tape is
-/// its output.
+/// Tanh activation (used for pooler heads). The training forward is
+/// [`Tanh::forward`], and its tape is the output.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tanh;
 
@@ -77,12 +55,6 @@ impl Tanh {
     /// Applies `tanh` element-wise.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         x.par_map(f32::tanh)
-    }
-
-    /// [`Tanh::forward`] and its tape, a copy of the output.
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
-        let y = self.forward(x);
-        (y.clone(), y)
     }
 
     /// Returns `dy ⊙ (1 − y²)` from the training forward's output `y`.
@@ -124,26 +96,15 @@ mod tests {
     #[test]
     fn gelu_gradcheck() {
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0], &[1, 5]);
-        let (_, tape) = Gelu.forward_train(&x);
-        let dx = Gelu.backward(tape, &Tensor::ones(&[1, 5]));
+        let dx = Gelu.backward(x.clone(), &Tensor::ones(&[1, 5]));
         let num = numeric_grad(&x, 1e-3, |x| x.map(gelu).sum());
         assert_close(&dx, &num, 1e-2, "gelu");
     }
 
     #[test]
-    fn relu_masks_negative() {
-        let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]);
-        let (y, tape) = Relu.forward_train(&x);
-        assert_eq!(y.data(), &[0.0, 2.0]);
-        let dx = Relu.backward(tape, &Tensor::from_vec(vec![5.0, 5.0], &[1, 2]));
-        assert_eq!(dx.data(), &[0.0, 5.0]);
-    }
-
-    #[test]
     fn tanh_gradcheck() {
         let x = Tensor::from_vec(vec![-1.5, 0.0, 0.7], &[1, 3]);
-        let (_, tape) = Tanh.forward_train(&x);
-        let dx = Tanh.backward(tape, &Tensor::ones(&[1, 3]));
+        let dx = Tanh.backward(Tanh.forward(&x), &Tensor::ones(&[1, 3]));
         let num = numeric_grad(&x, 1e-3, |x| x.map(f32::tanh).sum());
         assert_close(&dx, &num, 1e-2, "tanh");
     }

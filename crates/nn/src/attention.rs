@@ -201,19 +201,38 @@ impl MultiHeadAttention {
         mask: Option<&AttnMask>,
     ) -> (Tensor, AttentionTape) {
         let mask = mask.map(|m| m.cut(rows));
-        self.train(rows.of(x).into_owned(), x, mask.as_deref(), Some(rows))
+        let (y, mut tape) = self.forward_cross_train(rows.of(x).into_owned(), x, mask.as_deref());
+        (tape.self_attn, tape.rows) = (true, rows.record());
+        (y, tape)
     }
 
-    /// Training cross-attention: queries from `xq: [n_q, d]`, keys/values
-    /// from `xkv: [n_k, d]`. Input gradients are returned separately by
-    /// [`MultiHeadAttention::backward_cross`].
+    /// Training cross-attention: queries from `xq: [n_q, d]`, which the
+    /// tape keeps, keys/values from `xkv: [n_k, d]`. Input gradients are
+    /// returned separately by [`MultiHeadAttention::backward_cross`].
     pub fn forward_cross_train(
         &self,
-        xq: &Tensor,
+        xq: Tensor,
         xkv: &Tensor,
         mask: Option<&AttnMask>,
     ) -> (Tensor, AttentionTape) {
-        self.train(xq.clone(), xkv, mask, None)
+        self.check(&xq, xkv, mask);
+        let q = self.wq.forward(&xq);
+        let k = self.wk.forward(xkv);
+        let v = self.wv.forward(xkv);
+        let (probs, concat) = self.attend((&q, &k, &v), mask, true);
+        let y = self.wo.forward(&concat);
+        let tape = AttentionTape {
+            xq,
+            xkv: xkv.clone(),
+            concat,
+            q,
+            k,
+            v,
+            probs,
+            self_attn: false,
+            rows: None,
+        };
+        (y, tape)
     }
 
     /// Self-attention over `x: [n, d]` for inference, answered for the
@@ -299,35 +318,6 @@ impl MultiHeadAttention {
             })
             .collect();
         (probs, out)
-    }
-
-    /// The training forward; `self_rows` is the query rows of
-    /// self-attention, `None` for cross-attention.
-    fn train(
-        &self,
-        xq: Tensor,
-        xkv: &Tensor,
-        mask: Option<&AttnMask>,
-        self_rows: Option<Rows>,
-    ) -> (Tensor, AttentionTape) {
-        self.check(&xq, xkv, mask);
-        let q = self.wq.forward(&xq);
-        let k = self.wk.forward(xkv);
-        let v = self.wv.forward(xkv);
-        let (probs, concat) = self.attend((&q, &k, &v), mask, true);
-        let y = self.wo.forward(&concat);
-        let tape = AttentionTape {
-            xq,
-            xkv: xkv.clone(),
-            concat,
-            q,
-            k,
-            v,
-            probs,
-            self_attn: self_rows.is_some(),
-            rows: self_rows.and_then(Rows::record),
-        };
-        (y, tape)
     }
 
     /// Backward for self-attention; returns `d loss / d x`, `[n, d]`. After
@@ -562,7 +552,7 @@ mod tests {
         let xq = SeededInit::new(16).uniform(&[2, 6], -0.5, 0.5);
         let xkv = SeededInit::new(17).uniform(&[4, 6], -0.5, 0.5);
         let dy = SeededInit::new(18).uniform(&[2, 6], -1.0, 1.0);
-        let (_, tape) = a.forward_cross_train(&xq, &xkv, None);
+        let (_, tape) = a.forward_cross_train(xq.clone(), &xkv, None);
         let (dxq, dxkv) = a.backward_cross(tape, &dy, &mut cx);
 
         let num_q = numeric_grad(&xq, 5e-3, |q| a.forward_cross(q, &xkv, None).mul(&dy).sum());
@@ -723,10 +713,10 @@ mod tests {
                     let mut a = mha(d, heads, 34);
                     let (mut cx, mut cy) = (Cx::new(&mut a), Cx::new(&mut a));
                     let m = mask.as_ref();
-                    let (out, tape) = a.forward_cross_train(&xq, &x, m);
+                    let (out, tape) = a.forward_cross_train(xq.clone(), &x, m);
                     assert_eq!(out, reference_infer(&a, &xq, &x, m));
                     assert_eq!(a.forward_cross(&xq, &x, m), out);
-                    let (_, tape_b) = a.forward_cross_train(&xq, &x, m);
+                    let (_, tape_b) = a.forward_cross_train(xq.clone(), &x, m);
                     let dy = dy.rows(0, n_q);
                     assert_eq!(
                         a.backward_cross(tape, &dy, &mut cx),

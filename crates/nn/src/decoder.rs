@@ -2,7 +2,7 @@
 //! the TAPEX-style encoder–decoder model in `ntr-models`.
 
 use crate::attention::{AttentionTape, AttnMask, MultiHeadAttention};
-use crate::dropout::Dropout;
+use crate::dropout::{Dropout, Mask};
 use crate::encoder::{FeedForward, FeedForwardTape, Rows};
 use crate::init::SeededInit;
 use crate::layernorm::{LayerNorm, LayerNormTape};
@@ -25,19 +25,14 @@ pub struct DecoderLayer {
     drop3: Dropout,
 }
 
-/// What [`DecoderLayer::backward`] needs of a training forward.
+/// What [`DecoderLayer::backward`] needs of a training forward: the tapes
+/// of each residual branch's LayerNorm, block and dropout, in order.
 #[derive(Debug)]
-pub struct DecoderLayerTape {
-    ln1: LayerNormTape,
-    self_attn: AttentionTape,
-    drop1: Option<Tensor>,
-    ln2: LayerNormTape,
-    cross_attn: AttentionTape,
-    drop2: Option<Tensor>,
-    ln3: LayerNormTape,
-    ffn: FeedForwardTape,
-    drop3: Option<Tensor>,
-}
+pub struct DecoderLayerTape(
+    (LayerNormTape, AttentionTape, Mask),
+    (LayerNormTape, AttentionTape, Mask),
+    (LayerNormTape, FeedForwardTape, Mask),
+);
 
 impl DecoderLayer {
     /// New decoder layer.
@@ -92,38 +87,32 @@ impl DecoderLayer {
         let (h1, drop1) = self.drop1.forward_train(&h1, n, Rows::All, cx);
         let x1 = x.add(&h1);
         let (h2, ln2) = self.ln2.forward_train(&x1);
-        let (h2, cross_attn) = self.cross_attn.forward_cross_train(&h2, memory, None);
+        let (h2, cross_attn) = self.cross_attn.forward_cross_train(h2, memory, None);
         let (h2, drop2) = self.drop2.forward_train(&h2, n, Rows::All, cx);
         let x2 = x1.add(&h2);
         let (h3, ln3) = self.ln3.forward_train(&x2);
-        let (h3, ffn) = self.ffn.forward_train(&h3);
+        let (h3, ffn) = self.ffn.forward_train(h3);
         let (h3, drop3) = self.drop3.forward_train(&h3, n, Rows::All, cx);
-        let tape = DecoderLayerTape {
-            ln1,
-            self_attn,
-            drop1,
-            ln2,
-            cross_attn,
-            drop2,
-            ln3,
-            ffn,
-            drop3,
-        };
-        (x2.add(&h3), tape)
+        let tape = (
+            (ln1, self_attn, drop1),
+            (ln2, cross_attn, drop2),
+            (ln3, ffn, drop3),
+        );
+        (x2.add(&h3), DecoderLayerTape(tape.0, tape.1, tape.2))
     }
 
     /// Backward; returns `(d/d x, d/d memory)`.
     pub fn backward(&self, tape: DecoderLayerTape, dy: &Tensor, cx: &mut Cx) -> (Tensor, Tensor) {
-        let dffn = self
-            .ffn
-            .backward(tape.ffn, &Dropout::backward(tape.drop3, dy), cx);
-        let dx2 = dy.add(&self.ln3.backward(tape.ln3, &dffn, cx));
-        let dh2 = Dropout::backward(tape.drop2, &dx2);
-        let (dq, dmem) = self.cross_attn.backward_cross(tape.cross_attn, &dh2, cx);
-        let dx1 = dx2.add(&self.ln2.backward(tape.ln2, &dq, cx));
-        let dh1 = Dropout::backward(tape.drop1, &dx1);
-        let dself = self.self_attn.backward_self(tape.self_attn, &dh1, cx);
-        (dx1.add(&self.ln1.backward(tape.ln1, &dself, cx)), dmem)
+        let DecoderLayerTape((ln1, self_attn, drop1), (ln2, cross_attn, drop2), (ln3, ffn, drop3)) =
+            tape;
+        let dffn = self.ffn.backward(ffn, &Dropout::backward(drop3, dy), cx);
+        let dx2 = dy.add(&self.ln3.backward(ln3, &dffn, cx));
+        let dh2 = Dropout::backward(drop2, &dx2);
+        let (dq, dmem) = self.cross_attn.backward_cross(cross_attn, &dh2, cx);
+        let dx1 = dx2.add(&self.ln2.backward(ln2, &dq, cx));
+        let dh1 = Dropout::backward(drop1, &dx1);
+        let dself = self.self_attn.backward_self(self_attn, &dh1, cx);
+        (dx1.add(&self.ln1.backward(ln1, &dself, cx)), dmem)
     }
 }
 
@@ -156,10 +145,7 @@ pub struct Decoder {
 /// What [`Decoder::backward`] needs: every layer's tape, then the final
 /// LayerNorm's.
 #[derive(Debug)]
-pub struct DecoderTape {
-    layers: Vec<DecoderLayerTape>,
-    final_ln: LayerNormTape,
-}
+pub struct DecoderTape(Vec<DecoderLayerTape>, LayerNormTape);
 
 impl Decoder {
     /// New decoder with `n_layers` layers.
@@ -198,15 +184,16 @@ impl Decoder {
             h = y;
         }
         let (y, final_ln) = self.final_ln.forward_train(&h);
-        (y, DecoderTape { layers, final_ln })
+        (y, DecoderTape(layers, final_ln))
     }
 
     /// Backward; returns `(d/d x, d/d memory)` with memory gradients summed
     /// over layers.
     pub fn backward(&self, tape: DecoderTape, dy: &Tensor, cx: &mut Cx) -> (Tensor, Tensor) {
-        let mut g = self.final_ln.backward(tape.final_ln, dy, cx);
+        let DecoderTape(layers, final_ln) = tape;
+        let mut g = self.final_ln.backward(final_ln, dy, cx);
         let mut dmem_total: Option<Tensor> = None;
-        for (layer, tape) in self.layers.iter().zip(tape.layers).rev() {
+        for (layer, tape) in self.layers.iter().zip(layers).rev() {
             let (dx, dmem) = layer.backward(tape, &g, cx);
             g = dx;
             dmem_total = Some(match dmem_total {

@@ -7,6 +7,9 @@ use ntr_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A dropout tape: the mask a training forward drew, `None` at `p = 0`.
+pub type Mask = Option<Tensor>;
+
 /// Inverted dropout: at train time each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1−p)`, so inference is a no-op.
 ///
@@ -40,11 +43,6 @@ impl Dropout {
         }
     }
 
-    /// Drop probability.
-    pub fn p(&self) -> f32 {
-        self.p
-    }
-
     /// The state of this layer's own stream (see [`Dropout`]).
     pub fn state(&self) -> [u64; 4] {
         self.rng.state()
@@ -63,13 +61,7 @@ impl Dropout {
     ///
     /// # Panics
     /// Panics if no visit bound this layer to one of `cx`'s streams.
-    pub fn forward_train(
-        &self,
-        x: &Tensor,
-        n: usize,
-        rows: Rows,
-        cx: &mut Cx,
-    ) -> (Tensor, Option<Tensor>) {
+    pub fn forward_train(&self, x: &Tensor, n: usize, rows: Rows, cx: &mut Cx) -> (Tensor, Mask) {
         let rng = cx.stream(self.at);
         if self.p == 0.0 {
             return (x.clone(), None);
@@ -95,7 +87,7 @@ impl Dropout {
     }
 
     /// Propagates the gradient through the training forward's `mask`.
-    pub fn backward(mask: Option<Tensor>, dy: &Tensor) -> Tensor {
+    pub fn backward(mask: Mask, dy: &Tensor) -> Tensor {
         match mask {
             Some(mask) => dy.mul(&mask),
             None => dy.clone(),

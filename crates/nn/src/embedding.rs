@@ -50,11 +50,6 @@ impl Embedding {
         Tensor::from_vec(data, &[ids.len(), d])
     }
 
-    /// A single row of the table (e.g. an entity embedding), shape `[1, d]`.
-    pub fn row(&self, id: usize) -> Tensor {
-        self.lookup(&[id])
-    }
-
     /// Scatter-adds `dy` rows into the gradient rows of the `ids` the
     /// lookup took.
     ///

@@ -2,7 +2,7 @@
 
 use crate::activation::Gelu;
 use crate::attention::{AttentionTape, AttnMask, MultiHeadAttention};
-use crate::dropout::Dropout;
+use crate::dropout::{Dropout, Mask};
 use crate::init::SeededInit;
 use crate::layernorm::{LayerNorm, LayerNormTape};
 use crate::linear::Linear;
@@ -84,11 +84,7 @@ pub struct FeedForward {
 
 /// What [`FeedForward::backward`] needs: the inputs of its three steps.
 #[derive(Debug)]
-pub struct FeedForwardTape {
-    x: Tensor,
-    h: Tensor,
-    g: Tensor,
-}
+pub struct FeedForwardTape(Tensor, Tensor, Tensor);
 
 impl FeedForward {
     /// New block expanding `d_model` to `d_ff` and back.
@@ -105,19 +101,18 @@ impl FeedForward {
         self.lin2.forward(&Gelu.forward(&self.lin1.forward(x)))
     }
 
-    /// [`FeedForward::forward`] and its tape.
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, FeedForwardTape) {
-        let (h, x) = self.lin1.forward_train(x);
-        let (g, h) = Gelu.forward_train(&h);
-        let (y, g) = self.lin2.forward_train(&g);
-        (y, FeedForwardTape { x, h, g })
+    /// [`FeedForward::forward`] and its tape, which keeps `x`.
+    pub fn forward_train(&self, x: Tensor) -> (Tensor, FeedForwardTape) {
+        let h = self.lin1.forward(&x);
+        let g = Gelu.forward(&h);
+        (self.lin2.forward(&g), FeedForwardTape(x, h, g))
     }
 
     /// Backward; returns the input gradient.
     pub fn backward(&self, tape: FeedForwardTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
-        let dg = self.lin2.backward(&tape.g, dy, cx);
-        let dh = Gelu.backward(tape.h, &dg);
-        self.lin1.backward(&tape.x, &dh, cx)
+        let FeedForwardTape(x, h, g) = tape;
+        let dh = Gelu.backward(h, &self.lin2.backward(&g, dy, cx));
+        self.lin1.backward(&x, &dh, cx)
     }
 }
 
@@ -149,16 +144,17 @@ pub struct EncoderLayer {
     drop2: Dropout,
 }
 
-/// What [`EncoderLayer::backward`] needs of a training forward.
+/// What [`EncoderLayer::backward`] needs of a training forward: LN1's,
+/// attention's, dropout 1's, LN2's, the FFN's and dropout 2's tapes.
 #[derive(Debug)]
-pub struct EncoderLayerTape {
-    ln1: LayerNormTape,
-    attn: AttentionTape,
-    drop1: Option<Tensor>,
-    ln2: LayerNormTape,
-    ffn: FeedForwardTape,
-    drop2: Option<Tensor>,
-}
+pub struct EncoderLayerTape(
+    LayerNormTape,
+    AttentionTape,
+    Mask,
+    LayerNormTape,
+    FeedForwardTape,
+    Mask,
+);
 
 impl EncoderLayer {
     /// New encoder layer.
@@ -212,18 +208,10 @@ impl EncoderLayer {
         let (mut x1, drop1) = self.drop1.forward_train(&h, n, rows, cx);
         x1.add_assign(&rows.of(x));
         let (h2, ln2) = self.ln2.forward_train(&x1);
-        let (h2, ffn) = self.ffn.forward_train(&h2);
+        let (h2, ffn) = self.ffn.forward_train(h2);
         let (mut out, drop2) = self.drop2.forward_train(&h2, n, rows, cx);
         out.add_assign(&x1);
-        let tape = EncoderLayerTape {
-            ln1,
-            attn,
-            drop1,
-            ln2,
-            ffn,
-            drop2,
-        };
-        (out, tape)
+        (out, EncoderLayerTape(ln1, attn, drop1, ln2, ffn, drop2))
     }
 
     /// Inference forward of the output rows `rows`: no tape, no dropout,
@@ -251,16 +239,15 @@ impl EncoderLayer {
     /// Backward pass from the gradient of the rows the training forward
     /// produced; returns the gradient of every input row.
     pub fn backward(&self, tape: EncoderLayerTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
+        let EncoderLayerTape(ln1, attn, drop1, ln2, ffn, drop2) = tape;
         // Residual 2: dy flows both into the FFN branch and straight through.
-        let dffn = self
-            .ffn
-            .backward(tape.ffn, &Dropout::backward(tape.drop2, dy), cx);
-        let dx1 = dy.add(&self.ln2.backward(tape.ln2, &dffn, cx));
-        let dh = Dropout::backward(tape.drop1, &dx1);
+        let dffn = self.ffn.backward(ffn, &Dropout::backward(drop2, dy), cx);
+        let dx1 = dy.add(&self.ln2.backward(ln2, &dffn, cx));
+        let dh = Dropout::backward(drop1, &dx1);
         // Residual 1: a row no output reads gets `+0` plus its K/V gradient.
-        let dx = tape.attn.scatter_queries(dx1);
-        let dattn = self.attn.backward_self(tape.attn, &dh, cx);
-        dx.add(&self.ln1.backward(tape.ln1, &dattn, cx))
+        let dx = attn.scatter_queries(dx1);
+        let dattn = self.attn.backward_self(attn, &dh, cx);
+        dx.add(&self.ln1.backward(ln1, &dattn, cx))
     }
 }
 
@@ -288,10 +275,7 @@ pub struct Encoder {
 /// What [`Encoder::backward`] needs: every layer's tape, then the final
 /// LayerNorm's.
 #[derive(Debug)]
-pub struct EncoderTape {
-    layers: Vec<EncoderLayerTape>,
-    final_ln: LayerNormTape,
-}
+pub struct EncoderTape(Vec<EncoderLayerTape>, LayerNormTape);
 
 impl Encoder {
     /// New encoder with `n_layers` layers.
@@ -356,7 +340,7 @@ impl Encoder {
             h = Some(y);
         }
         let (y, final_ln) = self.final_ln.forward_train(h.as_ref().unwrap_or(x));
-        (y, EncoderTape { layers, final_ln })
+        (y, EncoderTape(layers, final_ln))
     }
 
     /// Inference through all layers: no tape, no dropout, `&self`, so one
@@ -378,8 +362,9 @@ impl Encoder {
     /// Backward through all layers in reverse, from the gradient of the
     /// rows the training forward returned to that of every input row.
     pub fn backward(&self, tape: EncoderTape, dy: &Tensor, cx: &mut Cx) -> Tensor {
-        let mut g = self.final_ln.backward(tape.final_ln, dy, cx);
-        for (layer, tape) in self.layers.iter().zip(tape.layers).rev() {
+        let EncoderTape(layers, final_ln) = tape;
+        let mut g = self.final_ln.backward(final_ln, dy, cx);
+        for (layer, tape) in self.layers.iter().zip(layers).rev() {
             g = layer.backward(tape, &g, cx);
         }
         g
@@ -425,7 +410,7 @@ mod tests {
         let mut cx = Cx::new(&mut f);
         let x = SeededInit::new(2).uniform(&[3, 4], -1.0, 1.0);
         let dy = SeededInit::new(3).uniform(&[3, 4], -1.0, 1.0);
-        let (_, tape) = f.forward_train(&x);
+        let (_, tape) = f.forward_train(x.clone());
         let dx = f.backward(tape, &dy, &mut cx);
         let num = numeric_grad(&x, 5e-3, |x| f.forward(x).mul(&dy).sum());
         assert_close(&dx, &num, 2e-2, "ffn dx");
@@ -505,7 +490,7 @@ mod tests {
         );
         assert_eq!(enc.infer(&x, None, Rows::All), enc.forward(&x, None, false));
         let ffn = FeedForward::new(8, 16, &mut SeededInit::new(17));
-        assert_eq!(ffn.forward(&x), ffn.forward_train(&x).0);
+        assert_eq!(ffn.forward(&x), ffn.forward_train(x.clone()).0);
     }
 
     /// The inference spelling of the training forward panics and names it.

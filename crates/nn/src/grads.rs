@@ -63,6 +63,11 @@ impl Grads {
         &self.data
     }
 
+    /// Every gradient scalar, mutably.
+    pub fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Each parameter's gradient, in visit order.
     pub fn params(&self) -> impl Iterator<Item = &[f32]> {
         self.layout
@@ -71,37 +76,18 @@ impl Grads {
             .map(|w| &self.data[w[0]..w[1]])
     }
 
-    /// Each parameter's gradient, mutably, in visit order.
-    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        let mut rest = self.data.as_mut_slice();
-        self.layout.starts.windows(2).map(move |w| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
-            rest = tail;
-            head
-        })
-    }
-
-    /// `p`'s gradient.
-    ///
-    /// # Panics
-    /// Panics if `p` was never bound (see [`Grads::new`]).
+    /// `p`'s gradient; panics if `p` was never bound (see [`Grads::new`]).
     pub fn of(&self, p: &Param) -> &[f32] {
         &self.data[self.span(p)]
     }
 
-    /// `p`'s gradient, mutably.
-    ///
-    /// # Panics
-    /// Panics if `p` was never bound (see [`Grads::new`]).
+    /// `p`'s gradient, mutably; panics if `p` was never bound.
     pub fn of_mut(&mut self, p: &Param) -> &mut [f32] {
         let span = self.span(p);
         &mut self.data[span]
     }
 
-    /// Accumulates `g` into `p`'s gradient.
-    ///
-    /// # Panics
-    /// Panics if `p` was never bound or `g` is not `p`'s shape.
+    /// Accumulates `g`, of `p`'s shape, into `p`'s gradient.
     pub fn add(&mut self, p: &Param, g: &Tensor) {
         assert_eq!(p.value.shape(), g.shape(), "gradient shape mismatch");
         let (g, on) = (g.data(), simd::active());
@@ -127,9 +113,6 @@ impl Grads {
 /// contexts' order alone. The training supervisor folds its examples with
 /// it, TaBERT its row and column passes and bi-encoder retrieval its
 /// sequences.
-///
-/// # Panics
-/// Panics when a context has another layout.
 pub fn merge_grads(master: &mut Grads, sets: &mut [Cx]) {
     // Small blocks, aligned at each parameter's start, keep the master's
     // slice in L1 across the sets and skip a set's untouched (+0.0) rows,

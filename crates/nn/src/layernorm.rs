@@ -41,21 +41,24 @@ impl LayerNorm {
 
     /// Normalizes each row of `x: [n, d]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.compute(x).0
+        self.compute(x, None).0
     }
 
     /// [`LayerNorm::forward`] and its tape, the normalized activations.
     pub fn forward_train(&self, x: &Tensor) -> (Tensor, LayerNormTape) {
-        let (out, xhat, inv_std) = self.compute(x);
+        let mut xhat = Tensor::zeros(x.shape());
+        let (out, inv_std) = self.compute(x, Some(&mut xhat));
         (out, LayerNormTape { xhat, inv_std })
     }
 
-    fn compute(&self, x: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
+    /// The output and each row's `1/σ`, writing `x̂` into `xhat` when given
+    /// (else through one row of scratch).
+    fn compute(&self, x: &Tensor, mut xhat: Option<&mut Tensor>) -> (Tensor, Vec<f32>) {
         assert_eq!(x.ndim(), 2, "LayerNorm expects [n, d], got {:?}", x.shape());
         let d = self.dim();
         assert_eq!(x.dim(1), d, "LayerNorm dim mismatch: {} vs {d}", x.dim(1));
         let n = x.dim(0);
-        let mut xhat = Tensor::zeros(&[n, d]);
+        let mut scratch = vec![0.0; if xhat.is_some() { 0 } else { d }];
         let mut out = Tensor::zeros(&[n, d]);
         let mut inv_std = Vec::with_capacity(n);
         let gamma = self.gamma.value.data();
@@ -70,10 +73,14 @@ impl LayerNorm {
             let var = simd::sq_dev_sum(on, row, mean) / d as f32;
             let istd = 1.0 / (var + self.eps).sqrt();
             inv_std.push(istd);
-            simd::shift_scale(on, xhat.row_mut(r), row, mean, istd);
-            simd::affine(on, out.row_mut(r), xhat.row(r), gamma, beta);
+            let xr = match &mut xhat {
+                Some(xhat) => xhat.row_mut(r),
+                None => &mut scratch,
+            };
+            simd::shift_scale(on, xr, row, mean, istd);
+            simd::affine(on, out.row_mut(r), xr, gamma, beta);
         }
-        (out, xhat, inv_std)
+        (out, inv_std)
     }
 
     /// Accumulates γ/β grads into `cx` and returns `d loss / d x`.

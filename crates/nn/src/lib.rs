@@ -53,7 +53,7 @@
 //! let mut cx = Cx::new(&mut mlp);
 //! let mut adam = Adam::new(1e-2);
 //!
-//! let (logits, tape) = mlp.forward_train(&Tensor::ones(&[2, 4]));
+//! let (logits, tape) = mlp.forward_train(Tensor::ones(&[2, 4]));
 //! let (loss, dlogits) = softmax_cross_entropy(&logits, &[0, 2], None);
 //! assert!(loss.is_finite());
 //! mlp.backward(tape, &dlogits, &mut cx);
@@ -76,7 +76,7 @@ pub mod optim;
 pub mod param;
 pub mod serialize;
 
-pub use activation::{Gelu, Relu, Tanh};
+pub use activation::{Gelu, Tanh};
 pub use attention::{AttnMask, MultiHeadAttention};
 pub use decoder::{Decoder, DecoderLayer};
 pub use dropout::Dropout;

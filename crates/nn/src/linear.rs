@@ -8,9 +8,9 @@ use ntr_tensor::Tensor;
 
 /// An affine transformation from `d_in` to `d_out` features.
 ///
-/// The training forward's tape is its input `x`, from which
-/// [`Linear::backward`] computes `dW = xᵀ·dy`, `db = Σ_rows dy`, and
-/// returns `dx = dy·Wᵀ`.
+/// Its training forward is [`Linear::forward`], and its tape is the input
+/// `x`, from which [`Linear::backward`] computes `dW = xᵀ·dy`,
+/// `db = Σ_rows dy`, and returns `dx = dy·Wᵀ`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix, shape `[d_in, d_out]`.
@@ -43,11 +43,6 @@ impl Linear {
     /// those rows of the whole input's forward.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         x.matmul(&self.w.value).add_row_broadcast(&self.b.value)
-    }
-
-    /// [`Linear::forward`] and its tape, a copy of `x`.
-    pub fn forward_train(&self, x: &Tensor) -> (Tensor, Tensor) {
-        (self.forward(x), x.clone())
     }
 
     /// Accumulates parameter gradients into `cx` and returns
@@ -130,8 +125,7 @@ mod tests {
         let mut l = make();
         let mut cx = Cx::new(&mut l);
         let x = SeededInit::new(5).uniform(&[4, 3], -1.0, 1.0);
-        let (y, tape) = l.forward_train(&x);
-        let dx = l.backward(&tape, &Tensor::ones(y.shape()), &mut cx);
+        let dx = l.backward(&x, &Tensor::ones(&[4, 2]), &mut cx);
         let num = numeric_grad(&x, 1e-2, |x| l.forward(x).sum());
         assert_close(&dx, &num, 1e-2, "linear dx");
     }
@@ -141,8 +135,7 @@ mod tests {
         let mut l = make();
         let mut cx = Cx::new(&mut l);
         let x = SeededInit::new(6).uniform(&[4, 3], -1.0, 1.0);
-        let (_, tape) = l.forward_train(&x);
-        let _ = l.backward(&tape, &Tensor::ones(&[4, 2]), &mut cx);
+        let _ = l.backward(&x, &Tensor::ones(&[4, 2]), &mut cx);
         let b = l.b.value.clone();
         let numw = numeric_grad(&l.w.value, 1e-2, |w| {
             x.matmul(w).add_row_broadcast(&b).sum()
@@ -161,8 +154,7 @@ mod tests {
         let mut cx = Cx::new(&mut l);
         let x = Tensor::ones(&[1, 3]);
         for _ in 0..2 {
-            let (_, tape) = l.forward_train(&x);
-            let _ = l.backward(&tape, &Tensor::ones(&[1, 2]), &mut cx);
+            let _ = l.backward(&x, &Tensor::ones(&[1, 2]), &mut cx);
         }
         // db after two backward passes of all-ones dy = 2.
         assert_eq!(cx.grads.of(&l.b), &[2.0, 2.0]);

@@ -188,9 +188,7 @@ pub fn clip_global_grad_norm(grads: &mut Grads, max_norm: f32) -> f32 {
     let total = global_grad_norm(grads);
     if total.is_finite() && total > max_norm && total > 0.0 {
         let scale = max_norm / total;
-        for g in grads.params_mut() {
-            g.iter_mut().for_each(|g| *g *= scale);
-        }
+        grads.data_mut().iter_mut().for_each(|g| *g *= scale);
     }
     total
 }

@@ -118,7 +118,6 @@ impl AggQaDataset {
 
 /// The model: a TAPAS encoder, its built-in aggregation head, and a
 /// question→column pointer.
-#[derive(Clone)]
 pub struct AggregationQa {
     /// The TAPAS encoder (with `agg_head`).
     pub tapas: Tapas,

@@ -16,7 +16,6 @@ use ntr_tokenizer::WordPieceTokenizer;
 
 /// A column classifier: encoder + label head over the mean of the target
 /// column's cell tokens.
-#[derive(Clone)]
 pub struct ColumnAnnotator<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,

@@ -15,7 +15,6 @@ use ntr_table::{Linearizer, LinearizerOptions, RowMajorLinearizer};
 use ntr_tokenizer::WordPieceTokenizer;
 
 /// A claim-verification model: encoder + binary classifier over `[CLS]`.
-#[derive(Clone)]
 pub struct FactVerifier<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,

@@ -24,7 +24,6 @@ use ntr_tokenizer::WordPieceTokenizer;
 /// cell-selection QA needs at small scale; a per-token linear head (as in
 /// [`ntr_models::Tapas::cell_head`]) memorizes positions instead of
 /// learning to match question tokens against cells.
-#[derive(Clone)]
 pub struct CellSelector<M: SequenceEncoder> {
     /// The encoder.
     pub encoder: M,

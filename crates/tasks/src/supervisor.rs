@@ -184,9 +184,10 @@ impl From<CheckpointError> for TrainError {
 
 /// Poisons the first parameter's gradient with NaN (the `nan@N` fault).
 fn poison_grads(grads: &mut Grads) {
-    if let Some(g) = grads.params_mut().next() {
-        g.iter_mut().for_each(|g| *g += f32::NAN);
-    }
+    let n = grads.params().next().map_or(0, <[f32]>::len);
+    grads.data_mut()[..n]
+        .iter_mut()
+        .for_each(|g| *g += f32::NAN);
 }
 
 /// Recomputes the loss EMA from a replayed prefix of step results. Only
@@ -540,7 +541,7 @@ fn supervise_loop<M: Layer, R>(
                 }
                 let grad_norm = match scfg.clip_norm {
                     Some(max) => clip_global_grad_norm(trainer.grads_mut(), max),
-                    None => global_grad_norm(trainer.grads()),
+                    None => global_grad_norm(trainer.grads_mut()),
                 };
                 step_grad_norm = Some(grad_norm);
                 let loss = loss_of(r);

@@ -328,11 +328,6 @@ impl Trainer {
     }
 
     /// The model's gradients, which the next [`Trainer::step`] applies.
-    pub fn grads(&self) -> &Grads {
-        &self.grads
-    }
-
-    /// The model's gradients, to accumulate into (or clip, or clear).
     pub fn grads_mut(&mut self) -> &mut Grads {
         &mut self.grads
     }
@@ -442,7 +437,7 @@ mod tests {
         backprop(&mut t, &lin);
         t.step(&mut lin).unwrap();
         assert_ne!(lin.w.value, before);
-        assert!(t.grads().data().iter().all(|&g| g == 0.0));
+        assert!(t.grads_mut().data().iter().all(|&g| g == 0.0));
         assert_eq!(t.steps(), 1);
     }
 
