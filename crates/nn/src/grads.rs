@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 /// A model's gradients, one `f32` per parameter scalar, back to back in
 /// [`Layer::visit_params`] order. [`Grads::new`] binds each parameter to
-/// its offset; a layer's backward then writes through
-/// [`Grads::add`]/[`Grads::of_mut`].
+/// its offset, where a layer's backward then accumulates ([`Grads::add`]).
 #[derive(Debug, Clone)]
 pub struct Grads {
     data: Vec<f32>,
@@ -47,7 +46,7 @@ impl Grads {
     }
 
     /// Zeroed gradients of the same layout.
-    pub fn zeros_like(&self) -> Self {
+    pub(crate) fn zeros_like(&self) -> Self {
         let data = vec![0.0; self.data.len()];
         let layout = self.layout.clone();
         Self { data, layout }
@@ -82,7 +81,7 @@ impl Grads {
     }
 
     /// `p`'s gradient, mutably; panics if `p` was never bound.
-    pub fn of_mut(&mut self, p: &Param) -> &mut [f32] {
+    pub(crate) fn of_mut(&mut self, p: &Param) -> &mut [f32] {
         let span = self.span(p);
         &mut self.data[span]
     }
