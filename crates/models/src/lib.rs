@@ -44,7 +44,7 @@ pub use heads::{
 pub use input::EncoderInput;
 pub use mate::{sparse_attention, sparse_attention_flops, Mate, SparseAxis, SparsePattern};
 pub use row_student::RowStudent;
-pub use tabert::{TaBert, TabertTape};
+pub use tabert::TaBert;
 pub use tapas::Tapas;
 pub use tapex::Tapex;
 pub use turl::Turl;

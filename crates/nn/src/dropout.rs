@@ -15,14 +15,14 @@ pub type Mask = Option<Tensor>;
 ///
 /// A training forward draws its mask from the example's [`Cx`], from the
 /// stream [`crate::Grads::new`] bound this layer to, so any number of
-/// examples train through one `&self` at once. The layer's own RNG
+/// examples train through one `&self` at once. The layer's own RNG state
 /// (seeded at construction) is where that stream stands at step start: the
 /// training supervisor derives each example's stream from it and advances
 /// it once per step, and checkpoints save and restore it.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
-    rng: StdRng,
+    state: [u64; 4],
     pub(crate) at: usize,
 }
 
@@ -38,19 +38,19 @@ impl Dropout {
         );
         Self {
             p,
-            rng: StdRng::seed_from_u64(seed),
+            state: StdRng::seed_from_u64(seed).state(),
             at: UNBOUND,
         }
     }
 
     /// The state of this layer's own stream (see [`Dropout`]).
     pub fn state(&self) -> [u64; 4] {
-        self.rng.state()
+        self.state
     }
 
     /// Restores a state read by [`Dropout::state`].
     pub fn set_state(&mut self, s: [u64; 4]) {
-        self.rng.set_state(s);
+        self.state = s;
     }
 
     /// Training dropout of `rows` of an `n`-row activation, `x` holding
