@@ -57,6 +57,12 @@ impl Grads {
         self.data.fill(0.0);
     }
 
+    /// Whether `other` lays out the same parameters and streams.
+    pub fn same_layout(&self, other: &Grads) -> bool {
+        let (a, b) = (&self.layout, &other.layout);
+        Arc::ptr_eq(a, b) || (a.starts == b.starts && a.streams == b.streams)
+    }
+
     /// Every gradient scalar, in visit order.
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -118,8 +124,7 @@ pub fn merge_grads(master: &mut Grads, sets: &mut [Cx]) {
     // such as most of an embedding table.
     const BLOCK: usize = 64;
     for set in sets.iter() {
-        let (a, b) = (&set.grads.layout, &master.layout);
-        assert!(Arc::ptr_eq(a, b) || a.starts == b.starts, "gradient layout");
+        assert!(set.grads.same_layout(master), "gradient layout");
     }
     for w in master.layout.starts.windows(2) {
         for b in (w[0]..w[1]).step_by(BLOCK) {

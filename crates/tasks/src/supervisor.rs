@@ -60,9 +60,18 @@ use ntr_nn::{merge_grads, Cx, Grads, Layer};
 use ntr_obs::Obs;
 use ntr_tensor::faults::{self, FaultKind, FaultPlan};
 use ntr_tensor::par;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+
+thread_local! {
+    /// The worker contexts of this thread's last run, which its next run
+    /// of a model of the same layout reuses: a short run (the benchmark
+    /// trains four steps per run) would otherwise allocate, fault in and
+    /// free several model-sized buffers each time.
+    static CONTEXTS: RefCell<Vec<Cx>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Slack added to the EMA spike threshold so near-zero losses don't trip
 /// it on ratio noise.
@@ -293,7 +302,8 @@ pub fn run_supervised<M: Layer + Sync, E: Send, R>(
             .u64("seed", cfg.seed)
             .finish();
     }
-    let mut slots = Vec::new();
+    let mut slots = CONTEXTS.take();
+    slots.retain(|cx| cx.grads.same_layout(trainer.grads_mut()));
     let mut step_fn = |model: &mut M, grads: &mut Grads, batch: &[BatchItem], obs: &Obs| {
         let results = run_batch(model, grads, &mut slots, batch, &example);
         reduce(results, batch, obs)
@@ -321,6 +331,7 @@ pub fn run_supervised<M: Layer + Sync, E: Send, R>(
         }
     }
     let _ = obs.write_metrics();
+    CONTEXTS.set(slots);
     result
 }
 
