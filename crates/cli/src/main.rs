@@ -110,7 +110,7 @@ const USAGE: &str = "usage:
   CSV trains the vocabulary; clients send
   {\"id\":1,\"model\":\"tapas\",\"context\":\"...\",\"columns\":[...],\"rows\":[[...]]}
   per line and get the table embedding (or a typed error) back; each flush
-  takes what is queued (up to --max-batch) across --workers model replicas
+  takes what is queued (up to --max-batch) across --workers worker threads
   with an LRU embedding cache of --cache-mb megabytes (0 disables). Batching
   is bit-identical to sequential encoding. {\"cmd\":\"shutdown\"} drains and
   exits; --port 0 picks an ephemeral port (printed on startup).
@@ -122,15 +122,16 @@ const USAGE: &str = "usage:
   their responses) for that long. Oversized request lines (>1 MiB) are
   discarded with a LineTooLong error without buffering.
   Self-healing serve: panics in the flush path are isolated — every affected
-  request gets a typed Internal error, the faulty replica is quarantined and
-  rebuilt bit-identically, and the batcher restarts with bounded backoff.
+  request gets a typed Internal error, a worker that panicked on a request is
+  quarantined (counted) and claims the next, and the batcher restarts with
+  bounded backoff.
   --request-timeout-ms sets a default per-request deadline (0 = none; a
   request's own \"timeout_ms\" field overrides it) answered with
   DeadlineExceeded when missed; clustered internal faults flip the service
   into cache-only degraded mode (misses get a typed Degraded error) until a
   half-open probe batch succeeds. {\"cmd\":\"health\"} reports
   state (ok|degraded|draining), queue depth, restart/quarantine counts, and
-  per-replica status. --faults injects deterministic serve drills,
+  per-worker quarantine counts. --faults injects deterministic serve drills,
   e.g. 'serve-panic@50,serve-slow@120' (@N counts flushes; NTR_FAULTS env
   var is the fallback).
   index build: encodes the synthetic-KB table corpus (--tables tables grown

@@ -185,10 +185,7 @@ impl MultiHeadAttention {
     /// Cross-attention for inference: queries from `xq: [n_q, d]`,
     /// keys/values from `xkv: [n_k, d]`.
     pub fn forward_cross(&self, xq: &Tensor, xkv: &Tensor, mask: Option<&AttnMask>) -> Tensor {
-        self.check(xq, xkv, mask);
-        let q = self.wq.forward(xq);
-        let (k, v) = (self.wk.forward(xkv), self.wv.forward(xkv));
-        self.wo.forward(&self.attend((&q, &k, &v), mask, false).1)
+        self.cross(xq, xkv, mask, false).1
     }
 
     /// Training self-attention over `x: [n, d]` for the query rows `rows`
@@ -242,8 +239,36 @@ impl MultiHeadAttention {
     /// pass, which is [`MultiHeadAttention::forward_train`] minus its
     /// tape — so any number of threads may run it on one shared block.
     pub fn infer(&self, x: &Tensor, rows: Rows, mask: Option<&AttnMask>) -> Tensor {
+        self.infer_keep(x, rows, mask, false).1
+    }
+
+    /// [`MultiHeadAttention::infer`], and every head's probabilities for
+    /// the query rows when `keep` (else none).
+    pub(crate) fn infer_keep(
+        &self,
+        x: &Tensor,
+        rows: Rows,
+        mask: Option<&AttnMask>,
+        keep: bool,
+    ) -> (Vec<Tensor>, Tensor) {
         let (xq, mask) = (rows.of(x), mask.map(|m| m.cut(rows)));
-        self.forward_cross(&xq, x, mask.as_deref())
+        self.cross(&xq, x, mask.as_deref(), keep)
+    }
+
+    /// [`MultiHeadAttention::forward_cross`], and every head's
+    /// probabilities when `keep` (else none).
+    fn cross(
+        &self,
+        xq: &Tensor,
+        xkv: &Tensor,
+        mask: Option<&AttnMask>,
+        keep: bool,
+    ) -> (Vec<Tensor>, Tensor) {
+        self.check(xq, xkv, mask);
+        let q = self.wq.forward(xq);
+        let (k, v) = (self.wk.forward(xkv), self.wv.forward(xkv));
+        let (probs, concat) = self.attend((&q, &k, &v), mask, keep);
+        (probs, self.wo.forward(&concat))
     }
 
     /// The per-head attention distributions of self-attention over `x`,

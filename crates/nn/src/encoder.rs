@@ -220,20 +220,26 @@ impl EncoderLayer {
     /// covers every row. Each selected row has the bits of that row of
     /// [`Rows::All`].
     pub fn infer(&self, x: &Tensor, mask: Option<&AttnMask>, rows: Rows) -> Tensor {
+        self.infer_keep(x, mask, rows, false).0
+    }
+
+    /// [`EncoderLayer::infer`], and its heads' attention probabilities
+    /// when `keep` (else none).
+    fn infer_keep(
+        &self,
+        x: &Tensor,
+        mask: Option<&AttnMask>,
+        rows: Rows,
+        keep: bool,
+    ) -> (Tensor, Vec<Tensor>) {
         let h = self.ln1.forward(x);
         // The residual sums land in the branch outputs' buffers; addition
         // commutes exactly, so the bits are those of `x + branch`.
-        let mut x1 = self.attn.infer(&h, rows, mask);
+        let (probs, mut x1) = self.attn.infer_keep(&h, rows, mask, keep);
         x1.add_assign(&rows.of(x));
         let mut out = self.ffn.forward(&self.ln2.forward(&x1));
         out.add_assign(&x1);
-        out
-    }
-
-    /// This layer's per-head attention distributions over `x` (see
-    /// [`MultiHeadAttention::attention_probs`]).
-    pub fn attention_probs(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Tensor> {
-        self.attn.attention_probs(&self.ln1.forward(x), mask)
+        (out, probs)
     }
 
     /// Backward pass from the gradient of the rows the training forward
@@ -372,13 +378,15 @@ impl Encoder {
 
     /// Per-layer, per-head attention maps of an inference pass over `x`:
     /// `maps[layer][head]` is `[n, n]`. Computed for this call and returned;
-    /// no forward keeps them.
+    /// no forward keeps them. Each layer runs once, keeping its heads'
+    /// probabilities and feeding its output to the next.
     pub fn attention_maps(&self, x: &Tensor, mask: Option<&AttnMask>) -> Vec<Vec<Tensor>> {
         let mut maps = Vec::with_capacity(self.layers.len());
         let mut h = x.clone();
         for layer in &self.layers {
-            maps.push(layer.attention_probs(&h, mask));
-            h = layer.infer(&h, mask, Rows::All);
+            let probs;
+            (h, probs) = layer.infer_keep(&h, mask, Rows::All, true);
+            maps.push(probs);
         }
         maps
     }
@@ -474,6 +482,16 @@ mod tests {
         assert_eq!(maps.len(), 2);
         assert_eq!(maps[0].len(), 2);
         assert_eq!(maps[0][0].shape(), &[4, 4]);
+        // Each layer's maps are its attention's on its LN1 input, bit for bit.
+        let mask = AttnMask::causal(4);
+        let mut h = x.clone();
+        for (layer, maps) in enc.layers.iter().zip(enc.attention_maps(&x, Some(&mask))) {
+            let expected = layer
+                .attn
+                .attention_probs(&layer.ln1.forward(&h), Some(&mask));
+            assert_eq!(maps, expected);
+            h = layer.infer(&h, Some(&mask), Rows::All);
+        }
     }
 
     /// `infer` is the training forward minus its tape: bit-identical to it

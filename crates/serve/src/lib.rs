@@ -3,9 +3,9 @@
 //! The batched embedding service: the deployment-facing layer over the
 //! `ntr` pipeline and model zoo. Concurrent clients submit encode
 //! requests (table + context + model choice); a micro-batcher takes
-//! whatever is queued (up to `max_batch`, never lingering for more), a
-//! worker pool of deterministic model replicas encodes each batch, and a
-//! content-hash keyed LRU cache short-circuits repeated tables. Results
+//! whatever is queued (up to `max_batch`, never lingering for more),
+//! worker threads reading one shared model per spec encode each batch, and
+//! a content-hash keyed LRU cache short-circuits repeated tables. Results
 //! are **bit-identical** to sequential [`ntr::Pipeline::encode`] calls at
 //! any batch size and worker count — batching changes throughput, never
 //! output.
@@ -17,7 +17,7 @@
 //!   with typed `Overloaded` load shedding, micro-batcher, worker pool,
 //!   completion callbacks — plus the self-healing core: panic isolation
 //!   with exactly-once typed responses, supervised batcher restarts,
-//!   replica quarantine/rebuild, request deadlines, and a cache-only
+//!   worker quarantine, request deadlines, and a cache-only
 //!   degraded mode behind a circuit breaker;
 //! * [`json`] / [`wire`] — std-only JSON (depth-bounded recursive
 //!   descent) and the NDJSON wire protocol with typed error responses;

@@ -15,7 +15,7 @@
 //!   └───────────┬───────────────────────────────▲────────────┘
 //!     admission │ try_submit                    │ completions + waker
 //!   ┌───────────▼────────────┐      ┌───────────┴────────────┐
-//!   │ bounded submit queue   │      │ worker replicas render │
+//!   │ bounded submit queue   │      │ worker threads render  │
 //!   │ (queue_cap, typed      │ ───► │ the response line and  │
 //!   │  Overloaded shed)      │      │ wake the loop          │
 //!   └────────────────────────┘      └────────────────────────┘

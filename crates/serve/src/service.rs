@@ -1,5 +1,5 @@
 //! The batched embedding service: a dynamic micro-batcher in front of
-//! worker replicas that share one model per spec, with a self-healing core.
+//! worker threads that share one model per spec, with a self-healing core.
 //!
 //! # Batching
 //!
@@ -8,25 +8,26 @@
 //! takes everything already queued behind it up to `max_batch`, and
 //! flushes — it never lingers for company. The models have no batch
 //! dimension (a batch of eight costs eight forwards), so waiting can only
-//! add latency; a batch buys replica parallelism, and the queue supplies
+//! add latency; a batch buys worker parallelism, and the queue supplies
 //! that by itself: the flush is synchronous on the batcher thread, so
 //! work that arrives while a flush runs *is* the next batch.
 //!
 //! # Bit-identity
 //!
 //! The models have no batch dimension, so "batched forward" here means:
-//! distribute the batch over `n_workers` replica threads and encode each
+//! `min(n_workers, batch)` worker threads claim the batch's requests from
+//! one cursor, in arrival order, and each serializes and encodes its
 //! request as a single sequence through [`Pipeline::encode_serialized`] —
 //! the exact compute core behind the sequential [`Pipeline::encode`] — with
 //! [`Rows::CLS`]: a reply (and a search) consumes the `[CLS]` row alone,
 //! so that is all the encoder computes in its last layer, and all a reply
 //! or cache entry holds (`states` is `[1, d]`). Inference is `&self`
 //! ([`SequenceEncoder::infer`]): each spec has one model, built lazily from
-//! the shared seeded config and read by every replica at once, so every
+//! the shared seeded config and read by every worker at once, so every
 //! request's output is bit-identical to row 0 of what a sequential `encode`
-//! call would produce, at any batch size and worker count. Requests are
-//! length-bucketed (longest-first greedy assignment) so workers finish at
-//! roughly the same time.
+//! call would produce, at any batch size, worker count and claim order. A
+//! worker that finishes early claims the next request, so no worker idles
+//! while another still has a queue of its own.
 //!
 //! # Self-healing
 //!
@@ -39,13 +40,12 @@
 //!   off the board when it answers; after a caught panic, whatever is
 //!   still on the board is answered with [`EncodeError::Internal`].
 //!   Exactly one response per request, no matter where the panic fired.
-//! * **Replica quarantine.** A replica whose bucket panics is
-//!   quarantined: the fault is counted and reported, and the replica goes
-//!   back into service. It owns no model state — inference only reads the
-//!   shared models — so there is nothing to drop or rebuild, and its next
-//!   output is bit-identical to a fault-free one. After `MAX_REBUILDS`
-//!   *consecutive* failures the replica is retired and load respreads over
-//!   the survivors (the last active replica is never retired).
+//! * **Worker quarantine.** A panic while a worker handles a request fails
+//!   that request alone: the fault is counted against the worker and
+//!   reported, and the worker claims the next request. It owns no model
+//!   state — inference only reads the shared models — so there is nothing
+//!   to drop or rebuild, and its next output is bit-identical to a
+//!   fault-free one.
 //! * **Batcher supervision.** The batcher loop runs under `catch_unwind`
 //!   with bounded restarts and exponential backoff; past the budget it
 //!   stops batching and answers everything with a typed
@@ -53,9 +53,10 @@
 //!   [`ServeHandle::submit`]/[`ServeHandle::try_submit`] never panic on a
 //!   dead batcher — the completion still fires.
 //! * **Deadlines.** A request may carry a deadline (wire `timeout_ms`,
-//!   or [`ServeConfig::default_timeout`]), enforced at admission, before
-//!   encode (in-queue expiry), and after the batch runs — always as a
-//!   typed [`EncodeError::DeadlineExceeded`].
+//!   or [`ServeConfig::default_timeout`]), enforced at admission, when a
+//!   worker claims it (expiry in the queue or behind earlier requests of
+//!   its flush), and after its encode — always as a typed
+//!   [`EncodeError::DeadlineExceeded`].
 //! * **Degraded mode.** A circuit breaker over recent flush outcomes
 //!   flips the service into cache-only mode when internal faults
 //!   cluster: hits are still served, misses are rejected with
@@ -79,7 +80,7 @@ use crate::cache::{content_key, CacheStats, EmbeddingCache};
 use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, Rows, TableEncoding};
 use ntr_models::{ModelConfig, SequenceEncoder};
 use ntr_obs::metrics::Histogram;
-use ntr_table::{EncodedTable, Table};
+use ntr_table::Table;
 use ntr_tensor::faults::{FaultKind, FaultPlan};
 use ntr_tensor::par;
 use std::collections::{HashMap, VecDeque};
@@ -114,7 +115,7 @@ pub struct ServeConfig {
     /// Inert, read by nothing (the batcher never lingers). Stays until the
     /// next `benchmark` PR: the frozen `ntrbench` names it in a literal.
     pub max_wait: Duration,
-    /// Number of model replicas encoding concurrently.
+    /// Number of worker threads encoding one flush concurrently.
     pub n_workers: usize,
     /// Embedding-cache capacity in bytes (0 disables caching).
     pub cache_bytes: usize,
@@ -124,7 +125,7 @@ pub struct ServeConfig {
     /// Cache hits are always admitted — they never occupy the queue.
     pub queue_cap: usize,
     /// Model configuration; `None` uses the pipeline's
-    /// [`Pipeline::default_config`]. Every replica reads the one model this
+    /// [`Pipeline::default_config`]. Every worker reads the one model this
     /// config builds per encoder spec.
     pub model_config: Option<ModelConfig>,
     /// Deadline applied to requests that carry none of their own
@@ -287,8 +288,8 @@ pub struct ServeStats {
     pub internal: u64,
     /// Batcher-loop supervision restarts.
     pub restarts: u64,
-    /// Replica quarantine events (a replica's bucket panicked; the replica
-    /// went back into service).
+    /// Worker quarantine events (a panic failed the request a worker was
+    /// handling; the worker went on claiming).
     pub quarantined: u64,
     /// Cache misses rejected with [`EncodeError::Degraded`] while the
     /// breaker was open (also counted in `errors`).
@@ -306,14 +307,11 @@ pub struct ServeStats {
     pub p99_ms: u64,
 }
 
-/// One replica's health, as reported by the `health` wire verb.
+/// One worker's health, as reported by the `health` wire verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaStatus {
-    /// Times this replica was quarantined.
+    /// Times this worker was quarantined.
     pub rebuilds: u64,
-    /// Retired after `MAX_REBUILDS` consecutive failures; no longer
-    /// assigned buckets.
-    pub retired: bool,
 }
 
 /// Service self-assessment for the `{"cmd": "health"}` wire verb.
@@ -328,19 +326,12 @@ pub struct HealthReport {
     pub queue_cap: usize,
     /// Batcher supervision restarts so far.
     pub restarts: u64,
-    /// Replica quarantine events so far.
+    /// Worker quarantine events so far.
     pub quarantined: u64,
     /// Deadline-exceeded responses so far.
     pub deadline_exceeded: u64,
-    /// Per-replica status, in worker order.
+    /// Per-worker status, in worker order.
     pub replicas: Vec<ReplicaStatus>,
-}
-
-#[derive(Default)]
-struct ReplicaHealth {
-    consecutive_failures: u32,
-    rebuilds: u64,
-    retired: bool,
 }
 
 /// Count-based circuit breaker over recent flush outcomes. Deterministic
@@ -361,9 +352,10 @@ struct Shared {
     cfg: ServeConfig,
     model_cfg: ModelConfig,
     cache: Mutex<EmbeddingCache>,
-    /// One model per spec, built on first use, read by every replica.
+    /// One model per spec, built on first use, read by every worker.
     models: Mutex<HashMap<EncoderSpec, Arc<dyn SequenceEncoder + Send>>>,
-    replicas: Vec<Mutex<ReplicaHealth>>,
+    /// Quarantines per worker, indexed by a flush's task number.
+    replicas: Vec<AtomicU64>,
     faults: Mutex<FaultPlan>,
     breaker: Mutex<Breaker>,
     obs: ntr_obs::Obs,
@@ -464,15 +456,9 @@ impl Shared {
             restarts: self.restarts.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            replicas: self
-                .replicas
-                .iter()
-                .map(|r| {
-                    let h = lock_clean(r);
-                    ReplicaStatus {
-                        rebuilds: h.rebuilds,
-                        retired: h.retired,
-                    }
+            replicas: (self.replicas.iter())
+                .map(|r| ReplicaStatus {
+                    rebuilds: r.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -722,9 +708,7 @@ impl EmbeddingService {
         let shared = Arc::new(Shared {
             cache: Mutex::new(EmbeddingCache::new(cfg.cache_bytes)),
             models: Mutex::new(HashMap::new()),
-            replicas: (0..n_workers)
-                .map(|_| Mutex::new(ReplicaHealth::default()))
-                .collect(),
+            replicas: (0..n_workers).map(|_| AtomicU64::new(0)).collect(),
             pipeline,
             cfg,
             model_cfg,
@@ -851,7 +835,7 @@ fn batcher_loop(shared: &Shared, rx: &mpsc::Receiver<Job>) {
 /// One batch: the job that woke the batcher plus whatever `queued` already
 /// holds behind it, oldest first, up to `max_batch`. It takes no clock and
 /// cannot wait — the batcher only judges between flushes, when every
-/// replica is idle, so holding a job back for company would idle the whole
+/// worker is idle, so holding a job back for company would idle the whole
 /// service; arrivals during the flush are the next batch.
 fn collect<T>(first: T, max_batch: usize, queued: impl FnMut() -> Option<T>) -> Vec<T> {
     std::iter::once(first)
@@ -860,33 +844,33 @@ fn collect<T>(first: T, max_batch: usize, queued: impl FnMut() -> Option<T>) -> 
         .collect()
 }
 
-/// Encodes one batch across the worker replicas and answers every
+/// Encodes one batch across the worker threads and answers every
 /// request — exactly once, whatever faults fire in between. The
 /// completions live on a flight board built *before* any fallible work;
-/// panics caught at the bucket level quarantine the replica, panics
-/// caught here fail whatever is still on the board.
+/// a panic caught around one request quarantines its worker and fails that
+/// request, a panic caught here fails whatever is still on the board.
 fn flush(shared: &Shared, batch: Vec<Job>) {
     let t0 = Instant::now();
     let size = batch.len() as u64;
     let flush_no = shared.batches.fetch_add(1, Ordering::Relaxed) + 1;
 
     let mut board: Vec<Mutex<Option<InFlight>>> = Vec::with_capacity(batch.len());
-    let mut work: Vec<(usize, EncoderSpec, Table, String)> = Vec::with_capacity(batch.len());
-    for (i, job) in batch.into_iter().enumerate() {
+    let mut work: Vec<(EncoderSpec, Table, String)> = Vec::with_capacity(batch.len());
+    for job in batch {
         board.push(Mutex::new(Some(InFlight {
             key: job.key,
             submitted: job.submitted,
             deadline: job.deadline,
             complete: job.complete,
         })));
-        work.push((i, job.spec, job.table, job.context));
+        work.push((job.spec, job.table, job.context));
     }
 
     let panicked = catch_unwind(AssertUnwindSafe(|| {
-        flush_inner(shared, flush_no, &board, work)
+        flush_inner(shared, flush_no, &board, &work)
     }));
     let faulted = match panicked {
-        Ok(n_bucket_panics) => n_bucket_panics > 0,
+        Ok(n_job_panics) => n_job_panics > 0,
         Err(payload) => {
             let msg = par::payload_message(payload);
             if let Some(ev) = shared.obs.event("serve_fault") {
@@ -910,13 +894,16 @@ fn flush(shared: &Shared, batch: Vec<Job>) {
     }
 }
 
-/// The fallible middle of a flush; returns how many buckets panicked
-/// (each already quarantined and answered).
+/// The fallible middle of a flush: `min(n_workers, jobs)` workers claim
+/// jobs from one cursor in arrival order until none is left, so a worker
+/// that finishes early takes the next job instead of idling. A lone job
+/// runs on the batcher thread. Returns how many jobs panicked (each
+/// already quarantined and answered).
 fn flush_inner(
     shared: &Shared,
     flush_no: u64,
     board: &[Mutex<Option<InFlight>>],
-    work: Vec<(usize, EncoderSpec, Table, String)>,
+    work: &[(EncoderSpec, Table, String)],
 ) -> usize {
     // Injected drills, consumed at flush granularity (`@N` = Nth flush).
     let (slow, panic_armed) = {
@@ -936,188 +923,104 @@ fn flush_inner(
         std::thread::sleep(INJECTED_SLOW_FLUSH);
     }
 
-    // Serialize on the batcher thread; invalid or already-expired
-    // requests are answered immediately and never reach a worker.
-    let now = Instant::now();
-    let mut jobs: Vec<(usize, EncoderSpec, EncodedTable)> = Vec::with_capacity(work.len());
-    for (i, spec, table, context) in work {
-        let Some(inflight) = lock_clean(&board[i]).take() else {
-            continue;
-        };
-        // Deadline enforcement tier 2 (in-queue): expired while queued
-        // behind a running flush.
-        if let Some((at, ms)) = inflight.deadline {
-            if now >= at {
-                shared.answer(
-                    inflight.complete,
-                    inflight.submitted,
-                    Err(EncodeError::DeadlineExceeded { timeout_ms: ms }),
-                );
-                continue;
-            }
-        }
-        match shared.pipeline.try_serialize(&table, &context) {
-            Ok(encoded) => {
-                *lock_clean(&board[i]) = Some(inflight);
-                jobs.push((i, spec, encoded));
-            }
-            Err(e) => shared.answer(inflight.complete, inflight.submitted, Err(e)),
-        }
-    }
-    if jobs.is_empty() {
-        return 0;
-    }
-
-    // Length-balanced buckets over the *active* (non-retired) replicas:
-    // longest sequences first, each assigned to the currently lightest
-    // bucket, so replicas finish together. Load respreads automatically
-    // when a replica is retired.
-    let active: Vec<usize> = {
-        let mut active: Vec<usize> = (0..shared.replicas.len())
-            .filter(|&r| !lock_clean(&shared.replicas[r]).retired)
-            .collect();
-        if active.is_empty() {
-            active.push(0); // the last replica is never retired, but be safe
-        }
-        active
-    };
-    let n_buckets = active.len().min(jobs.len());
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(jobs[i].2.len()), i));
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_buckets];
-    let mut loads = vec![0usize; n_buckets];
-    for i in order {
-        let lightest = (0..n_buckets).min_by_key(|&b| (loads[b], b)).unwrap();
-        loads[lightest] += jobs[i].2.len();
-        buckets[lightest].push(i);
-    }
-
-    // Encode every bucket concurrently, one replica per bucket. Each
-    // request runs through `encode_serialized` — the same compute core as
-    // sequential `Pipeline::encode` — on the spec's shared model, for the
-    // table-level row that replies and searches read. The
-    // bucket body runs under `catch_unwind`: a panic quarantines the
-    // replica and fails only that bucket's unanswered requests.
-    let slots: Vec<Mutex<Vec<(usize, EncoderSpec, EncodedTable)>>> = {
-        let mut jobs: Vec<Option<(usize, EncoderSpec, EncodedTable)>> =
-            jobs.into_iter().map(Some).collect();
-        buckets
-            .iter()
-            .map(|bucket| {
-                Mutex::new(
-                    bucket
-                        .iter()
-                        .map(|&i| jobs[i].take().expect("each job in exactly one bucket"))
-                        .collect(),
-                )
-            })
-            .collect()
-    };
-    let bucket_panics: Vec<usize> = par::map_tasks(n_buckets, n_buckets, |b| {
-        let replica_idx = active[b];
-        let members: Vec<usize> = lock_clean(&slots[b]).iter().map(|(i, _, _)| *i).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let work = std::mem::take(&mut *lock_clean(&slots[b]));
-            for (job_no, (i, spec, encoded)) in work.into_iter().enumerate() {
-                if panic_armed && b == 0 && job_no == 0 {
+    // Relaxed: the cursor hands out indices and publishes nothing; the jobs
+    // were in place before the dispatch started the workers.
+    let cursor = AtomicUsize::new(0);
+    let n_workers = shared.replicas.len().min(work.len());
+    let panics = par::map_tasks(n_workers, n_workers, |worker| {
+        let mut panics = 0;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some((spec, table, context)) = work.get(i) else {
+                return panics;
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if panic_armed && i == 0 {
                     panic!("{INJECTED_FLUSH_PANIC_MSG}");
                 }
-                let model = shared.model(spec);
-                let enc = Arc::new(shared.pipeline.encode_serialized(
-                    model.as_ref(),
-                    encoded,
-                    Rows::CLS,
-                ));
-                let Some(inflight) = lock_clean(&board[i]).take() else {
-                    continue;
-                };
-                // The work is done either way; cache it so future hits
-                // benefit even when this response arrives too late.
-                lock_clean(&shared.cache).insert(inflight.key, Arc::clone(&enc));
-                // Deadline enforcement tier 3 (post-batch).
-                let r = match inflight.deadline {
-                    Some((at, ms)) if Instant::now() >= at => {
-                        Err(EncodeError::DeadlineExceeded { timeout_ms: ms })
-                    }
-                    _ => Ok(ServeReply {
-                        encoding: enc,
-                        cached: false,
-                    }),
-                };
-                shared.answer(inflight.complete, inflight.submitted, r);
-            }
-        }));
-        match outcome {
-            Ok(()) => {
-                lock_clean(&shared.replicas[replica_idx]).consecutive_failures = 0;
-                0
-            }
-            Err(payload) => {
+                encode_job(shared, &board[i], *spec, table, context);
+            }));
+            if let Err(payload) = outcome {
                 let msg = par::payload_message(payload);
-                quarantine(shared, replica_idx, flush_no, &msg, active.len());
-                for &i in &members {
-                    if let Some(f) = lock_clean(&board[i]).take() {
-                        shared.answer(
-                            f.complete,
-                            f.submitted,
-                            Err(EncodeError::Internal {
-                                detail: format!("replica {replica_idx} panicked: {msg}"),
-                            }),
-                        );
-                    }
-                }
-                1
+                quarantine(shared, worker, flush_no, &msg);
+                let detail = format!("worker {worker} panicked: {msg}");
+                shared.fail_board(std::slice::from_ref(&board[i]), &detail);
+                panics += 1;
             }
         }
     });
-    bucket_panics.into_iter().sum()
+    panics.into_iter().sum()
 }
 
-/// Consecutive flush panics a replica survives (each one quarantines it)
-/// before it is retired and load respreads.
-const MAX_REBUILDS: u32 = 3;
-
-/// Quarantines a replica after its bucket panicked: counts the fault and
-/// reports it. Inference never mutates the shared models, so a panic
-/// mid-encode leaves nothing to drop or rebuild. After `MAX_REBUILDS`
-/// consecutive failures the replica is retired, unless it is the last
-/// active one.
-fn quarantine(shared: &Shared, replica_idx: usize, flush_no: u64, msg: &str, n_active: usize) {
-    let (rebuilds, retired) = {
-        let mut h = lock_clean(&shared.replicas[replica_idx]);
-        h.consecutive_failures += 1;
-        h.rebuilds += 1;
-        if h.consecutive_failures >= MAX_REBUILDS && n_active > 1 {
-            h.retired = true;
+/// One claimed job, answered through its board slot: serialized and run
+/// through `encode_serialized` — the same compute core as sequential
+/// `Pipeline::encode` — on the spec's shared model, for the table-level
+/// row that replies and searches read.
+fn encode_job(
+    shared: &Shared,
+    slot: &Mutex<Option<InFlight>>,
+    spec: EncoderSpec,
+    table: &Table,
+    context: &str,
+) {
+    let answer = |r: ServeResponse| {
+        if let Some(f) = lock_clean(slot).take() {
+            shared.answer(f.complete, f.submitted, r);
         }
-        (h.rebuilds, h.retired)
     };
+    // Deadline enforcement tier 2 (at claim): expired while queued behind
+    // a running flush, or behind this flush's earlier jobs.
+    let deadline = lock_clean(slot).as_ref().and_then(|f| f.deadline);
+    if let Some((_, ms)) = deadline.filter(|&(at, _)| Instant::now() >= at) {
+        return answer(Err(EncodeError::DeadlineExceeded { timeout_ms: ms }));
+    }
+    let encoded = match shared.pipeline.try_serialize(table, context) {
+        Ok(encoded) => encoded,
+        Err(e) => return answer(Err(e)),
+    };
+    let enc = Arc::new(shared.pipeline.encode_serialized(
+        shared.model(spec).as_ref(),
+        encoded,
+        Rows::CLS,
+    ));
+    let Some(inflight) = lock_clean(slot).take() else {
+        return;
+    };
+    // The work is done either way; cache it so future hits benefit even
+    // when this response arrives too late.
+    lock_clean(&shared.cache).insert(inflight.key, Arc::clone(&enc));
+    // Deadline enforcement tier 3 (post-encode).
+    let r = match inflight.deadline {
+        Some((at, ms)) if Instant::now() >= at => {
+            Err(EncodeError::DeadlineExceeded { timeout_ms: ms })
+        }
+        _ => Ok(ServeReply {
+            encoding: enc,
+            cached: false,
+        }),
+    };
+    shared.answer(inflight.complete, inflight.submitted, r);
+}
+
+/// Quarantines a worker after a panic failed its job: counts the fault and
+/// reports it. Inference never mutates the shared models, so a panic
+/// mid-encode leaves nothing to drop or rebuild.
+fn quarantine(shared: &Shared, worker: usize, flush_no: u64, msg: &str) {
+    let rebuilds = shared.replicas[worker].fetch_add(1, Ordering::Relaxed) + 1;
     shared.quarantined.fetch_add(1, Ordering::Relaxed);
     shared.obs.inc("serve/quarantined");
-    if retired {
-        shared.obs.inc("serve/retired");
-    }
     if let Some(ev) = shared.obs.event("serve_fault") {
-        ev.str(
-            "kind",
-            if retired {
-                "replica_retired"
-            } else {
-                "replica_panic"
-            },
-        )
-        .u64("flush", flush_no)
-        .u64("replica", replica_idx as u64)
-        .str("detail", msg)
-        .finish();
+        ev.str("kind", "replica_panic")
+            .u64("flush", flush_no)
+            .u64("replica", worker as u64)
+            .str("detail", msg)
+            .finish();
     }
-    if !retired {
-        if let Some(ev) = shared.obs.event("serve_recover") {
-            ev.str("kind", "replica_rebuild")
-                .u64("flush", flush_no)
-                .u64("rebuilds", rebuilds)
-                .finish();
-        }
+    if let Some(ev) = shared.obs.event("serve_recover") {
+        ev.str("kind", "replica_rebuild")
+            .u64("flush", flush_no)
+            .u64("rebuilds", rebuilds)
+            .finish();
     }
 }
 

@@ -17,7 +17,7 @@
 //! ```json
 //! {"ok": true, "state": "ok", "queue_depth": 0, "queue_cap": 256,
 //!  "restarts": 0, "quarantined": 0, "deadline_exceeded": 0,
-//!  "replicas": [{"rebuilds": 0, "retired": false}]}
+//!  "replicas": [{"rebuilds": 0}]}
 //! ```
 //!
 //! Search (requires the server to have been started with an index; the
@@ -315,10 +315,7 @@ pub fn health_response(state: &str, h: &HealthReport) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!(
-            "{{\"rebuilds\": {}, \"retired\": {}}}",
-            r.rebuilds, r.retired
-        ));
+        out.push_str(&format!("{{\"rebuilds\": {}}}", r.rebuilds));
     }
     out.push_str("]}");
     out
@@ -625,16 +622,7 @@ mod tests {
                 restarts: 1,
                 quarantined: 2,
                 deadline_exceeded: 4,
-                replicas: vec![
-                    ReplicaStatus {
-                        rebuilds: 2,
-                        retired: false,
-                    },
-                    ReplicaStatus {
-                        rebuilds: 3,
-                        retired: true,
-                    },
-                ],
+                replicas: vec![ReplicaStatus { rebuilds: 2 }, ReplicaStatus { rebuilds: 3 }],
             },
         );
         let doc = crate::json::parse(&line).unwrap();
@@ -643,7 +631,7 @@ mod tests {
         assert_eq!(doc.get("queue_cap").and_then(Json::as_u64), Some(256));
         let replicas = doc.get("replicas").and_then(Json::as_arr).unwrap();
         assert_eq!(replicas.len(), 2);
-        assert_eq!(replicas[1].get("retired"), Some(&Json::Bool(true)));
+        assert_eq!(replicas[1].get("retired"), None);
         assert_eq!(replicas[1].get("rebuilds").and_then(Json::as_u64), Some(3));
     }
 

@@ -33,7 +33,12 @@
 
 use crate::par;
 
-/// Approximate cost of one pool dispatch: enqueue, wake, latch.
+/// Approximate cost of one pool dispatch: enqueue, wake, latch. A 2-chunk
+/// `par::map_tasks` of trivial work measures 2–4 µs median back to back,
+/// and 9–12 µs median (p90 18–21 µs) once the workers have parked for
+/// 1 ms, on a 2-vCPU KVM guest (`cargo run --release -p ntr-tensor
+/// --example dispatch_cost`). Kernels inside one encode dispatch back to
+/// back, so the hot figure prices them.
 pub const DISPATCH_NS: u64 = 3_000;
 
 /// Minimum serial work per shipped chunk: 8× the dispatch cost keeps

@@ -19,9 +19,12 @@
 //! fresh threads per call via [`std::thread::scope`]; measured at ~25µs per
 //! spawned thread, that overhead inverted the speedup on every kernel under
 //! a few hundred microseconds (`BENCH_tensor.json`, PR 1: matmul@64 went
-//! 24.6µs → 100.7µs at 4 threads). Waking a parked worker costs ~1–2µs, two
-//! orders of magnitude less, so callers can afford much finer grains — the
-//! thresholds themselves live in [`crate::grain`].
+//! 24.6µs → 100.7µs at 4 threads). A dispatch to a parked worker costs far
+//! less: a 2-chunk [`map_tasks`] of trivial work takes 2–4 µs median
+//! (p90 6–10 µs) back to back, and 9–12 µs median (p90 18–21 µs) after 1 ms
+//! idle, on a 2-vCPU KVM guest (`cargo run --release -p ntr-tensor
+//! --example dispatch_cost`, five runs). So callers can afford much finer
+//! grains — the thresholds themselves live in [`crate::grain`].
 //!
 //! ## Panic isolation
 //!
