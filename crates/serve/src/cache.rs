@@ -62,6 +62,33 @@ pub fn content_key(
     table: &Table,
     context: &str,
 ) -> u64 {
+    key_stream(
+        spec,
+        linearizer_name,
+        opts,
+        context,
+        (&table.id, &table.caption, table.n_rows()),
+        table.columns().iter().map(|c| c.name.as_str()),
+        table
+            .rows()
+            .iter()
+            .flatten()
+            .map(|c| (c.raw.as_str(), c.entity)),
+    )
+}
+
+/// The one key stream, fed by a built table ([`content_key`]) or a scanned
+/// line ([`crate::wire::Body::key`]): `table` is (id, caption, rows), and
+/// `cells` run row-major as (text, entity).
+pub(crate) fn key_stream<'s>(
+    spec: EncoderSpec,
+    linearizer_name: &str,
+    opts: &LinearizerOptions,
+    context: &str,
+    (id, caption, n_rows): (&str, &str, usize),
+    columns: impl ExactSizeIterator<Item = &'s str>,
+    cells: impl Iterator<Item = (&'s str, Option<u32>)>,
+) -> u64 {
     let mut h = Fnv64::new();
     h.str(spec.kind.name());
     h.str(spec.precision.name());
@@ -69,31 +96,23 @@ pub fn content_key(
     h.num(opts.max_tokens as u64);
     h.num(opts.context_position as u64);
     h.str(context);
-    h.str(&table.id);
-    h.str(&table.caption);
-    h.num(table.n_rows() as u64);
-    h.num(table.n_cols() as u64);
-    for col in table.columns() {
-        h.str(&col.name);
-    }
-    for r in 0..table.n_rows() {
-        for c in 0..table.n_cols() {
-            let cell = table.cell(r, c);
-            h.str(&cell.raw);
-            // Widen before the +1: `e + 1` in u32 wraps (panics in debug)
-            // at `e == u32::MAX`, colliding annotated cells with bare ones.
-            h.num(cell.entity.map_or(0u64, |e| u64::from(e) + 1));
-        }
+    h.str(id);
+    h.str(caption);
+    h.num(n_rows as u64);
+    h.num(columns.len() as u64);
+    columns.for_each(|name| h.str(name));
+    for (raw, entity) in cells {
+        h.str(raw);
+        // Widen before the +1: `e + 1` in u32 wraps (panics in debug)
+        // at `e == u32::MAX`, colliding annotated cells with bare ones.
+        h.num(entity.map_or(0u64, |e| u64::from(e) + 1));
     }
     h.0
 }
 
 /// Approximate heap footprint of one cached encoding, in bytes.
 fn approx_bytes(enc: &TableEncoding) -> usize {
-    std::mem::size_of_val(enc.states.data())
-        + std::mem::size_of_val(enc.encoded.ids())
-        + std::mem::size_of_val(enc.encoded.meta())
-        + 64 // map/entry overhead
+    std::mem::size_of_val(enc.states.data()) + enc.encoded.heap_bytes() + 64 // map/entry overhead
 }
 
 struct Entry {
@@ -326,6 +345,26 @@ mod tests {
         let near_key = content_key(bert(), lin.name(), &opts, &near_max, "q");
         assert_ne!(bare, max_key);
         assert_ne!(max_key, near_key);
+    }
+
+    /// An entry's size counts the serialized table's two span maps, not
+    /// only its states and token arrays: the maps are about 40 % of it.
+    #[test]
+    fn an_entry_counts_its_span_maps() {
+        use std::mem::{size_of, size_of_val};
+        use std::ops::Range;
+        let enc = encoding("1");
+        let e = &enc.encoded;
+        let headers = (0..e.n_cols()).filter(|&c| e.header_span(c).is_some());
+        let spans = e.cells().count() * size_of::<((usize, usize), Range<usize>)>()
+            + headers.count() * size_of::<(usize, Range<usize>)>();
+        let arrays = size_of_val(enc.states.data()) + size_of_val(e.ids()) + size_of_val(e.meta());
+        assert!(spans > 0, "the test table has encoded cells");
+        assert!(
+            approx_bytes(&enc) >= arrays + spans,
+            "{} bytes counted for {arrays} bytes of arrays and {spans} of span entries",
+            approx_bytes(&enc)
+        );
     }
 
     #[test]

@@ -59,32 +59,13 @@ pub enum Frame {
     },
 }
 
-/// Why the server closed a connection (counted per-reason in metrics).
+/// Why the server timed a connection out (counted per reason in metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloseReason {
-    /// Client closed or reset the connection.
-    ClientGone,
     /// No read/write progress within `idle_timeout`.
     IdleTimeout,
     /// Write buffer stayed full past `idle_timeout` (client not reading).
     SlowConsumer,
-    /// Read or write returned a hard I/O error.
-    IoError,
-    /// Server-initiated drain completed for this connection.
-    Drained,
-}
-
-impl CloseReason {
-    /// Stable label for metrics and trace events.
-    pub fn label(self) -> &'static str {
-        match self {
-            CloseReason::ClientGone => "client_gone",
-            CloseReason::IdleTimeout => "idle_timeout",
-            CloseReason::SlowConsumer => "slow_consumer",
-            CloseReason::IoError => "io_error",
-            CloseReason::Drained => "drained",
-        }
-    }
 }
 
 /// A non-blocking connection and its framing/flow-control state.
@@ -97,7 +78,7 @@ pub struct Conn {
     /// Discard mode: consuming an oversized line without buffering.
     discarding: bool,
     /// Response bytes not yet accepted by the kernel.
-    write_buf: Vec<u8>,
+    pub(crate) write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
     write_pos: usize,
     /// Requests submitted to the service, response not yet queued.

@@ -1,13 +1,17 @@
-//! A minimal JSON value type with a recursive-descent parser and a
+//! A minimal JSON value type with one recursive-descent reader and a
 //! writer — just enough for the NDJSON wire protocol, std-only by
 //! design (the whole workspace is dependency-free).
 //!
-//! Numbers are kept as `f64`; object key order is preserved (`Vec` of
-//! pairs, not a map) so responses serialize deterministically.
+//! The reader borrows: a string is a slice of the input line, owned only
+//! when it holds escapes. Numbers are kept as `f64`; object key order is
+//! preserved (`Vec` of pairs, not a map) so responses serialize
+//! deterministically.
 
-/// A parsed JSON value.
+use std::borrow::Cow;
+
+/// A parsed JSON value whose strings borrow from the input.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -15,18 +19,33 @@ pub enum Json {
     /// Any number.
     Num(f64),
     /// A string (escapes resolved).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in source order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the first `key` field's value out, leaving `null` in its place.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json<'a>> {
+        let Json::Obj(pairs) = self else { return None };
+        let (_, v) = pairs.iter_mut().find(|(k, _)| k == key)?;
+        Some(std::mem::replace(v, Json::Null))
+    }
+
+    /// The string payload, moved out, if this is a string.
+    pub(crate) fn into_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Json::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -60,10 +79,24 @@ impl Json {
     }
 
     /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The same document, detached from its input.
+    pub(crate) fn into_owned(self) -> Json<'static> {
+        let own = |s: Cow<'a, str>| Cow::Owned(s.into_owned());
+        let pair = |(k, v): (Cow<'a, str>, Json<'a>)| (own(k), v.into_owned());
+        match self {
+            Json::Null => Json::Null,
+            Json::Bool(b) => Json::Bool(b),
+            Json::Num(n) => Json::Num(n),
+            Json::Str(s) => Json::Str(own(s)),
+            Json::Arr(vs) => Json::Arr(vs.into_iter().map(Json::into_owned).collect()),
+            Json::Obj(kv) => Json::Obj(kv.into_iter().map(pair).collect()),
         }
     }
 }
@@ -74,21 +107,26 @@ impl Json {
 /// levels (`rows` → row → cell).
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(s: &str) -> Result<Json, String> {
-    let bytes = s.as_bytes();
+/// Reads one JSON document, borrowing its strings from `s`; trailing
+/// non-whitespace is an error.
+pub(crate) fn read(s: &str) -> Result<Json<'_>, String> {
     let mut p = Parser {
-        bytes,
+        src: s,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != s.len() {
         return Err(format!("trailing input at byte {}", p.pos));
     }
     Ok(v)
+}
+
+/// [`read`], detached from `s`: for a document kept past its line.
+pub fn parse(s: &str) -> Result<Json<'static>, String> {
+    read(s).map(Json::into_owned)
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
@@ -111,20 +149,20 @@ pub fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.src.as_bytes().get(self.pos) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -136,8 +174,8 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, v: Json<'a>) -> Result<Json<'a>, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -145,7 +183,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json<'a>, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -169,7 +207,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
         self.enter()?;
         let mut items = Vec::new();
@@ -195,7 +233,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         self.enter()?;
         let mut pairs = Vec::new();
@@ -225,17 +263,27 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string as a slice of the input, or owned when it holds escapes.
+    /// It is cut only at ASCII bytes (quotes, backslashes and the ends of
+    /// escapes), which are always character boundaries of the `&str`.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut run = self.pos; // start of the unescaped run being scanned
+        let mut owned: Option<String> = None;
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
+                    let tail = &self.src[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(out) => Cow::Owned(out + tail),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -247,8 +295,7 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let hex = (self.src.as_bytes())
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -264,21 +311,14 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
+                    run = self.pos;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -286,7 +326,7 @@ impl Parser<'_> {
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let raw = &self.src[start..self.pos];
         raw.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {raw:?} at byte {start}"))
@@ -314,6 +354,35 @@ mod tests {
         write_str(&mut out, "a\"b\\c\nd\te\u{1}");
         let back = parse(&out).unwrap();
         assert_eq!(back.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+    }
+
+    #[test]
+    fn strings_borrow_from_the_line_unless_escaped() {
+        let doc = read(r#"{"plain": "Grèce", "escaped": "Gr\u00e8ce", "k\u0065y": 1}"#).unwrap();
+        assert!(matches!(
+            doc.get("plain"),
+            Some(Json::Str(Cow::Borrowed("Grèce")))
+        ));
+        assert!(matches!(doc.get("escaped"), Some(Json::Str(Cow::Owned(s))) if s == "Grèce"));
+        assert_eq!(doc.get("key").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.clone().into_owned(), doc);
+    }
+
+    #[test]
+    fn error_messages_name_the_byte() {
+        for (bad, message) in [
+            ("[1,]", "unexpected input at byte 3"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("\"a\\qb\"", "bad escape at byte 3"),
+            ("\"\\u12xy\"", "invalid digit found in string"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\u123ü\"", "bad \\u escape"),
+            ("\"abc", "unterminated string"),
+            ("1 2", "trailing input at byte 2"),
+            ("-", "bad number \"-\" at byte 0"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), message, "{bad:?}");
+        }
     }
 
     #[test]

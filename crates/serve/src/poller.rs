@@ -40,11 +40,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
     /// Read + write interest.
     pub const BOTH: Interest = Interest {
         readable: true,

@@ -12,8 +12,10 @@
 //!   │  per-connection state machines (crate::conn):          │
 //!   │    partial-read NDJSON framing · bounded write buffers │
 //!   │    in-flight caps · idle / slow-consumer timeouts      │
+//!   │  wire::scan → key → cache: a hit is rendered straight  │
+//!   │    into the write buffer, no table built, no wake      │
 //!   └───────────┬───────────────────────────────▲────────────┘
-//!     admission │ try_submit                    │ completions + waker
+//!   miss: table │ admit (same key)              │ completions + waker
 //!   ┌───────────▼────────────┐      ┌───────────┴────────────┐
 //!   │ bounded submit queue   │      │ worker threads render  │
 //!   │ (queue_cap, typed      │ ───► │ the response line and  │
@@ -624,7 +626,7 @@ impl EventLoop {
                         self.queue_line(slot, &line);
                         continue;
                     };
-                    match wire::parse_request(text.trim()) {
+                    match wire::scan(text.trim()) {
                         Ok(WireRequest::Shutdown) => {
                             self.queue_line(slot, "{\"ok\": true, \"cmd\": \"shutdown\"}");
                             self.stop.store(true, Ordering::SeqCst);
@@ -644,9 +646,7 @@ impl EventLoop {
                             let line = wire::health_response(state, &h);
                             self.queue_line(slot, &line);
                         }
-                        Ok(WireRequest::Encode { id, req }) => {
-                            self.submit(slot, id, req);
-                        }
+                        Ok(WireRequest::Encode { id, req }) => self.submit(slot, id, req),
                         Ok(WireRequest::Search(sr)) => {
                             self.submit_search(slot, sr);
                         }
@@ -660,28 +660,51 @@ impl EventLoop {
         }
     }
 
-    /// Hands one request to the service; the completion renders the
-    /// response line off-loop (worker thread, or inline for cache hits
-    /// and sheds) and wakes the poller.
-    fn submit(&mut self, slot: usize, id: u64, req: crate::service::ServeRequest) {
+    /// Looks a scanned encode request up once: a hit is rendered straight into
+    /// the write buffer, a miss builds its table for the batcher's queue.
+    fn submit(&mut self, slot: usize, id: u64, (spec, body): (EncoderSpec, wire::Body<'_>)) {
+        let submitted = Instant::now();
+        let key_of = |p: &Pipeline| body.key(spec, p.linearizer().name(), p.options());
+        let lookup = self.handle.lookup(key_of, submitted);
         let Some(s) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
+        let key = match lookup {
+            Ok(hit) => {
+                wire::write_ok(&mut s.conn.write_buf, id, &hit, true);
+                s.conn.write_buf.push(b'\n');
+                return;
+            }
+            Err(key) => key,
+        };
         s.conn.inflight += 1;
         let gen = s.gen;
+        let complete = self.completion(slot, gen, move |resp| match resp {
+            Ok(reply) => wire::ok_response(id, &reply.encoding, reply.cached),
+            Err(e) => wire::encode_err_response(id, &e),
+        });
+        let req = body.into_request(spec);
+        self.handle.admit(req, key, submitted, complete, true);
+    }
+
+    /// A completion that queues `render`'s line for `slot`. Only one run off
+    /// the loop wakes it: a shed, reject or search hit run by the loop itself
+    /// is sent by the same tick's [`EventLoop::drain_completions`].
+    fn completion(
+        &self,
+        slot: usize,
+        gen: u64,
+        render: impl FnOnce(crate::service::ServeResponse) -> String + Send + 'static,
+    ) -> crate::service::Completion {
         let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
-        self.handle.try_submit(
-            req,
-            Box::new(move |resp| {
-                let line = match resp {
-                    Ok(reply) => wire::ok_response(id, &reply.encoding, reply.cached),
-                    Err(e) => wire::encode_err_response(id, &e),
-                };
-                crate::service::lock_clean(&completions).push_back(Completion { slot, gen, line });
+        let (waker, loop_thread) = (self.waker.clone(), std::thread::current().id());
+        Box::new(move |resp| {
+            let line = render(resp);
+            crate::service::lock_clean(&completions).push_back(Completion { slot, gen, line });
+            if std::thread::current().id() != loop_thread {
                 waker.wake();
-            }),
-        );
+            }
+        })
     }
 
     /// Hands a search request's encode stage to the service; the completion
@@ -744,41 +767,33 @@ impl EventLoop {
         };
         s.conn.inflight += 1;
         let gen = s.gen;
-        let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
         let obs = self.obs.clone();
         let (id, k, nprobe) = (sr.id, sr.k, sr.nprobe);
+        let complete = self.completion(slot, gen, move |resp| match resp {
+            Ok(reply) => {
+                let emb = reply.encoding.table_embedding();
+                let start = Instant::now();
+                match index.search(emb.data(), k, nprobe) {
+                    Ok(res) => {
+                        obs.inc("index/searches");
+                        obs.observe("index/search_us", start.elapsed().as_micros() as u64);
+                        wire::search_ok_response(id, reply.cached, &res, &index.store)
+                    }
+                    Err(e) => {
+                        obs.inc("index/search_errors");
+                        wire::search_err_response(id, &e)
+                    }
+                }
+            }
+            Err(e) => wire::encode_err_response(id, &e),
+        });
         let req = crate::service::ServeRequest {
             spec,
             table: sr.table,
             context: sr.context,
             timeout: sr.timeout,
         };
-        self.handle.try_submit(
-            req,
-            Box::new(move |resp| {
-                let line = match resp {
-                    Ok(reply) => {
-                        let emb = reply.encoding.table_embedding();
-                        let start = Instant::now();
-                        match index.search(emb.data(), k, nprobe) {
-                            Ok(res) => {
-                                obs.inc("index/searches");
-                                obs.observe("index/search_us", start.elapsed().as_micros() as u64);
-                                wire::search_ok_response(id, reply.cached, &res, &index.store)
-                            }
-                            Err(e) => {
-                                obs.inc("index/search_errors");
-                                wire::search_err_response(id, &e)
-                            }
-                        }
-                    }
-                    Err(e) => wire::encode_err_response(id, &e),
-                };
-                crate::service::lock_clean(&completions).push_back(Completion { slot, gen, line });
-                waker.wake();
-            }),
-        );
+        self.handle.try_submit(req, complete);
     }
 
     /// Queues a response line plus its newline.

@@ -72,9 +72,11 @@
 //!
 //! # Caching
 //!
-//! Before queueing, each request is looked up in a content-hash keyed LRU
-//! cache ([`crate::cache`]); hits are answered immediately without
-//! touching the batcher.
+//! Before queueing, each request is looked up once in a content-hash keyed
+//! LRU cache ([`crate::cache`]); hits are answered immediately without
+//! touching the batcher. The event loop looks a wire request up from its
+//! scanned line ([`ServeHandle::lookup`]) and hands a miss to
+//! [`ServeHandle::admit`] under the same key.
 
 use crate::cache::{content_key, CacheStats, EmbeddingCache};
 use ntr::{build_encoder, EncodeError, EncoderSpec, ModelKind, Pipeline, Rows, TableEncoding};
@@ -228,29 +230,9 @@ pub type ServeResponse = Result<ServeReply, EncodeError>;
 /// a channel sender for blocking callers.
 pub type Completion = Box<dyn FnOnce(ServeResponse) + Send>;
 
-/// Where [`ServeHandle::try_submit`] routed a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Answered synchronously from the embedding cache.
-    CacheHit,
-    /// Accepted into the submit queue ahead of the micro-batcher.
-    Queued,
-    /// Shed with a typed [`EncodeError::Overloaded`] (already delivered
-    /// through the completion) because the queue was at capacity.
-    Shed,
-    /// Rejected with another typed error (already delivered through the
-    /// completion): [`EncodeError::Degraded`] in cache-only mode,
-    /// [`EncodeError::DeadlineExceeded`] for an already-expired budget,
-    /// or [`EncodeError::Internal`] when the batcher's restart budget is
-    /// exhausted.
-    Rejected,
-}
-
 struct Job {
-    spec: EncoderSpec,
+    req: ServeRequest,
     key: u64,
-    table: Table,
-    context: String,
     submitted: Instant,
     /// Absolute deadline plus the budget (ms) for the error message.
     deadline: Option<(Instant, u64)>,
@@ -392,10 +374,14 @@ impl Shared {
             }
             Ok(_) => {}
         }
+        self.record_latency(submitted);
+        complete(r);
+    }
+
+    fn record_latency(&self, submitted: Instant) {
         let us = submitted.elapsed().as_micros() as u64;
         self.latencies_us.record(us);
         self.obs.observe("serve/latency_us", us);
-        complete(r);
     }
 
     /// The shared model for `spec`, built from the seeded config on first use.
@@ -550,56 +536,68 @@ impl ServeHandle {
     /// (cache hit, invalid request, shed, degraded-mode reject) and
     /// possibly from a worker thread. When the submit queue holds
     /// `queue_cap` requests the request is rejected *before* the batcher
-    /// with a typed [`EncodeError::Overloaded`] and [`Admission::Shed`]
-    /// is returned; in degraded mode misses are rejected with
-    /// [`EncodeError::Degraded`] and [`Admission::Rejected`].
-    pub fn try_submit(&self, req: ServeRequest, complete: Completion) -> Admission {
+    /// with a typed [`EncodeError::Overloaded`]; in degraded mode misses
+    /// are rejected with [`EncodeError::Degraded`].
+    pub fn try_submit(&self, req: ServeRequest, complete: Completion) {
         self.submit_inner(req, complete, true)
     }
 
-    fn submit_inner(&self, req: ServeRequest, complete: Completion, bounded: bool) -> Admission {
+    fn submit_inner(&self, req: ServeRequest, complete: Completion, bounded: bool) {
         let submitted = Instant::now();
-        let shared = &self.shared;
-        shared.requests.fetch_add(1, Ordering::Relaxed);
         // Spec validation happens before any queueing: an int8 request
         // against a family with no int8 path is a typed O(1) rejection,
         // never a worker-side panic.
         if let Err(e) = req.spec.validate() {
-            shared.answer(complete, submitted, Err(e));
-            return Admission::Rejected;
+            self.shared.requests.fetch_add(1, Ordering::Relaxed);
+            return self.shared.answer(complete, submitted, Err(e));
         }
-        let key = content_key(
-            req.spec,
-            shared.pipeline.linearizer().name(),
-            shared.pipeline.options(),
-            &req.table,
-            &req.context,
-        );
-        if let Some(hit) = lock_clean(&shared.cache).get(key) {
-            shared.answer(
-                complete,
-                submitted,
-                Ok(ServeReply {
-                    encoding: hit,
-                    cached: true,
-                }),
-            );
-            return Admission::CacheHit;
+        let (spec, table, context) = (req.spec, &req.table, &req.context);
+        let key_of =
+            |p: &Pipeline| content_key(spec, p.linearizer().name(), p.options(), table, context);
+        match self.lookup(key_of, submitted) {
+            Ok(encoding) => complete(Ok(ServeReply {
+                encoding,
+                cached: true,
+            })),
+            Err(key) => self.admit(req, key, submitted, complete, bounded),
         }
+    }
+
+    /// Counts a request and looks it up once under the key `key_of` computes.
+    /// A hit's latency is recorded here and the caller answers it; a miss
+    /// hands back its key for [`ServeHandle::admit`].
+    pub(crate) fn lookup(
+        &self,
+        key_of: impl FnOnce(&Pipeline) -> u64,
+        submitted: Instant,
+    ) -> Result<Arc<TableEncoding>, u64> {
+        let shared = &self.shared;
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        let key = key_of(&shared.pipeline);
+        let hit = lock_clean(&shared.cache).get(key).ok_or(key)?;
+        shared.record_latency(submitted);
+        Ok(hit)
+    }
+
+    /// Admits a request that missed the cache under `key`: the deadline,
+    /// degraded-mode and queue-bound checks, then the batcher's queue.
+    pub(crate) fn admit(
+        &self,
+        req: ServeRequest,
+        key: u64,
+        submitted: Instant,
+        complete: Completion,
+        bounded: bool,
+    ) {
+        let shared = &self.shared;
         // Deadline enforcement tier 1 (admission): a zero budget is
         // already expired and never queues.
         let timeout = req.timeout.or(shared.cfg.default_timeout);
-        let deadline = timeout.map(|t| (submitted + t, t.as_millis() as u64));
-        if let Some((_, ms)) = deadline {
-            if timeout.is_some_and(|t| t.is_zero()) {
-                shared.answer(
-                    complete,
-                    submitted,
-                    Err(EncodeError::DeadlineExceeded { timeout_ms: ms }),
-                );
-                return Admission::Rejected;
-            }
+        if timeout == Some(Duration::ZERO) {
+            let late = EncodeError::DeadlineExceeded { timeout_ms: 0 };
+            return shared.answer(complete, submitted, Err(late));
         }
+        let deadline = timeout.map(|t| (submitted + t, t.as_millis() as u64));
         // Degraded mode: cache-only service while the breaker is open.
         // Misses are typed-rejected in O(1); every `probe_every`-th miss
         // goes through as a half-open probe.
@@ -609,8 +607,7 @@ impl ServeHandle {
             shared.obs.inc("serve/degraded_rejects");
             // Like sheds, degraded rejects do no work; keeping them out
             // of the latency histogram keeps the SLO honest.
-            complete(Err(EncodeError::Degraded));
-            return Admission::Rejected;
+            return complete(Err(EncodeError::Degraded));
         }
         // Admission control happens here — in front of the micro-batcher,
         // so a saturated service rejects in O(1) instead of queueing work
@@ -623,19 +620,16 @@ impl ServeHandle {
             shared.obs.inc("serve/shed");
             // Shed latencies are ~0 and would skew the SLO percentiles;
             // deliver without recording.
-            complete(Err(EncodeError::Overloaded {
+            return complete(Err(EncodeError::Overloaded {
                 queue_depth: depth,
                 queue_cap: cap,
             }));
-            return Admission::Shed;
         }
         shared.queue_depth.fetch_add(1, Ordering::Relaxed);
         shared.obs.observe("serve/queue_depth", depth as u64 + 1);
         let job = Job {
-            spec: req.spec,
+            req,
             key,
-            table: req.table,
-            context: req.context,
             submitted,
             deadline,
             complete,
@@ -652,19 +646,7 @@ impl ServeHandle {
                     detail: "batcher unavailable (restart budget exhausted)".to_string(),
                 }),
             );
-            return Admission::Rejected;
         }
-        Admission::Queued
-    }
-
-    /// Requests currently queued ahead of the micro-batcher.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// The configured admission bound (0 = unbounded).
-    pub fn queue_cap(&self) -> usize {
-        self.shared.cfg.queue_cap
     }
 
     /// Current counters.
@@ -749,11 +731,6 @@ impl EmbeddingService {
     /// Current counters.
     pub fn stats(&self) -> ServeStats {
         self.handle.shared.stats()
-    }
-
-    /// Current self-assessment.
-    pub fn health(&self) -> HealthReport {
-        self.handle.shared.health()
     }
 
     /// Graceful shutdown: drains every queued request through the normal
@@ -855,7 +832,7 @@ fn flush(shared: &Shared, batch: Vec<Job>) {
     let flush_no = shared.batches.fetch_add(1, Ordering::Relaxed) + 1;
 
     let mut board: Vec<Mutex<Option<InFlight>>> = Vec::with_capacity(batch.len());
-    let mut work: Vec<(EncoderSpec, Table, String)> = Vec::with_capacity(batch.len());
+    let mut work: Vec<ServeRequest> = Vec::with_capacity(batch.len());
     for job in batch {
         board.push(Mutex::new(Some(InFlight {
             key: job.key,
@@ -863,7 +840,7 @@ fn flush(shared: &Shared, batch: Vec<Job>) {
             deadline: job.deadline,
             complete: job.complete,
         })));
-        work.push((job.spec, job.table, job.context));
+        work.push(job.req);
     }
 
     let panicked = catch_unwind(AssertUnwindSafe(|| {
@@ -903,7 +880,7 @@ fn flush_inner(
     shared: &Shared,
     flush_no: u64,
     board: &[Mutex<Option<InFlight>>],
-    work: &[(EncoderSpec, Table, String)],
+    work: &[ServeRequest],
 ) -> usize {
     // Injected drills, consumed at flush granularity (`@N` = Nth flush).
     let (slow, panic_armed) = {
@@ -931,14 +908,14 @@ fn flush_inner(
         let mut panics = 0;
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((spec, table, context)) = work.get(i) else {
+            let Some(req) = work.get(i) else {
                 return panics;
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if panic_armed && i == 0 {
                     panic!("{INJECTED_FLUSH_PANIC_MSG}");
                 }
-                encode_job(shared, &board[i], *spec, table, context);
+                encode_job(shared, &board[i], req);
             }));
             if let Err(payload) = outcome {
                 let msg = par::payload_message(payload);
@@ -956,13 +933,7 @@ fn flush_inner(
 /// through `encode_serialized` — the same compute core as sequential
 /// `Pipeline::encode` — on the spec's shared model, for the table-level
 /// row that replies and searches read.
-fn encode_job(
-    shared: &Shared,
-    slot: &Mutex<Option<InFlight>>,
-    spec: EncoderSpec,
-    table: &Table,
-    context: &str,
-) {
+fn encode_job(shared: &Shared, slot: &Mutex<Option<InFlight>>, req: &ServeRequest) {
     let answer = |r: ServeResponse| {
         if let Some(f) = lock_clean(slot).take() {
             shared.answer(f.complete, f.submitted, r);
@@ -974,12 +945,12 @@ fn encode_job(
     if let Some((_, ms)) = deadline.filter(|&(at, _)| Instant::now() >= at) {
         return answer(Err(EncodeError::DeadlineExceeded { timeout_ms: ms }));
     }
-    let encoded = match shared.pipeline.try_serialize(table, context) {
+    let encoded = match shared.pipeline.try_serialize(&req.table, &req.context) {
         Ok(encoded) => encoded,
         Err(e) => return answer(Err(e)),
     };
     let enc = Arc::new(shared.pipeline.encode_serialized(
-        shared.model(spec).as_ref(),
+        shared.model(req.spec).as_ref(),
         encoded,
         Rows::CLS,
     ));

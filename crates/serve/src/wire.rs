@@ -53,18 +53,21 @@
 use crate::json::{self, Json};
 use crate::service::{HealthReport, ServeRequest};
 use ntr::{EncodeError, EncoderSpec, ModelKind, QuantSpec, TableEncoding};
-use ntr_table::Table;
+use ntr_table::{Cell, Column, LinearizerOptions, Table};
+use std::borrow::Cow;
+use std::io::Write;
 use std::time::Duration;
 
-/// One parsed request line.
+/// One parsed request line. `E` is what an encode request carries: a
+/// built [`ServeRequest`], or from [`scan`] its spec and unbuilt body.
 #[derive(Debug, Clone)]
-pub enum WireRequest {
+pub enum WireRequest<E = ServeRequest> {
     /// An encode request to forward to the service.
     Encode {
         /// Client-chosen correlation id, echoed in the response.
         id: u64,
         /// What to encode.
-        req: ServeRequest,
+        req: E,
     },
     /// A `{"cmd": "search"}` ANN lookup: encode the body table, then
     /// search the loaded index with its embedding.
@@ -74,6 +77,56 @@ pub enum WireRequest {
     /// Health probe: answered inline with [`health_response`], never
     /// queued behind the batcher (it must work while degraded).
     Health,
+}
+
+/// The table body of a scanned request. Its strings borrow from the line
+/// unless they hold escapes.
+#[derive(Debug, Clone)]
+pub struct Body<'a> {
+    context: Cow<'a, str>,
+    timeout: Option<Duration>,
+    columns: Vec<Cow<'a, str>>,
+    /// Every cell, row-major; each row has one per column.
+    cells: Vec<Cow<'a, str>>,
+    n_rows: usize,
+}
+
+impl Body<'_> {
+    /// The key [`crate::content_key`] gives the table [`Body::into_request`]
+    /// builds, read from the same key stream without building it.
+    pub fn key(&self, spec: EncoderSpec, linearizer_name: &str, opts: &LinearizerOptions) -> u64 {
+        crate::cache::key_stream(
+            spec,
+            linearizer_name,
+            opts,
+            &self.context,
+            ("wire", "", self.n_rows),
+            self.columns.iter().map(|c| &**c),
+            self.cells.iter().map(|c| (&**c, None)),
+        )
+    }
+
+    /// Builds the request's table and owns its strings.
+    pub fn into_request(self, spec: EncoderSpec) -> ServeRequest {
+        let (table, context, timeout) = self.into_parts();
+        ServeRequest {
+            timeout,
+            ..ServeRequest::with_spec(spec, table, context)
+        }
+    }
+
+    fn into_parts(self) -> (Table, String, Option<Duration>) {
+        let columns: Vec<Column> = self.columns.into_iter().map(Column::new).collect();
+        let mut cells = self.cells.into_iter().map(Cell::new);
+        let rows = (0..self.n_rows)
+            .map(|_| cells.by_ref().take(columns.len()).collect())
+            .collect();
+        // The wire protocol has no table-id field, and the id is part of the
+        // cache key — a constant here lets identical content from different
+        // requests (and different connections) share one cache entry.
+        let table = Table::new("wire", columns, rows).expect("the scan checked every row");
+        (table, self.context.into_owned(), self.timeout)
+    }
 }
 
 /// A parsed search verb.
@@ -118,21 +171,34 @@ fn bad(id: Option<u64>, message: impl Into<String>) -> WireError {
     }
 }
 
-/// Parses one request line.
+/// Parses one request line; an encode request's table is built.
 pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
-    let doc = json::parse(line).map_err(|e| bad(None, format!("malformed JSON: {e}")))?;
-    if let Some(cmd) = doc.get("cmd").and_then(Json::as_str) {
-        return match cmd {
-            "shutdown" => Ok(WireRequest::Shutdown),
-            "health" => Ok(WireRequest::Health),
-            "search" => parse_search(&doc),
-            other => Err(bad(None, format!("unknown cmd {other:?}"))),
-        };
-    }
-    let id = doc.get("id").and_then(Json::as_u64);
-    let Some(id) = id else {
-        return Err(bad(None, "missing or non-integer \"id\""));
+    read_request(line, |spec, body| body.into_request(spec))
+}
+
+/// Reads one request line once; an encode body still borrows from it.
+pub fn scan(line: &str) -> Result<WireRequest<(EncoderSpec, Body<'_>)>, WireError> {
+    read_request(line, |spec, body| (spec, body))
+}
+
+/// The one request reader: `encode` makes an encode request's payload.
+fn read_request<'a, E>(
+    line: &'a str,
+    encode: impl FnOnce(EncoderSpec, Body<'a>) -> E,
+) -> Result<WireRequest<E>, WireError> {
+    let mut doc = json::read(line).map_err(|e| bad(None, format!("malformed JSON: {e}")))?;
+    let search = match doc.get("cmd").and_then(Json::as_str) {
+        None => false,
+        Some("search") => true,
+        Some("shutdown") => return Ok(WireRequest::Shutdown),
+        Some("health") => return Ok(WireRequest::Health),
+        Some(other) => return Err(bad(None, format!("unknown cmd {other:?}"))),
     };
+    let id = (doc.get("id").and_then(Json::as_u64))
+        .ok_or_else(|| bad(None, "missing or non-integer \"id\""))?;
+    if search {
+        return parse_search(&mut doc, id);
+    }
     let model_name = doc
         .get("model")
         .and_then(Json::as_str)
@@ -147,25 +213,13 @@ pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
         kind: e.kind(),
         message: e.to_string(),
     })?;
-    let (table, context, timeout) = parse_body(&doc, id)?;
-    Ok(WireRequest::Encode {
-        id,
-        req: ServeRequest {
-            spec,
-            table,
-            context,
-            timeout,
-        },
-    })
+    let req = encode(spec, take_body(&mut doc, id)?);
+    Ok(WireRequest::Encode { id, req })
 }
 
 /// Parses the `{"cmd": "search"}` verb: same table body as `encode`, plus
 /// `k` / `nprobe` knobs and an optional model override.
-fn parse_search(doc: &Json) -> Result<WireRequest, WireError> {
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(None, "missing or non-integer \"id\""))?;
+fn parse_search<E>(doc: &mut Json<'_>, id: u64) -> Result<WireRequest<E>, WireError> {
     let k = match doc.get("k") {
         None => 10,
         Some(v) => v
@@ -191,7 +245,7 @@ fn parse_search(doc: &Json) -> Result<WireRequest, WireError> {
         }
     };
     let precision = parse_precision(doc, id)?;
-    let (table, context, timeout) = parse_body(doc, id)?;
+    let (table, context, timeout) = take_body(doc, id)?.into_parts();
     Ok(WireRequest::Search(SearchRequest {
         id,
         k,
@@ -231,72 +285,50 @@ fn parse_precision(doc: &Json, id: u64) -> Result<Option<QuantSpec>, WireError> 
     }
 }
 
-/// Parses the shared request body: `context`, `timeout_ms`, `columns`,
-/// `rows` → the query table.
-fn parse_body(doc: &Json, id: u64) -> Result<(Table, String, Option<Duration>), WireError> {
-    let context = doc
-        .get("context")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string();
+/// Moves the shared request body out of `doc`: `context`, `timeout_ms`,
+/// `columns`, `rows`, checked in that order.
+fn take_body<'a>(doc: &mut Json<'a>, id: u64) -> Result<Body<'a>, WireError> {
+    let context = doc.take("context").and_then(Json::into_str);
     let timeout = match doc.get("timeout_ms") {
         None => None,
         Some(v) => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
             bad(Some(id), "\"timeout_ms\" must be a non-negative integer")
         })?)),
     };
-    let columns: Vec<String> = doc
-        .get("columns")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad(Some(id), "missing \"columns\" array"))?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| bad(Some(id), "non-string column name"))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for row in doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad(Some(id), "missing \"rows\" array"))?
-    {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| bad(Some(id), "row is not an array"))?;
-        if cells.len() != columns.len() {
-            return Err(bad(
-                Some(id),
-                format!(
-                    "row has {} cells but there are {} columns",
-                    cells.len(),
-                    columns.len()
-                ),
-            ));
+    let Some(Json::Arr(columns)) = doc.take("columns") else {
+        return Err(bad(Some(id), "missing \"columns\" array"));
+    };
+    let columns: Option<Vec<_>> = columns.into_iter().map(Json::into_str).collect();
+    let columns = columns.ok_or_else(|| bad(Some(id), "non-string column name"))?;
+    let Some(Json::Arr(rows)) = doc.take("rows") else {
+        return Err(bad(Some(id), "missing \"rows\" array"));
+    };
+    let n_rows = rows.len();
+    // Sized by what was parsed, never by rows × columns of a hostile line.
+    let mut cells = Vec::with_capacity(rows.iter().map(|r| r.as_arr().map_or(0, <[_]>::len)).sum());
+    for row in rows {
+        let Json::Arr(row) = row else {
+            return Err(bad(Some(id), "row is not an array"));
+        };
+        if row.len() != columns.len() {
+            let (n, m) = (row.len(), columns.len());
+            let message = format!("row has {n} cells but there are {m} columns");
+            return Err(bad(Some(id), message));
         }
-        rows.push(
-            cells
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| bad(Some(id), "non-string cell"))
-                })
-                .collect::<Result<_, _>>()?,
-        );
+        for cell in row {
+            cells.push(
+                cell.into_str()
+                    .ok_or_else(|| bad(Some(id), "non-string cell"))?,
+            );
+        }
     }
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let row_refs: Vec<Vec<&str>> = rows
-        .iter()
-        .map(|r| r.iter().map(String::as_str).collect())
-        .collect();
-    let row_slices: Vec<&[&str]> = row_refs.iter().map(Vec::as_slice).collect();
-    // The wire protocol has no table-id field, and the id is part of the
-    // cache key — a constant here lets identical content from different
-    // requests (and different connections) share one cache entry.
-    let table = Table::from_strings("wire", &col_refs, &row_slices);
-    Ok((table, context, timeout))
+    Ok(Body {
+        context: context.unwrap_or_default(),
+        timeout,
+        columns,
+        cells,
+        n_rows,
+    })
 }
 
 /// Renders the health-verb response line. `state` is passed separately so
@@ -323,23 +355,31 @@ pub fn health_response(state: &str, h: &HealthReport) -> String {
 
 /// Renders a success response line (no trailing newline).
 pub fn ok_response(id: u64, enc: &TableEncoding, cached: bool) -> String {
-    let emb = enc.table_embedding();
-    let mut out = String::with_capacity(32 + emb.data().len() * 12);
-    out.push_str(&format!(
+    let mut out = Vec::new();
+    write_ok(&mut out, id, enc, cached);
+    String::from_utf8(out).expect("a reply is ASCII")
+}
+
+/// [`ok_response`], appended to `out` (a connection's write buffer).
+pub fn write_ok(out: &mut Vec<u8>, id: u64, enc: &TableEncoding, cached: bool) {
+    let emb = enc.states.row(0);
+    out.reserve(96 + emb.len() * 12);
+    // Writes to a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "{{\"id\": {id}, \"ok\": true, \"cached\": {cached}, \"seq_len\": {}, \"d_model\": {}, \"embedding\": [",
         enc.encoded.len(),
-        emb.data().len(),
-    ));
-    for (i, v) in emb.data().iter().enumerate() {
+        emb.len(),
+    );
+    for (i, v) in emb.iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
         }
         // Rust's shortest-round-trip float formatting: parses back to the
         // identical f32 bit pattern.
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
-    out.push_str("]}");
-    out
+    out.extend_from_slice(b"]}");
 }
 
 /// Renders a search success line: ranked `(table_id, distance)` results

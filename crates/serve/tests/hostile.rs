@@ -57,7 +57,7 @@ fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     )
 }
 
-fn roundtrip(conn: &mut (BufReader<TcpStream>, TcpStream), line: &[u8]) -> Json {
+fn roundtrip(conn: &mut (BufReader<TcpStream>, TcpStream), line: &[u8]) -> Json<'static> {
     conn.1.write_all(line).expect("write request");
     conn.1.write_all(b"\n").expect("write newline");
     let mut resp = String::new();

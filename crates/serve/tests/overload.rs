@@ -75,7 +75,7 @@ fn connect(addr: std::net::SocketAddr) -> TcpStream {
     s
 }
 
-fn read_doc(reader: &mut BufReader<TcpStream>) -> Json {
+fn read_doc(reader: &mut BufReader<TcpStream>) -> Json<'static> {
     let mut resp = String::new();
     reader.read_line(&mut resp).expect("read response");
     json::parse(resp.trim()).expect("valid JSON response")

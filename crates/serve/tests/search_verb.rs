@@ -96,7 +96,11 @@ fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     )
 }
 
-fn roundtrip(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream, line: &str) -> Json {
+fn roundtrip(
+    reader: &mut BufReader<TcpStream>,
+    stream: &mut TcpStream,
+    line: &str,
+) -> Json<'static> {
     stream.write_all(line.as_bytes()).unwrap();
     stream.write_all(b"\n").unwrap();
     let mut resp = String::new();

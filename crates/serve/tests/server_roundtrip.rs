@@ -41,7 +41,7 @@ fn start_server() -> Server {
     Server::start(pipeline, cfg, 0, ntr_obs::Obs::disabled()).expect("bind ephemeral port")
 }
 
-fn roundtrip(stream: &mut (BufReader<TcpStream>, TcpStream), line: &str) -> Json {
+fn roundtrip(stream: &mut (BufReader<TcpStream>, TcpStream), line: &str) -> Json<'static> {
     stream
         .1
         .write_all(format!("{line}\n").as_bytes())

@@ -56,7 +56,7 @@ fn connect(addr: std::net::SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     )
 }
 
-fn roundtrip(conn: &mut (BufReader<TcpStream>, TcpStream), line: &str) -> Json {
+fn roundtrip(conn: &mut (BufReader<TcpStream>, TcpStream), line: &str) -> Json<'static> {
     conn.1
         .write_all(format!("{line}\n").as_bytes())
         .expect("write request");

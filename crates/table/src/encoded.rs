@@ -128,6 +128,18 @@ impl EncodedTable {
         &self.meta
     }
 
+    /// Approximate heap bytes held: the token arrays, and both span maps
+    /// at their capacity (an entry plus its control byte per slot).
+    pub fn heap_bytes(&self) -> usize {
+        fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+            m.capacity() * (std::mem::size_of::<(K, V)>() + 1)
+        }
+        std::mem::size_of_val(self.ids.as_slice())
+            + std::mem::size_of_val(self.meta.as_slice())
+            + map_bytes(&self.cell_spans)
+            + map_bytes(&self.header_spans)
+    }
+
     /// Sequence length.
     pub fn len(&self) -> usize {
         self.ids.len()

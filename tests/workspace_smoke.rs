@@ -1,7 +1,8 @@
 //! Tier-1 smoke over the crates the root package does not otherwise build:
 //! `cargo test -q` must not be green while `ntr-serve` or `ntr-index` is
 //! red. One pass each over the persisted-file paths (checkpoint resume,
-//! store + index save/open) and the in-process serving path. Seconds, not
+//! store + index save/open), the in-process serving path, and the
+//! server's cache-hit path over a socket. Seconds, not
 //! minutes; the thorough suites stay in the crates.
 
 use ntr::corpus::tables::{CorpusConfig, TableCorpus};
@@ -11,8 +12,11 @@ use ntr::tasks::trainer::TrainerOptions;
 use ntr::tasks::{TrainConfig, TrainRun};
 use ntr::{EncoderSpec, ModelKind, Pipeline};
 use ntr_index::{EmbeddingStore, IvfConfig, IvfIndex, SearchIndex};
-use ntr_serve::{EmbeddingService, ServeConfig, ServeRequest};
+use ntr_serve::{EmbeddingService, ServeConfig, ServeRequest, Server};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ntr_smoke_{tag}_{}", std::process::id()));
@@ -144,4 +148,48 @@ fn service_encodes_and_the_saved_index_finds_the_table() {
     let stats = service.shutdown();
     assert_eq!(stats.errors, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The event loop answers a repeated table from the cache: the second
+/// request spells a cell with a `\u` escape, keys to the same entry, and
+/// gets the first reply's bytes with only `cached` flipped.
+#[test]
+fn a_repeated_table_is_answered_from_the_cache_over_the_wire() {
+    let corpus = corpus();
+    let pipeline = Pipeline::builder()
+        .vocab_from_tables(&corpus.tables)
+        .vocab_size(600)
+        .build()
+        .expect("vocab is non-empty");
+    let cfg = ServeConfig {
+        n_workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(pipeline, cfg, 0, ntr::obs::Obs::disabled()).expect("server starts");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        writeln!(&stream, "{line}").expect("write request");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("read reply");
+        resp
+    };
+    let head = r#"{"id": 7, "model": "tapas", "context": "capitals", "columns": ["Country", "Capital"], "rows": [["France", "#;
+    let first = ask(&format!(r#"{head}"Paris"], ["Japan", "Tokyo"]]}}"#));
+    let second = ask(&format!(r#"{head}"Par\u0069s"], ["Japan", "Tokyo"]]}}"#));
+    assert!(first.contains("\"ok\": true, \"cached\": false"), "{first}");
+    assert!(second.contains("\"cached\": true"), "{second}");
+    assert_eq!(
+        second.replacen("\"cached\": true", "\"cached\": false", 1),
+        first
+    );
+    ask(r#"{"cmd": "shutdown"}"#);
+    let stats = server.wait().service;
+    assert_eq!(
+        (stats.requests, stats.cache.hits, stats.cache.misses),
+        (2, 1, 1)
+    );
 }
