@@ -1,8 +1,10 @@
 //! # ntr-bench
 //!
 //! The experiment harness that regenerates every figure/exercise of the
-//! paper (see DESIGN.md §2 for the experiment index E1–E12), plus shared
-//! infrastructure for the criterion micro-benchmarks in `benches/`.
+//! paper (see DESIGN.md §2 for the experiment index E1–E12). Its
+//! `tests/student_gate.rs` holds the distilled student to its speed and
+//! fidelity targets; `ntrbench` (its own package under `src/bin/ntrbench`)
+//! is the end-to-end and per-layer benchmark.
 //!
 //! Run all experiments:
 //!

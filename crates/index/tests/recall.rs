@@ -9,16 +9,11 @@ use ntr_index::{EmbeddingStore, IvfConfig, IvfIndex, SearchIndex};
 
 const K: usize = 10;
 
-/// Encode `n_tables` synthetic-KB tables into an embedding store.
-fn encoded_store(n_tables: usize) -> EmbeddingStore {
+/// Encodes a synthetic-KB corpus: the first `n_stored` tables fill the
+/// store, the rest come back as held-out query vectors.
+fn encode_corpus(corpus: &CorpusConfig, n_stored: usize) -> (EmbeddingStore, Vec<Vec<f32>>) {
     let world = World::generate(WorldConfig::default());
-    let corpus = TableCorpus::generate(
-        &world,
-        &CorpusConfig {
-            n_tables,
-            ..CorpusConfig::default()
-        },
-    );
+    let corpus = TableCorpus::generate(&world, corpus);
     let pipeline = Pipeline::builder()
         .vocab_from_tables(&corpus.tables)
         .vocab_size(600)
@@ -31,6 +26,7 @@ fn encoded_store(n_tables: usize) -> EmbeddingStore {
     let cfg = ntr::models::ModelConfig::tiny(pipeline.tokenizer().vocab_size());
     let mut model = build_encoder(EncoderSpec::f32(ModelKind::Bert), &cfg).expect("f32 spec");
     let mut store = EmbeddingStore::new(cfg.d_model);
+    let mut queries = Vec::new();
     let reqs: Vec<EncodeRequest> = corpus
         .tables
         .iter()
@@ -42,26 +38,46 @@ fn encoded_store(n_tables: usize) -> EmbeddingStore {
             .expect("encode_batch");
         for (req, enc) in chunk.iter().zip(encodings.iter()) {
             let emb = enc.table_embedding();
-            store.push(req.table.id.clone(), emb.data()).unwrap();
+            if store.len() < n_stored {
+                store.push(req.table.id.clone(), emb.data()).unwrap();
+            } else {
+                queries.push(emb.data().to_vec());
+            }
         }
     }
-    store
+    (store, queries)
 }
 
-fn recall_at_k(store: &EmbeddingStore, ivf: &IvfIndex, queries: &[usize], nprobe: usize) -> f64 {
-    let mut hit = 0usize;
-    let mut total = 0usize;
+/// Encodes `n_tables` synthetic-KB tables into an embedding store.
+fn encoded_store(n_tables: usize) -> EmbeddingStore {
+    let corpus = CorpusConfig {
+        n_tables,
+        ..CorpusConfig::default()
+    };
+    encode_corpus(&corpus, n_tables).0
+}
+
+/// Recall@K of the IVF answers against brute force over `queries`, and the
+/// mean number of stored vectors each search scanned.
+fn recall_at_k(
+    store: &EmbeddingStore,
+    ivf: &IvfIndex,
+    queries: &[&[f32]],
+    nprobe: usize,
+) -> (f64, f64) {
+    let (mut hit, mut scanned) = (0usize, 0usize);
     for &q in queries {
-        let exact = store.brute_force_topk(store.vector(q), K).unwrap();
-        let approx = ivf.search(store, store.vector(q), K, nprobe).unwrap();
+        let exact = store.brute_force_topk(q, K).unwrap();
+        let approx = ivf.search(store, q, K, nprobe).unwrap();
+        scanned += approx.scanned;
         for (id, _) in &exact {
             if approx.hits.iter().any(|(a, _)| a == id) {
                 hit += 1;
             }
         }
-        total += K;
     }
-    hit as f64 / total as f64
+    let n = queries.len() as f64;
+    (hit as f64 / (n * K as f64), scanned as f64 / n)
 }
 
 #[test]
@@ -69,22 +85,65 @@ fn kb_recall_against_brute_force_ground_truth() {
     let store = encoded_store(400);
     assert_eq!(store.len(), 400);
     let ivf = IvfIndex::build(&store, &IvfConfig::default()).unwrap();
-    let queries: Vec<usize> = (0..store.len()).step_by(9).collect();
+    let queries: Vec<&[f32]> = (0..store.len())
+        .step_by(9)
+        .map(|q| store.vector(q))
+        .collect();
 
     // Probing every list is an exact scan: recall must be perfect and the
     // ranked answers identical to brute force.
-    for &q in queries.iter().take(5) {
-        let exact = store.brute_force_topk(store.vector(q), K).unwrap();
-        let approx = ivf.search(&store, store.vector(q), K, ivf.nlist()).unwrap();
-        assert_eq!(approx.hits, exact, "query {q}");
+    for (i, &q) in queries.iter().take(5).enumerate() {
+        let exact = store.brute_force_topk(q, K).unwrap();
+        let approx = ivf.search(&store, q, K, ivf.nlist()).unwrap();
+        assert_eq!(approx.hits, exact, "query {i}");
     }
-    assert_eq!(recall_at_k(&store, &ivf, &queries, ivf.nlist()), 1.0);
+    assert_eq!(recall_at_k(&store, &ivf, &queries, ivf.nlist()).0, 1.0);
 
     // The default probe budget scans a fraction of the corpus but must keep
-    // recall high on the clustered KB embeddings (the CI bench job gates the
-    // full-size corpus at ≥ 0.95; this unit floor is deliberately looser).
-    let recall = recall_at_k(&store, &ivf, &queries, ivf.default_nprobe());
+    // recall high on the clustered KB embeddings (the full-size test below
+    // holds 0.95; this small-store floor is deliberately looser).
+    let (recall, _) = recall_at_k(&store, &ivf, &queries, ivf.default_nprobe());
     assert!(recall >= 0.8, "recall@{K} {recall} < 0.8 at default nprobe");
+}
+
+/// Stored tables of the full-size check.
+const FULL_STORE: usize = 10_000;
+/// Held-out query tables of the full-size check.
+const FULL_QUERIES: usize = 200;
+/// Least recall@K at the default nprobe on the full-size store.
+const MIN_RECALL: f64 = 0.95;
+/// Largest share of the store one default-nprobe search may scan: at most a
+/// fifth, i.e. at least 5× less work than the exact scan.
+const MAX_SCAN_SHARE: f64 = 0.2;
+
+#[test]
+fn full_size_store_keeps_recall_at_a_fifth_of_the_brute_force_work() {
+    let corpus = CorpusConfig {
+        n_tables: FULL_STORE + FULL_QUERIES,
+        headerless_prob: 0.0,
+        seed: 7,
+        ..CorpusConfig::default()
+    };
+    let (store, held_out) = encode_corpus(&corpus, FULL_STORE);
+    assert_eq!((store.len(), held_out.len()), (FULL_STORE, FULL_QUERIES));
+    let ivf = IvfIndex::build(&store, &IvfConfig::default()).unwrap();
+    let queries: Vec<&[f32]> = held_out.iter().map(Vec::as_slice).collect();
+
+    let (recall, scanned) = recall_at_k(&store, &ivf, &queries, ivf.default_nprobe());
+    let share = scanned / store.len() as f64;
+    println!(
+        "nprobe {} of {}: recall@{K} {recall:.4}, scan share {share:.4}",
+        ivf.default_nprobe(),
+        ivf.nlist()
+    );
+    assert!(
+        recall >= MIN_RECALL,
+        "recall@{K} {recall:.4} < {MIN_RECALL}"
+    );
+    assert!(
+        share <= MAX_SCAN_SHARE,
+        "a search scans {share:.4} of the store, over {MAX_SCAN_SHARE}"
+    );
 }
 
 #[test]

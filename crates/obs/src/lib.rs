@@ -2,8 +2,8 @@
 //!
 //! Dependency-free runtime observability for the `ntr` training and
 //! serving stack: a lock-cheap [`metrics`] registry (counters, gauges,
-//! log-scale histograms) whose [`metrics::Snapshot`] serializes to the same
-//! hand-rolled JSON style as `BENCH_tensor.json`, a structured JSONL event
+//! log-scale histograms) whose [`metrics::Snapshot`] serializes to a flat
+//! JSON array with one object per metric, a structured JSONL event
 //! trace ([`trace::TraceWriter`]: one event per line, atomic append), and
 //! global [`pool`] utilization counters the `ntr-tensor` thread pool feeds.
 //!

@@ -5,9 +5,9 @@
 //! `Mutex<BTreeMap>`. The mutex guards only *name resolution* — the hot
 //! path (incrementing an already-resolved handle) is a single relaxed
 //! atomic op, and callers that care can resolve once and keep the handle.
-//! A [`Snapshot`] of the whole registry serializes to the same hand-rolled
-//! flat-JSON-array style as `BENCH_tensor.json`, one object per metric,
-//! sorted by name so snapshots diff cleanly.
+//! A [`Snapshot`] of the whole registry serializes to a hand-rolled flat
+//! JSON array, one object per metric and line (name, kind, then the value
+//! or the count, sum and buckets), sorted by name so snapshots diff cleanly.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -215,8 +215,8 @@ impl SnapshotEntry {
     }
 }
 
-/// A serializable point-in-time view of a [`MetricsRegistry`], written in
-/// the same hand-rolled flat-JSON-array style as `BENCH_tensor.json`.
+/// A serializable point-in-time view of a [`MetricsRegistry`], written as
+/// a hand-rolled flat JSON array with one object per metric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Metrics, sorted by name.
@@ -265,8 +265,8 @@ impl Snapshot {
         self.entries.sort_by(|a, b| a.name().cmp(b.name()));
     }
 
-    /// Serializes to a flat JSON array, one object per metric — the
-    /// `BENCH_tensor.json` house style.
+    /// Serializes to a flat JSON array, one object per metric and line:
+    /// `{"metric": name, "kind": "counter", "value": n}` or a histogram's.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");
         for (i, e) in self.entries.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Dependency-free readiness polling: `epoll` on linux, `poll(2)` on
 //! other unix — the substrate of the event-loop server (and of the
-//! `loadgen` bench client).
+//! single-threaded client of `tests/load_drill.rs`).
 //!
 //! The workspace is crate-dependency-free by design, so instead of `libc`
 //! or `mio` this module declares the three syscall wrappers it needs as

@@ -409,8 +409,8 @@ impl Shared {
 
     /// A percentile (0–100) from the latency histogram, interpolated within
     /// the matched log2 bucket and converted to milliseconds. (Reporting the
-    /// bucket's upper edge overstated the tail by up to 2×, which the
-    /// `NTR_LOADGEN_MAX_P99_MS` SLO gate then enforced against.)
+    /// bucket's upper edge overstated the tail by up to 2×, which a p99
+    /// ceiling would then have been enforced against.)
     fn latency_pct_ms(&self, p: u64) -> u64 {
         self.latencies_us.percentile(p as f64).div_ceil(1000)
     }
@@ -1077,8 +1077,8 @@ mod tests {
         assert_eq!(pct(50), 1, "mid-bucket p50 (96µs) rounds up to 1ms");
         assert_eq!(pct(99), 1, "p99 rank 99 still lands in the fast bucket");
         // Regression: the pre-fix upper-edge report turned the single 80ms
-        // outlier into 131ms (131071µs), a ~1.6× overstatement the
-        // NTR_LOADGEN_MAX_P99_MS SLO gate then enforced against. The
+        // outlier into 131ms (131071µs), a ~1.6× overstatement a p99
+        // ceiling would then have been enforced against. The
         // midpoint interpolation lands at 98304µs → 99ms.
         assert_eq!(pct(100), 99, "max rank interpolates within the slow bucket");
     }

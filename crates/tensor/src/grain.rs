@@ -23,8 +23,8 @@
 //! * otherwise fan out to `min(max_threads, est_ns / MIN_GRAIN_NS)`
 //!   workers, so each chunk stays at or above the grain.
 //!
-//! The per-unit costs below are medians measured with the scalar kernels
-//! on the bench host (single-core pinned, AVX2; see `BENCH_tensor.json`).
+//! The per-unit costs below were calibrated on single-thread scalar kernel
+//! timings; `ntrbench --trace 1` reports today's kernels as `tensor.*_us`.
 //! They only need to be right within ~2×: the decision they feed is a
 //! coarse threshold, not a schedule. SIMD makes per-unit work cheaper,
 //! which *raises* the parallel break-even size — using the scalar

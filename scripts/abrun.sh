@@ -12,15 +12,17 @@
 #
 # Then PAIRS pairs run one after the other, each pair running both sides
 # back to back; odd pairs run A first, even pairs B first. Every run's
-# end-to-end metrics are printed, then one Markdown row per metric: every
-# value of each side, the paired ratios B/A, and each side's median with its
+# end-to-end metrics are printed, with the user and kernel CPU seconds the
+# run spent (bash `time`, as `user_s` and `sys_s`), so a bimodal series
+# shows whether its slow runs sit in the kernel. Then one Markdown row per
+# metric, those two included: every value of each side, the paired ratios B/A, and each side's median with its
 # quartiles, then how many pairs favoured B and the median paired ratio
 # with a distribution-free interval from the ratios' order statistics: the
 # narrowest [r(k), r(n+1-k)] that holds the true median ratio with at least
 # 90 % confidence (sign-test binomial; the achieved level is printed, and
 # below 6 pairs the widest interval, [min, max], reaches less). A ratio
-# above 1 is a gain for `throughput` and a loss for the latencies and
-# `setup_s`.
+# above 1 is a gain for `throughput` and a loss for the latencies,
+# `setup_s` and the CPU times.
 # THREADS, when given, is exported as NTR_THREADS to every run. -r reuses
 # the two binaries a previous call built instead of building them again.
 #
@@ -78,20 +80,25 @@ elif [ -z "$reuse" ]; then
     build "$2" B
 fi
 
-# run SIDE PAIR: one run, its output kept in out/SIDE-PAIR.txt.
+# run SIDE PAIR: one run, its output kept in out/SIDE-PAIR.txt and its CPU
+# times appended there as two more metric lines.
 status=0
 run() {
-    local out="$dir/out/$1-$2.txt" bin=$1 settings=
+    local out="$dir/out/$1-$2.txt" bin=$1 settings= TIMEFORMAT='%3U %3S' times user sys
     if [ -n "$rev" ]; then
         bin=A
         if [ "$1" = A ]; then settings=$A; else settings=$B; fi
     fi
+    # `time` reports on the group's stderr, captured here; the run's own
+    # stderr goes to the script's, through fd 3.
     # shellcheck disable=SC2086 # a setting list splits into VAR=value words
-    if ! env ${threads:+NTR_THREADS=$threads} $settings "$dir/bin/$bin" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" >"$out"; then
+    if ! times=$({ time env ${threads:+NTR_THREADS=$threads} $settings "$dir/bin/$bin" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" >"$out" 2>&3; } 3>&2 2>&1); then
         echo "run $1 of pair $2 failed a check: see $out" >&2
         status=1
     fi
+    read -r user sys <<<"$times"
+    printf 'metric user_s %s\nmetric sys_s %s\n' "$user" "$sys" >>"$out"
     awk -v side="$1" -v pair="$2" '
         /^metric / { m = m sprintf(" %s=%s", $2, $3) }
         /^counter tasks.final_loss / { m = m sprintf(" final_loss=%s", $3) }
@@ -107,7 +114,7 @@ echo "$workload, $pairs pairs, seed $seed, ${threads:-default} threads; A = $1, 
 echo
 echo "| metric | A | B | paired ratios B/A | median [quartiles] A → B | B better | median ratio [interval] level |"
 echo "| --- | --- | --- | --- | --- | --- | --- |"
-for metric in setup_s throughput p50_ms p95_ms; do
+for metric in setup_s throughput p50_ms p95_ms user_s sys_s; do
     for i in $(seq 1 "$pairs"); do
         for side in A B; do
             awk -v m="$metric" '$1 == "metric" && $2 == m { print $3 }' "$dir/out/$side-$i.txt"
